@@ -23,13 +23,13 @@ from .harness import (
     predict_windows,
     read_config_file,
     run_experiment,
+    split_training_span,
+    train_model,
     write_predictions,
 )
-from .learning import Model, TrainingExample, bcfw_train, sequential_train
+from .learning import Model, make_training_examples
 from .synth import SynthSpec, synth_generate, write_dataset
-from .trajectories import load_dataset, scene_stats, slice_windows, window_ground_truth
-
-_SPAN_EPS = 1e-9
+from .trajectories import load_dataset, scene_stats, slice_windows
 
 _CONFIG_FLAGS = (
     ("--window-len", "window_len", float, "window length in seconds"),
@@ -163,24 +163,11 @@ def _cmd_train(args) -> int:
         raise ConfigError(f"{args.data}: ground truth is required to train")
     windows = slice_windows(dataset.trajectories, config.window_len, config.stride)
     if _span_requested(args, args.config):
-        t0 = min(tr.start_t for tr in dataset.trajectories)
-        windows = [w for w in windows if w.end_t <= t0 + config.training_span + _SPAN_EPS]
-    configs = config.feature_configs()
-    scenes = [build_scene(w, configs) for w in windows if w.members]
-    examples = [
-        TrainingExample(scene, window_ground_truth(scene.window, dataset.labels))
-        for scene in scenes
-    ]
+        windows, _ = split_training_span(dataset, windows, config.training_span)
+    examples = make_training_examples(windows, dataset.labels, config.feature_configs())
     if not examples:
         raise ConfigError("no windows with members to train on")
-    tc = config.train_config(config.seed)
-    snapshot = config.to_flat_dict()
-    if config.mode == "sequential":
-        model = None
-        for model in sequential_train(iter(examples), tc, log=args.log, config_snapshot=snapshot):
-            pass
-    else:
-        model = bcfw_train(examples, tc, log=args.log, config_snapshot=snapshot)
+    model = train_model(config, examples, config.seed, args.log, config.to_flat_dict())
     model.save(args.out)
     print(f"trained on {len(examples)} windows ({model.iterations} iterations) -> {args.out}")
     return 0

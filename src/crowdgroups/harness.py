@@ -35,6 +35,7 @@ from .learning import (
 from .losses import ForestScore, gmitre_score, positive_pairwise_metric
 from .partitioning import Partition
 from .trajectories import (
+    _SPAN_EPS,
     Dataset,
     load_dataset,
     load_ground_truth,
@@ -45,7 +46,6 @@ from .trajectories import (
 
 logger = logging.getLogger(__name__)
 
-_SPAN_EPS = 1e-9
 METRIC_NAMES = ("gmitre", "pairwise_positive")
 
 
@@ -452,29 +452,26 @@ def _weights_rows(model: Model) -> list[list]:
     return rows
 
 
-def _train_one(
-    config: RunConfig,
-    examples: list[TrainingExample],
-    test_scenes: list,
-    run_seed: int,
-    log_path,
-    snapshot: dict,
-) -> tuple[Model, list[Partition]]:
-    tc = config.train_config(run_seed)
-    if config.mode == "batch":
-        model = bcfw_train(examples, tc, log=log_path, config_snapshot=snapshot)
-        preds = [predict(scene, model) for scene in test_scenes]
-    elif config.mode == "sequential":
+def split_training_span(dataset: Dataset, windows: list, training_span: float) -> tuple[list, list]:
+    """The windows that end within training_span seconds of the dataset's
+    first sample, and the rest."""
+    t0 = min(tr.start_t for tr in dataset.trajectories)
+    split = t0 + training_span + _SPAN_EPS
+    return [w for w in windows if w.end_t <= split], [w for w in windows if w.end_t > split]
+
+
+def train_model(
+    config: RunConfig, examples: list[TrainingExample], seed: int, log, snapshot: dict
+) -> Model:
+    """Sequential training in sequential mode, batch BCFW otherwise (online
+    mode starts predicting from the batch model)."""
+    tc = config.train_config(seed)
+    if config.mode == "sequential":
         model = None
-        for model in sequential_train(iter(examples), tc, log=log_path, config_snapshot=snapshot):
+        for model in sequential_train(iter(examples), tc, log=log, config_snapshot=snapshot):
             pass
-        preds = [predict(scene, model) for scene in test_scenes]
-    else:
-        model = bcfw_train(examples, tc, log=log_path, config_snapshot=snapshot)
-        preds = []
-        for pred, model in online_predict_train(test_scenes, model, tc):
-            preds.append(pred)
-    return model, preds
+        return model
+    return bcfw_train(examples, tc, log=log, config_snapshot=snapshot)
 
 
 def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
@@ -486,10 +483,7 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
     windows = slice_windows(dataset.trajectories, config.window_len, config.stride)
     if not windows:
         raise ConfigError("the dataset is shorter than one window")
-    t0 = min(tr.start_t for tr in dataset.trajectories)
-    split = t0 + config.training_span + _SPAN_EPS
-    train_windows = [w for w in windows if w.end_t <= split]
-    test_windows = [w for w in windows if w.end_t > split]
+    train_windows, test_windows = split_training_span(dataset, windows, config.training_span)
     if not any(w.members for w in train_windows):
         raise ConfigError("no training windows with members inside the training span")
     if not test_windows:
@@ -539,9 +533,14 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
         resolved["seed"] = run_seed
         write_config_file(rundir / "config.resolved.toml", resolved)
 
-        model, preds = _train_one(
-            config, examples, test_scenes, run_seed, rundir / "train_log.csv", resolved
-        )
+        model = train_model(config, examples, run_seed, rundir / "train_log.csv", resolved)
+        if config.mode == "online":
+            online = online_predict_train(test_scenes, model, config.train_config(run_seed))
+            preds = []
+            for pred, model in online:
+                preds.append(pred)
+        else:
+            preds = [predict(scene, model) for scene in test_scenes]
         model.save(rundir / "model.json")
 
         entries = []

@@ -1,7 +1,10 @@
 """Structured max-margin training of the affinity weights.
 
 The 8-vector w = [alpha; beta] is learned by Block-Coordinate Frank-Wolfe over
-one block per training window, with a greedy loss-augmented merge oracle.
+one block per training window. The loss-augmented oracle is the greedy merge
+engine that predicts, with each candidate merge's gain raised by the change in
+loss the merge causes; those losses come from the contingency table against
+the truth, by the same closed forms that score predictions.
 Batch, sequential (examples arrive over time), and online (self-supervised
 from own predictions) modes share the same per-block update.
 """
@@ -19,8 +22,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .features import FeatureConfigs, WindowedScene
-from .losses import _f1, gmitre_loss, mitre_loss, pairwise_loss
-from .partitioning import AffinityMatrix, Partition, affinity, greedy_cc
+from .losses import MergeLoss, gmitre_loss, mitre_loss, pairwise_loss
+from .partitioning import Partition, _greedy_merge, affinity, greedy_cc
 
 logger = logging.getLogger(__name__)
 
@@ -222,129 +225,18 @@ def compatibility(scene: WindowedScene, p: Partition, w) -> float:
     return float(w @ joint_feature_map(scene, p))
 
 
-class _LossTracker:
-    """Loss of candidate cluster merges against a fixed truth partition.
-
-    Keeps, for every working cluster, the contingency counts against the truth
-    clusters; a candidate merge's loss then needs only the two clusters' key
-    sets. Each candidate is evaluated independently from these counts (nothing
-    is cached across candidates).
-    """
-
-    __slots__ = (
-        "kind", "n", "t_sizes", "t_single", "sizes", "cnt",
-        "s_p", "s_q", "m_p", "m_r", "c_r", "c_q", "cm_r", "cm_q",
-        "disagree", "pair_total",
-    )
-
-    def __init__(self, truth: Partition, members: list[int], kind: str):
-        if kind not in LOSSES:
-            raise ValueError(f"unknown loss {kind!r}")
-        self.kind = kind
-        n = len(members)
-        self.n = n
-        index = {m: i for i, m in enumerate(members)}
-        t_label = [0] * n
-        t_sizes: list[int] = []
-        for k, cluster in enumerate(truth.clusters):
-            t_sizes.append(len(cluster))
-            for m in cluster:
-                t_label[index[m]] = k
-        self.t_sizes = t_sizes
-        self.t_single = [sz == 1 for sz in t_sizes]
-        self.sizes = [1] * n
-        self.cnt: list[dict[int, int]] = [{t_label[i]: 1} for i in range(n)]
-        self.s_p = 0
-        self.s_q = sum(sz - 1 for sz in t_sizes if sz >= 2)
-        self.m_p = sum(1 for i in range(n) if not self.t_single[t_label[i]])
-        self.m_r = 0
-        self.c_r = n
-        self.c_q = sum(sz - 1 for sz in t_sizes if sz >= 2) + sum(
-            1 for single in self.t_single if single
-        )
-        self.cm_r = 0
-        self.cm_q = n - len(t_sizes)
-        self.disagree = sum(sz * (sz - 1) // 2 for sz in t_sizes)
-        self.pair_total = n * (n - 1) // 2
-
-    def _intersection(self, i: int, j: int) -> list[int]:
-        ci, cj = self.cnt[i], self.cnt[j]
-        small, large = (ci, cj) if len(ci) <= len(cj) else (cj, ci)
-        return [k for k in small if k in large]
-
-    def _loss_from(self, s_p: int, s_q: int, m_p: int, m_r: int, c_r: int, cm_r: int) -> float:
-        if self.kind == "mitre":
-            precision = 1.0 - s_p / cm_r if cm_r else 1.0
-            recall = 1.0 - s_q / self.cm_q if self.cm_q else 1.0
-        else:
-            precision = 1.0 - (s_p + m_p) / c_r if c_r else 1.0
-            recall = 1.0 - (s_q + m_r) / self.c_q if self.c_q else 1.0
-        return 1.0 - _f1(precision, recall)
-
-    def current_loss(self) -> float:
-        if self.kind == "pairwise":
-            return self.disagree / self.pair_total if self.pair_total else 0.0
-        return self._loss_from(self.s_p, self.s_q, self.m_p, self.m_r, self.c_r, self.cm_r)
-
-    def candidate_loss(self, i: int, j: int) -> float:
-        ci, cj = self.cnt[i], self.cnt[j]
-        inter = self._intersection(i, j)
-        if self.kind == "pairwise":
-            same = sum(ci[k] * cj[k] for k in inter)
-            disagree = self.disagree + self.sizes[i] * self.sizes[j] - 2 * same
-            return disagree / self.pair_total if self.pair_total else 0.0
-        union = len(ci) + len(cj) - len(inter)
-        s_p = self.s_p + (union - 1) - (len(ci) - 1) - (len(cj) - 1)
-        s_q = self.s_q - sum(1 for k in inter if self.t_sizes[k] >= 2)
-        m_p, m_r = self.m_p, self.m_r
-        c_r = self.c_r + 1
-        for cluster, counts in ((i, ci), (j, cj)):
-            if self.sizes[cluster] == 1:
-                c_r -= 1
-                if self.t_single[next(iter(counts))]:
-                    m_r += 1
-                else:
-                    m_p -= 1
-        return self._loss_from(s_p, s_q, m_p, m_r, c_r, self.cm_r + 1)
-
-    def apply(self, i: int, j: int) -> None:
-        ci, cj = self.cnt[i], self.cnt[j]
-        inter = self._intersection(i, j)
-        union = len(ci) + len(cj) - len(inter)
-        self.s_p += (union - 1) - (len(ci) - 1) - (len(cj) - 1)
-        self.s_q -= sum(1 for k in inter if self.t_sizes[k] >= 2)
-        self.disagree += self.sizes[i] * self.sizes[j] - 2 * sum(
-            ci[k] * cj[k] for k in inter
-        )
-        self.cm_r += 1
-        self.c_r += 1
-        for cluster, counts in ((i, ci), (j, cj)):
-            if self.sizes[cluster] == 1:
-                self.c_r -= 1
-                if self.t_single[next(iter(counts))]:
-                    self.m_r += 1
-                else:
-                    self.m_p -= 1
-        target, other = (ci, cj) if len(ci) >= len(cj) else (cj, ci)
-        for k, v in other.items():
-            target[k] = target.get(k, 0) + v
-        self.cnt[i] = target
-        self.cnt[j] = {}
-        self.sizes[i] += self.sizes[j]
-        self.sizes[j] = 0
-
-
 def loss_augmented_oracle(
     example: TrainingExample, w, loss: str = "gmitre"
 ) -> tuple[Partition, float]:
     """Greedy maximizer of H(y) = loss(truth, y) + w.Psi(x, y) - w.Psi(x, truth).
 
-    Starts from all singletons and applies the best strictly-improving cluster
-    merge until none exists (ties to the smallest min-id pair); the candidate
-    loss is re-evaluated for every candidate merge. Returns the local maximizer
-    and its H value, the structured hinge estimate. The truth itself always
-    attains H = 0, so when the greedy end point scores below that the truth is
-    returned instead; the hinge is never negative.
+    Runs the prediction merge engine with every candidate merge's gain
+    raised by the change in loss it causes (all candidates scored at once
+    from the contingency table against the truth), from all singletons until
+    no merge improves H (ties to the smallest min-id pair). Returns the local
+    maximizer and its H value, the structured hinge estimate. The truth itself
+    always attains H = 0, so when the greedy end point scores below that the
+    truth is returned instead; the hinge is never negative.
     """
     if loss not in LOSSES:
         raise ValueError(f"loss must be one of {sorted(LOSSES)}, got {loss!r}")
@@ -352,47 +244,14 @@ def loss_augmented_oracle(
     if w.shape != (WEIGHT_DIM,):
         raise ValueError(f"weight vector must have {WEIGHT_DIM} components")
     scene, truth = example.scene, example.truth
-    members = list(scene.members)
-    n = len(members)
-    psi_truth = joint_feature_map(scene, truth)
-    if n == 0:
+    members = scene.members
+    if not members:
         return Partition([]), 0.0
-    cross = affinity(scene, w).matrix.copy()
-    tracker = _LossTracker(truth, members, loss)
-    groups: dict[int, list[int]] = {i: [i] for i in range(n)}
-    low: dict[int, int] = {i: members[i] for i in range(n)}
-    cur_loss = tracker.current_loss()
-    while len(groups) >= 2:
-        active = sorted(groups)
-        best: tuple[int, int] | None = None
-        best_gain = 0.0
-        best_key = (0, 0)
-        best_loss = 0.0
-        for x in range(len(active)):
-            i = active[x]
-            row = cross[i]
-            for y in range(x + 1, len(active)):
-                j = active[y]
-                cand_loss = tracker.candidate_loss(i, j)
-                gain = (cand_loss - cur_loss) + row[j]
-                if gain <= 0.0:
-                    continue
-                key = (low[i], low[j]) if low[i] < low[j] else (low[j], low[i])
-                if best is None or gain > best_gain or (gain == best_gain and key < best_key):
-                    best, best_gain, best_key, best_loss = (i, j), float(gain), key, cand_loss
-        if best is None:
-            break
-        i, j = best
-        tracker.apply(i, j)
-        cur_loss = best_loss
-        groups[i].extend(groups[j])
-        del groups[j]
-        low[i] = min(low[i], low[j])
-        cross[i, :] += cross[j, :]
-        cross[:, i] += cross[:, j]
-        cross[i, i] = 0.0
-    y_star = Partition([members[k] for k in g] for g in groups.values())
-    hinge = LOSSES[loss](truth, y_star) + float(w @ (joint_feature_map(scene, y_star) - psi_truth))
+    scorer = MergeLoss(loss, truth, members)
+    clusters, _ = _greedy_merge(affinity(scene, w).matrix, scorer)
+    y_star = Partition([members[k] for k in c] for c in clusters)
+    psi_gap = joint_feature_map(scene, y_star) - joint_feature_map(scene, truth)
+    hinge = scorer.current + float(w @ psi_gap)
     if hinge < 0.0:
         return truth, 0.0
     return y_star, hinge

@@ -1,55 +1,24 @@
 """Partition-comparison scores and losses.
 
-The group-aware scorer augments every pedestrian with a fake counterpart that
+Every score is a closed form of the contingency table between the predicted
+and the truth partition (one row per predicted cluster, one column per truth
+cluster, each entry the members the two share). The group-aware
+spanning-forest score augments every pedestrian with a fake counterpart that
 is linked to its owner only when the owner is a singleton, so wrongly grouped
 or wrongly isolated singletons cost recall/precision. The plain variant skips
 the augmentation; the pairwise variant counts disagreeing co-membership pairs.
+`MergeLoss` evaluates the same closed forms for every candidate merge of a
+working partition at once, for the training oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .partitioning import Partition
-
-
-class DisjointSetForest:
-    """Union-find over 0..n-1 with path compression and union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        if n < 0:
-            raise ValueError("universe size must be non-negative")
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def __len__(self) -> int:
-        return len(self.parent)
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra
-
-    def components(self) -> list[list[int]]:
-        comps: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            comps.setdefault(self.find(x), []).append(x)
-        return list(comps.values())
 
 
 @dataclass(frozen=True)
@@ -61,62 +30,103 @@ class ForestScore:
     f1: float
 
 
-def _f1(precision: float, recall: float) -> float:
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+class _Tally(NamedTuple):
+    """Integer summaries of a contingency table. Any field may be an array,
+    one entry per candidate partition."""
+
+    members: int
+    pred_clusters: int
+    truth_clusters: int
+    cells: int  # (pred, truth) cluster pairs sharing at least one member
+    pred_singletons: int
+    truth_singletons: int
+    both_singletons: int  # members alone in both partitions
+    pred_pairs: int  # co-member pairs in the prediction
+    truth_pairs: int
+    shared_pairs: int  # co-member pairs in both
 
 
-def _check_members(truth: Partition, pred: Partition) -> list[int]:
+def contingency(truth: Partition, pred: Partition) -> np.ndarray:
+    """Members shared by each predicted cluster (row) and truth cluster (column)."""
     if truth.members != pred.members:
         raise ValueError("partitions cover different member sets")
-    return sorted(truth.members)
+    truth_label = truth.labels()
+    table = np.zeros((len(pred), len(truth)), dtype=np.int64)
+    for row, cluster in enumerate(pred.clusters):
+        for m in cluster:
+            table[row, truth_label[m]] += 1
+    return table
 
 
-def _augmented_forest(p: Partition, index: dict[int, int]) -> DisjointSetForest:
-    """Union clusters over a doubled universe; member i's fake counterpart is
-    n + i and is linked to i only when i is a singleton in p."""
-    n = len(index)
-    forest = DisjointSetForest(2 * n)
-    for cluster in p.clusters:
-        first = index[cluster[0]]
-        for m in cluster[1:]:
-            forest.union(first, index[m])
-        if len(cluster) == 1:
-            forest.union(first, n + first)
-    return forest
+def _pairs(sizes: np.ndarray):
+    return sizes * (sizes - 1) // 2
 
 
-def _plain_forest(p: Partition, index: dict[int, int]) -> DisjointSetForest:
-    forest = DisjointSetForest(len(index))
-    for cluster in p.clusters:
-        first = index[cluster[0]]
-        for m in cluster[1:]:
-            forest.union(first, index[m])
-    return forest
+def _tally(table: np.ndarray) -> _Tally:
+    pred_sizes, truth_sizes = table.sum(axis=1), table.sum(axis=0)
+    pred_single, truth_single = pred_sizes == 1, truth_sizes == 1
+    return _Tally(
+        members=int(pred_sizes.sum()),
+        pred_clusters=table.shape[0],
+        truth_clusters=table.shape[1],
+        cells=int(np.count_nonzero(table)),
+        pred_singletons=int(pred_single.sum()),
+        truth_singletons=int(truth_single.sum()),
+        both_singletons=int(table[pred_single][:, truth_single].sum()),
+        pred_pairs=int(_pairs(pred_sizes).sum()),
+        truth_pairs=int(_pairs(truth_sizes).sum()),
+        shared_pairs=int(_pairs(table).sum()),
+    )
 
 
-def _forest_recall(q: DisjointSetForest, r: DisjointSetForest) -> float:
-    """1 - (links missing in r to span q's components) / (links needed to span them)."""
-    needed = 0
-    missing = 0
-    for comp in q.components():
-        needed += len(comp) - 1
-        missing += len({r.find(x) for x in comp}) - 1
-    if needed == 0:
-        return 1.0
-    return 1.0 - missing / needed
+def _ratio(num, den, empty: float):
+    """num / den, or `empty` where den is 0."""
+    return np.where(den > 0, num / np.maximum(den, 1), empty)
+
+
+def _f1(precision, recall):
+    total = precision + recall
+    nonzero = total > 0.0
+    return np.where(nonzero, 2.0 * precision * recall / np.where(nonzero, total, 1.0), 0.0)
+
+
+def _spanning(t: _Tally, augmented: bool):
+    """(precision, recall) of the spanning forests: each side needs
+    size - 1 links per cluster, and misses one for every extra cluster of the
+    other side that a cluster of its own meets. With fake counterparts, every
+    singleton also needs the link to its fake, which the other side misses
+    unless the member is a singleton there too."""
+    pred_missing, pred_needed = t.cells - t.pred_clusters, t.members - t.pred_clusters
+    truth_missing, truth_needed = t.cells - t.truth_clusters, t.members - t.truth_clusters
+    if augmented:
+        pred_missing = pred_missing + t.pred_singletons - t.both_singletons
+        pred_needed = pred_needed + t.pred_singletons
+        truth_missing = truth_missing + t.truth_singletons - t.both_singletons
+        truth_needed = truth_needed + t.truth_singletons
+    precision = 1.0 - _ratio(pred_missing, pred_needed, 0.0)
+    recall = 1.0 - _ratio(truth_missing, truth_needed, 0.0)
+    return precision, recall
+
+
+def _pairwise(t: _Tally):
+    """Fraction of member pairs whose co-membership disagrees."""
+    disagree = t.pred_pairs + t.truth_pairs - 2 * t.shared_pairs
+    return _ratio(disagree, _pairs(t.members), 0.0)
+
+
+def _loss(kind: str, t: _Tally):
+    if kind == "pairwise":
+        return _pairwise(t)
+    return 1.0 - _f1(*_spanning(t, augmented=kind == "gmitre"))
+
+
+def _score(precision, recall) -> ForestScore:
+    return ForestScore(float(recall), float(precision), float(_f1(precision, recall)))
 
 
 def gmitre_score(truth: Partition, pred: Partition) -> ForestScore:
     """Group-aware spanning-forest score with fake singleton counterparts."""
-    members = _check_members(truth, pred)
-    index = {m: k for k, m in enumerate(members)}
-    qf = _augmented_forest(truth, index)
-    rf = _augmented_forest(pred, index)
-    recall = _forest_recall(qf, rf)
-    precision = _forest_recall(rf, qf)
-    return ForestScore(recall=recall, precision=precision, f1=_f1(precision, recall))
+    return _score(*_spanning(_tally(contingency(truth, pred)), augmented=True))
 
 
 def gmitre_loss(truth: Partition, pred: Partition) -> float:
@@ -125,13 +135,7 @@ def gmitre_loss(truth: Partition, pred: Partition) -> float:
 
 def mitre_score(truth: Partition, pred: Partition) -> ForestScore:
     """Spanning-forest score over the raw members; blind to singleton errors."""
-    members = _check_members(truth, pred)
-    index = {m: k for k, m in enumerate(members)}
-    qf = _plain_forest(truth, index)
-    rf = _plain_forest(pred, index)
-    recall = _forest_recall(qf, rf)
-    precision = _forest_recall(rf, qf)
-    return ForestScore(recall=recall, precision=precision, f1=_f1(precision, recall))
+    return _score(*_spanning(_tally(contingency(truth, pred)), augmented=False))
 
 
 def mitre_loss(truth: Partition, pred: Partition) -> float:
@@ -140,38 +144,58 @@ def mitre_loss(truth: Partition, pred: Partition) -> float:
 
 def pairwise_loss(truth: Partition, pred: Partition) -> float:
     """Fraction of unordered member pairs whose co-membership disagrees."""
-    members = _check_members(truth, pred)
-    n = len(members)
-    if n < 2:
-        return 0.0
-    t = truth.labels()
-    p = pred.labels()
-    disagree = 0
-    for i in range(n):
-        a = members[i]
-        for j in range(i + 1, n):
-            b = members[j]
-            if (t[a] == t[b]) != (p[a] == p[b]):
-                disagree += 1
-    return disagree / (n * (n - 1) / 2)
-
-
-def _positive_pairs(p: Partition) -> set[tuple[int, int]]:
-    pairs: set[tuple[int, int]] = set()
-    for cluster in p.clusters:
-        for i in range(len(cluster)):
-            for j in range(i + 1, len(cluster)):
-                pairs.add((cluster[i], cluster[j]))
-    return pairs
+    return float(_pairwise(_tally(contingency(truth, pred))))
 
 
 def positive_pairwise_metric(truth: Partition, pred: Partition) -> ForestScore:
     """Precision/recall over intra-group pairs only; empty denominators count
     as vacuously perfect."""
-    _check_members(truth, pred)
-    true_pairs = _positive_pairs(truth)
-    pred_pairs = _positive_pairs(pred)
-    hits = len(true_pairs & pred_pairs)
-    precision = hits / len(pred_pairs) if pred_pairs else 1.0
-    recall = hits / len(true_pairs) if true_pairs else 1.0
-    return ForestScore(recall=recall, precision=precision, f1=_f1(precision, recall))
+    t = _tally(contingency(truth, pred))
+    precision = _ratio(t.shared_pairs, t.pred_pairs, 1.0)
+    return _score(precision, _ratio(t.shared_pairs, t.truth_pairs, 1.0))
+
+
+class MergeLoss:
+    """Loss against a fixed truth of a working partition and of every merge of
+    two of its clusters.
+
+    Keeps the contingency table with one row per working cluster, in the
+    merge engine's row order. For all candidate merges at once, the truth
+    clusters two rows share (`present @ present.T`; only multi-member truth
+    clusters can be shared by disjoint rows) and their co-member pairs
+    (`counts @ counts.T`), with the singleton flags, give the merged tally.
+    """
+
+    def __init__(self, kind: str, truth: Partition, members: Sequence):
+        """Starts from all singletons; `members` must be increasing."""
+        self.kind = kind
+        self._counts = contingency(truth, Partition.singletons(members))
+        self._truth_single = self._counts.sum(axis=0) == 1
+        self._tally = _tally(self._counts)
+
+    @property
+    def current(self) -> float:
+        return float(_loss(self.kind, self._tally))
+
+    def candidates(self) -> np.ndarray:
+        """Entry (i, j): the loss once working clusters i and j are merged."""
+        counts, t = self._counts, self._tally
+        present = (counts > 0).astype(np.int64)
+        sizes = counts.sum(axis=1)
+        single = (sizes == 1).astype(np.int64)
+        both = single * counts[:, self._truth_single].sum(axis=1)
+        merged = t._replace(
+            pred_clusters=t.pred_clusters - 1,
+            cells=t.cells - present @ present.T,
+            pred_singletons=t.pred_singletons - single[:, None] - single[None, :],
+            both_singletons=t.both_singletons - both[:, None] - both[None, :],
+            pred_pairs=t.pred_pairs + np.outer(sizes, sizes),
+            shared_pairs=t.shared_pairs + counts @ counts.T,
+        )
+        return _loss(self.kind, merged)
+
+    def merge(self, i: int, j: int) -> None:
+        """Fold working cluster j into i (i < j) and drop row j."""
+        self._counts[i] += self._counts[j]
+        self._counts = self._counts[np.arange(len(self._counts)) != j]
+        self._tally = _tally(self._counts)

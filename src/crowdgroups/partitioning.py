@@ -220,6 +220,41 @@ def partition_score(p: Partition, affinities: AffinityMatrix) -> float:
     return _groups_score(affinities.matrix, groups)
 
 
+def _greedy_merge(cross, loss=None) -> tuple[list[tuple[int, ...]], list[MergeStep]]:
+    """Greedy bottom-up merging over member indices 0..n-1 of a symmetric
+    affinity matrix `cross`, the one merge loop behind prediction and the
+    training oracle.
+
+    Each round merges the cluster pair with the largest strictly positive
+    gain: their cross-affinity sum, plus, when `loss` is given, the change in
+    loss the merge causes (`loss.candidates() - loss.current`; `loss.merge`
+    is told every merge). Rows stay ordered by each cluster's smallest index,
+    so the first row-major maximum of the strict upper triangle is the tie
+    winner with the smallest pair of min-ids. Returns the clusters (sorted
+    index tuples in row order) and the merges as index-tuple steps.
+    """
+    cross = np.array(cross, dtype=float)
+    clusters = [(i,) for i in range(len(cross))]
+    steps: list[MergeStep] = []
+    while len(clusters) >= 2:
+        gain = cross if loss is None else (loss.candidates() - loss.current) + cross
+        upper = np.triu(gain, k=1)
+        i, j = divmod(int(np.argmax(upper)), len(clusters))
+        best = float(upper[i, j])
+        if not best > 0.0:
+            break
+        steps.append(MergeStep(len(steps) + 1, clusters[i], clusters[j], best))
+        clusters[i] = tuple(sorted(clusters[i] + clusters.pop(j)))
+        cross[i] += cross[j]
+        cross[:, i] = cross[i]
+        cross[i, i] = 0.0
+        keep = np.arange(len(cross)) != j
+        cross = cross[keep][:, keep]
+        if loss is not None:
+            loss.merge(i, j)
+    return clusters, steps
+
+
 def greedy_cc(affinities: AffinityMatrix) -> tuple[Partition, MergeTrace]:
     """Bottom-up correlation clustering from singletons.
 
@@ -228,45 +263,13 @@ def greedy_cc(affinities: AffinityMatrix) -> tuple[Partition, MergeTrace]:
     cluster min-ids. Stops when no merge would increase the score.
     """
     ids = affinities.members
-    n = len(ids)
-    if n == 0:
-        return Partition([]), MergeTrace()
-    cross = affinities.matrix.copy()
-    clusters: dict[int, list[int]] = {i: [i] for i in range(n)}
-    low: dict[int, int] = {i: ids[i] for i in range(n)}
-    steps: list[MergeStep] = []
-    while len(clusters) >= 2:
-        active = sorted(clusters)
-        best: tuple[int, int] | None = None
-        best_delta = 0.0
-        best_key: tuple[int, int] = (0, 0)
-        for x in range(len(active)):
-            i = active[x]
-            row = cross[i]
-            for y in range(x + 1, len(active)):
-                j = active[y]
-                delta = row[j]
-                if delta <= 0.0:
-                    continue
-                key = (low[i], low[j]) if low[i] < low[j] else (low[j], low[i])
-                if best is None or delta > best_delta or (delta == best_delta and key < best_key):
-                    best, best_delta, best_key = (i, j), float(delta), key
-        if best is None:
-            break
-        i, j = best
-        first = tuple(sorted(ids[k] for k in clusters[i]))
-        second = tuple(sorted(ids[k] for k in clusters[j]))
-        if first[0] > second[0]:
-            first, second = second, first
-        steps.append(MergeStep(len(steps) + 1, first, second, best_delta))
-        clusters[i].extend(clusters[j])
-        del clusters[j]
-        low[i] = min(low[i], low[j])
-        cross[i, :] += cross[j, :]
-        cross[:, i] += cross[:, j]
-        cross[i, i] = 0.0
-    part = Partition([ids[k] for k in group] for group in clusters.values())
-    return part, MergeTrace(tuple(steps))
+    clusters, steps = _greedy_merge(affinities.matrix)
+
+    def named(cluster: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(ids[k] for k in cluster)
+
+    trace = tuple(s._replace(first=named(s.first), second=named(s.second)) for s in steps)
+    return Partition(map(named, clusters)), MergeTrace(trace)
 
 
 def iter_partition_labels(n: int) -> Iterator[tuple[int, ...]]:

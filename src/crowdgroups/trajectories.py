@@ -30,6 +30,8 @@ DESCRIPTOR_FILE = "descriptor.txt"
 
 # A sample is treated as occupying one frame period when tiling windows, so
 # the usable span ends one median inter-sample gap after the last timestamp.
+# A window whose end lands on a span boundary (the usable span, the training
+# span) within this tolerance counts as inside it.
 _SPAN_EPS = 1e-9
 _HOMOGRAPHY_DET_EPS = 1e-12
 _PROJECTION_W_EPS = 1e-9

@@ -4,7 +4,10 @@ Everything here is deliberately written on a different algorithmic route from
 the library: component discovery by breadth-first search instead of union-find,
 set-partition enumeration by block insertion instead of restricted growth
 strings, warping cost by explicit path enumeration instead of dynamic
-programming, and the F distribution by direct quadrature of its density.
+programming, pairwise scores by listing every member pair instead of a
+contingency table, and the F distribution by direct quadrature of its density.
+The greedy merge references are the scalar loops the vectorised merge engine
+must reproduce exactly, tie-breaks and floating-point sums included.
 """
 
 from __future__ import annotations
@@ -16,7 +19,18 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from scipy import integrate
 
-from crowdgroups import PairFeatures, Partition, TimeWindow, Trajectory, WindowedScene
+from crowdgroups import (
+    AffinityMatrix,
+    MergeStep,
+    MergeTrace,
+    PairFeatures,
+    Partition,
+    TimeWindow,
+    Trajectory,
+    WindowedScene,
+    affinity,
+    joint_feature_map,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +98,109 @@ def spanning_score(truth_clusters, pred_clusters, augmented: bool = True):
     """(recall, precision, f1) by explicit BFS over spanning-forest graphs."""
     recall = _spanning_recall(truth_clusters, pred_clusters, augmented)
     precision = _spanning_recall(pred_clusters, truth_clusters, augmented)
+    return recall, precision, _f1(precision, recall)
+
+
+def _f1(precision: float, recall: float) -> float:
     if precision + recall == 0.0:
-        f1 = 0.0
-    else:
-        f1 = 2.0 * precision * recall / (precision + recall)
-    return recall, precision, f1
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+# ---------------------------------------------------------------------------
+# Pair enumeration (reference for pairwise_loss / positive_pairwise_metric)
+
+
+def _co_member_pairs(clusters) -> set[frozenset]:
+    return {frozenset(pair) for c in clusters for pair in itertools.combinations(c, 2)}
+
+
+def pair_scores(truth_clusters, pred_clusters) -> tuple[float, float, float, float]:
+    """(pairwise disagreement, positive-pair recall, precision, f1) by listing
+    every member pair."""
+    members = sorted(m for c in truth_clusters for m in c)
+    true_pairs = _co_member_pairs(truth_clusters)
+    pred_pairs = _co_member_pairs(pred_clusters)
+    all_pairs = [frozenset(p) for p in itertools.combinations(members, 2)]
+    disagree = sum((p in true_pairs) != (p in pred_pairs) for p in all_pairs)
+    loss = disagree / len(all_pairs) if all_pairs else 0.0
+    hits = len(true_pairs & pred_pairs)
+    recall = hits / len(true_pairs) if true_pairs else 1.0
+    precision = hits / len(pred_pairs) if pred_pairs else 1.0
+    return loss, recall, precision, _f1(precision, recall)
+
+
+# ---------------------------------------------------------------------------
+# Scalar greedy merge loop (reference for the vectorised merge engine)
+
+
+def _scalar_greedy(ids: Sequence[int], cross: np.ndarray, loss=None):
+    """Greedy merging by scanning every active cluster pair per merge; ties go
+    to the lexicographically smallest pair of cluster min-ids. `loss`, when
+    given, maps a list of clusters to its loss, and each candidate merge's
+    change in loss joins its gain. Returns the clusters, the merge steps and
+    the end point's loss."""
+    cross = cross.copy()
+    clusters: dict[int, list[int]] = {i: [ids[i]] for i in range(len(ids))}
+    low: dict[int, int] = {i: ids[i] for i in range(len(ids))}
+    cur_loss = loss(list(clusters.values())) if loss else 0.0
+    steps: list[MergeStep] = []
+    while len(clusters) >= 2:
+        active = sorted(clusters)
+        best: tuple[int, int] | None = None
+        best_gain, best_key, best_loss = 0.0, (0, 0), 0.0
+        for x in range(len(active)):
+            i = active[x]
+            row = cross[i]
+            for y in range(x + 1, len(active)):
+                j = active[y]
+                gain, cand_loss = row[j], 0.0
+                if loss is not None:
+                    rest = [clusters[k] for k in active if k not in (i, j)]
+                    cand_loss = loss(rest + [clusters[i] + clusters[j]])
+                    gain = (cand_loss - cur_loss) + row[j]
+                if gain <= 0.0:
+                    continue
+                key = (low[i], low[j]) if low[i] < low[j] else (low[j], low[i])
+                if best is None or gain > best_gain or (gain == best_gain and key < best_key):
+                    best, best_gain, best_key, best_loss = (i, j), float(gain), key, cand_loss
+        if best is None:
+            break
+        i, j = best
+        first, second = sorted([tuple(sorted(clusters[i])), tuple(sorted(clusters[j]))])
+        steps.append(MergeStep(len(steps) + 1, first, second, best_gain))
+        cur_loss = best_loss
+        clusters[i].extend(clusters.pop(j))
+        low[i] = min(low[i], low[j])
+        cross[i, :] += cross[j, :]
+        cross[:, i] += cross[:, j]
+        cross[i, i] = 0.0
+    return list(clusters.values()), steps, cur_loss
+
+
+def reference_greedy_cc(affinities: AffinityMatrix) -> tuple[Partition, MergeTrace]:
+    clusters, steps, _ = _scalar_greedy(affinities.members, affinities.matrix)
+    return Partition(clusters), MergeTrace(tuple(steps))
+
+
+def reference_oracle(example, w, loss: str = "gmitre") -> tuple[Partition, float]:
+    """Greedy loss-augmented oracle; every candidate's loss comes from the
+    spanning-forest BFS or the pair enumeration above."""
+    w = np.asarray(w, dtype=float).reshape(-1)
+    scene, truth = example.scene, example.truth
+
+    def loss_of(clusters) -> float:
+        if loss == "pairwise":
+            return pair_scores(truth.clusters, clusters)[0]
+        return 1.0 - spanning_score(truth.clusters, clusters, augmented=loss == "gmitre")[2]
+
+    clusters, _, end_loss = _scalar_greedy(scene.members, affinity(scene, w).matrix, loss_of)
+    y_star = Partition(clusters)
+    psi_gap = joint_feature_map(scene, y_star) - joint_feature_map(scene, truth)
+    hinge = end_loss + float(w @ psi_gap)
+    if hinge < 0.0:
+        return truth, 0.0
+    return y_star, hinge
 
 
 # ---------------------------------------------------------------------------

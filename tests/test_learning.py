@@ -30,9 +30,15 @@ from crowdgroups import (
     sequential_train,
     slice_windows,
 )
-from crowdgroups.learning import _LossTracker
+from crowdgroups.losses import MergeLoss
 
-from oracles import iter_set_partitions, make_scene, random_partition, random_scene
+from oracles import (
+    iter_set_partitions,
+    make_scene,
+    random_partition,
+    random_scene,
+    reference_oracle,
+)
 
 
 def separable_scene(members=(1, 2, 3, 4), mates=((1, 2), (3, 4)), near=0.1, far=0.9):
@@ -131,34 +137,27 @@ def test_compatibility_weight_shape_checked():
 
 @pytest.mark.parametrize("kind", sorted(LOSSES))
 def test_loss_tracker_matches_public_loss_along_merges(kind):
+    # every candidate of the merge scorer, not gain + current (that sum rounds)
     rng = np.random.default_rng(15)
     loss_fn = LOSSES[kind]
     for _ in range(40):
         n = int(rng.integers(2, 8))
         members = list(range(1, n + 1))
         truth = random_partition(members, rng)
-        tracker = _LossTracker(truth, members, kind)
-        groups = {i: [members[i]] for i in range(n)}
-        current = Partition(groups.values())
-        assert tracker.current_loss() == pytest.approx(
-            loss_fn(truth, current), abs=1e-12
-        )
-        while len(groups) >= 2:
-            keys = sorted(groups)
-            i, j = rng.choice(keys, size=2, replace=False)
-            i, j = int(i), int(j)
-            cand = Partition(
-                [groups[k] for k in keys if k not in (i, j)] + [groups[i] + groups[j]]
-            )
-            assert tracker.candidate_loss(i, j) == pytest.approx(
-                loss_fn(truth, cand), abs=1e-12
-            )
-            tracker.apply(i, j)
-            groups[i] = groups[i] + groups[j]
-            del groups[j]
-            assert tracker.current_loss() == pytest.approx(
-                loss_fn(truth, cand), abs=1e-12
-            )
+        scorer = MergeLoss(kind, truth, members)
+        clusters = [[m] for m in members]
+        assert scorer.current == loss_fn(truth, Partition(clusters))
+        while len(clusters) >= 2:
+            candidates = scorer.candidates()
+            for i in range(len(clusters)):
+                for j in range(i + 1, len(clusters)):
+                    rest = [c for k, c in enumerate(clusters) if k not in (i, j)]
+                    merged = Partition(rest + [clusters[i] + clusters[j]])
+                    assert candidates[i, j] == loss_fn(truth, merged)
+            i, j = sorted(int(k) for k in rng.choice(len(clusters), size=2, replace=False))
+            scorer.merge(i, j)
+            clusters[i] = clusters[i] + clusters.pop(j)
+            assert scorer.current == loss_fn(truth, Partition(clusters))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +188,23 @@ def test_oracle_bounded_by_exhaustive_maximum(loss):
             y_star == truth and hinge == 0.0
         )
         assert -1e-12 <= hinge <= best + 1e-9
+
+
+@pytest.mark.parametrize("loss", sorted(LOSSES))
+def test_oracle_matches_scalar_reference_exactly(loss):
+    rng = np.random.default_rng(18)
+    for trial in range(150):
+        scene = random_scene(int(rng.integers(0, 10)), rng)
+        w = rng.normal(size=8) * 2
+        if trial % 2:
+            # integer weights on 0/1 distances make integer affinities: ties
+            scene = make_scene(
+                list(scene.members),
+                {pair.pair: rng.integers(0, 2, size=4).astype(float) for pair in scene.pairs},
+            )
+            w = rng.integers(-2, 3, size=8).astype(float)
+        example = TrainingExample(scene, random_partition(list(scene.members), rng))
+        assert loss_augmented_oracle(example, w, loss) == reference_oracle(example, w, loss)
 
 
 def test_oracle_hinge_never_negative():

@@ -15,7 +15,7 @@ from crowdgroups import (
     positive_pairwise_metric,
 )
 
-from oracles import random_partition, spanning_score
+from oracles import pair_scores, random_partition, spanning_score
 
 
 def P(*clusters):
@@ -149,6 +149,18 @@ def test_mitre_matches_bfs_oracle_randomized():
         assert got.recall == pytest.approx(want_r, abs=1e-12)
         assert got.precision == pytest.approx(want_p, abs=1e-12)
         assert got.f1 == pytest.approx(want_f, abs=1e-12)
+
+
+def test_pairwise_scores_match_pair_enumeration_randomized():
+    rng = np.random.default_rng(10)
+    for _ in range(300):
+        members = list(range(1, int(rng.integers(1, 10)) + 1))
+        truth = random_partition(members, rng)
+        pred = random_partition(members, rng)
+        want_loss, want_r, want_p, want_f = pair_scores(truth.clusters, pred.clusters)
+        assert pairwise_loss(truth, pred) == want_loss
+        got = positive_pairwise_metric(truth, pred)
+        assert (got.recall, got.precision, got.f1) == (want_r, want_p, want_f)
 
 
 def test_losses_bounded_and_symmetric_universe():

@@ -16,7 +16,12 @@ from crowdgroups import (
     partition_score,
 )
 
-from oracles import brute_force_best_partition, iter_set_partitions, random_partition
+from oracles import (
+    brute_force_best_partition,
+    iter_set_partitions,
+    random_partition,
+    reference_greedy_cc,
+)
 
 
 def aff(members, entries):
@@ -170,6 +175,20 @@ def test_greedy_trace_replays_to_result():
         assert states[-1] == p
         # deltas strictly positive and every replayed state is a valid partition
         assert all(s.delta > 0 for s in trace.steps)
+
+
+def test_greedy_matches_scalar_reference_exactly():
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        n = int(rng.integers(0, 12))
+        members = sorted(int(m) for m in rng.choice(100, size=n, replace=False))
+        if trial % 2:
+            mat = rng.normal(size=(n, n))
+        else:
+            # small integers force equal-gain merges, so the tie-break decides
+            mat = rng.integers(-2, 3, size=(n, n)).astype(float)
+        m = AffinityMatrix(members, np.triu(mat, 1) + np.triu(mat, 1).T)
+        assert greedy_cc(m) == reference_greedy_cc(m)
 
 
 def test_greedy_empty_and_single():
