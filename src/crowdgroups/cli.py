@@ -9,7 +9,6 @@ predict, eval (score a prediction file), run (full seeded experiment), stats
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -18,6 +17,7 @@ from .errors import ConfigError, CrowdGroupsError
 from .features import build_scene, write_features_csv
 from .harness import (
     RunConfig,
+    dataclass_from_flat,
     evaluate_predictions,
     load_run_config,
     predict_windows,
@@ -45,7 +45,7 @@ _CONFIG_FLAGS = (
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="flat TOML-style config file")
+    parser.add_argument("--config", default=None, help="flat TOML config file")
     for flag, dest, typ, help_text in _CONFIG_FLAGS:
         parser.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
 
@@ -120,11 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args) -> int:
     values = read_config_file(args.spec) if args.spec else {}
-    known = {f.name for f in dataclasses.fields(SynthSpec)}
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"unknown synth spec keys: {sorted(unknown)}")
-    spec = SynthSpec(**values)
+    spec = dataclass_from_flat(SynthSpec, values, "synth spec")
     trajectories, labels = synth_generate(spec, seed=args.seed)
     write_dataset(args.out, trajectories, labels, fps=spec.fps, seed=args.seed)
     print(f"wrote {len(trajectories)} trajectories, {len(labels.groups)} groups to {args.out}")

@@ -91,29 +91,6 @@ class FeatureConfigs:
     granger: GrangerConfig = field(default_factory=GrangerConfig)
     heatmap: HeatmapConfig = field(default_factory=HeatmapConfig)
 
-    def to_dict(self) -> dict:
-        return {
-            "proxemic_sigmas": list(self.proxemics.sigmas),
-            "granger_lag": self.granger.lag,
-            "heat_cell_edge": self.heatmap.cell_edge,
-            "heat_k_s": self.heatmap.k_s,
-            "heat_k_r": self.heatmap.k_r,
-            "heat_accumulate": self.heatmap.accumulate,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FeatureConfigs":
-        return cls(
-            proxemics=ProxemicsConfig(tuple(obj.get("proxemic_sigmas", HALL_SIGMAS))),
-            granger=GrangerConfig(obj.get("granger_lag", 2)),
-            heatmap=HeatmapConfig(
-                cell_edge=obj.get("heat_cell_edge", 0.30),
-                k_s=obj.get("heat_k_s", 1e-5),
-                k_r=obj.get("heat_k_r", 0.5),
-                accumulate=obj.get("heat_accumulate", "binary"),
-            ),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class PairFeatures:

@@ -3,8 +3,8 @@
 A run loads a dataset directory, tiles it into windows, trains on the windows
 that end inside the training span, predicts the remaining windows, and scores
 them per window; the protocol repeats over several seeds and the reports carry
-mean and standard deviation per metric. Config files are flat TOML-style
-key = value text; command-line flags override file values.
+mean and standard deviation per metric. Config files are flat TOML (typed
+key = value lines, no tables); command-line flags override file values.
 """
 
 from __future__ import annotations
@@ -14,15 +14,23 @@ import dataclasses
 import io
 import json
 import logging
+import tomllib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import ConfigError, CrowdGroupsError
-from .features import FeatureConfigs, GrangerConfig, HeatmapConfig, ProxemicsConfig, build_scene
+from .features import (
+    FEATURE_NAMES,
+    FeatureConfigs,
+    GrangerConfig,
+    HeatmapConfig,
+    ProxemicsConfig,
+    build_scene,
+)
 from .learning import (
     Model,
     TrainConfig,
@@ -39,6 +47,7 @@ from .trajectories import (
     Dataset,
     load_dataset,
     load_ground_truth,
+    restrict_labels,
     scene_stats,
     slice_windows,
     window_ground_truth,
@@ -50,134 +59,29 @@ METRIC_NAMES = ("gmitre", "pairwise_positive")
 
 
 # ---------------------------------------------------------------------------
-# Flat TOML-style config files
+# Flat TOML config files
 
-
-def _parse_scalar(text: str, where: str) -> object:
-    if text.startswith("'"):
-        if len(text) < 2 or not text.endswith("'") or "'" in text[1:-1]:
-            raise ConfigError(f"{where}: malformed literal string {text!r}")
-        return text[1:-1]
-    if text.startswith('"'):
-        if len(text) < 2 or not text.endswith('"'):
-            raise ConfigError(f"{where}: unterminated string {text!r}")
-        body = text[1:-1]
-        out = []
-        i = 0
-        while i < len(body):
-            ch = body[i]
-            if ch == "\\":
-                if i + 1 >= len(body):
-                    raise ConfigError(f"{where}: dangling escape in {text!r}")
-                esc = body[i + 1]
-                mapped = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}.get(esc)
-                if mapped is None:
-                    raise ConfigError(f"{where}: unsupported escape \\{esc}")
-                out.append(mapped)
-                i += 2
-            elif ch == '"':
-                raise ConfigError(f"{where}: stray quote inside {text!r}")
-            else:
-                out.append(ch)
-                i += 1
-        return "".join(out)
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse value {text!r}") from None
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    quote = ""
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if quote == '"' and ch == "\\" and i + 1 < len(line):
-            out.append(ch)
-            out.append(line[i + 1])
-            i += 2
-            continue
-        if quote:
-            if ch == quote:
-                quote = ""
-        elif ch in ('"', "'"):
-            quote = ch
-        elif ch == "#":
-            break
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
-def _split_array_items(body: str, where: str) -> list[str]:
-    items = []
-    current = []
-    in_string = False
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if in_string and ch == "\\" and i + 1 < len(body):
-            current.append(ch)
-            current.append(body[i + 1])
-            i += 2
-            continue
-        if ch == '"':
-            in_string = not in_string
-            current.append(ch)
-        elif ch == "[" and not in_string:
-            raise ConfigError(f"{where}: nested arrays are not supported")
-        elif ch == "," and not in_string:
-            items.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-        i += 1
-    if in_string:
-        raise ConfigError(f"{where}: unterminated string in array")
-    tail = "".join(current)
-    if tail.strip():
-        items.append(tail)
-    return items
+_SCALAR_TYPES = (bool, int, float, str)
+# Basic-string escapes for format_config_text: TOML forbids raw control characters.
+_ESCAPES = {c: f"\\u{c:04x}" for c in (*range(0x20), 0x7F)}
+_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n", ord("\t"): "\\t"})
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Parse flat `key = value` lines: strings, booleans, numbers, flat arrays,
-    # comments. Section headers and nesting are rejected."""
-    values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        where = f"{source}:{lineno}"
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            raise ConfigError(f"{where}: section headers are not supported in this flat format")
-        if "=" not in line:
-            raise ConfigError(f"{where}: expected key = value, got {raw.strip()!r}")
-        key, _, value_text = line.partition("=")
-        key = key.strip()
-        value_text = value_text.strip()
-        if not key or any(c not in "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-" for c in key):
-            raise ConfigError(f"{where}: invalid key {key!r}")
-        if key in values:
-            raise ConfigError(f"{where}: duplicate key {key!r}")
-        if not value_text:
-            raise ConfigError(f"{where}: missing value for {key!r}")
-        if value_text.startswith("["):
-            if not value_text.endswith("]"):
-                raise ConfigError(f"{where}: unterminated array for {key!r}")
-            items = _split_array_items(value_text[1:-1], where)
-            values[key] = [_parse_scalar(item.strip(), where) for item in items]
-        else:
-            values[key] = _parse_scalar(value_text, where)
+    """Parse a flat TOML document: every key holds a bool, int, float, string,
+    or flat array of them. Tables, dotted keys, nested arrays, arrays of
+    tables and dates are rejected."""
+    try:
+        values = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+    for key, value in values.items():
+        items = value if isinstance(value, list) else [value]
+        if not all(isinstance(v, _SCALAR_TYPES) for v in items):
+            raise ConfigError(
+                f"{source}: {key!r} must be a bool, int, float, string, or flat array of "
+                "them; tables, dotted keys, nested arrays and dates are not supported"
+            )
     return values
 
 
@@ -194,9 +98,7 @@ def _format_scalar(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        escaped = escaped.replace("\n", "\\n").replace("\t", "\\t")
-        return f'"{escaped}"'
+        return f'"{value.translate(_ESCAPES)}"'
     raise ConfigError(f"cannot serialize config value of type {type(value).__name__}")
 
 
@@ -213,6 +115,38 @@ def format_config_text(values: dict) -> str:
 
 def write_config_file(path, values: dict) -> None:
     Path(path).write_text(format_config_text(values), encoding="utf-8")
+
+
+def _matches(declared: type, value) -> bool:
+    """An int matches a declared float; a bool matches only a declared bool."""
+    if isinstance(value, bool):
+        return declared is bool
+    return isinstance(value, (int, float) if declared is float else declared)
+
+
+def dataclass_from_flat(cls, values: dict, what: str):
+    """Build the dataclass `cls` from flat config values. Unknown keys and
+    values that do not match a field's declared type raise ConfigError; arrays
+    become tuples of the declared item type, other values are kept as given."""
+    hints = get_type_hints(cls)
+    declared = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    unknown = set(values) - set(declared)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    kwargs = {}
+    for key, value in values.items():
+        kind = declared[key]
+        if get_origin(kind) is tuple:
+            item = get_args(kind)[0]
+            if not isinstance(value, (list, tuple)) or not all(_matches(item, v) for v in value):
+                raise ConfigError(
+                    f"{what} key {key!r} must be an array of {item.__name__}, got {value!r}"
+                )
+            value = tuple(item(v) for v in value)
+        elif not _matches(kind, value):
+            raise ConfigError(f"{what} key {key!r} must be {kind.__name__}, got {value!r}")
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +225,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, values: dict) -> "RunConfig":
-        known = {f.name: f for f in dataclasses.fields(cls)}
-        kwargs = {}
-        for key, value in values.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-            if key == "proxemic_sigmas":
-                if not isinstance(value, (list, tuple)):
-                    raise ConfigError("proxemic_sigmas must be an array")
-                value = tuple(float(v) for v in value)
-            kwargs[key] = value
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad config: {exc}") from None
+        return dataclass_from_flat(cls, values, "config")
 
 
 def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
@@ -390,7 +311,7 @@ def evaluate_predictions(truth_path, pred_path, out=None) -> str:
         pred = Partition.from_json_obj(entry)
         if not pred.members:
             continue
-        truth = _restricted_truth(pred.members, labels)
+        truth = restrict_labels(pred.members, labels)
         window_index = entry.get("window", len(rows) // 2)
         rows.extend(_score_rows(window_index, truth, pred))
         collected["gmitre"].append(gmitre_score(truth, pred))
@@ -418,12 +339,6 @@ def evaluate_predictions(truth_path, pred_path, out=None) -> str:
     return text
 
 
-def _restricted_truth(members, labels) -> Partition:
-    from .trajectories import restrict_labels
-
-    return restrict_labels(members, labels)
-
-
 # ---------------------------------------------------------------------------
 # Experiment runner
 
@@ -439,8 +354,6 @@ def _mean_scores(scores: list[ForestScore]) -> ForestScore:
 
 
 def _weights_rows(model: Model) -> list[list]:
-    from .features import FEATURE_NAMES
-
     alpha, beta = model.alpha, model.beta
     coeff = alpha + beta
     total = float(np.sum(np.abs(coeff)))
@@ -610,12 +523,6 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
 # Building blocks shared with the CLI
 
 
-def windows_and_scenes(dataset: Dataset, window_len: float, stride: float, configs: FeatureConfigs):
-    windows = slice_windows(dataset.trajectories, window_len, stride)
-    scenes = [build_scene(w, configs) for w in windows]
-    return windows, scenes
-
-
 def predict_windows(dataset: Dataset, model: Model, window_len=None, stride=None) -> list[dict]:
     """Tile the dataset with the model's recorded window settings (unless
     overridden) and predict every window."""
@@ -637,12 +544,6 @@ def predict_windows(dataset: Dataset, model: Model, window_len=None, stride=None
 
 
 def _snapshot_feature_configs(snapshot: dict) -> FeatureConfigs:
-    keys = (
-        "granger_lag", "proxemic_sigmas", "heat_cell_edge",
-        "heat_k_s", "heat_k_r", "heat_accumulate",
-    )
-    subset = {k: snapshot[k] for k in keys if k in snapshot}
-    if not subset:
-        return FeatureConfigs()
-    base = RunConfig.from_dict(subset)
-    return base.feature_configs()
+    """The feature configs of the run settings recorded in a model."""
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    return RunConfig.from_dict({k: v for k, v in snapshot.items() if k in names}).feature_configs()

@@ -21,9 +21,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .features import FeatureConfigs, WindowedScene
+from .features import FeatureConfigs, WindowedScene, build_scene
 from .losses import MergeLoss, gmitre_loss, mitre_loss, pairwise_loss
 from .partitioning import Partition, _greedy_merge, affinity, greedy_cc
+from .trajectories import window_ground_truth
 
 logger = logging.getLogger(__name__)
 
@@ -513,9 +514,6 @@ def make_training_examples(
 ) -> list[TrainingExample]:
     """Pair windows (or prebuilt scenes) with their restricted ground truth,
     skipping empty windows."""
-    from .features import build_scene
-    from .trajectories import window_ground_truth
-
     if scenes is None:
         scenes = [build_scene(w, configs) for w in windows if w.members]
     out = []

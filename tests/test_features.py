@@ -14,8 +14,10 @@ from crowdgroups import (
     FeatureConfigs,
     GrangerConfig,
     HeatmapConfig,
+    Model,
     PairFeatures,
     ProxemicsConfig,
+    RunConfig,
     Trajectory,
     TimeWindow,
     WindowedScene,
@@ -32,6 +34,7 @@ from crowdgroups import (
     write_features_csv,
 )
 from crowdgroups.features import HALL_SIGMAS
+from crowdgroups.harness import _snapshot_feature_configs
 
 from oracles import dtw_path_minimum, f_cdf_quadrature
 
@@ -87,13 +90,20 @@ def test_heatmap_config_validation():
         HeatmapConfig(accumulate="sum")
 
 
-def test_feature_configs_round_trip():
+def test_feature_configs_round_trip(tmp_path):
     cfg = FeatureConfigs(
         proxemics=ProxemicsConfig((1.0, 2.0)),
         granger=GrangerConfig(3),
         heatmap=HeatmapConfig(cell_edge=0.5, k_s=0.1, k_r=0.0, accumulate="visits"),
     )
-    assert FeatureConfigs.from_dict(cfg.to_dict()) == cfg
+    config = RunConfig(
+        proxemic_sigmas=(1.0, 2.0), granger_lag=3, heat_cell_edge=0.5,
+        heat_k_s=0.1, heat_k_r=0.0, heat_accumulate="visits",
+    )
+    assert config.feature_configs() == cfg
+    path = tmp_path / "model.json"
+    Model(config_snapshot=config.to_flat_dict()).save(path)
+    assert _snapshot_feature_configs(Model.load(path).config_snapshot) == cfg
 
 
 # ---------------------------------------------------------------------------

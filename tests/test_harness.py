@@ -66,6 +66,12 @@ def test_config_text_round_trip():
     back = parse_config_text(format_config_text(values))
     assert back == values
 
+    awkward = {
+        "label": "".join(map(chr, range(0x20))) + '\x7f"\\',
+        "floats": [1e-05, float("inf"), 1e+16],
+    }
+    assert parse_config_text(format_config_text(awkward)) == awkward
+
 
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "config.toml"
@@ -147,6 +153,16 @@ def test_run_config_validation():
 def test_run_config_from_dict_unknown_key():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"window_length": 10.0})
+
+
+def test_run_config_from_dict_types():
+    config = RunConfig.from_dict({"C": 10, "proxemic_sigmas": [1, 2.5]})
+    assert config.C == 10 and type(config.C) is int  # an int is a valid float, kept as given
+    assert config.proxemic_sigmas == (1.0, 2.5)
+    with pytest.raises(ConfigError, match="'granger_lag'"):
+        RunConfig.from_dict({"granger_lag": 2.0})
+    with pytest.raises(ConfigError, match="'early_stop'"):
+        RunConfig.from_dict({"early_stop": 1})
 
 
 def test_run_config_flat_dict_lists_tuples():
@@ -369,6 +385,25 @@ def test_cli_synth_spec_file(tmp_path, capsys):
     write_config_file(spec_path, {"n_grups": 1})
     assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 1
     assert "unknown synth spec keys" in capsys.readouterr().err
+
+
+def test_cli_synth_spec_wrong_type(tmp_path, capsys):
+    spec_path = tmp_path / "spec.toml"
+    write_config_file(spec_path, {"n_groups": "4"})
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "ds")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'n_groups'" in err
+
+
+@pytest.mark.parametrize("key, value", [("runs", 1.5), ("max_iterations", 5.5), ("runs", True)])
+def test_cli_run_config_wrong_type(dataset_dir, tmp_path, capsys, key, value):
+    config_path = tmp_path / "config.toml"
+    write_config_file(config_path, {key: value})
+    assert main(["run", "--data", str(dataset_dir), "--out", str(tmp_path / "report"),
+                 "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+    assert not (tmp_path / "report").exists()
 
 
 def test_cli_features(dataset_dir, capsys):
