@@ -9,9 +9,9 @@ predict, eval (score a prediction file), run (full seeded experiment), stats
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
-from pathlib import Path
 
 from .errors import ConfigError, CrowdGroupsError
 from .features import build_scene, write_features_csv
@@ -19,7 +19,6 @@ from .harness import (
     RunConfig,
     dataclass_from_flat,
     evaluate_predictions,
-    load_run_config,
     predict_windows,
     read_config_file,
     run_experiment,
@@ -59,14 +58,26 @@ def _overrides(args: argparse.Namespace) -> dict:
     return out
 
 
+def _config_values(args: argparse.Namespace) -> dict:
+    """The --config file's values, overlaid with the flags that were given."""
+    config_path = getattr(args, "config", None)
+    values = read_config_file(config_path) if config_path is not None else {}
+    values.update(_overrides(args))
+    return values
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    return load_run_config(getattr(args, "config", None), _overrides(args))
+    return RunConfig.from_dict(_config_values(args))
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at path, opened for writing, or stdout (left open) for None or "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(Path(path), "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,32 +144,21 @@ def _cmd_features(args) -> int:
     windows = slice_windows(dataset.trajectories, config.window_len, config.stride)
     configs = config.feature_configs()
     scenes = [build_scene(w, configs) for w in windows]
-    fh, own = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         write_features_csv(scenes, fh)
-    finally:
-        if own:
-            fh.close()
     return 0
 
 
-def _span_requested(args, config_path) -> bool:
-    if getattr(args, "training_span", None) is not None:
-        return True
-    if config_path is not None and "training_span" in read_config_file(config_path):
-        return True
-    return False
-
-
 def _cmd_train(args) -> int:
-    config = _resolve_config(args)
+    values = _config_values(args)
+    config = RunConfig.from_dict(values)
     if config.mode == "online":
         raise ConfigError("online mode trains during prediction; use the run command")
     dataset = load_dataset(args.data)
     if dataset.labels is None:
         raise ConfigError(f"{args.data}: ground truth is required to train")
     windows = slice_windows(dataset.trajectories, config.window_len, config.stride)
-    if _span_requested(args, args.config):
+    if "training_span" in values:
         windows, _ = split_training_span(dataset, windows, config.training_span)
     examples = make_training_examples(windows, dataset.labels, config.feature_configs())
     if not examples:
@@ -173,23 +173,15 @@ def _cmd_predict(args) -> int:
     model = Model.load(args.model)
     dataset = load_dataset(args.data)
     entries = predict_windows(dataset, model, window_len=args.window, stride=args.stride)
-    fh, own = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         write_predictions(fh, model.seed, entries)
-    finally:
-        if own:
-            fh.close()
     return 0
 
 
 def _cmd_eval(args) -> int:
     text = evaluate_predictions(args.truth, args.pred)
-    fh, own = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         fh.write(text)
-    finally:
-        if own:
-            fh.close()
     return 0
 
 

@@ -14,6 +14,7 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import tomllib
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -125,9 +126,10 @@ def _matches(declared: type, value) -> bool:
 
 
 def dataclass_from_flat(cls, values: dict, what: str):
-    """Build the dataclass `cls` from flat config values. Unknown keys and
-    values that do not match a field's declared type raise ConfigError; arrays
-    become tuples of the declared item type, other values are kept as given."""
+    """Build the dataclass `cls` from flat config values. Unknown keys,
+    values that do not match a field's declared type, and non-finite floats
+    raise ConfigError; arrays become tuples of the declared item type, other
+    values are kept as given."""
     hints = get_type_hints(cls)
     declared = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
     unknown = set(values) - set(declared)
@@ -145,6 +147,9 @@ def dataclass_from_flat(cls, values: dict, what: str):
             value = tuple(item(v) for v in value)
         elif not _matches(kind, value):
             raise ConfigError(f"{what} key {key!r} must be {kind.__name__}, got {value!r}")
+        numbers = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+            raise ConfigError(f"{what} key {key!r} must be finite, got {value!r}")
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -272,13 +277,30 @@ def read_predictions(path) -> tuple[int, list[dict]]:
     return seed, windows
 
 
-def _score_rows(window_index, truth: Partition, pred: Partition) -> list[list]:
-    g = gmitre_score(truth, pred)
-    pp = positive_pairwise_metric(truth, pred)
-    return [
-        [window_index, "gmitre", g.precision, g.recall, g.f1],
-        [window_index, "pairwise_positive", pp.precision, pp.recall, pp.f1],
-    ]
+def _score(truth: Partition, pred: Partition) -> dict[str, ForestScore]:
+    """Every metric of METRIC_NAMES for one window."""
+    return {
+        "gmitre": gmitre_score(truth, pred),
+        "pairwise_positive": positive_pairwise_metric(truth, pred),
+    }
+
+
+def _score_rows(label, scores: dict[str, ForestScore]) -> list[list]:
+    return [[label, name, s.precision, s.recall, s.f1] for name, s in scores.items()]
+
+
+def _mean_scores(per_window: list[dict[str, ForestScore]]) -> dict[str, ForestScore]:
+    """Mean of each metric over windows; all 1.0 when there are none."""
+    if not per_window:
+        return {name: ForestScore(recall=1.0, precision=1.0, f1=1.0) for name in METRIC_NAMES}
+    return {
+        name: ForestScore(
+            recall=float(np.mean([s[name].recall for s in per_window])),
+            precision=float(np.mean([s[name].precision for s in per_window])),
+            f1=float(np.mean([s[name].f1 for s in per_window])),
+        )
+        for name in METRIC_NAMES
+    }
 
 
 def _fmt(value) -> str:
@@ -306,28 +328,16 @@ def evaluate_predictions(truth_path, pred_path, out=None) -> str:
     labels = load_ground_truth(truth_path)
     _, entries = read_predictions(pred_path)
     rows: list[list] = []
-    collected: dict[str, list[ForestScore]] = {name: [] for name in METRIC_NAMES}
+    per_window: list[dict[str, ForestScore]] = []
     for entry in entries:
         pred = Partition.from_json_obj(entry)
         if not pred.members:
             continue
-        truth = restrict_labels(pred.members, labels)
-        window_index = entry.get("window", len(rows) // 2)
-        rows.extend(_score_rows(window_index, truth, pred))
-        collected["gmitre"].append(gmitre_score(truth, pred))
-        collected["pairwise_positive"].append(positive_pairwise_metric(truth, pred))
-    for name in METRIC_NAMES:
-        scores = collected[name]
-        if scores:
-            rows.append(
-                [
-                    "mean",
-                    name,
-                    float(np.mean([s.precision for s in scores])),
-                    float(np.mean([s.recall for s in scores])),
-                    float(np.mean([s.f1 for s in scores])),
-                ]
-            )
+        scores = _score(restrict_labels(pred.members, labels), pred)
+        rows.extend(_score_rows(entry.get("window", len(per_window)), scores))
+        per_window.append(scores)
+    if per_window:
+        rows.extend(_score_rows("mean", _mean_scores(per_window)))
     buffer = io.StringIO()
     _write_csv(buffer, ["window", "metric", "precision", "recall", "f1"], rows)
     text = buffer.getvalue()
@@ -341,16 +351,6 @@ def evaluate_predictions(truth_path, pred_path, out=None) -> str:
 
 # ---------------------------------------------------------------------------
 # Experiment runner
-
-
-def _mean_scores(scores: list[ForestScore]) -> ForestScore:
-    if not scores:
-        return ForestScore(recall=1.0, precision=1.0, f1=1.0)
-    return ForestScore(
-        recall=float(np.mean([s.recall for s in scores])),
-        precision=float(np.mean([s.precision for s in scores])),
-        f1=float(np.mean([s.f1 for s in scores])),
-    )
 
 
 def _weights_rows(model: Model) -> list[list]:
@@ -436,7 +436,7 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
         ],
     )
 
-    per_run_means: dict[str, list[ForestScore]] = {name: [] for name in METRIC_NAMES}
+    run_means: list[dict[str, ForestScore]] = []
     meta_runs = []
     for r in range(config.runs):
         run_seed = config.seed + r
@@ -458,28 +458,28 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
 
         entries = []
         per_window_rows: list[list] = []
-        run_scores: dict[str, list[ForestScore]] = {name: [] for name in METRIC_NAMES}
+        per_window: list[dict[str, ForestScore]] = []
         for scene, pred in zip(test_scenes, preds):
             window = scene.window
             entries.append(prediction_entry(window.index, window.start_t, window.end_t, pred))
             if not scene.members:
                 continue
-            truth = window_ground_truth(window, dataset.labels)
-            per_window_rows.extend(_score_rows(window.index, truth, pred))
-            run_scores["gmitre"].append(gmitre_score(truth, pred))
-            run_scores["pairwise_positive"].append(positive_pairwise_metric(truth, pred))
+            scores = _score(window_ground_truth(window, dataset.labels), pred)
+            per_window_rows.extend(_score_rows(window.index, scores))
+            per_window.append(scores)
         write_predictions(rundir / "predictions.json", run_seed, entries)
         _write_csv(
             rundir / "per_window.csv",
             ["window", "metric", "precision", "recall", "f1"],
             per_window_rows,
         )
-        metric_rows = []
-        for name in METRIC_NAMES:
-            mean = _mean_scores(run_scores[name])
-            per_run_means[name].append(mean)
-            metric_rows.append([name, mean.precision, mean.recall, mean.f1])
-        _write_csv(rundir / "metrics.csv", ["metric", "precision", "recall", "f1"], metric_rows)
+        means = _mean_scores(per_window)
+        run_means.append(means)
+        _write_csv(
+            rundir / "metrics.csv",
+            ["metric", "precision", "recall", "f1"],
+            [[name, s.precision, s.recall, s.f1] for name, s in means.items()],
+        )
         _write_csv(
             rundir / "weights.csv",
             ["term", "alpha", "beta", "coefficient", "share"],
@@ -490,12 +490,12 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
                 "seed": run_seed,
                 "nonnegative_weights": model.nonnegative_weights,
                 "iterations": model.iterations,
-                "gmitre_f1": per_run_means["gmitre"][-1].f1,
+                "gmitre_f1": means["gmitre"].f1,
             }
         )
         logger.info(
             "run %d/%d (seed %d): gmitre f1 %.4f",
-            r + 1, config.runs, run_seed, per_run_means["gmitre"][-1].f1,
+            r + 1, config.runs, run_seed, means["gmitre"].f1,
         )
 
     summary_rows = []
@@ -503,7 +503,7 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
     for name in METRIC_NAMES:
         summary[name] = {}
         for field in ("precision", "recall", "f1"):
-            values = np.array([getattr(s, field) for s in per_run_means[name]])
+            values = np.array([getattr(means[name], field) for means in run_means])
             mean = float(values.mean())
             std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
             summary_rows.append([name, field, mean, std])

@@ -5,8 +5,11 @@ one block per training window. The loss-augmented oracle is the greedy merge
 engine that predicts, with each candidate merge's gain raised by the change in
 loss the merge causes; those losses come from the contingency table against
 the truth, by the same closed forms that score predictions.
-Batch, sequential (examples arrive over time), and online (self-supervised
-from own predictions) modes share the same per-block update.
+The Frank-Wolfe state is the Model itself: each block update changes its w,
+one row of block_w, one entry of block_l, l and iterations in place. Batch,
+sequential (examples arrive over time, blocks grow with them), and online
+(self-supervised from own predictions, one block per scene) modes share
+that update.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -46,6 +51,11 @@ class TrainingExample:
     def __post_init__(self):
         if self.truth.members != set(self.scene.members):
             raise ValueError("truth partition does not cover the scene members")
+
+    @cached_property
+    def truth_psi(self) -> np.ndarray:
+        """Psi(scene, truth), read by the oracle and by every block update."""
+        return joint_feature_map(self.scene, self.truth)
 
 
 @dataclass(frozen=True)
@@ -136,18 +146,7 @@ class Model:
         return bool(np.all(self.w >= 0.0))
 
     def copy(self) -> "Model":
-        return Model(
-            w=self.w.copy(),
-            block_w=self.block_w.copy(),
-            block_l=self.block_l.copy(),
-            l=self.l,
-            C=self.C,
-            seed=self.seed,
-            loss=self.loss,
-            mode=self.mode,
-            iterations=self.iterations,
-            config_snapshot=dict(self.config_snapshot),
-        )
+        return Model.from_dict(self.to_dict())
 
     def to_dict(self) -> dict:
         return {
@@ -251,7 +250,7 @@ def loss_augmented_oracle(
     scorer = MergeLoss(loss, truth, members)
     clusters, _ = _greedy_merge(affinity(scene, w).matrix, scorer)
     y_star = Partition([members[k] for k in c] for c in clusters)
-    psi_gap = joint_feature_map(scene, y_star) - joint_feature_map(scene, truth)
+    psi_gap = joint_feature_map(scene, y_star) - example.truth_psi
     hinge = scorer.current + float(w @ psi_gap)
     if hinge < 0.0:
         return truth, 0.0
@@ -265,108 +264,49 @@ class _StepInfo(NamedTuple):
     gamma: float
 
 
-class _BcfwState:
-    __slots__ = ("w", "block_w", "block_l", "l", "iterations")
-
-    def __init__(self):
-        self.w = np.zeros(WEIGHT_DIM)
-        self.block_w: list[np.ndarray] = []
-        self.block_l: list[float] = []
-        self.l = 0.0
-        self.iterations = 0
-
-    def add_block(self, w=None, l: float = 0.0) -> None:
-        block = np.zeros(WEIGHT_DIM) if w is None else np.array(w, dtype=float)
-        self.block_w.append(block)
-        self.block_l.append(float(l))
-
-    def to_model(self, config: TrainConfig, mode: str, snapshot: dict | None) -> Model:
-        return Model(
-            w=self.w.copy(),
-            block_w=np.vstack(self.block_w) if self.block_w else None,
-            block_l=list(self.block_l),
-            l=self.l,
-            C=config.C,
-            seed=config.seed,
-            loss=config.loss,
-            mode=mode,
-            iterations=self.iterations,
-            config_snapshot=snapshot,
-        )
-
-
 def _bcfw_step(
-    state: _BcfwState,
-    examples: list[TrainingExample],
-    base_psi: list[np.ndarray],
-    i: int,
-    config: TrainConfig,
+    model: Model, examples: list[TrainingExample], i: int, config: TrainConfig
 ) -> _StepInfo:
-    """One Frank-Wolfe block update on example i; returns the logged quantities."""
-    n = len(examples)
+    """One Frank-Wolfe update of block i, in place on the model's w, block i
+    and loss offsets; returns the logged quantities."""
     example = examples[i]
-    y_star, hinge = loss_augmented_oracle(example, state.w, loss=config.loss)
-    scale = config.C / n
-    ws = scale * (base_psi[i] - joint_feature_map(example.scene, y_star))
+    y_star, hinge = loss_augmented_oracle(example, model.w, loss=config.loss)
+    scale = config.C / len(examples)
+    ws = scale * (example.truth_psi - joint_feature_map(example.scene, y_star))
     ls = scale * LOSSES[config.loss](example.truth, y_star)
-    diff = state.block_w[i] - ws
+    wi, li = model.block_w[i], float(model.block_l[i])
+    diff = wi - ws
     denom = float(diff @ diff)
     if denom == 0.0:
         gamma = 0.0
     else:
-        gamma = (float(diff @ state.w) + scale * (ls - state.block_l[i])) / denom
+        gamma = (float(diff @ model.w) + scale * (ls - li)) / denom
         gamma = min(1.0, max(0.0, gamma))
-    new_wi = (1.0 - gamma) * state.block_w[i] + gamma * ws
-    new_li = (1.0 - gamma) * state.block_l[i] + gamma * ls
-    state.w = state.w + (new_wi - state.block_w[i])
-    state.l += new_li - state.block_l[i]
-    state.block_w[i] = new_wi
-    state.block_l[i] = new_li
-    state.iterations += 1
-    return _StepInfo(state.iterations, i, float(hinge), float(gamma))
+    new_wi = (1.0 - gamma) * wi + gamma * ws
+    new_li = (1.0 - gamma) * li + gamma * ls
+    model.w = model.w + (new_wi - wi)
+    model.l += new_li - li
+    model.block_w[i] = new_wi
+    model.block_l[i] = new_li
+    model.iterations += 1
+    return _StepInfo(model.iterations, i, float(hinge), float(gamma))
 
 
-class _TrainLog:
-    """CSV writer for per-iteration rows `iter,block,hinge,gamma,objective`."""
-
-    def __init__(self, target):
-        self._own = False
-        self._fh = None
-        self._writer = None
-        if target is None:
-            return
-        if hasattr(target, "write"):
-            self._fh = target
-        else:
-            self._fh = open(Path(target), "w", encoding="utf-8", newline="")
-            self._own = True
-        self._writer = csv.writer(self._fh, lineterminator="\n")
-        self._writer.writerow(["iter", "block", "hinge", "gamma", "objective"])
-
-    def row(self, info: _StepInfo, objective: float | None) -> None:
-        if self._writer is None:
-            return
-        self._writer.writerow(
-            [
-                info.iteration,
-                info.block,
-                f"{info.hinge:.9g}",
-                f"{info.gamma:.9g}",
-                "" if objective is None else f"{objective:.9g}",
-            ]
-        )
-
-    def close(self) -> None:
-        if self._own and self._fh is not None:
-            self._fh.close()
-
-
-def _primal(examples: list[TrainingExample], w: np.ndarray, C: float, loss: str) -> float:
-    hinge_sum = 0.0
-    for example in examples:
-        _, hinge = loss_augmented_oracle(example, w, loss=loss)
-        hinge_sum += hinge
-    return 0.5 * float(w @ w) + (C / len(examples)) * hinge_sum
+@contextmanager
+def _train_log(path):
+    """Yields row(info, objective=None), which appends one
+    `iter,block,hinge,gamma,objective` row to the CSV at path (a no-op when
+    path is None)."""
+    if path is None:
+        yield lambda info, objective=None: None
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["iter", "block", "hinge", "gamma", "objective"])
+        yield lambda info, objective=None: writer.writerow([
+            info.iteration, info.block, f"{info.hinge:.9g}", f"{info.gamma:.9g}",
+            "" if objective is None else f"{objective:.9g}",
+        ])
 
 
 def primal_objective(examples: Iterable[TrainingExample], model: Model) -> float:
@@ -374,7 +314,8 @@ def primal_objective(examples: Iterable[TrainingExample], model: Model) -> float
     examples = list(examples)
     if not examples:
         raise ConfigError("primal objective needs at least one example")
-    return _primal(examples, model.w, model.C, model.loss)
+    hinge_sum = sum(loss_augmented_oracle(ex, model.w, loss=model.loss)[1] for ex in examples)
+    return 0.5 * float(model.w @ model.w) + (model.C / len(examples)) * hinge_sum
 
 
 def bcfw_train(
@@ -389,8 +330,9 @@ def bcfw_train(
 
     Picks a uniformly random block per iteration from a generator seeded with
     config.seed, runs config.max_iterations updates (optionally stopping early
-    when the primal objective stalls), and returns the trained model.
-    iteration_hook(state, info), when given, observes every update in place.
+    when the primal objective stalls), and returns the trained model. `log` is
+    a CSV path or None. iteration_hook(model, info), when given, sees the
+    model after every update.
     """
     config = config or TrainConfig()
     examples = list(examples)
@@ -398,27 +340,24 @@ def bcfw_train(
         raise ConfigError("training requires at least one example")
     n = len(examples)
     rng = np.random.default_rng(config.seed)
-    state = _BcfwState()
-    for _ in range(n):
-        state.add_block()
-    base_psi = [joint_feature_map(ex.scene, ex.truth) for ex in examples]
-    train_log = _TrainLog(log)
+    model = Model(
+        block_w=np.zeros((n, WEIGHT_DIM)), block_l=np.zeros(n), C=config.C, seed=config.seed,
+        loss=config.loss, mode="batch", config_snapshot=config_snapshot,
+    )
     best_objective = np.inf
     stall = 0
-    try:
+    with _train_log(log) as log_row:
         for _ in range(config.max_iterations):
-            i = int(rng.integers(n))
-            info = _bcfw_step(state, examples, base_psi, i, config)
+            info = _bcfw_step(model, examples, int(rng.integers(n)), config)
             objective = None
-            want_objective = config.early_stop or (
+            if config.early_stop or (
                 config.objective_every and info.iteration % config.objective_every == 0
-            )
-            if want_objective:
-                objective = _primal(examples, state.w, config.C, config.loss)
-            train_log.row(info, objective)
+            ):
+                objective = primal_objective(examples, model)
+            log_row(info, objective)
             if iteration_hook is not None:
-                iteration_hook(state, info)
-            if config.early_stop and objective is not None:
+                iteration_hook(model, info)
+            if config.early_stop:
                 if objective < best_objective - config.early_stop_tol:
                     best_objective = objective
                     stall = 0
@@ -430,9 +369,7 @@ def bcfw_train(
                             info.iteration, objective,
                         )
                         break
-    finally:
-        train_log.close()
-    return state.to_model(config, "batch", config_snapshot)
+    return model
 
 
 def sequential_train(
@@ -443,26 +380,23 @@ def sequential_train(
     config_snapshot: dict | None = None,
 ) -> Iterator[Model]:
     """Feed examples in arrival order, spending config.sequential_budget BCFW
-    iterations over all blocks seen so far per arrival; yields a model snapshot
-    after each example."""
+    iterations over all blocks seen so far per arrival; yields a copy of the
+    model after each example."""
     config = config or TrainConfig()
     rng = np.random.default_rng(config.seed)
-    state = _BcfwState()
+    model = Model(
+        C=config.C, seed=config.seed, loss=config.loss, mode="sequential",
+        config_snapshot=config_snapshot,
+    )
     examples: list[TrainingExample] = []
-    base_psi: list[np.ndarray] = []
-    train_log = _TrainLog(log)
-    try:
+    with _train_log(log) as log_row:
         for example in stream:
             examples.append(example)
-            base_psi.append(joint_feature_map(example.scene, example.truth))
-            state.add_block()
+            model.block_w = np.vstack([model.block_w, np.zeros(WEIGHT_DIM)])
+            model.block_l = np.append(model.block_l, 0.0)
             for _ in range(config.sequential_budget):
-                i = int(rng.integers(len(examples)))
-                info = _bcfw_step(state, examples, base_psi, i, config)
-                train_log.row(info, None)
-            yield state.to_model(config, "sequential", config_snapshot)
-    finally:
-        train_log.close()
+                log_row(_bcfw_step(model, examples, int(rng.integers(len(examples))), config))
+            yield model.copy()
 
 
 def predict(scene: WindowedScene, model) -> Partition:
@@ -479,30 +413,24 @@ def online_predict_train(
 ) -> Iterator[tuple[Partition, Model]]:
     """Predict each scene, then learn from the prediction as a pseudo-label.
 
-    Each scene gets a fresh single-block state initialized at the current w and
-    config.online_budget BCFW iterations; the small budget keeps per-scene
-    drift bounded. Yields (prediction, updated model) per scene.
+    Each scene gets a fresh single-block model whose block starts at the
+    current w (with zero loss offset) and config.online_budget BCFW
+    iterations; the small budget keeps per-scene drift bounded. Yields
+    (prediction, updated model) per scene; init is left unchanged.
     """
     if config is None:
         config = TrainConfig(C=init.C, seed=init.seed, loss=init.loss)
-    rng = np.random.default_rng(config.seed)
-    w = init.w.copy()
-    iterations = init.iterations
+    model = init
     for scene in scenes:
-        prediction = predict(scene, w)
+        prediction = predict(scene, model)
         example = TrainingExample(scene, prediction)
-        state = _BcfwState()
-        state.w = w.copy()
-        state.add_block(w=w.copy(), l=0.0)
-        state.l = 0.0
-        base_psi = [joint_feature_map(scene, prediction)]
+        model = Model(
+            w=model.w, block_w=[model.w], block_l=[0.0], C=config.C, seed=config.seed,
+            loss=config.loss, mode="online", iterations=model.iterations,
+            config_snapshot=init.config_snapshot,
+        )
         for _ in range(config.online_budget):
-            i = int(rng.integers(1))
-            _bcfw_step(state, [example], base_psi, i, config)
-        w = state.w.copy()
-        iterations += config.online_budget
-        model = state.to_model(config, "online", dict(init.config_snapshot))
-        model.iterations = iterations
+            _bcfw_step(model, [example], 0, config)
         yield prediction, model
 
 

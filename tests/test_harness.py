@@ -406,6 +406,22 @@ def test_cli_run_config_wrong_type(dataset_dir, tmp_path, capsys, key, value):
     assert not (tmp_path / "report").exists()
 
 
+@pytest.mark.parametrize("config_text, flags, key", [
+    ("heat_k_s = nan\n", [], "heat_k_s"),
+    ("proxemic_sigmas = [nan]\n", [], "proxemic_sigmas"),
+    ("C = inf\n", [], "C"),
+    ("", ["--C", "nan"], "C"),
+])
+def test_cli_run_rejects_non_finite(dataset_dir, tmp_path, capsys, config_text, flags, key):
+    config_path = tmp_path / "config.toml"
+    config_path.write_text(config_text, encoding="utf-8")
+    assert main(["run", "--data", str(dataset_dir), "--out", str(tmp_path / "report"),
+                 "--config", str(config_path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err and "finite" in err
+    assert not (tmp_path / "report").exists()
+
+
 def test_cli_features(dataset_dir, capsys):
     assert main(["features", "--data", str(dataset_dir), "--window-len", "8",
                  "--stride", "8"]) == 0
@@ -457,6 +473,19 @@ def test_cli_train_span_only_when_requested(dataset_dir, tmp_path, capsys):
     capsys.readouterr()
     full_model = Model.load(full)
     short_model = Model.load(short)
+    assert full_model.block_w.shape[0] > short_model.block_w.shape[0]
+
+
+def test_cli_train_span_from_config_file(dataset_dir, tmp_path, capsys):
+    config_path = tmp_path / "config.toml"
+    write_config_file(config_path, {"training_span": 16.0})
+    args = ["train", "--data", str(dataset_dir), "--window-len", "8", "--stride", "8",
+            "--max-iterations", "10"]
+    assert main([*args, "--out", str(tmp_path / "full.json")]) == 0
+    assert main([*args, "--out", str(tmp_path / "short.json"), "--config", str(config_path)]) == 0
+    capsys.readouterr()
+    full_model = Model.load(tmp_path / "full.json")
+    short_model = Model.load(tmp_path / "short.json")
     assert full_model.block_w.shape[0] > short_model.block_w.shape[0]
 
 

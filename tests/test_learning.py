@@ -404,6 +404,37 @@ def test_online_predict_train_yields_and_updates():
     assert out[1][1].iterations == init.iterations + 10
 
 
+def test_sequential_snapshots_unchanged_by_later_arrivals():
+    examples = [
+        separable_example(),
+        separable_example(near=0.2, far=0.8),
+        separable_example(near=0.3, far=0.7),
+    ]
+    taken = []
+    for model in sequential_train(examples, TrainConfig(sequential_budget=10)):
+        taken.append((model, model.w.copy(), model.block_w.copy(), model.block_l.copy()))
+    assert [m.block_w.shape[0] for m, *_ in taken] == [1, 2, 3]
+    for model, w, block_w, block_l in taken:
+        assert np.array_equal(model.w, w)
+        assert np.array_equal(model.block_w, block_w)
+        assert np.array_equal(model.block_l, block_l)
+
+
+def test_online_predict_train_leaves_init_unchanged():
+    init = bcfw_train([separable_example()], TrainConfig(max_iterations=3),
+                      config_snapshot={"window_len": 8.0})
+    before = init.to_dict()
+    scenes = [separable_scene(), separable_scene(near=0.3, far=0.6), separable_scene()]
+    out = list(online_predict_train(scenes, init, TrainConfig(online_budget=4)))
+    assert init.to_dict() == before
+    assert [model.iterations for _, model in out] == [init.iterations + 4 * k for k in (1, 2, 3)]
+    for _, model in out:
+        assert model.block_w.shape == (1, 8)
+        assert model.block_l.shape == (1,)
+        assert model.config_snapshot == init.config_snapshot
+        assert np.allclose(model.w, model.block_w[0], atol=1e-12)
+
+
 def test_predict_accepts_model_or_vector():
     scene = separable_scene()
     w = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
