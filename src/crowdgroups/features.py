@@ -4,7 +4,11 @@ Each pedestrian pair gets four bounded distances: physical closeness under a
 Gaussian-mixture model of interpersonal zones (d_ph), path-shape divergence by
 dynamic time warping (d_sh), absence of temporal causality by a Granger F-test
 (d_ca), and divergence of visited-area heat maps (d_he). All are emitted as
-distances in [0, 1]; the learner sees both halves [1 - d; d].
+distances in [0, 1]. A window's features are one pair table, `WindowedScene`:
+a (pairs, 4) matrix with one row per unordered member pair, in
+np.triu_indices(n, 1) order over the sorted members, plus per-row flags for
+pairs that never co-occur and pairs on the causality fallback. The learner
+weighs both halves [1 - d; d] of each row.
 """
 
 from __future__ import annotations
@@ -12,10 +16,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from io import IOBase
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -93,95 +95,64 @@ class FeatureConfigs:
 
 
 @dataclass(frozen=True, eq=False)
-class PairFeatures:
-    """The four distances for one unordered pedestrian pair (id_a < id_b)."""
-
-    pair: tuple[int, int]
-    d: np.ndarray
-    granger_fallback: bool = False
-    no_overlap: bool = False
-
-    def __post_init__(self):
-        a, b = self.pair
-        if not a < b:
-            raise ValueError(f"pair must be ordered id_a < id_b, got {self.pair}")
-        d = np.ascontiguousarray(self.d, dtype=float)
-        if d.shape != (4,):
-            raise ValueError(f"feature vector must have 4 components, got {d.shape}")
-        if not np.all(np.isfinite(d)) or d.min() < 0.0 or d.max() > 1.0:
-            raise ValueError(f"feature components must be finite and in [0, 1], got {d}")
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "pair", (int(a), int(b)))
-
-    @property
-    def augmented(self) -> np.ndarray:
-        """The 8-vector [1 - d; d]."""
-        return np.concatenate([1.0 - self.d, self.d])
-
-    @property
-    def affinity_term(self) -> np.ndarray:
-        """The 8-vector whose dot product with w = [alpha; beta] is the pair
-        affinity alpha.(1 - d) - beta.d."""
-        return np.concatenate([1.0 - self.d, -self.d])
-
-
-@dataclass(frozen=True, eq=False)
 class WindowedScene:
-    """All pairwise features of one time window."""
+    """All pairwise features of one time window, as one pair table.
+
+    Row k of `feature_matrix` (pairs x 4 distances) and of the two flag arrays
+    belongs to the member pair (members[ia[k]], members[ib[k]]), where
+    (ia, ib) = `pair_rows` = np.triu_indices(len(members), 1) over the sorted
+    members: (m0, m1), (m0, m2), ..., (m1, m2), ... The matrix and the flags
+    are read-only; flags default to all False.
+    """
 
     window: TimeWindow
-    pairs: tuple[PairFeatures, ...]
+    feature_matrix: np.ndarray
+    granger_fallback: np.ndarray | None = None
+    no_overlap: np.ndarray | None = None
 
     def __post_init__(self):
-        expected = len(self.members) * (len(self.members) - 1) // 2
-        if len(self.pairs) != expected:
-            raise ValueError(
-                f"{len(self.pairs)} pairs for {len(self.members)} members; expected {expected}"
-            )
+        n = len(self.pair_rows[0])
+        for name, dtype, shape in (
+            ("feature_matrix", float, (n, 4)),
+            ("granger_fallback", bool, (n,)),
+            ("no_overlap", bool, (n,)),
+        ):
+            given = getattr(self, name)
+            value = np.array(np.zeros(shape, dtype) if given is None else given, dtype=dtype)
+            if value.shape != shape:
+                raise ValueError(f"{name} of shape {value.shape} for {n} pairs; expected {shape}")
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        if not np.all((self.feature_matrix >= 0.0) & (self.feature_matrix <= 1.0)):
+            raise ValueError("feature distances must be finite and in [0, 1]")
 
     @cached_property
     def members(self) -> tuple[int, ...]:
         return tuple(sorted(self.window.members))
 
     @cached_property
-    def pair_ids(self) -> tuple[tuple[int, int], ...]:
-        return tuple(p.pair for p in self.pairs)
-
-    @cached_property
     def pair_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Member-index arrays (ia, ib) aligned with the pair ordering."""
-        index = {m: i for i, m in enumerate(self.members)}
-        ia = np.fromiter((index[p.pair[0]] for p in self.pairs), dtype=int, count=len(self.pairs))
-        ib = np.fromiter((index[p.pair[1]] for p in self.pairs), dtype=int, count=len(self.pairs))
-        return ia, ib
+        """Member-index arrays (ia, ib) of the rows: np.triu_indices(n, 1)."""
+        return np.triu_indices(len(self.members), 1)
 
     @cached_property
-    def feature_matrix(self) -> np.ndarray:
-        """(n_pairs, 4) distances, row order matching `pairs`."""
-        if not self.pairs:
-            return np.zeros((0, 4))
-        return np.vstack([p.d for p in self.pairs])
-
-    @cached_property
-    def augmented(self) -> np.ndarray:
-        """(n_pairs, 8) rows [1 - d; d]."""
-        d = self.feature_matrix
-        return np.hstack([1.0 - d, d])
+    def pairs(self) -> np.ndarray:
+        """(pairs, 2) pedestrian ids (a, b) of the rows, a < b."""
+        return np.array(self.members, dtype=int)[np.column_stack(self.pair_rows)]
 
     @cached_property
     def affinity_terms(self) -> np.ndarray:
-        """(n_pairs, 8) rows whose dot with w = [alpha; beta] gives pair affinities."""
+        """(pairs, 8) rows whose dot with w = [alpha; beta] gives pair affinities."""
         d = self.feature_matrix
         return np.hstack([1.0 - d, -d])
 
     @property
     def granger_fallback_count(self) -> int:
-        return sum(1 for p in self.pairs if p.granger_fallback)
+        return int(self.granger_fallback.sum())
 
     @property
     def no_overlap_count(self) -> int:
-        return sum(1 for p in self.pairs if p.no_overlap)
+        return int(self.no_overlap.sum())
 
 
 def gmm_eval(delta, cfg: ProxemicsConfig | None = None) -> float:
@@ -434,18 +405,22 @@ def heatmap_distance(h_a: np.ndarray, h_b: np.ndarray) -> float:
 
 
 def build_scene(window: TimeWindow, configs: FeatureConfigs | None = None) -> WindowedScene:
-    """Compute all four features for every unordered member pair of the window.
+    """Compute all four features for every unordered member pair of the window,
+    one row per pair in the scene's triu order.
 
     Pairs that never co-occur get d_ph = d_ca = 1 (maximally dissimilar) while
-    d_sh and d_he are still computed; pairs with too few common samples for
-    the causality regression carry the 0.5 fallback, flagged on the pair.
+    d_sh and d_he are still computed, flagged no_overlap; pairs with too few
+    common samples for the causality regression carry the 0.5 fallback,
+    flagged granger_fallback.
     """
     configs = configs or FeatureConfigs()
     members = sorted(window.members)
     segments = window.segments
     grid = window_grid(window, configs.heatmap)
     maps = {m: heatmap_build(segments[m], configs.heatmap, grid=grid) for m in members}
-    pairs: list[PairFeatures] = []
+    rows: list[tuple[float, float, float, float]] = []
+    fallbacks: list[bool] = []
+    no_overlaps: list[bool] = []
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
             seg_a, seg_b = segments[a], segments[b]
@@ -460,34 +435,17 @@ def build_scene(window: TimeWindow, configs: FeatureConfigs | None = None) -> Wi
                 d_ca, fallback = _granger_distance_flagged(seg_a, seg_b, configs.granger)
             d_sh = dtw_shape_distance(seg_a, seg_b)
             d_he = heatmap_distance(maps[a], maps[b])
-            pairs.append(
-                PairFeatures(
-                    pair=(a, b),
-                    d=np.array([d_ph, d_sh, d_ca, d_he]),
-                    granger_fallback=fallback,
-                    no_overlap=no_overlap,
-                )
-            )
-    return WindowedScene(window=window, pairs=tuple(pairs))
+            rows.append((d_ph, d_sh, d_ca, d_he))
+            fallbacks.append(fallback)
+            no_overlaps.append(no_overlap)
+    return WindowedScene(window, np.array(rows).reshape(-1, 4), fallbacks, no_overlaps)
 
 
 def write_features_csv(scenes: Iterable[WindowedScene], out) -> None:
-    """One row per pair: window,a,b,d_ph,d_sh,d_ca,d_he with 9 significant digits."""
-    own = not isinstance(out, IOBase) and not hasattr(out, "write")
-    fh = open(Path(out), "w", encoding="utf-8", newline="") if own else out
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["window", "a", "b", *FEATURE_NAMES])
-        for scene in scenes:
-            for pair in scene.pairs:
-                writer.writerow(
-                    [
-                        scene.window.index,
-                        pair.pair[0],
-                        pair.pair[1],
-                        *(f"{v:.9g}" for v in pair.d),
-                    ]
-                )
-    finally:
-        if own:
-            fh.close()
+    """One row per pair to the open text file `out`:
+    window,a,b,d_ph,d_sh,d_ca,d_he with 9 significant digits."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["window", "a", "b", *FEATURE_NAMES])
+    for scene in scenes:
+        for (a, b), d in zip(scene.pairs.tolist(), scene.feature_matrix):
+            writer.writerow([scene.window.index, a, b, *(f"{v:.9g}" for v in d)])

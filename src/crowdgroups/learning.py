@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError
 from .features import FeatureConfigs, WindowedScene, build_scene
 from .losses import MergeLoss, gmitre_loss, mitre_loss, pairwise_loss
-from .partitioning import Partition, _greedy_merge, affinity, greedy_cc
+from .partitioning import Partition, _affinity_array, _greedy_merge, affinity, greedy_cc
 from .trajectories import window_ground_truth
 
 logger = logging.getLogger(__name__)
@@ -125,6 +125,9 @@ class Model:
             raise ValueError("block_w and block_l disagree on the number of blocks")
         self.l = float(l)
         self.C = float(C)
+        for name in ("w", "block_w", "block_l", "l", "C"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         self.seed = int(seed)
         self.loss = str(loss)
         self.mode = str(mode)
@@ -204,17 +207,10 @@ def joint_feature_map(scene: WindowedScene, p: Partition) -> np.ndarray:
     """
     if p.members != set(scene.members):
         raise ValueError("partition does not cover the scene members")
-    if not scene.pairs:
-        return np.zeros(WEIGHT_DIM)
     labels = p.labels()
-    mask = np.fromiter(
-        (labels[a] == labels[b] for a, b in scene.pair_ids),
-        dtype=bool,
-        count=len(scene.pairs),
-    )
-    if not mask.any():
-        return np.zeros(WEIGHT_DIM)
-    return scene.affinity_terms[mask].sum(axis=0)
+    cluster = np.array([labels[m] for m in scene.members], dtype=int)
+    ia, ib = scene.pair_rows
+    return scene.affinity_terms[cluster[ia] == cluster[ib]].sum(axis=0)
 
 
 def compatibility(scene: WindowedScene, p: Partition, w) -> float:
@@ -248,7 +244,7 @@ def loss_augmented_oracle(
     if not members:
         return Partition([]), 0.0
     scorer = MergeLoss(loss, truth, members)
-    clusters, _ = _greedy_merge(affinity(scene, w).matrix, scorer)
+    clusters, _ = _greedy_merge(_affinity_array(scene, w), scorer)
     y_star = Partition([members[k] for k in c] for c in clusters)
     psi_gap = joint_feature_map(scene, y_star) - example.truth_psi
     hinge = scorer.current + float(w @ psi_gap)

@@ -184,20 +184,24 @@ class MergeTrace:
         return out
 
 
+def _affinity_array(scene: "WindowedScene", w: np.ndarray) -> np.ndarray:
+    """The symmetric (n, n) array of pair affinities scene.affinity_terms @ w,
+    scattered at the scene's pair rows; the diagonal is zero."""
+    n = len(scene.members)
+    matrix = np.zeros((n, n))
+    values = scene.affinity_terms @ w
+    ia, ib = scene.pair_rows
+    matrix[ia, ib] = values
+    matrix[ib, ia] = values
+    return matrix
+
+
 def affinity(scene: "WindowedScene", w) -> AffinityMatrix:
     """W^{ab} = alpha.(1 - d(a,b)) - beta.d(a,b) for every pair, with w = [alpha; beta]."""
     w = np.asarray(w, dtype=float).reshape(-1)
     if w.shape != (8,):
         raise ValueError(f"weight vector must have 8 components, got {w.shape}")
-    members = scene.members
-    n = len(members)
-    matrix = np.zeros((n, n))
-    if scene.pairs:
-        values = scene.affinity_terms @ w
-        ia, ib = scene.pair_rows
-        matrix[ia, ib] = values
-        matrix[ib, ia] = values
-    return AffinityMatrix(members, matrix)
+    return AffinityMatrix(scene.members, _affinity_array(scene, w))
 
 
 def _groups_score(matrix: np.ndarray, index_groups: Iterable[np.ndarray]) -> float:

@@ -4,8 +4,9 @@ Everything here is deliberately written on a different algorithmic route from
 the library: component discovery by breadth-first search instead of union-find,
 set-partition enumeration by block insertion instead of restricted growth
 strings, warping cost by explicit path enumeration instead of dynamic
-programming, pairwise scores by listing every member pair instead of a
-contingency table, and the F distribution by direct quadrature of its density.
+programming, pairwise scores and the joint feature map by listing every member
+pair instead of a contingency table or a label comparison at the pair rows,
+and the F distribution by direct quadrature of its density.
 The greedy merge references are the scalar loops the vectorised merge engine
 must reproduce exactly, tie-breaks and floating-point sums included.
 """
@@ -23,7 +24,6 @@ from crowdgroups import (
     AffinityMatrix,
     MergeStep,
     MergeTrace,
-    PairFeatures,
     Partition,
     TimeWindow,
     Trajectory,
@@ -108,7 +108,8 @@ def _f1(precision: float, recall: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Pair enumeration (reference for pairwise_loss / positive_pairwise_metric)
+# Pair enumeration (reference for pairwise_loss / positive_pairwise_metric and
+# for joint_feature_map)
 
 
 def _co_member_pairs(clusters) -> set[frozenset]:
@@ -128,6 +129,19 @@ def pair_scores(truth_clusters, pred_clusters) -> tuple[float, float, float, flo
     recall = hits / len(true_pairs) if true_pairs else 1.0
     precision = hits / len(pred_pairs) if pred_pairs else 1.0
     return loss, recall, precision, _f1(precision, recall)
+
+
+def pair_enumeration_psi(scene, p: Partition) -> np.ndarray:
+    """Psi(scene, p): [1 - d; -d] of every member pair that p puts in one
+    cluster, added one pair at a time in combinations order."""
+    rows = {tuple(pair): d for pair, d in zip(scene.pairs.tolist(), scene.feature_matrix)}
+    co_members = _co_member_pairs(p.clusters)
+    total = np.zeros(8)
+    for a, b in itertools.combinations(scene.members, 2):
+        if frozenset((a, b)) in co_members:
+            d = rows[(a, b)]
+            total = total + np.concatenate([1.0 - d, -d])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +304,8 @@ def make_scene(members: Sequence[int], d_by_pair: dict[tuple[int, int], np.ndarr
         m: Trajectory(m, times, np.zeros((2, 2)) + float(m)) for m in members
     }
     window = TimeWindow(0, 0.0, 2.0, frozenset(members), segments, frozenset())
-    pairs = []
-    for a, b in itertools.combinations(members, 2):
-        pairs.append(PairFeatures((a, b), np.asarray(d_by_pair[(a, b)], dtype=float)))
-    return WindowedScene(window, tuple(pairs))
+    rows = [d_by_pair[pair] for pair in itertools.combinations(members, 2)]
+    return WindowedScene(window, np.reshape(rows, (-1, 4)))
 
 
 def random_scene(n: int, rng: np.random.Generator, first_id: int = 1) -> WindowedScene:

@@ -15,7 +15,6 @@ from crowdgroups import (
     GrangerConfig,
     HeatmapConfig,
     Model,
-    PairFeatures,
     ProxemicsConfig,
     RunConfig,
     Trajectory,
@@ -107,28 +106,41 @@ def test_feature_configs_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# PairFeatures / WindowedScene containers
+# WindowedScene pair table
 
 
 def test_pair_features_validation():
+    win = window_of(traj(1, [[0, 0], [1, 0]]), traj(2, [[0, 1], [1, 1]]))
+    WindowedScene(win, np.zeros((1, 4)), [True], [False])
     with pytest.raises(ValueError):
-        PairFeatures(pair=(2, 1), d=np.zeros(4))
+        WindowedScene(win, np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        PairFeatures(pair=(1, 2), d=np.zeros(3))
+        WindowedScene(win, np.zeros(4))
     with pytest.raises(ValueError):
-        PairFeatures(pair=(1, 2), d=np.array([0.0, 0.5, 1.5, 0.0]))
+        WindowedScene(win, np.array([[0.0, 0.5, 1.5, 0.0]]))
     with pytest.raises(ValueError):
-        PairFeatures(pair=(1, 2), d=np.array([0.0, 0.5, np.nan, 0.0]))
+        WindowedScene(win, np.array([[0.0, -0.5, 0.5, 0.0]]))
+    with pytest.raises(ValueError):
+        WindowedScene(win, np.array([[0.0, 0.5, np.nan, 0.0]]))
+    with pytest.raises(ValueError):
+        WindowedScene(win, np.zeros((1, 4)), granger_fallback=[False, True])
+    with pytest.raises(ValueError):
+        WindowedScene(win, np.zeros((1, 4)), no_overlap=[])
 
 
 def test_pair_features_vectors():
     d = np.array([0.1, 0.2, 0.3, 0.4])
-    pf = PairFeatures(pair=(1, 2), d=d)
-    assert np.allclose(pf.augmented, [0.9, 0.8, 0.7, 0.6, 0.1, 0.2, 0.3, 0.4])
-    assert np.allclose(pf.affinity_term, [0.9, 0.8, 0.7, 0.6, -0.1, -0.2, -0.3, -0.4])
+    win = window_of(traj(1, [[0, 0], [1, 0]]), traj(2, [[0, 1], [1, 1]]))
+    scene = WindowedScene(win, d[None, :])
+    assert scene.pairs.tolist() == [[1, 2]]
+    assert np.allclose(scene.affinity_terms, [[0.9, 0.8, 0.7, 0.6, -0.1, -0.2, -0.3, -0.4]])
     w = np.arange(8.0)
     alpha, beta = w[:4], w[4:]
-    assert w @ pf.affinity_term == pytest.approx(alpha @ (1 - d) - beta @ d)
+    assert w @ scene.affinity_terms[0] == pytest.approx(alpha @ (1 - d) - beta @ d)
+    assert scene.granger_fallback.tolist() == [False]
+    assert scene.no_overlap.tolist() == [False]
+    for array in (scene.feature_matrix, scene.granger_fallback, scene.no_overlap):
+        assert not array.flags.writeable
 
 
 def test_windowed_scene_pair_count_checked():
@@ -136,7 +148,9 @@ def test_windowed_scene_pair_count_checked():
     b = traj(2, [[0, 1], [1, 1]])
     win = window_of(a, b)
     with pytest.raises(ValueError):
-        WindowedScene(window=win, pairs=())
+        WindowedScene(window=win, feature_matrix=np.zeros((0, 4)))
+    with pytest.raises(ValueError):
+        WindowedScene(window=win, feature_matrix=np.zeros((2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +332,7 @@ def test_granger_distance_fallback_flag():
     assert granger_distance(a, b) == 0.5
     win = window_of(a, b)
     scene = build_scene(win)
-    assert scene.pairs[0].granger_fallback
+    assert scene.granger_fallback.tolist() == [True]
     assert scene.granger_fallback_count == 1
 
 
@@ -407,13 +421,13 @@ def test_build_scene_pair_layout():
     c = traj(3, [[9, 9], [9, 8], [9, 7], [9, 6], [9, 5], [9, 4], [9, 3]])
     scene = build_scene(window_of(a, b, c))
     assert scene.members == (1, 2, 3)
-    assert scene.pair_ids == ((1, 2), (1, 3), (2, 3))
+    assert scene.pairs.tolist() == [[1, 2], [1, 3], [2, 3]]
+    assert [r.tolist() for r in scene.pair_rows] == [[0, 0, 1], [1, 2, 2]]
     assert scene.feature_matrix.shape == (3, 4)
-    assert np.allclose(scene.augmented, np.hstack([1 - scene.feature_matrix, scene.feature_matrix]))
     assert np.allclose(scene.affinity_terms, np.hstack([1 - scene.feature_matrix, -scene.feature_matrix]))
     # close parallel mates are nearer than the crossing stranger in every feature
-    d_ab = scene.pairs[0].d
-    d_ac = scene.pairs[1].d
+    d_ab = scene.feature_matrix[0]
+    d_ac = scene.feature_matrix[1]
     assert d_ab[0] < d_ac[0] and d_ab[1] < d_ac[1]
 
 
@@ -422,11 +436,41 @@ def test_build_scene_no_overlap_pair():
     b = traj(2, [[0, 1], [1, 1]], t0=100.0)
     win = window_of(a, b, start=0.0, end=102.0)
     scene = build_scene(win)
-    pair = scene.pairs[0]
-    assert pair.no_overlap
-    assert pair.d[0] == 1.0 and pair.d[2] == 1.0  # proxemics and causality pinned
+    d = scene.feature_matrix[0]
+    assert scene.no_overlap.tolist() == [True]
+    assert d[0] == 1.0 and d[2] == 1.0  # proxemics and causality pinned
     assert scene.no_overlap_count == 1
-    assert 0.0 <= pair.d[1] <= 1.0 and 0.0 <= pair.d[3] <= 1.0
+    assert 0.0 <= d[1] <= 1.0 and 0.0 <= d[3] <= 1.0
+
+
+def test_build_scene_rows_match_scalar_features_on_ragged_window():
+    # ids 3, 7, 12: (3, 7) share 10 samples, (3, 12) none, and (7, 12) only 4,
+    # fewer than the 6 the causality regression needs
+    rng = np.random.default_rng(5)
+
+    def walk(k):
+        return np.cumsum(rng.normal(scale=0.4, size=(k, 2)), axis=0)
+
+    win = window_of(traj(3, walk(10)), traj(7, walk(16)), traj(12, walk(4), t0=12.0))
+    scene = build_scene(win)
+    ia, ib = scene.pair_rows
+    members = scene.members
+    grid = window_grid(win)
+    for k in range(len(ia)):
+        seg_a, seg_b = win.segments[members[ia[k]]], win.segments[members[ib[k]]]
+        overlap = np.intersect1d(seg_a.times, seg_b.times).size > 0
+        want = [
+            proxemic_distance(seg_a, seg_b) if overlap else 1.0,
+            dtw_shape_distance(seg_a, seg_b),
+            granger_distance(seg_a, seg_b) if overlap else 1.0,
+            heatmap_distance(heatmap_build(seg_a, grid=grid), heatmap_build(seg_b, grid=grid)),
+        ]
+        assert scene.feature_matrix[k].tolist() == want
+    assert scene.pairs.tolist() == [[3, 7], [3, 12], [7, 12]]
+    assert scene.no_overlap.tolist() == [False, True, False]
+    assert scene.granger_fallback.tolist() == [False, False, True]
+    assert scene.feature_matrix[2, 2] == 0.5
+    assert (scene.no_overlap_count, scene.granger_fallback_count) == (1, 1)
 
 
 def test_build_scene_features_bounded():
@@ -449,7 +493,7 @@ def test_write_features_csv_golden():
     a = traj(1, [[0, 0], [1, 0]])
     b = traj(2, [[0, 1], [1, 1]])
     win = window_of(a, b)
-    scene = WindowedScene(window=win, pairs=(PairFeatures(pair=(1, 2), d=d),))
+    scene = WindowedScene(window=win, feature_matrix=d[None, :])
     buf = io.StringIO()
     write_features_csv([scene], buf)
     assert buf.getvalue().splitlines() == [

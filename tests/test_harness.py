@@ -461,6 +461,20 @@ def test_cli_train_predict_eval(dataset_dir, tmp_path, capsys):
     assert scores_path.read_text().startswith("window,metric,precision,recall,f1")
 
 
+@pytest.mark.parametrize("field", ["w", "block_w", "block_l", "l", "C"])
+def test_cli_predict_rejects_non_finite_model(dataset_dir, tmp_path, capsys, field):
+    obj = Model(w=np.ones(8), block_w=np.ones((1, 8)), block_l=[0.5], l=0.5).to_dict()
+    value = np.array(obj[field], dtype=float)
+    value.flat[0] = np.nan
+    obj[field] = value.tolist()
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and f": {field} must be finite" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_cli_train_span_only_when_requested(dataset_dir, tmp_path, capsys):
     # default: all windows train; with --training-span: only the early ones
     full = tmp_path / "full.json"

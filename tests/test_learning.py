@@ -35,6 +35,7 @@ from crowdgroups.losses import MergeLoss
 from oracles import (
     iter_set_partitions,
     make_scene,
+    pair_enumeration_psi,
     random_partition,
     random_scene,
     reference_oracle,
@@ -60,7 +61,7 @@ def separable_example(**kwargs):
 
 def empty_scene():
     win = TimeWindow(index=0, start_t=0.0, end_t=1.0, members=frozenset(), segments={})
-    return WindowedScene(window=win, pairs=())
+    return WindowedScene(window=win, feature_matrix=np.zeros((0, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +108,15 @@ def test_joint_feature_map_sums_cluster_pairs():
     p = Partition([[1, 2], [3], [4]])
     row = scene.affinity_terms[0]  # pair (1, 2)
     assert np.allclose(joint_feature_map(scene, p), row)
+
+
+def test_joint_feature_map_matches_pair_enumeration():
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        scene = random_scene(int(rng.integers(1, 12)), rng)
+        for p in (random_partition(list(scene.members), rng), Partition([scene.members])):
+            want = pair_enumeration_psi(scene, p)
+            assert joint_feature_map(scene, p).tolist() == want.tolist()
 
 
 def test_joint_feature_map_member_mismatch():
@@ -200,7 +210,10 @@ def test_oracle_matches_scalar_reference_exactly(loss):
             # integer weights on 0/1 distances make integer affinities: ties
             scene = make_scene(
                 list(scene.members),
-                {pair.pair: rng.integers(0, 2, size=4).astype(float) for pair in scene.pairs},
+                {
+                    tuple(pair): rng.integers(0, 2, size=4).astype(float)
+                    for pair in scene.pairs.tolist()
+                },
             )
             w = rng.integers(-2, 3, size=8).astype(float)
         example = TrainingExample(scene, random_partition(list(scene.members), rng))
@@ -260,7 +273,7 @@ def test_bcfw_gamma_zero_on_degenerate_block():
     # direction never moves and the line search denominator is zero
     win = TimeWindow(index=0, start_t=0.0, end_t=1.0, members=frozenset({7}),
                      segments={7: Trajectory(7, np.array([0.0, 1.0]), np.zeros((2, 2)))})
-    scene = WindowedScene(window=win, pairs=())
+    scene = WindowedScene(window=win, feature_matrix=np.zeros((0, 4)))
     example = TrainingExample(scene, Partition([[7]]))
     gammas = []
     bcfw_train([example], TrainConfig(max_iterations=5),

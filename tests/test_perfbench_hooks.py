@@ -1,0 +1,56 @@
+"""What the benchmark's tracer and workloads read from the package.
+
+`perfbench/run.py --trace 1` wraps the functions named in
+`perfbench/tracing.py`'s TRACED table, and `perfbench/workloads.py` reads four
+attributes of every built scene. A refactor that renames either breaks the
+traced benchmark without failing any other test.
+"""
+
+from __future__ import annotations
+
+import importlib
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from crowdgroups import TimeWindow, Trajectory, build_scene
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing_module() -> types.ModuleType:
+    """perfbench/tracing.py, executed from its source text (no bytecode cache
+    is written next to it)."""
+    module = types.ModuleType("perfbench_tracing")
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+TRACED = _tracing_module().TRACED
+
+
+@pytest.mark.parametrize(
+    "module, attr", [(module, attr) for module, attr, _, _ in TRACED],
+    ids=[f"{module}.{attr}" for module, attr, _, _ in TRACED],
+)
+def test_traced_functions_exist(module, attr):
+    assert callable(getattr(importlib.import_module(f"crowdgroups.{module}"), attr))
+
+
+def test_scene_has_the_attributes_workloads_read():
+    rng = np.random.default_rng(0)
+    segments = {
+        m: Trajectory(m, np.arange(8.0) + (4.0 if m == 3 else 0.0),
+                      np.cumsum(rng.normal(size=(8, 2)), axis=0))
+        for m in (1, 2, 3, 4)
+    }
+    window = TimeWindow(0, 0.0, 12.0, frozenset(segments), segments)
+    scene = build_scene(window)
+    assert len(scene.pairs) == 6
+    assert scene.feature_matrix.shape == (6, 4)
+    assert isinstance(scene.granger_fallback_count, int)
+    assert isinstance(scene.no_overlap_count, int)
+    assert scene.granger_fallback_count == 3  # member 3 shares only 4 samples
+    assert scene.no_overlap_count == 0
