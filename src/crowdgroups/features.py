@@ -9,6 +9,27 @@ a (pairs, 4) matrix with one row per unordered member pair, in
 np.triu_indices(n, 1) order over the sorted members, plus per-row flags for
 pairs that never co-occur and pairs on the causality fallback. The learner
 weighs both halves [1 - d; d] of each row.
+
+Every feature is a kernel over the pair axis (ia, ib); its temporaries are
+chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
+
+- Layout: `align_segments` puts a window's members on the sorted union of
+  their timestamps, a (members, frames, 2) point tensor with a presence mask.
+  Two members share a frame exactly when both have a sample with that
+  timestamp, the matches np.intersect1d finds.
+- d_ph and d_ca read each pair's common samples compacted in time order,
+  batched by common count K: the causality lags run over compacted samples,
+  and every reduction sees the shapes of a one-pair call.
+- d_sh runs the DTW recursion over whole segments one anti-diagonal at a
+  time, with +inf cost past each segment's end.
+- d_ca takes the restricted and unrestricted RSS from one Householder QR of
+  [1, own lags, source lags]. Designs whose R diagonal shows rank deficiency
+  are refitted by np.linalg.lstsq, whose rank handling is the reference.
+- d_he maps add slices of one exp(-k_s * hypot(dr, dc)) kernel image per
+  grid; each cosine is a per-pair np.dot of the flattened maps.
+
+The public one-pair functions call the same kernels, so `build_scene` rows
+equal them exactly.
 """
 
 from __future__ import annotations
@@ -21,10 +42,11 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import betainc
 
 from .errors import ConfigError
-from .trajectories import TimeWindow, Trajectory
+from .trajectories import TimeWindow, Trajectory, align_segments
 
 logger = logging.getLogger(__name__)
 
@@ -34,6 +56,9 @@ GRANGER_FALLBACK = 0.5
 NO_OVERLAP_DISTANCE = 1.0
 DTW_TAU = 1.0
 _DEGENERATE_RSS = 1e-12
+_RANK_TOL = 1e-8  # min/max |R_kk| of a causality design below this refits by lstsq
+_CHUNK_ELEMENTS = 1 << 17  # floats in one chunk's pair-axis temporaries (1 MiB)
+_ONE_PAIR = (np.array([0]), np.array([1]))
 
 
 @dataclass(frozen=True)
@@ -168,55 +193,89 @@ def gmm_eval(delta, cfg: ProxemicsConfig | None = None) -> float:
     return float(np.mean(np.exp(-d2 / (2.0 * sig2)) / (2.0 * math.pi * sig2)))
 
 
-def _common_indices(seg_a: Trajectory, seg_b: Trajectory):
-    common, ia, ib = np.intersect1d(seg_a.times, seg_b.times, return_indices=True)
-    return common, ia, ib
+def _chunks(n_pairs: int, per_pair: int):
+    """Pair-axis slices whose temporaries, `per_pair` floats per pair, fit."""
+    step = max(1, _CHUNK_ELEMENTS // max(1, per_pair))
+    return [slice(start, start + step) for start in range(0, n_pairs, step)]
+
+
+def _common_groups(aligned, ia: np.ndarray, ib: np.ndarray, per_sample: int):
+    """Yield (rows, pa, pb): the pair rows with the same K >= 1 common samples
+    and their (rows, K, 2) points at those samples, in time order. The caller's
+    temporaries take about `per_sample` floats per frame of a pair."""
+    points, present = aligned
+    for chunk in _chunks(len(ia), present.shape[1] * per_sample):
+        a, b = ia[chunk], ib[chunk]
+        common = present[a] & present[b]
+        counts = common.sum(axis=1)
+        for k in np.unique(counts[counts > 0]):
+            sel = np.flatnonzero(counts == k)
+            frames = np.nonzero(common[sel])[1].reshape(-1, k)
+            yield chunk.start + sel, points[a[sel, None], frames], points[b[sel, None], frames]
+
+
+def _proxemic_rows(aligned, ia, ib, cfg: ProxemicsConfig) -> np.ndarray:
+    """d_ph per pair; NaN where the pair shares no sample."""
+    sig2 = np.square(np.asarray(cfg.sigmas, dtype=float))
+    peak = gmm_eval((0.0, 0.0), cfg)
+    out = np.full(len(ia), np.nan)
+    for rows, pa, pb in _common_groups(aligned, ia, ib, 4 * (sig2.size + 2)):
+        deltas = pa - pb
+        d2 = np.einsum("pkj,pkj->pk", deltas, deltas)
+        responses = np.mean(np.exp(-d2[..., None] / (2.0 * sig2)) / (2.0 * math.pi * sig2), axis=2)
+        out[rows] = 1.0 - responses.mean(axis=1) / peak
+    return np.clip(out, 0.0, 1.0)
 
 
 def proxemic_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: ProxemicsConfig | None = None) -> float:
     """1 - (mean mixture response over co-timed displacements) / (response at 0)."""
-    cfg = cfg or ProxemicsConfig()
-    common, ia, ib = _common_indices(seg_a, seg_b)
-    if common.size == 0:
+    value = _proxemic_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, cfg or ProxemicsConfig())[0]
+    if np.isnan(value):
         raise ValueError("segments share no common timestamps")
-    deltas = seg_a.points[ia] - seg_b.points[ib]
-    sig2 = np.square(np.asarray(cfg.sigmas, dtype=float))
-    d2 = np.einsum("ij,ij->i", deltas, deltas)
-    responses = np.mean(
-        np.exp(-d2[:, None] / (2.0 * sig2)) / (2.0 * math.pi * sig2), axis=1
-    )
-    peak = gmm_eval((0.0, 0.0), cfg)
-    value = 1.0 - float(responses.mean()) / peak
-    return min(1.0, max(0.0, value))
+    return float(value)
 
 
-def _dtw_raw(pa: np.ndarray, pb: np.ndarray) -> float:
-    """Cumulative squared-Euclidean warping cost, normalized by max(A, B)."""
-    diff = pa[:, None, :] - pb[None, :, :]
-    cost = np.einsum("ijk,ijk->ij", diff, diff)
-    a, b = cost.shape
-    acc = np.empty_like(cost)
-    acc[0, :] = np.cumsum(cost[0, :])
-    acc[:, 0] = np.cumsum(cost[:, 0])
-    for i in range(1, a):
-        row = acc[i]
-        prev = acc[i - 1]
-        for j in range(1, b):
-            best = prev[j]
-            if prev[j - 1] < best:
-                best = prev[j - 1]
-            if row[j - 1] < best:
-                best = row[j - 1]
-            row[j] = cost[i, j] + best
-    return float(acc[-1, -1]) / max(a, b)
+def _dtw_rows(segments, ia, ib, tau: float) -> np.ndarray:
+    """Bounded DTW distance per pair, one anti-diagonal d = i + j of the
+    cumulative cost at a time: column i + 1 of a diagonal holds cell (i, d - i)
+    and column 0 is +inf. Samples past a segment's end (index `size` is past
+    every end) sit at +inf as the first member and -inf as the second, so the
+    cost of every cell off a pair's table is +inf."""
+    lengths = np.array([len(seg) for seg in segments], dtype=int)
+    size = int(lengths.max(initial=1))
+    first = np.full((len(segments), size + 1, 2), np.inf)
+    second = -first
+    for k, seg in enumerate(segments):
+        first[k, : len(seg)] = second[k, : len(seg)] = seg.points
+    diag, col = np.ogrid[: 2 * size - 1, :size]
+    other = np.where((diag >= col) & (diag - col < size), diag - col, size)
+    out = np.empty(len(ia))
+    for chunk in _chunks(len(ia), 12 * (size + 1)):
+        a, b = ia[chunk], ib[chunk]
+        la, lb = lengths[a], lengths[b]
+        xa, ya = first[a, :size, 0], first[a, :size, 1]
+        xb, yb = second[b, :, 0], second[b, :, 1]
+        diagonals = np.full((3, len(a), size + 1), np.inf)
+        raw = np.empty(len(a))
+        for d in range(2 * size - 1):
+            cur, prev1, prev2 = diagonals[d % 3], diagonals[(d - 1) % 3], diagonals[(d - 2) % 3]
+            dx, dy = xa - xb[:, other[d]], ya - yb[:, other[d]]
+            best = np.minimum(np.minimum(prev1[:, :-1], prev1[:, 1:]), prev2[:, :-1]) if d else 0.0
+            np.add(dx * dx + dy * dy, best, out=cur[:, 1:])
+            done = np.flatnonzero(la + lb - 2 == d)  # cell (la - 1, lb - 1)
+            raw[done] = cur[done, la[done]]
+        raw /= np.maximum(la, lb)
+        out[chunk] = raw / (raw + tau * tau)
+    return out
 
 
 def dtw_shape_distance(seg_a: Trajectory, seg_b: Trajectory, tau: float = DTW_TAU) -> float:
-    """Bounded warping distance raw/(raw + tau^2); tau is the softness scale in meters."""
+    """Bounded warping distance raw/(raw + tau^2); tau is the softness scale in meters.
+
+    raw is the squared-Euclidean warping cost normalized by max(A, B)."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    raw = _dtw_raw(seg_a.points, seg_b.points)
-    return raw / (raw + tau * tau)
+    return float(_dtw_rows([seg_a, seg_b], *_ONE_PAIR, tau)[0])
 
 
 def f_cdf(s: float, d1: int, d2: int) -> float:
@@ -240,6 +299,59 @@ def _rss(design: np.ndarray, target: np.ndarray) -> float:
     return float(resid @ resid)
 
 
+def _qr_rss(stack: np.ndarray, restricted: int):
+    """In-place Householder QR of each (design columns + target, samples)
+    matrix: the target's RSS against the first `restricted` columns and against
+    all, and whether |R_kk| rules out rank deficiency (never if rows < columns)."""
+    p = stack.shape[1] - 1
+    r_diag = np.zeros((len(stack), p))
+    for k in range(min(p, stack.shape[2])):
+        x = stack[:, k, k:]
+        norm = np.sqrt(np.sum(x * x, axis=1))
+        v = x.copy()
+        v[:, 0] += np.copysign(norm, x[:, 0])  # x - alpha e_1 with alpha = -sign(x_0) |x|
+        vv = np.sum(v * v, axis=1)
+        scale = np.divide(2.0, vv, out=np.zeros_like(vv), where=vv > 0.0)
+        rest = stack[:, k:, k:]
+        rest -= (np.sum(rest * v[:, None, :], axis=2) * scale[:, None])[:, :, None] * v[:, None, :]
+        r_diag[:, k] = norm
+    z = stack[:, p]
+    full_rank = r_diag.min(axis=1) > _RANK_TOL * r_diag.max(axis=1)
+    return np.sum(z[:, restricted:] ** 2, axis=1), np.sum(z[:, p:] ** 2, axis=1), full_rank
+
+
+def _granger_areas(aligned, targets, sources, lag: int) -> np.ndarray:
+    """F-CDF area of "source Granger-causes target" per (target, source) row;
+    NaN where granger_causality_area gives None."""
+    m = lag
+    out = np.full(len(targets), np.nan)
+    for rows, y_pts, x_pts in _common_groups(aligned, targets, sources, 16 * (m + 1)):
+        k = y_pts.shape[1]
+        dof = k - 2 * m - 1
+        if dof < 1:
+            continue
+        # one matrix per (pair, coordinate) whose rows are the columns
+        # [1, own lags 1..m, source lags 1..m, target] over the k - m fitted samples
+        own = sliding_window_view(y_pts, m + 1, axis=1)
+        lags = (own[..., m - 1 :: -1], sliding_window_view(x_pts, m + 1, axis=1)[..., m - 1 :: -1])
+        design = np.concatenate([np.ones_like(own[..., :1]), *lags, own[..., m:]], axis=3)
+        design = design.transpose(0, 2, 3, 1).reshape(-1, 2 * m + 2, k - m)
+        rss_r, rss_u, full_rank = _qr_rss(design.copy(), m + 1)
+        for i in np.flatnonzero(~full_rank):
+            columns = np.ascontiguousarray(design[i].T)
+            rss_r[i] = _rss(columns[:, : m + 1], columns[:, -1])
+            rss_u[i] = _rss(columns[:, :-1], columns[:, -1])
+        rss_r = rss_r[0::2] + rss_r[1::2]
+        rss_u = rss_u[0::2] + rss_u[1::2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stat = np.maximum(((rss_r - rss_u) / m) / (rss_u / dof), 0.0)
+            area = betainc(0.5 * m, 0.5 * dof, m * stat / (m * stat + dof))
+        area[rss_u <= _DEGENERATE_RSS] = 1.0
+        area[rss_r <= _DEGENERATE_RSS] = np.nan
+        out[rows] = area
+    return out
+
+
 def granger_causality_area(target: Trajectory, source: Trajectory, lag: int = 2) -> float | None:
     """F-CDF area for "source Granger-causes target" on common timestamps.
 
@@ -250,43 +362,16 @@ def granger_causality_area(target: Trajectory, source: Trajectory, lag: int = 2)
     """
     if lag < 1:
         raise ValueError(f"lag must be >= 1, got {lag}")
-    common, it, isrc = _common_indices(target, source)
-    k = int(common.size)
-    m = int(lag)
-    dof = k - 2 * m - 1
-    if dof < 1:
-        return None
-    y_pts = target.points[it]
-    x_pts = source.points[isrc]
-    rss_restricted = 0.0
-    rss_unrestricted = 0.0
-    ones = np.ones((k - m, 1))
-    for c in (0, 1):
-        y = y_pts[m:, c]
-        own = np.column_stack([y_pts[m - j : k - j, c] for j in range(1, m + 1)])
-        other = np.column_stack([x_pts[m - j : k - j, c] for j in range(1, m + 1)])
-        rss_restricted += _rss(np.hstack([ones, own]), y)
-        rss_unrestricted += _rss(np.hstack([ones, own, other]), y)
-    if rss_restricted <= _DEGENERATE_RSS:
-        return None
-    if rss_unrestricted <= _DEGENERATE_RSS:
-        return 1.0
-    stat = ((rss_restricted - rss_unrestricted) / m) / (rss_unrestricted / dof)
-    if stat < 0.0:
-        stat = 0.0
-    return f_cdf(stat, m, dof)
+    area = _granger_areas(align_segments([target, source]), *_ONE_PAIR, int(lag))[0]
+    return None if np.isnan(area) else float(area)
 
 
-def _granger_distance_flagged(seg_a: Trajectory, seg_b: Trajectory, cfg: GrangerConfig) -> tuple[float, bool]:
-    areas = (
-        granger_causality_area(seg_b, seg_a, cfg.lag),
-        granger_causality_area(seg_a, seg_b, cfg.lag),
-    )
-    defined = [a for a in areas if a is not None]
-    if not defined:
-        return GRANGER_FALLBACK, True
-    value = 1.0 - max(defined)
-    return min(1.0, max(0.0, value)), False
+def _granger_rows(aligned, ia, ib, cfg: GrangerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(d_ca, fallback) per pair: 1 - the larger defined directional area."""
+    areas = _granger_areas(aligned, np.concatenate([ib, ia]), np.concatenate([ia, ib]), cfg.lag)
+    best = np.fmax(*np.split(areas, 2))
+    fallback = np.isnan(best)
+    return np.where(fallback, GRANGER_FALLBACK, np.clip(1.0 - best, 0.0, 1.0)), fallback
 
 
 def granger_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: GrangerConfig | None = None) -> float:
@@ -295,8 +380,8 @@ def granger_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: GrangerConfig | 
     Pairs with too few common samples (or degenerate regressions in both
     directions) fall back to the uninformative midpoint 0.5.
     """
-    value, _ = _granger_distance_flagged(seg_a, seg_b, cfg or GrangerConfig())
-    return value
+    value, _ = _granger_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, cfg or GrangerConfig())
+    return float(value[0])
 
 
 @dataclass(frozen=True)
@@ -318,12 +403,12 @@ class HeatmapGrid:
         return 0 <= row < self.rows and 0 <= col < self.cols
 
 
-def _points_grid(points: np.ndarray, cfg: HeatmapConfig) -> HeatmapGrid:
+def _points_grid(points: np.ndarray, cell: float) -> HeatmapGrid:
     x0 = float(points[:, 0].min())
     y0 = float(points[:, 1].min())
-    cols = int(math.floor((float(points[:, 0].max()) - x0) / cfg.cell_edge)) + 1
-    rows = int(math.floor((float(points[:, 1].max()) - y0) / cfg.cell_edge)) + 1
-    return HeatmapGrid(x0=x0, y0=y0, cell=cfg.cell_edge, rows=rows, cols=cols)
+    cols = int(math.floor((float(points[:, 0].max()) - x0) / cell)) + 1
+    rows = int(math.floor((float(points[:, 1].max()) - y0) / cell)) + 1
+    return HeatmapGrid(x0=x0, y0=y0, cell=cell, rows=rows, cols=cols)
 
 
 def window_grid(window: TimeWindow, cfg: HeatmapConfig | None = None) -> HeatmapGrid:
@@ -331,18 +416,32 @@ def window_grid(window: TimeWindow, cfg: HeatmapConfig | None = None) -> Heatmap
     cfg = cfg or HeatmapConfig()
     if not window.segments:
         return HeatmapGrid(0.0, 0.0, cfg.cell_edge, 1, 1)
-    points = np.vstack([seg.points for seg in window.segments.values()])
-    return _points_grid(points, cfg)
+    return _points_grid(np.vstack([seg.points for seg in window.segments.values()]), cfg.cell_edge)
 
 
-def _expand_grid(grid: HeatmapGrid, points: np.ndarray) -> HeatmapGrid:
-    x0 = min(grid.x0, float(points[:, 0].min()))
-    y0 = min(grid.y0, float(points[:, 1].min()))
-    x1 = max(grid.x0 + grid.cols * grid.cell, float(points[:, 0].max()))
-    y1 = max(grid.y0 + grid.rows * grid.cell, float(points[:, 1].max()))
-    cols = int(math.floor((x1 - x0) / grid.cell)) + 1
-    rows = int(math.floor((y1 - y0) / grid.cell)) + 1
-    return HeatmapGrid(x0=x0, y0=y0, cell=grid.cell, rows=rows, cols=cols)
+def _heatmaps(segments, cfg: HeatmapConfig, grid: HeatmapGrid) -> list[np.ndarray]:
+    """Max-normalized heat maps on `grid`, one array each; every visited cell
+    adds its energy times a slice of one exp(-k_s * hypot) kernel image."""
+    rows, cols = grid.rows, grid.cols
+    image = np.exp(-cfg.k_s * np.hypot(
+        np.arange(1 - rows, rows, dtype=float)[:, None], np.arange(1 - cols, cols, dtype=float)[None, :]
+    ))
+    heat = []
+    for seg in segments:
+        h = np.zeros((rows, cols))
+        cells = np.floor((seg.points - (grid.x0, grid.y0)) / grid.cell).astype(int)
+        visited, first, which = np.unique(cells, axis=0, return_index=True, return_inverse=True)
+        visits = np.bincount(which) if cfg.accumulate == "visits" else np.ones(len(visited))
+        dwells = np.bincount(which, weights=np.append(np.diff(seg.times), 0.0))
+        for v in np.argsort(first).tolist():  # in first-visit order
+            col, row = visited[v].tolist()
+            energy = visits[v] * math.exp(-cfg.k_r * dwells[v])
+            h += energy * image[rows - 1 - row : 2 * rows - 1 - row, cols - 1 - col : 2 * cols - 1 - col]
+        peak = h.max()
+        if peak > 0.0:
+            h /= peak
+        heat.append(h)
+    return heat
 
 
 def heatmap_build(
@@ -361,47 +460,35 @@ def heatmap_build(
     """
     cfg = cfg or HeatmapConfig()
     if grid is None:
-        grid = window_grid(window, cfg) if window is not None else _points_grid(seg.points, cfg)
+        grid = window_grid(window, cfg) if window is not None else _points_grid(seg.points, cfg.cell_edge)
     first = grid.cell_of(seg.points.min(axis=0))
     last = grid.cell_of(seg.points.max(axis=0))
     if not (grid.covers(*first) and grid.covers(*last)):
-        grid = _expand_grid(grid, seg.points)
+        corners = [(grid.x0, grid.y0), (grid.x0 + grid.cols * grid.cell, grid.y0 + grid.rows * grid.cell)]
+        grid = _points_grid(np.vstack([seg.points, corners]), grid.cell)
         logger.info(
             "pedestrian %d: heat-map grid expanded to %dx%d to cover the segment",
             seg.pedestrian_id, grid.rows, grid.cols,
         )
-    occupancy: dict[tuple[int, int], list[float]] = {}
-    times = seg.times
-    for i in range(len(times)):
-        cell = grid.cell_of(seg.points[i])
-        dwell = float(times[i + 1] - times[i]) if i + 1 < len(times) else 0.0
-        entry = occupancy.setdefault(cell, [0.0, 0.0])
-        entry[0] += 1.0
-        entry[1] += dwell
-    heat = np.zeros((grid.rows, grid.cols))
-    row_idx = np.arange(grid.rows, dtype=float)[:, None]
-    col_idx = np.arange(grid.cols, dtype=float)[None, :]
-    for (row, col), (visits, dwell) in occupancy.items():
-        base = visits if cfg.accumulate == "visits" else 1.0
-        energy = base * math.exp(-cfg.k_r * dwell)
-        dist = np.hypot(row_idx - row, col_idx - col)
-        heat += energy * np.exp(-cfg.k_s * dist)
-    peak = heat.max()
-    if peak > 0.0:
-        heat /= peak
-    return heat
+    return _heatmaps([seg], cfg, grid)[0]
+
+
+def _heat_rows(maps: list[np.ndarray], ia, ib) -> np.ndarray:
+    """1 - cosine similarity of the flattened maps of each pair; pairs with an
+    all-zero map are maximally far."""
+    flat = [h.ravel() for h in maps]
+    norms = np.sqrt([np.dot(h, h) for h in flat])
+    dots = np.array([np.dot(flat[a], flat[b]) for a, b in zip(ia.tolist(), ib.tolist())])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.clip(1.0 - dots / (norms[ia] * norms[ib]), 0.0, 1.0)
+    return np.where((norms[ia] == 0.0) | (norms[ib] == 0.0), 1.0, value)
 
 
 def heatmap_distance(h_a: np.ndarray, h_b: np.ndarray) -> float:
     """1 - cosine similarity of the two maps; all-zero maps are maximally far."""
     if h_a.shape != h_b.shape:
         raise ValueError(f"heat maps differ in shape: {h_a.shape} vs {h_b.shape}")
-    norm_a = float(np.sqrt((h_a * h_a).sum()))
-    norm_b = float(np.sqrt((h_b * h_b).sum()))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 1.0
-    similarity = float((h_a * h_b).sum()) / (norm_a * norm_b)
-    return min(1.0, max(0.0, 1.0 - similarity))
+    return float(_heat_rows([h_a, h_b], *_ONE_PAIR)[0])
 
 
 def build_scene(window: TimeWindow, configs: FeatureConfigs | None = None) -> WindowedScene:
@@ -415,30 +502,18 @@ def build_scene(window: TimeWindow, configs: FeatureConfigs | None = None) -> Wi
     """
     configs = configs or FeatureConfigs()
     members = sorted(window.members)
-    segments = window.segments
-    grid = window_grid(window, configs.heatmap)
-    maps = {m: heatmap_build(segments[m], configs.heatmap, grid=grid) for m in members}
-    rows: list[tuple[float, float, float, float]] = []
-    fallbacks: list[bool] = []
-    no_overlaps: list[bool] = []
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            seg_a, seg_b = segments[a], segments[b]
-            common, _, _ = _common_indices(seg_a, seg_b)
-            no_overlap = common.size == 0
-            fallback = False
-            if no_overlap:
-                d_ph = NO_OVERLAP_DISTANCE
-                d_ca = NO_OVERLAP_DISTANCE
-            else:
-                d_ph = proxemic_distance(seg_a, seg_b, configs.proxemics)
-                d_ca, fallback = _granger_distance_flagged(seg_a, seg_b, configs.granger)
-            d_sh = dtw_shape_distance(seg_a, seg_b)
-            d_he = heatmap_distance(maps[a], maps[b])
-            rows.append((d_ph, d_sh, d_ca, d_he))
-            fallbacks.append(fallback)
-            no_overlaps.append(no_overlap)
-    return WindowedScene(window, np.array(rows).reshape(-1, 4), fallbacks, no_overlaps)
+    segments = [window.segments[m] for m in members]
+    ia, ib = np.triu_indices(len(members), 1)
+    aligned = align_segments(segments)
+    features = np.empty((len(ia), 4))
+    features[:, 0] = _proxemic_rows(aligned, ia, ib, configs.proxemics)
+    features[:, 1] = _dtw_rows(segments, ia, ib, DTW_TAU)
+    features[:, 2], fallback = _granger_rows(aligned, ia, ib, configs.granger)
+    maps = _heatmaps(segments, configs.heatmap, window_grid(window, configs.heatmap))
+    features[:, 3] = _heat_rows(maps, ia, ib)
+    no_overlap = np.isnan(features[:, 0])
+    features[no_overlap, 0] = features[no_overlap, 2] = NO_OVERLAP_DISTANCE
+    return WindowedScene(window, features, fallback & ~no_overlap, no_overlap)
 
 
 def write_features_csv(scenes: Iterable[WindowedScene], out) -> None:

@@ -134,6 +134,20 @@ class TimeWindow:
             raise ValueError("segments must cover exactly the window members")
 
 
+def align_segments(segments) -> tuple[np.ndarray, np.ndarray]:
+    """(points, present) of the segments on the sorted union of their timestamps:
+    a (segments, frames, 2) point tensor, zero where a segment has no sample,
+    and the (segments, frames) mask of the samples."""
+    times = np.unique(np.concatenate([seg.times for seg in segments] or [np.empty(0)]))
+    points = np.zeros((len(segments), times.size, 2))
+    present = np.zeros((len(segments), times.size), dtype=bool)
+    for k, seg in enumerate(segments):
+        cols = np.searchsorted(times, seg.times)
+        points[k, cols] = seg.points
+        present[k, cols] = True
+    return points, present
+
+
 @dataclass(frozen=True, eq=False)
 class GroundTruthLabels:
     """Sequence-global social groups; every unlisted pedestrian is a singleton."""
@@ -433,30 +447,22 @@ def scene_stats(windows: Iterable[TimeWindow], labels: GroundTruthLabels) -> Sce
     windows = list(windows)
     if not windows:
         raise ValueError("scene_stats requires at least one window")
-    intra: list[float] = []
-    nearest: list[float] = []
+    group_of = {m: k for k, group in enumerate(labels.groups) for m in group}
+    intra: list[np.ndarray] = [np.empty(0)]
+    nearest: list[np.ndarray] = [np.empty(0)]
     for window in windows:
-        frames: dict[float, dict[int, np.ndarray]] = {}
-        for ped, seg in window.segments.items():
-            for t, p in zip(seg.times, seg.points):
-                frames.setdefault(float(t), {})[ped] = p
-        for present in frames.values():
-            ids = sorted(present)
-            for i, a in enumerate(ids):
-                ga = labels.group_index(a)
-                best = None
-                for b in ids:
-                    if b == a:
-                        continue
-                    dist = float(np.hypot(*(present[a] - present[b])))
-                    if ga is not None and ga == labels.group_index(b):
-                        if a < b:
-                            intra.append(dist)
-                    elif best is None or dist < best:
-                        best = dist
-                if best is not None:
-                    nearest.append(best)
-    d_in = float(np.mean(intra)) if intra else None
-    d_out = float(np.mean(nearest)) if nearest else None
+        points, present = align_segments([window.segments[m] for m in sorted(window.members)])
+        groups = np.array([group_of.get(m, -1) for m in sorted(window.members)], dtype=int)
+        for f in range(present.shape[1]):
+            here = np.flatnonzero(present[:, f])
+            pts, g = points[here, f], groups[here]
+            dist = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
+            mates = (g[:, None] == g[None, :]) & (g >= 0)[:, None]
+            intra.append(dist[np.triu(mates, 1)])
+            others = np.where(mates | np.eye(here.size, dtype=bool), np.inf, dist).min(axis=1, initial=np.inf)
+            nearest.append(others[np.isfinite(others)])
+    intra_all, nearest_all = np.concatenate(intra), np.concatenate(nearest)
+    d_in = float(intra_all.mean()) if intra_all.size else None
+    d_out = float(nearest_all.mean()) if nearest_all.size else None
     d_io = d_in / d_out if d_in is not None and d_out else None
     return SceneStats(d_in=d_in, d_out=d_out, d_io=d_io)

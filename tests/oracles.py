@@ -7,6 +7,9 @@ strings, warping cost by explicit path enumeration instead of dynamic
 programming, pairwise scores and the joint feature map by listing every member
 pair instead of a contingency table or a label comparison at the pair rows,
 and the F distribution by direct quadrature of its density.
+The scalar pair features are the one-pair-at-a-time bodies the batched
+feature kernels replaced: intersect1d per pair, lstsq per regression, a full
+hypot/exp grid per visited heat-map cell and an explicit sum per cosine.
 The greedy merge references are the scalar loops the vectorised merge engine
 must reproduce exactly, tie-breaks and floating-point sums included.
 """
@@ -22,14 +25,30 @@ from scipy import integrate
 
 from crowdgroups import (
     AffinityMatrix,
+    FeatureConfigs,
+    GrangerConfig,
+    GroundTruthLabels,
+    HeatmapConfig,
+    HeatmapGrid,
     MergeStep,
     MergeTrace,
     Partition,
+    ProxemicsConfig,
     TimeWindow,
     Trajectory,
     WindowedScene,
     affinity,
+    f_cdf,
+    gmm_eval,
     joint_feature_map,
+    window_grid,
+)
+from crowdgroups.features import (
+    _DEGENERATE_RSS,
+    DTW_TAU,
+    GRANGER_FALLBACK,
+    NO_OVERLAP_DISTANCE,
+    _points_grid,
 )
 
 
@@ -292,6 +311,211 @@ def f_cdf_quadrature(s: float, d1: float, d2: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Scalar pair features (reference for the batched feature kernels)
+
+
+def _common_indices(seg_a: Trajectory, seg_b: Trajectory):
+    return np.intersect1d(seg_a.times, seg_b.times, return_indices=True)
+
+
+def scalar_proxemic_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: ProxemicsConfig | None = None) -> float:
+    cfg = cfg or ProxemicsConfig()
+    common, ia, ib = _common_indices(seg_a, seg_b)
+    if common.size == 0:
+        raise ValueError("segments share no common timestamps")
+    deltas = seg_a.points[ia] - seg_b.points[ib]
+    sig2 = np.square(np.asarray(cfg.sigmas, dtype=float))
+    d2 = np.einsum("ij,ij->i", deltas, deltas)
+    responses = np.mean(
+        np.exp(-d2[:, None] / (2.0 * sig2)) / (2.0 * math.pi * sig2), axis=1
+    )
+    peak = gmm_eval((0.0, 0.0), cfg)
+    value = 1.0 - float(responses.mean()) / peak
+    return min(1.0, max(0.0, value))
+
+
+def _dtw_raw(pa: np.ndarray, pb: np.ndarray) -> float:
+    diff = pa[:, None, :] - pb[None, :, :]
+    cost = np.einsum("ijk,ijk->ij", diff, diff)
+    a, b = cost.shape
+    acc = np.empty_like(cost)
+    acc[0, :] = np.cumsum(cost[0, :])
+    acc[:, 0] = np.cumsum(cost[:, 0])
+    for i in range(1, a):
+        row = acc[i]
+        prev = acc[i - 1]
+        for j in range(1, b):
+            best = prev[j]
+            if prev[j - 1] < best:
+                best = prev[j - 1]
+            if row[j - 1] < best:
+                best = row[j - 1]
+            row[j] = cost[i, j] + best
+    return float(acc[-1, -1]) / max(a, b)
+
+
+def scalar_dtw_shape_distance(seg_a: Trajectory, seg_b: Trajectory, tau: float = DTW_TAU) -> float:
+    raw = _dtw_raw(seg_a.points, seg_b.points)
+    return raw / (raw + tau * tau)
+
+
+def lstsq_rss(design: np.ndarray, target: np.ndarray) -> float:
+    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+    resid = target - design @ coef
+    return float(resid @ resid)
+
+
+def scalar_granger_causality_area(target: Trajectory, source: Trajectory, lag: int = 2) -> float | None:
+    """Per pair and coordinate, one np.linalg.lstsq fit of the restricted and
+    one of the unrestricted design on the intersect1d common samples."""
+    common, it, isrc = _common_indices(target, source)
+    k = int(common.size)
+    m = int(lag)
+    dof = k - 2 * m - 1
+    if dof < 1:
+        return None
+    y_pts = target.points[it]
+    x_pts = source.points[isrc]
+    rss_restricted = 0.0
+    rss_unrestricted = 0.0
+    ones = np.ones((k - m, 1))
+    for c in (0, 1):
+        y = y_pts[m:, c]
+        own = np.column_stack([y_pts[m - j : k - j, c] for j in range(1, m + 1)])
+        other = np.column_stack([x_pts[m - j : k - j, c] for j in range(1, m + 1)])
+        rss_restricted += lstsq_rss(np.hstack([ones, own]), y)
+        rss_unrestricted += lstsq_rss(np.hstack([ones, own, other]), y)
+    if rss_restricted <= _DEGENERATE_RSS:
+        return None
+    if rss_unrestricted <= _DEGENERATE_RSS:
+        return 1.0
+    stat = ((rss_restricted - rss_unrestricted) / m) / (rss_unrestricted / dof)
+    if stat < 0.0:
+        stat = 0.0
+    return f_cdf(stat, m, dof)
+
+
+def scalar_granger_distance_flagged(seg_a: Trajectory, seg_b: Trajectory, cfg: GrangerConfig | None = None) -> tuple[float, bool]:
+    cfg = cfg or GrangerConfig()
+    areas = (
+        scalar_granger_causality_area(seg_b, seg_a, cfg.lag),
+        scalar_granger_causality_area(seg_a, seg_b, cfg.lag),
+    )
+    defined = [a for a in areas if a is not None]
+    if not defined:
+        return GRANGER_FALLBACK, True
+    value = 1.0 - max(defined)
+    return min(1.0, max(0.0, value)), False
+
+
+def scalar_heatmap_build(seg: Trajectory, cfg: HeatmapConfig | None = None, grid: HeatmapGrid | None = None) -> np.ndarray:
+    """One hypot and one exp over the whole grid per visited cell."""
+    cfg = cfg or HeatmapConfig()
+    grid = grid or _points_grid(seg.points, cfg.cell_edge)
+    first = grid.cell_of(seg.points.min(axis=0))
+    last = grid.cell_of(seg.points.max(axis=0))
+    if not (grid.covers(*first) and grid.covers(*last)):
+        x0 = min(grid.x0, float(seg.points[:, 0].min()))
+        y0 = min(grid.y0, float(seg.points[:, 1].min()))
+        x1 = max(grid.x0 + grid.cols * grid.cell, float(seg.points[:, 0].max()))
+        y1 = max(grid.y0 + grid.rows * grid.cell, float(seg.points[:, 1].max()))
+        cols = int(math.floor((x1 - x0) / grid.cell)) + 1
+        rows = int(math.floor((y1 - y0) / grid.cell)) + 1
+        grid = HeatmapGrid(x0=x0, y0=y0, cell=grid.cell, rows=rows, cols=cols)
+    occupancy: dict[tuple[int, int], list[float]] = {}
+    times = seg.times
+    for i in range(len(times)):
+        cell = grid.cell_of(seg.points[i])
+        dwell = float(times[i + 1] - times[i]) if i + 1 < len(times) else 0.0
+        entry = occupancy.setdefault(cell, [0.0, 0.0])
+        entry[0] += 1.0
+        entry[1] += dwell
+    heat = np.zeros((grid.rows, grid.cols))
+    row_idx = np.arange(grid.rows, dtype=float)[:, None]
+    col_idx = np.arange(grid.cols, dtype=float)[None, :]
+    for (row, col), (visits, dwell) in occupancy.items():
+        base = visits if cfg.accumulate == "visits" else 1.0
+        energy = base * math.exp(-cfg.k_r * dwell)
+        dist = np.hypot(row_idx - row, col_idx - col)
+        heat += energy * np.exp(-cfg.k_s * dist)
+    peak = heat.max()
+    if peak > 0.0:
+        heat /= peak
+    return heat
+
+
+def scalar_heatmap_distance(h_a: np.ndarray, h_b: np.ndarray) -> float:
+    norm_a = float(np.sqrt((h_a * h_a).sum()))
+    norm_b = float(np.sqrt((h_b * h_b).sum()))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 1.0
+    similarity = float((h_a * h_b).sum()) / (norm_a * norm_b)
+    return min(1.0, max(0.0, 1.0 - similarity))
+
+
+def scalar_pair_table(window: TimeWindow, configs: FeatureConfigs | None = None):
+    """(feature matrix, granger_fallback, no_overlap) of the window, one pair
+    at a time in triu order, as build_scene computed them before batching."""
+    configs = configs or FeatureConfigs()
+    members = sorted(window.members)
+    segments = window.segments
+    grid = window_grid(window, configs.heatmap)
+    maps = {m: scalar_heatmap_build(segments[m], configs.heatmap, grid) for m in members}
+    rows, fallbacks, no_overlaps = [], [], []
+    for a, b in itertools.combinations(members, 2):
+        seg_a, seg_b = segments[a], segments[b]
+        no_overlap = _common_indices(seg_a, seg_b)[0].size == 0
+        fallback = False
+        if no_overlap:
+            d_ph = d_ca = NO_OVERLAP_DISTANCE
+        else:
+            d_ph = scalar_proxemic_distance(seg_a, seg_b, configs.proxemics)
+            d_ca, fallback = scalar_granger_distance_flagged(seg_a, seg_b, configs.granger)
+        d_sh = scalar_dtw_shape_distance(seg_a, seg_b)
+        d_he = scalar_heatmap_distance(maps[a], maps[b])
+        rows.append((d_ph, d_sh, d_ca, d_he))
+        fallbacks.append(fallback)
+        no_overlaps.append(no_overlap)
+    return np.array(rows).reshape(-1, 4), np.array(fallbacks, bool), np.array(no_overlaps, bool)
+
+
+# ---------------------------------------------------------------------------
+# Scene statistics by a frame x member x member loop
+
+
+def scalar_scene_stats(windows, labels: GroundTruthLabels) -> tuple:
+    """(d_in, d_out, d_io) with a Python loop over frames and member pairs and
+    a linear group lookup per pair."""
+    intra: list[float] = []
+    nearest: list[float] = []
+    for window in windows:
+        frames: dict[float, dict[int, np.ndarray]] = {}
+        for ped, seg in window.segments.items():
+            for t, p in zip(seg.times, seg.points):
+                frames.setdefault(float(t), {})[ped] = p
+        for present in frames.values():
+            ids = sorted(present)
+            for a in ids:
+                ga = labels.group_index(a)
+                best = None
+                for b in ids:
+                    if b == a:
+                        continue
+                    dist = float(np.hypot(*(present[a] - present[b])))
+                    if ga is not None and ga == labels.group_index(b):
+                        if a < b:
+                            intra.append(dist)
+                    elif best is None or dist < best:
+                        best = dist
+                if best is not None:
+                    nearest.append(best)
+    d_in = float(np.mean(intra)) if intra else None
+    d_out = float(np.mean(nearest)) if nearest else None
+    d_io = d_in / d_out if d_in is not None and d_out else None
+    return d_in, d_out, d_io
+
+
+# ---------------------------------------------------------------------------
 # Scene construction helpers
 
 
@@ -328,3 +552,26 @@ def brute_force_best_partition(members: Sequence[int], value) -> tuple[float, Pa
             best = (v, p)
     assert best is not None
     return best
+
+
+def random_ragged_window(rng: np.random.Generator, frame: float = 0.4) -> TimeWindow:
+    """2-15 members with 2-25 samples each on a shared frame grid, staggered
+    starts over 30 frames and dropped frames, so some pairs never co-occur and
+    some share only a few samples. About one member in ten stands still and one
+    in ten replays an earlier member's path one frame later."""
+    segments: dict[int, Trajectory] = {}
+    for m in range(1, int(rng.integers(2, 16)) + 1):
+        k = int(rng.integers(2, 26))
+        start = int(rng.integers(0, 30))
+        frames = np.sort(rng.choice(np.arange(start, start + k + int(rng.integers(0, 6))), k, replace=False))
+        points = np.cumsum(rng.normal(scale=0.4, size=(k, 2)), axis=0) + rng.uniform(-4.0, 4.0, size=2)
+        kind = rng.random()
+        if kind < 0.1:
+            points = np.tile(rng.uniform(-4.0, 4.0, size=2), (k, 1))
+        elif kind < 0.2 and segments:
+            leader = segments[int(rng.integers(1, m))]
+            frames = np.round(leader.times / frame).astype(int) + 1
+            points = leader.points.copy()
+        segments[m] = Trajectory(m, frames * frame, points)
+    return TimeWindow(0, 0.0, 60 * frame, frozenset(segments), segments)
+

@@ -32,9 +32,11 @@ from crowdgroups import (
     window_grid,
     write_features_csv,
 )
+import crowdgroups.features as features_module
 from crowdgroups.features import HALL_SIGMAS
 from crowdgroups.harness import _snapshot_feature_configs
 
+import oracles
 from oracles import dtw_path_minimum, f_cdf_quadrature
 
 logging.getLogger("crowdgroups").setLevel(logging.INFO)
@@ -500,3 +502,154 @@ def test_write_features_csv_golden():
         "window,a,b,d_ph,d_sh,d_ca,d_he",
         "0,1,2,0.25,0.5,0.75,1",
     ]
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels against the scalar references
+
+
+def _pairs_of(win):
+    members = sorted(win.members)
+    return [(win.segments[a], win.segments[b]) for i, a in enumerate(members) for b in members[i + 1 :]]
+
+
+def _check_causality(win, scene, cfg):
+    for k, (seg_a, seg_b) in enumerate(_pairs_of(win)):
+        if scene.no_overlap[k]:
+            continue
+        want, fallback = oracles.scalar_granger_distance_flagged(seg_a, seg_b, cfg.granger)
+        assert scene.granger_fallback[k] == fallback
+        assert scene.feature_matrix[k, 2] == pytest.approx(want, abs=1e-12, rel=0)
+
+
+def _check_heat(win, scene, cfg):
+    grid = window_grid(win, cfg.heatmap)
+    maps = {m: heatmap_build(seg, cfg.heatmap, grid=grid) for m, seg in win.segments.items()}
+    for m, seg in win.segments.items():
+        assert np.array_equal(maps[m], oracles.scalar_heatmap_build(seg, cfg.heatmap, grid))
+    got = scene.feature_matrix[:, 3]
+    want = [oracles.scalar_heatmap_distance(maps[a], maps[b]) for a, b in scene.pairs.tolist()]
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+
+def _check_proxemics(win, scene, cfg):
+    want = [
+        oracles.scalar_proxemic_distance(a, b, cfg.proxemics) if not scene.no_overlap[k] else 1.0
+        for k, (a, b) in enumerate(_pairs_of(win))
+    ]
+    assert scene.feature_matrix[:, 0].tolist() == want
+
+
+def _check_all(win, scene, cfg):
+    matrix, fallback, no_overlap = oracles.scalar_pair_table(win, cfg)
+    assert scene.no_overlap.tolist() == no_overlap.tolist()
+    assert scene.granger_fallback.tolist() == fallback.tolist()
+    assert scene.feature_matrix[:, :2].tolist() == matrix[:, :2].tolist()
+    assert np.abs(scene.feature_matrix[:, 2:] - matrix[:, 2:]).max(initial=0.0) <= 1e-12
+    _check_heat(win, scene, cfg)
+
+
+EQUIVALENCE_CASES = {
+    "defaults": (FeatureConfigs(), _check_all),
+    "sigmas": (FeatureConfigs(proxemics=ProxemicsConfig((0.3, 0.9, 2.5))), _check_proxemics),
+    "lag1": (FeatureConfigs(granger=GrangerConfig(1)), _check_causality),
+    "lag3": (FeatureConfigs(granger=GrangerConfig(3)), _check_causality),
+    "visits": (FeatureConfigs(heatmap=HeatmapConfig(accumulate="visits")), _check_heat),
+    "k_s": (FeatureConfigs(heatmap=HeatmapConfig(k_s=0.1)), _check_heat),
+}
+
+
+@pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
+def test_build_scene_matches_scalar_references_on_random_ragged_windows(case):
+    # d_ph, d_sh and the heat maps are bit-identical; d_ca and d_he agree to
+    # 1e-12 (other QR and dot summation orders); the flags are identical.
+    # Non-default settings check the features they change.
+    cfg, check = EQUIVALENCE_CASES[case]
+    rng = np.random.default_rng(2024)
+    seen = {"no_overlap": 0, "fallback": 0, "rows": 0}
+    for _ in range(200):
+        win = oracles.random_ragged_window(rng)
+        scene = build_scene(win, cfg)
+        check(win, scene, cfg)
+        seen["no_overlap"] += scene.no_overlap_count
+        seen["fallback"] += scene.granger_fallback_count
+        seen["rows"] += len(scene.pairs)
+    assert seen["no_overlap"] > 0 and seen["fallback"] > 0 and seen["rows"] > 2000
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_build_scene_does_not_depend_on_chunk_size(monkeypatch, chunk):
+    rng = np.random.default_rng(11)
+    windows = [oracles.random_ragged_window(rng) for _ in range(20)]
+    want = [build_scene(win) for win in windows]
+    monkeypatch.setattr(features_module, "_CHUNK_ELEMENTS", chunk)
+    for win, scene in zip(windows, want):
+        got = build_scene(win)
+        assert got.feature_matrix.tolist() == scene.feature_matrix.tolist()
+        assert got.granger_fallback.tolist() == scene.granger_fallback.tolist()
+        assert got.no_overlap.tolist() == scene.no_overlap.tolist()
+
+
+def test_build_scene_empty_and_single_member_windows():
+    empty = TimeWindow(index=0, start_t=0.0, end_t=1.0, members=frozenset(), segments={})
+    for win in (empty, window_of(traj(4, [[0, 0], [1, 1]]))):
+        scene = build_scene(win)
+        assert scene.feature_matrix.shape == (0, 4)
+        assert scene.granger_fallback.shape == scene.no_overlap.shape == (0,)
+
+
+def _walk(seed, k=24):
+    return np.cumsum(np.random.default_rng(seed).normal(scale=0.4, size=(k, 2)), axis=0)
+
+
+@pytest.mark.parametrize("lag", [1, 2, 3])
+def test_granger_stationary_and_duplicate_sources_match_reference(lag):
+    # rank-deficient unrestricted designs: a plain QR would find spurious causality
+    target = traj(1, _walk(30))
+    for source in (traj(2, np.tile([3.0, -1.0], (24, 1))), traj(2, target.points)):
+        want = oracles.scalar_granger_causality_area(target, source, lag)
+        got = granger_causality_area(target, source, lag)
+        assert got == pytest.approx(want, abs=1e-12, rel=0)
+        assert got < 0.99
+        assert granger_distance(target, source, GrangerConfig(lag)) == pytest.approx(
+            oracles.scalar_granger_distance_flagged(target, source, GrangerConfig(lag))[0], abs=1e-12, rel=0
+        )
+
+
+def test_granger_lags_run_over_compacted_common_samples():
+    # the source has only every other frame: its common samples with the target
+    # are not consecutive frames, and the lags step over the compacted samples
+    target = traj(1, _walk(31, k=30), dt=0.4)
+    source_points = target.points[::2] + np.random.default_rng(32).normal(scale=0.05, size=(15, 2))
+    source = Trajectory(2, target.times[::2], source_points)
+    compact_target = traj(1, target.points[::2], dt=0.4)
+    compact_source = traj(2, source_points, dt=0.4)
+    for lag in (1, 2, 3):
+        got = granger_causality_area(target, source, lag)
+        assert got == granger_causality_area(compact_target, compact_source, lag)
+        assert got == pytest.approx(oracles.scalar_granger_causality_area(target, source, lag), abs=1e-12, rel=0)
+
+
+def test_granger_none_and_fallback_decisions_match_reference():
+    walk = _walk(40)
+    leader, follower = delayed_pair(n=40, lag=1, noise=0.0)
+    cases = [
+        (traj(1, walk[:5]), traj(2, _walk(41)[:5])),  # dof < 1 at lag 2 in both directions
+        (traj(1, walk[:6]), traj(2, _walk(42)[:6])),  # dof == 1, more columns than rows
+        (traj(1, np.zeros((24, 2))), traj(2, walk)),  # constant target: restricted fit exact
+        (follower, leader),  # noiseless replay: unrestricted fit exact
+        (traj(1, np.zeros((24, 2))), traj(2, np.ones((24, 2)))),  # degenerate both ways
+    ]
+    for seg_a, seg_b in cases:
+        for target, source in ((seg_a, seg_b), (seg_b, seg_a)):
+            for lag in (1, 2):
+                want = oracles.scalar_granger_causality_area(target, source, lag)
+                got = granger_causality_area(target, source, lag)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got == pytest.approx(want, abs=1e-12, rel=0)
+        scene = build_scene(window_of(seg_a, seg_b))
+        want_value, want_flag = oracles.scalar_granger_distance_flagged(seg_a, seg_b)
+        assert scene.granger_fallback.tolist() == [want_flag]
+        assert scene.feature_matrix[0, 2] == pytest.approx(want_value, abs=1e-12, rel=0)
+

@@ -27,6 +27,9 @@ from crowdgroups import (
     slice_windows,
     window_ground_truth,
 )
+from crowdgroups.trajectories import align_segments
+
+import oracles
 
 
 def make_traj(ped, times, xy=None):
@@ -328,3 +331,31 @@ def test_scene_stats_no_unrelated():
 def test_scene_stats_requires_windows():
     with pytest.raises(ValueError):
         scene_stats([], GroundTruthLabels([]))
+
+
+def test_scene_stats_matches_scalar_loop_on_random_ragged_windows():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        windows = [oracles.random_ragged_window(rng) for _ in range(int(rng.integers(1, 4)))]
+        ids = list(range(1, 16))
+        rng.shuffle(ids)
+        cut = np.sort(rng.choice(np.arange(1, 15), size=3, replace=False))
+        labels = GroundTruthLabels([g for g in np.split(ids, cut) if len(g) >= 2])
+        stats = scene_stats(windows, labels)
+        want = oracles.scalar_scene_stats(windows, labels)
+        for got, ref in zip((stats.d_in, stats.d_out, stats.d_io), want):
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_align_segments_marks_exact_common_timestamps():
+    a = make_traj(1, [0.0, 0.4, 1.2], [[0, 0], [1, 1], [2, 2]])
+    b = make_traj(2, [0.4, 0.8], [[5, 5], [6, 6]])
+    points, present = align_segments([a, b])
+    assert present.tolist() == [[True, True, False, True], [False, True, True, False]]
+    assert points[0, 3].tolist() == [2.0, 2.0] and points[1, 2].tolist() == [6.0, 6.0]
+    assert points[1, 0].tolist() == [0.0, 0.0]
+    empty_points, empty_present = align_segments([])
+    assert empty_points.shape == (0, 0, 2) and empty_present.shape == (0, 0)
+
