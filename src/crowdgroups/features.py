@@ -56,6 +56,7 @@ GRANGER_FALLBACK = 0.5
 NO_OVERLAP_DISTANCE = 1.0
 DTW_TAU = 1.0
 _DEGENERATE_RSS = 1e-12
+_NO_GAIN_RTOL = 1e-9  # a source cutting the restricted RSS by at most this share adds nothing
 _RANK_TOL = 1e-8  # min/max |R_kk| of a causality design below this refits by lstsq
 _CHUNK_ELEMENTS = 1 << 17  # floats in one chunk's pair-axis temporaries (1 MiB)
 _ONE_PAIR = (np.array([0]), np.array([1]))
@@ -344,7 +345,8 @@ def _granger_areas(aligned, targets, sources, lag: int) -> np.ndarray:
         rss_r = rss_r[0::2] + rss_r[1::2]
         rss_u = rss_u[0::2] + rss_u[1::2]
         with np.errstate(divide="ignore", invalid="ignore"):
-            stat = np.maximum(((rss_r - rss_u) / m) / (rss_u / dof), 0.0)
+            gain = rss_r - rss_u
+            stat = np.where(gain > _NO_GAIN_RTOL * rss_r, (gain / m) / (rss_u / dof), 0.0)
             area = betainc(0.5 * m, 0.5 * dof, m * stat / (m * stat + dof))
         area[rss_u <= _DEGENERATE_RSS] = 1.0
         area[rss_r <= _DEGENERATE_RSS] = np.nan

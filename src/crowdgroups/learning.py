@@ -9,7 +9,10 @@ The Frank-Wolfe state is the Model itself: each block update changes its w,
 one row of block_w, one entry of block_l, l and iterations in place. Batch,
 sequential (examples arrive over time, blocks grow with them), and online
 (self-supervised from own predictions, one block per scene) modes share
-that update.
+that update. A gamma = 0 step that left the model bitwise unchanged settles
+its question (everything the step reads, `_question`): until that changes,
+the oracle would answer alike and gamma would again be 0, so the block's next
+steps only log the remembered hinge and count the iteration.
 """
 
 from __future__ import annotations
@@ -133,6 +136,7 @@ class Model:
         self.mode = str(mode)
         self.iterations = int(iterations)
         self.config_snapshot = dict(config_snapshot or {})
+        self._settled: dict[int, tuple] = {}  # block -> (question, hinge) of its last no-op step
 
     @property
     def alpha(self) -> np.ndarray:
@@ -221,18 +225,27 @@ def compatibility(scene: WindowedScene, p: Partition, w) -> float:
     return float(w @ joint_feature_map(scene, p))
 
 
-def loss_augmented_oracle(
-    example: TrainingExample, w, loss: str = "gmitre"
-) -> tuple[Partition, float]:
+class OracleAnswer(NamedTuple):
+    """The oracle's labelling, its H value (the structured hinge estimate), its
+    loss against the truth and Psi(scene, partition)."""
+
+    partition: Partition
+    hinge: float
+    loss: float
+    psi: np.ndarray
+
+
+def loss_augmented_oracle(example: TrainingExample, w, loss: str = "gmitre") -> OracleAnswer:
     """Greedy maximizer of H(y) = loss(truth, y) + w.Psi(x, y) - w.Psi(x, truth).
 
     Runs the prediction merge engine with every candidate merge's gain
     raised by the change in loss it causes (all candidates scored at once
     from the contingency table against the truth), from all singletons until
     no merge improves H (ties to the smallest min-id pair). Returns the local
-    maximizer and its H value, the structured hinge estimate. The truth itself
-    always attains H = 0, so when the greedy end point scores below that the
-    truth is returned instead; the hinge is never negative.
+    maximizer with its H value, the structured hinge estimate, its loss and
+    its Psi. The truth itself always attains H = 0, so when the greedy end
+    point scores below that the truth is returned instead; the hinge is never
+    negative.
     """
     if loss not in LOSSES:
         raise ValueError(f"loss must be one of {sorted(LOSSES)}, got {loss!r}")
@@ -242,15 +255,21 @@ def loss_augmented_oracle(
     scene, truth = example.scene, example.truth
     members = scene.members
     if not members:
-        return Partition([]), 0.0
+        return OracleAnswer(truth, 0.0, 0.0, example.truth_psi)
     scorer = MergeLoss(loss, truth, members)
     clusters, _ = _greedy_merge(_affinity_array(scene, w), scorer)
     y_star = Partition([members[k] for k in c] for c in clusters)
-    psi_gap = joint_feature_map(scene, y_star) - example.truth_psi
-    hinge = scorer.current + float(w @ psi_gap)
+    psi = joint_feature_map(scene, y_star)
+    hinge = scorer.current + float(w @ (psi - example.truth_psi))
     if hinge < 0.0:
-        return truth, 0.0
-    return y_star, hinge
+        return OracleAnswer(truth, 0.0, 0.0, example.truth_psi)
+    return OracleAnswer(y_star, hinge, scorer.current, psi)
+
+
+def _question(model: Model, examples: list[TrainingExample], i: int, config: TrainConfig):
+    """Everything a step of block i reads, floats by their bits."""
+    floats = (model.w, model.block_w[i], model.block_l[i], np.float64(model.l))
+    return (examples[i], config.loss, config.C, len(examples), *(f.tobytes() for f in floats))
 
 
 class _StepInfo(NamedTuple):
@@ -266,10 +285,14 @@ def _bcfw_step(
     """One Frank-Wolfe update of block i, in place on the model's w, block i
     and loss offsets; returns the logged quantities."""
     example = examples[i]
-    y_star, hinge = loss_augmented_oracle(example, model.w, loss=config.loss)
+    question = _question(model, examples, i, config)
+    if model._settled.get(i, (None,))[0] == question:
+        model.iterations += 1
+        return _StepInfo(model.iterations, i, model._settled[i][1], 0.0)
+    answer = loss_augmented_oracle(example, model.w, loss=config.loss)
     scale = config.C / len(examples)
-    ws = scale * (example.truth_psi - joint_feature_map(example.scene, y_star))
-    ls = scale * LOSSES[config.loss](example.truth, y_star)
+    ws = scale * (example.truth_psi - answer.psi)
+    ls = scale * answer.loss
     wi, li = model.block_w[i], float(model.block_l[i])
     diff = wi - ws
     denom = float(diff @ diff)
@@ -284,8 +307,10 @@ def _bcfw_step(
     model.l += new_li - li
     model.block_w[i] = new_wi
     model.block_l[i] = new_li
+    if gamma == 0.0 and _question(model, examples, i, config) == question:
+        model._settled[i] = (question, float(answer.hinge))
     model.iterations += 1
-    return _StepInfo(model.iterations, i, float(hinge), float(gamma))
+    return _StepInfo(model.iterations, i, float(answer.hinge), float(gamma))
 
 
 @contextmanager
@@ -310,7 +335,7 @@ def primal_objective(examples: Iterable[TrainingExample], model: Model) -> float
     examples = list(examples)
     if not examples:
         raise ConfigError("primal objective needs at least one example")
-    hinge_sum = sum(loss_augmented_oracle(ex, model.w, loss=model.loss)[1] for ex in examples)
+    hinge_sum = sum(loss_augmented_oracle(ex, model.w, loss=model.loss).hinge for ex in examples)
     return 0.5 * float(model.w @ model.w) + (model.C / len(examples)) * hinge_sum
 
 

@@ -159,43 +159,50 @@ class MergeLoss:
     """Loss against a fixed truth of a working partition and of every merge of
     two of its clusters.
 
-    Keeps the contingency table with one row per working cluster, in the
-    merge engine's row order. For all candidate merges at once, the truth
-    clusters two rows share (`present @ present.T`; only multi-member truth
-    clusters can be shared by disjoint rows) and their co-member pairs
-    (`counts @ counts.T`), with the singleton flags, give the merged tally.
+    Rows are the merge engine's: each working cluster keeps the row of its
+    smallest member, and merging rows i < j folds j into i. Per row it keeps
+    the truth clusters met (`present`), the size and the members alone in the
+    truth; per row pair, the truth clusters both meet (`present @ present.T`;
+    only multi-member truth clusters can be shared by disjoint rows) and their
+    co-member pairs (`counts @ counts.T`). These give every candidate's merged
+    tally at once. A merge updates row and column i and takes the chosen
+    candidate's tally and loss; dead rows keep stale, meaningless values.
     """
 
     def __init__(self, kind: str, truth: Partition, members: Sequence):
         """Starts from all singletons; `members` must be increasing."""
         self.kind = kind
-        self._counts = contingency(truth, Partition.singletons(members))
-        self._truth_single = self._counts.sum(axis=0) == 1
-        self._tally = _tally(self._counts)
-
-    @property
-    def current(self) -> float:
-        return float(_loss(self.kind, self._tally))
+        self._present = counts = contingency(truth, Partition.singletons(members))
+        self._overlap, self._shared = counts @ counts.T, counts @ counts.T
+        self._sizes = counts.sum(axis=1)
+        self._lone = counts[:, counts.sum(axis=0) == 1].sum(axis=1)
+        self._tally = _tally(counts)
+        self.current = float(_loss(kind, self._tally))
 
     def candidates(self) -> np.ndarray:
-        """Entry (i, j): the loss once working clusters i and j are merged."""
-        counts, t = self._counts, self._tally
-        present = (counts > 0).astype(np.int64)
-        sizes = counts.sum(axis=1)
+        """Entry (i, j): the loss once the clusters of rows i and j are merged."""
+        t, sizes = self._tally, self._sizes
         single = (sizes == 1).astype(np.int64)
-        both = single * counts[:, self._truth_single].sum(axis=1)
-        merged = t._replace(
+        both = single * self._lone
+        self._merged = t._replace(
             pred_clusters=t.pred_clusters - 1,
-            cells=t.cells - present @ present.T,
+            cells=t.cells - self._overlap,
             pred_singletons=t.pred_singletons - single[:, None] - single[None, :],
             both_singletons=t.both_singletons - both[:, None] - both[None, :],
             pred_pairs=t.pred_pairs + np.outer(sizes, sizes),
-            shared_pairs=t.shared_pairs + counts @ counts.T,
+            shared_pairs=t.shared_pairs + self._shared,
         )
-        return _loss(self.kind, merged)
+        self._losses = _loss(self.kind, self._merged)
+        return self._losses
 
     def merge(self, i: int, j: int) -> None:
-        """Fold working cluster j into i (i < j) and drop row j."""
-        self._counts[i] += self._counts[j]
-        self._counts = self._counts[np.arange(len(self._counts)) != j]
-        self._tally = _tally(self._counts)
+        """Fold the cluster of row j into row i (i < j), a candidate of the
+        last candidates() call."""
+        self._tally = _Tally(*(int(f[i, j]) if isinstance(f, np.ndarray) else f for f in self._merged))
+        self.current = float(self._losses[i, j])
+        self._present[i] |= self._present[j]
+        self._overlap[i] = self._overlap[:, i] = self._present @ self._present[i]
+        self._shared[i] += self._shared[j]
+        self._shared[:, i] = self._shared[i]
+        self._sizes[i] += self._sizes[j]
+        self._lone[i] += self._lone[j]

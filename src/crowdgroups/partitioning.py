@@ -232,31 +232,33 @@ def _greedy_merge(cross, loss=None) -> tuple[list[tuple[int, ...]], list[MergeSt
     Each round merges the cluster pair with the largest strictly positive
     gain: their cross-affinity sum, plus, when `loss` is given, the change in
     loss the merge causes (`loss.candidates() - loss.current`; `loss.merge`
-    is told every merge). Rows stay ordered by each cluster's smallest index,
-    so the first row-major maximum of the strict upper triangle is the tie
-    winner with the smallest pair of min-ids. Returns the clusters (sorted
-    index tuples in row order) and the merges as index-tuple steps.
+    is told every merge). Each cluster keeps the row of its smallest index:
+    merging rows i < j adds row and column j into i, then sets them to -inf,
+    like the diagonal, to keep them out of the argmax. The matrix stays
+    symmetric, so its first row-major maximum is the live pair with the
+    smallest pair of min-ids. Returns the clusters (sorted index tuples in row
+    order) and the merges as index-tuple steps.
     """
     cross = np.array(cross, dtype=float)
-    clusters = [(i,) for i in range(len(cross))]
+    n = len(cross)
+    np.fill_diagonal(cross, -np.inf)
+    clusters: list = [(i,) for i in range(n)]
     steps: list[MergeStep] = []
-    while len(clusters) >= 2:
+    for _ in range(n - 1):
         gain = cross if loss is None else (loss.candidates() - loss.current) + cross
-        upper = np.triu(gain, k=1)
-        i, j = divmod(int(np.argmax(upper)), len(clusters))
-        best = float(upper[i, j])
+        i, j = divmod(int(np.argmax(gain)), n)
+        best = float(gain[i, j])
         if not best > 0.0:
             break
         steps.append(MergeStep(len(steps) + 1, clusters[i], clusters[j], best))
-        clusters[i] = tuple(sorted(clusters[i] + clusters.pop(j)))
+        clusters[i] = tuple(sorted(clusters[i] + clusters[j]))
+        clusters[j] = None
         cross[i] += cross[j]
         cross[:, i] = cross[i]
-        cross[i, i] = 0.0
-        keep = np.arange(len(cross)) != j
-        cross = cross[keep][:, keep]
+        cross[j] = cross[:, j] = -np.inf
         if loss is not None:
             loss.merge(i, j)
-    return clusters, steps
+    return [c for c in clusters if c is not None], steps
 
 
 def greedy_cc(affinities: AffinityMatrix) -> tuple[Partition, MergeTrace]:

@@ -11,7 +11,10 @@ The scalar pair features are the one-pair-at-a-time bodies the batched
 feature kernels replaced: intersect1d per pair, lstsq per regression, a full
 hypot/exp grid per visited heat-map cell and an explicit sum per cosine.
 The greedy merge references are the scalar loops the vectorised merge engine
-must reproduce exactly, tie-breaks and floating-point sums included.
+must reproduce exactly, tie-breaks and floating-point sums included. The
+reference Frank-Wolfe step asks the oracle on every step and scores its
+answer again, which training that skips settled questions must reproduce
+bit for bit.
 """
 
 from __future__ import annotations
@@ -43,8 +46,10 @@ from crowdgroups import (
     joint_feature_map,
     window_grid,
 )
+from crowdgroups import learning
 from crowdgroups.features import (
     _DEGENERATE_RSS,
+    _NO_GAIN_RTOL,
     DTW_TAU,
     GRANGER_FALLBACK,
     NO_OVERLAP_DISTANCE,
@@ -237,6 +242,36 @@ def reference_oracle(example, w, loss: str = "gmitre") -> tuple[Partition, float
 
 
 # ---------------------------------------------------------------------------
+# Frank-Wolfe block update that asks the oracle every time
+
+
+def reference_bcfw_step(model, examples, i, config):
+    """The block update of learning._bcfw_step with an oracle call on every
+    step; the answer's loss and Psi are scored again from its partition."""
+    example = examples[i]
+    y_star, hinge, *_ = learning.loss_augmented_oracle(example, model.w, loss=config.loss)
+    scale = config.C / len(examples)
+    ws = scale * (example.truth_psi - joint_feature_map(example.scene, y_star))
+    ls = scale * learning.LOSSES[config.loss](example.truth, y_star)
+    wi, li = model.block_w[i], float(model.block_l[i])
+    diff = wi - ws
+    denom = float(diff @ diff)
+    if denom == 0.0:
+        gamma = 0.0
+    else:
+        gamma = (float(diff @ model.w) + scale * (ls - li)) / denom
+        gamma = min(1.0, max(0.0, gamma))
+    new_wi = (1.0 - gamma) * wi + gamma * ws
+    new_li = (1.0 - gamma) * li + gamma * ls
+    model.w = model.w + (new_wi - wi)
+    model.l += new_li - li
+    model.block_w[i] = new_wi
+    model.block_l[i] = new_li
+    model.iterations += 1
+    return learning._StepInfo(model.iterations, i, float(hinge), float(gamma))
+
+
+# ---------------------------------------------------------------------------
 # Set-partition enumeration by block insertion
 
 
@@ -389,10 +424,10 @@ def scalar_granger_causality_area(target: Trajectory, source: Trajectory, lag: i
         return None
     if rss_unrestricted <= _DEGENERATE_RSS:
         return 1.0
-    stat = ((rss_restricted - rss_unrestricted) / m) / (rss_unrestricted / dof)
-    if stat < 0.0:
-        stat = 0.0
-    return f_cdf(stat, m, dof)
+    gain = rss_restricted - rss_unrestricted
+    if gain <= _NO_GAIN_RTOL * rss_restricted:
+        return f_cdf(0.0, m, dof)  # the source adds nothing beyond rounding
+    return f_cdf((gain / m) / (rss_unrestricted / dof), m, dof)
 
 
 def scalar_granger_distance_flagged(seg_a: Trajectory, seg_b: Trajectory, cfg: GrangerConfig | None = None) -> tuple[float, bool]:

@@ -309,7 +309,7 @@ def test_criterion_06_learning_consistency():
         w = rng.normal(size=8) * 2
         loss_name = ("gmitre", "mitre", "pairwise")[int(rng.integers(3))]
         loss_fn = LOSSES[loss_name]
-        _, hinge = loss_augmented_oracle(example, w, loss_name)
+        hinge = loss_augmented_oracle(example, w, loss_name).hinge
         psi_truth = joint_feature_map(scene, truth)
         best = max(
             loss_fn(truth, Partition(blocks))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from crowdgroups import (
     LOSSES,
     Model,
     Partition,
+    SynthSpec,
     TrainConfig,
     TrainingExample,
     Trajectory,
@@ -29,7 +34,9 @@ from crowdgroups import (
     primal_objective,
     sequential_train,
     slice_windows,
+    synth_generate,
 )
+from crowdgroups import learning
 from crowdgroups.losses import MergeLoss
 
 from oracles import (
@@ -38,6 +45,7 @@ from oracles import (
     pair_enumeration_psi,
     random_partition,
     random_scene,
+    reference_bcfw_step,
     reference_oracle,
 )
 
@@ -147,7 +155,8 @@ def test_compatibility_weight_shape_checked():
 
 @pytest.mark.parametrize("kind", sorted(LOSSES))
 def test_loss_tracker_matches_public_loss_along_merges(kind):
-    # every candidate of the merge scorer, not gain + current (that sum rounds)
+    # every candidate of the merge scorer, not gain + current (that sum rounds);
+    # each working cluster sits at the row of its smallest member index
     rng = np.random.default_rng(15)
     loss_fn = LOSSES[kind]
     for _ in range(40):
@@ -155,19 +164,18 @@ def test_loss_tracker_matches_public_loss_along_merges(kind):
         members = list(range(1, n + 1))
         truth = random_partition(members, rng)
         scorer = MergeLoss(kind, truth, members)
-        clusters = [[m] for m in members]
-        assert scorer.current == loss_fn(truth, Partition(clusters))
-        while len(clusters) >= 2:
+        rows = {r: [m] for r, m in enumerate(members)}
+        assert scorer.current == loss_fn(truth, Partition(rows.values()))
+        while len(rows) >= 2:
             candidates = scorer.candidates()
-            for i in range(len(clusters)):
-                for j in range(i + 1, len(clusters)):
-                    rest = [c for k, c in enumerate(clusters) if k not in (i, j)]
-                    merged = Partition(rest + [clusters[i] + clusters[j]])
-                    assert candidates[i, j] == loss_fn(truth, merged)
-            i, j = sorted(int(k) for k in rng.choice(len(clusters), size=2, replace=False))
+            for i, j in itertools.combinations(sorted(rows), 2):
+                rest = [c for r, c in rows.items() if r not in (i, j)]
+                merged = Partition(rest + [rows[i] + rows[j]])
+                assert candidates[i, j] == loss_fn(truth, merged)
+            i, j = sorted(int(r) for r in rng.choice(sorted(rows), size=2, replace=False))
             scorer.merge(i, j)
-            clusters[i] = clusters[i] + clusters.pop(j)
-            assert scorer.current == loss_fn(truth, Partition(clusters))
+            rows[i] = rows[i] + rows.pop(j)
+            assert scorer.current == loss_fn(truth, Partition(rows.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +193,7 @@ def test_oracle_bounded_by_exhaustive_maximum(loss):
         truth = random_partition(members, rng)
         example = TrainingExample(scene, truth)
         w = rng.normal(size=8)
-        y_star, hinge = loss_augmented_oracle(example, w, loss)
+        y_star, hinge, *_ = loss_augmented_oracle(example, w, loss)
         psi_truth = joint_feature_map(scene, truth)
 
         def h(p):
@@ -217,7 +225,20 @@ def test_oracle_matches_scalar_reference_exactly(loss):
             )
             w = rng.integers(-2, 3, size=8).astype(float)
         example = TrainingExample(scene, random_partition(list(scene.members), rng))
-        assert loss_augmented_oracle(example, w, loss) == reference_oracle(example, w, loss)
+        answer = loss_augmented_oracle(example, w, loss)
+        assert answer[:2] == reference_oracle(example, w, loss)
+        assert answer.loss == LOSSES[loss](example.truth, answer.partition)
+        assert np.array_equal(answer.psi, joint_feature_map(scene, answer.partition))
+    rng = np.random.default_rng(19)
+    for n in (12, 26, 40):  # larger windows, all of them tie-heavy
+        members = sorted(int(m) for m in rng.choice(100, size=n, replace=False))
+        scene = make_scene(members, {
+            pair: rng.integers(0, 2, size=4).astype(float)
+            for pair in itertools.combinations(members, 2)
+        })
+        example = TrainingExample(scene, random_partition(members, rng))
+        w = rng.integers(-2, 3, size=8).astype(float)
+        assert loss_augmented_oracle(example, w, loss)[:2] == reference_oracle(example, w, loss)
 
 
 def test_oracle_hinge_never_negative():
@@ -225,16 +246,15 @@ def test_oracle_hinge_never_negative():
     for _ in range(80):
         scene = random_scene(int(rng.integers(1, 7)), rng)
         truth = random_partition(list(scene.members), rng)
-        _, hinge = loss_augmented_oracle(
-            TrainingExample(scene, truth), rng.normal(size=8) * 3
-        )
+        hinge = loss_augmented_oracle(TrainingExample(scene, truth), rng.normal(size=8) * 3).hinge
         assert hinge >= 0.0
 
 
 def test_oracle_empty_scene():
     example = TrainingExample(empty_scene(), Partition([]))
-    y, hinge = loss_augmented_oracle(example, np.ones(8))
-    assert y == Partition([]) and hinge == 0.0
+    y, hinge, loss, psi = loss_augmented_oracle(example, np.ones(8))
+    assert y == Partition([]) and hinge == 0.0 and loss == 0.0
+    assert np.array_equal(psi, np.zeros(8))
 
 
 def test_oracle_rejects_bad_arguments():
@@ -457,6 +477,121 @@ def test_predict_accepts_model_or_vector():
 
 
 # ---------------------------------------------------------------------------
+# Steps that skip settled oracle questions
+
+
+@functools.cache
+def noisy_examples():
+    """Ten 13-member synthetic windows whose training mixes settled steps
+    with useful ones at every C tried below."""
+    spec = SynthSpec(n_groups=3, n_singletons=3, duration=100.0, noise_std=0.3)
+    trajs, labels = synth_generate(spec, seed=1)
+    return make_training_examples(slice_windows(trajs, 10.0, 10.0), labels)
+
+
+def count_oracle_calls(monkeypatch) -> list:
+    """Routes every oracle call through a wrapper; returns the list each call
+    appends its example to."""
+    calls = []
+    oracle = learning.loss_augmented_oracle
+
+    def counted(example, w, loss="gmitre"):
+        calls.append(example)
+        return oracle(example, w, loss)
+
+    monkeypatch.setattr(learning, "loss_augmented_oracle", counted)
+    return calls
+
+
+def record_asked(monkeypatch, calls: list) -> list:
+    """Wraps the block update; returns the list of whether each step asked
+    the oracle."""
+    asked = []
+    step = learning._bcfw_step
+
+    def recorded(model, examples, i, config):
+        before = len(calls)
+        info = step(model, examples, i, config)
+        asked.append(len(calls) > before)
+        return info
+
+    monkeypatch.setattr(learning, "_bcfw_step", recorded)
+    return asked
+
+
+def snapshot(model: Model) -> str:
+    """The model as JSON: every float by its repr, so equal means bitwise equal."""
+    return json.dumps(model.to_dict())
+
+
+@pytest.mark.parametrize("C", [1.0, 10.0, 100.0])
+def test_batch_training_with_skips_matches_asking_every_step(C, tmp_path, monkeypatch):
+    examples = noisy_examples()
+    assert len(examples) == 10
+    config = TrainConfig(C=C, max_iterations=300, seed=int(C))
+    calls = count_oracle_calls(monkeypatch)
+    gammas = []
+    model = bcfw_train(examples, config, log=tmp_path / "skip.csv",
+                       iteration_hook=lambda m, info: gammas.append(info.gamma))
+    asked = len(calls)
+    monkeypatch.setattr(learning, "_bcfw_step", reference_bcfw_step)
+    want = bcfw_train(examples, config, log=tmp_path / "every.csv")
+    assert len(calls) - asked == 300
+    assert snapshot(model) == snapshot(want)
+    assert (tmp_path / "skip.csv").read_bytes() == (tmp_path / "every.csv").read_bytes()
+    assert 0 < asked < 300
+    assert any(g > 0.0 for g in gammas)
+
+
+def test_sequential_training_with_skips_matches_asking_every_step(tmp_path, monkeypatch):
+    examples = noisy_examples()
+    config = TrainConfig(C=1.0, sequential_budget=30, seed=2)
+    calls = count_oracle_calls(monkeypatch)
+    asked = record_asked(monkeypatch, calls)
+    got = [snapshot(m) for m in sequential_train(examples, config, log=tmp_path / "skip.csv")]
+    monkeypatch.setattr(learning, "_bcfw_step", reference_bcfw_step)
+    want = [snapshot(m) for m in sequential_train(examples, config, log=tmp_path / "every.csv")]
+    assert got == want
+    assert (tmp_path / "skip.csv").read_bytes() == (tmp_path / "every.csv").read_bytes()
+    assert len(asked) == 300 and not all(asked)
+    # an arrival changes C/n, so the first step after it always asks
+    assert all(asked[::30])
+
+
+def test_online_training_with_skips_matches_asking_every_step(monkeypatch):
+    examples = noisy_examples()
+    init = bcfw_train(examples[:3], TrainConfig(max_iterations=60))
+    scenes = [example.scene for example in examples[3:]]
+    config = TrainConfig(online_budget=10)
+    calls = count_oracle_calls(monkeypatch)
+    got = [(p, snapshot(m)) for p, m in online_predict_train(scenes, init, config)]
+    asked = len(calls)
+    monkeypatch.setattr(learning, "_bcfw_step", reference_bcfw_step)
+    want = [(p, snapshot(m)) for p, m in online_predict_train(scenes, init, config)]
+    assert len(scenes) == 7
+    assert got == want
+    assert 0 < asked < 10 * len(scenes)
+
+
+def test_step_that_flips_a_signed_zero_settles_nothing():
+    # a gamma = 0 step from w = -0.0 writes +0.0 back: it left the model
+    # changed, so meeting the same state again must ask the oracle again
+    win = TimeWindow(index=0, start_t=0.0, end_t=1.0, members=frozenset({7}),
+                     segments={7: Trajectory(7, np.array([0.0, 1.0]), np.zeros((2, 2)))})
+    example = TrainingExample(WindowedScene(window=win, feature_matrix=np.zeros((0, 4))),
+                              Partition([[7]]))
+    models = []
+    for step in (learning._bcfw_step, reference_bcfw_step):
+        model = Model(w=np.full(8, -0.0), block_w=np.full((1, 8), -0.0), block_l=[0.0])
+        for _ in range(2):
+            model.w, model.block_w[0] = np.full(8, -0.0), -0.0
+            assert step(model, [example], 0, TrainConfig()).gamma == 0.0
+        models.append(snapshot(model))
+    assert models[0] == models[1]
+    assert "-0.0" not in models[0]
+
+
+# ---------------------------------------------------------------------------
 # Margin property on separable data
 
 
@@ -466,7 +601,7 @@ def test_margin_invariant_after_training():
     scene, truth = example.scene, example.truth
     w = model.w
     psi_truth = joint_feature_map(scene, truth)
-    _, xi = loss_augmented_oracle(example, w, "gmitre")
+    xi = loss_augmented_oracle(example, w, "gmitre").hinge
     for blocks in iter_set_partitions(list(scene.members)):
         p = Partition(blocks)
         delta = LOSSES["gmitre"](truth, p)

@@ -189,6 +189,13 @@ def test_greedy_matches_scalar_reference_exactly():
             mat = rng.integers(-2, 3, size=(n, n)).astype(float)
         m = AffinityMatrix(members, np.triu(mat, 1) + np.triu(mat, 1).T)
         assert greedy_cc(m) == reference_greedy_cc(m)
+    rng = np.random.default_rng(8)
+    for n, low in itertools.product(range(12, 41, 2), (-2, -3, -4)):
+        members = sorted(int(m) for m in rng.choice(1000, size=n, replace=False))
+        # up to 40 members, tie-heavy; the more repulsive, the more clusters remain
+        mat = rng.integers(low, 3, size=(n, n)).astype(float)
+        m = AffinityMatrix(members, np.triu(mat, 1) + np.triu(mat, 1).T)
+        assert greedy_cc(m) == reference_greedy_cc(m)
 
 
 def test_greedy_empty_and_single():

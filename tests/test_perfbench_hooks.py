@@ -10,12 +10,19 @@ from __future__ import annotations
 
 import importlib
 import types
+from collections import Counter
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crowdgroups import TimeWindow, Trajectory, build_scene
+from crowdgroups import (
+    TimeWindow, TrainingExample, Trajectory, affinity, build_scene, greedy_cc,
+    loss_augmented_oracle,
+)
+
+from oracles import random_partition, random_scene
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -28,7 +35,8 @@ def _tracing_module() -> types.ModuleType:
     return module
 
 
-TRACED = _tracing_module().TRACED
+TRACING_MODULE = _tracing_module()
+TRACED = TRACING_MODULE.TRACED
 
 
 @pytest.mark.parametrize(
@@ -54,3 +62,22 @@ def test_scene_has_the_attributes_workloads_read():
     assert isinstance(scene.no_overlap_count, int)
     assert scene.granger_fallback_count == 3  # member 3 shares only 4 samples
     assert scene.no_overlap_count == 0
+
+
+def test_count_hooks_read_real_results():
+    # the hooks index into the oracle's and greedy_cc's return values, so a new
+    # return shape must keep their merge counts right
+    rng = np.random.default_rng(5)
+    scene = random_scene(9, rng)
+    w = np.array([1.0] * 4 + [1.5] * 4)
+    example = TrainingExample(scene, random_partition(list(scene.members), rng))
+    counts = Counter()
+    answer = loss_augmented_oracle(example, w)
+    TRACING_MODULE._oracle_counts(counts, (example, w), {}, answer)
+    merges = len(scene.members) - len(answer.partition)
+    assert 0 < counts["oracle_merges"] == merges
+    assert counts["oracle_candidates"] == sum(comb(9 - t, 2) for t in range(merges + 1))
+    affinities = affinity(scene, w)
+    result = greedy_cc(affinities)
+    TRACING_MODULE._greedy_counts(counts, (affinities,), {}, result)
+    assert 0 < counts["greedy_merges"] == len(scene.members) - len(result[0])
