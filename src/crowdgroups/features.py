@@ -22,9 +22,12 @@ chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
   and every reduction sees the shapes of a one-pair call.
 - d_sh runs the DTW recursion over whole segments one anti-diagonal at a
   time, with +inf cost past each segment's end.
-- d_ca takes the restricted and unrestricted RSS from one Householder QR of
-  [1, own lags, source lags]. Designs whose R diagonal shows rank deficiency
-  are refitted by np.linalg.lstsq, whose rank handling is the reference.
+- d_ca factors each K batch of (samples, [1, own lags, source lags, target])
+  matrices with one np.linalg.qr(mode="r"); the target column of R gives the
+  restricted and unrestricted RSS, the latter exactly 0 when no more samples
+  than design columns are fitted. Designs whose R diagonal shows rank
+  deficiency are refitted by np.linalg.lstsq, whose rank handling is the
+  reference.
 - d_he maps add slices of one exp(-k_s * hypot(dr, dc)) kernel image per
   grid; each cosine is a per-pair np.dot of the flattened maps.
 
@@ -42,7 +45,6 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import betainc
 
 from .errors import ConfigError
@@ -300,27 +302,6 @@ def _rss(design: np.ndarray, target: np.ndarray) -> float:
     return float(resid @ resid)
 
 
-def _qr_rss(stack: np.ndarray, restricted: int):
-    """In-place Householder QR of each (design columns + target, samples)
-    matrix: the target's RSS against the first `restricted` columns and against
-    all, and whether |R_kk| rules out rank deficiency (never if rows < columns)."""
-    p = stack.shape[1] - 1
-    r_diag = np.zeros((len(stack), p))
-    for k in range(min(p, stack.shape[2])):
-        x = stack[:, k, k:]
-        norm = np.sqrt(np.sum(x * x, axis=1))
-        v = x.copy()
-        v[:, 0] += np.copysign(norm, x[:, 0])  # x - alpha e_1 with alpha = -sign(x_0) |x|
-        vv = np.sum(v * v, axis=1)
-        scale = np.divide(2.0, vv, out=np.zeros_like(vv), where=vv > 0.0)
-        rest = stack[:, k:, k:]
-        rest -= (np.sum(rest * v[:, None, :], axis=2) * scale[:, None])[:, :, None] * v[:, None, :]
-        r_diag[:, k] = norm
-    z = stack[:, p]
-    full_rank = r_diag.min(axis=1) > _RANK_TOL * r_diag.max(axis=1)
-    return np.sum(z[:, restricted:] ** 2, axis=1), np.sum(z[:, p:] ** 2, axis=1), full_rank
-
-
 def _granger_areas(aligned, targets, sources, lag: int) -> np.ndarray:
     """F-CDF area of "source Granger-causes target" per (target, source) row;
     NaN where granger_causality_area gives None."""
@@ -331,17 +312,19 @@ def _granger_areas(aligned, targets, sources, lag: int) -> np.ndarray:
         dof = k - 2 * m - 1
         if dof < 1:
             continue
-        # one matrix per (pair, coordinate) whose rows are the columns
-        # [1, own lags 1..m, source lags 1..m, target] over the k - m fitted samples
-        own = sliding_window_view(y_pts, m + 1, axis=1)
-        lags = (own[..., m - 1 :: -1], sliding_window_view(x_pts, m + 1, axis=1)[..., m - 1 :: -1])
-        design = np.concatenate([np.ones_like(own[..., :1]), *lags, own[..., m:]], axis=3)
-        design = design.transpose(0, 2, 3, 1).reshape(-1, 2 * m + 2, k - m)
-        rss_r, rss_u, full_rank = _qr_rss(design.copy(), m + 1)
-        for i in np.flatnonzero(~full_rank):
-            columns = np.ascontiguousarray(design[i].T)
-            rss_r[i] = _rss(columns[:, : m + 1], columns[:, -1])
-            rss_u[i] = _rss(columns[:, :-1], columns[:, -1])
+        # one (k - m, 2m + 2) matrix per (pair, coordinate) with the columns
+        # [1, own lags 1..m, source lags 1..m, target] over the fitted samples
+        y, x = y_pts.transpose(0, 2, 1), x_pts.transpose(0, 2, 1)
+        lags = [s[..., m - j : k - j] for s in (y, x) for j in range(1, m + 1)]
+        stack = np.stack([np.ones_like(y[..., m:]), *lags, y[..., m:]], axis=-1).reshape(-1, k - m, 2 * m + 2)
+        r = np.linalg.qr(stack, mode="r")
+        z = r[:, :, -1]
+        rss_r = np.sum(z[:, m + 1 :] ** 2, axis=1)
+        rss_u = np.sum(z[:, 2 * m + 1 :] ** 2, axis=1)  # exactly 0 with no more rows than columns
+        r_diag = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, : 2 * m + 1])
+        for i in np.flatnonzero(r_diag.min(axis=1) <= _RANK_TOL * r_diag.max(axis=1)):
+            rss_r[i] = _rss(stack[i, :, : m + 1], stack[i, :, -1])
+            rss_u[i] = _rss(stack[i, :, :-1], stack[i, :, -1])
         rss_r = rss_r[0::2] + rss_r[1::2]
         rss_u = rss_u[0::2] + rss_u[1::2]
         with np.errstate(divide="ignore", invalid="ignore"):

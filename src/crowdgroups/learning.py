@@ -455,18 +455,7 @@ def online_predict_train(
         yield prediction, model
 
 
-def make_training_examples(
-    windows,
-    labels,
-    configs: FeatureConfigs | None = None,
-    scenes: Iterable[WindowedScene] | None = None,
-) -> list[TrainingExample]:
-    """Pair windows (or prebuilt scenes) with their restricted ground truth,
-    skipping empty windows."""
-    if scenes is None:
-        scenes = [build_scene(w, configs) for w in windows if w.members]
-    out = []
-    for scene in scenes:
-        truth = window_ground_truth(scene.window, labels)
-        out.append(TrainingExample(scene, truth))
-    return out
+def make_training_examples(windows, labels, configs: FeatureConfigs | None = None) -> list[TrainingExample]:
+    """Featurize each non-empty window and pair it with its restricted ground truth."""
+    scenes = [build_scene(w, configs) for w in windows if w.members]
+    return [TrainingExample(scene, window_ground_truth(scene.window, labels)) for scene in scenes]

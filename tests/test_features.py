@@ -635,6 +635,31 @@ def test_granger_lags_run_over_compacted_common_samples():
         assert got == pytest.approx(oracles.scalar_granger_causality_area(target, source, lag), abs=1e-12, rel=0)
 
 
+def test_granger_refits_by_lstsq_only_rank_deficient_designs(monkeypatch):
+    # the QR fits a design with no more samples than columns exactly; only a
+    # rank-deficient R diagonal sends a design to np.linalg.lstsq
+    calls = []
+    rss = features_module._rss
+    monkeypatch.setattr(features_module, "_rss", lambda *args: calls.append(args) or rss(*args))
+
+    def refits(target, source, lag):
+        calls.clear()
+        got = granger_causality_area(target, source, lag)
+        want = oracles.scalar_granger_causality_area(target, source, lag)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got == pytest.approx(want, abs=1e-12, rel=0)
+        return len(calls)
+
+    for lag in (1, 2):
+        for k in (2 * lag + 2, 2 * lag + 3):
+            assert refits(traj(1, _walk(50)[:k]), traj(2, _walk(51)[:k]), lag) == 0
+    target = traj(1, _walk(52))
+    for source in (traj(2, np.tile([3.0, -1.0], (24, 1))), traj(2, target.points)):
+        for lag in (1, 2):
+            assert refits(target, source, lag) >= 1
+
+
 def test_granger_none_and_fallback_decisions_match_reference():
     walk = _walk(40)
     leader, follower = delayed_pair(n=40, lag=1, noise=0.0)
