@@ -19,6 +19,7 @@ from .harness import (
     RunConfig,
     dataclass_from_flat,
     evaluate_predictions,
+    make_training_examples,
     predict_windows,
     read_config_file,
     run_experiment,
@@ -26,7 +27,7 @@ from .harness import (
     train_model,
     write_predictions,
 )
-from .learning import Model, make_training_examples
+from .learning import Model
 from .synth import SynthSpec, synth_generate, write_dataset
 from .trajectories import load_dataset, scene_stats, slice_windows
 

@@ -46,6 +46,7 @@ from .partitioning import Partition
 from .trajectories import (
     _SPAN_EPS,
     Dataset,
+    GroundTruthLabels,
     load_dataset,
     load_ground_truth,
     restrict_labels,
@@ -57,6 +58,7 @@ from .trajectories import (
 logger = logging.getLogger(__name__)
 
 METRIC_NAMES = ("gmitre", "pairwise_positive")
+_PER_WINDOW_HEADER = ["window", "metric", "precision", "recall", "f1"]
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +235,6 @@ class RunConfig:
         return dataclass_from_flat(cls, values, "config")
 
 
-def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """File values (when given) overlaid with overrides, on top of defaults."""
-    values: dict = {}
-    if path is not None:
-        values.update(read_config_file(path))
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            values[key] = value
-    return RunConfig.from_dict(values)
-
-
 # ---------------------------------------------------------------------------
 # Prediction files and scoring
 
@@ -274,6 +265,15 @@ def read_predictions(path) -> tuple[int, list[dict]]:
             raise TypeError("windows must be a list")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CrowdGroupsError(f"{path}: not a prediction file: {exc}") from None
+    for k, entry in enumerate(windows):
+        try:
+            if not isinstance(entry, dict):
+                raise TypeError(f"expected an object, got {entry!r}")
+            members = Partition.from_json_obj(entry).members
+            if not all(type(m) is int for m in members):
+                raise TypeError("members must be integers")
+        except (TypeError, ValueError) as exc:
+            raise CrowdGroupsError(f"{path}: window entry {k}: {exc}") from None
     return seed, windows
 
 
@@ -287,6 +287,23 @@ def _score(truth: Partition, pred: Partition) -> dict[str, ForestScore]:
 
 def _score_rows(label, scores: dict[str, ForestScore]) -> list[list]:
     return [[label, name, s.precision, s.recall, s.f1] for name, s in scores.items()]
+
+
+def _score_entries(
+    entries: list[dict], labels: GroundTruthLabels
+) -> tuple[list[list], list[dict[str, ForestScore]]]:
+    """Score each prediction entry with members against the ground truth
+    restricted to those members; returns the per-window CSV rows and scores."""
+    rows: list[list] = []
+    per_window: list[dict[str, ForestScore]] = []
+    for entry in entries:
+        pred = Partition.from_json_obj(entry)
+        if not pred.members:
+            continue
+        scores = _score(restrict_labels(pred.members, labels), pred)
+        rows.extend(_score_rows(entry.get("window", len(per_window)), scores))
+        per_window.append(scores)
+    return rows, per_window
 
 
 def _mean_scores(per_window: list[dict[str, ForestScore]]) -> dict[str, ForestScore]:
@@ -322,31 +339,17 @@ def _write_csv(path_or_file, header: list[str], rows: Iterable[Iterable]) -> Non
             fh.close()
 
 
-def evaluate_predictions(truth_path, pred_path, out=None) -> str:
+def evaluate_predictions(truth_path, pred_path) -> str:
     """Score a prediction file against a ground-truth group file; returns the
-    per-window CSV (plus mean rows) and optionally writes it to `out`."""
+    per-window CSV, plus mean rows when any window has members."""
     labels = load_ground_truth(truth_path)
     _, entries = read_predictions(pred_path)
-    rows: list[list] = []
-    per_window: list[dict[str, ForestScore]] = []
-    for entry in entries:
-        pred = Partition.from_json_obj(entry)
-        if not pred.members:
-            continue
-        scores = _score(restrict_labels(pred.members, labels), pred)
-        rows.extend(_score_rows(entry.get("window", len(per_window)), scores))
-        per_window.append(scores)
+    rows, per_window = _score_entries(entries, labels)
     if per_window:
         rows.extend(_score_rows("mean", _mean_scores(per_window)))
     buffer = io.StringIO()
-    _write_csv(buffer, ["window", "metric", "precision", "recall", "f1"], rows)
-    text = buffer.getvalue()
-    if out is not None:
-        if hasattr(out, "write"):
-            out.write(text)
-        else:
-            Path(out).write_text(text, encoding="utf-8")
-    return text
+    _write_csv(buffer, _PER_WINDOW_HEADER, rows)
+    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +374,12 @@ def split_training_span(dataset: Dataset, windows: list, training_span: float) -
     t0 = min(tr.start_t for tr in dataset.trajectories)
     split = t0 + training_span + _SPAN_EPS
     return [w for w in windows if w.end_t <= split], [w for w in windows if w.end_t > split]
+
+
+def make_training_examples(windows, labels, configs: FeatureConfigs | None = None) -> list[TrainingExample]:
+    """Featurize each non-empty window and pair it with its restricted ground truth."""
+    scenes = [build_scene(w, configs) for w in windows if w.members]
+    return [TrainingExample(scene, window_ground_truth(scene.window, labels)) for scene in scenes]
 
 
 def train_model(
@@ -403,12 +412,9 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
         raise ConfigError("no windows left to predict beyond the training span")
 
     configs = config.feature_configs()
-    train_scenes = [build_scene(w, configs) for w in train_windows if w.members]
+    examples = make_training_examples(train_windows, dataset.labels, configs)
+    train_scenes = [ex.scene for ex in examples]
     test_scenes = [build_scene(w, configs) for w in test_windows]
-    examples = [
-        TrainingExample(scene, window_ground_truth(scene.window, dataset.labels))
-        for scene in train_scenes
-    ]
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -456,23 +462,13 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
             preds = [predict(scene, model) for scene in test_scenes]
         model.save(rundir / "model.json")
 
-        entries = []
-        per_window_rows: list[list] = []
-        per_window: list[dict[str, ForestScore]] = []
-        for scene, pred in zip(test_scenes, preds):
-            window = scene.window
-            entries.append(prediction_entry(window.index, window.start_t, window.end_t, pred))
-            if not scene.members:
-                continue
-            scores = _score(window_ground_truth(window, dataset.labels), pred)
-            per_window_rows.extend(_score_rows(window.index, scores))
-            per_window.append(scores)
+        entries = [
+            prediction_entry(s.window.index, s.window.start_t, s.window.end_t, pred)
+            for s, pred in zip(test_scenes, preds)
+        ]
         write_predictions(rundir / "predictions.json", run_seed, entries)
-        _write_csv(
-            rundir / "per_window.csv",
-            ["window", "metric", "precision", "recall", "f1"],
-            per_window_rows,
-        )
+        per_window_rows, per_window = _score_entries(entries, dataset.labels)
+        _write_csv(rundir / "per_window.csv", _PER_WINDOW_HEADER, per_window_rows)
         means = _mean_scores(per_window)
         run_means.append(means)
         _write_csv(

@@ -29,10 +29,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .features import FeatureConfigs, WindowedScene, build_scene
+from .features import WindowedScene
 from .losses import MergeLoss, gmitre_loss, mitre_loss, pairwise_loss
 from .partitioning import Partition, _affinity_array, _greedy_merge, affinity, greedy_cc
-from .trajectories import window_ground_truth
 
 logger = logging.getLogger(__name__)
 
@@ -454,8 +453,3 @@ def online_predict_train(
             _bcfw_step(model, [example], 0, config)
         yield prediction, model
 
-
-def make_training_examples(windows, labels, configs: FeatureConfigs | None = None) -> list[TrainingExample]:
-    """Featurize each non-empty window and pair it with its restricted ground truth."""
-    scenes = [build_scene(w, configs) for w in windows if w.members]
-    return [TrainingExample(scene, window_ground_truth(scene.window, labels)) for scene in scenes]

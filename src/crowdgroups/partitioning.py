@@ -3,8 +3,7 @@
 The clustering objective is the sum of pairwise affinities inside clusters;
 positive entries pull members together, negative entries push them apart, and
 the number of clusters is never fixed in advance. Inference is greedy
-bottom-up merging; an exhaustive enumerator over restricted-growth strings
-serves as an exact oracle on small instances.
+bottom-up merging.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from .features import WindowedScene
 
-EXHAUSTIVE_MEMBER_LIMIT = 12
 _SYMMETRY_ATOL = 1e-9
 
 
@@ -204,24 +202,15 @@ def affinity(scene: "WindowedScene", w) -> AffinityMatrix:
     return AffinityMatrix(scene.members, _affinity_array(scene, w))
 
 
-def _groups_score(matrix: np.ndarray, index_groups: Iterable[np.ndarray]) -> float:
-    total = 0.0
-    for g in index_groups:
-        if len(g) >= 2:
-            total += float(matrix[np.ix_(g, g)].sum()) / 2.0
-    return total
-
-
 def partition_score(p: Partition, affinities: AffinityMatrix) -> float:
     """Sum of W entries over unordered intra-cluster pairs."""
     if p.members != set(affinities.members):
         raise ValueError("partition and affinity matrix cover different members")
-    groups = [
-        np.fromiter((affinities.index_of(m) for m in c), dtype=int, count=len(c))
-        for c in p.clusters
-        if len(c) >= 2
-    ]
-    return _groups_score(affinities.matrix, groups)
+    total = 0.0
+    for c in p.groups:
+        g = [affinities.index_of(m) for m in c]
+        total += float(affinities.matrix[np.ix_(g, g)].sum()) / 2.0
+    return total
 
 
 def _greedy_merge(cross, loss=None) -> tuple[list[tuple[int, ...]], list[MergeStep]]:
@@ -276,63 +265,3 @@ def greedy_cc(affinities: AffinityMatrix) -> tuple[Partition, MergeTrace]:
 
     trace = tuple(s._replace(first=named(s.first), second=named(s.second)) for s in steps)
     return Partition(map(named, clusters)), MergeTrace(trace)
-
-
-def iter_partition_labels(n: int) -> Iterator[tuple[int, ...]]:
-    """All set partitions of range(n) as restricted-growth strings.
-
-    A restricted-growth string assigns item i a label <= 1 + max of earlier
-    labels, so each partition is produced exactly once.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        yield ()
-        return
-
-    labels = [0] * n
-
-    def rec(i: int, max_label: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(labels)
-            return
-        for lab in range(max_label + 2):
-            labels[i] = lab
-            yield from rec(i + 1, max(max_label, lab))
-
-    yield from rec(1, 0)
-
-
-def exhaustive_cc(affinities: AffinityMatrix) -> Partition:
-    """Exact correlation-clustering maximizer by full partition enumeration.
-
-    Ties are broken toward the lexicographically smallest canonical form.
-    Refuses instances with more than EXHAUSTIVE_MEMBER_LIMIT members.
-    """
-    ids = affinities.members
-    n = len(ids)
-    if n > EXHAUSTIVE_MEMBER_LIMIT:
-        raise ValueError(
-            f"exhaustive partition search is limited to {EXHAUSTIVE_MEMBER_LIMIT} members, got {n}"
-        )
-    if n == 0:
-        return Partition([])
-    matrix = affinities.matrix
-    best_score = -np.inf
-    best_form: tuple[tuple[int, ...], ...] | None = None
-    for labels in iter_partition_labels(n):
-        groups: dict[int, list[int]] = {}
-        for pos, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(pos)
-        score = _groups_score(
-            matrix, [np.array(g) for g in groups.values() if len(g) >= 2]
-        )
-        if score > best_score:
-            best_score = score
-            best_form = tuple(tuple(ids[k] for k in g) for g in groups.values())
-        elif score == best_score:
-            form = tuple(tuple(ids[k] for k in g) for g in groups.values())
-            if best_form is None or form < best_form:
-                best_form = form
-    assert best_form is not None
-    return Partition(best_form)

@@ -7,6 +7,7 @@ seconds. Frame-indexed files are converted with the dataset frame rate.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -190,13 +191,7 @@ class SceneStats:
 
 def apply_homography(homography: Homography, point) -> np.ndarray:
     """Project one 2-D point through the homography with perspective divide."""
-    x, y = float(point[0]), float(point[1])
-    xp, yp, wp = homography.h @ (x, y, 1.0)
-    if abs(wp) < _PROJECTION_W_EPS:
-        raise DegenerateProjectionError(
-            f"homogeneous coordinate vanished while projecting ({x}, {y})"
-        )
-    return np.array([xp / wp, yp / wp])
+    return _project_points(homography, np.array([[float(point[0]), float(point[1])]]))[0]
 
 
 def _project_points(homography: Homography, points: np.ndarray) -> np.ndarray:
@@ -367,10 +362,9 @@ def slice_windows(trajectories: Iterable[Trajectory], window_len: float, stride:
     occupying one median frame period). Members with fewer than 2 in-window
     samples are excluded and recorded in `dropped`.
     """
-    if window_len <= 0:
-        raise ConfigError(f"window_len must be positive, got {window_len}")
-    if stride <= 0:
-        raise ConfigError(f"stride must be positive, got {stride}")
+    for name, value in (("window_len", window_len), ("stride", stride)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and positive, got {value}")
     trajectories = list(trajectories)
     if not trajectories:
         return []

@@ -33,7 +33,6 @@ from crowdgroups import (
     build_scene,
     compatibility,
     dtw_shape_distance,
-    exhaustive_cc,
     f_cdf,
     gmitre_loss,
     gmitre_score,
@@ -55,6 +54,7 @@ from crowdgroups import (
 from crowdgroups.features import HALL_SIGMAS
 
 from oracles import (
+    brute_force_best_partition,
     dtw_path_minimum,
     f_cdf_quadrature,
     iter_set_partitions,
@@ -78,7 +78,7 @@ def _clustering_instances():
         members = tuple(range(1, 7))
         mat = AffinityMatrix(members, _sym(rng, 6))
         part, trace = greedy_cc(mat)
-        best = exhaustive_cc(mat)
+        _, best = brute_force_best_partition(members, lambda p: partition_score(p, mat))
         random_instances.append((mat, part, trace, best))
     block_instances = []
     for _ in range(200):
@@ -93,7 +93,7 @@ def _clustering_instances():
                 m[i, j] = m[j, i] = v
         mat = AffinityMatrix(members, m)
         part, trace = greedy_cc(mat)
-        best = exhaustive_cc(mat)
+        _, best = brute_force_best_partition(members, lambda p: partition_score(p, mat))
         block_instances.append((mat, part, trace, best, planted))
     return random_instances, block_instances
 

@@ -16,7 +16,6 @@ from crowdgroups import (
     SynthSpec,
     evaluate_predictions,
     load_dataset,
-    load_run_config,
     run_experiment,
     synth_generate,
     write_dataset,
@@ -171,15 +170,6 @@ def test_run_config_flat_dict_lists_tuples():
     assert RunConfig.from_dict(flat) == RunConfig()
 
 
-def test_load_run_config_precedence(tmp_path):
-    path = tmp_path / "config.toml"
-    write_config_file(path, {"window_len": 4.0, "runs": 7})
-    config = load_run_config(path, {"runs": 2, "stride": None})
-    assert config.window_len == 4.0  # from file
-    assert config.runs == 2  # override wins
-    assert config.stride == 10.0  # None override ignored, default kept
-
-
 # ---------------------------------------------------------------------------
 # Prediction files and scoring
 
@@ -205,6 +195,9 @@ def test_read_predictions_rejects_garbage(tmp_path):
     path.write_text("{}")
     with pytest.raises(CrowdGroupsError):
         read_predictions(path)
+    path.write_text('{"windows": [{"groups": [[1, 2]]}, {"singletons": ["3"]}]}')
+    with pytest.raises(CrowdGroupsError, match="window entry 1: members must be integers"):
+        read_predictions(path)
 
 
 def test_evaluate_predictions_perfect(tmp_path):
@@ -225,15 +218,18 @@ def test_evaluate_predictions_perfect(tmp_path):
         assert float(r[2]) == 1.0 and float(r[3]) == 1.0 and float(r[4]) == 1.0
 
 
-def test_evaluate_predictions_writes_out(tmp_path):
+def test_evaluate_predictions_writes_out(tmp_path, capsys):
     truth_path = tmp_path / "groups.txt"
     truth_path.write_text("1 2\n")
     pred_path = tmp_path / "predictions.json"
     write_predictions(
         pred_path, 0, [prediction_entry(0, 0.0, 5.0, Partition([[1], [2]]))]
     )
+    text = evaluate_predictions(truth_path, pred_path)
     out_path = tmp_path / "scores.csv"
-    text = evaluate_predictions(truth_path, pred_path, out_path)
+    assert main(["eval", "--truth", str(truth_path), "--pred", str(pred_path),
+                 "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
     assert out_path.read_text() == text
     # missed pair: recall 0 for the truth edge
     gmitre_row = [r for r in text.splitlines() if r.startswith("0,gmitre")][0]
@@ -461,6 +457,33 @@ def test_cli_train_predict_eval(dataset_dir, tmp_path, capsys):
     assert scores_path.read_text().startswith("window,metric,precision,recall,f1")
 
 
+@pytest.mark.parametrize("entry, reason", [
+    (7, "expected an object"),
+    ({"groups": [[1, 1]]}, "more than one cluster"),
+], ids=["not-an-object", "repeated-member"])
+def test_cli_eval_rejects_malformed_entry(dataset_dir, tmp_path, capsys, entry, reason):
+    pred_path = tmp_path / "predictions.json"
+    pred_path.write_text(json.dumps({"windows": [{"groups": [[1, 2]]}, entry]}))
+    assert main(["eval", "--truth", str(dataset_dir / "groups.txt"),
+                 "--pred", str(pred_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert f"{pred_path}: window entry 1: " in captured.err and reason in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--window", "--stride"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_predict_rejects_non_finite_window(dataset_dir, tmp_path, capsys, flag, value):
+    model_path = tmp_path / "model.json"
+    Model(config_snapshot={"window_len": 8.0, "stride": 8.0}).save(model_path)
+    assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir),
+                 flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "finite and positive" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("field", ["w", "block_w", "block_l", "l", "C"])
 def test_cli_predict_rejects_non_finite_model(dataset_dir, tmp_path, capsys, field):
     obj = Model(w=np.ones(8), block_w=np.ones((1, 8)), block_l=[0.5], l=0.5).to_dict()
@@ -532,10 +555,13 @@ def test_cli_run_config_file(dataset_dir, tmp_path, capsys):
     })
     out = tmp_path / "report"
     assert main(["run", "--data", str(dataset_dir), "--out", str(out),
-                 "--config", str(config_path)]) == 0
+                 "--config", str(config_path), "--max-iterations", "20"]) == 0
     capsys.readouterr()
     resolved = read_config_file(out / "run-0" / "config.resolved.toml")
-    assert resolved["max_iterations"] == 30
+    assert resolved["max_iterations"] == 20  # the flag beats the file
+    assert resolved["window_len"] == 8.0  # from the file
+    assert resolved["stride"] == 8.0
+    assert resolved["runs"] == 1
 
 
 def test_cli_exit_codes(tmp_path, capsys):

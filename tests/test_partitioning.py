@@ -10,15 +10,12 @@ import pytest
 from crowdgroups import (
     AffinityMatrix,
     Partition,
-    exhaustive_cc,
     greedy_cc,
-    iter_partition_labels,
     partition_score,
 )
 
 from oracles import (
     brute_force_best_partition,
-    iter_set_partitions,
     random_partition,
     reference_greedy_cc,
 )
@@ -207,36 +204,11 @@ def test_greedy_empty_and_single():
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive solver
+# Greedy against the brute-force optimum
 
 
-def test_exhaustive_matches_brute_force():
-    rng = np.random.default_rng(4)
-    for _ in range(60):
-        n = int(rng.integers(1, 7))
-        members = list(range(1, n + 1))
-        mat = rng.normal(size=(n, n))
-        mat = (mat + mat.T) / 2
-        m = AffinityMatrix(members, mat)
-        got = exhaustive_cc(m)
-        want_score, _ = brute_force_best_partition(
-            members, lambda p: partition_score(p, m)
-        )
-        assert partition_score(got, m) == pytest.approx(want_score, abs=1e-12)
-
-
-def test_exhaustive_tie_prefers_canonically_smaller():
-    # zero affinity ties every partition at 0; the all-singleton labeling
-    # (first in enumeration order) must win deterministically
-    m = AffinityMatrix([1, 2], np.zeros((2, 2)))
-    assert exhaustive_cc(m) == Partition([[1], [2]])
-
-
-def test_exhaustive_member_limit():
-    n = 13
-    m = AffinityMatrix(range(1, n + 1), np.zeros((n, n)))
-    with pytest.raises(ValueError):
-        exhaustive_cc(m)
+def optimum(m: AffinityMatrix) -> tuple[float, Partition]:
+    return brute_force_best_partition(m.members, lambda p: partition_score(p, m))
 
 
 def test_greedy_never_beats_exhaustive():
@@ -248,8 +220,7 @@ def test_greedy_never_beats_exhaustive():
         mat = (mat + mat.T) / 2
         m = AffinityMatrix(members, mat)
         greedy_p, _ = greedy_cc(m)
-        best = exhaustive_cc(m)
-        assert partition_score(greedy_p, m) <= partition_score(best, m) + 1e-12
+        assert partition_score(greedy_p, m) <= optimum(m)[0] + 1e-12
 
 
 def test_scale_invariance_of_argmax():
@@ -262,34 +233,5 @@ def test_scale_invariance_of_argmax():
             mat = (mat + mat.T) / 2
             base = AffinityMatrix(members, mat)
             scaled = AffinityMatrix(members, lam * mat)
-            assert exhaustive_cc(base) == exhaustive_cc(scaled)
+            assert optimum(base)[1] == optimum(scaled)[1]
             assert greedy_cc(base)[0] == greedy_cc(scaled)[0]
-
-
-# ---------------------------------------------------------------------------
-# Partition enumeration
-
-
-def test_iter_partition_labels_counts_are_bell_numbers():
-    bell = [1, 1, 2, 5, 15, 52, 203]
-    for n, want in enumerate(bell):
-        assert sum(1 for _ in iter_partition_labels(n)) == want
-
-
-def test_iter_partition_labels_valid_restricted_growth():
-    for labels in iter_partition_labels(5):
-        assert labels[0] == 0
-        for i in range(1, 5):
-            assert labels[i] <= max(labels[:i]) + 1
-
-
-def test_iter_partition_labels_matches_set_partition_oracle():
-    members = [1, 2, 3, 4, 5]
-    via_labels = set()
-    for labels in iter_partition_labels(len(members)):
-        clusters: dict[int, list[int]] = {}
-        for m, lab in zip(members, labels):
-            clusters.setdefault(lab, []).append(m)
-        via_labels.add(Partition(clusters.values()))
-    via_oracle = {Partition(blocks) for blocks in iter_set_partitions(members)}
-    assert via_labels == via_oracle

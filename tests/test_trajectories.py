@@ -252,6 +252,10 @@ def test_slice_windows_validation():
         slice_windows(trajs, 0.0, 1.0)
     with pytest.raises(ConfigError):
         slice_windows(trajs, 1.0, -1.0)
+    bad = ((math.nan, 10.0), (10.0, math.nan), (math.inf, 10.0), (10.0, math.inf))
+    for window_len, stride in bad:
+        with pytest.raises(ConfigError, match="must be finite and positive"):
+            slice_windows(trajs, window_len, stride)
 
 
 def test_slice_windows_drops_single_sample_members():
