@@ -20,7 +20,7 @@ from crowdgroups import (
     synth_generate,
     write_dataset,
 )
-from crowdgroups.cli import main
+from crowdgroups.cli import _build_parser, _resolve_config, main
 from crowdgroups.harness import (
     format_config_text,
     parse_config_text,
@@ -168,6 +168,17 @@ def test_run_config_flat_dict_lists_tuples():
     flat = RunConfig().to_flat_dict()
     assert flat["proxemic_sigmas"] == [0.5, 1.2, 3.7, 7.6]
     assert RunConfig.from_dict(flat) == RunConfig()
+
+
+def test_load_run_config_precedence(tmp_path):
+    path = tmp_path / "config.toml"
+    write_config_file(path, {"window_len": 4.0, "runs": 7})
+    args = _build_parser().parse_args(
+        ["run", "--data", "scene", "--out", "report", "--config", str(path), "--runs", "2"])
+    config = _resolve_config(args)
+    assert config.window_len == 4.0  # from file
+    assert config.runs == 2  # flag wins
+    assert config.stride == 10.0  # flag not given, default kept
 
 
 # ---------------------------------------------------------------------------
