@@ -18,6 +18,7 @@ from .features import build_scene, write_features_csv
 from .harness import (
     RunConfig,
     dataclass_from_flat,
+    dataset_windows,
     evaluate_predictions,
     make_training_examples,
     predict_windows,
@@ -29,7 +30,7 @@ from .harness import (
 )
 from .learning import Model
 from .synth import SynthSpec, synth_generate, write_dataset
-from .trajectories import load_dataset, scene_stats, slice_windows
+from .trajectories import load_dataset, scene_stats
 
 _CONFIG_FLAGS = (
     ("--window-len", "window_len", float, "window length in seconds"),
@@ -109,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="-", help="prediction JSON path (default: stdout)")
-    p.add_argument("--window", type=float, default=None,
+    p.add_argument("--window-len", "--window", dest="window_len", type=float, default=None,
                    help="window length (default: recorded in the model)")
     p.add_argument("--stride", type=float, default=None)
 
@@ -141,8 +142,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_features(args) -> int:
     config = _resolve_config(args)
-    dataset = load_dataset(args.data)
-    windows = slice_windows(dataset.trajectories, config.window_len, config.stride)
+    windows = dataset_windows(load_dataset(args.data), config.window_len, config.stride)
     configs = config.feature_configs()
     scenes = [build_scene(w, configs) for w in windows]
     with _output(args.out) as fh:
@@ -158,7 +158,7 @@ def _cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     if dataset.labels is None:
         raise ConfigError(f"{args.data}: ground truth is required to train")
-    windows = slice_windows(dataset.trajectories, config.window_len, config.stride)
+    windows = dataset_windows(dataset, config.window_len, config.stride)
     if "training_span" in values:
         windows, _ = split_training_span(dataset, windows, config.training_span)
     examples = make_training_examples(windows, dataset.labels, config.feature_configs())
@@ -173,7 +173,7 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model = Model.load(args.model)
     dataset = load_dataset(args.data)
-    entries = predict_windows(dataset, model, window_len=args.window, stride=args.stride)
+    entries = predict_windows(dataset, model, window_len=args.window_len, stride=args.stride)
     with _output(args.out) as fh:
         write_predictions(fh, model.seed, entries)
     return 0
@@ -204,9 +204,7 @@ def _cmd_stats(args) -> int:
     dataset = load_dataset(args.data)
     if dataset.labels is None:
         raise ConfigError(f"{args.data}: ground truth is required for scene stats")
-    windows = slice_windows(dataset.trajectories, config.window_len, config.stride)
-    if not windows:
-        raise ConfigError("the dataset is shorter than one window")
+    windows = dataset_windows(dataset, config.window_len, config.stride)
     stats = scene_stats(windows, dataset.labels)
     print("stat,value")
     for name, value in (("d_in", stats.d_in), ("d_out", stats.d_out), ("d_io", stats.d_io)):

@@ -175,9 +175,7 @@ class RunConfig:
     max_iterations: int = 1000
     sequential_budget: int = 100
     online_budget: int = 10
-    objective_every: int = 0
     early_stop: bool = False
-    early_stop_patience: int = 50
     early_stop_tol: float = 1e-6
     granger_lag: int = 2
     proxemic_sigmas: tuple[float, ...] = (0.5, 1.2, 3.7, 7.6)
@@ -216,9 +214,7 @@ class RunConfig:
             seed=int(seed),
             loss=self.loss,
             early_stop=self.early_stop,
-            early_stop_patience=self.early_stop_patience,
             early_stop_tol=self.early_stop_tol,
-            objective_every=self.objective_every,
             sequential_budget=self.sequential_budget,
             online_budget=self.online_budget,
         )
@@ -368,6 +364,14 @@ def _weights_rows(model: Model) -> list[list]:
     return rows
 
 
+def dataset_windows(dataset: Dataset, window_len: float, stride: float) -> list:
+    """slice_windows over the dataset, which must span at least one window."""
+    windows = slice_windows(dataset.trajectories, window_len, stride)
+    if not windows:
+        raise ConfigError("the dataset is shorter than one window")
+    return windows
+
+
 def split_training_span(dataset: Dataset, windows: list, training_span: float) -> tuple[list, list]:
     """The windows that end within training_span seconds of the dataset's
     first sample, and the rest."""
@@ -402,9 +406,7 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
     dataset = load_dataset(data_dir)
     if dataset.labels is None:
         raise ConfigError(f"{data_dir}: ground truth is required to train")
-    windows = slice_windows(dataset.trajectories, config.window_len, config.stride)
-    if not windows:
-        raise ConfigError("the dataset is shorter than one window")
+    windows = dataset_windows(dataset, config.window_len, config.stride)
     train_windows, test_windows = split_training_span(dataset, windows, config.training_span)
     if not any(w.members for w in train_windows):
         raise ConfigError("no training windows with members inside the training span")
@@ -530,7 +532,7 @@ def predict_windows(dataset: Dataset, model: Model, window_len=None, stride=None
     if window_len is None:
         raise ConfigError("window length not given and not recorded in the model")
     configs = _snapshot_feature_configs(snapshot)
-    windows = slice_windows(dataset.trajectories, float(window_len), float(stride))
+    windows = dataset_windows(dataset, float(window_len), float(stride))
     entries = []
     for window in windows:
         scene = build_scene(window, configs)

@@ -6,13 +6,18 @@ engine that predicts, with each candidate merge's gain raised by the change in
 loss the merge causes; those losses come from the contingency table against
 the truth, by the same closed forms that score predictions.
 The Frank-Wolfe state is the Model itself: each block update changes its w,
-one row of block_w, one entry of block_l, l and iterations in place. Batch,
+one row of block_w, one entry of block_l, l and iterations in place, by the
+line search of Lacoste-Julien et al. 2013 (arXiv:1207.4747, Alg. 4, with
+lambda = 1/C), so the dual l - 0.5 ||w||^2 never decreases.
+Each block caches the planes (Psi(truth) - Psi(y), loss(y)) of the labellings
+y its exact oracle returned, unscaled so that they stay valid as blocks come
+and go, and steps to the best cached plane while that keeps enough of the
+gap of the block's last exact call (multi-plane BCFW, Shah et al. 2015,
+arXiv:1408.6804); otherwise it asks the oracle. Batch training ends with one
+exact step per block, whose gaps sum to the reported duality gap. Batch,
 sequential (examples arrive over time, blocks grow with them), and online
-(self-supervised from own predictions, one block per scene) modes share
-that update. A gamma = 0 step that left the model bitwise unchanged settles
-its question (everything the step reads, `_question`): until that changes,
-the oracle would answer alike and gamma would again be 0, so the block's next
-steps only log the remembered hinge and count the iteration.
+(self-supervised from own predictions: each scene appends one block to the
+model and trains only that block) modes share that update.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ from .partitioning import Partition, _affinity_array, _greedy_merge, affinity, g
 logger = logging.getLogger(__name__)
 
 WEIGHT_DIM = 8
+MAX_PLANES = 16  # planes cached per block
+CACHE_GAP_RATIO = 0.3  # share of the last exact gap a cached plane must keep
+MAX_CACHED_STEPS = 10  # cached steps a block takes between exact oracle calls
+ONLINE_MAX_BLOCKS = 16  # pseudo-label blocks online mode keeps
 LOSSES: dict[str, Callable[[Partition, Partition], float]] = {
     "gmitre": gmitre_loss,
     "mitre": mitre_loss,
@@ -69,9 +78,7 @@ class TrainConfig:
     seed: int = 0
     loss: str = "gmitre"
     early_stop: bool = False
-    early_stop_patience: int = 50
     early_stop_tol: float = 1e-6
-    objective_every: int = 0
     sequential_budget: int = 100
     online_budget: int = 10
 
@@ -82,10 +89,8 @@ class TrainConfig:
             raise ConfigError("max_iterations must be non-negative")
         if self.loss not in LOSSES:
             raise ConfigError(f"loss must be one of {sorted(LOSSES)}, got {self.loss!r}")
-        if self.early_stop_patience < 1 or self.early_stop_tol <= 0:
-            raise ConfigError("early-stop parameters out of range")
-        if self.objective_every < 0:
-            raise ConfigError("objective_every must be non-negative")
+        if self.early_stop_tol <= 0:
+            raise ConfigError("early_stop_tol must be positive")
         if self.sequential_budget < 1 or self.online_budget < 1:
             raise ConfigError("iteration budgets must be >= 1")
 
@@ -135,7 +140,6 @@ class Model:
         self.mode = str(mode)
         self.iterations = int(iterations)
         self.config_snapshot = dict(config_snapshot or {})
-        self._settled: dict[int, tuple] = {}  # block -> (question, hinge) of its last no-op step
 
     @property
     def alpha(self) -> np.ndarray:
@@ -265,10 +269,37 @@ def loss_augmented_oracle(example: TrainingExample, w, loss: str = "gmitre") -> 
     return OracleAnswer(y_star, hinge, scorer.current, psi)
 
 
-def _question(model: Model, examples: list[TrainingExample], i: int, config: TrainConfig):
-    """Everything a step of block i reads, floats by their bits."""
-    floats = (model.w, model.block_w[i], model.block_l[i], np.float64(model.l))
-    return (examples[i], config.loss, config.C, len(examples), *(f.tobytes() for f in floats))
+class _Planes:
+    """One block's example with the unscaled planes (Psi(truth) - Psi(y), loss(y))
+    of the labellings y its exact oracle returned, at most MAX_PLANES, the least
+    recently used dropped first; plus the gap of its last exact call and the
+    cached steps taken since."""
+
+    def __init__(self, example: TrainingExample):
+        self.example = example
+        self.labellings: list[Partition] = []
+        self.psi_gaps = np.zeros((0, WEIGHT_DIM))
+        self.losses = np.zeros(0)
+        self.last_used: list[int] = []
+        self.uses = 0
+        self.exact_gap = np.inf
+        self.cached_steps = 0
+
+    def add(self, answer: OracleAnswer) -> int:
+        """The row of the answer's plane, stored unless already cached."""
+        if answer.partition in self.labellings:
+            return self.labellings.index(answer.partition)
+        plane = (self.example.truth_psi - answer.psi, answer.loss)
+        if len(self.labellings) < MAX_PLANES:
+            self.labellings.append(answer.partition)
+            self.last_used.append(0)
+            self.psi_gaps = np.vstack([self.psi_gaps, plane[0]])
+            self.losses = np.append(self.losses, plane[1])
+            return len(self.labellings) - 1
+        j = int(np.argmin(self.last_used))
+        self.labellings[j] = answer.partition
+        self.psi_gaps[j], self.losses[j] = plane
+        return j
 
 
 class _StepInfo(NamedTuple):
@@ -276,66 +307,63 @@ class _StepInfo(NamedTuple):
     block: int
     hinge: float
     gamma: float
+    gap: float
+    exact: bool
+    labelling: Partition
 
 
 def _bcfw_step(
-    model: Model, examples: list[TrainingExample], i: int, config: TrainConfig
+    model: Model, planes: _Planes, i: int, config: TrainConfig, exact: bool = False
 ) -> _StepInfo:
     """One Frank-Wolfe update of block i, in place on the model's w, block i
-    and loss offsets; returns the logged quantities."""
-    example = examples[i]
-    question = _question(model, examples, i, config)
-    if model._settled.get(i, (None,))[0] == question:
-        model.iterations += 1
-        return _StepInfo(model.iterations, i, model._settled[i][1], 0.0)
-    answer = loss_augmented_oracle(example, model.w, loss=config.loss)
-    scale = config.C / len(examples)
-    ws = scale * (example.truth_psi - answer.psi)
-    ls = scale * answer.loss
+    and loss offsets, toward the block's best cached plane or, when that falls
+    short (or `exact`), toward the oracle's answer; planes are scaled by C/n
+    for the model's current n blocks. Returns the logged quantities."""
+    scale = config.C / len(model.block_w)
     wi, li = model.block_w[i], float(model.block_l[i])
-    diff = wi - ws
-    denom = float(diff @ diff)
-    if denom == 0.0:
-        gamma = 0.0
+    cached = not exact and planes.cached_steps < MAX_CACHED_STEPS and bool(planes.labellings)
+    if cached:
+        hinges = planes.losses - planes.psi_gaps @ model.w
+        j = int(np.argmax(hinges))
+        gap = float(wi @ model.w) - li + scale * float(hinges[j])
+        cached = gap >= CACHE_GAP_RATIO * planes.exact_gap
+    if cached:
+        planes.cached_steps += 1
     else:
-        gamma = (float(diff @ model.w) + scale * (ls - li)) / denom
-        gamma = min(1.0, max(0.0, gamma))
-    new_wi = (1.0 - gamma) * wi + gamma * ws
-    new_li = (1.0 - gamma) * li + gamma * ls
+        j = planes.add(loss_augmented_oracle(planes.example, model.w, loss=config.loss))
+        hinges = planes.losses - planes.psi_gaps @ model.w
+        gap = float(wi @ model.w) - li + scale * float(hinges[j])
+        planes.exact_gap, planes.cached_steps = gap, 0
+    planes.uses += 1
+    planes.last_used[j] = planes.uses
+    diff = wi - scale * planes.psi_gaps[j]
+    denom = float(diff @ diff)
+    gamma = 0.0 if denom == 0.0 else min(1.0, max(0.0, gap / denom))
+    new_wi = wi - gamma * diff
+    new_li = (1.0 - gamma) * li + gamma * scale * float(planes.losses[j])
     model.w = model.w + (new_wi - wi)
     model.l += new_li - li
     model.block_w[i] = new_wi
     model.block_l[i] = new_li
-    if gamma == 0.0 and _question(model, examples, i, config) == question:
-        model._settled[i] = (question, float(answer.hinge))
     model.iterations += 1
-    return _StepInfo(model.iterations, i, float(answer.hinge), float(gamma))
+    return _StepInfo(model.iterations, i, float(hinges[j]), gamma, gap, not cached,
+                     planes.labellings[j])
 
 
 @contextmanager
 def _train_log(path):
-    """Yields row(info, objective=None), which appends one
-    `iter,block,hinge,gamma,objective` row to the CSV at path (a no-op when
-    path is None)."""
+    """Yields row(info), which appends one `iter,block,hinge,gamma,gap,exact`
+    row to the CSV at path (a no-op when path is None)."""
     if path is None:
-        yield lambda info, objective=None: None
+        yield lambda info: None
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iter", "block", "hinge", "gamma", "objective"])
-        yield lambda info, objective=None: writer.writerow([
+        writer.writerow(["iter", "block", "hinge", "gamma", "gap", "exact"])
+        yield lambda info: writer.writerow([
             info.iteration, info.block, f"{info.hinge:.9g}", f"{info.gamma:.9g}",
-            "" if objective is None else f"{objective:.9g}",
+            f"{info.gap:.9g}", int(info.exact),
         ])
-
-
-def primal_objective(examples: Iterable[TrainingExample], model: Model) -> float:
-    """0.5 ||w||^2 + (C/n) sum of oracle hinge values."""
-    examples = list(examples)
-    if not examples:
-        raise ConfigError("primal objective needs at least one example")
-    hinge_sum = sum(loss_augmented_oracle(ex, model.w, loss=model.loss).hinge for ex in examples)
-    return 0.5 * float(model.w @ model.w) + (model.C / len(examples)) * hinge_sum
 
 
 def bcfw_train(
@@ -348,11 +376,13 @@ def bcfw_train(
 ) -> Model:
     """Batch Block-Coordinate Frank-Wolfe over the given examples.
 
-    Picks a uniformly random block per iteration from a generator seeded with
-    config.seed, runs config.max_iterations updates (optionally stopping early
-    when the primal objective stalls), and returns the trained model. `log` is
-    a CSV path or None. iteration_hook(model, info), when given, sees the
-    model after every update.
+    Of config.max_iterations updates, all but the last n go to uniformly
+    random blocks drawn from a generator seeded with config.seed (with
+    early_stop, only until the latest exact gaps of all blocks sum to at most
+    early_stop_tol); the last n are one exact update per block, whose gaps
+    sum to the reported duality gap (that pass runs even when the budget is
+    smaller). Returns the trained model. `log` is a CSV path or None.
+    iteration_hook(model, info), when given, sees the model after every update.
     """
     config = config or TrainConfig()
     examples = list(examples)
@@ -364,31 +394,23 @@ def bcfw_train(
         block_w=np.zeros((n, WEIGHT_DIM)), block_l=np.zeros(n), C=config.C, seed=config.seed,
         loss=config.loss, mode="batch", config_snapshot=config_snapshot,
     )
-    best_objective = np.inf
-    stall = 0
+    blocks = [_Planes(example) for example in examples]
     with _train_log(log) as log_row:
-        for _ in range(config.max_iterations):
-            info = _bcfw_step(model, examples, int(rng.integers(n)), config)
-            objective = None
-            if config.early_stop or (
-                config.objective_every and info.iteration % config.objective_every == 0
-            ):
-                objective = primal_objective(examples, model)
-            log_row(info, objective)
+
+        def step(i: int, exact: bool = False) -> _StepInfo:
+            info = _bcfw_step(model, blocks[i], i, config, exact)
+            log_row(info)
             if iteration_hook is not None:
                 iteration_hook(model, info)
-            if config.early_stop:
-                if objective < best_objective - config.early_stop_tol:
-                    best_objective = objective
-                    stall = 0
-                else:
-                    stall += 1
-                    if stall >= config.early_stop_patience:
-                        logger.info(
-                            "early stop after %d iterations (objective stalled at %.6g)",
-                            info.iteration, objective,
-                        )
-                        break
+            return info
+
+        for _ in range(config.max_iterations - n):
+            if step(int(rng.integers(n))).exact and config.early_stop:
+                if sum(b.exact_gap for b in blocks) <= config.early_stop_tol:
+                    logger.info("early stop after %d iterations", model.iterations)
+                    break
+        gap = sum(step(i, exact=True).gap for i in range(n))
+    logger.info("duality gap %.6g after %d iterations", gap, model.iterations)
     return model
 
 
@@ -408,14 +430,15 @@ def sequential_train(
         C=config.C, seed=config.seed, loss=config.loss, mode="sequential",
         config_snapshot=config_snapshot,
     )
-    examples: list[TrainingExample] = []
+    blocks: list[_Planes] = []
     with _train_log(log) as log_row:
         for example in stream:
-            examples.append(example)
+            blocks.append(_Planes(example))
             model.block_w = np.vstack([model.block_w, np.zeros(WEIGHT_DIM)])
             model.block_l = np.append(model.block_l, 0.0)
             for _ in range(config.sequential_budget):
-                log_row(_bcfw_step(model, examples, int(rng.integers(len(examples))), config))
+                i = int(rng.integers(len(blocks)))
+                log_row(_bcfw_step(model, blocks[i], i, config))
             yield model.copy()
 
 
@@ -433,23 +456,29 @@ def online_predict_train(
 ) -> Iterator[tuple[Partition, Model]]:
     """Predict each scene, then learn from the prediction as a pseudo-label.
 
-    Each scene gets a fresh single-block model whose block starts at the
-    current w (with zero loss offset) and config.online_budget BCFW
-    iterations; the small budget keeps per-scene drift bounded. Yields
-    (prediction, updated model) per scene; init is left unchanged.
+    Each scene appends one zero block to the current model (whose earlier
+    blocks stay as they are) and spends config.online_budget BCFW iterations
+    on that block only. Past ONLINE_MAX_BLOCKS pseudo-label blocks, the oldest
+    leaves the model with its share of w and l. Yields (prediction, copy of
+    the updated model) per scene; init is left unchanged.
     """
     if config is None:
         config = TrainConfig(C=init.C, seed=init.seed, loss=init.loss)
-    model = init
+    model = init.copy()
+    model.C, model.seed, model.loss, model.mode = config.C, config.seed, config.loss, "online"
+    pseudo: list[_Planes] = []
     for scene in scenes:
         prediction = predict(scene, model)
-        example = TrainingExample(scene, prediction)
-        model = Model(
-            w=model.w, block_w=[model.w], block_l=[0.0], C=config.C, seed=config.seed,
-            loss=config.loss, mode="online", iterations=model.iterations,
-            config_snapshot=init.config_snapshot,
-        )
+        if len(pseudo) == ONLINE_MAX_BLOCKS:
+            oldest = len(model.block_w) - len(pseudo)
+            pseudo.pop(0)
+            model.w = model.w - model.block_w[oldest]
+            model.l -= float(model.block_l[oldest])
+            model.block_w = np.delete(model.block_w, oldest, axis=0)
+            model.block_l = np.delete(model.block_l, oldest)
+        pseudo.append(_Planes(TrainingExample(scene, prediction)))
+        model.block_w = np.vstack([model.block_w, np.zeros(WEIGHT_DIM)])
+        model.block_l = np.append(model.block_l, 0.0)
         for _ in range(config.online_budget):
-            _bcfw_step(model, [example], 0, config)
-        yield prediction, model
-
+            _bcfw_step(model, pseudo[-1], len(model.block_w) - 1, config)
+        yield prediction, model.copy()

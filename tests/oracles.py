@@ -12,9 +12,9 @@ feature kernels replaced: intersect1d per pair, lstsq per regression, a full
 hypot/exp grid per visited heat-map cell and an explicit sum per cosine.
 The greedy merge references are the scalar loops the vectorised merge engine
 must reproduce exactly, tie-breaks and floating-point sums included. The
-reference Frank-Wolfe step asks the oracle on every step and scores its
-answer again, which training that skips settled questions must reproduce
-bit for bit.
+reference Frank-Wolfe step asks the oracle on every step and runs the line
+search in the units of Lacoste-Julien et al. (lambda = 1/C, planes scaled by
+1/(lambda n)); the primal objective asks the oracle once per example.
 """
 
 from __future__ import annotations
@@ -242,33 +242,37 @@ def reference_oracle(example, w, loss: str = "gmitre") -> tuple[Partition, float
 
 
 # ---------------------------------------------------------------------------
-# Frank-Wolfe block update that asks the oracle every time
+# Frank-Wolfe block update that asks the oracle every time, and the primal
 
 
-def reference_bcfw_step(model, examples, i, config):
-    """The block update of learning._bcfw_step with an oracle call on every
-    step; the answer's loss and Psi are scored again from its partition."""
+def reference_bcfw_step(model, examples, i, config) -> float:
+    """Block-coordinate Frank-Wolfe (Lacoste-Julien et al. 2013, Alg. 4) with
+    lambda = 1/C over the model's n blocks: w_s = psi_i(y) / (lambda n) and
+    l_s = loss(y) / n, where the model stores its loss offsets times C. The
+    oracle's answer is scored again from its partition. Returns gamma."""
+    lam, n = 1.0 / config.C, len(model.block_w)
     example = examples[i]
-    y_star, hinge, *_ = learning.loss_augmented_oracle(example, model.w, loss=config.loss)
-    scale = config.C / len(examples)
-    ws = scale * (example.truth_psi - joint_feature_map(example.scene, y_star))
-    ls = scale * learning.LOSSES[config.loss](example.truth, y_star)
-    wi, li = model.block_w[i], float(model.block_l[i])
-    diff = wi - ws
-    denom = float(diff @ diff)
-    if denom == 0.0:
-        gamma = 0.0
-    else:
-        gamma = (float(diff @ model.w) + scale * (ls - li)) / denom
-        gamma = min(1.0, max(0.0, gamma))
-    new_wi = (1.0 - gamma) * wi + gamma * ws
-    new_li = (1.0 - gamma) * li + gamma * ls
-    model.w = model.w + (new_wi - wi)
-    model.l += new_li - li
-    model.block_w[i] = new_wi
-    model.block_l[i] = new_li
-    model.iterations += 1
-    return learning._StepInfo(model.iterations, i, float(hinge), float(gamma))
+    y_star = learning.loss_augmented_oracle(example, model.w, loss=config.loss).partition
+    w_s = (example.truth_psi - joint_feature_map(example.scene, y_star)) / (lam * n)
+    l_s = learning.LOSSES[config.loss](example.truth, y_star) / n
+    w_i, l_i = model.block_w[i].copy(), float(model.block_l[i]) * lam
+    denom = lam * float((w_i - w_s) @ (w_i - w_s))
+    gamma = 0.0
+    if denom > 0.0:
+        gamma = min(1.0, max(0.0, (lam * float((w_i - w_s) @ model.w) - l_i + l_s) / denom))
+    model.block_w[i] = (1.0 - gamma) * w_i + gamma * w_s
+    model.block_l[i] = ((1.0 - gamma) * l_i + gamma * l_s) / lam
+    model.w = model.w + model.block_w[i] - w_i
+    model.l += float(model.block_l[i]) - l_i / lam
+    return gamma
+
+
+def primal_objective(examples, model) -> float:
+    """0.5 ||w||^2 + (C/n) sum of oracle hinge values."""
+    examples = list(examples)
+    hinge_sum = sum(learning.loss_augmented_oracle(ex, model.w, loss=model.loss).hinge
+                    for ex in examples)
+    return 0.5 * float(model.w @ model.w) + (model.C / len(examples)) * hinge_sum
 
 
 # ---------------------------------------------------------------------------

@@ -452,7 +452,7 @@ def test_cli_train_predict_eval(dataset_dir, tmp_path, capsys):
     assert code == 0
     assert "trained on" in capsys.readouterr().out
     assert model_path.is_file()
-    assert log_path.read_text().splitlines()[0] == "iter,block,hinge,gamma,objective"
+    assert log_path.read_text().splitlines()[0] == "iter,block,hinge,gamma,gap,exact"
 
     pred_path = tmp_path / "predictions.json"
     assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir),
@@ -493,6 +493,39 @@ def test_cli_predict_rejects_non_finite_window(dataset_dir, tmp_path, capsys, fl
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "finite and positive" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("run", ["--out", "report", "--window-len"]),
+    ("stats", ["--window-len"]),
+    ("features", ["--window-len"]),
+    ("train", ["--out", "model-out.json", "--window-len"]),
+    ("predict", ["--model", "model.json", "--window-len"]),
+    ("predict", ["--model", "model.json", "--window"]),
+], ids=["run", "stats", "features", "train", "predict", "predict-window-alias"])
+def test_cli_rejects_dataset_shorter_than_one_window(
+    dataset_dir, tmp_path, capsys, monkeypatch, command, flags
+):
+    # the 48 s dataset holds no 1000 s window; every command says so alike
+    monkeypatch.chdir(tmp_path)
+    Model(config_snapshot={"window_len": 8.0, "stride": 8.0}).save(tmp_path / "model.json")
+    code = main([command, "--data", str(dataset_dir), *flags, "1000"])
+    captured = capsys.readouterr()
+    assert (code, captured.err, captured.out) == (
+        1, "error: the dataset is shorter than one window\n", "")
+    assert not (tmp_path / "report").exists() and not (tmp_path / "model-out.json").exists()
+
+
+def test_cli_predict_window_len_and_its_alias_agree(dataset_dir, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    Model(w=np.ones(8), config_snapshot={"window_len": 8.0, "stride": 8.0}).save(model_path)
+    outputs = []
+    for flag in ("--window-len", "--window"):
+        assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir),
+                     flag, "12", "--stride", "12"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert [w["end_t"] - w["start_t"] for w in json.loads(outputs[0])["windows"]] == [12.0] * 4
 
 
 @pytest.mark.parametrize("field", ["w", "block_w", "block_l", "l", "C"])

@@ -31,7 +31,6 @@ from crowdgroups import (
     online_predict_train,
     partition_score,
     predict,
-    primal_objective,
     sequential_train,
     slice_windows,
     synth_generate,
@@ -43,6 +42,7 @@ from oracles import (
     iter_set_partitions,
     make_scene,
     pair_enumeration_psi,
+    primal_objective,
     random_partition,
     random_scene,
     reference_bcfw_step,
@@ -90,9 +90,9 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(loss="accuracy")
     with pytest.raises(ConfigError):
-        TrainConfig(early_stop_patience=0)
+        TrainConfig(early_stop_tol=0.0)
     with pytest.raises(ConfigError):
-        TrainConfig(objective_every=-1)
+        TrainConfig(early_stop_tol=-1e-3)
     with pytest.raises(ConfigError):
         TrainConfig(sequential_budget=0)
 
@@ -329,16 +329,22 @@ def test_bcfw_deterministic_per_seed():
     assert not np.array_equal(m1.w, m3.w)
 
 
-def test_bcfw_early_stop_halts():
-    # truth is all-singletons with zero-gain affinities: hinge starts at 0,
-    # objective never improves, patience trips immediately
+def test_bcfw_early_stop_halts(monkeypatch):
+    # strangers far apart in every feature: training soon separates them all,
+    # the exact gap falls under the tolerance and the loop stops well before
+    # its budget, asking the oracle no more often than a plain run
     scene = separable_scene(mates=())
     example = TrainingExample(scene, Partition([[m] for m in scene.members]))
-    model = bcfw_train(
-        [example],
-        TrainConfig(max_iterations=500, early_stop=True, early_stop_patience=5),
-    )
+    calls = count_oracle_calls(monkeypatch)
+    infos = []
+    model = bcfw_train([example], TrainConfig(max_iterations=500, early_stop=True),
+                       iteration_hook=lambda m, info: infos.append(info))
     assert model.iterations < 500
+    assert len(calls) == sum(info.exact for info in infos)
+    assert infos[-2].exact and infos[-2].gap <= TrainConfig().early_stop_tol
+    assert infos[-1].exact
+    plain = bcfw_train([example], TrainConfig(max_iterations=model.iterations))
+    assert np.array_equal(plain.w, model.w)
 
 
 def test_bcfw_requires_examples():
@@ -348,17 +354,28 @@ def test_bcfw_requires_examples():
 
 def test_train_log_csv(tmp_path):
     path = tmp_path / "train_log.csv"
-    examples = [separable_example()]
-    bcfw_train(examples, TrainConfig(max_iterations=10, objective_every=5), log=path)
+    examples = [separable_example(), separable_example(near=0.2, far=0.8)]
+    infos = []
+    bcfw_train(examples, TrainConfig(max_iterations=30), log=path,
+               iteration_hook=lambda m, info: infos.append(info))
     lines = path.read_text().splitlines()
-    assert lines[0] == "iter,block,hinge,gamma,objective"
-    assert len(lines) == 11
-    for k, line in enumerate(lines[1:], start=1):
-        fields = line.split(",")
-        assert int(fields[0]) == k
-        assert fields[1] == "0"
-        has_objective = fields[4] != ""
-        assert has_objective == (k % 5 == 0)
+    assert lines[0] == "iter,block,hinge,gamma,gap,exact"
+    assert len(lines) == 1 + 30  # the last two rows are the exact pass
+    rows = [line.split(",") for line in lines[1:]]
+    for k, (fields, info) in enumerate(zip(rows, infos), start=1):
+        assert int(fields[0]) == k == info.iteration
+        assert int(fields[1]) == info.block
+        assert float(fields[3]) == pytest.approx(info.gamma, rel=1e-8, abs=1e-12)
+        assert float(fields[4]) == pytest.approx(info.gap, rel=1e-8, abs=1e-12)
+        assert fields[5] == str(int(info.exact))
+    # every block's first step asks the oracle; the run ends with one exact
+    # step per block in order, whose gaps are the reported duality gap
+    first = {}
+    for fields in rows:
+        first.setdefault(fields[1], fields[5])
+    assert first == {"0": "1", "1": "1"}
+    assert "0" in [fields[5] for fields in rows]
+    assert [(fields[1], fields[5]) for fields in rows[-2:]] == [("0", "1"), ("1", "1")]
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +424,13 @@ def test_model_views_and_copy():
 
 def test_sequential_single_example_matches_batch():
     example = separable_example()
-    cfg = TrainConfig(seed=3, sequential_budget=60, max_iterations=60)
+    cfg = TrainConfig(seed=3, sequential_budget=59, max_iterations=60)
     snapshots = list(sequential_train([example], cfg))
-    batch = bcfw_train([example], cfg)
+    sampled = []  # batch w after each step; its 60th is the final exact pass
+    bcfw_train([example], cfg, iteration_hook=lambda m, info: sampled.append(m.w.copy()))
     assert len(snapshots) == 1
     assert snapshots[0].mode == "sequential"
-    assert np.array_equal(snapshots[0].w, batch.w)
+    assert np.array_equal(snapshots[0].w, sampled[58])
 
 
 def test_sequential_yields_per_arrival():
@@ -461,11 +479,13 @@ def test_online_predict_train_leaves_init_unchanged():
     out = list(online_predict_train(scenes, init, TrainConfig(online_budget=4)))
     assert init.to_dict() == before
     assert [model.iterations for _, model in out] == [init.iterations + 4 * k for k in (1, 2, 3)]
-    for _, model in out:
-        assert model.block_w.shape == (1, 8)
-        assert model.block_l.shape == (1,)
+    for k, (_, model) in enumerate(out, start=1):
+        # one pseudo-label block appended per scene; the trained block is kept
+        assert model.block_w.shape == (1 + k, 8)
+        assert model.block_l.shape == (1 + k,)
+        assert np.array_equal(model.block_w[0], init.block_w[0])
         assert model.config_snapshot == init.config_snapshot
-        assert np.allclose(model.w, model.block_w[0], atol=1e-12)
+        assert np.allclose(model.w, model.block_w.sum(axis=0), atol=1e-12)
 
 
 def test_predict_accepts_model_or_vector():
@@ -477,46 +497,45 @@ def test_predict_accepts_model_or_vector():
 
 
 # ---------------------------------------------------------------------------
-# Steps that skip settled oracle questions
+# Multi-plane steps: cached planes, the corrected line search, online blocks
 
 
 @functools.cache
 def noisy_examples():
-    """Ten 13-member synthetic windows whose training mixes settled steps
-    with useful ones at every C tried below."""
+    """Ten 13-member synthetic windows whose training mixes cached and exact
+    steps, useful and idle ones, at every C tried below."""
     spec = SynthSpec(n_groups=3, n_singletons=3, duration=100.0, noise_std=0.3)
     trajs, labels = synth_generate(spec, seed=1)
     return make_training_examples(slice_windows(trajs, 10.0, 10.0), labels)
 
 
 def count_oracle_calls(monkeypatch) -> list:
-    """Routes every oracle call through a wrapper; returns the list each call
-    appends its example to."""
+    """Routes every oracle call through a wrapper; returns the list of
+    (example, answer) pairs the calls append."""
     calls = []
     oracle = learning.loss_augmented_oracle
 
     def counted(example, w, loss="gmitre"):
-        calls.append(example)
-        return oracle(example, w, loss)
+        calls.append((example, oracle(example, w, loss)))
+        return calls[-1][1]
 
     monkeypatch.setattr(learning, "loss_augmented_oracle", counted)
     return calls
 
 
-def record_asked(monkeypatch, calls: list) -> list:
-    """Wraps the block update; returns the list of whether each step asked
-    the oracle."""
-    asked = []
+def record_steps(monkeypatch) -> list:
+    """Wraps the block update; returns the list of (info, dual after the
+    step) pairs that every step appends."""
+    steps = []
     step = learning._bcfw_step
 
-    def recorded(model, examples, i, config):
-        before = len(calls)
-        info = step(model, examples, i, config)
-        asked.append(len(calls) > before)
+    def recorded(model, planes, i, config, exact=False):
+        info = step(model, planes, i, config, exact)
+        steps.append((info, model.l - 0.5 * float(model.w @ model.w)))  # the dual
         return info
 
     monkeypatch.setattr(learning, "_bcfw_step", recorded)
-    return asked
+    return steps
 
 
 def snapshot(model: Model) -> str:
@@ -524,71 +543,128 @@ def snapshot(model: Model) -> str:
     return json.dumps(model.to_dict())
 
 
-@pytest.mark.parametrize("C", [1.0, 10.0, 100.0])
-def test_batch_training_with_skips_matches_asking_every_step(C, tmp_path, monkeypatch):
+@pytest.mark.parametrize("C", [1.0, 10.0, 100.0])  # n = 10 windows
+@pytest.mark.parametrize("mode", ["batch", "sequential"])
+def test_dual_never_decreases(mode, C, monkeypatch):
     examples = noisy_examples()
     assert len(examples) == 10
-    config = TrainConfig(C=C, max_iterations=300, seed=int(C))
-    calls = count_oracle_calls(monkeypatch)
-    gammas = []
-    model = bcfw_train(examples, config, log=tmp_path / "skip.csv",
-                       iteration_hook=lambda m, info: gammas.append(info.gamma))
-    asked = len(calls)
-    monkeypatch.setattr(learning, "_bcfw_step", reference_bcfw_step)
-    want = bcfw_train(examples, config, log=tmp_path / "every.csv")
-    assert len(calls) - asked == 300
-    assert snapshot(model) == snapshot(want)
-    assert (tmp_path / "skip.csv").read_bytes() == (tmp_path / "every.csv").read_bytes()
-    assert 0 < asked < 300
-    assert any(g > 0.0 for g in gammas)
+    steps = record_steps(monkeypatch)
+    config = TrainConfig(C=C, max_iterations=300, sequential_budget=30, seed=int(C))
+    if mode == "batch":
+        bcfw_train(examples, config)
+    else:
+        for _ in sequential_train(examples, config):
+            pass
+    duals = [0.0] + [d for _, d in steps]
+    assert all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(duals, duals[1:]))
+    assert duals[-1] > 0.0
+    infos = [info for info, _ in steps]
+    assert any(info.exact for info in infos) and not all(info.exact for info in infos)
+    assert any(info.gamma > 0.0 for info in infos if not info.exact)
+    if mode == "batch":
+        # the gap shrinks: the final exact pass against each block's first call
+        first = {}
+        for info in infos:
+            first.setdefault(info.block, info.gap)
+        assert sum(info.gap for info in infos[-10:]) < 0.1 * sum(first.values())
 
 
-def test_sequential_training_with_skips_matches_asking_every_step(tmp_path, monkeypatch):
+@pytest.mark.parametrize("C", [1.0, 10.0, 100.0])
+def test_line_search_matches_lacoste_julien(C):
+    # exact steps from states reached by training, against Alg. 4 written in
+    # its own units; C != n for two of the three values
+    examples = noisy_examples()[:4]
+    model = bcfw_train(examples, TrainConfig(C=C, max_iterations=40, seed=3))
+    for i in (0, 2, 3, 1):
+        want = model.copy()
+        gamma = reference_bcfw_step(want, examples, i, TrainConfig(C=C))
+        info = learning._bcfw_step(model, learning._Planes(examples[i]), i, TrainConfig(C=C),
+                                   exact=True)
+        assert info.gamma == pytest.approx(gamma, rel=1e-9, abs=1e-12)
+        for name in ("w", "block_w", "block_l", "l"):
+            assert np.allclose(getattr(model, name), getattr(want, name), rtol=1e-9, atol=1e-12)
+
+
+def test_cached_steps_use_only_the_blocks_own_answers(monkeypatch):
     examples = noisy_examples()
-    config = TrainConfig(C=1.0, sequential_budget=30, seed=2)
     calls = count_oracle_calls(monkeypatch)
-    asked = record_asked(monkeypatch, calls)
-    got = [snapshot(m) for m in sequential_train(examples, config, log=tmp_path / "skip.csv")]
-    monkeypatch.setattr(learning, "_bcfw_step", reference_bcfw_step)
-    want = [snapshot(m) for m in sequential_train(examples, config, log=tmp_path / "every.csv")]
-    assert got == want
-    assert (tmp_path / "skip.csv").read_bytes() == (tmp_path / "every.csv").read_bytes()
-    assert len(asked) == 300 and not all(asked)
-    # an arrival changes C/n, so the first step after it always asks
-    assert all(asked[::30])
+    returned = {}  # block -> labellings its oracle calls returned
+    cached = []
+
+    def hook(model, info):
+        if info.exact:
+            example, answer = calls[-1]
+            assert example is examples[info.block] and info.labelling == answer.partition
+            returned.setdefault(info.block, set()).add(answer.partition)
+        else:
+            cached.append(info)
+            assert info.labelling in returned[info.block]
+
+    bcfw_train(examples, TrainConfig(C=10.0, max_iterations=400, seed=4), iteration_hook=hook)
+    assert len(cached) > 200 and len(calls) == 400 - len(cached)
 
 
-def test_online_training_with_skips_matches_asking_every_step(monkeypatch):
+def test_cached_plane_scales_with_the_current_block_count(monkeypatch):
+    # block 0 caches its planes while it is the only block (C/n = C); after
+    # two arrivals (C/n = C/3) a step to a cached plane must equal a step to
+    # the same labelling's plane freshly asked at the new n
+    examples = noisy_examples()[:3]
+    config = TrainConfig(C=10.0)
+    model = Model(block_w=np.zeros((1, 8)), block_l=[0.0], C=config.C)
+    blocks = [learning._Planes(example) for example in examples]
+    for _ in range(5):
+        learning._bcfw_step(model, blocks[0], 0, config)
+    for i in (1, 2):
+        model.block_w = np.vstack([model.block_w, np.zeros(8)])
+        model.block_l = np.append(model.block_l, 0.0)
+        for _ in range(5):
+            learning._bcfw_step(model, blocks[i], i, config)
+    fresh = model.copy()
+    blocks[0].cached_steps, blocks[0].exact_gap = 0, -np.inf
+    info = learning._bcfw_step(model, blocks[0], 0, config)
+    assert not info.exact and info.gamma > 0.0
+    example, y = examples[0], info.labelling
+    answer = learning.OracleAnswer(y, 0.0, LOSSES["gmitre"](example.truth, y),
+                                   joint_feature_map(example.scene, y))
+    monkeypatch.setattr(learning, "loss_augmented_oracle", lambda *args, **kwargs: answer)
+    asked = learning._bcfw_step(fresh, learning._Planes(example), 0, config)
+    assert asked.exact and asked.labelling == y
+    assert asked.gamma == pytest.approx(info.gamma, rel=1e-12)
+    for name in ("w", "block_w", "block_l", "l"):
+        assert np.allclose(getattr(fresh, name), getattr(model, name), rtol=1e-12, atol=1e-15)
+
+
+def test_training_is_byte_identical_per_seed(tmp_path):
+    examples = noisy_examples()
+    runs = []
+    for k in range(2):
+        config = TrainConfig(C=1.0, max_iterations=150, sequential_budget=15, seed=7)
+        batch = bcfw_train(examples, config, log=tmp_path / f"batch{k}.csv")
+        sequential = list(sequential_train(examples, config, log=tmp_path / f"seq{k}.csv"))
+        online = list(online_predict_train([ex.scene for ex in examples[:4]], batch, config))
+        runs.append((snapshot(batch), [snapshot(m) for m in sequential],
+                     [(p, snapshot(m)) for p, m in online]))
+    assert runs[0] == runs[1]
+    for name in ("batch", "seq"):
+        assert (tmp_path / f"{name}0.csv").read_bytes() == (tmp_path / f"{name}1.csv").read_bytes()
+
+
+def test_online_block_cap_evicts_the_oldest_pseudo_label(monkeypatch):
+    monkeypatch.setattr(learning, "ONLINE_MAX_BLOCKS", 2)
     examples = noisy_examples()
     init = bcfw_train(examples[:3], TrainConfig(max_iterations=60))
-    scenes = [example.scene for example in examples[3:]]
-    config = TrainConfig(online_budget=10)
-    calls = count_oracle_calls(monkeypatch)
-    got = [(p, snapshot(m)) for p, m in online_predict_train(scenes, init, config)]
-    asked = len(calls)
-    monkeypatch.setattr(learning, "_bcfw_step", reference_bcfw_step)
-    want = [(p, snapshot(m)) for p, m in online_predict_train(scenes, init, config)]
-    assert len(scenes) == 7
-    assert got == want
-    assert 0 < asked < 10 * len(scenes)
-
-
-def test_step_that_flips_a_signed_zero_settles_nothing():
-    # a gamma = 0 step from w = -0.0 writes +0.0 back: it left the model
-    # changed, so meeting the same state again must ask the oracle again
-    win = TimeWindow(index=0, start_t=0.0, end_t=1.0, members=frozenset({7}),
-                     segments={7: Trajectory(7, np.array([0.0, 1.0]), np.zeros((2, 2)))})
-    example = TrainingExample(WindowedScene(window=win, feature_matrix=np.zeros((0, 4))),
-                              Partition([[7]]))
-    models = []
-    for step in (learning._bcfw_step, reference_bcfw_step):
-        model = Model(w=np.full(8, -0.0), block_w=np.full((1, 8), -0.0), block_l=[0.0])
-        for _ in range(2):
-            model.w, model.block_w[0] = np.full(8, -0.0), -0.0
-            assert step(model, [example], 0, TrainConfig()).gamma == 0.0
-        models.append(snapshot(model))
-    assert models[0] == models[1]
-    assert "-0.0" not in models[0]
+    scenes = [example.scene for example in examples[3:8]]
+    out = [model for _, model in online_predict_train(scenes, init, TrainConfig(online_budget=6))]
+    assert [len(model.block_w) for model in out] == [4, 5, 5, 5, 5]
+    for before, after in zip(out, out[1:]):
+        # the trained blocks stay; the newest pseudo-label block of the last
+        # scene is kept, the one before it leaves once two are held
+        assert np.array_equal(after.block_w[:3], init.block_w)
+        assert np.array_equal(after.block_w[-2], before.block_w[-1])
+        assert after.block_l[-2] == before.block_l[-1]
+    for model in out:
+        assert np.allclose(model.w, model.block_w.sum(axis=0), atol=1e-12)
+        assert model.l == pytest.approx(float(model.block_l.sum()), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """What the benchmark's tracer and workloads read from the package.
 
 `perfbench/run.py --trace 1` wraps the functions named in
-`perfbench/tracing.py`'s TRACED table, and `perfbench/workloads.py` reads four
-attributes of every built scene. A refactor that renames either breaks the
-traced benchmark without failing any other test.
+`perfbench/tracing.py`'s TRACED table, `perfbench/workloads.py` reads four
+attributes of every built scene and the `gamma` column of every training log,
+and the tracer counts `bcfw_train`'s `.iterations`. A refactor that renames
+any of them breaks the benchmark without failing any other test.
 """
 
 from __future__ import annotations
 
+import csv
 import importlib
 import types
 from collections import Counter
@@ -18,8 +20,8 @@ import numpy as np
 import pytest
 
 from crowdgroups import (
-    TimeWindow, TrainingExample, Trajectory, affinity, build_scene, greedy_cc,
-    loss_augmented_oracle,
+    TimeWindow, TrainConfig, TrainingExample, Trajectory, affinity, bcfw_train, build_scene,
+    greedy_cc, loss_augmented_oracle,
 )
 
 from oracles import random_partition, random_scene
@@ -81,3 +83,21 @@ def test_count_hooks_read_real_results():
     result = greedy_cc(affinities)
     TRACING_MODULE._greedy_counts(counts, (affinities,), {}, result)
     assert 0 < counts["greedy_merges"] == len(scene.members) - len(result[0])
+
+
+def test_training_log_and_result_keep_what_the_benchmark_reads(tmp_path):
+    rng = np.random.default_rng(6)
+    examples = []
+    for _ in range(3):
+        scene = random_scene(6, rng)
+        examples.append(TrainingExample(scene, random_partition(list(scene.members), rng)))
+    log = tmp_path / "train_log.csv"
+    model = bcfw_train(examples, TrainConfig(max_iterations=30), log=log)
+    with open(log, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 30
+    assert all(0.0 <= float(row["gamma"]) <= 1.0 for row in rows)
+    assert any(float(row["gamma"]) > 0.0 for row in rows)
+    counts = Counter()
+    TRACING_MODULE._bcfw_counts(counts, (examples,), {}, model)
+    assert counts["bcfw_iterations"] == model.iterations == 30
