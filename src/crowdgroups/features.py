@@ -7,8 +7,13 @@ dynamic time warping (d_sh), absence of temporal causality by a Granger F-test
 distances in [0, 1]. A window's features are one pair table, `WindowedScene`:
 a (pairs, 4) matrix with one row per unordered member pair, in
 np.triu_indices(n, 1) order over the sorted members, plus per-row flags for
-pairs that never co-occur and pairs on the causality fallback. The learner
-weighs both halves [1 - d; d] of each row.
+pairs that never co-occur, far pairs and pairs on the causality fallback. The
+learner weighs both halves [1 - d; d] of each row.
+
+A pair is far when it shares a timestamp and is more than NEAR_RADIUS = 7.6 m
+(the end of Hall's public zone, the widest d_ph component) apart at every shared
+one. Far rows are (1, 1, 1, 1) and skip every kernel; the kernels are row-wise,
+so the other rows equal an ungated build's.
 
 Every feature is a kernel over the pair axis (ia, ib); its temporaries are
 chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
@@ -28,8 +33,8 @@ chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
   than design columns are fitted. Designs whose R diagonal shows rank
   deficiency are refitted by np.linalg.lstsq, whose rank handling is the
   reference.
-- d_he maps add slices of one exp(-k_s * hypot(dr, dc)) kernel image per
-  grid; each cosine is a per-pair np.dot of the flattened maps.
+- d_he maps, only for members of pairs that are not far, add slices of one
+  exp(-k_s * hypot(dr, dc)) kernel image per grid, a band of rows at a time.
 
 The public one-pair functions call the same kernels, so `build_scene` rows
 equal them exactly.
@@ -56,6 +61,7 @@ FEATURE_NAMES = ("d_ph", "d_sh", "d_ca", "d_he")
 HALL_SIGMAS = (0.5, 1.2, 3.7, 7.6)
 GRANGER_FALLBACK = 0.5
 NO_OVERLAP_DISTANCE = 1.0
+NEAR_RADIUS = 7.6  # meters; pairs never this close at a shared timestamp are far
 DTW_TAU = 1.0
 _DEGENERATE_RSS = 1e-12
 _NO_GAIN_RTOL = 1e-9  # a source cutting the restricted RSS by at most this share adds nothing
@@ -137,6 +143,7 @@ class WindowedScene:
     feature_matrix: np.ndarray
     granger_fallback: np.ndarray | None = None
     no_overlap: np.ndarray | None = None
+    far: np.ndarray | None = None
 
     def __post_init__(self):
         n = len(self.pair_rows[0])
@@ -144,6 +151,7 @@ class WindowedScene:
             ("feature_matrix", float, (n, 4)),
             ("granger_fallback", bool, (n,)),
             ("no_overlap", bool, (n,)),
+            ("far", bool, (n,)),
         ):
             given = getattr(self, name)
             value = np.array(np.zeros(shape, dtype) if given is None else given, dtype=dtype)
@@ -182,6 +190,10 @@ class WindowedScene:
     def no_overlap_count(self) -> int:
         return int(self.no_overlap.sum())
 
+    @property
+    def far_count(self) -> int:
+        return int(self.far.sum())
+
 
 def gmm_eval(delta, cfg: ProxemicsConfig | None = None) -> float:
     """Equal-weight mixture of zero-mean isotropic 2-D Gaussians at `delta`.
@@ -215,6 +227,19 @@ def _common_groups(aligned, ia: np.ndarray, ib: np.ndarray, per_sample: int):
             sel = np.flatnonzero(counts == k)
             frames = np.nonzero(common[sel])[1].reshape(-1, k)
             yield chunk.start + sel, points[a[sel, None], frames], points[b[sel, None], frames]
+
+
+def _far_rows(aligned, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Per pair: shares a sample and is more than NEAR_RADIUS apart at each."""
+    points, present = aligned
+    far = np.zeros(len(ia), dtype=bool)
+    for chunk in _chunks(len(ia), 10 * present.shape[1]):
+        a, b = ia[chunk], ib[chunk]
+        common = present[a] & present[b]
+        delta = points[a] - points[b]
+        near = delta[..., 0] ** 2 + delta[..., 1] ** 2 <= NEAR_RADIUS * NEAR_RADIUS
+        far[chunk] = common.any(axis=1) & ~(common & near).any(axis=1)
+    return far
 
 
 def _proxemic_rows(aligned, ia, ib, cfg: ProxemicsConfig) -> np.ndarray:
@@ -412,16 +437,23 @@ def _heatmaps(segments, cfg: HeatmapConfig, grid: HeatmapGrid) -> list[np.ndarra
         np.arange(1 - rows, rows, dtype=float)[:, None], np.arange(1 - cols, cols, dtype=float)[None, :]
     ))
     heat = []
+    band = max(1, _CHUNK_ELEMENTS // (4 * cols))  # map rows that stay in cache across all visited cells
+    scratch = np.empty((band, cols))
     for seg in segments:
         h = np.zeros((rows, cols))
-        cells = np.floor((seg.points - (grid.x0, grid.y0)) / grid.cell).astype(int)
-        visited, first, which = np.unique(cells, axis=0, return_index=True, return_inverse=True)
+        keys = np.floor((seg.points - (grid.x0, grid.y0)) / grid.cell).astype(int) @ (1, cols)
+        visited, first, which = np.unique(keys, return_index=True, return_inverse=True)
         visits = np.bincount(which) if cfg.accumulate == "visits" else np.ones(len(visited))
         dwells = np.bincount(which, weights=np.append(np.diff(seg.times), 0.0))
-        for v in np.argsort(first).tolist():  # in first-visit order
-            col, row = visited[v].tolist()
-            energy = visits[v] * math.exp(-cfg.k_r * dwells[v])
-            h += energy * image[rows - 1 - row : 2 * rows - 1 - row, cols - 1 - col : 2 * cols - 1 - col]
+        deposits = []  # (kernel image patch, energy) per visited cell, in first-visit order
+        for v in np.argsort(first).tolist():
+            row, col = divmod(int(visited[v]), cols)  # keys are row * cols + col
+            patch = image[rows - 1 - row : 2 * rows - 1 - row, cols - 1 - col : 2 * cols - 1 - col]
+            deposits.append((patch, visits[v] * math.exp(-cfg.k_r * dwells[v])))
+        for top in range(0, rows, band):
+            part = h[top : top + band]
+            for patch, energy in deposits:
+                part += np.multiply(patch[top : top + band], energy, out=scratch[: len(part)])
         peak = h.max()
         if peak > 0.0:
             h /= peak
@@ -459,11 +491,10 @@ def heatmap_build(
 
 
 def _heat_rows(maps: list[np.ndarray], ia, ib) -> np.ndarray:
-    """1 - cosine similarity of the flattened maps of each pair; pairs with an
-    all-zero map are maximally far."""
-    flat = [h.ravel() for h in maps]
-    norms = np.sqrt([np.dot(h, h) for h in flat])
-    dots = np.array([np.dot(flat[a], flat[b]) for a, b in zip(ia.tolist(), ib.tolist())])
+    """1 - cosine similarity of the maps of each pair, summed by NumPy (a BLAS dot
+    depends on the thread count); pairs with an all-zero map are maximally far."""
+    norms = np.sqrt([(h * h).sum() for h in maps])
+    dots = np.array([(maps[a] * maps[b]).sum() for a, b in zip(ia.tolist(), ib.tolist())])
     with np.errstate(divide="ignore", invalid="ignore"):
         value = np.clip(1.0 - dots / (norms[ia] * norms[ib]), 0.0, 1.0)
     return np.where((norms[ia] == 0.0) | (norms[ib] == 0.0), 1.0, value)
@@ -480,6 +511,8 @@ def build_scene(window: TimeWindow, configs: FeatureConfigs | None = None) -> Wi
     """Compute all four features for every unordered member pair of the window,
     one row per pair in the scene's triu order.
 
+    Far pairs get (1, 1, 1, 1), flagged far, and no kernel runs on them; heat
+    maps are built, on the window grid, only for members of the other pairs.
     Pairs that never co-occur get d_ph = d_ca = 1 (maximally dissimilar) while
     d_sh and d_he are still computed, flagged no_overlap; pairs with too few
     common samples for the causality regression carry the 0.5 fallback,
@@ -490,20 +523,26 @@ def build_scene(window: TimeWindow, configs: FeatureConfigs | None = None) -> Wi
     segments = [window.segments[m] for m in members]
     ia, ib = np.triu_indices(len(members), 1)
     aligned = align_segments(segments)
-    features = np.empty((len(ia), 4))
-    features[:, 0] = _proxemic_rows(aligned, ia, ib, configs.proxemics)
-    features[:, 1] = _dtw_rows(segments, ia, ib, DTW_TAU)
-    features[:, 2], fallback = _granger_rows(aligned, ia, ib, configs.granger)
-    maps = _heatmaps(segments, configs.heatmap, window_grid(window, configs.heatmap))
-    features[:, 3] = _heat_rows(maps, ia, ib)
+    far = _far_rows(aligned, ia, ib)
+    keep = np.flatnonzero(~far)
+    ka, kb = ia[keep], ib[keep]
+    features = np.ones((len(ia), 4))
+    fallback = np.zeros(len(ia), dtype=bool)
+    features[keep, 0] = _proxemic_rows(aligned, ka, kb, configs.proxemics)
+    features[keep, 1] = _dtw_rows(segments, ka, kb, DTW_TAU)
+    features[keep, 2], fallback[keep] = _granger_rows(aligned, ka, kb, configs.granger)
+    used, slots = np.unique(np.concatenate([ka, kb]), return_inverse=True)
+    maps = _heatmaps([segments[m] for m in used], configs.heatmap, window_grid(window, configs.heatmap))
+    features[keep, 3] = _heat_rows(maps, *np.split(slots, 2))
     no_overlap = np.isnan(features[:, 0])
     features[no_overlap, 0] = features[no_overlap, 2] = NO_OVERLAP_DISTANCE
-    return WindowedScene(window, features, fallback & ~no_overlap, no_overlap)
+    return WindowedScene(window, features, fallback & ~no_overlap, no_overlap, far)
 
 
 def write_features_csv(scenes: Iterable[WindowedScene], out) -> None:
     """One row per pair to the open text file `out`:
-    window,a,b,d_ph,d_sh,d_ca,d_he with 9 significant digits."""
+    window,a,b,d_ph,d_sh,d_ca,d_he with 9 significant digits; far pairs read
+    1,1,1,1."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["window", "a", "b", *FEATURE_NAMES])
     for scene in scenes:

@@ -430,6 +430,7 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
         ["dropped_member_instances", sum(len(w.dropped) for w in windows)],
         ["granger_fallback_pairs", sum(s.granger_fallback_count for s in all_scenes)],
         ["no_overlap_pairs", sum(s.no_overlap_count for s in all_scenes)],
+        ["far_pairs", sum(s.far_count for s in all_scenes)],
     ]
     _write_csv(out / "data_quality.csv", ["quantity", "value"], quality_rows)
 

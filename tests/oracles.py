@@ -46,7 +46,7 @@ from crowdgroups import (
     joint_feature_map,
     window_grid,
 )
-from crowdgroups import learning
+from crowdgroups import features, learning
 from crowdgroups.features import (
     _DEGENERATE_RSS,
     _NO_GAIN_RTOL,
@@ -492,30 +492,49 @@ def scalar_heatmap_distance(h_a: np.ndarray, h_b: np.ndarray) -> float:
     return min(1.0, max(0.0, 1.0 - similarity))
 
 
+def _scalar_far(seg_a: Trajectory, seg_b: Trajectory) -> bool:
+    """Shares a timestamp and is more than features.NEAR_RADIUS apart at each."""
+    common, ia, ib = _common_indices(seg_a, seg_b)
+    radius = features.NEAR_RADIUS
+    for k in range(common.size):
+        dx, dy = (float(v) for v in seg_a.points[ia[k]] - seg_b.points[ib[k]])
+        if dx * dx + dy * dy <= radius * radius:
+            return False
+    return common.size > 0
+
+
 def scalar_pair_table(window: TimeWindow, configs: FeatureConfigs | None = None):
-    """(feature matrix, granger_fallback, no_overlap) of the window, one pair
-    at a time in triu order, as build_scene computed them before batching."""
+    """(feature matrix, granger_fallback, no_overlap, far) of the window, one
+    pair at a time in triu order: far pairs are (1, 1, 1, 1) and the others as
+    build_scene computed them before batching."""
     configs = configs or FeatureConfigs()
     members = sorted(window.members)
     segments = window.segments
     grid = window_grid(window, configs.heatmap)
     maps = {m: scalar_heatmap_build(segments[m], configs.heatmap, grid) for m in members}
-    rows, fallbacks, no_overlaps = [], [], []
+    rows, fallbacks, no_overlaps, fars = [], [], [], []
     for a, b in itertools.combinations(members, 2):
         seg_a, seg_b = segments[a], segments[b]
         no_overlap = _common_indices(seg_a, seg_b)[0].size == 0
+        far = _scalar_far(seg_a, seg_b)
         fallback = False
-        if no_overlap:
-            d_ph = d_ca = NO_OVERLAP_DISTANCE
+        if far:
+            rows.append((1.0, 1.0, 1.0, 1.0))
         else:
-            d_ph = scalar_proxemic_distance(seg_a, seg_b, configs.proxemics)
-            d_ca, fallback = scalar_granger_distance_flagged(seg_a, seg_b, configs.granger)
-        d_sh = scalar_dtw_shape_distance(seg_a, seg_b)
-        d_he = scalar_heatmap_distance(maps[a], maps[b])
-        rows.append((d_ph, d_sh, d_ca, d_he))
+            if no_overlap:
+                d_ph = d_ca = NO_OVERLAP_DISTANCE
+            else:
+                d_ph = scalar_proxemic_distance(seg_a, seg_b, configs.proxemics)
+                d_ca, fallback = scalar_granger_distance_flagged(seg_a, seg_b, configs.granger)
+            d_sh = scalar_dtw_shape_distance(seg_a, seg_b)
+            d_he = scalar_heatmap_distance(maps[a], maps[b])
+            rows.append((d_ph, d_sh, d_ca, d_he))
         fallbacks.append(fallback)
         no_overlaps.append(no_overlap)
-    return np.array(rows).reshape(-1, 4), np.array(fallbacks, bool), np.array(no_overlaps, bool)
+        fars.append(far)
+    return (
+        np.array(rows).reshape(-1, 4), np.array(fallbacks, bool), np.array(no_overlaps, bool), np.array(fars, bool)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -593,20 +612,21 @@ def brute_force_best_partition(members: Sequence[int], value) -> tuple[float, Pa
     return best
 
 
-def random_ragged_window(rng: np.random.Generator, frame: float = 0.4) -> TimeWindow:
+def random_ragged_window(rng: np.random.Generator, frame: float = 0.4, spread: float = 4.0) -> TimeWindow:
     """2-15 members with 2-25 samples each on a shared frame grid, staggered
     starts over 30 frames and dropped frames, so some pairs never co-occur and
     some share only a few samples. About one member in ten stands still and one
-    in ten replays an earlier member's path one frame later."""
+    in ten replays an earlier member's path one frame later. Paths start within
+    `spread` meters of the origin on each axis."""
     segments: dict[int, Trajectory] = {}
     for m in range(1, int(rng.integers(2, 16)) + 1):
         k = int(rng.integers(2, 26))
         start = int(rng.integers(0, 30))
         frames = np.sort(rng.choice(np.arange(start, start + k + int(rng.integers(0, 6))), k, replace=False))
-        points = np.cumsum(rng.normal(scale=0.4, size=(k, 2)), axis=0) + rng.uniform(-4.0, 4.0, size=2)
+        points = np.cumsum(rng.normal(scale=0.4, size=(k, 2)), axis=0) + rng.uniform(-spread, spread, size=2)
         kind = rng.random()
         if kind < 0.1:
-            points = np.tile(rng.uniform(-4.0, 4.0, size=2), (k, 1))
+            points = np.tile(rng.uniform(-spread, spread, size=2), (k, 1))
         elif kind < 0.2 and segments:
             leader = segments[int(rng.integers(1, m))]
             frames = np.round(leader.times / frame).astype(int) + 1

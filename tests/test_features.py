@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crowdgroups
 from crowdgroups import (
     ConfigError,
     FeatureConfigs,
@@ -17,6 +23,7 @@ from crowdgroups import (
     Model,
     ProxemicsConfig,
     RunConfig,
+    SynthSpec,
     Trajectory,
     TimeWindow,
     WindowedScene,
@@ -29,6 +36,8 @@ from crowdgroups import (
     heatmap_build,
     heatmap_distance,
     proxemic_distance,
+    slice_windows,
+    synth_generate,
     window_grid,
     write_features_csv,
 )
@@ -114,6 +123,7 @@ def test_feature_configs_round_trip(tmp_path):
 def test_pair_features_validation():
     win = window_of(traj(1, [[0, 0], [1, 0]]), traj(2, [[0, 1], [1, 1]]))
     WindowedScene(win, np.zeros((1, 4)), [True], [False])
+    assert WindowedScene(win, np.ones((1, 4)), [False], [False], [True]).far_count == 1
     with pytest.raises(ValueError):
         WindowedScene(win, np.zeros((1, 3)))
     with pytest.raises(ValueError):
@@ -128,6 +138,8 @@ def test_pair_features_validation():
         WindowedScene(win, np.zeros((1, 4)), granger_fallback=[False, True])
     with pytest.raises(ValueError):
         WindowedScene(win, np.zeros((1, 4)), no_overlap=[])
+    with pytest.raises(ValueError):
+        WindowedScene(win, np.zeros((1, 4)), far=[True, False])
 
 
 def test_pair_features_vectors():
@@ -141,7 +153,8 @@ def test_pair_features_vectors():
     assert w @ scene.affinity_terms[0] == pytest.approx(alpha @ (1 - d) - beta @ d)
     assert scene.granger_fallback.tolist() == [False]
     assert scene.no_overlap.tolist() == [False]
-    for array in (scene.feature_matrix, scene.granger_fallback, scene.no_overlap):
+    assert scene.far.tolist() == [False] and scene.far_count == 0
+    for array in (scene.feature_matrix, scene.granger_fallback, scene.no_overlap, scene.far):
         assert not array.flags.writeable
 
 
@@ -515,7 +528,7 @@ def _pairs_of(win):
 
 def _check_causality(win, scene, cfg):
     for k, (seg_a, seg_b) in enumerate(_pairs_of(win)):
-        if scene.no_overlap[k]:
+        if scene.no_overlap[k] or scene.far[k]:
             continue
         want, fallback = oracles.scalar_granger_distance_flagged(seg_a, seg_b, cfg.granger)
         assert scene.granger_fallback[k] == fallback
@@ -528,24 +541,28 @@ def _check_heat(win, scene, cfg):
     for m, seg in win.segments.items():
         assert np.array_equal(maps[m], oracles.scalar_heatmap_build(seg, cfg.heatmap, grid))
     got = scene.feature_matrix[:, 3]
-    want = [oracles.scalar_heatmap_distance(maps[a], maps[b]) for a, b in scene.pairs.tolist()]
-    assert np.abs(got - want).max(initial=0.0) <= 1e-12
+    want = [
+        1.0 if far else oracles.scalar_heatmap_distance(maps[a], maps[b])
+        for (a, b), far in zip(scene.pairs.tolist(), scene.far)
+    ]
+    assert got.tolist() == want
 
 
 def _check_proxemics(win, scene, cfg):
     want = [
-        oracles.scalar_proxemic_distance(a, b, cfg.proxemics) if not scene.no_overlap[k] else 1.0
+        oracles.scalar_proxemic_distance(a, b, cfg.proxemics) if not (scene.no_overlap[k] or scene.far[k]) else 1.0
         for k, (a, b) in enumerate(_pairs_of(win))
     ]
     assert scene.feature_matrix[:, 0].tolist() == want
 
 
 def _check_all(win, scene, cfg):
-    matrix, fallback, no_overlap = oracles.scalar_pair_table(win, cfg)
+    matrix, fallback, no_overlap, far = oracles.scalar_pair_table(win, cfg)
     assert scene.no_overlap.tolist() == no_overlap.tolist()
+    assert scene.far.tolist() == far.tolist()
     assert scene.granger_fallback.tolist() == fallback.tolist()
-    assert scene.feature_matrix[:, :2].tolist() == matrix[:, :2].tolist()
-    assert np.abs(scene.feature_matrix[:, 2:] - matrix[:, 2:]).max(initial=0.0) <= 1e-12
+    assert scene.feature_matrix[:, [0, 1, 3]].tolist() == matrix[:, [0, 1, 3]].tolist()
+    assert np.abs(scene.feature_matrix[:, 2] - matrix[:, 2]).max(initial=0.0) <= 1e-12
     _check_heat(win, scene, cfg)
 
 
@@ -561,9 +578,9 @@ EQUIVALENCE_CASES = {
 
 @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
 def test_build_scene_matches_scalar_references_on_random_ragged_windows(case):
-    # d_ph, d_sh and the heat maps are bit-identical; d_ca and d_he agree to
-    # 1e-12 (other QR and dot summation orders); the flags are identical.
-    # Non-default settings check the features they change.
+    # d_ph, d_sh, d_he and the heat maps are bit-identical; d_ca agrees to
+    # 1e-12 (another QR); the flags are identical. Non-default settings check
+    # the features they change.
     cfg, check = EQUIVALENCE_CASES[case]
     rng = np.random.default_rng(2024)
     seen = {"no_overlap": 0, "fallback": 0, "rows": 0}
@@ -577,6 +594,18 @@ def test_build_scene_matches_scalar_references_on_random_ragged_windows(case):
     assert seen["no_overlap"] > 0 and seen["fallback"] > 0 and seen["rows"] > 2000
 
 
+def test_build_scene_matches_scalar_references_on_spread_ragged_windows():
+    # paths start up to 12 m apart on each axis, so far pairs are common
+    rng = np.random.default_rng(2024)
+    far = rows = 0
+    for _ in range(60):
+        win = oracles.random_ragged_window(rng, spread=12.0)
+        scene = build_scene(win)
+        _check_all(win, scene, FeatureConfigs())
+        far, rows = far + scene.far_count, rows + len(scene.pairs)
+    assert far > 0.3 * rows and rows > 1000
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_build_scene_does_not_depend_on_chunk_size(monkeypatch, chunk):
     rng = np.random.default_rng(11)
@@ -588,6 +617,97 @@ def test_build_scene_does_not_depend_on_chunk_size(monkeypatch, chunk):
         assert got.feature_matrix.tolist() == scene.feature_matrix.tolist()
         assert got.granger_fallback.tolist() == scene.granger_fallback.tolist()
         assert got.no_overlap.tolist() == scene.no_overlap.tolist()
+        assert got.far.tolist() == scene.far.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Far-pair gating
+
+
+DENSE_SPEC = SynthSpec(
+    n_groups=20, n_singletons=40, extent=60.0, group_size_min=3, group_size_max=3, duration=10.0
+)  # 100 pedestrians in one 10 s window
+
+
+def _synth_window(spec, seed, ragged=False):
+    """The scene's first 10 s window; `ragged` gives every pedestrian a random
+    visible span and drops a tenth of its samples."""
+    trajs, _ = synth_generate(spec, seed=seed)
+    if ragged:
+        rng = np.random.default_rng(seed)
+        cut = []
+        for t in trajs:
+            keep = rng.random(len(t.times)) > 0.1
+            lo, hi = np.sort(rng.integers(0, len(t.times), size=2))
+            keep[:lo] = keep[hi + 1 :] = False
+            if keep.any():
+                cut.append(Trajectory(t.pedestrian_id, t.times[keep], t.points[keep]))
+        trajs = cut
+    return slice_windows(trajs, 10.0, 10.0)[0]
+
+
+GATING_WINDOWS = {
+    "default": (SynthSpec(), 0, False),
+    "dense": (DENSE_SPEC, 0, False),
+    "ragged": (SynthSpec(duration=40.0), 3, True),
+}
+
+
+@pytest.mark.parametrize("case", list(GATING_WINDOWS))
+def test_far_gating_leaves_the_other_rows_bit_identical(monkeypatch, case):
+    win = _synth_window(*GATING_WINDOWS[case])
+    gated = build_scene(win)
+    monkeypatch.setattr(features_module, "NEAR_RADIUS", math.inf)
+    full = build_scene(win)
+    far, near = gated.far, ~gated.far
+    assert 0 < gated.far_count < len(far) and full.far_count == 0
+    assert np.all(gated.feature_matrix[far] == 1.0)
+    assert not (gated.granger_fallback[far].any() or gated.no_overlap[far].any() or full.no_overlap[far].any())
+    assert gated.feature_matrix[near].tolist() == full.feature_matrix[near].tolist()
+    assert gated.granger_fallback[near].tolist() == full.granger_fallback[near].tolist()
+    assert gated.no_overlap.tolist() == full.no_overlap.tolist()
+
+
+def test_far_rule_boundary_and_no_overlap():
+    # (1, 2) are exactly 7.6 m apart at one shared sample and farther at the
+    # others: not far. (1, 3) and (2, 3) are farther at every shared sample:
+    # far. Member 4 never co-occurs with anyone: no_overlap, not far.
+    a = traj(1, [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    b = traj(2, [[7.6, 0.0], [20.0, 0.0], [30.0, 0.0]])
+    c = traj(3, [[0.0, 7.6000001], [0.0, 8.0], [0.0, 9.0]])
+    d = traj(4, [[0.0, 0.0], [1.0, 0.0]], t0=10.0)
+    win = window_of(a, b, c, d)
+    scene = build_scene(win)
+    assert scene.pairs.tolist() == [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
+    assert scene.far.tolist() == [False, True, False, True, False, False]
+    assert scene.no_overlap.tolist() == [False, False, True, False, True, True]
+    assert (scene.far_count, scene.no_overlap_count) == (2, 3)
+    assert scene.feature_matrix[[1, 3]].tolist() == [[1.0] * 4] * 2
+    assert scene.feature_matrix[0, 0] < 1.0
+    assert oracles.scalar_pair_table(win)[3].tolist() == scene.far.tolist()
+
+
+def test_heat_distances_do_not_depend_on_blas_threads():
+    # a BLAS dot splits long maps across threads, and the split changes the
+    # rounding; d_he must come out byte-identical under any thread count
+    script = (
+        "import hashlib\n"
+        "from crowdgroups import SynthSpec, build_scene, slice_windows, synth_generate\n"
+        f"spec = {DENSE_SPEC!r}\n"
+        "win = slice_windows(synth_generate(spec, seed=0)[0], 10.0, 10.0)[0]\n"
+        "print(hashlib.sha256(build_scene(win).feature_matrix[:, 3].tobytes()).hexdigest())\n"
+    )
+    src = str(Path(crowdgroups.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+    win = _synth_window(DENSE_SPEC, 0)
+    assert digests[0].strip() == hashlib.sha256(build_scene(win).feature_matrix[:, 3].tobytes()).hexdigest()
 
 
 def test_build_scene_empty_and_single_member_windows():
@@ -595,7 +715,7 @@ def test_build_scene_empty_and_single_member_windows():
     for win in (empty, window_of(traj(4, [[0, 0], [1, 1]]))):
         scene = build_scene(win)
         assert scene.feature_matrix.shape == (0, 4)
-        assert scene.granger_fallback.shape == scene.no_overlap.shape == (0,)
+        assert scene.granger_fallback.shape == scene.no_overlap.shape == scene.far.shape == (0,)
 
 
 def _walk(seed, k=24):

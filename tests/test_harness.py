@@ -256,7 +256,9 @@ def test_run_experiment_outputs(dataset_dir, tmp_path):
     config = RunConfig(**FAST)
     result = run_experiment(config, dataset_dir, out)
 
-    assert (out / "data_quality.csv").is_file()
+    quality = dict(line.split(",") for line in (out / "data_quality.csv").read_text().splitlines()[1:])
+    assert list(quality)[-3:] == ["granger_fallback_pairs", "no_overlap_pairs", "far_pairs"]
+    assert int(quality["far_pairs"]) > 0
     assert (out / "scene_stats.csv").is_file()
     assert (out / "summary.csv").is_file()
     assert (out / "meta.json").is_file()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from crowdgroups import (
     slice_windows,
     synth_generate,
 )
-from crowdgroups import learning
+from crowdgroups import features, learning
 from crowdgroups.losses import MergeLoss
 
 from oracles import (
@@ -607,8 +608,11 @@ def test_cached_steps_use_only_the_blocks_own_answers(monkeypatch):
 def test_cached_plane_scales_with_the_current_block_count(monkeypatch):
     # block 0 caches its planes while it is the only block (C/n = C); after
     # two arrivals (C/n = C/3) a step to a cached plane must equal a step to
-    # the same labelling's plane freshly asked at the new n
-    examples = noisy_examples()[:3]
+    # the same labelling's plane freshly asked at the new n. The setup needs a
+    # cached plane that still pays after the arrivals: these windows give one
+    # with every pair featurized, not with far pairs gated to (1, 1, 1, 1)
+    monkeypatch.setattr(features, "NEAR_RADIUS", math.inf)
+    examples = noisy_examples.__wrapped__()[:3]
     config = TrainConfig(C=10.0)
     model = Model(block_w=np.zeros((1, 8)), block_l=[0.0], C=config.C)
     blocks = [learning._Planes(example) for example in examples]
