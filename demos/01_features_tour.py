@@ -11,8 +11,7 @@ directional causality, and shared-space usage. Every distance lands in
 import numpy as np
 
 from crowdgroups import (
-    GrangerConfig,
-    HeatmapConfig,
+    FeatureConfig,
     TimeWindow,
     Trajectory,
     dtw_shape_distance,
@@ -68,11 +67,11 @@ print("d_sh parallel 12 m away   :", round(dtw_shape_distance(side_by_side, acro
 leader_path = np.cumsum(rng.normal(scale=0.3, size=(len(times) + 2, 2)), axis=0)
 leader = Trajectory(5, times, leader_path[2:])
 follower = Trajectory(6, times, leader_path[:-2] + rng.normal(scale=0.02, size=(len(times), 2)))
-print("d_ca leader/follower :", round(granger_distance(leader, follower, GrangerConfig(lag=2)), 4))
+print("d_ca leader/follower :", round(granger_distance(leader, follower, FeatureConfig(granger_lag=2)), 4))
 
 loner_a = Trajectory(7, times, np.cumsum(rng.normal(scale=0.3, size=(len(times), 2)), axis=0))
 loner_b = Trajectory(8, times, np.cumsum(rng.normal(scale=0.3, size=(len(times), 2)), axis=0) + 4.0)
-print("d_ca independent     :", round(granger_distance(loner_a, loner_b, GrangerConfig(lag=2)), 4))
+print("d_ca independent     :", round(granger_distance(loner_a, loner_b, FeatureConfig(granger_lag=2)), 4))
 
 # ---------------------------------------------------------------------------
 # heat maps: rasterize each walker's visitation onto a shared grid, spread
@@ -81,7 +80,7 @@ print("d_ca independent     :", round(granger_distance(loner_a, loner_b, Granger
 # default diffusion is nearly flat (k_s = 1e-5); a sharper coefficient makes
 # the locality obvious on a toy scene this small.
 
-sharp = HeatmapConfig(k_s=0.3)
+sharp = FeatureConfig(heat_k_s=0.3)
 trio = {t.pedestrian_id: t for t in (side_by_side, shoulder, across_the_square)}
 window = TimeWindow(
     index=0, start_t=times[0], end_t=times[-1] + 1.0,

@@ -27,10 +27,11 @@ from .harness import (
     split_training_span,
     train_model,
     write_predictions,
+    write_scene_stats,
 )
 from .learning import Model
 from .synth import SynthSpec, synth_generate, write_dataset
-from .trajectories import load_dataset, scene_stats
+from .trajectories import load_dataset
 
 _CONFIG_FLAGS = (
     ("--window-len", "window_len", float, "window length in seconds"),
@@ -143,8 +144,7 @@ def _cmd_synth(args) -> int:
 def _cmd_features(args) -> int:
     config = _resolve_config(args)
     windows = dataset_windows(load_dataset(args.data), config.window_len, config.stride)
-    configs = config.feature_configs()
-    scenes = [build_scene(w, configs) for w in windows]
+    scenes = [build_scene(w, config) for w in windows]
     with _output(args.out) as fh:
         write_features_csv(scenes, fh)
     return 0
@@ -161,10 +161,10 @@ def _cmd_train(args) -> int:
     windows = dataset_windows(dataset, config.window_len, config.stride)
     if "training_span" in values:
         windows, _ = split_training_span(dataset, windows, config.training_span)
-    examples = make_training_examples(windows, dataset.labels, config.feature_configs())
+    examples = make_training_examples(windows, dataset.labels, config)
     if not examples:
         raise ConfigError("no windows with members to train on")
-    model = train_model(config, examples, config.seed, args.log, config.to_flat_dict())
+    model = train_model(config, examples, args.log)
     model.save(args.out)
     print(f"trained on {len(examples)} windows ({model.iterations} iterations) -> {args.out}")
     return 0
@@ -204,11 +204,7 @@ def _cmd_stats(args) -> int:
     dataset = load_dataset(args.data)
     if dataset.labels is None:
         raise ConfigError(f"{args.data}: ground truth is required for scene stats")
-    windows = dataset_windows(dataset, config.window_len, config.stride)
-    stats = scene_stats(windows, dataset.labels)
-    print("stat,value")
-    for name, value in (("d_in", stats.d_in), ("d_out", stats.d_out), ("d_io", stats.d_io)):
-        print(f"{name},{'' if value is None else format(value, '.9g')}")
+    write_scene_stats(sys.stdout, dataset_windows(dataset, config.window_len, config.stride), dataset.labels)
     return 0
 
 

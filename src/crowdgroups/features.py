@@ -45,7 +45,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -70,62 +70,54 @@ _CHUNK_ELEMENTS = 1 << 17  # floats in one chunk's pair-axis temporaries (1 MiB)
 _ONE_PAIR = (np.array([0]), np.array([1]))
 
 
-@dataclass(frozen=True)
-class ProxemicsConfig:
-    """Standard deviations (meters) of the interpersonal-zone Gaussians."""
+def _check_numbers(config, floats=(), ints=()) -> None:
+    """Raise ConfigError unless the named float fields of the frozen dataclass
+    `config` (every item of a tuple field) are finite and the named int fields
+    are whole numbers, which are then stored as int."""
+    for name in floats:
+        value = getattr(config, name)
+        if not all(math.isfinite(v) for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+    for name in ints:
+        value = getattr(config, name)
+        if not float(value).is_integer():
+            raise ConfigError(f"{name} must be a whole number, got {value!r}")
+        object.__setattr__(config, name, int(value))
 
-    sigmas: tuple[float, ...] = HALL_SIGMAS
+
+@dataclass(frozen=True)
+class FeatureConfig:
+    """Feature settings: the standard deviations (meters) of the interpersonal-zone
+    Gaussians, the causality lag order m (a pair needs K >= 2m + 2 common samples),
+    and the heat-map cell edge, spatial (k_s) and temporal (k_r) coefficients and
+    accumulation. Field names are the run-config keys."""
+
+    proxemic_sigmas: tuple[float, ...] = HALL_SIGMAS
+    granger_lag: int = 2
+    heat_cell_edge: float = 0.30
+    heat_k_s: float = 1e-5
+    heat_k_r: float = 0.5
+    heat_accumulate: str = "binary"
 
     def __post_init__(self):
-        object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
-        if not self.sigmas or any(s <= 0 for s in self.sigmas):
+        object.__setattr__(self, "proxemic_sigmas", tuple(float(s) for s in self.proxemic_sigmas))
+        _check_numbers(
+            self, floats=("proxemic_sigmas", "heat_cell_edge", "heat_k_s", "heat_k_r"), ints=("granger_lag",)
+        )
+        if not self.proxemic_sigmas or any(s <= 0 for s in self.proxemic_sigmas):
             raise ConfigError("proxemic sigmas must be strictly positive")
-        if any(a >= b for a, b in zip(self.sigmas, self.sigmas[1:])):
+        if any(a >= b for a, b in zip(self.proxemic_sigmas, self.proxemic_sigmas[1:])):
             raise ConfigError("proxemic sigmas must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class GrangerConfig:
-    """Autoregression lag order m; a pair needs K >= 2m + 2 common samples."""
-
-    lag: int = 2
-
-    def __post_init__(self):
-        if int(self.lag) < 1:
-            raise ConfigError(f"granger lag must be >= 1, got {self.lag}")
-        object.__setattr__(self, "lag", int(self.lag))
-
-    def min_samples(self) -> int:
-        return 2 * self.lag + 2
-
-
-@dataclass(frozen=True)
-class HeatmapConfig:
-    """Heat-map cell size and the spatial (k_s) / temporal (k_r) coefficients."""
-
-    cell_edge: float = 0.30
-    k_s: float = 1e-5
-    k_r: float = 0.5
-    accumulate: str = "binary"
-
-    def __post_init__(self):
-        if self.cell_edge <= 0:
-            raise ConfigError(f"cell_edge must be positive, got {self.cell_edge}")
-        if self.k_s < 0 or self.k_r < 0:
+        if self.granger_lag < 1:
+            raise ConfigError(f"granger lag must be >= 1, got {self.granger_lag}")
+        if self.heat_cell_edge <= 0:
+            raise ConfigError(f"cell_edge must be positive, got {self.heat_cell_edge}")
+        if self.heat_k_s < 0 or self.heat_k_r < 0:
             raise ConfigError("k_s and k_r must be non-negative")
-        if self.accumulate not in ("binary", "visits"):
+        if self.heat_accumulate not in ("binary", "visits"):
             raise ConfigError(
-                f"accumulate must be 'binary' or 'visits', got {self.accumulate!r}"
+                f"accumulate must be 'binary' or 'visits', got {self.heat_accumulate!r}"
             )
-
-
-@dataclass(frozen=True)
-class FeatureConfigs:
-    """Bundle of the per-feature configurations."""
-
-    proxemics: ProxemicsConfig = field(default_factory=ProxemicsConfig)
-    granger: GrangerConfig = field(default_factory=GrangerConfig)
-    heatmap: HeatmapConfig = field(default_factory=HeatmapConfig)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,14 +187,14 @@ class WindowedScene:
         return int(self.far.sum())
 
 
-def gmm_eval(delta, cfg: ProxemicsConfig | None = None) -> float:
+def gmm_eval(delta, cfg: FeatureConfig | None = None) -> float:
     """Equal-weight mixture of zero-mean isotropic 2-D Gaussians at `delta`.
 
     The mixture is isotropic, so `delta` may be a 2-D displacement or a scalar
     separation distance.
     """
-    cfg = cfg or ProxemicsConfig()
-    sig2 = np.square(np.asarray(cfg.sigmas, dtype=float))
+    cfg = cfg or FeatureConfig()
+    sig2 = np.square(np.asarray(cfg.proxemic_sigmas, dtype=float))
     arr = np.asarray(delta, dtype=float)
     d2 = float(arr) ** 2 if arr.ndim == 0 else float(arr[0]) ** 2 + float(arr[1]) ** 2
     return float(np.mean(np.exp(-d2 / (2.0 * sig2)) / (2.0 * math.pi * sig2)))
@@ -242,9 +234,9 @@ def _far_rows(aligned, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     return far
 
 
-def _proxemic_rows(aligned, ia, ib, cfg: ProxemicsConfig) -> np.ndarray:
+def _proxemic_rows(aligned, ia, ib, cfg: FeatureConfig) -> np.ndarray:
     """d_ph per pair; NaN where the pair shares no sample."""
-    sig2 = np.square(np.asarray(cfg.sigmas, dtype=float))
+    sig2 = np.square(np.asarray(cfg.proxemic_sigmas, dtype=float))
     peak = gmm_eval((0.0, 0.0), cfg)
     out = np.full(len(ia), np.nan)
     for rows, pa, pb in _common_groups(aligned, ia, ib, 4 * (sig2.size + 2)):
@@ -255,9 +247,9 @@ def _proxemic_rows(aligned, ia, ib, cfg: ProxemicsConfig) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def proxemic_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: ProxemicsConfig | None = None) -> float:
+def proxemic_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig | None = None) -> float:
     """1 - (mean mixture response over co-timed displacements) / (response at 0)."""
-    value = _proxemic_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, cfg or ProxemicsConfig())[0]
+    value = _proxemic_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, cfg or FeatureConfig())[0]
     if np.isnan(value):
         raise ValueError("segments share no common timestamps")
     return float(value)
@@ -376,21 +368,21 @@ def granger_causality_area(target: Trajectory, source: Trajectory, lag: int = 2)
     return None if np.isnan(area) else float(area)
 
 
-def _granger_rows(aligned, ia, ib, cfg: GrangerConfig) -> tuple[np.ndarray, np.ndarray]:
+def _granger_rows(aligned, ia, ib, cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
     """(d_ca, fallback) per pair: 1 - the larger defined directional area."""
-    areas = _granger_areas(aligned, np.concatenate([ib, ia]), np.concatenate([ia, ib]), cfg.lag)
+    areas = _granger_areas(aligned, np.concatenate([ib, ia]), np.concatenate([ia, ib]), cfg.granger_lag)
     best = np.fmax(*np.split(areas, 2))
     fallback = np.isnan(best)
     return np.where(fallback, GRANGER_FALLBACK, np.clip(1.0 - best, 0.0, 1.0)), fallback
 
 
-def granger_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: GrangerConfig | None = None) -> float:
+def granger_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig | None = None) -> float:
     """1 - max directional causality area (the max makes the feature symmetric).
 
     Pairs with too few common samples (or degenerate regressions in both
     directions) fall back to the uninformative midpoint 0.5.
     """
-    value, _ = _granger_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, cfg or GrangerConfig())
+    value, _ = _granger_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, cfg or FeatureConfig())
     return float(value[0])
 
 
@@ -421,19 +413,19 @@ def _points_grid(points: np.ndarray, cell: float) -> HeatmapGrid:
     return HeatmapGrid(x0=x0, y0=y0, cell=cell, rows=rows, cols=cols)
 
 
-def window_grid(window: TimeWindow, cfg: HeatmapConfig | None = None) -> HeatmapGrid:
+def window_grid(window: TimeWindow, cfg: FeatureConfig | None = None) -> HeatmapGrid:
     """Grid covering every member position of the window."""
-    cfg = cfg or HeatmapConfig()
+    cfg = cfg or FeatureConfig()
     if not window.segments:
-        return HeatmapGrid(0.0, 0.0, cfg.cell_edge, 1, 1)
-    return _points_grid(np.vstack([seg.points for seg in window.segments.values()]), cfg.cell_edge)
+        return HeatmapGrid(0.0, 0.0, cfg.heat_cell_edge, 1, 1)
+    return _points_grid(np.vstack([seg.points for seg in window.segments.values()]), cfg.heat_cell_edge)
 
 
-def _heatmaps(segments, cfg: HeatmapConfig, grid: HeatmapGrid) -> list[np.ndarray]:
+def _heatmaps(segments, cfg: FeatureConfig, grid: HeatmapGrid) -> list[np.ndarray]:
     """Max-normalized heat maps on `grid`, one array each; every visited cell
     adds its energy times a slice of one exp(-k_s * hypot) kernel image."""
     rows, cols = grid.rows, grid.cols
-    image = np.exp(-cfg.k_s * np.hypot(
+    image = np.exp(-cfg.heat_k_s * np.hypot(
         np.arange(1 - rows, rows, dtype=float)[:, None], np.arange(1 - cols, cols, dtype=float)[None, :]
     ))
     heat = []
@@ -443,13 +435,13 @@ def _heatmaps(segments, cfg: HeatmapConfig, grid: HeatmapGrid) -> list[np.ndarra
         h = np.zeros((rows, cols))
         keys = np.floor((seg.points - (grid.x0, grid.y0)) / grid.cell).astype(int) @ (1, cols)
         visited, first, which = np.unique(keys, return_index=True, return_inverse=True)
-        visits = np.bincount(which) if cfg.accumulate == "visits" else np.ones(len(visited))
+        visits = np.bincount(which) if cfg.heat_accumulate == "visits" else np.ones(len(visited))
         dwells = np.bincount(which, weights=np.append(np.diff(seg.times), 0.0))
         deposits = []  # (kernel image patch, energy) per visited cell, in first-visit order
         for v in np.argsort(first).tolist():
             row, col = divmod(int(visited[v]), cols)  # keys are row * cols + col
             patch = image[rows - 1 - row : 2 * rows - 1 - row, cols - 1 - col : 2 * cols - 1 - col]
-            deposits.append((patch, visits[v] * math.exp(-cfg.k_r * dwells[v])))
+            deposits.append((patch, visits[v] * math.exp(-cfg.heat_k_r * dwells[v])))
         for top in range(0, rows, band):
             part = h[top : top + band]
             for patch, energy in deposits:
@@ -463,7 +455,7 @@ def _heatmaps(segments, cfg: HeatmapConfig, grid: HeatmapGrid) -> list[np.ndarra
 
 def heatmap_build(
     seg: Trajectory,
-    cfg: HeatmapConfig | None = None,
+    cfg: FeatureConfig | None = None,
     window: TimeWindow | None = None,
     grid: HeatmapGrid | None = None,
 ) -> np.ndarray:
@@ -475,9 +467,9 @@ def heatmap_build(
     (a mismatched grid is never an error, but sibling maps built for the same
     window share the window grid and stay comparable).
     """
-    cfg = cfg or HeatmapConfig()
+    cfg = cfg or FeatureConfig()
     if grid is None:
-        grid = window_grid(window, cfg) if window is not None else _points_grid(seg.points, cfg.cell_edge)
+        grid = window_grid(window, cfg) if window is not None else _points_grid(seg.points, cfg.heat_cell_edge)
     first = grid.cell_of(seg.points.min(axis=0))
     last = grid.cell_of(seg.points.max(axis=0))
     if not (grid.covers(*first) and grid.covers(*last)):
@@ -507,7 +499,7 @@ def heatmap_distance(h_a: np.ndarray, h_b: np.ndarray) -> float:
     return float(_heat_rows([h_a, h_b], *_ONE_PAIR)[0])
 
 
-def build_scene(window: TimeWindow, configs: FeatureConfigs | None = None) -> WindowedScene:
+def build_scene(window: TimeWindow, configs: FeatureConfig | None = None) -> WindowedScene:
     """Compute all four features for every unordered member pair of the window,
     one row per pair in the scene's triu order.
 
@@ -518,7 +510,7 @@ def build_scene(window: TimeWindow, configs: FeatureConfigs | None = None) -> Wi
     common samples for the causality regression carry the 0.5 fallback,
     flagged granger_fallback.
     """
-    configs = configs or FeatureConfigs()
+    configs = configs or FeatureConfig()
     members = sorted(window.members)
     segments = [window.segments[m] for m in members]
     ia, ib = np.triu_indices(len(members), 1)
@@ -528,11 +520,11 @@ def build_scene(window: TimeWindow, configs: FeatureConfigs | None = None) -> Wi
     ka, kb = ia[keep], ib[keep]
     features = np.ones((len(ia), 4))
     fallback = np.zeros(len(ia), dtype=bool)
-    features[keep, 0] = _proxemic_rows(aligned, ka, kb, configs.proxemics)
+    features[keep, 0] = _proxemic_rows(aligned, ka, kb, configs)
     features[keep, 1] = _dtw_rows(segments, ka, kb, DTW_TAU)
-    features[keep, 2], fallback[keep] = _granger_rows(aligned, ka, kb, configs.granger)
+    features[keep, 2], fallback[keep] = _granger_rows(aligned, ka, kb, configs)
     used, slots = np.unique(np.concatenate([ka, kb]), return_inverse=True)
-    maps = _heatmaps([segments[m] for m in used], configs.heatmap, window_grid(window, configs.heatmap))
+    maps = _heatmaps([segments[m] for m in used], configs, window_grid(window, configs))
     features[keep, 3] = _heat_rows(maps, *np.split(slots, 2))
     no_overlap = np.isnan(features[:, 0])
     features[no_overlap, 0] = features[no_overlap, 2] = NO_OVERLAP_DISTANCE

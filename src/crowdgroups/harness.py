@@ -24,14 +24,7 @@ from typing import Iterable, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import ConfigError, CrowdGroupsError
-from .features import (
-    FEATURE_NAMES,
-    FeatureConfigs,
-    GrangerConfig,
-    HeatmapConfig,
-    ProxemicsConfig,
-    build_scene,
-)
+from .features import FEATURE_NAMES, FeatureConfig, _check_numbers, build_scene
 from .learning import (
     Model,
     TrainConfig,
@@ -161,63 +154,27 @@ def dataclass_from_flat(cls, values: dict, what: str):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Resolved experiment settings; every output artifact echoes these."""
+class RunConfig(FeatureConfig, TrainConfig):
+    """Resolved experiment settings: the feature and training settings, then
+    the windowing, the training span, the training mode and the number of
+    seeded runs. Every output artifact echoes these."""
 
     window_len: float = 10.0
     stride: float = 10.0
     training_span: float = 100.0
-    C: float = 10.0
-    loss: str = "gmitre"
     mode: str = "batch"
-    seed: int = 0
     runs: int = 5
-    max_iterations: int = 1000
-    sequential_budget: int = 100
-    online_budget: int = 10
-    early_stop: bool = False
-    early_stop_tol: float = 1e-6
-    granger_lag: int = 2
-    proxemic_sigmas: tuple[float, ...] = (0.5, 1.2, 3.7, 7.6)
-    heat_cell_edge: float = 0.3
-    heat_k_s: float = 1e-5
-    heat_k_r: float = 0.5
-    heat_accumulate: str = "binary"
 
     def __post_init__(self):
+        FeatureConfig.__post_init__(self)
+        TrainConfig.__post_init__(self)
+        _check_numbers(self, floats=("window_len", "stride", "training_span"), ints=("runs",))
         if self.window_len <= 0 or self.stride <= 0 or self.training_span <= 0:
             raise ConfigError("window_len, stride, and training_span must be positive")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if self.mode not in ("batch", "sequential", "online"):
             raise ConfigError(f"mode must be batch, sequential, or online, got {self.mode!r}")
-        # Build the derived configs once so their validation runs eagerly.
-        self.feature_configs()
-        self.train_config(self.seed)
-
-    def feature_configs(self) -> FeatureConfigs:
-        return FeatureConfigs(
-            proxemics=ProxemicsConfig(sigmas=tuple(float(s) for s in self.proxemic_sigmas)),
-            granger=GrangerConfig(lag=int(self.granger_lag)),
-            heatmap=HeatmapConfig(
-                cell_edge=float(self.heat_cell_edge),
-                k_s=float(self.heat_k_s),
-                k_r=float(self.heat_k_r),
-                accumulate=str(self.heat_accumulate),
-            ),
-        )
-
-    def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            C=self.C,
-            max_iterations=self.max_iterations,
-            seed=int(seed),
-            loss=self.loss,
-            early_stop=self.early_stop,
-            early_stop_tol=self.early_stop_tol,
-            sequential_budget=self.sequential_budget,
-            online_budget=self.online_budget,
-        )
 
     def to_flat_dict(self) -> dict:
         out = {}
@@ -364,6 +321,14 @@ def _weights_rows(model: Model) -> list[list]:
     return rows
 
 
+def write_scene_stats(path_or_file, windows: list, labels: GroundTruthLabels) -> None:
+    """The `stat,value` CSV of the windows' d_in, d_out and d_io; a statistic
+    whose defining set is empty is left blank."""
+    stats = scene_stats(windows, labels)
+    rows = [[name, "" if value is None else value] for name, value in dataclasses.asdict(stats).items()]
+    _write_csv(path_or_file, ["stat", "value"], rows)
+
+
 def dataset_windows(dataset: Dataset, window_len: float, stride: float) -> list:
     """slice_windows over the dataset, which must span at least one window."""
     windows = slice_windows(dataset.trajectories, window_len, stride)
@@ -380,24 +345,23 @@ def split_training_span(dataset: Dataset, windows: list, training_span: float) -
     return [w for w in windows if w.end_t <= split], [w for w in windows if w.end_t > split]
 
 
-def make_training_examples(windows, labels, configs: FeatureConfigs | None = None) -> list[TrainingExample]:
+def make_training_examples(windows, labels, configs: FeatureConfig | None = None) -> list[TrainingExample]:
     """Featurize each non-empty window and pair it with its restricted ground truth."""
     scenes = [build_scene(w, configs) for w in windows if w.members]
     return [TrainingExample(scene, window_ground_truth(scene.window, labels)) for scene in scenes]
 
 
-def train_model(
-    config: RunConfig, examples: list[TrainingExample], seed: int, log, snapshot: dict
-) -> Model:
+def train_model(config: RunConfig, examples: list[TrainingExample], log) -> Model:
     """Sequential training in sequential mode, batch BCFW otherwise (online
-    mode starts predicting from the batch model)."""
-    tc = config.train_config(seed)
+    mode starts predicting from the batch model); the model records the
+    config's flat settings."""
+    snapshot = config.to_flat_dict()
     if config.mode == "sequential":
         model = None
-        for model in sequential_train(iter(examples), tc, log=log, config_snapshot=snapshot):
+        for model in sequential_train(iter(examples), config, log=log, config_snapshot=snapshot):
             pass
         return model
-    return bcfw_train(examples, tc, log=log, config_snapshot=snapshot)
+    return bcfw_train(examples, config, log=log, config_snapshot=snapshot)
 
 
 def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
@@ -413,10 +377,9 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
     if not test_windows:
         raise ConfigError("no windows left to predict beyond the training span")
 
-    configs = config.feature_configs()
-    examples = make_training_examples(train_windows, dataset.labels, configs)
+    examples = make_training_examples(train_windows, dataset.labels, config)
     train_scenes = [ex.scene for ex in examples]
-    test_scenes = [build_scene(w, configs) for w in test_windows]
+    test_scenes = [build_scene(w, config) for w in test_windows]
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -434,30 +397,20 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
     ]
     _write_csv(out / "data_quality.csv", ["quantity", "value"], quality_rows)
 
-    stats = scene_stats(windows, dataset.labels)
-    _write_csv(
-        out / "scene_stats.csv",
-        ["stat", "value"],
-        [
-            ["d_in", "" if stats.d_in is None else stats.d_in],
-            ["d_out", "" if stats.d_out is None else stats.d_out],
-            ["d_io", "" if stats.d_io is None else stats.d_io],
-        ],
-    )
+    write_scene_stats(out / "scene_stats.csv", windows, dataset.labels)
 
     run_means: list[dict[str, ForestScore]] = []
     meta_runs = []
     for r in range(config.runs):
         run_seed = config.seed + r
+        run_config = dataclasses.replace(config, seed=run_seed)
         rundir = out / f"run-{run_seed}"
         rundir.mkdir(parents=True, exist_ok=True)
-        resolved = config.to_flat_dict()
-        resolved["seed"] = run_seed
-        write_config_file(rundir / "config.resolved.toml", resolved)
+        write_config_file(rundir / "config.resolved.toml", run_config.to_flat_dict())
 
-        model = train_model(config, examples, run_seed, rundir / "train_log.csv", resolved)
+        model = train_model(run_config, examples, rundir / "train_log.csv")
         if config.mode == "online":
-            online = online_predict_train(test_scenes, model, config.train_config(run_seed))
+            online = online_predict_train(test_scenes, model, run_config)
             preds = []
             for pred, model in online:
                 preds.append(pred)
@@ -542,7 +495,8 @@ def predict_windows(dataset: Dataset, model: Model, window_len=None, stride=None
     return entries
 
 
-def _snapshot_feature_configs(snapshot: dict) -> FeatureConfigs:
-    """The feature configs of the run settings recorded in a model."""
+def _snapshot_feature_configs(snapshot: dict) -> FeatureConfig:
+    """The run settings recorded in a model (a RunConfig is a FeatureConfig);
+    every recorded setting is checked, the window settings too."""
     names = {f.name for f in dataclasses.fields(RunConfig)}
-    return RunConfig.from_dict({k: v for k, v in snapshot.items() if k in names}).feature_configs()
+    return RunConfig.from_dict({k: v for k, v in snapshot.items() if k in names})

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .features import WindowedScene
+from .features import WindowedScene, _check_numbers
 from .losses import MergeLoss, gmitre_loss, mitre_loss, pairwise_loss
 from .partitioning import Partition, _affinity_array, _greedy_merge, affinity, greedy_cc
 
@@ -83,6 +83,10 @@ class TrainConfig:
     online_budget: int = 10
 
     def __post_init__(self):
+        _check_numbers(
+            self, floats=("C", "early_stop_tol"),
+            ints=("max_iterations", "seed", "sequential_budget", "online_budget"),
+        )
         if self.C <= 0:
             raise ConfigError(f"C must be positive, got {self.C}")
         if self.max_iterations < 0:
@@ -220,14 +224,6 @@ def joint_feature_map(scene: WindowedScene, p: Partition) -> np.ndarray:
     return scene.affinity_terms[cluster[ia] == cluster[ib]].sum(axis=0)
 
 
-def compatibility(scene: WindowedScene, p: Partition, w) -> float:
-    """w @ Psi(scene, p): how well the weighted affinities support the partition."""
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.shape != (WEIGHT_DIM,):
-        raise ValueError(f"weight vector must have {WEIGHT_DIM} components")
-    return float(w @ joint_feature_map(scene, p))
-
-
 class OracleAnswer(NamedTuple):
     """The oracle's labelling, its H value (the structured hinge estimate), its
     loss against the truth and Psi(scene, partition)."""
@@ -309,7 +305,6 @@ class _StepInfo(NamedTuple):
     gamma: float
     gap: float
     exact: bool
-    labelling: Partition
 
 
 def _bcfw_step(
@@ -346,8 +341,7 @@ def _bcfw_step(
     model.block_w[i] = new_wi
     model.block_l[i] = new_li
     model.iterations += 1
-    return _StepInfo(model.iterations, i, float(hinges[j]), gamma, gap, not cached,
-                     planes.labellings[j])
+    return _StepInfo(model.iterations, i, float(hinges[j]), gamma, gap, not cached)
 
 
 @contextmanager

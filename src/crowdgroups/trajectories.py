@@ -206,6 +206,15 @@ def _project_points(homography: Homography, points: np.ndarray) -> np.ndarray:
     return hom[:, :2] / w[:, None]
 
 
+def _parse_id(token: str) -> int:
+    """A pedestrian id: a finite whole number, possibly written as a float
+    (BIWI files write 1.0000000e+00)."""
+    value = float(token)
+    if not value.is_integer():
+        raise ValueError(f"pedestrian id must be a whole number, got {token!r}")
+    return int(value)
+
+
 def load_trajectories(path, homography: Homography | None = None, fps: float = 1.0) -> list[Trajectory]:
     """Parse a trajectory file: `<frame> <ped_id> <x> <y>` per line, `#` comments.
 
@@ -228,7 +237,9 @@ def load_trajectories(path, homography: Homography | None = None, fps: float = 1
                 )
             try:
                 frame = float(parts[0])
-                ped = int(float(parts[1]))
+                if not math.isfinite(frame):
+                    raise ValueError(f"frame must be finite, got {parts[0]!r}")
+                ped = _parse_id(parts[1])
                 x = float(parts[2])
                 y = float(parts[3])
             except ValueError as exc:
@@ -274,7 +285,7 @@ def load_ground_truth(path) -> GroundTruthLabels:
             if not text or text.startswith("#"):
                 continue
             try:
-                ids = [int(float(tok)) for tok in text.split()]
+                ids = [_parse_id(tok) for tok in text.split()]
             except ValueError as exc:
                 raise TrajectoryParseError(f"{path}:{lineno}: {exc}") from None
             if len(set(ids)) != len(ids):

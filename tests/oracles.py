@@ -28,15 +28,12 @@ from scipy import integrate
 
 from crowdgroups import (
     AffinityMatrix,
-    FeatureConfigs,
-    GrangerConfig,
+    FeatureConfig,
     GroundTruthLabels,
-    HeatmapConfig,
     HeatmapGrid,
     MergeStep,
     MergeTrace,
     Partition,
-    ProxemicsConfig,
     TimeWindow,
     Trajectory,
     WindowedScene,
@@ -357,13 +354,13 @@ def _common_indices(seg_a: Trajectory, seg_b: Trajectory):
     return np.intersect1d(seg_a.times, seg_b.times, return_indices=True)
 
 
-def scalar_proxemic_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: ProxemicsConfig | None = None) -> float:
-    cfg = cfg or ProxemicsConfig()
+def scalar_proxemic_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig | None = None) -> float:
+    cfg = cfg or FeatureConfig()
     common, ia, ib = _common_indices(seg_a, seg_b)
     if common.size == 0:
         raise ValueError("segments share no common timestamps")
     deltas = seg_a.points[ia] - seg_b.points[ib]
-    sig2 = np.square(np.asarray(cfg.sigmas, dtype=float))
+    sig2 = np.square(np.asarray(cfg.proxemic_sigmas, dtype=float))
     d2 = np.einsum("ij,ij->i", deltas, deltas)
     responses = np.mean(
         np.exp(-d2[:, None] / (2.0 * sig2)) / (2.0 * math.pi * sig2), axis=1
@@ -434,11 +431,11 @@ def scalar_granger_causality_area(target: Trajectory, source: Trajectory, lag: i
     return f_cdf((gain / m) / (rss_unrestricted / dof), m, dof)
 
 
-def scalar_granger_distance_flagged(seg_a: Trajectory, seg_b: Trajectory, cfg: GrangerConfig | None = None) -> tuple[float, bool]:
-    cfg = cfg or GrangerConfig()
+def scalar_granger_distance_flagged(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig | None = None) -> tuple[float, bool]:
+    cfg = cfg or FeatureConfig()
     areas = (
-        scalar_granger_causality_area(seg_b, seg_a, cfg.lag),
-        scalar_granger_causality_area(seg_a, seg_b, cfg.lag),
+        scalar_granger_causality_area(seg_b, seg_a, cfg.granger_lag),
+        scalar_granger_causality_area(seg_a, seg_b, cfg.granger_lag),
     )
     defined = [a for a in areas if a is not None]
     if not defined:
@@ -447,10 +444,10 @@ def scalar_granger_distance_flagged(seg_a: Trajectory, seg_b: Trajectory, cfg: G
     return min(1.0, max(0.0, value)), False
 
 
-def scalar_heatmap_build(seg: Trajectory, cfg: HeatmapConfig | None = None, grid: HeatmapGrid | None = None) -> np.ndarray:
+def scalar_heatmap_build(seg: Trajectory, cfg: FeatureConfig | None = None, grid: HeatmapGrid | None = None) -> np.ndarray:
     """One hypot and one exp over the whole grid per visited cell."""
-    cfg = cfg or HeatmapConfig()
-    grid = grid or _points_grid(seg.points, cfg.cell_edge)
+    cfg = cfg or FeatureConfig()
+    grid = grid or _points_grid(seg.points, cfg.heat_cell_edge)
     first = grid.cell_of(seg.points.min(axis=0))
     last = grid.cell_of(seg.points.max(axis=0))
     if not (grid.covers(*first) and grid.covers(*last)):
@@ -473,10 +470,10 @@ def scalar_heatmap_build(seg: Trajectory, cfg: HeatmapConfig | None = None, grid
     row_idx = np.arange(grid.rows, dtype=float)[:, None]
     col_idx = np.arange(grid.cols, dtype=float)[None, :]
     for (row, col), (visits, dwell) in occupancy.items():
-        base = visits if cfg.accumulate == "visits" else 1.0
-        energy = base * math.exp(-cfg.k_r * dwell)
+        base = visits if cfg.heat_accumulate == "visits" else 1.0
+        energy = base * math.exp(-cfg.heat_k_r * dwell)
         dist = np.hypot(row_idx - row, col_idx - col)
-        heat += energy * np.exp(-cfg.k_s * dist)
+        heat += energy * np.exp(-cfg.heat_k_s * dist)
     peak = heat.max()
     if peak > 0.0:
         heat /= peak
@@ -503,15 +500,15 @@ def _scalar_far(seg_a: Trajectory, seg_b: Trajectory) -> bool:
     return common.size > 0
 
 
-def scalar_pair_table(window: TimeWindow, configs: FeatureConfigs | None = None):
+def scalar_pair_table(window: TimeWindow, configs: FeatureConfig | None = None):
     """(feature matrix, granger_fallback, no_overlap, far) of the window, one
     pair at a time in triu order: far pairs are (1, 1, 1, 1) and the others as
     build_scene computed them before batching."""
-    configs = configs or FeatureConfigs()
+    configs = configs or FeatureConfig()
     members = sorted(window.members)
     segments = window.segments
-    grid = window_grid(window, configs.heatmap)
-    maps = {m: scalar_heatmap_build(segments[m], configs.heatmap, grid) for m in members}
+    grid = window_grid(window, configs)
+    maps = {m: scalar_heatmap_build(segments[m], configs, grid) for m in members}
     rows, fallbacks, no_overlaps, fars = [], [], [], []
     for a, b in itertools.combinations(members, 2):
         seg_a, seg_b = segments[a], segments[b]
@@ -524,8 +521,8 @@ def scalar_pair_table(window: TimeWindow, configs: FeatureConfigs | None = None)
             if no_overlap:
                 d_ph = d_ca = NO_OVERLAP_DISTANCE
             else:
-                d_ph = scalar_proxemic_distance(seg_a, seg_b, configs.proxemics)
-                d_ca, fallback = scalar_granger_distance_flagged(seg_a, seg_b, configs.granger)
+                d_ph = scalar_proxemic_distance(seg_a, seg_b, configs)
+                d_ca, fallback = scalar_granger_distance_flagged(seg_a, seg_b, configs)
             d_sh = scalar_dtw_shape_distance(seg_a, seg_b)
             d_he = scalar_heatmap_distance(maps[a], maps[b])
             rows.append((d_ph, d_sh, d_ca, d_he))

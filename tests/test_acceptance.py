@@ -18,7 +18,7 @@ import pytest
 
 from crowdgroups import (
     AffinityMatrix,
-    GrangerConfig,
+    FeatureConfig,
     LOSSES,
     Model,
     Partition,
@@ -31,7 +31,6 @@ from crowdgroups import (
     affinity,
     bcfw_train,
     build_scene,
-    compatibility,
     dtw_shape_distance,
     f_cdf,
     gmitre_loss,
@@ -247,7 +246,7 @@ def test_criterion_05_causality_planting_and_null():
         follower = leader[: k] + rng.normal(scale=0.02, size=(k, 2)) + [0.4, 0.0]
         lead_t = Trajectory(1, np.arange(k, dtype=float), leader[lag : k + lag])
         foll_t = Trajectory(2, np.arange(k, dtype=float), follower)
-        d_cas.append(granger_distance(lead_t, foll_t, GrangerConfig(lag=2)))
+        d_cas.append(granger_distance(lead_t, foll_t, FeatureConfig(granger_lag=2)))
     median_dca = float(np.median(d_cas))
     assert median_dca < 0.05
 
@@ -276,7 +275,7 @@ def test_criterion_06_learning_consistency():
         scene = random_scene(int(rng.integers(1, 7)), rng)
         w = rng.normal(size=8) * 2
         p = random_partition(list(scene.members), rng)
-        gap = abs(compatibility(scene, p, w) - partition_score(p, affinity(scene, w)))
+        gap = abs(float(w @ joint_feature_map(scene, p)) - partition_score(p, affinity(scene, w)))
         worst_compat = max(worst_compat, gap)
     assert worst_compat <= 1e-9
 

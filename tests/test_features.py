@@ -17,11 +17,8 @@ import pytest
 import crowdgroups
 from crowdgroups import (
     ConfigError,
-    FeatureConfigs,
-    GrangerConfig,
-    HeatmapConfig,
+    FeatureConfig,
     Model,
-    ProxemicsConfig,
     RunConfig,
     SynthSpec,
     Trajectory,
@@ -75,45 +72,40 @@ def window_of(*trajs, start=None, end=None):
 
 
 def test_proxemics_config_validation():
-    assert ProxemicsConfig().sigmas == HALL_SIGMAS
-    with pytest.raises(ConfigError):
-        ProxemicsConfig(())
-    with pytest.raises(ConfigError):
-        ProxemicsConfig((1.0, -2.0))
-    with pytest.raises(ConfigError):
-        ProxemicsConfig((2.0, 1.0))
+    assert FeatureConfig().proxemic_sigmas == HALL_SIGMAS
+    assert FeatureConfig(proxemic_sigmas=[1, 2]).proxemic_sigmas == (1.0, 2.0)
+    for sigmas in ((), (1.0, -2.0), (2.0, 1.0)):
+        with pytest.raises(ConfigError):
+            FeatureConfig(proxemic_sigmas=sigmas)
 
 
 def test_granger_config_validation():
-    assert GrangerConfig().lag == 2
-    assert GrangerConfig(3).min_samples() == 8
+    assert FeatureConfig().granger_lag == 2
+    assert FeatureConfig(granger_lag=3.0).granger_lag == 3
     with pytest.raises(ConfigError):
-        GrangerConfig(0)
+        FeatureConfig(granger_lag=0)
 
 
 def test_heatmap_config_validation():
     with pytest.raises(ConfigError):
-        HeatmapConfig(cell_edge=0.0)
+        FeatureConfig(heat_cell_edge=0.0)
     with pytest.raises(ConfigError):
-        HeatmapConfig(k_s=-1.0)
+        FeatureConfig(heat_k_s=-1.0)
     with pytest.raises(ConfigError):
-        HeatmapConfig(accumulate="sum")
+        FeatureConfig(heat_accumulate="sum")
 
 
 def test_feature_configs_round_trip(tmp_path):
-    cfg = FeatureConfigs(
-        proxemics=ProxemicsConfig((1.0, 2.0)),
-        granger=GrangerConfig(3),
-        heatmap=HeatmapConfig(cell_edge=0.5, k_s=0.1, k_r=0.0, accumulate="visits"),
-    )
-    config = RunConfig(
+    # a RunConfig is a FeatureConfig; a model's snapshot gives its feature settings back
+    values = dict(
         proxemic_sigmas=(1.0, 2.0), granger_lag=3, heat_cell_edge=0.5,
         heat_k_s=0.1, heat_k_r=0.0, heat_accumulate="visits",
     )
-    assert config.feature_configs() == cfg
+    config = RunConfig(**values)
+    assert isinstance(config, FeatureConfig)
     path = tmp_path / "model.json"
     Model(config_snapshot=config.to_flat_dict()).save(path)
-    assert _snapshot_feature_configs(Model.load(path).config_snapshot) == cfg
+    assert _snapshot_feature_configs(Model.load(path).config_snapshot) == config
 
 
 # ---------------------------------------------------------------------------
@@ -358,28 +350,28 @@ def test_granger_distance_fallback_flag():
 def test_window_grid_covers_members():
     a = traj(1, [[0.0, 0.0], [1.0, 0.5]])
     b = traj(2, [[2.0, 2.0], [2.5, 2.9]])
-    grid = window_grid(window_of(a, b), HeatmapConfig(cell_edge=1.0))
+    grid = window_grid(window_of(a, b), FeatureConfig(heat_cell_edge=1.0))
     assert (grid.x0, grid.y0) == (0.0, 0.0)
     assert grid.covers(*grid.cell_of((2.5, 2.9)))
     assert not grid.covers(-1, 0)
 
 
 def test_heatmap_static_point_peaks_at_cell():
-    cfg = HeatmapConfig(cell_edge=1.0, k_s=0.5, k_r=0.1)
+    cfg = FeatureConfig(heat_cell_edge=1.0, heat_k_s=0.5, heat_k_r=0.1)
     seg = traj(1, [[0.2, 0.2], [0.2, 0.2]])
     grid = window_grid(window_of(seg, traj(2, [[3.2, 0.2], [3.2, 0.2]])), cfg)
     heat = heatmap_build(seg, cfg, grid=grid)
     assert heat.shape == (grid.rows, grid.cols)
     assert heat[0, 0] == 1.0  # max-normalized at the visited cell
     # diffusion decays with grid-index distance
-    assert heat[0, 1] == pytest.approx(math.exp(-cfg.k_s * 1.0))
-    assert heat[0, 2] == pytest.approx(math.exp(-cfg.k_s * 2.0))
+    assert heat[0, 1] == pytest.approx(math.exp(-cfg.heat_k_s * 1.0))
+    assert heat[0, 2] == pytest.approx(math.exp(-cfg.heat_k_s * 2.0))
 
 
 def test_heatmap_dwell_time_decay():
     # same cells, longer occupancy: the left cell loses remembered heat;
     # large k_s keeps cross-cell diffusion negligible
-    cfg = HeatmapConfig(cell_edge=1.0, k_s=50.0, k_r=0.5)
+    cfg = FeatureConfig(heat_cell_edge=1.0, heat_k_s=50.0, heat_k_r=0.5)
     fast = traj(1, [[0.5, 0.5], [3.5, 0.5]], dt=1.0)
     slow = traj(2, [[0.5, 0.5], [3.5, 0.5]], dt=4.0)
     grid = window_grid(window_of(fast, slow), cfg)
@@ -392,8 +384,8 @@ def test_heatmap_dwell_time_decay():
 
 
 def test_heatmap_accumulate_modes():
-    cfg_b = HeatmapConfig(cell_edge=1.0, k_s=50.0, k_r=0.0, accumulate="binary")
-    cfg_v = HeatmapConfig(cell_edge=1.0, k_s=50.0, k_r=0.0, accumulate="visits")
+    cfg_b = FeatureConfig(heat_cell_edge=1.0, heat_k_s=50.0, heat_k_r=0.0, heat_accumulate="binary")
+    cfg_v = FeatureConfig(heat_cell_edge=1.0, heat_k_s=50.0, heat_k_r=0.0, heat_accumulate="visits")
     # visits cell (0,0) twice and (0,3) once
     seg = traj(1, [[0.5, 0.5], [3.5, 0.5], [0.5, 0.5]])
     other = traj(2, [[0.5, 0.5], [3.5, 0.5], [0.5, 0.5]])
@@ -407,7 +399,7 @@ def test_heatmap_accumulate_modes():
 
 
 def test_heatmap_grid_auto_expands(caplog):
-    cfg = HeatmapConfig(cell_edge=1.0)
+    cfg = FeatureConfig(heat_cell_edge=1.0)
     small = window_grid(window_of(traj(1, [[0, 0], [1, 1]]), traj(2, [[0, 1], [1, 0]])), cfg)
     wanderer = traj(3, [[5.0, 5.0], [6.0, 6.0]])
     with caplog.at_level(logging.INFO, logger="crowdgroups.features"):
@@ -530,16 +522,16 @@ def _check_causality(win, scene, cfg):
     for k, (seg_a, seg_b) in enumerate(_pairs_of(win)):
         if scene.no_overlap[k] or scene.far[k]:
             continue
-        want, fallback = oracles.scalar_granger_distance_flagged(seg_a, seg_b, cfg.granger)
+        want, fallback = oracles.scalar_granger_distance_flagged(seg_a, seg_b, cfg)
         assert scene.granger_fallback[k] == fallback
         assert scene.feature_matrix[k, 2] == pytest.approx(want, abs=1e-12, rel=0)
 
 
 def _check_heat(win, scene, cfg):
-    grid = window_grid(win, cfg.heatmap)
-    maps = {m: heatmap_build(seg, cfg.heatmap, grid=grid) for m, seg in win.segments.items()}
+    grid = window_grid(win, cfg)
+    maps = {m: heatmap_build(seg, cfg, grid=grid) for m, seg in win.segments.items()}
     for m, seg in win.segments.items():
-        assert np.array_equal(maps[m], oracles.scalar_heatmap_build(seg, cfg.heatmap, grid))
+        assert np.array_equal(maps[m], oracles.scalar_heatmap_build(seg, cfg, grid))
     got = scene.feature_matrix[:, 3]
     want = [
         1.0 if far else oracles.scalar_heatmap_distance(maps[a], maps[b])
@@ -550,7 +542,7 @@ def _check_heat(win, scene, cfg):
 
 def _check_proxemics(win, scene, cfg):
     want = [
-        oracles.scalar_proxemic_distance(a, b, cfg.proxemics) if not (scene.no_overlap[k] or scene.far[k]) else 1.0
+        oracles.scalar_proxemic_distance(a, b, cfg) if not (scene.no_overlap[k] or scene.far[k]) else 1.0
         for k, (a, b) in enumerate(_pairs_of(win))
     ]
     assert scene.feature_matrix[:, 0].tolist() == want
@@ -567,12 +559,12 @@ def _check_all(win, scene, cfg):
 
 
 EQUIVALENCE_CASES = {
-    "defaults": (FeatureConfigs(), _check_all),
-    "sigmas": (FeatureConfigs(proxemics=ProxemicsConfig((0.3, 0.9, 2.5))), _check_proxemics),
-    "lag1": (FeatureConfigs(granger=GrangerConfig(1)), _check_causality),
-    "lag3": (FeatureConfigs(granger=GrangerConfig(3)), _check_causality),
-    "visits": (FeatureConfigs(heatmap=HeatmapConfig(accumulate="visits")), _check_heat),
-    "k_s": (FeatureConfigs(heatmap=HeatmapConfig(k_s=0.1)), _check_heat),
+    "defaults": (FeatureConfig(), _check_all),
+    "sigmas": (FeatureConfig(proxemic_sigmas=(0.3, 0.9, 2.5)), _check_proxemics),
+    "lag1": (FeatureConfig(granger_lag=1), _check_causality),
+    "lag3": (FeatureConfig(granger_lag=3), _check_causality),
+    "visits": (FeatureConfig(heat_accumulate="visits"), _check_heat),
+    "k_s": (FeatureConfig(heat_k_s=0.1), _check_heat),
 }
 
 
@@ -601,7 +593,7 @@ def test_build_scene_matches_scalar_references_on_spread_ragged_windows():
     for _ in range(60):
         win = oracles.random_ragged_window(rng, spread=12.0)
         scene = build_scene(win)
-        _check_all(win, scene, FeatureConfigs())
+        _check_all(win, scene, FeatureConfig())
         far, rows = far + scene.far_count, rows + len(scene.pairs)
     assert far > 0.3 * rows and rows > 1000
 
@@ -732,8 +724,8 @@ def test_granger_stationary_and_duplicate_sources_match_reference(lag, monkeypat
     for source in sources:
         assert granger_causality_area(target, source, lag) == 0.0
         assert oracles.scalar_granger_causality_area(target, source, lag) == 0.0
-        assert granger_distance(target, source, GrangerConfig(lag)) == pytest.approx(
-            oracles.scalar_granger_distance_flagged(target, source, GrangerConfig(lag))[0], abs=1e-12, rel=0
+        assert granger_distance(target, source, FeatureConfig(granger_lag=lag)) == pytest.approx(
+            oracles.scalar_granger_distance_flagged(target, source, FeatureConfig(granger_lag=lag))[0], abs=1e-12, rel=0
         )
     c_ordered = oracles.lstsq_rss
     monkeypatch.setattr(oracles, "lstsq_rss", lambda design, y: c_ordered(np.asfortranarray(design), y))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import shutil
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ import pytest
 from crowdgroups import (
     ConfigError,
     CrowdGroupsError,
+    FeatureConfig,
     Model,
     Partition,
     RunConfig,
     SynthSpec,
+    TrainConfig,
     evaluate_predictions,
     load_dataset,
     run_experiment,
@@ -147,6 +151,31 @@ def test_run_config_validation():
         RunConfig(granger_lag=0)
     with pytest.raises(ConfigError):
         RunConfig(heat_accumulate="sum")
+
+
+@pytest.mark.parametrize("cls, key, value", [
+    (FeatureConfig, "granger_lag", 2.5),
+    (FeatureConfig, "granger_lag", math.inf),
+    (FeatureConfig, "proxemic_sigmas", (0.5, math.nan)),
+    (FeatureConfig, "proxemic_sigmas", (0.5, math.inf)),
+    (FeatureConfig, "heat_cell_edge", math.inf),
+    (FeatureConfig, "heat_k_s", math.nan),
+    (FeatureConfig, "heat_k_r", math.nan),
+    (TrainConfig, "C", math.nan),
+    (TrainConfig, "C", math.inf),
+    (TrainConfig, "early_stop_tol", math.nan),
+    (TrainConfig, "max_iterations", 10.5),
+    (TrainConfig, "seed", 0.5),
+    (TrainConfig, "sequential_budget", math.nan),
+    (TrainConfig, "online_budget", 2.5),
+    (RunConfig, "window_len", math.nan),
+    (RunConfig, "runs", 1.5),
+    (RunConfig, "C", math.nan),
+    (RunConfig, "granger_lag", 2.5),
+])
+def test_configs_reject_non_finite_and_non_integral_values(cls, key, value):
+    with pytest.raises(ConfigError, match=key):
+        cls(**{key: value})
 
 
 def test_run_config_from_dict_unknown_key():
@@ -382,6 +411,31 @@ def test_cli_synth_and_stats(tmp_path, capsys):
     assert [l.split(",")[0] for l in lines[1:]] == ["d_in", "d_out", "d_io"]
 
 
+def test_cli_stats_prints_the_runs_scene_stats(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "report"
+    run_experiment(RunConfig(**{**FAST, "runs": 1}), dataset_dir, out)
+    assert main(["stats", "--data", str(dataset_dir), "--window-len", "8", "--stride", "8"]) == 0
+    assert capsys.readouterr().out == (out / "scene_stats.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, content", [
+    ("trajectories.txt", None),
+    ("groups.txt", "1 2\n3 inf\n"),
+])
+def test_cli_rejects_ids_that_are_not_whole_numbers(dataset_dir, tmp_path, capsys, name, content):
+    data = tmp_path / "scene"
+    shutil.copytree(dataset_dir, data)
+    if content is None:
+        lines = (data / name).read_text(encoding="utf-8").splitlines()
+        fields = lines[-1].split()
+        lines.append(" ".join([fields[0], "inf", *fields[2:]]))
+        content = "\n".join(lines) + "\n"
+    (data / name).write_text(content, encoding="utf-8")
+    assert main(["stats", "--data", str(data)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+
+
 def test_cli_synth_spec_file(tmp_path, capsys):
     spec_path = tmp_path / "spec.toml"
     write_config_file(spec_path, {"n_groups": 1, "n_singletons": 1, "duration": 20.0})
@@ -542,6 +596,15 @@ def test_cli_predict_rejects_non_finite_model(dataset_dir, tmp_path, capsys, fie
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and f": {field} must be finite" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("key, value", [("window_len", "x"), ("stride", None), ("mode", "foo"), ("heat_k_s", -1.0)])
+def test_cli_predict_rejects_bad_recorded_settings(dataset_dir, tmp_path, capsys, key, value):
+    model_path = tmp_path / "model.json"
+    Model(config_snapshot={**RunConfig(**FAST).to_flat_dict(), key: value}).save(model_path)
+    assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_cli_train_span_only_when_requested(dataset_dir, tmp_path, capsys):

@@ -23,7 +23,6 @@ from crowdgroups import (
     TimeWindow,
     WindowedScene,
     bcfw_train,
-    compatibility,
     affinity,
     greedy_cc,
     joint_feature_map,
@@ -135,19 +134,14 @@ def test_joint_feature_map_member_mismatch():
 
 
 def test_compatibility_equals_partition_score():
+    # w @ Psi(scene, p), the compatibility of a partition, is its affinity score
     rng = np.random.default_rng(14)
     for _ in range(60):
         scene = random_scene(int(rng.integers(1, 7)), rng)
         w = rng.normal(size=8)
         p = random_partition(list(scene.members), rng)
         want = partition_score(p, affinity(scene, w))
-        assert compatibility(scene, p, w) == pytest.approx(want, abs=1e-9)
-
-
-def test_compatibility_weight_shape_checked():
-    scene = separable_scene()
-    with pytest.raises(ValueError):
-        compatibility(scene, Partition([[1, 2], [3, 4]]), np.ones(5))
+        assert float(w @ joint_feature_map(scene, p)) == pytest.approx(want, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +518,11 @@ def count_oracle_calls(monkeypatch) -> list:
     return calls
 
 
+def stepped_labelling(planes) -> Partition:
+    """The labelling of the plane a block's latest step went to."""
+    return planes.labellings[int(np.argmax(planes.last_used))]
+
+
 def record_steps(monkeypatch) -> list:
     """Wraps the block update; returns the list of (info, dual after the
     step) pairs that every step appends."""
@@ -591,15 +590,24 @@ def test_cached_steps_use_only_the_blocks_own_answers(monkeypatch):
     calls = count_oracle_calls(monkeypatch)
     returned = {}  # block -> labellings its oracle calls returned
     cached = []
+    blocks = []
+    make_planes = learning._Planes
+
+    def planes(example):
+        blocks.append(make_planes(example))
+        return blocks[-1]
 
     def hook(model, info):
+        labelling = stepped_labelling(blocks[info.block])
         if info.exact:
             example, answer = calls[-1]
-            assert example is examples[info.block] and info.labelling == answer.partition
+            assert example is examples[info.block] and labelling == answer.partition
             returned.setdefault(info.block, set()).add(answer.partition)
         else:
             cached.append(info)
-            assert info.labelling in returned[info.block]
+            assert labelling in returned[info.block]
+
+    monkeypatch.setattr(learning, "_Planes", planes)
 
     bcfw_train(examples, TrainConfig(C=10.0, max_iterations=400, seed=4), iteration_hook=hook)
     assert len(cached) > 200 and len(calls) == 400 - len(cached)
@@ -627,12 +635,13 @@ def test_cached_plane_scales_with_the_current_block_count(monkeypatch):
     blocks[0].cached_steps, blocks[0].exact_gap = 0, -np.inf
     info = learning._bcfw_step(model, blocks[0], 0, config)
     assert not info.exact and info.gamma > 0.0
-    example, y = examples[0], info.labelling
+    example, y = examples[0], stepped_labelling(blocks[0])
     answer = learning.OracleAnswer(y, 0.0, LOSSES["gmitre"](example.truth, y),
                                    joint_feature_map(example.scene, y))
     monkeypatch.setattr(learning, "loss_augmented_oracle", lambda *args, **kwargs: answer)
-    asked = learning._bcfw_step(fresh, learning._Planes(example), 0, config)
-    assert asked.exact and asked.labelling == y
+    fresh_planes = learning._Planes(example)
+    asked = learning._bcfw_step(fresh, fresh_planes, 0, config)
+    assert asked.exact and stepped_labelling(fresh_planes) == y
     assert asked.gamma == pytest.approx(info.gamma, rel=1e-12)
     for name in ("w", "block_w", "block_l", "l"):
         assert np.allclose(getattr(fresh, name), getattr(model, name), rtol=1e-12, atol=1e-15)

@@ -153,6 +153,27 @@ def test_load_trajectories_bad_number(tmp_path):
         load_trajectories(f)
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("1 inf 1.0 0.5", "whole number"),
+    ("1 nan 1.0 0.5", "whole number"),
+    ("1 2.7 1.0 0.5", "whole number"),
+    ("1 -1e400 1.0 0.5", "whole number"),
+    ("nan 1 1.0 0.5", "finite"),
+    ("-inf 1 1.0 0.5", "finite"),
+])
+def test_load_trajectories_rejects_bad_ids_and_frames(tmp_path, line, reason):
+    f = tmp_path / "trajectories.txt"
+    f.write_text(f"0 1 0.0 0.0\n{line}\n")
+    with pytest.raises(TrajectoryParseError, match=rf"trajectories.txt:2: .*{reason}"):
+        load_trajectories(f)
+
+
+def test_load_trajectories_reads_float_written_ids(tmp_path):
+    f = tmp_path / "trajectories.txt"
+    f.write_text("0 1.0000000e+00 0.0 0.0\n0 2.0 1.0 0.5\n1 -3 2.0 1.0\n")
+    assert [t.pedestrian_id for t in load_trajectories(f)] == [-3, 1, 2]
+
+
 def test_load_homography(tmp_path):
     f = tmp_path / "H.txt"
     f.write_text("2 0 0\n0 2 0\n0 0 1\n")
@@ -170,6 +191,16 @@ def test_load_ground_truth(tmp_path):
     assert labels.groups == (frozenset({1, 2, 3}), frozenset({4, 5}))
     assert labels.group_index(4) == labels.group_index(5)
     assert labels.group_index(9) is None
+
+
+@pytest.mark.parametrize("token", ["inf", "nan", "2.7"])
+def test_load_ground_truth_rejects_ids_that_are_not_whole_numbers(tmp_path, token):
+    f = tmp_path / "groups.txt"
+    f.write_text(f"1 2\n3 {token}\n")
+    with pytest.raises(TrajectoryParseError, match=r"groups.txt:2: .*whole number"):
+        load_ground_truth(f)
+    f.write_text("1.0000000e+00 2.0000000e+00\n")
+    assert load_ground_truth(f).groups == (frozenset({1, 2}),)
 
 
 def test_load_ground_truth_ignores_singleton_lines(tmp_path):
