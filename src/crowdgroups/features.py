@@ -52,7 +52,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import betainc
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_numbers
 from .trajectories import TimeWindow, Trajectory, align_segments
 
 logger = logging.getLogger(__name__)
@@ -68,21 +68,6 @@ _NO_GAIN_RTOL = 1e-9  # a source cutting the restricted RSS by at most this shar
 _RANK_TOL = 1e-8  # min/max |R_kk| of a causality design below this refits by lstsq
 _CHUNK_ELEMENTS = 1 << 17  # floats in one chunk's pair-axis temporaries (1 MiB)
 _ONE_PAIR = (np.array([0]), np.array([1]))
-
-
-def _check_numbers(config, floats=(), ints=()) -> None:
-    """Raise ConfigError unless the named float fields of the frozen dataclass
-    `config` (every item of a tuple field) are finite and the named int fields
-    are whole numbers, which are then stored as int."""
-    for name in floats:
-        value = getattr(config, name)
-        if not all(math.isfinite(v) for v in (value if isinstance(value, tuple) else (value,))):
-            raise ConfigError(f"{name} must be finite, got {value!r}")
-    for name in ints:
-        value = getattr(config, name)
-        if not float(value).is_integer():
-            raise ConfigError(f"{name} must be a whole number, got {value!r}")
-        object.__setattr__(config, name, int(value))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import dataclasses
 import io
 import json
 import logging
-import math
 import tomllib
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -23,8 +22,8 @@ from typing import Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, CrowdGroupsError
-from .features import FEATURE_NAMES, FeatureConfig, _check_numbers, build_scene
+from .errors import ConfigError, CrowdGroupsError, _check_numbers
+from .features import FEATURE_NAMES, FeatureConfig, build_scene
 from .learning import (
     Model,
     TrainConfig,
@@ -121,10 +120,10 @@ def _matches(declared: type, value) -> bool:
 
 
 def dataclass_from_flat(cls, values: dict, what: str):
-    """Build the dataclass `cls` from flat config values. Unknown keys,
-    values that do not match a field's declared type, and non-finite floats
-    raise ConfigError; arrays become tuples of the declared item type, other
-    values are kept as given."""
+    """Build the dataclass `cls` from flat config values. Unknown keys and
+    values that do not match a field's declared type raise ConfigError; arrays
+    become tuples of the declared item type, other values are kept as given.
+    `cls` checks its own values (finiteness, ranges)."""
     hints = get_type_hints(cls)
     declared = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
     unknown = set(values) - set(declared)
@@ -142,9 +141,6 @@ def dataclass_from_flat(cls, values: dict, what: str):
             value = tuple(item(v) for v in value)
         elif not _matches(kind, value):
             raise ConfigError(f"{what} key {key!r} must be {kind.__name__}, got {value!r}")
-        numbers = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
-            raise ConfigError(f"{what} key {key!r} must be finite, got {value!r}")
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -355,13 +351,13 @@ def train_model(config: RunConfig, examples: list[TrainingExample], log) -> Mode
     """Sequential training in sequential mode, batch BCFW otherwise (online
     mode starts predicting from the batch model); the model records the
     config's flat settings."""
-    snapshot = config.to_flat_dict()
     if config.mode == "sequential":
-        model = None
-        for model in sequential_train(iter(examples), config, log=log, config_snapshot=snapshot):
+        for model in sequential_train(iter(examples), config, log=log):
             pass
-        return model
-    return bcfw_train(examples, config, log=log, config_snapshot=snapshot)
+    else:
+        model = bcfw_train(examples, config, log=log)
+    model.config_snapshot = config.to_flat_dict()
+    return model
 
 
 def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:

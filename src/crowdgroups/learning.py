@@ -26,15 +26,15 @@ import csv
 import json
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
-from .features import WindowedScene, _check_numbers
+from .errors import ConfigError, _check_numbers
+from .features import WindowedScene
 from .losses import MergeLoss, gmitre_loss, mitre_loss, pairwise_loss
 from .partitioning import Partition, _affinity_array, _greedy_merge, affinity, greedy_cc
 
@@ -99,51 +99,52 @@ class TrainConfig:
             raise ConfigError("iteration budgets must be >= 1")
 
 
+@dataclass(eq=False)
 class Model:
     """Learned weights plus the per-block Frank-Wolfe state and training metadata.
 
     w decomposes as [alpha; beta]: the affinity of a pair with distances d is
     alpha.(1 - d) - beta.d. The block states allow exact training resumption
     and replay; config_snapshot carries whatever windowing/feature settings
-    are needed to reproduce a prediction.
+    are needed to reproduce a prediction. C, seed and loss default to
+    TrainConfig's.
     """
 
-    FORMAT_VERSION = 1
+    FORMAT_VERSION: ClassVar[int] = 1
 
-    def __init__(
-        self,
-        w=None,
-        block_w=None,
-        block_l=None,
-        l: float = 0.0,
-        C: float = 10.0,
-        seed: int = 0,
-        loss: str = "gmitre",
-        mode: str = "batch",
-        iterations: int = 0,
-        config_snapshot: dict | None = None,
-    ):
-        self.w = np.zeros(WEIGHT_DIM) if w is None else np.array(w, dtype=float).reshape(WEIGHT_DIM)
+    w: np.ndarray | None = None
+    block_w: np.ndarray | None = None
+    block_l: np.ndarray | None = None
+    l: float = 0.0
+    C: float = TrainConfig.C
+    seed: int = TrainConfig.seed
+    loss: str = TrainConfig.loss
+    mode: str = "batch"
+    iterations: int = 0
+    config_snapshot: dict | None = None
+
+    def __post_init__(self):
+        self.w = np.zeros(WEIGHT_DIM) if self.w is None else np.array(self.w, dtype=float).reshape(WEIGHT_DIM)
         self.block_w = (
             np.zeros((0, WEIGHT_DIM))
-            if block_w is None
-            else np.array(block_w, dtype=float).reshape(-1, WEIGHT_DIM)
+            if self.block_w is None
+            else np.array(self.block_w, dtype=float).reshape(-1, WEIGHT_DIM)
         )
         self.block_l = (
-            np.zeros(0) if block_l is None else np.array(block_l, dtype=float).reshape(-1)
+            np.zeros(0) if self.block_l is None else np.array(self.block_l, dtype=float).reshape(-1)
         )
         if self.block_w.shape[0] != self.block_l.shape[0]:
             raise ValueError("block_w and block_l disagree on the number of blocks")
-        self.l = float(l)
-        self.C = float(C)
+        self.l = float(self.l)
+        self.C = float(self.C)
         for name in ("w", "block_w", "block_l", "l", "C"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
-        self.seed = int(seed)
-        self.loss = str(loss)
-        self.mode = str(mode)
-        self.iterations = int(iterations)
-        self.config_snapshot = dict(config_snapshot or {})
+        self.seed = int(self.seed)
+        self.loss = str(self.loss)
+        self.mode = str(self.mode)
+        self.iterations = int(self.iterations)
+        self.config_snapshot = dict(self.config_snapshot or {})
 
     @property
     def alpha(self) -> np.ndarray:
@@ -183,18 +184,8 @@ class Model:
             version = int(obj["format_version"])
             if version > cls.FORMAT_VERSION:
                 raise ConfigError(f"model format {version} is newer than supported")
-            return cls(
-                w=obj["w"],
-                block_w=obj.get("block_w") or None,
-                block_l=obj.get("block_l") or None,
-                l=obj.get("l", 0.0),
-                C=obj.get("C", 10.0),
-                seed=obj.get("seed", 0),
-                loss=obj.get("loss", "gmitre"),
-                mode=obj.get("mode", "batch"),
-                iterations=obj.get("iterations", 0),
-                config_snapshot=obj.get("config", {}),
-            )
+            kwargs = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
+            return cls(**{**kwargs, "w": obj["w"], "config_snapshot": obj.get("config")})
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"not a valid model file: {exc}") from None
 
@@ -298,6 +289,14 @@ class _Planes:
         return j
 
 
+def _add_block(model: Model, blocks: list[_Planes], example: TrainingExample) -> None:
+    """Append the example's block: its planes to blocks, a zero row to the
+    model's block_w and a zero to its block_l."""
+    blocks.append(_Planes(example))
+    model.block_w = np.vstack([model.block_w, np.zeros(WEIGHT_DIM)])
+    model.block_l = np.append(model.block_l, 0.0)
+
+
 class _StepInfo(NamedTuple):
     iteration: int
     block: int
@@ -366,7 +365,6 @@ def bcfw_train(
     *,
     log=None,
     iteration_hook=None,
-    config_snapshot: dict | None = None,
 ) -> Model:
     """Batch Block-Coordinate Frank-Wolfe over the given examples.
 
@@ -379,16 +377,14 @@ def bcfw_train(
     iteration_hook(model, info), when given, sees the model after every update.
     """
     config = config or TrainConfig()
-    examples = list(examples)
-    if not examples:
+    model = Model(C=config.C, seed=config.seed, loss=config.loss, mode="batch")
+    blocks: list[_Planes] = []
+    for example in examples:
+        _add_block(model, blocks, example)
+    if not blocks:
         raise ConfigError("training requires at least one example")
-    n = len(examples)
+    n = len(blocks)
     rng = np.random.default_rng(config.seed)
-    model = Model(
-        block_w=np.zeros((n, WEIGHT_DIM)), block_l=np.zeros(n), C=config.C, seed=config.seed,
-        loss=config.loss, mode="batch", config_snapshot=config_snapshot,
-    )
-    blocks = [_Planes(example) for example in examples]
     with _train_log(log) as log_row:
 
         def step(i: int, exact: bool = False) -> _StepInfo:
@@ -413,23 +409,17 @@ def sequential_train(
     config: TrainConfig | None = None,
     *,
     log=None,
-    config_snapshot: dict | None = None,
 ) -> Iterator[Model]:
     """Feed examples in arrival order, spending config.sequential_budget BCFW
     iterations over all blocks seen so far per arrival; yields a copy of the
     model after each example."""
     config = config or TrainConfig()
     rng = np.random.default_rng(config.seed)
-    model = Model(
-        C=config.C, seed=config.seed, loss=config.loss, mode="sequential",
-        config_snapshot=config_snapshot,
-    )
+    model = Model(C=config.C, seed=config.seed, loss=config.loss, mode="sequential")
     blocks: list[_Planes] = []
     with _train_log(log) as log_row:
         for example in stream:
-            blocks.append(_Planes(example))
-            model.block_w = np.vstack([model.block_w, np.zeros(WEIGHT_DIM)])
-            model.block_l = np.append(model.block_l, 0.0)
+            _add_block(model, blocks, example)
             for _ in range(config.sequential_budget):
                 i = int(rng.integers(len(blocks)))
                 log_row(_bcfw_step(model, blocks[i], i, config))
@@ -470,9 +460,7 @@ def online_predict_train(
             model.l -= float(model.block_l[oldest])
             model.block_w = np.delete(model.block_w, oldest, axis=0)
             model.block_l = np.delete(model.block_l, oldest)
-        pseudo.append(_Planes(TrainingExample(scene, prediction)))
-        model.block_w = np.vstack([model.block_w, np.zeros(WEIGHT_DIM)])
-        model.block_l = np.append(model.block_l, 0.0)
+        _add_block(model, pseudo, TrainingExample(scene, prediction))
         for _ in range(config.online_budget):
             _bcfw_step(model, pseudo[-1], len(model.block_w) - 1, config)
         yield prediction, model.copy()

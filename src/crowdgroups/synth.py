@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_numbers
 from .trajectories import (
     DESCRIPTOR_FILE,
     GROUNDTRUTH_FILE,
@@ -46,6 +46,10 @@ class SynthSpec:
     wander_std: float = 0.25
 
     def __post_init__(self):
+        _check_numbers(
+            self, floats=("spacing", "extent", "duration", "fps", "noise_std", "speed", "wander_std"),
+            ints=("n_groups", "group_size_min", "group_size_max", "n_singletons", "lag"),
+        )
         if self.n_groups < 0 or self.n_singletons < 0:
             raise ConfigError("counts must be non-negative")
         if not 2 <= self.group_size_min <= self.group_size_max <= len(_FORMATION_UNIT):

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -99,7 +99,7 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class Homography:
-    """3x3 invertible plane projection, row-major."""
+    """3x3 invertible plane projection with finite entries, row-major."""
 
     h: np.ndarray
 
@@ -108,6 +108,8 @@ class Homography:
         object.__setattr__(self, "h", h)
         if h.shape != (3, 3):
             raise ValueError(f"homography must be 3x3, got {h.shape}")
+        if not np.all(np.isfinite(h)):
+            raise DataError("homography entries must be finite")
         if abs(float(np.linalg.det(h))) < _HOMOGRAPHY_DET_EPS:
             raise DataError("homography matrix is singular")
 
@@ -215,42 +217,49 @@ def _parse_id(token: str) -> int:
     return int(value)
 
 
-def load_trajectories(path, homography: Homography | None = None, fps: float = 1.0) -> list[Trajectory]:
-    """Parse a trajectory file: `<frame> <ped_id> <x> <y>` per line, `#` comments.
-
-    Timestamps become frame/fps seconds; positions are projected through the
-    homography when one is given (pixel-unit files require one).
-    """
-    if fps <= 0:
-        raise ConfigError(f"fps must be positive, got {fps}")
-    path = Path(path)
-    samples: dict[int, dict[float, tuple[float, float]]] = {}
+def _records(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of every line of the file that is neither
+    blank nor a `#` comment."""
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 4:
-                raise TrajectoryParseError(
-                    f"{path}:{lineno}: expected 4 fields `frame id x y`, got {len(parts)}"
-                )
-            try:
-                frame = float(parts[0])
-                if not math.isfinite(frame):
-                    raise ValueError(f"frame must be finite, got {parts[0]!r}")
-                ped = _parse_id(parts[1])
-                x = float(parts[2])
-                y = float(parts[3])
-            except ValueError as exc:
-                raise TrajectoryParseError(f"{path}:{lineno}: {exc}") from None
-            t = frame / fps
-            per_ped = samples.setdefault(ped, {})
-            if t in per_ped:
-                raise DataError(
-                    f"{path}:{lineno}: duplicate sample for pedestrian {ped} at frame {parts[0]}"
-                )
-            per_ped[t] = (x, y)
+            if text and not text.startswith("#"):
+                yield lineno, text
+
+
+def load_trajectories(path, homography: Homography | None = None, fps: float = 1.0) -> list[Trajectory]:
+    """Parse a trajectory file: `<frame> <ped_id> <x> <y>` per line, `#` comments.
+
+    Timestamps become frame/fps seconds (fps must be finite and positive);
+    positions are projected through the homography when one is given
+    (pixel-unit files require one).
+    """
+    if not (math.isfinite(fps) and fps > 0):
+        raise ConfigError(f"fps must be finite and positive, got {fps}")
+    path = Path(path)
+    samples: dict[int, dict[float, tuple[float, float]]] = {}
+    for lineno, text in _records(path):
+        parts = text.split()
+        if len(parts) != 4:
+            raise TrajectoryParseError(
+                f"{path}:{lineno}: expected 4 fields `frame id x y`, got {len(parts)}"
+            )
+        try:
+            frame = float(parts[0])
+            if not math.isfinite(frame):
+                raise ValueError(f"frame must be finite, got {parts[0]!r}")
+            ped = _parse_id(parts[1])
+            x = float(parts[2])
+            y = float(parts[3])
+        except ValueError as exc:
+            raise TrajectoryParseError(f"{path}:{lineno}: {exc}") from None
+        t = frame / fps
+        per_ped = samples.setdefault(ped, {})
+        if t in per_ped:
+            raise DataError(
+                f"{path}:{lineno}: duplicate sample for pedestrian {ped} at frame {parts[0]}"
+            )
+        per_ped[t] = (x, y)
     trajectories = []
     for ped in sorted(samples):
         times = np.array(sorted(samples[ped]))
@@ -279,24 +288,20 @@ def load_ground_truth(path) -> GroundTruthLabels:
     path = Path(path)
     groups: list[frozenset[int]] = []
     seen: set[int] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                ids = [_parse_id(tok) for tok in text.split()]
-            except ValueError as exc:
-                raise TrajectoryParseError(f"{path}:{lineno}: {exc}") from None
-            if len(set(ids)) != len(ids):
-                raise DataError(f"{path}:{lineno}: repeated id within a group")
-            if set(ids) & seen:
-                raise DataError(f"{path}:{lineno}: id already assigned to another group")
-            seen |= set(ids)
-            if len(ids) < 2:
-                logger.info("%s:%d: single-id group line ignored (singleton)", path, lineno)
-                continue
-            groups.append(frozenset(ids))
+    for lineno, text in _records(path):
+        try:
+            ids = [_parse_id(tok) for tok in text.split()]
+        except ValueError as exc:
+            raise TrajectoryParseError(f"{path}:{lineno}: {exc}") from None
+        if len(set(ids)) != len(ids):
+            raise DataError(f"{path}:{lineno}: repeated id within a group")
+        if set(ids) & seen:
+            raise DataError(f"{path}:{lineno}: id already assigned to another group")
+        seen |= set(ids)
+        if len(ids) < 2:
+            logger.info("%s:%d: single-id group line ignored (singleton)", path, lineno)
+            continue
+        groups.append(frozenset(ids))
     return GroundTruthLabels(tuple(groups))
 
 
@@ -304,22 +309,15 @@ def parse_descriptor(path) -> dict[str, str]:
     """Read `key = value` (or `key value`) lines describing a dataset."""
     path = Path(path)
     out: dict[str, str] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" in text:
-                key, _, value = text.partition("=")
-            else:
-                key, _, value = text.partition(" ")
-            key = key.strip()
-            value = value.strip().strip('"')
-            if not key or not value:
-                raise TrajectoryParseError(f"{path}:{lineno}: expected `key = value`")
-            if key in out:
-                raise TrajectoryParseError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value
+    for lineno, text in _records(path):
+        key, _, value = text.partition("=" if "=" in text else " ")
+        key = key.strip()
+        value = value.strip().strip('"')
+        if not key or not value:
+            raise TrajectoryParseError(f"{path}:{lineno}: expected `key = value`")
+        if key in out:
+            raise TrajectoryParseError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value
     return out
 
 

@@ -172,6 +172,10 @@ def test_run_config_validation():
     (RunConfig, "runs", 1.5),
     (RunConfig, "C", math.nan),
     (RunConfig, "granger_lag", 2.5),
+    (SynthSpec, "duration", math.nan),
+    (SynthSpec, "extent", math.inf),
+    (SynthSpec, "n_groups", 2.5),
+    (SynthSpec, "lag", 1.5),
 ])
 def test_configs_reject_non_finite_and_non_integral_values(cls, key, value):
     with pytest.raises(ConfigError, match=key):
@@ -434,6 +438,36 @@ def test_cli_rejects_ids_that_are_not_whole_numbers(dataset_dir, tmp_path, capsy
     assert main(["stats", "--data", str(data)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+
+
+@pytest.mark.parametrize("descriptor, homography", [
+    ("fps = nan\n", None),
+    ("fps = inf\n", None),
+    ("units = pixels\nhomography = H.txt\n", "1 0 0 0 1 0 0 0 inf\n"),
+    ("units = pixels\nhomography = H.txt\n", "1 0 0 0 nan 0 0 0 1\n"),
+])
+@pytest.mark.parametrize("command", ["stats", "features", "train", "run", "predict"])
+def test_cli_rejects_non_finite_frame_rate_and_homography(
+    dataset_dir, tmp_path, capsys, descriptor, homography, command
+):
+    data = tmp_path / "scene"
+    shutil.copytree(dataset_dir, data)
+    (data / "descriptor.txt").write_text(descriptor, encoding="utf-8")
+    if homography is not None:
+        (data / "H.txt").write_text(homography, encoding="utf-8")
+    model_path = tmp_path / "model.json"
+    Model(config_snapshot={"window_len": 8.0, "stride": 8.0}).save(model_path)
+    extra = {
+        "train": ["--out", str(tmp_path / "trained.json")],
+        "run": ["--out", str(tmp_path / "report")],
+        "predict": ["--model", str(model_path)],
+    }.get(command, [])
+    assert main([command, "--data", str(data), *extra]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "report").exists() and not (tmp_path / "trained.json").exists()
 
 
 def test_cli_synth_spec_file(tmp_path, capsys):

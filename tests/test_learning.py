@@ -402,6 +402,12 @@ def test_model_load_rejects_garbage(tmp_path):
         Model.load(path)
 
 
+def test_model_defaults_come_from_train_config():
+    defaults = TrainConfig()
+    for model in (Model(), Model.from_dict({"format_version": 1, "w": [0] * 8})):
+        assert (model.C, model.seed, model.loss) == (defaults.C, defaults.seed, defaults.loss)
+
+
 def test_model_views_and_copy():
     model = Model(w=np.arange(8.0), C=1.0, seed=0, loss="gmitre")
     assert np.array_equal(model.alpha, [0, 1, 2, 3])
@@ -467,8 +473,8 @@ def test_sequential_snapshots_unchanged_by_later_arrivals():
 
 
 def test_online_predict_train_leaves_init_unchanged():
-    init = bcfw_train([separable_example()], TrainConfig(max_iterations=3),
-                      config_snapshot={"window_len": 8.0})
+    init = bcfw_train([separable_example()], TrainConfig(max_iterations=3))
+    init.config_snapshot = {"window_len": 8.0}
     before = init.to_dict()
     scenes = [separable_scene(), separable_scene(near=0.3, far=0.6), separable_scene()]
     out = list(online_predict_train(scenes, init, TrainConfig(online_budget=4)))

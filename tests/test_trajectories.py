@@ -107,6 +107,10 @@ def test_apply_homography_degenerate_point():
 def test_singular_homography_rejected():
     with pytest.raises(DataError):
         Homography(np.ones((3, 3)))
+    for bad in (math.inf, math.nan):
+        # a non-finite entry can pass the determinant test (det(diag(1, 1, inf)) = inf)
+        with pytest.raises(DataError, match="finite"):
+            Homography(np.diag([1.0, 1.0, bad]))
     with pytest.raises(ValueError):
         Homography(np.eye(4))
 
@@ -129,6 +133,14 @@ def test_load_trajectories_basic(tmp_path):
     assert [t.pedestrian_id for t in trajs] == [1, 2]
     assert trajs[0].times.tolist() == [0.0, 0.5, 1.0]
     assert trajs[0].points[1].tolist() == [1.0, 0.5]
+
+
+@pytest.mark.parametrize("fps", [0.0, -2.5, math.nan, math.inf])
+def test_load_trajectories_requires_finite_positive_fps(tmp_path, fps):
+    f = tmp_path / "trajectories.txt"
+    f.write_text("0 1 0.0 0.0\n1 1 1.0 0.5\n")
+    with pytest.raises(ConfigError, match="finite and positive"):
+        load_trajectories(f, fps=fps)
 
 
 def test_load_trajectories_field_count_error(tmp_path):
