@@ -52,21 +52,12 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    out = {}
-    for _, dest, _, _ in _CONFIG_FLAGS:
-        value = getattr(args, dest, None)
-        if value is not None:
-            out[dest] = value
-    return out
-
-
 def _config_values(args: argparse.Namespace) -> dict:
     """The --config file's values, overlaid with the flags that were given."""
     config_path = getattr(args, "config", None)
     values = read_config_file(config_path) if config_path is not None else {}
-    values.update(_overrides(args))
-    return values
+    flags = {dest: getattr(args, dest, None) for _, dest, _, _ in _CONFIG_FLAGS}
+    return values | {dest: value for dest, value in flags.items() if value is not None}
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:

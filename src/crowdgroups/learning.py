@@ -26,7 +26,7 @@ import csv
 import json
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple
@@ -58,6 +58,7 @@ class TrainingExample:
 
     scene: WindowedScene
     truth: Partition
+    _merge_starts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.truth.members != set(self.scene.members):
@@ -67,6 +68,12 @@ class TrainingExample:
     def truth_psi(self) -> np.ndarray:
         """Psi(scene, truth), read by the oracle and by every block update."""
         return joint_feature_map(self.scene, self.truth)
+
+    def merge_loss(self, kind: str) -> MergeLoss:
+        """The truth's MergeLoss at all singletons: a copy of one built once per kind."""
+        if kind not in self._merge_starts:
+            self._merge_starts[kind] = MergeLoss(kind, self.truth, self.scene.members)
+        return self._merge_starts[kind].copy()
 
 
 @dataclass(frozen=True)
@@ -125,14 +132,9 @@ class Model:
 
     def __post_init__(self):
         self.w = np.zeros(WEIGHT_DIM) if self.w is None else np.array(self.w, dtype=float).reshape(WEIGHT_DIM)
-        self.block_w = (
-            np.zeros((0, WEIGHT_DIM))
-            if self.block_w is None
-            else np.array(self.block_w, dtype=float).reshape(-1, WEIGHT_DIM)
-        )
-        self.block_l = (
-            np.zeros(0) if self.block_l is None else np.array(self.block_l, dtype=float).reshape(-1)
-        )
+        self.block_w = np.array(
+            [] if self.block_w is None else self.block_w, dtype=float).reshape(-1, WEIGHT_DIM)
+        self.block_l = np.array([] if self.block_l is None else self.block_l, dtype=float).reshape(-1)
         if self.block_w.shape[0] != self.block_l.shape[0]:
             raise ValueError("block_w and block_l disagree on the number of blocks")
         self.l = float(self.l)
@@ -229,8 +231,8 @@ def loss_augmented_oracle(example: TrainingExample, w, loss: str = "gmitre") -> 
     """Greedy maximizer of H(y) = loss(truth, y) + w.Psi(x, y) - w.Psi(x, truth).
 
     Runs the prediction merge engine with every candidate merge's gain
-    raised by the change in loss it causes (all candidates scored at once
-    from the contingency table against the truth), from all singletons until
+    raised by the change in loss it causes (all candidates scored at once by
+    a copy of the example's MergeLoss start), from all singletons until
     no merge improves H (ties to the smallest min-id pair). Returns the local
     maximizer with its H value, the structured hinge estimate, its loss and
     its Psi. The truth itself always attains H = 0, so when the greedy end
@@ -242,17 +244,13 @@ def loss_augmented_oracle(example: TrainingExample, w, loss: str = "gmitre") -> 
     w = np.asarray(w, dtype=float).reshape(-1)
     if w.shape != (WEIGHT_DIM,):
         raise ValueError(f"weight vector must have {WEIGHT_DIM} components")
-    scene, truth = example.scene, example.truth
-    members = scene.members
-    if not members:
-        return OracleAnswer(truth, 0.0, 0.0, example.truth_psi)
-    scorer = MergeLoss(loss, truth, members)
+    scene, scorer = example.scene, example.merge_loss(loss)
     clusters, _ = _greedy_merge(_affinity_array(scene, w), scorer)
-    y_star = Partition([members[k] for k in c] for c in clusters)
+    y_star = Partition([scene.members[k] for k in c] for c in clusters)
     psi = joint_feature_map(scene, y_star)
     hinge = scorer.current + float(w @ (psi - example.truth_psi))
     if hinge < 0.0:
-        return OracleAnswer(truth, 0.0, 0.0, example.truth_psi)
+        return OracleAnswer(example.truth, 0.0, 0.0, example.truth_psi)
     return OracleAnswer(y_star, hinge, scorer.current, psi)
 
 

@@ -8,7 +8,8 @@ is linked to its owner only when the owner is a singleton, so wrongly grouped
 or wrongly isolated singletons cost recall/precision. The plain variant skips
 the augmentation; the pairwise variant counts disagreeing co-membership pairs.
 `MergeLoss` evaluates the same closed forms for every candidate merge of a
-working partition at once, for the training oracle.
+working partition at once, for the training oracle: it keeps the working
+tally as ints and rebuilds per round only the fields a merge changes.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ class ForestScore:
 
 
 class _Tally(NamedTuple):
-    """Integer summaries of a contingency table. Any field may be an array,
-    one entry per candidate partition."""
+    """Integer summaries of a contingency table. The prediction fields may be
+    arrays, one entry per candidate partition; the others are ints."""
 
     members: int
     pred_clusters: int
@@ -79,39 +80,33 @@ def _tally(table: np.ndarray) -> _Tally:
     )
 
 
-def _ratio(num, den, empty: float):
-    """num / den, or `empty` where den is 0."""
-    return np.where(den > 0, num / np.maximum(den, 1), empty)
-
-
 def _f1(precision, recall):
+    """2PR / (P + R), and 0 where P = R = 0 (neither is ever negative)."""
     total = precision + recall
-    nonzero = total > 0.0
-    return np.where(nonzero, 2.0 * precision * recall / np.where(nonzero, total, 1.0), 0.0)
+    return 2.0 * precision * recall / np.where(total > 0.0, total, 1.0)
 
 
 def _spanning(t: _Tally, augmented: bool):
     """(precision, recall) of the spanning forests: each side needs
     size - 1 links per cluster, and misses one for every extra cluster of the
-    other side that a cluster of its own meets. With fake counterparts, every
-    singleton also needs the link to its fake, which the other side misses
-    unless the member is a singleton there too."""
-    pred_missing, pred_needed = t.cells - t.pred_clusters, t.members - t.pred_clusters
-    truth_missing, truth_needed = t.cells - t.truth_clusters, t.members - t.truth_clusters
+    other side that a cluster of its own meets (cells - clusters). With fake
+    counterparts, every singleton also needs the link to its fake, which the
+    other side misses unless the member is a singleton there too. No side
+    misses more links than it needs, so one that needs none scores 1."""
+    cells, pred_needed, truth_needed = t.cells, t.members - t.pred_clusters, t.members - t.truth_clusters
     if augmented:
-        pred_missing = pred_missing + t.pred_singletons - t.both_singletons
+        cells = cells - t.both_singletons
         pred_needed = pred_needed + t.pred_singletons
-        truth_missing = truth_missing + t.truth_singletons - t.both_singletons
         truth_needed = truth_needed + t.truth_singletons
-    precision = 1.0 - _ratio(pred_missing, pred_needed, 0.0)
-    recall = 1.0 - _ratio(truth_missing, truth_needed, 0.0)
+    precision = 1.0 - (cells + (pred_needed - t.members)) / np.maximum(pred_needed, 1)
+    recall = 1.0 - (cells + (truth_needed - t.members)) / max(truth_needed, 1)
     return precision, recall
 
 
 def _pairwise(t: _Tally):
-    """Fraction of member pairs whose co-membership disagrees."""
+    """Fraction of member pairs whose co-membership disagrees (0 with no pairs)."""
     disagree = t.pred_pairs + t.truth_pairs - 2 * t.shared_pairs
-    return _ratio(disagree, _pairs(t.members), 0.0)
+    return disagree / np.maximum(_pairs(t.members), 1)
 
 
 def _loss(kind: str, t: _Tally):
@@ -151,8 +146,8 @@ def positive_pairwise_metric(truth: Partition, pred: Partition) -> ForestScore:
     """Precision/recall over intra-group pairs only; empty denominators count
     as vacuously perfect."""
     t = _tally(contingency(truth, pred))
-    precision = _ratio(t.shared_pairs, t.pred_pairs, 1.0)
-    return _score(precision, _ratio(t.shared_pairs, t.truth_pairs, 1.0))
+    precision = t.shared_pairs / t.pred_pairs if t.pred_pairs else 1.0
+    return _score(precision, t.shared_pairs / t.truth_pairs if t.truth_pairs else 1.0)
 
 
 class MergeLoss:
@@ -160,49 +155,60 @@ class MergeLoss:
     two of its clusters.
 
     Rows are the merge engine's: each working cluster keeps the row of its
-    smallest member, and merging rows i < j folds j into i. Per row it keeps
-    the truth clusters met (`present`), the size and the members alone in the
-    truth; per row pair, the truth clusters both meet (`present @ present.T`;
-    only multi-member truth clusters can be shared by disjoint rows) and their
-    co-member pairs (`counts @ counts.T`). These give every candidate's merged
-    tally at once. A merge updates row and column i and takes the chosen
-    candidate's tally and loss; dead rows keep stale, meaningless values.
+    smallest member, and merging rows i < j folds j into i. The tally is kept
+    as ints; candidates() builds one array per field the loss reads that a
+    merge changes besides `pred_clusters`, and scores them by the public
+    closed forms. Spanning losses: `cells` drops by the truth clusters both
+    rows meet (`present @ present.T`), the singleton counts by the rows that
+    are singletons (in the truth too, for `both`). Pairwise: the pair counts
+    grow by the size product and the rows' co-member pairs (`counts @
+    counts.T`). A merge updates row and column i and those fields; the other
+    fields and dead rows keep stale values. Build the all-singletons start
+    once per truth and copy() it for each search.
     """
 
     def __init__(self, kind: str, truth: Partition, members: Sequence):
         """Starts from all singletons; `members` must be increasing."""
         self.kind = kind
-        self._present = counts = contingency(truth, Partition.singletons(members))
-        self._overlap, self._shared = counts @ counts.T, counts @ counts.T
-        self._sizes = counts.sum(axis=1)
-        self._lone = counts[:, counts.sum(axis=0) == 1].sum(axis=1)
+        counts = contingency(truth, Partition.singletons(members))
         self._tally = _tally(counts)
         self.current = float(_loss(kind, self._tally))
+        if kind == "pairwise":
+            self._sizes, self._shared = counts.sum(axis=1), counts @ counts.T
+        else:
+            self._present, self._overlap = counts, counts @ counts.T
+            self._single, self._both = counts.sum(axis=1), counts[:, counts.sum(axis=0) == 1].sum(axis=1)
+
+    def copy(self) -> "MergeLoss":
+        twin = object.__new__(MergeLoss)
+        twin.__dict__ = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in self.__dict__.items()}
+        return twin
 
     def candidates(self) -> np.ndarray:
         """Entry (i, j): the loss once the clusters of rows i and j are merged."""
-        t, sizes = self._tally, self._sizes
-        single = (sizes == 1).astype(np.int64)
-        both = single * self._lone
-        self._merged = t._replace(
-            pred_clusters=t.pred_clusters - 1,
-            cells=t.cells - self._overlap,
-            pred_singletons=t.pred_singletons - single[:, None] - single[None, :],
-            both_singletons=t.both_singletons - both[:, None] - both[None, :],
-            pred_pairs=t.pred_pairs + np.outer(sizes, sizes),
-            shared_pairs=t.shared_pairs + self._shared,
-        )
-        self._losses = _loss(self.kind, self._merged)
+        t = self._tally
+        if self.kind == "pairwise":
+            self._fields = {"pred_pairs": t.pred_pairs + np.outer(self._sizes, self._sizes),
+                            "shared_pairs": t.shared_pairs + self._shared}
+        else:
+            self._fields = {"cells": t.cells - self._overlap}
+            if self.kind == "gmitre":
+                self._fields["pred_singletons"] = t.pred_singletons - np.add.outer(self._single, self._single)
+                self._fields["both_singletons"] = t.both_singletons - np.add.outer(self._both, self._both)
+        self._losses = _loss(self.kind, t._replace(pred_clusters=t.pred_clusters - 1, **self._fields))
         return self._losses
 
     def merge(self, i: int, j: int) -> None:
         """Fold the cluster of row j into row i (i < j), a candidate of the
         last candidates() call."""
-        self._tally = _Tally(*(int(f[i, j]) if isinstance(f, np.ndarray) else f for f in self._merged))
+        changed = {name: int(field[i, j]) for name, field in self._fields.items()}
+        self._tally = self._tally._replace(pred_clusters=self._tally.pred_clusters - 1, **changed)
         self.current = float(self._losses[i, j])
-        self._present[i] |= self._present[j]
-        self._overlap[i] = self._overlap[:, i] = self._present @ self._present[i]
-        self._shared[i] += self._shared[j]
-        self._shared[:, i] = self._shared[i]
-        self._sizes[i] += self._sizes[j]
-        self._lone[i] += self._lone[j]
+        if self.kind == "pairwise":
+            self._sizes[i] += self._sizes[j]
+            self._shared[i] += self._shared[j]
+            self._shared[:, i] = self._shared[i]
+        else:
+            self._present[i] |= self._present[j]
+            self._overlap[i] = self._overlap[:, i] = self._present @ self._present[i]
+            self._single[i] = self._both[i] = 0

@@ -231,23 +231,22 @@ def _greedy_merge(cross, loss=None) -> tuple[list[tuple[int, ...]], list[MergeSt
     cross = np.array(cross, dtype=float)
     n = len(cross)
     np.fill_diagonal(cross, -np.inf)
-    clusters: list = [(i,) for i in range(n)]
+    clusters = {i: (i,) for i in range(n)}
     steps: list[MergeStep] = []
     for _ in range(n - 1):
         gain = cross if loss is None else (loss.candidates() - loss.current) + cross
-        i, j = divmod(int(np.argmax(gain)), n)
+        i, j = divmod(int(gain.argmax()), n)
         best = float(gain[i, j])
         if not best > 0.0:
             break
         steps.append(MergeStep(len(steps) + 1, clusters[i], clusters[j], best))
-        clusters[i] = tuple(sorted(clusters[i] + clusters[j]))
-        clusters[j] = None
+        clusters[i] = tuple(sorted(clusters[i] + clusters.pop(j)))
         cross[i] += cross[j]
         cross[:, i] = cross[i]
         cross[j] = cross[:, j] = -np.inf
         if loss is not None:
             loss.merge(i, j)
-    return [c for c in clusters if c is not None], steps
+    return list(clusters.values()), steps
 
 
 def greedy_cc(affinities: AffinityMatrix) -> tuple[Partition, MergeTrace]:

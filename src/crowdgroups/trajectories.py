@@ -277,10 +277,11 @@ def load_homography(path) -> Homography:
     if len(tokens) != 9:
         raise TrajectoryParseError(f"{path}: expected 9 floats, got {len(tokens)}")
     try:
-        values = [float(tok) for tok in tokens]
+        return Homography(np.array([float(tok) for tok in tokens]).reshape(3, 3))
     except ValueError as exc:
         raise TrajectoryParseError(f"{path}: {exc}") from None
-    return Homography(np.array(values).reshape(3, 3))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_ground_truth(path) -> GroundTruthLabels:
@@ -348,6 +349,8 @@ def load_dataset(directory) -> Dataset:
         fps = float(descriptor.get("fps", "1"))
     except ValueError:
         raise TrajectoryParseError(f"{desc_path}: fps is not a number") from None
+    if not (math.isfinite(fps) and fps > 0):
+        raise ConfigError(f"{desc_path}: fps must be finite and positive, got {fps}")
     units = descriptor.get("units", "meters")
     if units not in ("meters", "pixels"):
         raise ConfigError(f"{desc_path}: units must be meters or pixels, got {units!r}")

@@ -466,6 +466,8 @@ def test_cli_rejects_non_finite_frame_rate_and_homography(
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "Traceback" not in captured.err
+    at_fault = data / ("descriptor.txt" if homography is None else "H.txt")
+    assert err[0].startswith(f"error: {at_fault}: ")
     assert captured.out == ""
     assert not (tmp_path / "report").exists() and not (tmp_path / "trained.json").exists()
 

@@ -173,6 +173,42 @@ def test_loss_tracker_matches_public_loss_along_merges(kind):
             assert scorer.current == loss_fn(truth, Partition(rows.values()))
 
 
+@pytest.mark.parametrize("kind", sorted(LOSSES))
+def test_loss_tracker_matches_public_loss_on_larger_windows(kind):
+    # up to 12 members, and the run meets every per-candidate change that
+    # candidates() builds: truth clusters met by both rows (overlap) of 2 and
+    # more, 0, 1 or 2 singleton rows, 0, 1 or 2 of them alone in the truth
+    # too, and co-member pairs shared across the two rows
+    rng = np.random.default_rng(23)
+    loss_fn = LOSSES[kind]
+    seen = {"overlap": set(), "single": set(), "both": set(), "shared": set()}
+    for _ in range(16):
+        n = int(rng.integers(8, 13))
+        members = list(range(1, n + 1))
+        truth = Partition.from_labels(members, rng.integers(0, rng.integers(2, n + 1), size=n).tolist())
+        label, alone = truth.labels(), set(truth.singleton_members)
+        scorer = MergeLoss(kind, truth, members)
+        rows = {r: [m] for r, m in enumerate(members)}
+        while len(rows) >= 2:
+            candidates = scorer.candidates()
+            for i, j in itertools.combinations(sorted(rows), 2):
+                rest = [c for r, c in rows.items() if r not in (i, j)]
+                merged = Partition(rest + [rows[i] + rows[j]])
+                assert candidates[i, j] == loss_fn(truth, merged)
+                met_i, met_j = ([label[m] for m in rows[r]] for r in (i, j))
+                pair = (rows[i], rows[j])
+                seen["overlap"].add(len(set(met_i) & set(met_j)))
+                seen["single"].add(sum(len(c) == 1 for c in pair))
+                seen["both"].add(sum(len(c) == 1 and c[0] in alone for c in pair))
+                seen["shared"].add(sum(met_i.count(g) * met_j.count(g) for g in set(met_i)))
+            i, j = sorted(int(r) for r in rng.choice(sorted(rows), size=2, replace=False))
+            scorer.merge(i, j)
+            rows[i] = rows[i] + rows.pop(j)
+            assert scorer.current == loss_fn(truth, Partition(rows.values()))
+    assert max(seen["overlap"]) >= 2 and max(seen["shared"]) >= 2
+    assert seen["single"] == seen["both"] == {0, 1, 2}
+
+
 # ---------------------------------------------------------------------------
 # Loss-augmented oracle
 
@@ -234,6 +270,32 @@ def test_oracle_matches_scalar_reference_exactly(loss):
         example = TrainingExample(scene, random_partition(members, rng))
         w = rng.integers(-2, 3, size=8).astype(float)
         assert loss_augmented_oracle(example, w, loss)[:2] == reference_oracle(example, w, loss)
+
+
+def test_oracle_start_state_does_not_leak_between_calls():
+    # every call searches from a copy of the example's cached start state, so
+    # interleaved calls on one example, over all losses and float and
+    # tie-heavy integer weights, answer exactly as on a freshly built example
+    rng = np.random.default_rng(24)
+    members = list(range(1, 13))
+    scene = make_scene(members, {
+        pair: rng.integers(0, 2, size=4).astype(float) for pair in itertools.combinations(members, 2)
+    })
+    truth = random_partition(members, rng)
+    example = TrainingExample(scene, truth)
+    weights = [rng.normal(size=8) * 2 for _ in range(12)]
+    weights += [rng.integers(-2, 3, size=8).astype(float) for _ in range(12)]
+    calls = [(w, loss) for w in weights for loss in sorted(LOSSES)]
+    searched = dict.fromkeys(LOSSES, 0)
+    for k in [*rng.permutation(len(calls)), *rng.permutation(len(calls))]:
+        w, loss = calls[k]
+        got = loss_augmented_oracle(example, w, loss)
+        want = loss_augmented_oracle(TrainingExample(scene, truth), w, loss)
+        assert got.partition == want.partition
+        assert got.hinge == want.hinge and got.loss == want.loss
+        assert np.array_equal(got.psi, want.psi)
+        searched[loss] += got.partition not in (truth, Partition.singletons(members))
+    assert min(searched.values()) >= 10
 
 
 def test_oracle_hinge_never_negative():
