@@ -11,7 +11,17 @@ score; on small scenes we can afford the exhaustive optimum and compare.
 
 import numpy as np
 
-from crowdgroups import AffinityMatrix, Partition, greedy_cc, partition_score
+from crowdgroups import AffinityMatrix, Partition, greedy_cc
+
+
+def partition_score(p, mat):
+    """Sum of within-cluster affinities: half of each group's block of W."""
+    index = {m: i for i, m in enumerate(mat.members)}
+    total = 0.0
+    for group in p.groups:
+        rows = [index[m] for m in group]
+        total += float(mat.matrix[np.ix_(rows, rows)].sum()) / 2.0
+    return total
 
 
 def set_partitions(items):

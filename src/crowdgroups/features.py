@@ -43,7 +43,6 @@ equal them exactly.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,8 +53,6 @@ from scipy.special import betainc
 
 from .errors import ConfigError, _check_numbers
 from .trajectories import TimeWindow, Trajectory, align_segments
-
-logger = logging.getLogger(__name__)
 
 FEATURE_NAMES = ("d_ph", "d_sh", "d_ca", "d_he")
 HALL_SIGMAS = (0.5, 1.2, 3.7, 7.6)
@@ -381,14 +378,6 @@ class HeatmapGrid:
     rows: int
     cols: int
 
-    def cell_of(self, point) -> tuple[int, int]:
-        row = int(math.floor((float(point[1]) - self.y0) / self.cell))
-        col = int(math.floor((float(point[0]) - self.x0) / self.cell))
-        return row, col
-
-    def covers(self, row: int, col: int) -> bool:
-        return 0 <= row < self.rows and 0 <= col < self.cols
-
 
 def _points_grid(points: np.ndarray, cell: float) -> HeatmapGrid:
     x0 = float(points[:, 0].min())
@@ -438,32 +427,22 @@ def _heatmaps(segments, cfg: FeatureConfig, grid: HeatmapGrid) -> list[np.ndarra
     return heat
 
 
-def heatmap_build(
-    seg: Trajectory,
-    cfg: FeatureConfig | None = None,
-    window: TimeWindow | None = None,
-    grid: HeatmapGrid | None = None,
-) -> np.ndarray:
-    """Max-normalized heat map of the segment on the window's grid.
+def heatmap_build(seg: Trajectory, cfg: FeatureConfig | None = None, grid: HeatmapGrid | None = None) -> np.ndarray:
+    """Max-normalized heat map of the segment on `grid` (by default the
+    smallest grid covering the segment; maps built on one window's grid are
+    comparable).
 
     Visited cells deposit energy E = (visit indicator or count) * exp(-k_r *
     occupancy seconds); each map cell then receives sum over visited cells of
-    E * exp(-k_s * grid-index distance). Positions outside the grid expand it
-    (a mismatched grid is never an error, but sibling maps built for the same
-    window share the window grid and stay comparable).
+    E * exp(-k_s * grid-index distance). Raises ValueError when the segment
+    leaves the grid.
     """
     cfg = cfg or FeatureConfig()
     if grid is None:
-        grid = window_grid(window, cfg) if window is not None else _points_grid(seg.points, cfg.heat_cell_edge)
-    first = grid.cell_of(seg.points.min(axis=0))
-    last = grid.cell_of(seg.points.max(axis=0))
-    if not (grid.covers(*first) and grid.covers(*last)):
-        corners = [(grid.x0, grid.y0), (grid.x0 + grid.cols * grid.cell, grid.y0 + grid.rows * grid.cell)]
-        grid = _points_grid(np.vstack([seg.points, corners]), grid.cell)
-        logger.info(
-            "pedestrian %d: heat-map grid expanded to %dx%d to cover the segment",
-            seg.pedestrian_id, grid.rows, grid.cols,
-        )
+        grid = _points_grid(seg.points, cfg.heat_cell_edge)
+    cells = np.floor((seg.points - (grid.x0, grid.y0)) / grid.cell)  # (col, row) per sample
+    if cells.min() < 0 or np.any(cells.max(axis=0) >= (grid.cols, grid.rows)):
+        raise ValueError(f"pedestrian {seg.pedestrian_id}: segment falls outside the heat-map grid")
     return _heatmaps([seg], cfg, grid)[0]
 
 

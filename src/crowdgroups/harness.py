@@ -351,6 +351,8 @@ def train_model(config: RunConfig, examples: list[TrainingExample], log) -> Mode
     """Sequential training in sequential mode, batch BCFW otherwise (online
     mode starts predicting from the batch model); the model records the
     config's flat settings."""
+    if not examples:
+        raise ConfigError("training requires at least one example")
     if config.mode == "sequential":
         for model in sequential_train(iter(examples), config, log=log):
             pass

@@ -84,14 +84,12 @@ class TrainConfig:
     max_iterations: int = 1000
     seed: int = 0
     loss: str = "gmitre"
-    early_stop: bool = False
-    early_stop_tol: float = 1e-6
     sequential_budget: int = 100
     online_budget: int = 10
 
     def __post_init__(self):
         _check_numbers(
-            self, floats=("C", "early_stop_tol"),
+            self, floats=("C",),
             ints=("max_iterations", "seed", "sequential_budget", "online_budget"),
         )
         if self.C <= 0:
@@ -100,8 +98,6 @@ class TrainConfig:
             raise ConfigError("max_iterations must be non-negative")
         if self.loss not in LOSSES:
             raise ConfigError(f"loss must be one of {sorted(LOSSES)}, got {self.loss!r}")
-        if self.early_stop_tol <= 0:
-            raise ConfigError("early_stop_tol must be positive")
         if self.sequential_budget < 1 or self.online_budget < 1:
             raise ConfigError("iteration budgets must be >= 1")
 
@@ -367,11 +363,11 @@ def bcfw_train(
     """Batch Block-Coordinate Frank-Wolfe over the given examples.
 
     Of config.max_iterations updates, all but the last n go to uniformly
-    random blocks drawn from a generator seeded with config.seed (with
-    early_stop, only until the latest exact gaps of all blocks sum to at most
-    early_stop_tol); the last n are one exact update per block, whose gaps
-    sum to the reported duality gap (that pass runs even when the budget is
-    smaller). Returns the trained model. `log` is a CSV path or None.
+    random blocks drawn from a generator seeded with config.seed; the last n
+    are one exact update per block, whose gaps sum to the reported duality
+    gap (that pass runs even when the budget is smaller). The oracle is
+    greedy, not exact, so that gap is an estimate, not a bound: it can be
+    negative. Returns the trained model. `log` is a CSV path or None.
     iteration_hook(model, info), when given, sees the model after every update.
     """
     config = config or TrainConfig()
@@ -393,10 +389,7 @@ def bcfw_train(
             return info
 
         for _ in range(config.max_iterations - n):
-            if step(int(rng.integers(n))).exact and config.early_stop:
-                if sum(b.exact_gap for b in blocks) <= config.early_stop_tol:
-                    logger.info("early stop after %d iterations", model.iterations)
-                    break
+            step(int(rng.integers(n)))
         gap = sum(step(i, exact=True).gap for i in range(n))
     logger.info("duality gap %.6g after %d iterations", gap, model.iterations)
     return model

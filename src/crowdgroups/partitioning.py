@@ -51,16 +51,6 @@ class Partition:
     def singletons(cls, members: Iterable[int]) -> "Partition":
         return cls([m] for m in members)
 
-    @classmethod
-    def from_labels(cls, members: Sequence[int], labels: Sequence[int]) -> "Partition":
-        """Cluster members sharing a label value."""
-        if len(members) != len(labels):
-            raise ValueError("members and labels must have equal length")
-        by_label: dict[int, list[int]] = {}
-        for m, lab in zip(members, labels):
-            by_label.setdefault(lab, []).append(m)
-        return cls(by_label.values())
-
     @property
     def groups(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c for c in self.clusters if len(c) >= 2)
@@ -117,7 +107,7 @@ class AffinityMatrix:
     (near-symmetric input is symmetrized from it).
     """
 
-    __slots__ = ("members", "matrix", "_index")
+    __slots__ = ("members", "matrix")
 
     def __init__(self, members: Sequence[int], matrix) -> None:
         members = tuple(int(m) for m in members)
@@ -134,19 +124,12 @@ class AffinityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(members)})
 
     def __setattr__(self, name, value):
         raise AttributeError("AffinityMatrix is immutable")
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def index_of(self, pedestrian_id: int) -> int:
-        return self._index[pedestrian_id]
-
-    def value(self, a: int, b: int) -> float:
-        return float(self.matrix[self._index[a], self._index[b]])
 
 
 class MergeStep(NamedTuple):
@@ -161,25 +144,6 @@ class MergeTrace:
     """Ordered record of greedy merges; every delta is strictly positive."""
 
     steps: tuple[MergeStep, ...] = ()
-
-    def replay(self, members: Iterable[int]) -> list[Partition]:
-        """Reapply the merges from all singletons, returning the partition after
-        each step (index 0 is the all-singletons start). Raises ValueError when a
-        step references a cluster that does not exist at that point, so a
-        successful replay certifies hierarchical coherence."""
-        state: set[frozenset[int]] = {frozenset((m,)) for m in members}
-        out = [Partition(state)]
-        for step in self.steps:
-            a, b = frozenset(step.first), frozenset(step.second)
-            if a not in state or b not in state:
-                raise ValueError(
-                    f"merge step {step.iteration} references clusters absent from the state"
-                )
-            state.remove(a)
-            state.remove(b)
-            state.add(a | b)
-            out.append(Partition(state))
-        return out
 
 
 def _affinity_array(scene: "WindowedScene", w: np.ndarray) -> np.ndarray:
@@ -200,17 +164,6 @@ def affinity(scene: "WindowedScene", w) -> AffinityMatrix:
     if w.shape != (8,):
         raise ValueError(f"weight vector must have 8 components, got {w.shape}")
     return AffinityMatrix(scene.members, _affinity_array(scene, w))
-
-
-def partition_score(p: Partition, affinities: AffinityMatrix) -> float:
-    """Sum of W entries over unordered intra-cluster pairs."""
-    if p.members != set(affinities.members):
-        raise ValueError("partition and affinity matrix cover different members")
-    total = 0.0
-    for c in p.groups:
-        g = [affinities.index_of(m) for m in c]
-        total += float(affinities.matrix[np.ix_(g, g)].sum()) / 2.0
-    return total
 
 
 def _greedy_merge(cross, loss=None) -> tuple[list[tuple[int, ...]], list[MergeStep]]:

@@ -86,16 +86,6 @@ class Trajectory:
     def end_t(self) -> float:
         return float(self.times[-1])
 
-    def between(self, start_t: float, end_t: float) -> "Trajectory":
-        """Samples with t in [start_t, end_t); raises ValueError when none fall inside."""
-        i0 = int(np.searchsorted(self.times, start_t, side="left"))
-        i1 = int(np.searchsorted(self.times, end_t, side="left"))
-        if i1 <= i0:
-            raise ValueError(
-                f"pedestrian {self.pedestrian_id} has no samples in [{start_t}, {end_t})"
-            )
-        return Trajectory(self.pedestrian_id, self.times[i0:i1], self.points[i0:i1])
-
 
 @dataclass(frozen=True, eq=False)
 class Homography:
@@ -174,12 +164,6 @@ class GroundTruthLabels:
         for g in self.groups:
             out |= g
         return frozenset(out)
-
-    def group_index(self, pedestrian_id: int) -> int | None:
-        for k, g in enumerate(self.groups):
-            if pedestrian_id in g:
-                return k
-        return None
 
 
 @dataclass(frozen=True)

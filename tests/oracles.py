@@ -15,6 +15,9 @@ must reproduce exactly, tie-breaks and floating-point sums included. The
 reference Frank-Wolfe step asks the oracle on every step and runs the line
 search in the units of Lacoste-Julien et al. (lambda = 1/C, planes scaled by
 1/(lambda n)); the primal objective asks the oracle once per example.
+The partition score, affinity lookup, merge-trace replay, partition from
+labels and ground-truth group lookup live here rather than in the package,
+since only the checks use them.
 """
 
 from __future__ import annotations
@@ -165,6 +168,24 @@ def pair_enumeration_psi(scene, p: Partition) -> np.ndarray:
     return total
 
 
+def affinity_value(affinities: AffinityMatrix, a: int, b: int) -> float:
+    """W entry of the pedestrian pair (a, b)."""
+    index = affinities.members.index
+    return float(affinities.matrix[index(a), index(b)])
+
+
+def partition_score(p: Partition, affinities: AffinityMatrix) -> float:
+    """Sum of W entries over unordered intra-cluster pairs (half of each
+    group's W block)."""
+    if p.members != set(affinities.members):
+        raise ValueError("partition and affinity matrix cover different members")
+    total = 0.0
+    for c in p.groups:
+        g = [affinities.members.index(m) for m in c]
+        total += float(affinities.matrix[np.ix_(g, g)].sum()) / 2.0
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Scalar greedy merge loop (reference for the vectorised merge engine)
 
@@ -216,6 +237,23 @@ def _scalar_greedy(ids: Sequence[int], cross: np.ndarray, loss=None):
 def reference_greedy_cc(affinities: AffinityMatrix) -> tuple[Partition, MergeTrace]:
     clusters, steps, _ = _scalar_greedy(affinities.members, affinities.matrix)
     return Partition(clusters), MergeTrace(tuple(steps))
+
+
+def replay_merges(trace: MergeTrace, members: Iterable[int]) -> list[Partition]:
+    """Reapply the merges from all singletons, returning the partition after
+    each step (index 0 is the all-singletons start). Raises ValueError when a
+    step references a cluster that does not exist at that point, so a
+    successful replay certifies hierarchical coherence."""
+    state: set[frozenset[int]] = {frozenset((m,)) for m in members}
+    out = [Partition(state)]
+    for step in trace.steps:
+        a, b = frozenset(step.first), frozenset(step.second)
+        if a not in state or b not in state:
+            raise ValueError(f"merge step {step.iteration} references clusters absent from the state")
+        state -= {a, b}
+        state.add(a | b)
+        out.append(Partition(state))
+    return out
 
 
 def reference_oracle(example, w, loss: str = "gmitre") -> tuple[Partition, float]:
@@ -290,9 +328,19 @@ def iter_set_partitions(items: Sequence) -> Iterator[list[list]]:
         yield [[first]] + sub
 
 
+def partition_from_labels(members: Sequence[int], labels: Sequence[int]) -> Partition:
+    """Cluster members sharing a label value."""
+    if len(members) != len(labels):
+        raise ValueError("members and labels must have equal length")
+    by_label: dict[int, list[int]] = {}
+    for m, lab in zip(members, labels):
+        by_label.setdefault(lab, []).append(m)
+    return Partition(by_label.values())
+
+
 def random_partition(members: Sequence[int], rng: np.random.Generator) -> Partition:
     labels = rng.integers(0, len(members), size=len(members))
-    return Partition.from_labels(list(members), [int(x) for x in labels])
+    return partition_from_labels(list(members), [int(x) for x in labels])
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +496,13 @@ def scalar_heatmap_build(seg: Trajectory, cfg: FeatureConfig | None = None, grid
     """One hypot and one exp over the whole grid per visited cell."""
     cfg = cfg or FeatureConfig()
     grid = grid or _points_grid(seg.points, cfg.heat_cell_edge)
-    first = grid.cell_of(seg.points.min(axis=0))
-    last = grid.cell_of(seg.points.max(axis=0))
-    if not (grid.covers(*first) and grid.covers(*last)):
-        x0 = min(grid.x0, float(seg.points[:, 0].min()))
-        y0 = min(grid.y0, float(seg.points[:, 1].min()))
-        x1 = max(grid.x0 + grid.cols * grid.cell, float(seg.points[:, 0].max()))
-        y1 = max(grid.y0 + grid.rows * grid.cell, float(seg.points[:, 1].max()))
-        cols = int(math.floor((x1 - x0) / grid.cell)) + 1
-        rows = int(math.floor((y1 - y0) / grid.cell)) + 1
-        grid = HeatmapGrid(x0=x0, y0=y0, cell=grid.cell, rows=rows, cols=cols)
     occupancy: dict[tuple[int, int], list[float]] = {}
     times = seg.times
     for i in range(len(times)):
-        cell = grid.cell_of(seg.points[i])
+        x, y = (float(v) for v in seg.points[i])
+        cell = (math.floor((y - grid.y0) / grid.cell), math.floor((x - grid.x0) / grid.cell))
+        if not (0 <= cell[0] < grid.rows and 0 <= cell[1] < grid.cols):
+            raise ValueError(f"pedestrian {seg.pedestrian_id}: segment falls outside the heat-map grid")
         dwell = float(times[i + 1] - times[i]) if i + 1 < len(times) else 0.0
         entry = occupancy.setdefault(cell, [0.0, 0.0])
         entry[0] += 1.0
@@ -538,6 +579,14 @@ def scalar_pair_table(window: TimeWindow, configs: FeatureConfig | None = None):
 # Scene statistics by a frame x member x member loop
 
 
+def group_index(labels: GroundTruthLabels, pedestrian_id: int) -> int | None:
+    """Index of the pedestrian's ground-truth group, None for a singleton."""
+    for k, g in enumerate(labels.groups):
+        if pedestrian_id in g:
+            return k
+    return None
+
+
 def scalar_scene_stats(windows, labels: GroundTruthLabels) -> tuple:
     """(d_in, d_out, d_io) with a Python loop over frames and member pairs and
     a linear group lookup per pair."""
@@ -551,13 +600,13 @@ def scalar_scene_stats(windows, labels: GroundTruthLabels) -> tuple:
         for present in frames.values():
             ids = sorted(present)
             for a in ids:
-                ga = labels.group_index(a)
+                ga = group_index(labels, a)
                 best = None
                 for b in ids:
                     if b == a:
                         continue
                     dist = float(np.hypot(*(present[a] - present[b])))
-                    if ga is not None and ga == labels.group_index(b):
+                    if ga is not None and ga == group_index(labels, b):
                         if a < b:
                             intra.append(dist)
                     elif best is None or dist < best:

@@ -351,9 +351,8 @@ def test_window_grid_covers_members():
     a = traj(1, [[0.0, 0.0], [1.0, 0.5]])
     b = traj(2, [[2.0, 2.0], [2.5, 2.9]])
     grid = window_grid(window_of(a, b), FeatureConfig(heat_cell_edge=1.0))
-    assert (grid.x0, grid.y0) == (0.0, 0.0)
-    assert grid.covers(*grid.cell_of((2.5, 2.9)))
-    assert not grid.covers(-1, 0)
+    assert (grid.x0, grid.y0, grid.cell) == (0.0, 0.0, 1.0)
+    assert (grid.rows, grid.cols) == (3, 3)  # the cell of (2.5, 2.9) is the last
 
 
 def test_heatmap_static_point_peaks_at_cell():
@@ -398,14 +397,16 @@ def test_heatmap_accumulate_modes():
     assert h_v[0, 3] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_heatmap_grid_auto_expands(caplog):
+def test_heatmap_segment_outside_grid_is_rejected():
     cfg = FeatureConfig(heat_cell_edge=1.0)
     small = window_grid(window_of(traj(1, [[0, 0], [1, 1]]), traj(2, [[0, 1], [1, 0]])), cfg)
-    wanderer = traj(3, [[5.0, 5.0], [6.0, 6.0]])
-    with caplog.at_level(logging.INFO, logger="crowdgroups.features"):
-        heat = heatmap_build(wanderer, cfg, grid=small)
-    assert heat.shape[0] >= 6 and heat.shape[1] >= 6
-    assert any("expanded" in rec.message for rec in caplog.records)
+    for build in (heatmap_build, oracles.scalar_heatmap_build):
+        for points in ([[5.0, 0.5], [0.5, 0.5]], [[0.5, -0.5], [0.5, 0.5]], [[0.5, 2.0], [0.5, 0.5]]):
+            with pytest.raises(ValueError, match="pedestrian 3"):
+                build(traj(3, points), cfg, small)
+        assert build(traj(3, [[1.9, 1.9], [0.0, 0.0]]), cfg, small).shape == (2, 2)
+    # without a grid, the map covers the segment
+    assert heatmap_build(traj(3, [[5.0, 5.0], [6.0, 6.0]]), cfg).shape == (2, 2)
 
 
 def test_heatmap_distance_cases():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from crowdgroups.harness import (
     prediction_entry,
     read_config_file,
     read_predictions,
+    train_model,
     write_config_file,
     write_predictions,
 )
@@ -163,7 +165,6 @@ def test_run_config_validation():
     (FeatureConfig, "heat_k_r", math.nan),
     (TrainConfig, "C", math.nan),
     (TrainConfig, "C", math.inf),
-    (TrainConfig, "early_stop_tol", math.nan),
     (TrainConfig, "max_iterations", 10.5),
     (TrainConfig, "seed", 0.5),
     (TrainConfig, "sequential_budget", math.nan),
@@ -193,8 +194,8 @@ def test_run_config_from_dict_types():
     assert config.proxemic_sigmas == (1.0, 2.5)
     with pytest.raises(ConfigError, match="'granger_lag'"):
         RunConfig.from_dict({"granger_lag": 2.0})
-    with pytest.raises(ConfigError, match="'early_stop'"):
-        RunConfig.from_dict({"early_stop": 1})
+    with pytest.raises(ConfigError, match="'runs'"):
+        RunConfig.from_dict({"runs": True})
 
 
 def test_run_config_flat_dict_lists_tuples():
@@ -379,6 +380,12 @@ def test_run_experiment_other_modes(dataset_dir, tmp_path, mode):
     assert result["runs"][0]["iterations"] == model.iterations
 
 
+@pytest.mark.parametrize("mode", ["batch", "sequential"])
+def test_train_model_requires_examples(mode):
+    with pytest.raises(ConfigError, match="at least one example"):
+        train_model(RunConfig(mode=mode), [], None)
+
+
 def test_run_experiment_error_paths(dataset_dir, tmp_path):
     unlabeled = tmp_path / "unlabeled"
     ds = load_dataset(dataset_dir)
@@ -494,14 +501,16 @@ def test_cli_synth_spec_wrong_type(tmp_path, capsys):
     assert err.startswith("error: ") and "'n_groups'" in err
 
 
-@pytest.mark.parametrize("key, value", [("runs", 1.5), ("max_iterations", 5.5), ("runs", True)])
+@pytest.mark.parametrize("key, value", [
+    ("runs", 1.5), ("max_iterations", 5.5), ("runs", True), ("early_stop", True),  # a removed key
+])
 def test_cli_run_config_wrong_type(dataset_dir, tmp_path, capsys, key, value):
     config_path = tmp_path / "config.toml"
     write_config_file(config_path, {key: value})
     assert main(["run", "--data", str(dataset_dir), "--out", str(tmp_path / "report"),
                  "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(key) in err
+    assert err.startswith("error: ") and repr(key) in err and len(err.splitlines()) == 1
     assert not (tmp_path / "report").exists()
 
 
@@ -641,6 +650,21 @@ def test_cli_predict_rejects_bad_recorded_settings(dataset_dir, tmp_path, capsys
     assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_cli_predict_with_model_recording_removed_keys(dataset_dir, tmp_path, capsys):
+    # a model file written before early_stop, early_stop_tol and other keys
+    # left the settings still predicts, as if they were not recorded
+    saved = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "model.json").read_text())
+    assert {"early_stop", "early_stop_tol"} <= set(saved["config"])
+    known = set(RunConfig().to_flat_dict())
+    outputs = []
+    for config in (saved["config"], {k: v for k, v in saved["config"].items() if k in known}):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({**saved, "config": config}), encoding="utf-8")
+        assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["windows"]
 
 
 def test_cli_train_span_only_when_requested(dataset_dir, tmp_path, capsys):

@@ -65,15 +65,6 @@ def test_trajectory_arrays_read_only():
         tr.points[0, 0] = 5.0
 
 
-def test_between_half_open():
-    tr = make_traj(1, [0.0, 1.0, 2.0, 3.0])
-    seg = tr.between(1.0, 3.0)
-    assert seg.times.tolist() == [1.0, 2.0]
-    assert seg.pedestrian_id == 1
-    with pytest.raises(ValueError):
-        tr.between(10.0, 20.0)
-
-
 def test_trajectory_span_properties():
     tr = make_traj(4, [0.5, 1.5, 2.5])
     assert tr.start_t == 0.5
@@ -201,8 +192,7 @@ def test_load_ground_truth(tmp_path):
     f.write_text("# groups\n1 2 3\n4 5\n")
     labels = load_ground_truth(f)
     assert labels.groups == (frozenset({1, 2, 3}), frozenset({4, 5}))
-    assert labels.group_index(4) == labels.group_index(5)
-    assert labels.group_index(9) is None
+    assert labels.members == frozenset({1, 2, 3, 4, 5})
 
 
 @pytest.mark.parametrize("token", ["inf", "nan", "2.7"])
