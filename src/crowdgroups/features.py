@@ -32,7 +32,7 @@ chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
   restricted and unrestricted RSS, the latter exactly 0 when no more samples
   than design columns are fitted. Designs whose R diagonal shows rank
   deficiency are refitted by np.linalg.lstsq, whose rank handling is the
-  reference.
+  reference. The F CDF of each batch's statistics is one closed form.
 - d_he maps, only for members of pairs that are not far, add slices of one
   exp(-k_s * hypot(dr, dc)) kernel image per grid, a band of rows at a time.
 
@@ -49,7 +49,6 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import ConfigError, _check_numbers
 from .trajectories import TimeWindow, Trajectory, align_segments
@@ -280,10 +279,46 @@ def dtw_shape_distance(seg_a: Trajectory, seg_b: Trajectory, tau: float = DTW_TA
     return float(_dtw_rows([seg_a, seg_b], *_ONE_PAIR, tau)[0])
 
 
+def _coefficients(n: int, p: float, q: float, first: float) -> list[float]:
+    """[c_0, ..., c_{n-1}] with c_0 = first and c_j = c_{j-1} (p + j) / (q + j)."""
+    coef = [first] * min(n, 1)
+    for j in range(1, n):
+        coef.append(coef[-1] * (p + j) / (q + j))
+    return coef
+
+
+def _beta_halves(x: np.ndarray, m: int, dof: int) -> np.ndarray:
+    """I_x(m/2, dof/2) for whole m, dof >= 1: the F(m, dof) CDF at s when
+    x = m s / (m s + dof), in closed form (Abramowitz & Stegun 26.5.16 and
+    26.6.4-26.6.8; DLMF 8.17). With a = m/2 - m//2 (0 or 1/2) and b = dof/2,
+    raising a by one m//2 times subtracts, for j < m//2,
+    x^a (1-x)^b x^j Gamma(a+b+j) / (Gamma(a+1+j) Gamma(b)) from I_x(0, b) = 1
+    or from I_x(1/2, b): a sum of dof//2 powers of 1 - x, plus (2/pi) arcsin
+    sqrt(x) for odd dof. The sum in x, m//2 terms long, runs by Horner's rule;
+    the one in 1 - x is one table of powers."""
+    y = 1.0 - x
+    a, b = m % 2 / 2, dof / 2
+    base = 1.0
+    if a:
+        h, n = dof % 2 / 2, dof // 2
+        g = _coefficients(n, h - 0.5, h, 2 / math.pi if h else 1.0)
+        base = np.sqrt(x) * y**h * (y[..., None] ** np.arange(n) * g).sum(axis=-1)
+        if h:
+            base += 2 / math.pi * np.arctan2(np.sqrt(x), np.sqrt(y))  # arcsin sqrt(x), stable at x = 1
+    coef = _coefficients(m // 2, a + b - 1, a, math.exp(math.lgamma(a + b) - math.lgamma(a + 1) - math.lgamma(b)))
+    series = coef.pop() if coef else 0.0
+    while coef:
+        series = series * x + coef.pop()
+    return base - (np.sqrt(x) if a else 1.0) * y**b * series
+
+
 def f_cdf(s: float, d1: int, d2: int) -> float:
-    """CDF of the F(d1, d2) distribution via the regularized incomplete beta."""
-    if d1 <= 0 or d2 <= 0:
-        raise ValueError("degrees of freedom must be positive")
+    """CDF of the F(d1, d2) distribution, the regularized incomplete beta
+    I_x(d1/2, d2/2) at x = d1 s / (d1 s + d2), in closed form; the degrees of
+    freedom must be positive whole numbers."""
+    for d in (d1, d2):
+        if isinstance(d, (bool, np.bool_)) or not (math.isfinite(d) and float(d).is_integer() and d > 0):
+            raise ValueError(f"degrees of freedom must be positive whole numbers, got {d!r}")
     s = float(s)
     if math.isnan(s):
         raise ValueError("statistic is NaN")
@@ -292,7 +327,7 @@ def f_cdf(s: float, d1: int, d2: int) -> float:
     if math.isinf(s):
         return 1.0
     x = d1 * s / (d1 * s + d2)
-    return float(betainc(0.5 * d1, 0.5 * d2, x))
+    return float(_beta_halves(np.array(x), int(d1), int(d2)))
 
 
 def _rss(design: np.ndarray, target: np.ndarray) -> float:
@@ -329,7 +364,7 @@ def _granger_areas(aligned, targets, sources, lag: int) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             gain = rss_r - rss_u
             stat = np.where(gain > _NO_GAIN_RTOL * rss_r, (gain / m) / (rss_u / dof), 0.0)
-            area = betainc(0.5 * m, 0.5 * dof, m * stat / (m * stat + dof))
+            area = _beta_halves(m * stat / (m * stat + dof), m, dof)
         area[rss_u <= _DEGENERATE_RSS] = 1.0
         area[rss_r <= _DEGENERATE_RSS] = np.nan
         out[rows] = area

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -267,8 +268,12 @@ def test_f_cdf_edge_cases():
     assert f_cdf(math.inf, 2, 3) == 1.0
     with pytest.raises(ValueError):
         f_cdf(float("nan"), 2, 3)
-    with pytest.raises(ValueError):
-        f_cdf(1.0, 0, 3)
+    for bad in (0, -1, math.nan, math.inf, -math.inf, 2.5, True, False, np.True_):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            f_cdf(1.0, bad, 3)
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            f_cdf(1.0, 3, bad)
+    assert f_cdf(1.0, 2.0, np.int64(5)) == f_cdf(1.0, 2, 5)
 
 
 def test_f_cdf_monotone():
@@ -279,11 +284,50 @@ def test_f_cdf_monotone():
 
 
 def test_f_cdf_matches_quadrature():
-    for d1, d2 in ((1, 1), (2, 5), (3, 10), (5, 2)):
-        for s in (0.2, 0.7, 1.0, 1.9, 4.0):
-            assert f_cdf(s, d1, d2) == pytest.approx(
-                f_cdf_quadrature(s, d1, d2), abs=1e-8
-            )
+    # every causality lag 1-4 with dof 1-200, and a wider first dof
+    grid = [(s, d1, d2) for d1 in (1, 2, 3, 4) for d2 in range(1, 201) for s in (0.3, 1.0, 3.5)]
+    grid += [(s, 5, 2) for s in (0.2, 0.7, 1.0, 1.9, 4.0)]
+    worst = max(abs(f_cdf(s, d1, d2) - f_cdf_quadrature(s, d1, d2)) for s, d1, d2 in grid)
+    assert worst <= 1e-8
+
+
+def test_closed_form_beta_matches_scipy_betainc():
+    from scipy.special import betainc
+
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for m in (1, 2, 3, 4):
+        for dof in range(1, 201):
+            x = rng.random(2000)
+            worst = max(worst, np.abs(features_module._beta_halves(x, m, dof) - betainc(m / 2, dof / 2, x)).max())
+    assert worst <= 1e-13
+
+
+def test_closed_form_beta_edges_are_exact_and_raise_no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (1, 2, 3, 4):
+            for dof in (1, 2, 3, 8, 9):
+                got = features_module._beta_halves(np.array([0.0, 1.0, np.nan]), m, dof)
+                assert got[:2].tolist() == [0.0, 1.0] and np.isnan(got[2])
+                assert f_cdf(0.0, m, dof) == 0.0 and f_cdf(math.inf, m, dof) == 1.0
+    # arcsin(sqrt(x)) loses half the digits near x = 1, where I_x(1/2, 1/2) = 1 - (2/pi) arcsin(sqrt(1 - x))
+    x = 1.0 - 1e-12
+    y = 1.0 - x  # exact
+    got = features_module._beta_halves(np.array(x), 1, 1)
+    assert got == pytest.approx(1.0 - 2.0 / math.pi * math.asin(math.sqrt(y)), abs=1e-15)
+
+
+def test_granger_rows_overridden_after_the_f_cdf_raise_no_warnings():
+    # rss_u = 0 (no more fitted samples than design columns) makes the statistic
+    # inf and x NaN before the area is pinned to 1; a constant target makes
+    # rss_r = 0 and the area None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lag in (1, 2, 3):
+            k = 2 * lag + 2
+            assert granger_causality_area(traj(1, _walk(60)[:k]), traj(2, _walk(61)[:k]), lag) == 1.0
+            assert granger_causality_area(traj(1, np.zeros((24, 2))), traj(2, _walk(62)), lag) is None
 
 
 # ---------------------------------------------------------------------------
