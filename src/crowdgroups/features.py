@@ -46,11 +46,11 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Literal
 
 import numpy as np
 
-from .errors import ConfigError, _check_numbers
+from .errors import ConfigError, _check_fields, _is_finite_real, _is_integer
 from .trajectories import TimeWindow, Trajectory, align_segments
 
 FEATURE_NAMES = ("d_ph", "d_sh", "d_ca", "d_he")
@@ -78,13 +78,10 @@ class FeatureConfig:
     heat_cell_edge: float = 0.30
     heat_k_s: float = 1e-5
     heat_k_r: float = 0.5
-    heat_accumulate: str = "binary"
+    heat_accumulate: Literal["binary", "visits"] = "binary"
 
     def __post_init__(self):
-        object.__setattr__(self, "proxemic_sigmas", tuple(float(s) for s in self.proxemic_sigmas))
-        _check_numbers(
-            self, floats=("proxemic_sigmas", "heat_cell_edge", "heat_k_s", "heat_k_r"), ints=("granger_lag",)
-        )
+        _check_fields(self)
         if not self.proxemic_sigmas or any(s <= 0 for s in self.proxemic_sigmas):
             raise ConfigError("proxemic sigmas must be strictly positive")
         if any(a >= b for a, b in zip(self.proxemic_sigmas, self.proxemic_sigmas[1:])):
@@ -95,10 +92,6 @@ class FeatureConfig:
             raise ConfigError(f"cell_edge must be positive, got {self.heat_cell_edge}")
         if self.heat_k_s < 0 or self.heat_k_r < 0:
             raise ConfigError("k_s and k_r must be non-negative")
-        if self.heat_accumulate not in ("binary", "visits"):
-            raise ConfigError(
-                f"accumulate must be 'binary' or 'visits', got {self.heat_accumulate!r}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,8 +267,8 @@ def dtw_shape_distance(seg_a: Trajectory, seg_b: Trajectory, tau: float = DTW_TA
     """Bounded warping distance raw/(raw + tau^2); tau is the softness scale in meters.
 
     raw is the squared-Euclidean warping cost normalized by max(A, B)."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not (_is_finite_real(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
     return float(_dtw_rows([seg_a, seg_b], *_ONE_PAIR, tau)[0])
 
 
@@ -379,8 +372,8 @@ def granger_causality_area(target: Trajectory, source: Trajectory, lag: int = 2)
     Returns None when the common sample count leaves no error degrees of
     freedom or the restricted regression is already exact.
     """
-    if lag < 1:
-        raise ValueError(f"lag must be >= 1, got {lag}")
+    if not (_is_integer(lag) and lag >= 1):
+        raise ValueError(f"lag must be an integer >= 1, got {lag!r}")
     area = _granger_areas(align_segments([target, source]), *_ONE_PAIR, int(lag))[0]
     return None if np.isnan(area) else float(area)
 

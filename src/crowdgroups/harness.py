@@ -18,16 +18,17 @@ import tomllib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, get_args, get_origin, get_type_hints
+from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, CrowdGroupsError, _check_numbers
+from .errors import ConfigError, CrowdGroupsError
 from .features import FEATURE_NAMES, FeatureConfig, build_scene
 from .learning import (
     Model,
     TrainConfig,
     TrainingExample,
+    TrainMode,
     bcfw_train,
     online_predict_train,
     predict,
@@ -112,37 +113,13 @@ def write_config_file(path, values: dict) -> None:
     Path(path).write_text(format_config_text(values), encoding="utf-8")
 
 
-def _matches(declared: type, value) -> bool:
-    """An int matches a declared float; a bool matches only a declared bool."""
-    if isinstance(value, bool):
-        return declared is bool
-    return isinstance(value, (int, float) if declared is float else declared)
-
-
 def dataclass_from_flat(cls, values: dict, what: str):
-    """Build the dataclass `cls` from flat config values. Unknown keys and
-    values that do not match a field's declared type raise ConfigError; arrays
-    become tuples of the declared item type, other values are kept as given.
-    `cls` checks its own values (finiteness, ranges)."""
-    hints = get_type_hints(cls)
-    declared = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
-    unknown = set(values) - set(declared)
+    """Build the dataclass `cls` from flat config values. Unknown keys raise
+    ConfigError; `cls` checks the values itself (types, finiteness, ranges)."""
+    unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in values.items():
-        kind = declared[key]
-        if get_origin(kind) is tuple:
-            item = get_args(kind)[0]
-            if not isinstance(value, (list, tuple)) or not all(_matches(item, v) for v in value):
-                raise ConfigError(
-                    f"{what} key {key!r} must be an array of {item.__name__}, got {value!r}"
-                )
-            value = tuple(item(v) for v in value)
-        elif not _matches(kind, value):
-            raise ConfigError(f"{what} key {key!r} must be {kind.__name__}, got {value!r}")
-        kwargs[key] = value
-    return cls(**kwargs)
+    return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +135,17 @@ class RunConfig(FeatureConfig, TrainConfig):
     window_len: float = 10.0
     stride: float = 10.0
     training_span: float = 100.0
-    mode: str = "batch"
+    mode: TrainMode = "batch"
     runs: int = 5
 
     def __post_init__(self):
+        # each parent's check covers every field, this class's too
         FeatureConfig.__post_init__(self)
         TrainConfig.__post_init__(self)
-        _check_numbers(self, floats=("window_len", "stride", "training_span"), ints=("runs",))
         if self.window_len <= 0 or self.stride <= 0 or self.training_span <= 0:
             raise ConfigError("window_len, stride, and training_span must be positive")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        if self.mode not in ("batch", "sequential", "online"):
-            raise ConfigError(f"mode must be batch, sequential, or online, got {self.mode!r}")
 
     def to_flat_dict(self) -> dict:
         out = {}

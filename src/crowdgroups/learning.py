@@ -29,11 +29,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple
+from typing import Callable, ClassVar, Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, _check_numbers
+from .errors import ConfigError, _check_fields
 from .features import WindowedScene
 from .losses import MergeLoss, gmitre_loss, mitre_loss, pairwise_loss
 from .partitioning import Partition, _affinity_array, _greedy_merge, affinity, greedy_cc
@@ -50,6 +50,7 @@ LOSSES: dict[str, Callable[[Partition, Partition], float]] = {
     "mitre": mitre_loss,
     "pairwise": pairwise_loss,
 }
+TrainMode = Literal["batch", "sequential", "online"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,10 +89,7 @@ class TrainConfig:
     online_budget: int = 10
 
     def __post_init__(self):
-        _check_numbers(
-            self, floats=("C",),
-            ints=("max_iterations", "seed", "sequential_budget", "online_budget"),
-        )
+        _check_fields(self)
         if self.C <= 0:
             raise ConfigError(f"C must be positive, got {self.C}")
         if self.max_iterations < 0:
@@ -122,7 +120,7 @@ class Model:
     C: float = TrainConfig.C
     seed: int = TrainConfig.seed
     loss: str = TrainConfig.loss
-    mode: str = "batch"
+    mode: TrainMode = "batch"
     iterations: int = 0
     config_snapshot: dict | None = None
 
@@ -133,16 +131,11 @@ class Model:
         self.block_l = np.array([] if self.block_l is None else self.block_l, dtype=float).reshape(-1)
         if self.block_w.shape[0] != self.block_l.shape[0]:
             raise ValueError("block_w and block_l disagree on the number of blocks")
-        self.l = float(self.l)
-        self.C = float(self.C)
-        for name in ("w", "block_w", "block_l", "l", "C"):
+        for name in ("w", "block_w", "block_l"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
-        self.seed = int(self.seed)
-        self.loss = str(self.loss)
-        self.mode = str(self.mode)
-        self.iterations = int(self.iterations)
         self.config_snapshot = dict(self.config_snapshot or {})
+        _check_fields(self)
 
     @property
     def alpha(self) -> np.ndarray:
@@ -184,7 +177,7 @@ class Model:
                 raise ConfigError(f"model format {version} is newer than supported")
             kwargs = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
             return cls(**{**kwargs, "w": obj["w"], "config_snapshot": obj.get("config")})
-        except (KeyError, TypeError, ValueError) as exc:
+        except (ConfigError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"not a valid model file: {exc}") from None
 
     def save(self, path) -> None:

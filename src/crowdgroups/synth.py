@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, _check_numbers
+from .errors import ConfigError, _check_fields
 from .trajectories import (
     DESCRIPTOR_FILE,
     GROUNDTRUTH_FILE,
@@ -24,7 +25,6 @@ from .trajectories import (
 )
 
 _FORMATION_UNIT = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
-_BEHAVIORS = ("parallel", "converging")
 
 
 @dataclass(frozen=True)
@@ -41,31 +41,22 @@ class SynthSpec:
     fps: float = 2.5
     lag: int = 1
     noise_std: float = 0.05
-    behavior: str = "parallel"
+    behavior: Literal["parallel", "converging"] = "parallel"
     speed: float = 1.2
     wander_std: float = 0.25
 
     def __post_init__(self):
-        _check_numbers(
-            self, floats=("spacing", "extent", "duration", "fps", "noise_std", "speed", "wander_std"),
-            ints=("n_groups", "group_size_min", "group_size_max", "n_singletons", "lag"),
-        )
-        if self.n_groups < 0 or self.n_singletons < 0:
-            raise ConfigError("counts must be non-negative")
+        _check_fields(self)
+        if min(self.n_groups, self.n_singletons, self.lag) < 0:
+            raise ConfigError("n_groups, n_singletons and lag must be non-negative")
         if not 2 <= self.group_size_min <= self.group_size_max <= len(_FORMATION_UNIT):
             raise ConfigError(
                 f"group sizes must satisfy 2 <= min <= max <= {len(_FORMATION_UNIT)}"
             )
-        if self.spacing <= 0 or self.extent <= 0 or self.duration <= 0:
-            raise ConfigError("spacing, extent, and duration must be positive")
-        if self.fps <= 0 or self.speed <= 0:
-            raise ConfigError("fps and speed must be positive")
-        if self.lag < 0:
-            raise ConfigError("lag must be >= 0")
+        if min(self.spacing, self.extent, self.duration, self.fps, self.speed) <= 0:
+            raise ConfigError("spacing, extent, duration, fps and speed must be positive")
         if self.noise_std < 0 or self.wander_std < 0:
             raise ConfigError("noise levels must be non-negative")
-        if self.behavior not in _BEHAVIORS:
-            raise ConfigError(f"behavior must be one of {_BEHAVIORS}")
 
 
 def _leader_walk(
@@ -126,6 +117,13 @@ def _sample_starts(
             )
 
 
+def _replay(leader_path: np.ndarray, lag: int) -> np.ndarray:
+    """The leader's moves replayed from its first point, delayed by `lag`
+    samples: position k accumulates the displacements up to k - lag."""
+    moves = np.diff(leader_path, axis=0)[: len(leader_path) - 1 - lag]
+    return np.cumsum(np.vstack([leader_path[:1], np.zeros((lag, 2)), moves]), axis=0)
+
+
 def synth_generate(
     spec: SynthSpec | None = None, seed: int = 0
 ) -> tuple[list[Trajectory], GroundTruthLabels]:
@@ -156,18 +154,10 @@ def synth_generate(
     next_id = 1
     for g in range(spec.n_groups):
         leader_path = _leader_walk(rng, spec, starts[g], n_steps, dt)
-        displacements = np.diff(leader_path, axis=0)
         member_ids = []
         for slot in range(sizes[g]):
             offset = spec.spacing * np.asarray(_FORMATION_UNIT[slot])
-            # Replay the leader's moves delayed by `lag` samples: position k
-            # accumulates displacements up to k - lag.
-            shifted = np.zeros_like(leader_path)
-            shifted[0] = leader_path[0]
-            for k in range(1, n_steps):
-                src = k - (spec.lag if slot > 0 else 0)
-                shifted[k] = shifted[k - 1] + (displacements[src - 1] if src >= 1 else 0.0)
-            path = shifted + offset
+            path = _replay(leader_path, spec.lag if slot > 0 else 0) + offset
             if spec.behavior == "converging" and slot > 0:
                 scatter = rng.uniform(2.0, 4.0, size=2) * rng.choice((-1.0, 1.0), size=2)
                 decay = np.exp(-times / (spec.duration / 4.0))[:, None]

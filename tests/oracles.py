@@ -15,6 +15,8 @@ must reproduce exactly, tie-breaks and floating-point sums included. The
 reference Frank-Wolfe step asks the oracle on every step and runs the line
 search in the units of Lacoste-Julien et al. (lambda = 1/C, planes scaled by
 1/(lambda n)); the primal objective asks the oracle once per example.
+The synthetic group member's replay of its leader is the per-sample loop
+the one-cumsum replay replaced.
 The partition score, affinity lookup, merge-trace replay, partition from
 labels and ground-truth group lookup live here rather than in the package,
 since only the checks use them.
@@ -573,6 +575,22 @@ def scalar_pair_table(window: TimeWindow, configs: FeatureConfig | None = None):
     return (
         np.array(rows).reshape(-1, 4), np.array(fallbacks, bool), np.array(no_overlaps, bool), np.array(fars, bool)
     )
+
+
+# ---------------------------------------------------------------------------
+# Synthetic member replay by a per-sample loop (reference for synth._replay)
+
+
+def replay_loop(leader_path: np.ndarray, lag: int) -> np.ndarray:
+    """Position k is position k - 1 plus the leader's displacement k - lag
+    back, or plus zero while k <= lag."""
+    displacements = np.diff(leader_path, axis=0)
+    shifted = np.zeros_like(leader_path)
+    shifted[0] = leader_path[0]
+    for k in range(1, len(leader_path)):
+        src = k - lag
+        shifted[k] = shifted[k - 1] + (displacements[src - 1] if src >= 1 else 0.0)
+    return shifted
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,11 @@ def test_proxemics_config_validation():
 
 def test_granger_config_validation():
     assert FeatureConfig().granger_lag == 2
-    assert FeatureConfig(granger_lag=3.0).granger_lag == 3
-    with pytest.raises(ConfigError):
-        FeatureConfig(granger_lag=0)
+    assert FeatureConfig(granger_lag=np.int64(3)).granger_lag == 3
+    # a whole float is not an int, in code as in config files
+    for lag in (0, 3.0):
+        with pytest.raises(ConfigError, match="granger"):
+            FeatureConfig(granger_lag=lag)
 
 
 def test_heatmap_config_validation():
@@ -228,8 +230,9 @@ def test_dtw_single_point_hand_value():
 def test_dtw_tau_validation_and_softening():
     a = traj(1, [[0, 0]])
     b = traj(2, [[1, 0]])
-    with pytest.raises(ValueError):
-        dtw_shape_distance(a, b, tau=0.0)
+    for tau in (0.0, -1.0, math.nan, math.inf, True, "1"):
+        with pytest.raises(ValueError, match="tau"):
+            dtw_shape_distance(a, b, tau=tau)
     assert dtw_shape_distance(a, b, tau=0.5) > dtw_shape_distance(a, b, tau=2.0)
 
 
@@ -316,6 +319,14 @@ def test_closed_form_beta_edges_are_exact_and_raise_no_warnings():
     y = 1.0 - x  # exact
     got = features_module._beta_halves(np.array(x), 1, 1)
     assert got == pytest.approx(1.0 - 2.0 / math.pi * math.asin(math.sqrt(y)), abs=1e-15)
+
+
+def test_granger_causality_area_rejects_bad_lags():
+    a, b = traj(1, _walk(60)), traj(2, _walk(61))
+    for lag in (0, 2.5, 2.0, True, math.nan, math.inf, "2"):
+        with pytest.raises(ValueError, match="lag"):
+            granger_causality_area(a, b, lag)
+    assert granger_causality_area(a, b, np.int64(2)) == granger_causality_area(a, b, 2)
 
 
 def test_granger_rows_overridden_after_the_f_cdf_raise_no_warnings():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import shutil
 from pathlib import Path
+from typing import Literal, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from crowdgroups import (
 )
 from crowdgroups.cli import _build_parser, _resolve_config, main
 from crowdgroups.harness import (
+    dataclass_from_flat,
     format_config_text,
     parse_config_text,
     predict_windows,
@@ -181,6 +184,37 @@ def test_run_config_validation():
 def test_configs_reject_non_finite_and_non_integral_values(cls, key, value):
     with pytest.raises(ConfigError, match=key):
         cls(**{key: value})
+
+
+def _wrong_typed(hint) -> list:
+    """Values that do not fit a field annotated `hint`."""
+    if hint is float:
+        return [True, "1.0", math.nan]
+    if hint is int:
+        return [True, "1", 2.0]
+    if get_origin(hint) is tuple:
+        return [(True, 2.0), "1.0", (1.0, math.nan)]
+    if get_origin(hint) is Literal:
+        return [True, "unknown"]
+    return [True, 1.0]
+
+
+_WRONG_TYPED = [
+    (cls, f.name, value)
+    for cls in (FeatureConfig, TrainConfig, RunConfig, SynthSpec)
+    for f in dataclasses.fields(cls)
+    for value in _wrong_typed(get_type_hints(cls)[f.name])
+]
+
+
+@pytest.mark.parametrize("cls, key, value", _WRONG_TYPED,
+                         ids=[f"{c.__name__}-{k}-{v!r}" for c, k, v in _WRONG_TYPED])
+def test_every_setting_rejects_a_wrong_typed_value(cls, key, value):
+    # one rule for code and config files, derived from each field's annotation
+    with pytest.raises(ConfigError, match=repr(key)):
+        cls(**{key: value})
+    with pytest.raises(ConfigError, match=repr(key)):
+        dataclass_from_flat(cls, {key: value}, "settings")
 
 
 def test_run_config_from_dict_unknown_key():
@@ -639,8 +673,22 @@ def test_cli_predict_rejects_non_finite_model(dataset_dir, tmp_path, capsys, fie
     model_path.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and f": {field} must be finite" in captured.err
+    # the scalar fields l and C are checked by their annotations, the arrays by Model
+    message = f"{field!r} must be a finite number" if field in ("l", "C") else f"{field} must be finite"
+    assert captured.err.startswith("error: ") and f": {message}" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("key, value", [("seed", 1.5), ("C", "10"), ("C", True), ("mode", ["batch"])])
+def test_cli_predict_rejects_wrong_typed_model_field(dataset_dir, tmp_path, capsys, key, value):
+    obj = Model(w=np.ones(8), config_snapshot={"window_len": 8.0, "stride": 8.0}).to_dict()
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({**obj, key: value}), encoding="utf-8")
+    assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and repr(key) in err[0]
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("key, value", [("window_len", "x"), ("stride", None), ("mode", "foo"), ("heat_k_s", -1.0)])

@@ -12,6 +12,8 @@ from crowdgroups import (
     synth_generate,
     write_dataset,
 )
+from crowdgroups.synth import _leader_walk, _replay
+from oracles import replay_loop
 
 
 def test_spec_validation():
@@ -84,6 +86,15 @@ def test_follower_replays_leader_with_delay():
     # after the initial hold, follower steps repeat leader steps `lag` back
     assert np.allclose(d_mate[lag:], d_leader[:-lag], atol=1e-12)
     assert np.allclose(d_mate[:lag], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lag", [0, 1, 2, 3])
+def test_replay_matches_the_per_sample_loop(lag):
+    # the one-cumsum replay adds the same displacements in the same order
+    spec = SynthSpec(extent=40.0)
+    rng = np.random.default_rng(lag)
+    leader_path = _leader_walk(rng, spec, np.array([20.0, 20.0]), 120, 0.4)
+    assert np.array_equal(_replay(leader_path, lag), replay_loop(leader_path, lag))
 
 
 def test_converging_offsets_decay():
