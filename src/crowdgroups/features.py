@@ -308,10 +308,10 @@ def _beta_halves(x: np.ndarray, m: int, dof: int) -> np.ndarray:
 def f_cdf(s: float, d1: int, d2: int) -> float:
     """CDF of the F(d1, d2) distribution, the regularized incomplete beta
     I_x(d1/2, d2/2) at x = d1 s / (d1 s + d2), in closed form; the degrees of
-    freedom must be positive whole numbers."""
+    freedom must be positive integers (2.0 is refused, as by every int setting)."""
     for d in (d1, d2):
-        if isinstance(d, (bool, np.bool_)) or not (math.isfinite(d) and float(d).is_integer() and d > 0):
-            raise ValueError(f"degrees of freedom must be positive whole numbers, got {d!r}")
+        if not (_is_integer(d) and d > 0):
+            raise ValueError(f"degrees of freedom must be positive integers, got {d!r}")
     s = float(s)
     if math.isnan(s):
         raise ValueError("statistic is NaN")

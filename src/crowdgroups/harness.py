@@ -231,9 +231,7 @@ def _score_entries(
 
 
 def _mean_scores(per_window: list[dict[str, ForestScore]]) -> dict[str, ForestScore]:
-    """Mean of each metric over windows; all 1.0 when there are none."""
-    if not per_window:
-        return {name: ForestScore(recall=1.0, precision=1.0, f1=1.0) for name in METRIC_NAMES}
+    """Mean of each metric over one or more windows."""
     return {
         name: ForestScore(
             recall=float(np.mean([s[name].recall for s in per_window])),
@@ -326,13 +324,8 @@ def train_model(config: RunConfig, examples: list[TrainingExample], log) -> Mode
     """Sequential training in sequential mode, batch BCFW otherwise (online
     mode starts predicting from the batch model); the model records the
     config's flat settings."""
-    if not examples:
-        raise ConfigError("training requires at least one example")
-    if config.mode == "sequential":
-        for model in sequential_train(iter(examples), config, log=log):
-            pass
-    else:
-        model = bcfw_train(examples, config, log=log)
+    train = sequential_train if config.mode == "sequential" else bcfw_train
+    model = train(examples, config, log=log)
     model.config_snapshot = config.to_flat_dict()
     return model
 
@@ -347,8 +340,8 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
     train_windows, test_windows = split_training_span(dataset, windows, config.training_span)
     if not any(w.members for w in train_windows):
         raise ConfigError("no training windows with members inside the training span")
-    if not test_windows:
-        raise ConfigError("no windows left to predict beyond the training span")
+    if not any(w.members for w in test_windows):
+        raise ConfigError("no windows with members left to predict beyond the training span")
 
     examples = make_training_examples(train_windows, dataset.labels, config)
     train_scenes = [ex.scene for ex in examples]
@@ -383,9 +376,8 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
 
         model = train_model(run_config, examples, rundir / "train_log.csv")
         if config.mode == "online":
-            online = online_predict_train(test_scenes, model, run_config)
             preds = []
-            for pred, model in online:
+            for pred, model in online_predict_train(test_scenes, model):
                 preds.append(pred)
         else:
             preds = [predict(scene, model) for scene in test_scenes]

@@ -15,9 +15,11 @@ and go, and steps to the best cached plane while that keeps enough of the
 gap of the block's last exact call (multi-plane BCFW, Shah et al. 2015,
 arXiv:1408.6804); otherwise it asks the oracle. Batch training ends with one
 exact step per block, whose gaps sum to the reported duality gap. Batch,
-sequential (examples arrive over time, blocks grow with them), and online
+sequential (examples arrive over time, blocks grow with them, and the same
+max_iterations budget is spent in shares as they arrive) and online
 (self-supervised from own predictions: each scene appends one block to the
-model and trains only that block) modes share that update.
+model and spends ONLINE_STEPS updates on that block only) modes share that
+update, which reads C and the loss from the model it changes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable, Iterator, Literal, NamedTuple
+from typing import Callable, ClassVar, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +47,8 @@ MAX_PLANES = 16  # planes cached per block
 CACHE_GAP_RATIO = 0.3  # share of the last exact gap a cached plane must keep
 MAX_CACHED_STEPS = 10  # cached steps a block takes between exact oracle calls
 ONLINE_MAX_BLOCKS = 16  # pseudo-label blocks online mode keeps
+ONLINE_STEPS = 10  # updates online mode spends on each scene's block
+LossKind = Literal["gmitre", "mitre", "pairwise"]
 LOSSES: dict[str, Callable[[Partition, Partition], float]] = {
     "gmitre": gmitre_loss,
     "mitre": mitre_loss,
@@ -77,6 +81,14 @@ class TrainingExample:
         return self._merge_starts[kind].copy()
 
 
+def _check_ranges(C: float, count_name: str, count: int) -> None:
+    """The range checks TrainConfig and Model share: C > 0 and a non-negative count."""
+    if C <= 0:
+        raise ConfigError(f"C must be positive, got {C}")
+    if count < 0:
+        raise ConfigError(f"{count_name} must be non-negative")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs of the Frank-Wolfe trainer and its derived modes."""
@@ -84,20 +96,11 @@ class TrainConfig:
     C: float = 10.0
     max_iterations: int = 1000
     seed: int = 0
-    loss: str = "gmitre"
-    sequential_budget: int = 100
-    online_budget: int = 10
+    loss: LossKind = "gmitre"
 
     def __post_init__(self):
         _check_fields(self)
-        if self.C <= 0:
-            raise ConfigError(f"C must be positive, got {self.C}")
-        if self.max_iterations < 0:
-            raise ConfigError("max_iterations must be non-negative")
-        if self.loss not in LOSSES:
-            raise ConfigError(f"loss must be one of {sorted(LOSSES)}, got {self.loss!r}")
-        if self.sequential_budget < 1 or self.online_budget < 1:
-            raise ConfigError("iteration budgets must be >= 1")
+        _check_ranges(self.C, "max_iterations", self.max_iterations)
 
 
 @dataclass(eq=False)
@@ -119,7 +122,7 @@ class Model:
     l: float = 0.0
     C: float = TrainConfig.C
     seed: int = TrainConfig.seed
-    loss: str = TrainConfig.loss
+    loss: LossKind = TrainConfig.loss
     mode: TrainMode = "batch"
     iterations: int = 0
     config_snapshot: dict | None = None
@@ -136,6 +139,7 @@ class Model:
                 raise ValueError(f"{name} must be finite")
         self.config_snapshot = dict(self.config_snapshot or {})
         _check_fields(self)
+        _check_ranges(self.C, "iterations", self.iterations)
 
     @property
     def alpha(self) -> np.ndarray:
@@ -293,14 +297,13 @@ class _StepInfo(NamedTuple):
     exact: bool
 
 
-def _bcfw_step(
-    model: Model, planes: _Planes, i: int, config: TrainConfig, exact: bool = False
-) -> _StepInfo:
+def _bcfw_step(model: Model, planes: _Planes, i: int, exact: bool = False) -> _StepInfo:
     """One Frank-Wolfe update of block i, in place on the model's w, block i
     and loss offsets, toward the block's best cached plane or, when that falls
-    short (or `exact`), toward the oracle's answer; planes are scaled by C/n
-    for the model's current n blocks. Returns the logged quantities."""
-    scale = config.C / len(model.block_w)
+    short (or `exact`), toward the oracle's answer under the model's loss;
+    planes are scaled by the model's C/n for its current n blocks. Returns
+    the logged quantities."""
+    scale = model.C / len(model.block_w)
     wi, li = model.block_w[i], float(model.block_l[i])
     cached = not exact and planes.cached_steps < MAX_CACHED_STEPS and bool(planes.labellings)
     if cached:
@@ -311,7 +314,7 @@ def _bcfw_step(
     if cached:
         planes.cached_steps += 1
     else:
-        j = planes.add(loss_augmented_oracle(planes.example, model.w, loss=config.loss))
+        j = planes.add(loss_augmented_oracle(planes.example, model.w, loss=model.loss))
         hinges = planes.losses - planes.psi_gaps @ model.w
         gap = float(wi @ model.w) - li + scale * float(hinges[j])
         planes.exact_gap, planes.cached_steps = gap, 0
@@ -375,7 +378,7 @@ def bcfw_train(
     with _train_log(log) as log_row:
 
         def step(i: int, exact: bool = False) -> _StepInfo:
-            info = _bcfw_step(model, blocks[i], i, config, exact)
+            info = _bcfw_step(model, blocks[i], i, exact)
             log_row(info)
             if iteration_hook is not None:
                 iteration_hook(model, info)
@@ -389,25 +392,28 @@ def bcfw_train(
 
 
 def sequential_train(
-    stream: Iterable[TrainingExample],
+    examples: Sequence[TrainingExample],
     config: TrainConfig | None = None,
     *,
     log=None,
-) -> Iterator[Model]:
-    """Feed examples in arrival order, spending config.sequential_budget BCFW
-    iterations over all blocks seen so far per arrival; yields a copy of the
-    model after each example."""
+) -> Model:
+    """Feed the examples in arrival order: after arrival k of n, uniformly
+    random updates over the k blocks seen so far (drawn from a generator
+    seeded with config.seed) until config.max_iterations * k // n updates are
+    spent in all. Returns the trained model. `log` is a CSV path or None."""
     config = config or TrainConfig()
+    if not examples:
+        raise ConfigError("training requires at least one example")
     rng = np.random.default_rng(config.seed)
     model = Model(C=config.C, seed=config.seed, loss=config.loss, mode="sequential")
     blocks: list[_Planes] = []
     with _train_log(log) as log_row:
-        for example in stream:
+        for k, example in enumerate(examples, start=1):
             _add_block(model, blocks, example)
-            for _ in range(config.sequential_budget):
-                i = int(rng.integers(len(blocks)))
-                log_row(_bcfw_step(model, blocks[i], i, config))
-            yield model.copy()
+            while model.iterations < config.max_iterations * k // len(examples):
+                i = int(rng.integers(k))
+                log_row(_bcfw_step(model, blocks[i], i))
+    return model
 
 
 def predict(scene: WindowedScene, model) -> Partition:
@@ -418,22 +424,18 @@ def predict(scene: WindowedScene, model) -> Partition:
 
 
 def online_predict_train(
-    scenes: Iterable[WindowedScene],
-    init: Model,
-    config: TrainConfig | None = None,
+    scenes: Iterable[WindowedScene], init: Model
 ) -> Iterator[tuple[Partition, Model]]:
     """Predict each scene, then learn from the prediction as a pseudo-label.
 
     Each scene appends one zero block to the current model (whose earlier
-    blocks stay as they are) and spends config.online_budget BCFW iterations
-    on that block only. Past ONLINE_MAX_BLOCKS pseudo-label blocks, the oldest
-    leaves the model with its share of w and l. Yields (prediction, copy of
-    the updated model) per scene; init is left unchanged.
+    blocks stay as they are) and spends ONLINE_STEPS BCFW iterations on that
+    block only, with init's C and loss. Past ONLINE_MAX_BLOCKS pseudo-label
+    blocks, the oldest leaves the model with its share of w and l. Yields
+    (prediction, copy of the updated model) per scene; init is left unchanged.
     """
-    if config is None:
-        config = TrainConfig(C=init.C, seed=init.seed, loss=init.loss)
     model = init.copy()
-    model.C, model.seed, model.loss, model.mode = config.C, config.seed, config.loss, "online"
+    model.mode = "online"
     pseudo: list[_Planes] = []
     for scene in scenes:
         prediction = predict(scene, model)
@@ -445,6 +447,6 @@ def online_predict_train(
             model.block_w = np.delete(model.block_w, oldest, axis=0)
             model.block_l = np.delete(model.block_l, oldest)
         _add_block(model, pseudo, TrainingExample(scene, prediction))
-        for _ in range(config.online_budget):
-            _bcfw_step(model, pseudo[-1], len(model.block_w) - 1, config)
+        for _ in range(ONLINE_STEPS):
+            _bcfw_step(model, pseudo[-1], len(model.block_w) - 1)
         yield prediction, model.copy()

@@ -282,16 +282,17 @@ def reference_oracle(example, w, loss: str = "gmitre") -> tuple[Partition, float
 # Frank-Wolfe block update that asks the oracle every time, and the primal
 
 
-def reference_bcfw_step(model, examples, i, config) -> float:
+def reference_bcfw_step(model, examples, i) -> float:
     """Block-coordinate Frank-Wolfe (Lacoste-Julien et al. 2013, Alg. 4) with
-    lambda = 1/C over the model's n blocks: w_s = psi_i(y) / (lambda n) and
-    l_s = loss(y) / n, where the model stores its loss offsets times C. The
-    oracle's answer is scored again from its partition. Returns gamma."""
-    lam, n = 1.0 / config.C, len(model.block_w)
+    lambda = 1/C, for the model's C and loss, over the model's n blocks:
+    w_s = psi_i(y) / (lambda n) and l_s = loss(y) / n, where the model stores
+    its loss offsets times C. The oracle's answer is scored again from its
+    partition. Returns gamma."""
+    lam, n = 1.0 / model.C, len(model.block_w)
     example = examples[i]
-    y_star = learning.loss_augmented_oracle(example, model.w, loss=config.loss).partition
+    y_star = learning.loss_augmented_oracle(example, model.w, loss=model.loss).partition
     w_s = (example.truth_psi - joint_feature_map(example.scene, y_star)) / (lam * n)
-    l_s = learning.LOSSES[config.loss](example.truth, y_star) / n
+    l_s = learning.LOSSES[model.loss](example.truth, y_star) / n
     w_i, l_i = model.block_w[i].copy(), float(model.block_l[i]) * lam
     denom = lam * float((w_i - w_s) @ (w_i - w_s))
     gamma = 0.0

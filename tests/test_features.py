@@ -271,12 +271,13 @@ def test_f_cdf_edge_cases():
     assert f_cdf(math.inf, 2, 3) == 1.0
     with pytest.raises(ValueError):
         f_cdf(float("nan"), 2, 3)
-    for bad in (0, -1, math.nan, math.inf, -math.inf, 2.5, True, False, np.True_):
+    # the degrees of freedom follow the rule of every int setting: 2.0 is refused
+    for bad in (0, -1, math.nan, math.inf, -math.inf, 2.5, 2.0, np.float64(3.0), True, False, np.True_):
         with pytest.raises(ValueError, match="degrees of freedom"):
             f_cdf(1.0, bad, 3)
         with pytest.raises(ValueError, match="degrees of freedom"):
             f_cdf(1.0, 3, bad)
-    assert f_cdf(1.0, 2.0, np.int64(5)) == f_cdf(1.0, 2, 5)
+    assert f_cdf(1.0, np.int32(2), np.int64(5)) == f_cdf(1.0, 2, 5)
 
 
 def test_f_cdf_monotone():

@@ -27,6 +27,7 @@ from crowdgroups import (
     synth_generate,
     write_dataset,
 )
+from crowdgroups import learning
 from crowdgroups.cli import _build_parser, _resolve_config, main
 from crowdgroups.harness import (
     dataclass_from_flat,
@@ -170,8 +171,8 @@ def test_run_config_validation():
     (TrainConfig, "C", math.inf),
     (TrainConfig, "max_iterations", 10.5),
     (TrainConfig, "seed", 0.5),
-    (TrainConfig, "sequential_budget", math.nan),
-    (TrainConfig, "online_budget", 2.5),
+    (TrainConfig, "max_iterations", math.nan),
+    (RunConfig, "max_iterations", 2.5),
     (RunConfig, "window_len", math.nan),
     (RunConfig, "runs", 1.5),
     (RunConfig, "C", math.nan),
@@ -195,7 +196,7 @@ def _wrong_typed(hint) -> list:
     if get_origin(hint) is tuple:
         return [(True, 2.0), "1.0", (1.0, math.nan)]
     if get_origin(hint) is Literal:
-        return [True, "unknown"]
+        return [True, 1.0, "unknown"]
     return [True, 1.0]
 
 
@@ -405,13 +406,14 @@ def test_run_experiment_predictions_replayable(dataset_dir, tmp_path):
 
 @pytest.mark.parametrize("mode", ["sequential", "online"])
 def test_run_experiment_other_modes(dataset_dir, tmp_path, mode):
-    config = RunConfig(**{**FAST, "runs": 1, "mode": mode,
-                          "max_iterations": 30, "sequential_budget": 15,
-                          "online_budget": 5})
+    config = RunConfig(**{**FAST, "runs": 1, "mode": mode, "max_iterations": 30})
     result = run_experiment(config, dataset_dir, tmp_path / mode)
     model = Model.load(tmp_path / mode / "run-0" / "model.json")
     assert model.mode == mode
     assert result["runs"][0]["iterations"] == model.iterations
+    # both modes spend max_iterations on the training windows; online mode
+    # then spends ONLINE_STEPS on each of the three predicted windows
+    assert model.iterations == 30 + (3 * learning.ONLINE_STEPS if mode == "online" else 0)
 
 
 @pytest.mark.parametrize("mode", ["batch", "sequential"])
@@ -536,7 +538,8 @@ def test_cli_synth_spec_wrong_type(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("runs", 1.5), ("max_iterations", 5.5), ("runs", True), ("early_stop", True),  # a removed key
+    ("runs", 1.5), ("max_iterations", 5.5), ("runs", True),
+    ("early_stop", True), ("sequential_budget", 5), ("online_budget", 5),  # removed keys
 ])
 def test_cli_run_config_wrong_type(dataset_dir, tmp_path, capsys, key, value):
     config_path = tmp_path / "config.toml"
@@ -679,7 +682,9 @@ def test_cli_predict_rejects_non_finite_model(dataset_dir, tmp_path, capsys, fie
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("key, value", [("seed", 1.5), ("C", "10"), ("C", True), ("mode", ["batch"])])
+@pytest.mark.parametrize("key, value", [
+    ("seed", 1.5), ("C", "10"), ("C", True), ("mode", ["batch"]), ("loss", "accuracy"),
+])
 def test_cli_predict_rejects_wrong_typed_model_field(dataset_dir, tmp_path, capsys, key, value):
     obj = Model(w=np.ones(8), config_snapshot={"window_len": 8.0, "stride": 8.0}).to_dict()
     model_path = tmp_path / "model.json"
@@ -689,6 +694,19 @@ def test_cli_predict_rejects_wrong_typed_model_field(dataset_dir, tmp_path, caps
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and repr(key) in err[0]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("C", -1, "C must be positive, got -1"),
+    ("iterations", -5, "iterations must be non-negative"),
+], ids=["C--1", "iterations--5"])
+def test_cli_predict_rejects_out_of_range_model_field(dataset_dir, tmp_path, capsys, key, value, message):
+    obj = Model(w=np.ones(8), config_snapshot={"window_len": 8.0, "stride": 8.0}).to_dict()
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({**obj, key: value}), encoding="utf-8")
+    assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: not a valid model file: {message}\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("key, value", [("window_len", "x"), ("stride", None), ("mode", "foo"), ("heat_k_s", -1.0)])
@@ -701,10 +719,11 @@ def test_cli_predict_rejects_bad_recorded_settings(dataset_dir, tmp_path, capsys
 
 
 def test_cli_predict_with_model_recording_removed_keys(dataset_dir, tmp_path, capsys):
-    # a model file written before early_stop, early_stop_tol and other keys
-    # left the settings still predicts, as if they were not recorded
+    # a model file written before early_stop, early_stop_tol, sequential_budget,
+    # online_budget and other keys left the settings still predicts, as if
+    # they were not recorded
     saved = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "model.json").read_text())
-    assert {"early_stop", "early_stop_tol"} <= set(saved["config"])
+    assert {"early_stop", "early_stop_tol", "sequential_budget", "online_budget"} <= set(saved["config"])
     known = set(RunConfig().to_flat_dict())
     outputs = []
     for config in (saved["config"], {k: v for k, v in saved["config"].items() if k in known}):
@@ -762,6 +781,24 @@ def test_cli_run(dataset_dir, tmp_path, capsys):
     assert "gmitre:" in printed
     assert "reports in" in printed
     assert (out / "summary.csv").is_file()
+
+
+def test_cli_run_rejects_test_span_without_members(tmp_path, capsys):
+    # two mates and a singleton fill the 100 s training span at 1 fps; the
+    # only pedestrian after it is seen once per window, so no test window
+    # has members to score
+    scene = tmp_path / "scene"
+    scene.mkdir()
+    rows = [f"{f} {p} {0.1 * f:.1f} {y}" for f in range(101) for p, y in ((1, 0.0), (2, 0.8), (3, 6.0))]
+    (scene / "trajectories.txt").write_text("\n".join([*rows, "101 4 0.0 3.0", "111 4 1.0 3.0"]) + "\n")
+    (scene / "groups.txt").write_text("1 2\n")
+    (scene / "descriptor.txt").write_text("fps = 1\n")
+    code = main(["run", "--data", str(scene), "--out", str(tmp_path / "report"),
+                 "--runs", "1", "--max-iterations", "20"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: no windows with members left to predict beyond the training span\n"
+    assert not (tmp_path / "report").exists()
 
 
 def test_cli_run_config_file(dataset_dir, tmp_path, capsys):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
 import math
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -91,12 +93,15 @@ def test_train_config_validation():
         TrainConfig(max_iterations=-1)
     with pytest.raises(ConfigError):
         TrainConfig(loss="accuracy")
-    with pytest.raises(ConfigError):
-        TrainConfig(sequential_budget=0)
+    # max_iterations is the one update budget of every training mode
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == ["C", "max_iterations", "seed", "loss"]
+    for removed in ("sequential_budget", "online_budget"):
+        with pytest.raises(TypeError):
+            TrainConfig(**{removed: 10})
 
 
 def test_losses_registry():
-    assert set(LOSSES) == {"gmitre", "mitre", "pairwise"}
+    assert set(LOSSES) == set(get_args(learning.LossKind)) == {"gmitre", "mitre", "pairwise"}
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +449,20 @@ def test_model_load_rejects_garbage(tmp_path):
         Model.load(path)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("C", -1, "C must be positive, got -1"),
+    ("C", 0.0, "C must be positive, got 0.0"),
+    ("iterations", -5, "iterations must be non-negative"),
+    ("loss", "accuracy", "'loss' must be one of ['gmitre', 'mitre', 'pairwise'], got 'accuracy'"),
+], ids=["C--1", "C-0.0", "iterations--5", "loss-accuracy"])
+def test_model_from_dict_checks_fields_as_train_config_does(key, value, message):
+    # a model file is checked as TrainConfig checks the same settings
+    obj = {**Model().to_dict(), key: value}
+    with pytest.raises(ConfigError, match="not a valid model file") as info:
+        Model.from_dict(obj)
+    assert str(info.value).endswith(message)
+
+
 def test_model_defaults_come_from_train_config():
     defaults = TrainConfig()
     for model in (Model(), Model.from_dict({"format_version": 1, "w": [0] * 8})):
@@ -467,51 +486,56 @@ def test_model_views_and_copy():
 
 def test_sequential_single_example_matches_batch():
     example = separable_example()
-    cfg = TrainConfig(seed=3, sequential_budget=59, max_iterations=60)
-    snapshots = list(sequential_train([example], cfg))
+    model = sequential_train([example], TrainConfig(seed=3, max_iterations=59))
     sampled = []  # batch w after each step; its 60th is the final exact pass
-    bcfw_train([example], cfg, iteration_hook=lambda m, info: sampled.append(m.w.copy()))
-    assert len(snapshots) == 1
-    assert snapshots[0].mode == "sequential"
-    assert np.array_equal(snapshots[0].w, sampled[58])
+    bcfw_train([example], TrainConfig(seed=3, max_iterations=60),
+               iteration_hook=lambda m, info: sampled.append(m.w.copy()))
+    assert model.mode == "sequential" and model.iterations == 59
+    assert np.array_equal(model.w, sampled[58])
 
 
-def test_sequential_yields_per_arrival():
-    examples = [separable_example(), separable_example(near=0.2, far=0.8)]
-    snaps = list(sequential_train(examples, TrainConfig(sequential_budget=10)))
-    assert len(snaps) == 2
-    assert snaps[0].iterations == 10
-    assert snaps[1].iterations == 20
-    assert snaps[1].block_w.shape == (2, 8)
+def test_sequential_spends_max_iterations_over_arrivals(tmp_path, monkeypatch):
+    # after arrival k of n, max_iterations * k // n updates are spent in all,
+    # each on a block that has arrived
+    examples = noisy_examples()[:3]
+    arrivals = []  # updates spent when each example arrives
+    add_block = learning._add_block
+
+    def counted(model, blocks, example):
+        arrivals.append(model.iterations)
+        add_block(model, blocks, example)
+
+    monkeypatch.setattr(learning, "_add_block", counted)
+    log = tmp_path / "train_log.csv"
+    model = sequential_train(examples, TrainConfig(max_iterations=25, seed=2), log=log)
+    ends = arrivals[1:] + [model.iterations]
+    assert ends == [8, 16, 25]
+    assert model.block_w.shape == (3, 8)
+    rows = [line.split(",") for line in log.read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, 26))
+    for row in rows:
+        arrived = 1 + sum(end < int(row[0]) for end in ends)
+        assert int(row[1]) < arrived
+    assert {row[1] for row in rows} == {"0", "1", "2"}
 
 
-def test_online_predict_train_yields_and_updates():
+def test_online_predict_train_yields_and_updates(monkeypatch):
     example = separable_example()
-    init = bcfw_train([example], TrainConfig(max_iterations=150))
+    init = bcfw_train([example], TrainConfig(C=2.0, max_iterations=150, loss="pairwise"))
+    asked = []  # the loss of every oracle call
+    oracle = learning.loss_augmented_oracle
+    monkeypatch.setattr(learning, "loss_augmented_oracle",
+                        lambda example, w, loss="gmitre": asked.append(loss) or oracle(example, w, loss))
     scenes = [separable_scene(), separable_scene(near=0.15, far=0.85)]
-    out = list(online_predict_train(scenes, init, TrainConfig(online_budget=5)))
+    out = list(online_predict_train(scenes, init))
     assert len(out) == 2
     for pred, model in out:
         assert isinstance(pred, Partition)
-        assert model.mode == "online"
+        assert (model.mode, model.C, model.loss) == ("online", 2.0, "pairwise")
     assert out[0][0] == example.truth  # separable scene is grouped correctly
-    assert out[1][1].iterations == init.iterations + 10
-
-
-def test_sequential_snapshots_unchanged_by_later_arrivals():
-    examples = [
-        separable_example(),
-        separable_example(near=0.2, far=0.8),
-        separable_example(near=0.3, far=0.7),
-    ]
-    taken = []
-    for model in sequential_train(examples, TrainConfig(sequential_budget=10)):
-        taken.append((model, model.w.copy(), model.block_w.copy(), model.block_l.copy()))
-    assert [m.block_w.shape[0] for m, *_ in taken] == [1, 2, 3]
-    for model, w, block_w, block_l in taken:
-        assert np.array_equal(model.w, w)
-        assert np.array_equal(model.block_w, block_w)
-        assert np.array_equal(model.block_l, block_l)
+    assert out[1][1].iterations == init.iterations + 2 * learning.ONLINE_STEPS
+    # the updates ask the oracle under the model's own loss
+    assert asked and set(asked) == {"pairwise"}
 
 
 def test_online_predict_train_leaves_init_unchanged():
@@ -519,9 +543,10 @@ def test_online_predict_train_leaves_init_unchanged():
     init.config_snapshot = {"window_len": 8.0}
     before = init.to_dict()
     scenes = [separable_scene(), separable_scene(near=0.3, far=0.6), separable_scene()]
-    out = list(online_predict_train(scenes, init, TrainConfig(online_budget=4)))
+    out = list(online_predict_train(scenes, init))
     assert init.to_dict() == before
-    assert [model.iterations for _, model in out] == [init.iterations + 4 * k for k in (1, 2, 3)]
+    steps = learning.ONLINE_STEPS
+    assert [model.iterations for _, model in out] == [init.iterations + steps * k for k in (1, 2, 3)]
     for k, (_, model) in enumerate(out, start=1):
         # one pseudo-label block appended per scene; the trained block is kept
         assert model.block_w.shape == (1 + k, 8)
@@ -577,8 +602,8 @@ def record_steps(monkeypatch) -> list:
     steps = []
     step = learning._bcfw_step
 
-    def recorded(model, planes, i, config, exact=False):
-        info = step(model, planes, i, config, exact)
+    def recorded(model, planes, i, exact=False):
+        info = step(model, planes, i, exact)
         steps.append((info, model.l - 0.5 * float(model.w @ model.w)))  # the dual
         return info
 
@@ -597,12 +622,8 @@ def test_dual_never_decreases(mode, C, monkeypatch):
     examples = noisy_examples()
     assert len(examples) == 10
     steps = record_steps(monkeypatch)
-    config = TrainConfig(C=C, max_iterations=300, sequential_budget=30, seed=int(C))
-    if mode == "batch":
-        bcfw_train(examples, config)
-    else:
-        for _ in sequential_train(examples, config):
-            pass
+    config = TrainConfig(C=C, max_iterations=300, seed=int(C))
+    (bcfw_train if mode == "batch" else sequential_train)(examples, config)
     duals = [0.0] + [d for _, d in steps]
     assert all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(duals, duals[1:]))
     assert duals[-1] > 0.0
@@ -625,9 +646,8 @@ def test_line_search_matches_lacoste_julien(C):
     model = bcfw_train(examples, TrainConfig(C=C, max_iterations=40, seed=3))
     for i in (0, 2, 3, 1):
         want = model.copy()
-        gamma = reference_bcfw_step(want, examples, i, TrainConfig(C=C))
-        info = learning._bcfw_step(model, learning._Planes(examples[i]), i, TrainConfig(C=C),
-                                   exact=True)
+        gamma = reference_bcfw_step(want, examples, i)
+        info = learning._bcfw_step(model, learning._Planes(examples[i]), i, exact=True)
         assert info.gamma == pytest.approx(gamma, rel=1e-9, abs=1e-12)
         for name in ("w", "block_w", "block_l", "l"):
             assert np.allclose(getattr(model, name), getattr(want, name), rtol=1e-9, atol=1e-12)
@@ -669,26 +689,25 @@ def test_cached_plane_scales_with_the_current_block_count(monkeypatch):
     # with every pair featurized, not with far pairs gated to (1, 1, 1, 1)
     monkeypatch.setattr(features, "NEAR_RADIUS", math.inf)
     examples = noisy_examples.__wrapped__()[:3]
-    config = TrainConfig(C=10.0)
-    model = Model(block_w=np.zeros((1, 8)), block_l=[0.0], C=config.C)
+    model = Model(block_w=np.zeros((1, 8)), block_l=[0.0], C=10.0)
     blocks = [learning._Planes(example) for example in examples]
     for _ in range(5):
-        learning._bcfw_step(model, blocks[0], 0, config)
+        learning._bcfw_step(model, blocks[0], 0)
     for i in (1, 2):
         model.block_w = np.vstack([model.block_w, np.zeros(8)])
         model.block_l = np.append(model.block_l, 0.0)
         for _ in range(5):
-            learning._bcfw_step(model, blocks[i], i, config)
+            learning._bcfw_step(model, blocks[i], i)
     fresh = model.copy()
     blocks[0].cached_steps, blocks[0].exact_gap = 0, -np.inf
-    info = learning._bcfw_step(model, blocks[0], 0, config)
+    info = learning._bcfw_step(model, blocks[0], 0)
     assert not info.exact and info.gamma > 0.0
     example, y = examples[0], stepped_labelling(blocks[0])
     answer = learning.OracleAnswer(y, 0.0, LOSSES["gmitre"](example.truth, y),
                                    joint_feature_map(example.scene, y))
     monkeypatch.setattr(learning, "loss_augmented_oracle", lambda *args, **kwargs: answer)
     fresh_planes = learning._Planes(example)
-    asked = learning._bcfw_step(fresh, fresh_planes, 0, config)
+    asked = learning._bcfw_step(fresh, fresh_planes, 0)
     assert asked.exact and stepped_labelling(fresh_planes) == y
     assert asked.gamma == pytest.approx(info.gamma, rel=1e-12)
     for name in ("w", "block_w", "block_l", "l"):
@@ -699,11 +718,11 @@ def test_training_is_byte_identical_per_seed(tmp_path):
     examples = noisy_examples()
     runs = []
     for k in range(2):
-        config = TrainConfig(C=1.0, max_iterations=150, sequential_budget=15, seed=7)
+        config = TrainConfig(C=1.0, max_iterations=150, seed=7)
         batch = bcfw_train(examples, config, log=tmp_path / f"batch{k}.csv")
-        sequential = list(sequential_train(examples, config, log=tmp_path / f"seq{k}.csv"))
-        online = list(online_predict_train([ex.scene for ex in examples[:4]], batch, config))
-        runs.append((snapshot(batch), [snapshot(m) for m in sequential],
+        sequential = sequential_train(examples, config, log=tmp_path / f"seq{k}.csv")
+        online = list(online_predict_train([ex.scene for ex in examples[:4]], batch))
+        runs.append((snapshot(batch), snapshot(sequential),
                      [(p, snapshot(m)) for p, m in online]))
     assert runs[0] == runs[1]
     for name in ("batch", "seq"):
@@ -715,7 +734,7 @@ def test_online_block_cap_evicts_the_oldest_pseudo_label(monkeypatch):
     examples = noisy_examples()
     init = bcfw_train(examples[:3], TrainConfig(max_iterations=60))
     scenes = [example.scene for example in examples[3:8]]
-    out = [model for _, model in online_predict_train(scenes, init, TrainConfig(online_budget=6))]
+    out = [model for _, model in online_predict_train(scenes, init)]
     assert [len(model.block_w) for model in out] == [4, 5, 5, 5, 5]
     for before, after in zip(out, out[1:]):
         # the trained blocks stay; the newest pseudo-label block of the last
