@@ -171,7 +171,6 @@ def test_run_config_validation():
     (TrainConfig, "C", math.inf),
     (TrainConfig, "max_iterations", 10.5),
     (TrainConfig, "seed", 0.5),
-    (TrainConfig, "max_iterations", math.nan),
     (RunConfig, "max_iterations", 2.5),
     (RunConfig, "window_len", math.nan),
     (RunConfig, "runs", 1.5),
@@ -185,6 +184,15 @@ def test_run_config_validation():
 def test_configs_reject_non_finite_and_non_integral_values(cls, key, value):
     with pytest.raises(ConfigError, match=key):
         cls(**{key: value})
+
+
+@pytest.mark.parametrize("cls, value", [
+    (TrainConfig, math.nan), (TrainConfig, math.inf), (RunConfig, math.nan), (RunConfig, math.inf),
+])
+def test_update_budget_rejects_non_finite_values(cls, value):
+    # max_iterations is the one update budget of every training mode
+    with pytest.raises(ConfigError, match="max_iterations"):
+        cls(max_iterations=value)
 
 
 def _wrong_typed(hint) -> list:
