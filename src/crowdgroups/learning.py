@@ -226,9 +226,11 @@ def loss_augmented_oracle(example: TrainingExample, w, loss: str = "gmitre") -> 
     Runs the prediction merge engine with every candidate merge's gain
     raised by the change in loss it causes (all candidates scored at once by
     a copy of the example's MergeLoss start), from all singletons until
-    no merge improves H (ties to the smallest min-id pair). Returns the local
-    maximizer with its H value, the structured hinge estimate, its loss and
-    its Psi. The truth itself always attains H = 0, so when the greedy end
+    no merge improves H (ties to the smallest min-id pair). A merge whose
+    gain rounds to <= 0 ends the search, so one whose exact gain is 0 is
+    taken or not by the rounding of the losses and affinities. Returns the
+    local maximizer with its H value, the structured hinge estimate, its loss
+    and its Psi. The truth itself always attains H = 0, so when the greedy end
     point scores below that the truth is returned instead; the hinge is never
     negative.
     """

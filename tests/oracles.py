@@ -6,7 +6,8 @@ set-partition enumeration by block insertion instead of restricted growth
 strings, warping cost by explicit path enumeration instead of dynamic
 programming, pairwise scores and the joint feature map by listing every member
 pair instead of a contingency table or a label comparison at the pair rows,
-and the F distribution by direct quadrature of its density.
+and the F distribution by direct quadrature of its density. Spanning and
+pair scores are exact fractions of the counts, each rounded once to a float.
 The scalar pair features are the one-pair-at-a-time bodies the batched
 feature kernels replaced: intersect1d per pair, lstsq per regression, a full
 hypot/exp grid per visited heat-map cell and an explicit sum per cosine.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -102,7 +104,9 @@ def _partition_edges(clusters: Iterable[Iterable], augmented: bool) -> tuple[lis
     return nodes, edges
 
 
-def _spanning_recall(q_clusters, r_clusters, augmented: bool) -> float:
+def _spanning_links(q_clusters, r_clusters, augmented: bool) -> tuple[int, int]:
+    """(needed, missing): the links q's spanning forest needs, and those of
+    them that join nodes in different components of r's forest."""
     q_nodes, q_edges = _partition_edges(q_clusters, augmented)
     r_nodes, r_edges = _partition_edges(r_clusters, augmented)
     assert sorted(map(repr, q_nodes)) == sorted(map(repr, r_nodes))
@@ -115,22 +119,30 @@ def _spanning_recall(q_clusters, r_clusters, augmented: bool) -> float:
     for comp in _bfs_components(q_nodes, q_edges):
         needed += len(comp) - 1
         missing += len({r_comp_of[n] for n in comp}) - 1
-    if needed == 0:
-        return 1.0
-    return 1.0 - missing / needed
+    return needed, missing
+
+
+def _exact_ratio(part: int, whole: int) -> Fraction:
+    """part / whole as a fraction, and 1 when nothing is needed."""
+    return Fraction(part, whole) if whole else Fraction(1)
+
+
+def _exact_f1(precision: Fraction, recall: Fraction) -> float:
+    """2PR / (P + R) in exact arithmetic, rounded once (0 when P = R = 0)."""
+    total = precision + recall
+    return float(2 * precision * recall / total) if total else 0.0
 
 
 def spanning_score(truth_clusters, pred_clusters, augmented: bool = True):
-    """(recall, precision, f1) by explicit BFS over spanning-forest graphs."""
-    recall = _spanning_recall(truth_clusters, pred_clusters, augmented)
-    precision = _spanning_recall(pred_clusters, truth_clusters, augmented)
-    return recall, precision, _f1(precision, recall)
-
-
-def _f1(precision: float, recall: float) -> float:
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    """(recall, precision, f1) by explicit BFS over spanning-forest graphs,
+    each computed exactly from the link counts and rounded once."""
+    truth_needed, truth_missing = _spanning_links(truth_clusters, pred_clusters, augmented)
+    pred_needed, pred_missing = _spanning_links(pred_clusters, truth_clusters, augmented)
+    # both sides find the same number of the links they need
+    assert truth_needed - truth_missing == pred_needed - pred_missing
+    recall = _exact_ratio(truth_needed - truth_missing, truth_needed)
+    precision = _exact_ratio(pred_needed - pred_missing, pred_needed)
+    return float(recall), float(precision), _exact_f1(precision, recall)
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +164,9 @@ def pair_scores(truth_clusters, pred_clusters) -> tuple[float, float, float, flo
     disagree = sum((p in true_pairs) != (p in pred_pairs) for p in all_pairs)
     loss = disagree / len(all_pairs) if all_pairs else 0.0
     hits = len(true_pairs & pred_pairs)
-    recall = hits / len(true_pairs) if true_pairs else 1.0
-    precision = hits / len(pred_pairs) if pred_pairs else 1.0
-    return loss, recall, precision, _f1(precision, recall)
+    recall = _exact_ratio(hits, len(true_pairs))
+    precision = _exact_ratio(hits, len(pred_pairs))
+    return loss, float(recall), float(precision), _exact_f1(precision, recall)
 
 
 def pair_enumeration_psi(scene, p: Partition) -> np.ndarray:

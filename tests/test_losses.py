@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from crowdgroups import (
     positive_pairwise_metric,
 )
 
-from oracles import pair_scores, random_partition, spanning_score
+from oracles import iter_set_partitions, pair_scores, random_partition, spanning_score
 
 
 def P(*clusters):
@@ -131,9 +133,7 @@ def test_gmitre_matches_bfs_oracle_randomized():
             truth.clusters, pred.clusters, augmented=True
         )
         got = gmitre_score(truth, pred)
-        assert got.recall == pytest.approx(want_r, abs=1e-12)
-        assert got.precision == pytest.approx(want_p, abs=1e-12)
-        assert got.f1 == pytest.approx(want_f, abs=1e-12)
+        assert (got.recall, got.precision, got.f1) == (want_r, want_p, want_f)
 
 
 def test_mitre_matches_bfs_oracle_randomized():
@@ -146,9 +146,7 @@ def test_mitre_matches_bfs_oracle_randomized():
             truth.clusters, pred.clusters, augmented=False
         )
         got = mitre_score(truth, pred)
-        assert got.recall == pytest.approx(want_r, abs=1e-12)
-        assert got.precision == pytest.approx(want_p, abs=1e-12)
-        assert got.f1 == pytest.approx(want_f, abs=1e-12)
+        assert (got.recall, got.precision, got.f1) == (want_r, want_p, want_f)
 
 
 def test_pairwise_scores_match_pair_enumeration_randomized():
@@ -161,6 +159,25 @@ def test_pairwise_scores_match_pair_enumeration_randomized():
         assert pairwise_loss(truth, pred) == want_loss
         got = positive_pairwise_metric(truth, pred)
         assert (got.recall, got.precision, got.f1) == (want_r, want_p, want_f)
+
+
+@pytest.mark.parametrize("kind", ["gmitre", "mitre", "pairwise"])
+def test_scores_match_references_on_every_pair_of_partitions(kind):
+    # every (truth, prediction) pair over 0 to 5 members (52 x 52 at 5): the
+    # empty partition and all-singletons on either or both sides are the cases
+    # where a side needs no link (or no pair) and scores 1 by convention
+    for n in range(6):
+        partitions = [Partition(p) for p in iter_set_partitions(range(1, n + 1))]
+        for truth, pred in itertools.product(partitions, repeat=2):
+            if kind == "pairwise":
+                want_loss, *want = pair_scores(truth.clusters, pred.clusters)
+                got = positive_pairwise_metric(truth, pred)
+                assert pairwise_loss(truth, pred) == want_loss
+            else:
+                want = spanning_score(truth.clusters, pred.clusters, augmented=kind == "gmitre")
+                got = (gmitre_score if kind == "gmitre" else mitre_score)(truth, pred)
+                assert (gmitre_loss if kind == "gmitre" else mitre_loss)(truth, pred) == 1.0 - want[2]
+            assert [got.recall, got.precision, got.f1] == list(want)
 
 
 def test_losses_bounded_and_symmetric_universe():
