@@ -1,6 +1,6 @@
 """Synthetic crowd scenes with known group structure.
 
-Each group follows one leader on a smooth goal-seeking walk; members replay
+Each group follows one leader on a smooth wandering walk; members replay
 the leader's displacements with a configurable time lag from fixed formation
 offsets, so grouped trajectories carry a planted directional dependence on
 top of spatial closeness and shape similarity. Singletons walk independently.
@@ -62,28 +62,27 @@ class SynthSpec:
 def _leader_walk(
     rng: np.random.Generator, spec: SynthSpec, start: np.ndarray, n_steps: int, dt: float
 ) -> np.ndarray:
-    """Goal-seeking walk: constant-speed heading with small seeded innovations,
-    softly reflected off the area bounds."""
+    """Constant-speed walk from `start` whose heading takes N(0, wander_std *
+    sqrt(dt)) innovations and is reflected off a 2 m margin inside the extent."""
     heading = rng.uniform(0.0, 2.0 * math.pi)
-    pos = start.astype(float).copy()
-    out = np.empty((n_steps, 2))
-    margin = 2.0
-    step_std = spec.wander_std * math.sqrt(dt)
-    for k in range(n_steps):
-        out[k] = pos
-        heading += rng.normal(0.0, step_std)
-        step = spec.speed * dt * np.array([math.cos(heading), math.sin(heading)])
-        nxt = pos + step
-        for axis in range(2):
-            if nxt[axis] < margin:
-                nxt[axis] = margin + (margin - nxt[axis])
-                heading = math.pi - heading if axis == 0 else -heading
-            hi = spec.extent - margin
-            if nxt[axis] > hi:
-                nxt[axis] = hi - (nxt[axis] - hi)
-                heading = math.pi - heading if axis == 0 else -heading
-        pos = nxt
-    return out
+    turns = rng.normal(0.0, spec.wander_std * math.sqrt(dt), size=n_steps).tolist()
+    lo, hi = 2.0, spec.extent - 2.0
+    stride = spec.speed * dt
+    x, y = start.tolist()
+    out = []
+    for turn in turns:
+        out.append((x, y))
+        heading += turn
+        x, y = x + stride * math.cos(heading), y + stride * math.sin(heading)
+        if x < lo:
+            x, heading = lo + (lo - x), math.pi - heading
+        if x > hi:
+            x, heading = hi - (x - hi), math.pi - heading
+        if y < lo:
+            y, heading = lo + (lo - y), -heading
+        if y > hi:
+            y, heading = hi - (y - hi), -heading
+    return np.array(out)
 
 
 def _sample_starts(
@@ -91,30 +90,26 @@ def _sample_starts(
 ) -> np.ndarray:
     """Rejection-sample `count` points inside the walkable area, pairwise at
     least min_gap apart; the gap halves when the area is too crowded for it."""
-    margin = 2.0
-    lo, hi = margin, spec.extent - margin
+    lo, hi = 2.0, spec.extent - 2.0
     if hi <= lo:
         raise ConfigError("extent too small for the walk margin")
     gap = min_gap
+    starts = np.empty((count, 2))
     while True:
-        starts: list[np.ndarray] = []
-        ok = True
-        for _ in range(count):
+        for k in range(count):
             for _attempt in range(2_000):
                 p = rng.uniform(lo, hi, size=2)
-                if all(float(np.hypot(*(p - q))) >= gap for q in starts):
-                    starts.append(p)
+                d = p - starts[:k]
+                if k == 0 or np.hypot(d[:, 0], d[:, 1]).min() >= gap:
+                    starts[k] = p
                     break
             else:
-                ok = False
                 break
-        if ok:
-            return np.asarray(starts)
+        else:
+            return starts
         gap *= 0.5
         if gap < 0.25:
-            raise ConfigError(
-                f"could not place {count} starts in extent {spec.extent}"
-            )
+            raise ConfigError(f"could not place {count} starts in extent {spec.extent}")
 
 
 def _replay(leader_path: np.ndarray, lag: int) -> np.ndarray:
@@ -178,6 +173,14 @@ def synth_generate(
     return trajectories, GroundTruthLabels(groups)
 
 
+def _rows(traj: Trajectory, fps: float) -> list[str]:
+    """The trajectory's `frame ped x y` rows, frame = round(t * fps)."""
+    return [
+        f"{round(t * fps)} {traj.pedestrian_id} {x:.6f} {y:.6f}"
+        for t, (x, y) in zip(traj.times.tolist(), traj.points.tolist())
+    ]
+
+
 def write_dataset(
     directory,
     trajectories: list[Trajectory],
@@ -189,11 +192,7 @@ def write_dataset(
     (frame = round(t * fps)), one group per line, and a descriptor."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for traj in trajectories:
-        for t, (x, y) in zip(traj.times, traj.points):
-            frame = int(round(float(t) * fps))
-            lines.append(f"{frame} {traj.pedestrian_id} {x:.6f} {y:.6f}")
+    lines = [row for traj in trajectories for row in _rows(traj, fps)]
     (directory / TRAJECTORY_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
     if labels is not None:
         group_lines = [" ".join(str(m) for m in sorted(g)) for g in labels.groups]

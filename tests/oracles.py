@@ -17,7 +17,9 @@ reference Frank-Wolfe step asks the oracle on every step and runs the line
 search in the units of Lacoste-Julien et al. (lambda = 1/C, planes scaled by
 1/(lambda n)); the primal objective asks the oracle once per example.
 The synthetic group member's replay of its leader is the per-sample loop
-the one-cumsum replay replaced.
+the one-cumsum replay replaced; the leader walk, start placement and dataset
+row formatting are the per-step numpy-scalar loops the float-stepping walk,
+vectorised gap test and list formatting replaced.
 The partition score, affinity lookup, merge-trace replay, partition from
 labels and ground-truth group lookup live here rather than in the package,
 since only the checks use them.
@@ -35,6 +37,7 @@ from scipy import integrate
 
 from crowdgroups import (
     AffinityMatrix,
+    ConfigError,
     FeatureConfig,
     GroundTruthLabels,
     HeatmapGrid,
@@ -591,7 +594,8 @@ def scalar_pair_table(window: TimeWindow, configs: FeatureConfig | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Synthetic member replay by a per-sample loop (reference for synth._replay)
+# Synthetic scenes by per-sample loops (references for synth._replay,
+# _leader_walk, _sample_starts and _rows)
 
 
 def replay_loop(leader_path: np.ndarray, lag: int) -> np.ndarray:
@@ -604,6 +608,72 @@ def replay_loop(leader_path: np.ndarray, lag: int) -> np.ndarray:
         src = k - lag
         shifted[k] = shifted[k - 1] + (displacements[src - 1] if src >= 1 else 0.0)
     return shifted
+
+
+def leader_walk_loop(rng, spec, start, n_steps, dt, bounces: set | None = None) -> np.ndarray:
+    """One numpy step and one scalar heading draw per sample, each axis
+    reflected off the 2 m margin in turn (reference for synth._leader_walk).
+    Each reflection that fires adds its (axis, "low" or "high") to `bounces`."""
+    bounces = set() if bounces is None else bounces
+    heading = rng.uniform(0.0, 2.0 * math.pi)
+    pos = start.astype(float).copy()
+    out = np.empty((n_steps, 2))
+    margin = 2.0
+    step_std = spec.wander_std * math.sqrt(dt)
+    for k in range(n_steps):
+        out[k] = pos
+        heading += rng.normal(0.0, step_std)
+        step = spec.speed * dt * np.array([math.cos(heading), math.sin(heading)])
+        nxt = pos + step
+        for axis in range(2):
+            if nxt[axis] < margin:
+                nxt[axis] = margin + (margin - nxt[axis])
+                heading = math.pi - heading if axis == 0 else -heading
+                bounces.add((axis, "low"))
+            hi = spec.extent - margin
+            if nxt[axis] > hi:
+                nxt[axis] = hi - (nxt[axis] - hi)
+                heading = math.pi - heading if axis == 0 else -heading
+                bounces.add((axis, "high"))
+        pos = nxt
+    return out
+
+
+def sample_starts_loop(rng, spec, count, min_gap) -> np.ndarray:
+    """One scalar hypot per (candidate, placed start) pair, the gap halving
+    while the area is too crowded (reference for synth._sample_starts)."""
+    margin = 2.0
+    lo, hi = margin, spec.extent - margin
+    if hi <= lo:
+        raise ConfigError("extent too small for the walk margin")
+    gap = min_gap
+    while True:
+        starts: list[np.ndarray] = []
+        ok = True
+        for _ in range(count):
+            for _attempt in range(2_000):
+                p = rng.uniform(lo, hi, size=2)
+                if all(float(np.hypot(*(p - q))) >= gap for q in starts):
+                    starts.append(p)
+                    break
+            else:
+                ok = False
+                break
+        if ok:
+            return np.asarray(starts)
+        gap *= 0.5
+        if gap < 0.25:
+            raise ConfigError(f"could not place {count} starts in extent {spec.extent}")
+
+
+def rows_loop(traj: Trajectory, fps: float) -> list[str]:
+    """`frame ped x y` rows formatted from numpy scalars one sample at a time
+    (reference for synth._rows)."""
+    lines = []
+    for t, (x, y) in zip(traj.times, traj.points):
+        frame = int(round(float(t) * fps))
+        lines.append(f"{frame} {traj.pedestrian_id} {x:.6f} {y:.6f}")
+    return lines
 
 
 # ---------------------------------------------------------------------------

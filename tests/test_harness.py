@@ -545,6 +545,17 @@ def test_cli_synth_spec_wrong_type(tmp_path, capsys):
     assert err.startswith("error: ") and "'n_groups'" in err
 
 
+def test_cli_synth_crowded_extent_fails_with_one_error_line(tmp_path, capsys):
+    # 50 starts cannot be 0.25 m apart in the 0.5 m square left inside the margin
+    spec_path = tmp_path / "spec.toml"
+    write_config_file(spec_path, {"n_groups": 0, "n_singletons": 50, "extent": 4.5})
+    out = tmp_path / "ds"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: could not place 50 starts in extent 4.5\n"
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("runs", 1.5), ("max_iterations", 5.5), ("runs", True),
     ("early_stop", True), ("sequential_budget", 5), ("online_budget", 5),  # removed keys

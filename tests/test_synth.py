@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import crowdgroups.synth as synth
+
 from crowdgroups import (
     ConfigError,
     SynthSpec,
@@ -12,8 +14,8 @@ from crowdgroups import (
     synth_generate,
     write_dataset,
 )
-from crowdgroups.synth import _leader_walk, _replay
-from oracles import replay_loop
+from crowdgroups.synth import _leader_walk, _replay, _sample_starts
+from oracles import leader_walk_loop, replay_loop, rows_loop, sample_starts_loop
 
 
 def test_spec_validation():
@@ -162,3 +164,72 @@ def test_crowded_scene_still_places_everyone():
     spec = SynthSpec(n_groups=2, n_singletons=8, extent=10.0, duration=20.0)
     trajs, _ = synth_generate(spec, seed=8)
     assert len(trajs) >= 10
+    # at most 4 starts fit 6 m apart in dense12m's 8 m x 8 m walkable square,
+    # so its 24 starts in the reference scenes below go through the halving
+    starts = _sample_starts(np.random.default_rng(0), SynthSpec(extent=12.0), 24, min_gap=6.0)
+    gaps = np.hypot(*(starts[:, None, :] - starts[None, :, :]).transpose(2, 0, 1))
+    assert gaps[np.triu_indices(24, 1)].min() < 6.0
+
+
+_SIZE3 = dict(group_size_min=3, group_size_max=3)
+REFERENCE_SPECS = {
+    "defaults": SynthSpec(),
+    "perf-default": SynthSpec(**_SIZE3),
+    "perf-dense": SynthSpec(n_groups=20, n_singletons=40, extent=60.0, duration=10.0, **_SIZE3),
+    "perf-ragged": SynthSpec(n_groups=4, n_singletons=8, duration=54.0, **_SIZE3),
+    "conv-noise": SynthSpec(behavior="converging", noise_std=0.3),
+    "dense12m": SynthSpec(n_groups=8, n_singletons=16, extent=12.0, **_SIZE3),
+    "conv100": SynthSpec(n_groups=20, n_singletons=40, extent=30.0, behavior="converging",
+                         **_SIZE3),
+    "no-wander": SynthSpec(wander_std=0.0),
+    "lag0": SynthSpec(lag=0),
+    "fps7": SynthSpec(fps=7.0, duration=60.0),
+    "reflect": SynthSpec(n_groups=1, n_singletons=2, extent=8.0, speed=6.0, duration=60.0),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_SPECS))
+def test_generation_and_files_match_the_per_sample_references(name, tmp_path, monkeypatch):
+    # the float-stepping walk, the vectorised gap test and the list formatting
+    # draw the same numbers in the same order and do the same float operations
+    # as the loops they replaced, so scenes and written bytes are identical
+    spec = REFERENCE_SPECS[name]
+    bounces = set()
+    for seed in range(5):
+        trajs, labels = synth_generate(spec, seed=seed)
+        write_dataset(tmp_path / f"new{seed}", trajs, labels, fps=spec.fps, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(synth, "_sample_starts", sample_starts_loop)
+            m.setattr(synth, "_leader_walk",
+                      lambda *args: leader_walk_loop(*args, bounces=bounces))
+            m.setattr(synth, "_rows", rows_loop)
+            ref_trajs, ref_labels = synth_generate(spec, seed=seed)
+            write_dataset(tmp_path / f"ref{seed}", ref_trajs, ref_labels, fps=spec.fps, seed=seed)
+        assert labels.groups == ref_labels.groups, seed
+        assert len(trajs) == len(ref_trajs), seed
+        for a, b in zip(trajs, ref_trajs):
+            assert a.pedestrian_id == b.pedestrian_id
+            assert np.array_equal(a.times, b.times), (seed, a.pedestrian_id)
+            assert np.array_equal(a.points, b.points), (seed, a.pedestrian_id)
+        for file in sorted((tmp_path / f"ref{seed}").iterdir()):
+            assert (tmp_path / f"new{seed}" / file.name).read_bytes() == file.read_bytes(), (
+                seed, file.name)
+    if name == "reflect":
+        assert bounces == {(0, "low"), (0, "high"), (1, "low"), (1, "high")}
+
+
+def test_start_placement_fails_when_even_the_smallest_gap_does_not_fit():
+    spec = SynthSpec(n_groups=0, n_singletons=50, extent=4.5)
+    with pytest.raises(ConfigError, match=r"^could not place 50 starts in extent 4\.5$"):
+        synth_generate(spec, seed=0)
+    with pytest.raises(ConfigError, match="extent too small for the walk margin"):
+        synth_generate(SynthSpec(extent=4.0), seed=0)
+
+
+def test_thousand_starts_stay_inside_the_margin_and_apart():
+    spec = SynthSpec(extent=190.0)
+    starts = _sample_starts(np.random.default_rng(0), spec, 1_000, min_gap=6.0)
+    assert starts.shape == (1_000, 2)
+    assert starts.min() >= 2.0 and starts.max() <= spec.extent - 2.0
+    gaps = np.hypot(*(starts[:, None, :] - starts[None, :, :]).transpose(2, 0, 1))
+    assert gaps[np.triu_indices(1_000, 1)].min() >= 0.25
