@@ -34,7 +34,8 @@ chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
   deficiency are refitted by np.linalg.lstsq, whose rank handling is the
   reference. The F CDF of each batch's statistics is one closed form.
 - d_he maps, only for members of pairs that are not far, add slices of one
-  exp(-k_s * hypot(dr, dc)) kernel image per grid, a band of rows at a time.
+  exp(-k_s * hypot(dr, dc)) kernel image per grid, one contiguous add per visited
+  cell of a sub-image pre-scaled once per energy: the same sums, bit for bit.
 
 The public one-pair functions call the same kernels, so `build_scene` rows
 equal them exactly.
@@ -424,34 +425,43 @@ def window_grid(window: TimeWindow, cfg: FeatureConfig | None = None) -> Heatmap
 
 
 def _heatmaps(segments, cfg: FeatureConfig, grid: HeatmapGrid) -> list[np.ndarray]:
-    """Max-normalized heat maps on `grid`, one array each; every visited cell
-    adds its energy times a slice of one exp(-k_s * hypot) kernel image."""
+    """Max-normalized heat maps on `grid`, one C-contiguous (rows, cols) array
+    each, all allocated before the first is built so that the per-map
+    temporaries do not fragment them. Each map cell sums, from 0 in first-visit
+    order, fl(K * E) over visited cells: E the cell's energy, K a slice of one
+    exp(-k_s * hypot) kernel image. On a flat buffer with the row stride of the
+    sub-image the map's visited box reaches (columns past `cols` are padding),
+    each deposit is one contiguous add of that sub-image pre-scaled by E, once
+    per distinct E: the same products in the same order, so the same bits."""
     rows, cols = grid.rows, grid.cols
     image = np.exp(-cfg.heat_k_s * np.hypot(
         np.arange(1 - rows, rows, dtype=float)[:, None], np.arange(1 - cols, cols, dtype=float)[None, :]
     ))
-    heat = []
-    band = max(1, _CHUNK_ELEMENTS // (4 * cols))  # map rows that stay in cache across all visited cells
-    scratch = np.empty((band, cols))
-    for seg in segments:
-        h = np.zeros((rows, cols))
+    heat = [np.empty((rows, cols)) for _ in segments]
+    for h, seg in zip(heat, segments):
         keys = np.floor((seg.points - (grid.x0, grid.y0)) / grid.cell).astype(int) @ (1, cols)
         visited, first, which = np.unique(keys, return_index=True, return_inverse=True)
         visits = np.bincount(which) if cfg.heat_accumulate == "visits" else np.ones(len(visited))
         dwells = np.bincount(which, weights=np.append(np.diff(seg.times), 0.0))
-        deposits = []  # (kernel image patch, energy) per visited cell, in first-visit order
-        for v in np.argsort(first).tolist():
+        (rmin, rmax), (cmin, cmax) = ((int(i.min()), int(i.max())) for i in np.divmod(visited, cols))
+        width = cols + cmax - cmin
+        sub = image[rows - 1 - rmax : 2 * rows - 1 - rmin, cols - 1 - cmax : 2 * cols - 1 - cmin]
+        flat = np.zeros(rows * width)
+        span = flat[: (rows - 1) * width + cols]
+        order = np.argsort(first).tolist()
+        energies = [visits[v] * math.exp(-cfg.heat_k_r * dwells[v]) for v in order]
+        last = {energy: v for v, energy in zip(order, energies)}  # each energy's last cell
+        scaled = {}  # energy -> sub-image times it, flattened; dropped after its last cell
+        for v, energy in zip(order, energies):
             row, col = divmod(int(visited[v]), cols)  # keys are row * cols + col
-            patch = image[rows - 1 - row : 2 * rows - 1 - row, cols - 1 - col : 2 * cols - 1 - col]
-            deposits.append((patch, visits[v] * math.exp(-cfg.heat_k_r * dwells[v])))
-        for top in range(0, rows, band):
-            part = h[top : top + band]
-            for patch, energy in deposits:
-                part += np.multiply(patch[top : top + band], energy, out=scratch[: len(part)])
+            if energy not in scaled:
+                scaled[energy] = np.multiply(sub, energy).ravel()
+            base = (rmax - row) * width + cmax - col
+            span += (scaled.pop(energy) if last[energy] == v else scaled[energy])[base : base + len(span)]
+        h[...] = flat.reshape(rows, width)[:, :cols]
         peak = h.max()
         if peak > 0.0:
             h /= peak
-        heat.append(h)
     return heat
 
 

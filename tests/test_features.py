@@ -655,6 +655,52 @@ def test_build_scene_matches_scalar_references_on_spread_ragged_windows():
     assert far > 0.3 * rows and rows > 1000
 
 
+# (settings beside 1 m cells and k_s = 0.3, (rows, cols) of the window grid,
+# member paths sampled 1 s apart)
+HEAT_LAYOUT_CASES = {
+    # member 1 stands in one cell: the smallest kernel sub-image, one map in size
+    "one-cell": ({}, (4, 5), [[[2.2, 1.2]] * 3, [[0.5, 0.5], [4.5, 3.5]]]),
+    # member 1 reaches all four grid edges: its sub-image is the whole kernel image
+    "four-edges": (
+        {}, (4, 5), [[[0.5, 0.5], [4.5, 0.5], [4.5, 3.5], [0.5, 3.5], [2.5, 2.5]], [[1.5, 1.5], [2.5, 1.5]]],
+    ),
+    "one-row": ({}, (1, 6), [[[0.5, 0.5], [1.5, 0.5], [5.5, 0.5]], [[3.5, 0.5], [4.5, 0.5], [3.5, 0.5]]]),
+    "one-column": ({}, (6, 1), [[[0.5, 0.5], [0.5, 1.5], [0.5, 5.5]], [[0.5, 3.5], [0.5, 4.5], [0.5, 3.5]]]),
+    "revisits": (
+        {"heat_accumulate": "visits"}, (3, 3),
+        [[[0.5, 0.5], [1.5, 0.5], [0.5, 0.5], [1.5, 2.5], [0.5, 0.5], [1.5, 0.5]], [[2.5, 2.5], [2.5, 1.5]]],
+    ),
+    # every cell of member 1 dwells 1 s, so all four share the energy exp(-k_r);
+    # member 2 has two cells of that energy and a last one of energy 1
+    "equal-energies": (
+        {}, (3, 4),
+        [[[0.5, 0.5], [1.5, 0.5], [2.5, 1.5], [3.5, 2.5], [3.5, 2.6]], [[0.5, 2.5], [1.5, 1.5], [2.5, 0.5]]],
+    ),
+    # every cell dwells 1 s and exp(-k_r) underflows to 0: all-zero maps, so d_he = 1
+    "underflow": ({"heat_k_r": 1e4}, (2, 3), [[[0.5, 0.5], [1.5, 0.5], [1.5, 0.5]], [[2.5, 1.5], [2.5, 1.5]]]),
+}
+
+
+@pytest.mark.parametrize("case", list(HEAT_LAYOUT_CASES))
+def test_heatmap_layout_edge_cases_match_the_scalar_reference(case):
+    # each map sums pre-scaled kernel sub-image slices on a padded flat buffer;
+    # at the edges of that layout the maps and d_he stay bit-identical
+    settings, shape, paths = HEAT_LAYOUT_CASES[case]
+    cfg = FeatureConfig(heat_cell_edge=1.0, heat_k_s=0.3, **settings)
+    win = window_of(*(traj(m, p) for m, p in enumerate(paths, 1)))
+    grid = window_grid(win, cfg)
+    assert (grid.rows, grid.cols) == shape
+    segments = [win.segments[m] for m in sorted(win.members)]
+    maps = features_module._heatmaps(segments, cfg, grid)
+    for h in [*maps, *(heatmap_build(seg, cfg, grid=grid) for seg in segments)]:
+        assert h.dtype == np.float64 and h.flags.c_contiguous
+    scene = build_scene(win, cfg)
+    assert not scene.far.any()
+    _check_heat(win, scene, cfg)
+    if case == "underflow":
+        assert not any(h.any() for h in maps) and np.all(scene.feature_matrix[:, 3] == 1.0)
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_build_scene_does_not_depend_on_chunk_size(monkeypatch, chunk):
     rng = np.random.default_rng(11)
