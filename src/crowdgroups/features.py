@@ -47,7 +47,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal
+from typing import Iterable
 
 import numpy as np
 
@@ -71,15 +71,14 @@ _ONE_PAIR = (np.array([0]), np.array([1]))
 class FeatureConfig:
     """Feature settings: the standard deviations (meters) of the interpersonal-zone
     Gaussians, the causality lag order m (a pair needs K >= 2m + 2 common samples),
-    and the heat-map cell edge, spatial (k_s) and temporal (k_r) coefficients and
-    accumulation. Field names are the run-config keys."""
+    and the heat-map cell edge and spatial (k_s) and temporal (k_r) coefficients.
+    Field names are the run-config keys."""
 
     proxemic_sigmas: tuple[float, ...] = HALL_SIGMAS
     granger_lag: int = 2
     heat_cell_edge: float = 0.30
     heat_k_s: float = 1e-5
     heat_k_r: float = 0.5
-    heat_accumulate: Literal["binary", "visits"] = "binary"
 
     def __post_init__(self):
         _check_fields(self)
@@ -115,7 +114,7 @@ class WindowedScene:
     def __post_init__(self):
         n = len(self.pair_rows[0])
         for name, dtype, shape in (
-            ("feature_matrix", float, (n, 4)),
+            ("feature_matrix", float, (n, len(FEATURE_NAMES))),
             ("granger_fallback", bool, (n,)),
             ("no_overlap", bool, (n,)),
             ("far", bool, (n,)),
@@ -145,7 +144,7 @@ class WindowedScene:
 
     @cached_property
     def affinity_terms(self) -> np.ndarray:
-        """(pairs, 8) rows whose dot with w = [alpha; beta] gives pair affinities."""
+        """(pairs, len(w)) rows whose dot with w = [alpha; beta] gives pair affinities."""
         d = self.feature_matrix
         return np.hstack([1.0 - d, -d])
 
@@ -441,7 +440,6 @@ def _heatmaps(segments, cfg: FeatureConfig, grid: HeatmapGrid) -> list[np.ndarra
     for h, seg in zip(heat, segments):
         keys = np.floor((seg.points - (grid.x0, grid.y0)) / grid.cell).astype(int) @ (1, cols)
         visited, first, which = np.unique(keys, return_index=True, return_inverse=True)
-        visits = np.bincount(which) if cfg.heat_accumulate == "visits" else np.ones(len(visited))
         dwells = np.bincount(which, weights=np.append(np.diff(seg.times), 0.0))
         (rmin, rmax), (cmin, cmax) = ((int(i.min()), int(i.max())) for i in np.divmod(visited, cols))
         width = cols + cmax - cmin
@@ -449,7 +447,7 @@ def _heatmaps(segments, cfg: FeatureConfig, grid: HeatmapGrid) -> list[np.ndarra
         flat = np.zeros(rows * width)
         span = flat[: (rows - 1) * width + cols]
         order = np.argsort(first).tolist()
-        energies = [visits[v] * math.exp(-cfg.heat_k_r * dwells[v]) for v in order]
+        energies = [math.exp(-cfg.heat_k_r * dwells[v]) for v in order]
         last = {energy: v for v, energy in zip(order, energies)}  # each energy's last cell
         scaled = {}  # energy -> sub-image times it, flattened; dropped after its last cell
         for v, energy in zip(order, energies):
@@ -470,10 +468,9 @@ def heatmap_build(seg: Trajectory, cfg: FeatureConfig | None = None, grid: Heatm
     smallest grid covering the segment; maps built on one window's grid are
     comparable).
 
-    Visited cells deposit energy E = (visit indicator or count) * exp(-k_r *
-    occupancy seconds); each map cell then receives sum over visited cells of
-    E * exp(-k_s * grid-index distance). Raises ValueError when the segment
-    leaves the grid.
+    Each visited cell deposits E = exp(-k_r * occupancy seconds) once; each
+    map cell then receives sum over visited cells of E * exp(-k_s *
+    grid-index distance). Raises ValueError when the segment leaves the grid.
     """
     cfg = cfg or FeatureConfig()
     if grid is None:
@@ -520,7 +517,7 @@ def build_scene(window: TimeWindow, configs: FeatureConfig | None = None) -> Win
     far = _far_rows(aligned, ia, ib)
     keep = np.flatnonzero(~far)
     ka, kb = ia[keep], ib[keep]
-    features = np.ones((len(ia), 4))
+    features = np.ones((len(ia), len(FEATURE_NAMES)))
     fallback = np.zeros(len(ia), dtype=bool)
     features[keep, 0] = _proxemic_rows(aligned, ka, kb, configs)
     features[keep, 1] = _dtw_rows(segments, ka, kb, DTW_TAU)

@@ -1,10 +1,11 @@
 """Structured max-margin training of the affinity weights.
 
-The 8-vector w = [alpha; beta] is learned by Block-Coordinate Frank-Wolfe over
-one block per training window. The loss-augmented oracle is the greedy merge
-engine that predicts, with each candidate merge's gain raised by the change in
-loss the merge causes; those losses come from the contingency table against
-the truth, by the same closed forms that score predictions.
+The weights w = [alpha; beta], one alpha and one beta per pair distance (a
+scene's affinity_terms fix their number), are learned by Block-Coordinate
+Frank-Wolfe over one block per training window. The loss-augmented oracle is
+the greedy merge engine that predicts, with each candidate merge's gain raised
+by the change in loss the merge causes; those losses come from the contingency
+table against the truth, by the same closed forms that score predictions.
 The Frank-Wolfe state is the Model itself: each block update changes its w,
 one row of block_w, one entry of block_l, l and iterations in place, by the
 line search of Lacoste-Julien et al. 2013 (arXiv:1207.4747, Alg. 4, with
@@ -36,13 +37,13 @@ from typing import Callable, ClassVar, Iterable, Iterator, Literal, NamedTuple, 
 import numpy as np
 
 from .errors import ConfigError, _check_fields
-from .features import WindowedScene
+from .features import FEATURE_NAMES, WindowedScene
 from .losses import MergeLoss, gmitre_loss, mitre_loss, pairwise_loss
 from .partitioning import Partition, _affinity_array, _greedy_merge, affinity, greedy_cc
 
 logger = logging.getLogger(__name__)
 
-WEIGHT_DIM = 8
+WEIGHT_DIM = 2 * len(FEATURE_NAMES)
 MAX_PLANES = 16  # planes cached per block
 CACHE_GAP_RATIO = 0.3  # share of the last exact gap a cached plane must keep
 MAX_CACHED_STEPS = 10  # cached steps a block takes between exact oracle calls
@@ -143,11 +144,11 @@ class Model:
 
     @property
     def alpha(self) -> np.ndarray:
-        return self.w[:4]
+        return self.w[: len(FEATURE_NAMES)]
 
     @property
     def beta(self) -> np.ndarray:
-        return self.w[4:]
+        return self.w[len(FEATURE_NAMES) :]
 
     @property
     def nonnegative_weights(self) -> bool:
@@ -159,19 +160,13 @@ class Model:
         return Model.from_dict(self.to_dict())
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": self.FORMAT_VERSION,
-            "w": self.w.tolist(),
-            "block_w": self.block_w.tolist(),
-            "block_l": self.block_l.tolist(),
-            "l": self.l,
-            "C": self.C,
-            "seed": self.seed,
-            "loss": self.loss,
-            "mode": self.mode,
-            "iterations": self.iterations,
-            "config": self.config_snapshot,
-        }
+        """The model file: format_version, then the fields in declaration order."""
+        obj: dict = {"format_version": self.FORMAT_VERSION}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            key = "config" if f.name == "config_snapshot" else f.name
+            obj[key] = value.tolist() if isinstance(value, np.ndarray) else value
+        return obj
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Model":
@@ -237,11 +232,8 @@ def loss_augmented_oracle(example: TrainingExample, w, loss: str = "gmitre") -> 
     if loss not in LOSSES:
         raise ValueError(f"loss must be one of {sorted(LOSSES)}, got {loss!r}")
     w = np.asarray(w, dtype=float).reshape(-1)
-    if w.shape != (WEIGHT_DIM,):
-        raise ValueError(f"weight vector must have {WEIGHT_DIM} components")
     scene, scorer = example.scene, example.merge_loss(loss)
-    clusters, _ = _greedy_merge(_affinity_array(scene, w), scorer)
-    y_star = Partition([scene.members[k] for k in c] for c in clusters)
+    y_star, _ = _greedy_merge(_affinity_array(scene, w), scene.members, scorer)
     psi = joint_feature_map(scene, y_star)
     hinge = scorer.current + float(w @ (psi - example.truth_psi))
     if hinge < 0.0:
@@ -420,7 +412,7 @@ def sequential_train(
 
 def predict(scene: WindowedScene, model) -> Partition:
     """Greedy correlation clustering under the model's (or raw vector's) weights."""
-    w = model.w if isinstance(model, Model) else np.asarray(model, dtype=float)
+    w = model.w if isinstance(model, Model) else model
     part, _ = greedy_cc(affinity(scene, w))
     return part
 

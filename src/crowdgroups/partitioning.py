@@ -146,12 +146,17 @@ class MergeTrace:
     steps: tuple[MergeStep, ...] = ()
 
 
-def _affinity_array(scene: "WindowedScene", w: np.ndarray) -> np.ndarray:
-    """The symmetric (n, n) array of pair affinities scene.affinity_terms @ w,
-    scattered at the scene's pair rows; the diagonal is zero."""
+def _affinity_array(scene: "WindowedScene", w) -> np.ndarray:
+    """The symmetric (n, n) array of pair affinities scene.affinity_terms @ w
+    at the scene's pair rows, zero on the diagonal; the one check of w's
+    length, which the pair table fixes: one weight per column of its terms."""
+    w = np.asarray(w, dtype=float).reshape(-1)
+    terms = scene.affinity_terms
+    if w.shape != terms.shape[1:]:
+        raise ValueError(f"weight vector must have {terms.shape[1]} components, got {w.shape}")
     n = len(scene.members)
     matrix = np.zeros((n, n))
-    values = scene.affinity_terms @ w
+    values = terms @ w
     ia, ib = scene.pair_rows
     matrix[ia, ib] = values
     matrix[ib, ia] = values
@@ -160,31 +165,28 @@ def _affinity_array(scene: "WindowedScene", w: np.ndarray) -> np.ndarray:
 
 def affinity(scene: "WindowedScene", w) -> AffinityMatrix:
     """W^{ab} = alpha.(1 - d(a,b)) - beta.d(a,b) for every pair, with w = [alpha; beta]."""
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.shape != (8,):
-        raise ValueError(f"weight vector must have 8 components, got {w.shape}")
     return AffinityMatrix(scene.members, _affinity_array(scene, w))
 
 
-def _greedy_merge(cross, loss=None) -> tuple[list[tuple[int, ...]], list[MergeStep]]:
-    """Greedy bottom-up merging over member indices 0..n-1 of a symmetric
-    affinity matrix `cross`, the one merge loop behind prediction and the
-    training oracle.
+def _greedy_merge(cross, ids: Sequence[int], loss=None) -> tuple[Partition, tuple[MergeStep, ...]]:
+    """Greedy bottom-up merging over a symmetric affinity matrix `cross` whose
+    row k belongs to member ids[k] (ids strictly increasing), the one merge
+    loop behind prediction and the training oracle.
 
     Each round merges the cluster pair with the largest strictly positive
     gain: their cross-affinity sum, plus, when `loss` is given, the change in
     loss the merge causes (`loss.candidates() - loss.current`; `loss.merge`
-    is told every merge). Each cluster keeps the row of its smallest index:
-    merging rows i < j adds row and column j into i, then sets them to -inf,
-    like the diagonal, to keep them out of the argmax. The matrix stays
+    is told every merge, by row). Each cluster keeps the row of its smallest
+    index: merging rows i < j adds row and column j into i, then sets them to
+    -inf, like the diagonal, to keep them out of the argmax. The matrix stays
     symmetric, so its first row-major maximum is the live pair with the
-    smallest pair of min-ids. Returns the clusters (sorted index tuples in row
-    order) and the merges as index-tuple steps.
+    smallest pair of min-ids. Each live cluster is a sorted tuple of member
+    ids; returns their Partition and the merges as steps over member ids.
     """
     cross = np.array(cross, dtype=float)
     n = len(cross)
     np.fill_diagonal(cross, -np.inf)
-    clusters = {i: (i,) for i in range(n)}
+    clusters = {i: (ids[i],) for i in range(n)}
     steps: list[MergeStep] = []
     for _ in range(n - 1):
         gain = cross if loss is None else (loss.candidates() - loss.current) + cross
@@ -199,7 +201,7 @@ def _greedy_merge(cross, loss=None) -> tuple[list[tuple[int, ...]], list[MergeSt
         cross[j] = cross[:, j] = -np.inf
         if loss is not None:
             loss.merge(i, j)
-    return list(clusters.values()), steps
+    return Partition(clusters.values()), tuple(steps)
 
 
 def greedy_cc(affinities: AffinityMatrix) -> tuple[Partition, MergeTrace]:
@@ -209,11 +211,5 @@ def greedy_cc(affinities: AffinityMatrix) -> tuple[Partition, MergeTrace]:
     cross-affinity sum; ties go to the lexicographically smallest pair of
     cluster min-ids. Stops when no merge would increase the score.
     """
-    ids = affinities.members
-    clusters, steps = _greedy_merge(affinities.matrix)
-
-    def named(cluster: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(ids[k] for k in cluster)
-
-    trace = tuple(s._replace(first=named(s.first), second=named(s.second)) for s in steps)
-    return Partition(map(named, clusters)), MergeTrace(trace)
+    partition, steps = _greedy_merge(affinities.matrix, affinities.members)
+    return partition, MergeTrace(steps)

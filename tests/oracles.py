@@ -514,7 +514,7 @@ def scalar_heatmap_build(seg: Trajectory, cfg: FeatureConfig | None = None, grid
     """One hypot and one exp over the whole grid per visited cell."""
     cfg = cfg or FeatureConfig()
     grid = grid or _points_grid(seg.points, cfg.heat_cell_edge)
-    occupancy: dict[tuple[int, int], list[float]] = {}
+    dwells: dict[tuple[int, int], float] = {}  # cell -> occupancy seconds, in first-visit order
     times = seg.times
     for i in range(len(times)):
         x, y = (float(v) for v in seg.points[i])
@@ -522,15 +522,12 @@ def scalar_heatmap_build(seg: Trajectory, cfg: FeatureConfig | None = None, grid
         if not (0 <= cell[0] < grid.rows and 0 <= cell[1] < grid.cols):
             raise ValueError(f"pedestrian {seg.pedestrian_id}: segment falls outside the heat-map grid")
         dwell = float(times[i + 1] - times[i]) if i + 1 < len(times) else 0.0
-        entry = occupancy.setdefault(cell, [0.0, 0.0])
-        entry[0] += 1.0
-        entry[1] += dwell
+        dwells[cell] = dwells.get(cell, 0.0) + dwell
     heat = np.zeros((grid.rows, grid.cols))
     row_idx = np.arange(grid.rows, dtype=float)[:, None]
     col_idx = np.arange(grid.cols, dtype=float)[None, :]
-    for (row, col), (visits, dwell) in occupancy.items():
-        base = visits if cfg.heat_accumulate == "visits" else 1.0
-        energy = base * math.exp(-cfg.heat_k_r * dwell)
+    for (row, col), dwell in dwells.items():
+        energy = math.exp(-cfg.heat_k_r * dwell)
         dist = np.hypot(row_idx - row, col_idx - col)
         heat += energy * np.exp(-cfg.heat_k_s * dist)
     peak = heat.max()

@@ -94,15 +94,13 @@ def test_heatmap_config_validation():
         FeatureConfig(heat_cell_edge=0.0)
     with pytest.raises(ConfigError):
         FeatureConfig(heat_k_s=-1.0)
-    with pytest.raises(ConfigError):
-        FeatureConfig(heat_accumulate="sum")
 
 
 def test_feature_configs_round_trip(tmp_path):
     # a RunConfig is a FeatureConfig; a model's snapshot gives its feature settings back
     values = dict(
         proxemic_sigmas=(1.0, 2.0), granger_lag=3, heat_cell_edge=0.5,
-        heat_k_s=0.1, heat_k_r=0.0, heat_accumulate="visits",
+        heat_k_s=0.1, heat_k_r=0.0,
     )
     config = RunConfig(**values)
     assert isinstance(config, FeatureConfig)
@@ -436,21 +434,11 @@ def test_heatmap_dwell_time_decay():
     assert h_fast[0, 3] == 1.0 and h_slow[0, 3] == 1.0
     assert h_fast[0, 0] == pytest.approx(math.exp(-0.5 * 1.0), abs=1e-9)
     assert h_slow[0, 0] == pytest.approx(math.exp(-0.5 * 4.0), abs=1e-9)
-
-
-def test_heatmap_accumulate_modes():
-    cfg_b = FeatureConfig(heat_cell_edge=1.0, heat_k_s=50.0, heat_k_r=0.0, heat_accumulate="binary")
-    cfg_v = FeatureConfig(heat_cell_edge=1.0, heat_k_s=50.0, heat_k_r=0.0, heat_accumulate="visits")
-    # visits cell (0,0) twice and (0,3) once
-    seg = traj(1, [[0.5, 0.5], [3.5, 0.5], [0.5, 0.5]])
-    other = traj(2, [[0.5, 0.5], [3.5, 0.5], [0.5, 0.5]])
-    grid = window_grid(window_of(seg, other), cfg_b)
-    h_b = heatmap_build(seg, cfg_b, grid=grid)
-    h_v = heatmap_build(seg, cfg_v, grid=grid)
-    assert h_b[0, 0] == pytest.approx(1.0, abs=1e-9)
-    assert h_b[0, 3] == pytest.approx(1.0, abs=1e-9)
-    assert h_v[0, 0] == 1.0
-    assert h_v[0, 3] == pytest.approx(0.5, abs=1e-9)
+    # a revisited cell deposits once, with its dwells summed: the first cell
+    # dwells 1 s and then 0 s, as long as the other, so both peak
+    loop = heatmap_build(traj(3, [[0.5, 0.5], [3.5, 0.5], [0.5, 0.5]]), cfg, grid=grid)
+    assert loop[0, 0] == pytest.approx(1.0, abs=1e-9)
+    assert loop[0, 3] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_heatmap_segment_outside_grid_is_rejected():
@@ -620,7 +608,6 @@ EQUIVALENCE_CASES = {
     "sigmas": (FeatureConfig(proxemic_sigmas=(0.3, 0.9, 2.5)), _check_proxemics),
     "lag1": (FeatureConfig(granger_lag=1), _check_causality),
     "lag3": (FeatureConfig(granger_lag=3), _check_causality),
-    "visits": (FeatureConfig(heat_accumulate="visits"), _check_heat),
     "k_s": (FeatureConfig(heat_k_s=0.1), _check_heat),
 }
 
@@ -667,7 +654,7 @@ HEAT_LAYOUT_CASES = {
     "one-row": ({}, (1, 6), [[[0.5, 0.5], [1.5, 0.5], [5.5, 0.5]], [[3.5, 0.5], [4.5, 0.5], [3.5, 0.5]]]),
     "one-column": ({}, (6, 1), [[[0.5, 0.5], [0.5, 1.5], [0.5, 5.5]], [[0.5, 3.5], [0.5, 4.5], [0.5, 3.5]]]),
     "revisits": (
-        {"heat_accumulate": "visits"}, (3, 3),
+        {}, (3, 3),
         [[[0.5, 0.5], [1.5, 0.5], [0.5, 0.5], [1.5, 2.5], [0.5, 0.5], [1.5, 0.5]], [[2.5, 2.5], [2.5, 1.5]]],
     ),
     # every cell of member 1 dwells 1 s, so all four share the energy exp(-k_r);

@@ -155,8 +155,6 @@ def test_run_config_validation():
         RunConfig(loss="accuracy")
     with pytest.raises(ConfigError):
         RunConfig(granger_lag=0)
-    with pytest.raises(ConfigError):
-        RunConfig(heat_accumulate="sum")
 
 
 @pytest.mark.parametrize("cls, key, value", [
@@ -559,6 +557,7 @@ def test_cli_synth_crowded_extent_fails_with_one_error_line(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("runs", 1.5), ("max_iterations", 5.5), ("runs", True),
     ("early_stop", True), ("sequential_budget", 5), ("online_budget", 5),  # removed keys
+    ("heat_accumulate", "binary"),
 ])
 def test_cli_run_config_wrong_type(dataset_dir, tmp_path, capsys, key, value):
     config_path = tmp_path / "config.toml"
@@ -739,10 +738,11 @@ def test_cli_predict_rejects_bad_recorded_settings(dataset_dir, tmp_path, capsys
 
 def test_cli_predict_with_model_recording_removed_keys(dataset_dir, tmp_path, capsys):
     # a model file written before early_stop, early_stop_tol, sequential_budget,
-    # online_budget and other keys left the settings still predicts, as if
-    # they were not recorded
+    # online_budget, heat_accumulate and other keys left the settings still
+    # predicts, as if they were not recorded
     saved = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "model.json").read_text())
-    assert {"early_stop", "early_stop_tol", "sequential_budget", "online_budget"} <= set(saved["config"])
+    removed = {"early_stop", "early_stop_tol", "sequential_budget", "online_budget", "heat_accumulate"}
+    assert removed <= set(saved["config"])
     known = set(RunConfig().to_flat_dict())
     outputs = []
     for config in (saved["config"], {k: v for k, v in saved["config"].items() if k in known}):

@@ -7,6 +7,7 @@ import functools
 import itertools
 import json
 import math
+from pathlib import Path
 from typing import get_args
 
 import numpy as np
@@ -323,6 +324,19 @@ def test_oracle_rejects_bad_arguments():
         loss_augmented_oracle(example, np.ones(8), loss="nope")
     with pytest.raises(ValueError):
         loss_augmented_oracle(example, np.ones(3))
+    # the pair table fixes the weight length: one check, one message, for
+    # prediction and the oracle alike
+    for size in (7, 9):
+        w = np.ones(size)
+        message = f"weight vector must have 8 components, got ({size},)"
+        for call in (
+            lambda: affinity(example.scene, w),
+            lambda: predict(example.scene, w),
+            lambda: loss_augmented_oracle(example, w),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +451,10 @@ def test_model_snapshot_round_trip(tmp_path):
     assert back.loss == model.loss
     assert back.mode == model.mode
     assert back.iterations == model.iterations
+    # a saved model file loads and saves to the same bytes, key order included
+    saved = Path(__file__).resolve().parents[1] / "perfbench" / "model.json"
+    Model.load(saved).save(path)
+    assert path.read_bytes() == saved.read_bytes()
 
 
 def test_model_load_rejects_garbage(tmp_path):
