@@ -34,8 +34,8 @@ chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
   deficiency are refitted by np.linalg.lstsq, whose rank handling is the
   reference. The F CDF of each batch's statistics is one closed form.
 - d_he maps, only for members of pairs that are not far, add slices of one
-  exp(-k_s * hypot(dr, dc)) kernel image per grid, one contiguous add per visited
-  cell of a sub-image pre-scaled once per energy: the same sums, bit for bit.
+  kernel image per window. They are built along the crowd and each is freed
+  after its last pair, so only a band of them is alive at once.
 
 The public one-pair functions call the same kernels, so `build_scene` rows
 equal them exactly.
@@ -174,6 +174,11 @@ def gmm_eval(delta, cfg: FeatureConfig | None = None) -> float:
     return float(np.mean(np.exp(-d2 / (2.0 * sig2)) / (2.0 * math.pi * sig2)))
 
 
+def _by_key(keys: np.ndarray, n: int) -> list[np.ndarray]:
+    """For each key 0..n-1, the indices of `keys` that hold it, in order."""
+    return np.split(np.argsort(keys, kind="stable"), np.cumsum(np.bincount(keys, minlength=n))[:-1])
+
+
 def _chunks(n_pairs: int, per_pair: int):
     """Pair-axis slices whose temporaries, `per_pair` floats per pair, fit."""
     step = max(1, _CHUNK_ELEMENTS // max(1, per_pair))
@@ -232,31 +237,31 @@ def proxemic_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig |
 def _dtw_rows(segments, ia, ib, tau: float) -> np.ndarray:
     """Bounded DTW distance per pair, one anti-diagonal d = i + j of the
     cumulative cost at a time: column i + 1 of a diagonal holds cell (i, d - i)
-    and column 0 is +inf. Samples past a segment's end (index `size` is past
-    every end) sit at +inf as the first member and -inf as the second, so the
-    cost of every cell off a pair's table is +inf."""
+    and column 0 is +inf. Samples past a segment's end sit at +inf as the first
+    member and -inf as the second, whose points are stored reversed between
+    size - 1 such samples on each side, so diagonal d reads them as one slice."""
     lengths = np.array([len(seg) for seg in segments], dtype=int)
     size = int(lengths.max(initial=1))
-    first = np.full((len(segments), size + 1, 2), np.inf)
-    second = -first
+    first = np.full((len(segments), size, 2), np.inf)
+    second = np.full((len(segments), 3 * size - 2, 2), -np.inf)
     for k, seg in enumerate(segments):
-        first[k, : len(seg)] = second[k, : len(seg)] = seg.points
-    diag, col = np.ogrid[: 2 * size - 1, :size]
-    other = np.where((diag >= col) & (diag - col < size), diag - col, size)
+        first[k, : len(seg)] = seg.points
+        second[k, 2 * size - 1 - len(seg) : 2 * size - 1] = seg.points[::-1]
     out = np.empty(len(ia))
-    for chunk in _chunks(len(ia), 12 * (size + 1)):
+    for chunk in _chunks(len(ia), 16 * (size + 1)):
         a, b = ia[chunk], ib[chunk]
         la, lb = lengths[a], lengths[b]
-        xa, ya = first[a, :size, 0], first[a, :size, 1]
+        xa, ya = first[a, :, 0], first[a, :, 1]
         xb, yb = second[b, :, 0], second[b, :, 1]
+        ends = _by_key(la + lb - 2, 2 * size - 1)  # diagonal of cell (la - 1, lb - 1)
         diagonals = np.full((3, len(a), size + 1), np.inf)
         raw = np.empty(len(a))
-        for d in range(2 * size - 1):
+        for d, done in enumerate(ends):
             cur, prev1, prev2 = diagonals[d % 3], diagonals[(d - 1) % 3], diagonals[(d - 2) % 3]
-            dx, dy = xa - xb[:, other[d]], ya - yb[:, other[d]]
+            at = 2 * size - 2 - d  # column i of the slice holds sample d - i
+            dx, dy = xa - xb[:, at : at + size], ya - yb[:, at : at + size]
             best = np.minimum(np.minimum(prev1[:, :-1], prev1[:, 1:]), prev2[:, :-1]) if d else 0.0
             np.add(dx * dx + dy * dy, best, out=cur[:, 1:])
-            done = np.flatnonzero(la + lb - 2 == d)  # cell (la - 1, lb - 1)
             raw[done] = cur[done, la[done]]
         raw /= np.maximum(la, lb)
         out[chunk] = raw / (raw + tau * tau)
@@ -272,12 +277,15 @@ def dtw_shape_distance(seg_a: Trajectory, seg_b: Trajectory, tau: float = DTW_TA
     return float(_dtw_rows([seg_a, seg_b], *_ONE_PAIR, tau)[0])
 
 
-def _coefficients(n: int, p: float, q: float, first: float) -> list[float]:
-    """[c_0, ..., c_{n-1}] with c_0 = first and c_j = c_{j-1} (p + j) / (q + j)."""
+def _series(n: int, p: float, q: float, first: float, t):
+    """sum_{j<n} c_j t^j by Horner's rule (0.0 for n = 0); c_0 = first, c_j = c_{j-1} (p + j) / (q + j)."""
     coef = [first] * min(n, 1)
     for j in range(1, n):
         coef.append(coef[-1] * (p + j) / (q + j))
-    return coef
+    total = coef.pop() if coef else 0.0
+    while coef:
+        total = total * t + coef.pop()
+    return total
 
 
 def _beta_halves(x: np.ndarray, m: int, dof: int) -> np.ndarray:
@@ -287,22 +295,18 @@ def _beta_halves(x: np.ndarray, m: int, dof: int) -> np.ndarray:
     raising a by one m//2 times subtracts, for j < m//2,
     x^a (1-x)^b x^j Gamma(a+b+j) / (Gamma(a+1+j) Gamma(b)) from I_x(0, b) = 1
     or from I_x(1/2, b): a sum of dof//2 powers of 1 - x, plus (2/pi) arcsin
-    sqrt(x) for odd dof. The sum in x, m//2 terms long, runs by Horner's rule;
-    the one in 1 - x is one table of powers."""
+    sqrt(x) for odd dof. Both sums, m//2 terms in x and dof//2 in 1 - x, run
+    by Horner's rule."""
     y = 1.0 - x
     a, b = m % 2 / 2, dof / 2
     base = 1.0
     if a:
-        h, n = dof % 2 / 2, dof // 2
-        g = _coefficients(n, h - 0.5, h, 2 / math.pi if h else 1.0)
-        base = np.sqrt(x) * y**h * (y[..., None] ** np.arange(n) * g).sum(axis=-1)
+        h = dof % 2 / 2
+        base = np.sqrt(x) * y**h * _series(dof // 2, h - 0.5, h, 2 / math.pi if h else 1.0, y)
         if h:
             base += 2 / math.pi * np.arctan2(np.sqrt(x), np.sqrt(y))  # arcsin sqrt(x), stable at x = 1
-    coef = _coefficients(m // 2, a + b - 1, a, math.exp(math.lgamma(a + b) - math.lgamma(a + 1) - math.lgamma(b)))
-    series = coef.pop() if coef else 0.0
-    while coef:
-        series = series * x + coef.pop()
-    return base - (np.sqrt(x) if a else 1.0) * y**b * series
+    first = math.exp(math.lgamma(a + b) - math.lgamma(a + 1) - math.lgamma(b))
+    return base - (np.sqrt(x) if a else 1.0) * y**b * _series(m // 2, a + b - 1, a, first, x)
 
 
 def f_cdf(s: float, d1: int, d2: int) -> float:
@@ -423,44 +427,43 @@ def window_grid(window: TimeWindow, cfg: FeatureConfig | None = None) -> Heatmap
     return _points_grid(np.vstack([seg.points for seg in window.segments.values()]), cfg.heat_cell_edge)
 
 
-def _heatmaps(segments, cfg: FeatureConfig, grid: HeatmapGrid) -> list[np.ndarray]:
-    """Max-normalized heat maps on `grid`, one C-contiguous (rows, cols) array
-    each, all allocated before the first is built so that the per-map
-    temporaries do not fragment them. Each map cell sums, from 0 in first-visit
-    order, fl(K * E) over visited cells: E the cell's energy, K a slice of one
-    exp(-k_s * hypot) kernel image. On a flat buffer with the row stride of the
-    sub-image the map's visited box reaches (columns past `cols` are padding),
-    each deposit is one contiguous add of that sub-image pre-scaled by E, once
-    per distinct E: the same products in the same order, so the same bits."""
+def _kernel_image(cfg: FeatureConfig, grid: HeatmapGrid) -> np.ndarray:
+    dr, dc = (np.arange(1 - n, n, dtype=float) for n in (grid.rows, grid.cols))
+    return np.exp(-cfg.heat_k_s * np.hypot(dr[:, None], dc[None, :]))
+
+
+def _heatmap(h: np.ndarray, seg: Trajectory, cfg: FeatureConfig, grid: HeatmapGrid, image) -> np.ndarray:
+    """The max-normalized heat map of `seg`, written into and returned as the
+    (rows, cols) array `h`. Each map cell sums, from 0 in first-visit order,
+    fl(K * E) over visited cells: E the cell's energy, K a slice of the kernel
+    `image`. On a flat buffer with the row stride of the sub-image the map's
+    visited box reaches (columns past `cols` are padding), each deposit is one
+    contiguous add of that sub-image pre-scaled by E, once per distinct E: the
+    same products in the same order, so the same bits."""
     rows, cols = grid.rows, grid.cols
-    image = np.exp(-cfg.heat_k_s * np.hypot(
-        np.arange(1 - rows, rows, dtype=float)[:, None], np.arange(1 - cols, cols, dtype=float)[None, :]
-    ))
-    heat = [np.empty((rows, cols)) for _ in segments]
-    for h, seg in zip(heat, segments):
-        keys = np.floor((seg.points - (grid.x0, grid.y0)) / grid.cell).astype(int) @ (1, cols)
-        visited, first, which = np.unique(keys, return_index=True, return_inverse=True)
-        dwells = np.bincount(which, weights=np.append(np.diff(seg.times), 0.0))
-        (rmin, rmax), (cmin, cmax) = ((int(i.min()), int(i.max())) for i in np.divmod(visited, cols))
-        width = cols + cmax - cmin
-        sub = image[rows - 1 - rmax : 2 * rows - 1 - rmin, cols - 1 - cmax : 2 * cols - 1 - cmin]
-        flat = np.zeros(rows * width)
-        span = flat[: (rows - 1) * width + cols]
-        order = np.argsort(first).tolist()
-        energies = [math.exp(-cfg.heat_k_r * dwells[v]) for v in order]
-        last = {energy: v for v, energy in zip(order, energies)}  # each energy's last cell
-        scaled = {}  # energy -> sub-image times it, flattened; dropped after its last cell
-        for v, energy in zip(order, energies):
-            row, col = divmod(int(visited[v]), cols)  # keys are row * cols + col
-            if energy not in scaled:
-                scaled[energy] = np.multiply(sub, energy).ravel()
-            base = (rmax - row) * width + cmax - col
-            span += (scaled.pop(energy) if last[energy] == v else scaled[energy])[base : base + len(span)]
-        h[...] = flat.reshape(rows, width)[:, :cols]
-        peak = h.max()
-        if peak > 0.0:
-            h /= peak
-    return heat
+    keys = np.floor((seg.points - (grid.x0, grid.y0)) / grid.cell).astype(int) @ (1, cols)
+    visited, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    dwells = np.bincount(which, weights=np.append(np.diff(seg.times), 0.0))
+    (rmin, rmax), (cmin, cmax) = ((int(i.min()), int(i.max())) for i in np.divmod(visited, cols))
+    width = cols + cmax - cmin
+    sub = image[rows - 1 - rmax : 2 * rows - 1 - rmin, cols - 1 - cmax : 2 * cols - 1 - cmin]
+    flat = np.zeros(rows * width)
+    span = flat[: (rows - 1) * width + cols]
+    order = np.argsort(first).tolist()
+    energies = [math.exp(-cfg.heat_k_r * dwells[v]) for v in order]
+    last = {energy: v for v, energy in zip(order, energies)}  # each energy's last cell
+    scaled = {}  # energy -> sub-image times it, flattened; dropped after its last cell
+    for v, energy in zip(order, energies):
+        row, col = divmod(int(visited[v]), cols)  # keys are row * cols + col
+        if energy not in scaled:
+            scaled[energy] = np.multiply(sub, energy).ravel()
+        base = (rmax - row) * width + cmax - col
+        span += (scaled.pop(energy) if last[energy] == v else scaled[energy])[base : base + len(span)]
+    h[...] = flat.reshape(rows, width)[:, :cols]
+    peak = h.max()
+    if peak > 0.0:
+        h /= peak
+    return h
 
 
 def heatmap_build(seg: Trajectory, cfg: FeatureConfig | None = None, grid: HeatmapGrid | None = None) -> np.ndarray:
@@ -478,24 +481,48 @@ def heatmap_build(seg: Trajectory, cfg: FeatureConfig | None = None, grid: Heatm
     cells = np.floor((seg.points - (grid.x0, grid.y0)) / grid.cell)  # (col, row) per sample
     if cells.min() < 0 or np.any(cells.max(axis=0) >= (grid.cols, grid.rows)):
         raise ValueError(f"pedestrian {seg.pedestrian_id}: segment falls outside the heat-map grid")
-    return _heatmaps([seg], cfg, grid)[0]
+    return _heatmap(np.empty((grid.rows, grid.cols)), seg, cfg, grid, _kernel_image(cfg, grid))
 
 
-def _heat_rows(maps: list[np.ndarray], ia, ib) -> np.ndarray:
-    """1 - cosine similarity of the maps of each pair, summed by NumPy (a BLAS dot
-    depends on the thread count); pairs with an all-zero map are maximally far."""
-    norms = np.sqrt([(h * h).sum() for h in maps])
-    dots = np.array([(maps[a] * maps[b]).sum() for a, b in zip(ia.tolist(), ib.tolist())])
+def _cosine_distance(dots, norm_a, norm_b):
+    """1 - dots / (norm_a * norm_b) clipped to [0, 1]; 1 where a norm is 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.clip(1.0 - dots / (norms[ia] * norms[ib]), 0.0, 1.0)
-    return np.where((norms[ia] == 0.0) | (norms[ib] == 0.0), 1.0, value)
+        value = np.clip(1.0 - dots / (norm_a * norm_b), 0.0, 1.0)
+    return np.where((norm_a == 0.0) | (norm_b == 0.0), 1.0, value)
+
+
+def _heat_rows(segments, cfg: FeatureConfig, grid: HeatmapGrid, ia, ib) -> np.ndarray:
+    """d_he per pair (segments[ia[k]], segments[ib[k]]), summed by NumPy (a BLAS
+    dot depends on the thread count). Maps are built along the principal axis
+    of the path centroids, a pair's dot right after its later map, and a buffer
+    is reused after its map's last pair, so only a band of maps is alive."""
+    used, slots = np.unique(np.concatenate([ia, ib]), return_inverse=True)
+    if not len(used):
+        return np.empty(0)
+    centroids = np.array([segments[m].points.mean(axis=0) for m in used])
+    centroids -= centroids.mean(axis=0)
+    order = np.argsort(centroids @ np.linalg.svd(centroids, full_matrices=False)[2][0], kind="stable")
+    sa, sb = pairs = slots.reshape(2, -1)
+    step = np.argsort(order)[pairs].max(axis=0)  # the later map's rank: the pair's dot is taken then
+    last = np.zeros(len(used), dtype=int)
+    np.maximum.at(last, slots, np.tile(step, 2))  # the step of each map's last pair
+    image = _kernel_image(cfg, grid)
+    maps, free, squares, dots = {}, [], np.empty(len(used)), np.empty(len(ia))
+    for u, due, done in zip(order.tolist(), _by_key(step, len(used)), _by_key(last, len(used))):
+        buffer = free.pop() if free else np.empty((grid.rows, grid.cols))
+        h = maps[u] = _heatmap(buffer, segments[used[u]], cfg, grid, image)
+        squares[u] = (h * h).sum()
+        for k, a, b in zip(due.tolist(), sa[due].tolist(), sb[due].tolist()):
+            dots[k] = (maps[a] * maps[b]).sum()
+        free.extend(maps.pop(v) for v in done.tolist())
+    return _cosine_distance(dots, *np.sqrt(squares)[pairs])
 
 
 def heatmap_distance(h_a: np.ndarray, h_b: np.ndarray) -> float:
     """1 - cosine similarity of the two maps; all-zero maps are maximally far."""
     if h_a.shape != h_b.shape:
         raise ValueError(f"heat maps differ in shape: {h_a.shape} vs {h_b.shape}")
-    return float(_heat_rows([h_a, h_b], *_ONE_PAIR)[0])
+    return float(_cosine_distance((h_a * h_b).sum(), np.sqrt((h_a * h_a).sum()), np.sqrt((h_b * h_b).sum())))
 
 
 def build_scene(window: TimeWindow, configs: FeatureConfig | None = None) -> WindowedScene:
@@ -522,9 +549,7 @@ def build_scene(window: TimeWindow, configs: FeatureConfig | None = None) -> Win
     features[keep, 0] = _proxemic_rows(aligned, ka, kb, configs)
     features[keep, 1] = _dtw_rows(segments, ka, kb, DTW_TAU)
     features[keep, 2], fallback[keep] = _granger_rows(aligned, ka, kb, configs)
-    used, slots = np.unique(np.concatenate([ka, kb]), return_inverse=True)
-    maps = _heatmaps([segments[m] for m in used], configs, window_grid(window, configs))
-    features[keep, 3] = _heat_rows(maps, *np.split(slots, 2))
+    features[keep, 3] = _heat_rows(segments, configs, window_grid(window, configs), ka, kb)
     no_overlap = np.isnan(features[:, 0])
     features[no_overlap, 0] = features[no_overlap, 2] = NO_OVERLAP_DISTANCE
     return WindowedScene(window, features, fallback & ~no_overlap, no_overlap, far)

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -291,6 +292,14 @@ def test_f_cdf_matches_quadrature():
     grid += [(s, 5, 2) for s in (0.2, 0.7, 1.0, 1.9, 4.0)]
     worst = max(abs(f_cdf(s, d1, d2) - f_cdf_quadrature(s, d1, d2)) for s, d1, d2 in grid)
     assert worst <= 1e-8
+
+
+def test_odd_lag_f_cdf_matches_quadrature_at_large_dof():
+    # odd m sums dof // 2 powers of 1 - x by Horner's rule, up to 1,000 terms here
+    grid = [(s, m, dof) for m in (1, 3, 5) for dof in (1, 2, 3, 4, 51, 52, 499, 500, 1999, 2000)
+            for s in (0.05, 0.3, 1.0, 3.5)]
+    worst = max(abs(f_cdf(s, m, dof) - f_cdf_quadrature(s, m, dof)) for s, m, dof in grid)
+    assert worst <= 1e-9
 
 
 def test_closed_form_beta_matches_scipy_betainc():
@@ -668,24 +677,43 @@ HEAT_LAYOUT_CASES = {
 }
 
 
+def _record_maps(monkeypatch):
+    """Copies of the maps that `_heatmap` builds, as (segment, map, id of the
+    buffer it was built in)."""
+    built = []
+    build = features_module._heatmap
+
+    def recording(h, seg, *args):
+        h = build(h, seg, *args)
+        assert h.dtype == np.float64 and h.flags.c_contiguous
+        built.append((seg, h.copy(), id(h)))
+        return h
+
+    monkeypatch.setattr(features_module, "_heatmap", recording)
+    return built
+
+
 @pytest.mark.parametrize("case", list(HEAT_LAYOUT_CASES))
-def test_heatmap_layout_edge_cases_match_the_scalar_reference(case):
+def test_heatmap_layout_edge_cases_match_the_scalar_reference(monkeypatch, case):
     # each map sums pre-scaled kernel sub-image slices on a padded flat buffer;
-    # at the edges of that layout the maps and d_he stay bit-identical
+    # at the edges of that layout every map, built alone or inside
+    # build_scene, and d_he stay bit-identical
     settings, shape, paths = HEAT_LAYOUT_CASES[case]
     cfg = FeatureConfig(heat_cell_edge=1.0, heat_k_s=0.3, **settings)
     win = window_of(*(traj(m, p) for m, p in enumerate(paths, 1)))
     grid = window_grid(win, cfg)
     assert (grid.rows, grid.cols) == shape
-    segments = [win.segments[m] for m in sorted(win.members)]
-    maps = features_module._heatmaps(segments, cfg, grid)
-    for h in [*maps, *(heatmap_build(seg, cfg, grid=grid) for seg in segments)]:
-        assert h.dtype == np.float64 and h.flags.c_contiguous
+    built = _record_maps(monkeypatch)
     scene = build_scene(win, cfg)
+    assert sorted(seg.pedestrian_id for seg, *_ in built) == sorted(win.members)
+    alone = [(seg, heatmap_build(seg, cfg, grid=grid)) for seg in win.segments.values()]
+    for seg, h in [*(b[:2] for b in built), *alone]:
+        assert h.dtype == np.float64 and h.flags.c_contiguous
+        assert np.array_equal(h, oracles.scalar_heatmap_build(seg, cfg, grid))
     assert not scene.far.any()
     _check_heat(win, scene, cfg)
     if case == "underflow":
-        assert not any(h.any() for h in maps) and np.all(scene.feature_matrix[:, 3] == 1.0)
+        assert not any(h.any() for _, h, _ in built) and np.all(scene.feature_matrix[:, 3] == 1.0)
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -790,6 +818,39 @@ def test_heat_distances_do_not_depend_on_blas_threads():
     assert digests[0] == digests[1]
     win = _synth_window(DENSE_SPEC, 0)
     assert digests[0].strip() == hashlib.sha256(build_scene(win).feature_matrix[:, 3].tobytes()).hexdigest()
+
+
+def test_heat_maps_live_in_a_band():
+    # the dense window's maps are built in band order and freed after their
+    # last pair, so build_scene never holds half of them at once
+    win = _synth_window(DENSE_SPEC, 0)
+    tracemalloc.start()
+    try:
+        scene = build_scene(win)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = window_grid(win)
+    used = {m for pair, far in zip(scene.pairs.tolist(), scene.far) if not far for m in pair}
+    assert len(used) > 80
+    assert peak < len(used) * grid.rows * grid.cols * 8 / 2
+
+
+def test_heat_band_order_on_a_chain_between_far_clusters(monkeypatch):
+    # two clusters 40 m apart joined by a chain of near walkers: the band of
+    # live maps moves along the chain, reusing freed buffers, and d_he equals
+    # the references
+    rng = np.random.default_rng(5)
+    paths = [np.array([x, y]) + np.cumsum(rng.normal(0.0, 0.3, size=(6, 2)), axis=0)
+             for x in (0.0, 40.0) for y in rng.uniform(0.0, 3.0, size=4)]
+    paths += [np.array([x, 1.5]) + np.cumsum(rng.normal(0.0, 0.3, size=(6, 2)), axis=0) for x in range(5, 40, 5)]
+    cfg = FeatureConfig(heat_k_s=0.1)
+    win = window_of(*(traj(m, p) for m, p in enumerate(paths, 1)))
+    built = _record_maps(monkeypatch)
+    scene = build_scene(win, cfg)
+    assert 0 < scene.far_count < len(scene.far)
+    assert len(built) == len(paths) and len({buffer for *_, buffer in built}) < len(paths) / 2
+    _check_heat(win, scene, cfg)
 
 
 def test_build_scene_empty_and_single_member_windows():
