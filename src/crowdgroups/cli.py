@@ -14,7 +14,7 @@ import logging
 import sys
 
 from .errors import ConfigError, CrowdGroupsError
-from .features import build_scene, write_features_csv
+from .features import build_scene
 from .harness import (
     RunConfig,
     dataclass_from_flat,
@@ -26,6 +26,7 @@ from .harness import (
     run_experiment,
     split_training_span,
     train_model,
+    write_features_csv,
     write_predictions,
     write_scene_stats,
 )

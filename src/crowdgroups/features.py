@@ -38,16 +38,14 @@ chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
   after its last pair, so only a band of them is alive at once.
 
 The public one-pair functions call the same kernels, so `build_scene` rows
-equal them exactly.
+equal them exactly. This module writes no file (harness writes the features CSV).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -554,13 +552,3 @@ def build_scene(window: TimeWindow, configs: FeatureConfig | None = None) -> Win
     features[no_overlap, 0] = features[no_overlap, 2] = NO_OVERLAP_DISTANCE
     return WindowedScene(window, features, fallback & ~no_overlap, no_overlap, far)
 
-
-def write_features_csv(scenes: Iterable[WindowedScene], out) -> None:
-    """One row per pair to the open text file `out`:
-    window,a,b,d_ph,d_sh,d_ca,d_he with 9 significant digits; far pairs read
-    1,1,1,1."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["window", "a", "b", *FEATURE_NAMES])
-    for scene in scenes:
-        for (a, b), d in zip(scene.pairs.tolist(), scene.feature_matrix):
-            writer.writerow([scene.window.index, a, b, *(f"{v:.9g}" for v in d)])

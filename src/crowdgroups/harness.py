@@ -5,6 +5,8 @@ that end inside the training span, predicts the remaining windows, and scores
 them per window; the protocol repeats over several seeds and the reports carry
 mean and standard deviation per metric. Config files are flat TOML (typed
 key = value lines, no tables); command-line flags override file values.
+This module formats every report file but the model (`Model.save`); one writer
+writes every CSV, `train_log.csv` (from iteration_hook) and the features CSV too.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import io
 import json
 import logging
 import tomllib
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, CrowdGroupsError
-from .features import FEATURE_NAMES, FeatureConfig, build_scene
+from .features import FEATURE_NAMES, FeatureConfig, WindowedScene, build_scene
 from .learning import (
     Model,
     TrainConfig,
@@ -83,7 +86,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 def read_config_file(path) -> dict:
     path = Path(path)
-    return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _format_scalar(value) -> str:
@@ -164,10 +170,7 @@ class RunConfig(FeatureConfig, TrainConfig):
 
 
 def prediction_entry(window_index: int, start_t: float, end_t: float, p: Partition) -> dict:
-    entry = p.to_json_obj(window_index)
-    entry["start_t"] = float(start_t)
-    entry["end_t"] = float(end_t)
-    return entry
+    return {"window": int(window_index), **p.to_json_obj(), "start_t": float(start_t), "end_t": float(end_t)}
 
 
 def write_predictions(path_or_file, seed: int, entries: list[dict]) -> None:
@@ -248,17 +251,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path_or_file, header: list[str], rows: Iterable[Iterable]) -> None:
+@contextmanager
+def _csv_rows(path_or_file, header: list[str]):
+    """Write the header to the open text file, or to the file at the path opened
+    here, then yield row(values), which writes one row, each value through _fmt."""
     own = not hasattr(path_or_file, "write")
-    fh = open(path_or_file, "w", encoding="utf-8", newline="") if own else path_or_file
-    try:
+    with open(path_or_file, "w", encoding="utf-8", newline="") if own else nullcontext(path_or_file) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
+        yield lambda row: writer.writerow([_fmt(v) for v in row])
+
+
+def _write_csv(path_or_file, header: list[str], rows: Iterable[Iterable]) -> None:
+    with _csv_rows(path_or_file, header) as write_row:
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    finally:
-        if own:
-            fh.close()
+            write_row(row)
+
+
+def write_features_csv(scenes: Iterable[WindowedScene], out) -> None:
+    """One row per pair to the open text file (or the file at the path) `out`:
+    window,a,b,d_ph,d_sh,d_ca,d_he with 9 significant digits; far pairs read
+    1,1,1,1."""
+    _write_csv(out, ["window", "a", "b", *FEATURE_NAMES], (
+        [scene.window.index, a, b, *d]
+        for scene in scenes
+        for (a, b), d in zip(scene.pairs.tolist(), scene.feature_matrix.tolist())
+    ))
 
 
 def evaluate_predictions(truth_path, pred_path) -> str:
@@ -323,9 +341,13 @@ def make_training_examples(windows, labels, configs: FeatureConfig | None = None
 def train_model(config: RunConfig, examples: list[TrainingExample], log) -> Model:
     """Sequential training in sequential mode, batch BCFW otherwise (online
     mode starts predicting from the batch model); the model records the
-    config's flat settings."""
+    config's flat settings. `log` (a path, open text file or None) gets a row per update."""
     train = sequential_train if config.mode == "sequential" else bcfw_train
-    model = train(examples, config, log=log)
+    if log is None:
+        model = train(examples, config)
+    else:
+        with _csv_rows(log, ["iter", "block", "hinge", "gamma", "gap", "exact"]) as write_row:
+            model = train(examples, config, iteration_hook=lambda _, info: write_row([*info[:5], int(info.exact)]))
     model.config_snapshot = config.to_flat_dict()
     return model
 

@@ -21,14 +21,14 @@ max_iterations budget is spent in shares as they arrive) and online
 (self-supervised from own predictions: each scene appends one block to the
 model and spends ONLINE_STEPS updates on that block only) modes share that
 update, which reads C and the loss from the model it changes.
+Training writes nothing: batch and sequential training report each update
+only through iteration_hook(model, info), from which the harness logs it.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -82,10 +82,12 @@ class TrainingExample:
         return self._merge_starts[kind].copy()
 
 
-def _check_ranges(C: float, count_name: str, count: int) -> None:
-    """The range checks TrainConfig and Model share: C > 0 and a non-negative count."""
+def _check_ranges(C: float, seed: int, count_name: str, count: int) -> None:
+    """The range checks TrainConfig and Model share: C > 0, seed >= 0 and count >= 0."""
     if C <= 0:
         raise ConfigError(f"C must be positive, got {C}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     if count < 0:
         raise ConfigError(f"{count_name} must be non-negative")
 
@@ -101,7 +103,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        _check_ranges(self.C, "max_iterations", self.max_iterations)
+        _check_ranges(self.C, self.seed, "max_iterations", self.max_iterations)
 
 
 @dataclass(eq=False)
@@ -140,7 +142,7 @@ class Model:
                 raise ValueError(f"{name} must be finite")
         self.config_snapshot = dict(self.config_snapshot or {})
         _check_fields(self)
-        _check_ranges(self.C, "iterations", self.iterations)
+        _check_ranges(self.C, self.seed, "iterations", self.iterations)
 
     @property
     def alpha(self) -> np.ndarray:
@@ -186,7 +188,7 @@ class Model:
     def load(cls, path) -> "Model":
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or not UTF-8
             raise ConfigError(f"{path}: not a valid model file: {exc}") from None
         return cls.from_dict(obj)
 
@@ -327,27 +329,18 @@ def _bcfw_step(model: Model, planes: _Planes, i: int, exact: bool = False) -> _S
     return _StepInfo(model.iterations, i, float(hinges[j]), gamma, gap, not cached)
 
 
-@contextmanager
-def _train_log(path):
-    """Yields row(info), which appends one `iter,block,hinge,gamma,gap,exact`
-    row to the CSV at path (a no-op when path is None)."""
-    if path is None:
-        yield lambda info: None
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iter", "block", "hinge", "gamma", "gap", "exact"])
-        yield lambda info: writer.writerow([
-            info.iteration, info.block, f"{info.hinge:.9g}", f"{info.gamma:.9g}",
-            f"{info.gap:.9g}", int(info.exact),
-        ])
+def _hooked_step(model: Model, blocks: list[_Planes], i: int, iteration_hook, exact: bool = False) -> _StepInfo:
+    """_bcfw_step on block i, then iteration_hook(model, info) when one is given."""
+    info = _bcfw_step(model, blocks[i], i, exact)
+    if iteration_hook is not None:
+        iteration_hook(model, info)
+    return info
 
 
 def bcfw_train(
     examples: Iterable[TrainingExample],
     config: TrainConfig | None = None,
     *,
-    log=None,
     iteration_hook=None,
 ) -> Model:
     """Batch Block-Coordinate Frank-Wolfe over the given examples.
@@ -357,8 +350,8 @@ def bcfw_train(
     are one exact update per block, whose gaps sum to the reported duality
     gap (that pass runs even when the budget is smaller). The oracle is
     greedy, not exact, so that gap is an estimate, not a bound: it can be
-    negative. Returns the trained model. `log` is a CSV path or None.
-    iteration_hook(model, info), when given, sees the model after every update.
+    negative. Returns the trained model. iteration_hook(model, info), when
+    given, sees the model after every update.
     """
     config = config or TrainConfig()
     model = Model(C=config.C, seed=config.seed, loss=config.loss, mode="batch")
@@ -369,18 +362,9 @@ def bcfw_train(
         raise ConfigError("training requires at least one example")
     n = len(blocks)
     rng = np.random.default_rng(config.seed)
-    with _train_log(log) as log_row:
-
-        def step(i: int, exact: bool = False) -> _StepInfo:
-            info = _bcfw_step(model, blocks[i], i, exact)
-            log_row(info)
-            if iteration_hook is not None:
-                iteration_hook(model, info)
-            return info
-
-        for _ in range(config.max_iterations - n):
-            step(int(rng.integers(n)))
-        gap = sum(step(i, exact=True).gap for i in range(n))
+    for _ in range(config.max_iterations - n):
+        _hooked_step(model, blocks, int(rng.integers(n)), iteration_hook)
+    gap = sum(_hooked_step(model, blocks, i, iteration_hook, exact=True).gap for i in range(n))
     logger.info("duality gap %.6g after %d iterations", gap, model.iterations)
     return model
 
@@ -389,24 +373,23 @@ def sequential_train(
     examples: Sequence[TrainingExample],
     config: TrainConfig | None = None,
     *,
-    log=None,
+    iteration_hook=None,
 ) -> Model:
     """Feed the examples in arrival order: after arrival k of n, uniformly
     random updates over the k blocks seen so far (drawn from a generator
     seeded with config.seed) until config.max_iterations * k // n updates are
-    spent in all. Returns the trained model. `log` is a CSV path or None."""
+    spent in all. Returns the trained model. iteration_hook(model, info), when
+    given, sees the model after every update."""
     config = config or TrainConfig()
     if not examples:
         raise ConfigError("training requires at least one example")
     rng = np.random.default_rng(config.seed)
     model = Model(C=config.C, seed=config.seed, loss=config.loss, mode="sequential")
     blocks: list[_Planes] = []
-    with _train_log(log) as log_row:
-        for k, example in enumerate(examples, start=1):
-            _add_block(model, blocks, example)
-            while model.iterations < config.max_iterations * k // len(examples):
-                i = int(rng.integers(k))
-                log_row(_bcfw_step(model, blocks[i], i))
+    for k, example in enumerate(examples, start=1):
+        _add_block(model, blocks, example)
+        while model.iterations < config.max_iterations * k // len(examples):
+            _hooked_step(model, blocks, int(rng.integers(k)), iteration_hook)
     return model
 
 

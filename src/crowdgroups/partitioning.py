@@ -67,13 +67,8 @@ class Partition:
                 out[m] = k
         return out
 
-    def to_json_obj(self, window_index: int | None = None) -> dict:
-        obj: dict = {}
-        if window_index is not None:
-            obj["window"] = int(window_index)
-        obj["groups"] = [list(c) for c in self.groups]
-        obj["singletons"] = list(self.singleton_members)
-        return obj
+    def to_json_obj(self) -> dict:
+        return {"groups": [list(c) for c in self.groups], "singletons": list(self.singleton_members)}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Partition":

@@ -131,6 +131,8 @@ def synth_generate(
     formation over the first quarter of the sequence.
     """
     spec = spec or SynthSpec()
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     n_steps = int(round(spec.duration * spec.fps))
     if n_steps < spec.lag + 2:

@@ -202,13 +202,15 @@ def _parse_id(token: str) -> int:
 
 
 def _records(path: Path) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) of every line of the file that is neither
-    blank nor a `#` comment."""
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if text and not text.startswith("#"):
-                yield lineno, text
+    """(line number, stripped text) of every line of the UTF-8 file that is
+    neither blank nor a `#` comment; lines end as in text mode (\\n, \\r, \\r\\n)."""
+    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            text = line.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise TrajectoryParseError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from None
+        if text and not text.startswith("#"):
+            yield lineno, text
 
 
 def load_trajectories(path, homography: Homography | None = None, fps: float = 1.0) -> list[Trajectory]:
@@ -255,9 +257,9 @@ def load_trajectories(path, homography: Homography | None = None, fps: float = 1
 
 
 def load_homography(path) -> Homography:
-    """Read 9 whitespace-separated floats as a row-major 3x3 matrix."""
+    """Read 9 whitespace-separated floats as a row-major 3x3 matrix; `#` starts a comment line."""
     path = Path(path)
-    tokens = path.read_text(encoding="utf-8").split()
+    tokens = [token for _, text in _records(path) for token in text.split()]
     if len(tokens) != 9:
         raise TrajectoryParseError(f"{path}: expected 9 floats, got {len(tokens)}")
     try:
@@ -356,7 +358,8 @@ def slice_windows(trajectories: Iterable[Trajectory], window_len: float, stride:
 
     A window is emitted only when fully inside the span (each sample counts as
     occupying one median frame period). Members with fewer than 2 in-window
-    samples are excluded and recorded in `dropped`.
+    samples are excluded and recorded in `dropped`. A stride that would start
+    more windows than the trajectories have samples raises ConfigError.
     """
     for name, value in (("window_len", window_len), ("stride", stride)):
         if not (math.isfinite(value) and value > 0):
@@ -371,6 +374,9 @@ def slice_windows(trajectories: Iterable[Trajectory], window_len: float, stride:
     )
     frame_period = float(np.median(gaps)) if gaps.size else 0.0
     span_end = t_max + frame_period
+    samples = sum(map(len, trajectories))
+    if (span_end + _SPAN_EPS - t_min - window_len) // stride + 1 > samples:
+        raise ConfigError(f"stride {stride} starts more windows than the data's {samples} samples")
     windows: list[TimeWindow] = []
     index = 0
     while t_min + index * stride + window_len <= span_end + _SPAN_EPS:

@@ -155,6 +155,9 @@ def test_run_config_validation():
         RunConfig(loss="accuracy")
     with pytest.raises(ConfigError):
         RunConfig(granger_lag=0)
+    for cls in (TrainConfig, RunConfig, Model):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            cls(seed=-1)
 
 
 @pytest.mark.parametrize("cls, key, value", [
@@ -717,7 +720,8 @@ def test_cli_predict_rejects_wrong_typed_model_field(dataset_dir, tmp_path, caps
 @pytest.mark.parametrize("key, value, message", [
     ("C", -1, "C must be positive, got -1"),
     ("iterations", -5, "iterations must be non-negative"),
-], ids=["C--1", "iterations--5"])
+    ("seed", -1, "seed must be non-negative, got -1"),
+], ids=["C--1", "iterations--5", "seed--1"])
 def test_cli_predict_rejects_out_of_range_model_field(dataset_dir, tmp_path, capsys, key, value, message):
     obj = Model(w=np.ones(8), config_snapshot={"window_len": 8.0, "stride": 8.0}).to_dict()
     model_path = tmp_path / "model.json"

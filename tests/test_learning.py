@@ -19,6 +19,7 @@ from crowdgroups import (
     LOSSES,
     Model,
     Partition,
+    RunConfig,
     SynthSpec,
     TrainConfig,
     TrainingExample,
@@ -38,6 +39,7 @@ from crowdgroups import (
     synth_generate,
 )
 from crowdgroups import features, learning
+from crowdgroups.harness import train_model
 from crowdgroups.losses import MergeLoss
 
 from oracles import (
@@ -409,10 +411,13 @@ def test_bcfw_requires_examples():
 
 
 def test_train_log_csv(tmp_path):
+    # the harness writes the log from the hook; training is deterministic per
+    # seed, so its rows are the infos a second run's hook sees
     path = tmp_path / "train_log.csv"
     examples = [separable_example(), separable_example(near=0.2, far=0.8)]
     infos = []
-    bcfw_train(examples, TrainConfig(max_iterations=30), log=path,
+    train_model(RunConfig(max_iterations=30), examples, path)
+    bcfw_train(examples, TrainConfig(max_iterations=30),
                iteration_hook=lambda m, info: infos.append(info))
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,block,hinge,gamma,gap,exact"
@@ -432,6 +437,16 @@ def test_train_log_csv(tmp_path):
     assert first == {"0": "1", "1": "1"}
     assert "0" in [fields[5] for fields in rows]
     assert [(fields[1], fields[5]) for fields in rows[-2:]] == [("0", "1"), ("1", "1")]
+
+
+@pytest.mark.parametrize("mode", ["batch", "sequential"])
+def test_unwritable_train_log_fails_before_the_first_update(tmp_path, monkeypatch, mode):
+    steps = []
+    monkeypatch.setattr(learning, "_bcfw_step", lambda *args: steps.append(args))
+    with pytest.raises(OSError):
+        train_model(RunConfig(mode=mode, max_iterations=30), [separable_example()],
+                    tmp_path / "missing" / "train_log.csv")
+    assert steps == []
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +540,7 @@ def test_sequential_spends_max_iterations_over_arrivals(tmp_path, monkeypatch):
 
     monkeypatch.setattr(learning, "_add_block", counted)
     log = tmp_path / "train_log.csv"
-    model = sequential_train(examples, TrainConfig(max_iterations=25, seed=2), log=log)
+    model = train_model(RunConfig(mode="sequential", max_iterations=25, seed=2), examples, log)
     ends = arrivals[1:] + [model.iterations]
     assert ends == [8, 16, 25]
     assert model.block_w.shape == (3, 8)
@@ -535,6 +550,22 @@ def test_sequential_spends_max_iterations_over_arrivals(tmp_path, monkeypatch):
         arrived = 1 + sum(end < int(row[0]) for end in ends)
         assert int(row[1]) < arrived
     assert {row[1] for row in rows} == {"0", "1", "2"}
+
+
+def test_sequential_hook_sees_every_update_once_per_log_row(tmp_path):
+    examples = noisy_examples()[:4]
+    seen = []
+    model = sequential_train(examples, TrainConfig(max_iterations=37, seed=1),
+                             iteration_hook=lambda m, info: seen.append((m.iterations, info)))
+    assert [k for k, _ in seen] == [info.iteration for _, info in seen] == list(range(1, 38))
+    assert model.iterations == 37
+    log = tmp_path / "train_log.csv"
+    train_model(RunConfig(mode="sequential", max_iterations=37, seed=1), examples, log)
+    rows = [line.split(",") for line in log.read_text().splitlines()[1:]]
+    assert len(rows) == len(seen) == 37
+    for row, (_, info) in zip(rows, seen):
+        assert row == [str(info.iteration), str(info.block), f"{info.hinge:.9g}",
+                       f"{info.gamma:.9g}", f"{info.gap:.9g}", str(int(info.exact))]
 
 
 def test_online_predict_train_yields_and_updates(monkeypatch):
@@ -736,9 +767,10 @@ def test_training_is_byte_identical_per_seed(tmp_path):
     examples = noisy_examples()
     runs = []
     for k in range(2):
-        config = TrainConfig(C=1.0, max_iterations=150, seed=7)
-        batch = bcfw_train(examples, config, log=tmp_path / f"batch{k}.csv")
-        sequential = sequential_train(examples, config, log=tmp_path / f"seq{k}.csv")
+        config = RunConfig(C=1.0, max_iterations=150, seed=7)
+        batch = train_model(config, examples, tmp_path / f"batch{k}.csv")
+        sequential = train_model(dataclasses.replace(config, mode="sequential"), examples,
+                                 tmp_path / f"seq{k}.csv")
         online = list(online_predict_train([ex.scene for ex in examples[:4]], batch))
         runs.append((snapshot(batch), snapshot(sequential),
                      [(p, snapshot(m)) for p, m in online]))

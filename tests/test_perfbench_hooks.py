@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 
 from crowdgroups import (
-    TimeWindow, TrainConfig, TrainingExample, Trajectory, affinity, bcfw_train, build_scene,
-    greedy_cc, loss_augmented_oracle,
+    RunConfig, TimeWindow, TrainingExample, Trajectory, affinity, build_scene, greedy_cc,
+    loss_augmented_oracle,
 )
+from crowdgroups.harness import train_model
 
 from oracles import random_partition, random_scene
 
@@ -92,7 +93,7 @@ def test_training_log_and_result_keep_what_the_benchmark_reads(tmp_path):
         scene = random_scene(6, rng)
         examples.append(TrainingExample(scene, random_partition(list(scene.members), rng)))
     log = tmp_path / "train_log.csv"
-    model = bcfw_train(examples, TrainConfig(max_iterations=30), log=log)
+    model = train_model(RunConfig(max_iterations=30), examples, log)
     with open(log, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 30

@@ -33,6 +33,8 @@ def test_spec_validation():
         SynthSpec(behavior="circling")
     with pytest.raises(ConfigError):
         SynthSpec(noise_std=-0.1)
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        synth_generate(SynthSpec(), seed=-1)
 
 
 def test_generation_is_deterministic():

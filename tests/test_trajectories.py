@@ -187,6 +187,19 @@ def test_load_homography(tmp_path):
         load_homography(f)
 
 
+def test_files_that_are_not_utf8_name_the_file_and_line(tmp_path):
+    trajectories = tmp_path / "trajectories.txt"
+    trajectories.write_bytes(b"0 1 0.0 0.0\r\n1 1 \xff 0.0\n")
+    with pytest.raises(TrajectoryParseError, match=r"trajectories\.txt:2: not UTF-8 text"):
+        load_trajectories(trajectories)
+    homography = tmp_path / "H.txt"
+    homography.write_bytes(b"# ground plane\n1 0 0\n0 1 0\n0 0 \xfe\n")
+    with pytest.raises(TrajectoryParseError, match=r"H\.txt:4: not UTF-8 text"):
+        load_homography(homography)
+    homography.write_bytes(b"# ground plane\r1 0 0\r0 1 0\r0 0 1\r")
+    assert np.array_equal(load_homography(homography).h, np.eye(3))
+
+
 def test_load_ground_truth(tmp_path):
     f = tmp_path / "groups.txt"
     f.write_text("# groups\n1 2 3\n4 5\n")
@@ -289,6 +302,16 @@ def test_slice_windows_validation():
     for window_len, stride in bad:
         with pytest.raises(ConfigError, match="must be finite and positive"):
             slice_windows(trajs, window_len, stride)
+
+
+def test_slice_windows_starts_at_most_one_window_per_sample():
+    # 10 samples 1 s apart span [0, 10): stride 1 starts 10 windows of 1 s, as
+    # many as there are samples; a shorter stride, or a tiny one, is refused
+    trajs = [make_traj(1, np.arange(10.0))]
+    assert len(slice_windows(trajs, 1.0, 1.0)) == 10
+    for stride in (0.5, 1e-300, 5e-324):
+        with pytest.raises(ConfigError, match="more windows than the data's 10 samples"):
+            slice_windows(trajs, 1.0, stride)
 
 
 def test_slice_windows_drops_single_sample_members():
