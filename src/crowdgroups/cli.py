@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import logging
+import os
 import sys
+from pathlib import Path
 
 from .errors import ConfigError, CrowdGroupsError
 from .features import build_scene
@@ -63,6 +66,24 @@ def _config_values(args: argparse.Namespace) -> dict:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_dict(_config_values(args))
+
+
+def _check_output(path: str | None) -> None:
+    """Raise, before any work, the OSError that writing the file at path would:
+    a directory there, no directory to hold it, or no write permission (None
+    and "-" are stdout)."""
+    if path is None or path == "-":
+        return
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOENT
+    elif not os.access(target if target.exists() else target.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 @contextlib.contextmanager
@@ -135,6 +156,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_features(args) -> int:
     config = _resolve_config(args)
+    _check_output(args.out)
     windows = dataset_windows(load_dataset(args.data), config.window_len, config.stride)
     scenes = [build_scene(w, config) for w in windows]
     with _output(args.out) as fh:
@@ -147,6 +169,8 @@ def _cmd_train(args) -> int:
     config = RunConfig.from_dict(values)
     if config.mode == "online":
         raise ConfigError("online mode trains during prediction; use the run command")
+    _check_output(args.out)
+    _check_output(args.log)
     dataset = load_dataset(args.data)
     if dataset.labels is None:
         raise ConfigError(f"{args.data}: ground truth is required to train")
@@ -164,6 +188,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = Model.load(args.model)
+    _check_output(args.out)
     dataset = load_dataset(args.data)
     entries = predict_windows(dataset, model, window_len=args.window_len, stride=args.stride)
     with _output(args.out) as fh:

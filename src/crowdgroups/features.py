@@ -3,7 +3,7 @@
 Each pedestrian pair gets four bounded distances: physical closeness under a
 Gaussian-mixture model of interpersonal zones (d_ph), path-shape divergence by
 dynamic time warping (d_sh), absence of temporal causality by a Granger F-test
-(d_ca), and divergence of visited-area heat maps (d_he). All are emitted as
+(d_ca), and divergence of the visited areas (d_he). All are emitted as
 distances in [0, 1]. A window's features are one pair table, `WindowedScene`:
 a (pairs, 4) matrix with one row per unordered member pair, in
 np.triu_indices(n, 1) order over the sorted members, plus per-row flags for
@@ -33,9 +33,9 @@ chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
   than design columns are fitted. Designs whose R diagonal shows rank
   deficiency are refitted by np.linalg.lstsq, whose rank handling is the
   reference. The F CDF of each batch's statistics is one closed form.
-- d_he maps, only for members of pairs that are not far, add slices of one
-  kernel image per window. They are built along the crowd and each is freed
-  after its last pair, so only a band of them is alive at once.
+- d_he is 1 - the cosine of two kernel mean embeddings: Gaussians of length
+  heat_length on the visited cells, weighted by E = exp(-k_r * dwell). Their
+  inner products need only the cells' distances, so no grid is built.
 
 The public one-pair functions call the same kernels, so `build_scene` rows
 equal them exactly. This module writes no file (harness writes the features CSV).
@@ -69,13 +69,13 @@ _ONE_PAIR = (np.array([0]), np.array([1]))
 class FeatureConfig:
     """Feature settings: the standard deviations (meters) of the interpersonal-zone
     Gaussians, the causality lag order m (a pair needs K >= 2m + 2 common samples),
-    and the heat-map cell edge and spatial (k_s) and temporal (k_r) coefficients.
+    and the heat cell edge and length (meters) and k_r (per second of dwell).
     Field names are the run-config keys."""
 
     proxemic_sigmas: tuple[float, ...] = HALL_SIGMAS
     granger_lag: int = 2
     heat_cell_edge: float = 0.30
-    heat_k_s: float = 1e-5
+    heat_length: float = 3.0
     heat_k_r: float = 0.5
 
     def __post_init__(self):
@@ -86,10 +86,8 @@ class FeatureConfig:
             raise ConfigError("proxemic sigmas must be strictly increasing")
         if self.granger_lag < 1:
             raise ConfigError(f"granger lag must be >= 1, got {self.granger_lag}")
-        if self.heat_cell_edge <= 0:
-            raise ConfigError(f"cell_edge must be positive, got {self.heat_cell_edge}")
-        if self.heat_k_s < 0 or self.heat_k_r < 0:
-            raise ConfigError("k_s and k_r must be non-negative")
+        if min(self.heat_cell_edge, self.heat_length) <= 0 or self.heat_k_r < 0:
+            raise ConfigError("heat_cell_edge and heat_length must be positive and heat_k_r non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,137 +396,79 @@ def granger_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig | 
     return float(value[0])
 
 
-@dataclass(frozen=True)
-class HeatmapGrid:
-    """Cell grid anchored at (x0, y0); rows follow y, columns follow x."""
-
-    x0: float
-    y0: float
-    cell: float
-    rows: int
-    cols: int
-
-
-def _points_grid(points: np.ndarray, cell: float) -> HeatmapGrid:
-    x0 = float(points[:, 0].min())
-    y0 = float(points[:, 1].min())
-    cols = int(math.floor((float(points[:, 0].max()) - x0) / cell)) + 1
-    rows = int(math.floor((float(points[:, 1].max()) - y0) / cell)) + 1
-    return HeatmapGrid(x0=x0, y0=y0, cell=cell, rows=rows, cols=cols)
-
-
-def window_grid(window: TimeWindow, cfg: FeatureConfig | None = None) -> HeatmapGrid:
-    """Grid covering every member position of the window."""
-    cfg = cfg or FeatureConfig()
-    if not window.segments:
-        return HeatmapGrid(0.0, 0.0, cfg.heat_cell_edge, 1, 1)
-    return _points_grid(np.vstack([seg.points for seg in window.segments.values()]), cfg.heat_cell_edge)
+def _heat_cells(segments, origin: np.ndarray, cfg: FeatureConfig):
+    """(segments, V, 3) zero-padded rows (x, y, E) of each segment's visited
+    cells in (x, y) order, and V per segment: centres relative to `origin` of
+    cells of edge heat_cell_edge anchored there; E = exp(-k_r * dwell seconds)
+    over the largest, a cell's dwells summed in time order. Rows are per segment."""
+    lengths = [len(seg) for seg in segments]
+    dwell = np.append(np.diff(np.concatenate([seg.times for seg in segments])), 0.0)
+    dwell[np.cumsum(lengths) - 1] = 0.0  # a segment's last sample
+    cells = np.floor((np.concatenate([seg.points for seg in segments]) - origin) / cfg.heat_cell_edge)
+    keys = np.column_stack([np.repeat(np.arange(len(segments)), lengths), cells])
+    order = np.lexsort(keys.T[::-1])  # stable: a cell's samples stay in time order
+    first = np.append(True, np.diff(keys[order], axis=0).any(axis=1))
+    dwells = np.bincount(np.cumsum(first) - 1, weights=dwell[order])
+    owner, cells = keys[order[first], 0].astype(int), keys[order[first], 1:]
+    counts = np.bincount(owner, minlength=len(segments))
+    table = np.zeros((len(segments), counts.max(initial=0), 3))
+    slot = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    table[owner, slot] = np.column_stack([(cells + 0.5) * cfg.heat_cell_edge, np.exp(-cfg.heat_k_r * dwells)])
+    peak = table[..., 2].max(axis=1, keepdims=True)
+    table[..., 2] /= np.where(peak > 0.0, peak, 1.0)  # the cosine does not see scale
+    return table, counts
 
 
-def _kernel_image(cfg: FeatureConfig, grid: HeatmapGrid) -> np.ndarray:
-    dr, dc = (np.arange(1 - n, n, dtype=float) for n in (grid.rows, grid.cols))
-    return np.exp(-cfg.heat_k_s * np.hypot(dr[:, None], dc[None, :]))
-
-
-def _heatmap(h: np.ndarray, seg: Trajectory, cfg: FeatureConfig, grid: HeatmapGrid, image) -> np.ndarray:
-    """The max-normalized heat map of `seg`, written into and returned as the
-    (rows, cols) array `h`. Each map cell sums, from 0 in first-visit order,
-    fl(K * E) over visited cells: E the cell's energy, K a slice of the kernel
-    `image`. On a flat buffer with the row stride of the sub-image the map's
-    visited box reaches (columns past `cols` are padding), each deposit is one
-    contiguous add of that sub-image pre-scaled by E, once per distinct E: the
-    same products in the same order, so the same bits."""
-    rows, cols = grid.rows, grid.cols
-    keys = np.floor((seg.points - (grid.x0, grid.y0)) / grid.cell).astype(int) @ (1, cols)
-    visited, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    dwells = np.bincount(which, weights=np.append(np.diff(seg.times), 0.0))
-    (rmin, rmax), (cmin, cmax) = ((int(i.min()), int(i.max())) for i in np.divmod(visited, cols))
-    width = cols + cmax - cmin
-    sub = image[rows - 1 - rmax : 2 * rows - 1 - rmin, cols - 1 - cmax : 2 * cols - 1 - cmin]
-    flat = np.zeros(rows * width)
-    span = flat[: (rows - 1) * width + cols]
-    order = np.argsort(first).tolist()
-    energies = [math.exp(-cfg.heat_k_r * dwells[v]) for v in order]
-    last = {energy: v for v, energy in zip(order, energies)}  # each energy's last cell
-    scaled = {}  # energy -> sub-image times it, flattened; dropped after its last cell
-    for v, energy in zip(order, energies):
-        row, col = divmod(int(visited[v]), cols)  # keys are row * cols + col
-        if energy not in scaled:
-            scaled[energy] = np.multiply(sub, energy).ravel()
-        base = (rmax - row) * width + cmax - col
-        span += (scaled.pop(energy) if last[energy] == v else scaled[energy])[base : base + len(span)]
-    h[...] = flat.reshape(rows, width)[:, :cols]
-    peak = h.max()
-    if peak > 0.0:
-        h /= peak
-    return h
-
-
-def heatmap_build(seg: Trajectory, cfg: FeatureConfig | None = None, grid: HeatmapGrid | None = None) -> np.ndarray:
-    """Max-normalized heat map of the segment on `grid` (by default the
-    smallest grid covering the segment; maps built on one window's grid are
-    comparable).
-
-    Each visited cell deposits E = exp(-k_r * occupancy seconds) once; each
-    map cell then receives sum over visited cells of E * exp(-k_s *
-    grid-index distance). Raises ValueError when the segment leaves the grid.
-    """
-    cfg = cfg or FeatureConfig()
-    if grid is None:
-        grid = _points_grid(seg.points, cfg.heat_cell_edge)
-    cells = np.floor((seg.points - (grid.x0, grid.y0)) / grid.cell)  # (col, row) per sample
-    if cells.min() < 0 or np.any(cells.max(axis=0) >= (grid.cols, grid.rows)):
-        raise ValueError(f"pedestrian {seg.pedestrian_id}: segment falls outside the heat-map grid")
-    return _heatmap(np.empty((grid.rows, grid.cols)), seg, cfg, grid, _kernel_image(cfg, grid))
-
-
-def _cosine_distance(dots, norm_a, norm_b):
-    """1 - dots / (norm_a * norm_b) clipped to [0, 1]; 1 where a norm is 0."""
+def _heat_rows(table, counts, ia, ib, cfg: FeatureConfig) -> np.ndarray:
+    """d_he per pair of table rows: 1 - <a, b> / sqrt(<a, a> <b, b>) in [0, 1], 1 if a
+    self product is 0; <a, b> = sum_ij E_i E_j exp(-|c_i - c_j|^2 / (4 length^2)) by
+    np.sum (a BLAS dot depends on thread count). Pairs and one self pair per row batch
+    by V = max(Va, Vb), both read to V cells, so each sum has a one-pair call's shape;
+    chunks split only rows (pair, i). sqrt(fl(s * s)) = s, so d_he(a, a) = 0."""
+    n, rows = len(ia), np.arange(len(counts))
+    ia, ib = np.concatenate([ia, rows]), np.concatenate([ib, rows])
+    x, y, e = np.moveaxis(table, 2, 0)
+    products = np.zeros(len(ia))  # 0 for a pair of rows without cells
+    width = np.maximum(counts[ia], counts[ib])
+    for v in np.unique(width[width > 0]).tolist():
+        batch = np.flatnonzero(width == v)
+        owner = np.repeat(ib[batch], v)  # the second member of each row (pair, i)
+        ax, ay, ae = (plane[ia[batch], :v].ravel() for plane in (x, y, e))
+        inner = np.empty(len(owner))
+        for chunk in _chunks(len(owner), 8 * v):
+            b = owner[chunk]
+            dx, dy = ax[chunk, None] - x[b, :v], ay[chunk, None] - y[b, :v]
+            inner[chunk] = np.sum(np.exp((dx * dx + dy * dy) * (-0.25 / cfg.heat_length**2)) * e[b, :v], axis=1)
+        products[batch] = np.sum((ae * inner).reshape(-1, v), axis=1)
+    dots, sa, sb = products[:n], products[n:][ia[:n]], products[n:][ib[:n]]
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.clip(1.0 - dots / (norm_a * norm_b), 0.0, 1.0)
-    return np.where((norm_a == 0.0) | (norm_b == 0.0), 1.0, value)
+        return np.where(sa * sb == 0.0, 1.0, np.clip(1.0 - dots / np.sqrt(sa * sb), 0.0, 1.0))
 
 
-def _heat_rows(segments, cfg: FeatureConfig, grid: HeatmapGrid, ia, ib) -> np.ndarray:
-    """d_he per pair (segments[ia[k]], segments[ib[k]]), summed by NumPy (a BLAS
-    dot depends on the thread count). Maps are built along the principal axis
-    of the path centroids, a pair's dot right after its later map, and a buffer
-    is reused after its map's last pair, so only a band of maps is alive."""
-    used, slots = np.unique(np.concatenate([ia, ib]), return_inverse=True)
-    if not len(used):
-        return np.empty(0)
-    centroids = np.array([segments[m].points.mean(axis=0) for m in used])
-    centroids -= centroids.mean(axis=0)
-    order = np.argsort(centroids @ np.linalg.svd(centroids, full_matrices=False)[2][0], kind="stable")
-    sa, sb = pairs = slots.reshape(2, -1)
-    step = np.argsort(order)[pairs].max(axis=0)  # the later map's rank: the pair's dot is taken then
-    last = np.zeros(len(used), dtype=int)
-    np.maximum.at(last, slots, np.tile(step, 2))  # the step of each map's last pair
-    image = _kernel_image(cfg, grid)
-    maps, free, squares, dots = {}, [], np.empty(len(used)), np.empty(len(ia))
-    for u, due, done in zip(order.tolist(), _by_key(step, len(used)), _by_key(last, len(used))):
-        buffer = free.pop() if free else np.empty((grid.rows, grid.cols))
-        h = maps[u] = _heatmap(buffer, segments[used[u]], cfg, grid, image)
-        squares[u] = (h * h).sum()
-        for k, a, b in zip(due.tolist(), sa[due].tolist(), sb[due].tolist()):
-            dots[k] = (maps[a] * maps[b]).sum()
-        free.extend(maps.pop(v) for v in done.tolist())
-    return _cosine_distance(dots, *np.sqrt(squares)[pairs])
+def heatmap_build(seg: Trajectory, cfg: FeatureConfig | None = None, origin=None) -> np.ndarray:
+    """The segment's visited cells as (V, 3) rows (x, y, E): centres relative
+    to `origin` of cells of edge heat_cell_edge anchored there (by default the
+    segment's lowest point; build_scene uses the window's), and energies
+    exp(-k_r * occupancy seconds) over the largest; a revisit counts once."""
+    return _heat_cells([seg], seg.points.min(axis=0) if origin is None else origin, cfg or FeatureConfig())[0][0]
 
 
-def heatmap_distance(h_a: np.ndarray, h_b: np.ndarray) -> float:
-    """1 - cosine similarity of the two maps; all-zero maps are maximally far."""
-    if h_a.shape != h_b.shape:
-        raise ValueError(f"heat maps differ in shape: {h_a.shape} vs {h_b.shape}")
-    return float(_cosine_distance((h_a * h_b).sum(), np.sqrt((h_a * h_a).sum()), np.sqrt((h_b * h_b).sum())))
+def heatmap_distance(h_a: np.ndarray, h_b: np.ndarray, cfg: FeatureConfig | None = None) -> float:
+    """d_he of two heatmap_build results on the same cells: 1 - the cosine of
+    their maps, Gaussians of length heat_length on the energy-weighted cell
+    centres; 1 when a map's energies all underflowed."""
+    counts = np.array([len(h_a), len(h_b)])
+    table = np.zeros((2, counts.max(), 3))
+    table[0, : counts[0]], table[1, : counts[1]] = h_a, h_b
+    return float(_heat_rows(table, counts, *_ONE_PAIR, cfg or FeatureConfig())[0])
 
 
 def build_scene(window: TimeWindow, configs: FeatureConfig | None = None) -> WindowedScene:
     """Compute all four features for every unordered member pair of the window,
     one row per pair in the scene's triu order.
 
-    Far pairs get (1, 1, 1, 1), flagged far, and no kernel runs on them; heat
-    maps are built, on the window grid, only for members of the other pairs.
+    Far pairs get (1, 1, 1, 1), flagged far, and no kernel runs on them;
+    visited cells are listed only for members of the other pairs.
     Pairs that never co-occur get d_ph = d_ca = 1 (maximally dissimilar) while
     d_sh and d_he are still computed, flagged no_overlap; pairs with too few
     common samples for the causality regression carry the 0.5 fallback,
@@ -547,7 +487,11 @@ def build_scene(window: TimeWindow, configs: FeatureConfig | None = None) -> Win
     features[keep, 0] = _proxemic_rows(aligned, ka, kb, configs)
     features[keep, 1] = _dtw_rows(segments, ka, kb, DTW_TAU)
     features[keep, 2], fallback[keep] = _granger_rows(aligned, ka, kb, configs)
-    features[keep, 3] = _heat_rows(segments, configs, window_grid(window, configs), ka, kb)
+    used, slots = np.unique(np.concatenate([ka, kb]), return_inverse=True)
+    if len(used):
+        origin = np.vstack([seg.points for seg in window.segments.values()]).min(axis=0)
+        table, counts = _heat_cells([segments[u] for u in used], origin, configs)
+        features[keep, 3] = _heat_rows(table, counts, *slots.reshape(2, -1), configs)
     no_overlap = np.isnan(features[:, 0])
     features[no_overlap, 0] = features[no_overlap, 2] = NO_OVERLAP_DISTANCE
     return WindowedScene(window, features, fallback & ~no_overlap, no_overlap, far)

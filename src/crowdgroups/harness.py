@@ -271,11 +271,13 @@ def _write_csv(path_or_file, header: list[str], rows: Iterable[Iterable]) -> Non
 def write_features_csv(scenes: Iterable[WindowedScene], out) -> None:
     """One row per pair to the open text file (or the file at the path) `out`:
     window,a,b,d_ph,d_sh,d_ca,d_he with 9 significant digits; far pairs read
-    1,1,1,1."""
+    1,1,1,1. Rows become Python lists 4,096 at a time, so memory does not
+    grow with the pair count."""
     _write_csv(out, ["window", "a", "b", *FEATURE_NAMES], (
         [scene.window.index, a, b, *d]
         for scene in scenes
-        for (a, b), d in zip(scene.pairs.tolist(), scene.feature_matrix.tolist())
+        for lo in range(0, len(scene.pairs), 4096)
+        for (a, b), d in zip(scene.pairs[lo : lo + 4096].tolist(), scene.feature_matrix[lo : lo + 4096].tolist())
     ))
 
 
@@ -364,13 +366,12 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
         raise ConfigError("no training windows with members inside the training span")
     if not any(w.members for w in test_windows):
         raise ConfigError("no windows with members left to predict beyond the training span")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # before the work, so an unusable --out fails at once
 
     examples = make_training_examples(train_windows, dataset.labels, config)
     train_scenes = [ex.scene for ex in examples]
     test_scenes = [build_scene(w, config) for w in test_windows]
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     all_scenes = train_scenes + test_scenes
     quality_rows = [

@@ -89,19 +89,25 @@ def _sample_starts(
     rng: np.random.Generator, spec: SynthSpec, count: int, min_gap: float
 ) -> np.ndarray:
     """Rejection-sample `count` points inside the walkable area, pairwise at
-    least min_gap apart; the gap halves when the area is too crowded for it."""
+    least min_gap apart; the gap halves when the area is too crowded for it.
+    A candidate is tested only against the placed starts in the 3 x 3 cells of
+    edge gap around its own, where every start closer than gap lies."""
     lo, hi = 2.0, spec.extent - 2.0
     if hi <= lo:
         raise ConfigError("extent too small for the walk margin")
     gap = min_gap
     starts = np.empty((count, 2))
     while True:
+        cells: dict[tuple[int, int], list[int]] = {}  # placed starts by cell, rebuilt per gap
         for k in range(count):
             for _attempt in range(2_000):
                 p = rng.uniform(lo, hi, size=2)
-                d = p - starts[:k]
-                if k == 0 or np.hypot(d[:, 0], d[:, 1]).min() >= gap:
+                i, j = (int(v) for v in (p - lo) // gap)
+                near = [q for di in (-1, 0, 1) for dj in (-1, 0, 1) for q in cells.get((i + di, j + dj), ())]
+                d = p - starts[near]
+                if not near or np.hypot(d[:, 0], d[:, 1]).min() >= gap:
                     starts[k] = p
+                    cells.setdefault((i, j), []).append(k)
                     break
             else:
                 break

@@ -9,8 +9,8 @@ pair instead of a contingency table or a label comparison at the pair rows,
 and the F distribution by direct quadrature of its density. Spanning and
 pair scores are exact fractions of the counts, each rounded once to a float.
 The scalar pair features are the one-pair-at-a-time bodies the batched
-feature kernels replaced: intersect1d per pair, lstsq per regression, a full
-hypot/exp grid per visited heat-map cell and an explicit sum per cosine.
+feature kernels replaced: intersect1d per pair, lstsq per regression, and a
+double loop of math.exp over two members' visited cells per heat product.
 The greedy merge references are the scalar loops the vectorised merge engine
 must reproduce exactly, tie-breaks and floating-point sums included. The
 reference Frank-Wolfe step asks the oracle on every step and runs the line
@@ -40,7 +40,6 @@ from crowdgroups import (
     ConfigError,
     FeatureConfig,
     GroundTruthLabels,
-    HeatmapGrid,
     MergeStep,
     MergeTrace,
     Partition,
@@ -51,7 +50,6 @@ from crowdgroups import (
     f_cdf,
     gmm_eval,
     joint_feature_map,
-    window_grid,
 )
 from crowdgroups import features, learning
 from crowdgroups.features import (
@@ -60,7 +58,6 @@ from crowdgroups.features import (
     DTW_TAU,
     GRANGER_FALLBACK,
     NO_OVERLAP_DISTANCE,
-    _points_grid,
 )
 
 
@@ -510,39 +507,47 @@ def scalar_granger_distance_flagged(seg_a: Trajectory, seg_b: Trajectory, cfg: F
     return min(1.0, max(0.0, value)), False
 
 
-def scalar_heatmap_build(seg: Trajectory, cfg: FeatureConfig | None = None, grid: HeatmapGrid | None = None) -> np.ndarray:
-    """One hypot and one exp over the whole grid per visited cell."""
-    cfg = cfg or FeatureConfig()
-    grid = grid or _points_grid(seg.points, cfg.heat_cell_edge)
-    dwells: dict[tuple[int, int], float] = {}  # cell -> occupancy seconds, in first-visit order
+def scalar_heat_cells(seg: Trajectory, cfg: FeatureConfig, origin) -> list[tuple[float, float, float]]:
+    """(x, y, E) per visited cell in first-visit order: the cell centre in
+    metres on cells of edge heat_cell_edge anchored at `origin`, and
+    E = exp(-k_r * the cell's summed dwell seconds)."""
+    dwells: dict[tuple[int, int], float] = {}
     times = seg.times
     for i in range(len(times)):
         x, y = (float(v) for v in seg.points[i])
-        cell = (math.floor((y - grid.y0) / grid.cell), math.floor((x - grid.x0) / grid.cell))
-        if not (0 <= cell[0] < grid.rows and 0 <= cell[1] < grid.cols):
-            raise ValueError(f"pedestrian {seg.pedestrian_id}: segment falls outside the heat-map grid")
+        cell = (math.floor((x - origin[0]) / cfg.heat_cell_edge), math.floor((y - origin[1]) / cfg.heat_cell_edge))
         dwell = float(times[i + 1] - times[i]) if i + 1 < len(times) else 0.0
         dwells[cell] = dwells.get(cell, 0.0) + dwell
-    heat = np.zeros((grid.rows, grid.cols))
-    row_idx = np.arange(grid.rows, dtype=float)[:, None]
-    col_idx = np.arange(grid.cols, dtype=float)[None, :]
-    for (row, col), dwell in dwells.items():
-        energy = math.exp(-cfg.heat_k_r * dwell)
-        dist = np.hypot(row_idx - row, col_idx - col)
-        heat += energy * np.exp(-cfg.heat_k_s * dist)
-    peak = heat.max()
-    if peak > 0.0:
-        heat /= peak
-    return heat
+    return [
+        (origin[0] + (col + 0.5) * cfg.heat_cell_edge, origin[1] + (row + 0.5) * cfg.heat_cell_edge,
+         math.exp(-cfg.heat_k_r * dwell))
+        for (col, row), dwell in dwells.items()
+    ]
 
 
-def scalar_heatmap_distance(h_a: np.ndarray, h_b: np.ndarray) -> float:
-    norm_a = float(np.sqrt((h_a * h_a).sum()))
-    norm_b = float(np.sqrt((h_b * h_b).sum()))
+def scalar_heat_product(cells_a, cells_b, length: float) -> float:
+    """sum_i sum_j E_i E_j exp(-|c_i - c_j|^2 / (4 length^2)), one math.exp per term."""
+    total = 0.0
+    for xa, ya, ea in cells_a:
+        for xb, yb, eb in cells_b:
+            total += ea * eb * math.exp(-((xa - xb) ** 2 + (ya - yb) ** 2) / (4.0 * length * length))
+    return total
+
+
+def scalar_heat_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig, origin) -> float:
+    """1 - the cosine of the two Gaussian-smoothed maps on cells anchored at
+    `origin`, clipped to [0, 1]; 1.0 when a norm is 0."""
+    a, b = (scalar_heat_cells(seg, cfg, [float(v) for v in origin]) for seg in (seg_a, seg_b))
+    norm_a = math.sqrt(scalar_heat_product(a, a, cfg.heat_length))
+    norm_b = math.sqrt(scalar_heat_product(b, b, cfg.heat_length))
     if norm_a == 0.0 or norm_b == 0.0:
         return 1.0
-    similarity = float((h_a * h_b).sum()) / (norm_a * norm_b)
-    return min(1.0, max(0.0, 1.0 - similarity))
+    return min(1.0, max(0.0, 1.0 - scalar_heat_product(a, b, cfg.heat_length) / (norm_a * norm_b)))
+
+
+def window_origin(window: TimeWindow) -> np.ndarray:
+    """The lowest point of the window's members, where its heat cells are anchored."""
+    return np.vstack([seg.points for seg in window.segments.values()]).min(axis=0)
 
 
 def _scalar_far(seg_a: Trajectory, seg_b: Trajectory) -> bool:
@@ -563,8 +568,7 @@ def scalar_pair_table(window: TimeWindow, configs: FeatureConfig | None = None):
     configs = configs or FeatureConfig()
     members = sorted(window.members)
     segments = window.segments
-    grid = window_grid(window, configs)
-    maps = {m: scalar_heatmap_build(segments[m], configs, grid) for m in members}
+    origin = window_origin(window) if members else None
     rows, fallbacks, no_overlaps, fars = [], [], [], []
     for a, b in itertools.combinations(members, 2):
         seg_a, seg_b = segments[a], segments[b]
@@ -580,7 +584,7 @@ def scalar_pair_table(window: TimeWindow, configs: FeatureConfig | None = None):
                 d_ph = scalar_proxemic_distance(seg_a, seg_b, configs)
                 d_ca, fallback = scalar_granger_distance_flagged(seg_a, seg_b, configs)
             d_sh = scalar_dtw_shape_distance(seg_a, seg_b)
-            d_he = scalar_heatmap_distance(maps[a], maps[b])
+            d_he = scalar_heat_distance(seg_a, seg_b, configs, origin)
             rows.append((d_ph, d_sh, d_ca, d_he))
         fallbacks.append(fallback)
         no_overlaps.append(no_overlap)

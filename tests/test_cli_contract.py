@@ -15,7 +15,7 @@ import shutil
 import numpy as np
 import pytest
 
-from crowdgroups import Model, SynthSpec, load_dataset, synth_generate, write_dataset
+from crowdgroups import Model, SynthSpec, cli, harness, load_dataset, synth_generate, write_dataset
 from crowdgroups.cli import main
 from crowdgroups.harness import predict_windows, write_predictions
 
@@ -120,3 +120,31 @@ def test_cli_contract(inputs, tmp_path, capsys, case):
     else:
         lines = captured.err.splitlines()
         assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), captured.err
+
+
+# outputs that cannot be written, checked before any window is featurized;
+# the valid case shows that the count sees the calls
+EARLY_FAILURES = {
+    "features-out-directory": _with(CONFIG_COMMANDS["features"], "--out", "{d}/a-directory"),
+    "features-out-no-parent": _with(CONFIG_COMMANDS["features"], "--out", "{d}/missing/x.csv"),
+    "train-out-directory": _with(CONFIG_COMMANDS["train"], "--out", "{d}/a-directory"),
+    "train-log-directory": _with(CONFIG_COMMANDS["train"], "--log", "{d}/a-directory"),
+    "predict-out-directory": _with(PREDICT, "--out", "{d}/a-directory"),
+    "run-out-existing-file": _with(CONFIG_COMMANDS["run"], "--out", "{d}/a-file"),
+    "features-valid": CONFIG_COMMANDS["features"],
+}
+
+
+@pytest.mark.parametrize("case", EARLY_FAILURES)
+def test_cli_checks_outputs_before_building_scenes(inputs, tmp_path, capsys, monkeypatch, case):
+    calls = []
+    for module in (cli, harness):
+        build = module.build_scene
+        monkeypatch.setattr(module, "build_scene", lambda *args, _build=build: calls.append(1) or _build(*args))
+    code = main([arg.format(d=inputs, t=tmp_path) for arg in EARLY_FAILURES[case]])
+    err = capsys.readouterr().err
+    if case.endswith("-valid"):
+        assert code == 0 and calls, err
+    else:
+        assert code == 1 and len(err.splitlines()) == 1 and err.startswith("error: [Errno")
+        assert calls == []

@@ -1,4 +1,4 @@
-"""Pairwise social features: proxemics, shape, causality, heat maps."""
+"""Pairwise social features: proxemics, shape, causality, visited areas."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -37,7 +36,6 @@ from crowdgroups import (
     proxemic_distance,
     slice_windows,
     synth_generate,
-    window_grid,
     write_features_csv,
 )
 import crowdgroups.features as features_module
@@ -91,17 +89,17 @@ def test_granger_config_validation():
 
 
 def test_heatmap_config_validation():
-    with pytest.raises(ConfigError):
-        FeatureConfig(heat_cell_edge=0.0)
-    with pytest.raises(ConfigError):
-        FeatureConfig(heat_k_s=-1.0)
+    assert FeatureConfig().heat_length == 3.0
+    for key, value in (("heat_cell_edge", 0.0), ("heat_length", 0.0), ("heat_length", -1.0), ("heat_k_r", -1.0)):
+        with pytest.raises(ConfigError, match=key):
+            FeatureConfig(**{key: value})
 
 
 def test_feature_configs_round_trip(tmp_path):
     # a RunConfig is a FeatureConfig; a model's snapshot gives its feature settings back
     values = dict(
         proxemic_sigmas=(1.0, 2.0), granger_lag=3, heat_cell_edge=0.5,
-        heat_k_s=0.1, heat_k_r=0.0,
+        heat_length=1.5, heat_k_r=0.0,
     )
     config = RunConfig(**values)
     assert isinstance(config, FeatureConfig)
@@ -411,65 +409,88 @@ def test_granger_distance_fallback_flag():
 
 
 def test_window_grid_covers_members():
-    a = traj(1, [[0.0, 0.0], [1.0, 0.5]])
+    # a window's heat cells are anchored at its lowest point, so every member's
+    # cells have non-negative indices; rows are (x, y, E) with centres relative
+    # to that point, in (x, y) order, and energies over the largest
+    a = traj(1, [[0.0, 0.5], [1.0, 0.5]])
     b = traj(2, [[2.0, 2.0], [2.5, 2.9]])
-    grid = window_grid(window_of(a, b), FeatureConfig(heat_cell_edge=1.0))
-    assert (grid.x0, grid.y0, grid.cell) == (0.0, 0.0, 1.0)
-    assert (grid.rows, grid.cols) == (3, 3)  # the cell of (2.5, 2.9) is the last
+    win = window_of(a, b)
+    cfg = FeatureConfig(heat_cell_edge=1.0)
+    origin = oracles.window_origin(win)
+    assert origin.tolist() == [0.0, 0.5]
+    cells = heatmap_build(b, cfg, origin)
+    assert cells[:, :2].tolist() == [[2.5, 1.5], [2.5, 2.5]]
+    assert cells[:, 2].tolist() == pytest.approx([math.exp(-cfg.heat_k_r), 1.0], abs=1e-15)
+    assert build_scene(win, cfg).feature_matrix[0, 3] == heatmap_distance(heatmap_build(a, cfg, origin), cells, cfg)
 
 
 def test_heatmap_static_point_peaks_at_cell():
-    cfg = FeatureConfig(heat_cell_edge=1.0, heat_k_s=0.5, heat_k_r=0.1)
-    seg = traj(1, [[0.2, 0.2], [0.2, 0.2]])
-    grid = window_grid(window_of(seg, traj(2, [[3.2, 0.2], [3.2, 0.2]])), cfg)
-    heat = heatmap_build(seg, cfg, grid=grid)
-    assert heat.shape == (grid.rows, grid.cols)
-    assert heat[0, 0] == 1.0  # max-normalized at the visited cell
-    # diffusion decays with grid-index distance
-    assert heat[0, 1] == pytest.approx(math.exp(-cfg.heat_k_s * 1.0))
-    assert heat[0, 2] == pytest.approx(math.exp(-cfg.heat_k_s * 2.0))
+    # a walker standing still is one cell of energy 1; two of them, r metres
+    # apart, are 1 - exp(-r^2 / (4 length^2)) apart in d_he
+    cfg = FeatureConfig(heat_cell_edge=1.0, heat_length=2.0, heat_k_r=0.1)
+    here = traj(1, [[0.5, 0.5], [0.5, 0.5]])
+    assert heatmap_build(here, cfg).tolist() == [[0.5, 0.5, 1.0]]
+    for r in (0.0, 1.0, 3.0):
+        there = traj(2, [[0.5 + r, 0.5], [0.5 + r, 0.5]])
+        origin = oracles.window_origin(window_of(here, there))
+        got = heatmap_distance(heatmap_build(here, cfg, origin), heatmap_build(there, cfg, origin), cfg)
+        assert got == pytest.approx(1.0 - math.exp(-r * r / (4.0 * cfg.heat_length**2)), abs=1e-15)
 
 
 def test_heatmap_dwell_time_decay():
-    # same cells, longer occupancy: the left cell loses remembered heat;
-    # large k_s keeps cross-cell diffusion negligible
-    cfg = FeatureConfig(heat_cell_edge=1.0, heat_k_s=50.0, heat_k_r=0.5)
+    # same cells, longer occupancy: the left cell's energy decays with its dwell;
+    # the final cell dwells 0 s and has the largest energy
+    cfg = FeatureConfig(heat_cell_edge=1.0, heat_k_r=0.5)
     fast = traj(1, [[0.5, 0.5], [3.5, 0.5]], dt=1.0)
     slow = traj(2, [[0.5, 0.5], [3.5, 0.5]], dt=4.0)
-    grid = window_grid(window_of(fast, slow), cfg)
-    h_fast = heatmap_build(fast, cfg, grid=grid)
-    h_slow = heatmap_build(slow, cfg, grid=grid)
-    # first cell dwells 1 s vs 4 s; final cell dwells 0 s and is the peak
-    assert h_fast[0, 3] == 1.0 and h_slow[0, 3] == 1.0
-    assert h_fast[0, 0] == pytest.approx(math.exp(-0.5 * 1.0), abs=1e-9)
-    assert h_slow[0, 0] == pytest.approx(math.exp(-0.5 * 4.0), abs=1e-9)
-    # a revisited cell deposits once, with its dwells summed: the first cell
-    # dwells 1 s and then 0 s, as long as the other, so both peak
-    loop = heatmap_build(traj(3, [[0.5, 0.5], [3.5, 0.5], [0.5, 0.5]]), cfg, grid=grid)
-    assert loop[0, 0] == pytest.approx(1.0, abs=1e-9)
-    assert loop[0, 3] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_heatmap_segment_outside_grid_is_rejected():
-    cfg = FeatureConfig(heat_cell_edge=1.0)
-    small = window_grid(window_of(traj(1, [[0, 0], [1, 1]]), traj(2, [[0, 1], [1, 0]])), cfg)
-    for build in (heatmap_build, oracles.scalar_heatmap_build):
-        for points in ([[5.0, 0.5], [0.5, 0.5]], [[0.5, -0.5], [0.5, 0.5]], [[0.5, 2.0], [0.5, 0.5]]):
-            with pytest.raises(ValueError, match="pedestrian 3"):
-                build(traj(3, points), cfg, small)
-        assert build(traj(3, [[1.9, 1.9], [0.0, 0.0]]), cfg, small).shape == (2, 2)
-    # without a grid, the map covers the segment
-    assert heatmap_build(traj(3, [[5.0, 5.0], [6.0, 6.0]]), cfg).shape == (2, 2)
+    assert heatmap_build(fast, cfg)[:, 2].tolist() == pytest.approx([math.exp(-0.5 * 1.0), 1.0], abs=1e-15)
+    assert heatmap_build(slow, cfg)[:, 2].tolist() == pytest.approx([math.exp(-0.5 * 4.0), 1.0], abs=1e-15)
+    # a revisited cell counts once, with its dwells summed: the first cell
+    # dwells 1 s and then 0 s, as long as the other, so both have energy 1
+    loop = heatmap_build(traj(3, [[0.5, 0.5], [3.5, 0.5], [0.5, 0.5]]), cfg)
+    assert loop.tolist() == [[0.5, 0.5, 1.0], [3.5, 0.5, 1.0]]
 
 
 def test_heatmap_distance_cases():
-    a = np.array([[1.0, 0.0]])
-    b = np.array([[0.0, 1.0]])
-    assert heatmap_distance(a, a) == pytest.approx(0.0)
-    assert heatmap_distance(a, b) == pytest.approx(1.0)
-    assert heatmap_distance(np.zeros((2, 2)), np.ones((2, 2))) == 1.0
-    with pytest.raises(ValueError):
-        heatmap_distance(np.zeros((1, 2)), np.zeros((2, 1)))
+    one = np.array([[0.5, 0.5, 1.0]])
+    far = np.array([[100.5, 0.5, 1.0]])
+    two = np.array([[0.5, 0.5, 0.5], [1.5, 0.5, 1.0]])
+    zero = two * [1.0, 1.0, 0.0]
+    assert heatmap_distance(one, one) == 0.0 and heatmap_distance(two, two) == 0.0
+    assert heatmap_distance(one, far) == 1.0  # the kernel underflows at 100 m
+    assert heatmap_distance(zero, two) == heatmap_distance(two, zero) == heatmap_distance(zero, zero) == 1.0
+    assert heatmap_distance(np.zeros((0, 3)), one) == heatmap_distance(np.zeros((0, 3)), np.zeros((0, 3))) == 1.0
+    # members with different cell counts: the smaller is padded with zero energies
+    kernel = math.exp(-1.0 / 36.0)  # cells 1 m apart at length 3 m
+    want = 1.0 - (0.5 + kernel) / math.sqrt(0.25 + 1.0 + 2 * 0.5 * kernel)
+    assert heatmap_distance(one, two) == pytest.approx(want, abs=1e-15)
+    assert heatmap_distance(one, two, FeatureConfig(heat_length=0.1)) > heatmap_distance(one, two)
+
+
+def test_heat_invariants_on_random_ragged_windows():
+    # d_he(a, a) = 0 and d_he is symmetric up to rounding (the two orders sum
+    # the same products in another order); moving the whole window by whole
+    # cells leaves every d_he bit-identical (coordinates are multiples of 1/16,
+    # so the moves are exact); a member whose every energy underflows is 1.0
+    # from everyone
+    rng = np.random.default_rng(7)
+    cfg = FeatureConfig(heat_cell_edge=0.25)
+    for _ in range(40):
+        win = oracles.random_ragged_window(rng)
+        segs = [Trajectory(m, s.times, np.round(s.points * 16) / 16) for m, s in sorted(win.segments.items())]
+        moved = [Trajectory(s.pedestrian_id, s.times, s.points + (7 * 0.25, -3 * 0.25)) for s in segs]
+        got = build_scene(window_of(*segs), cfg).feature_matrix[:, 3]
+        assert got.tobytes() == build_scene(window_of(*moved), cfg).feature_matrix[:, 3].tobytes()
+        origin = oracles.window_origin(window_of(*segs))
+        maps = [heatmap_build(s, cfg, origin) for s in segs]
+        for h in maps:
+            assert heatmap_distance(h, h, cfg) == 0.0
+            assert heatmap_distance(h, h * [1.0, 1.0, 0.0], cfg) == 1.0
+        for h_a, h_b in zip(maps, maps[1:]):
+            assert heatmap_distance(h_a, h_b, cfg) == pytest.approx(heatmap_distance(h_b, h_a, cfg), abs=1e-14)
+    stuck = traj(9, [[0.5, 0.5], [1.5, 0.5], [0.5, 0.5]])  # every cell dwells 1 s
+    scene = build_scene(window_of(stuck, traj(10, [[0.5, 1.5], [1.5, 1.5]])), FeatureConfig(heat_k_r=1e4))
+    assert scene.feature_matrix[0, 3] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +537,7 @@ def test_build_scene_rows_match_scalar_features_on_ragged_window():
     scene = build_scene(win)
     ia, ib = scene.pair_rows
     members = scene.members
-    grid = window_grid(win)
+    origin = oracles.window_origin(win)
     for k in range(len(ia)):
         seg_a, seg_b = win.segments[members[ia[k]]], win.segments[members[ib[k]]]
         overlap = np.intersect1d(seg_a.times, seg_b.times).size > 0
@@ -524,7 +545,7 @@ def test_build_scene_rows_match_scalar_features_on_ragged_window():
             proxemic_distance(seg_a, seg_b) if overlap else 1.0,
             dtw_shape_distance(seg_a, seg_b),
             granger_distance(seg_a, seg_b) if overlap else 1.0,
-            heatmap_distance(heatmap_build(seg_a, grid=grid), heatmap_build(seg_b, grid=grid)),
+            heatmap_distance(heatmap_build(seg_a, origin=origin), heatmap_build(seg_b, origin=origin)),
         ]
         assert scene.feature_matrix[k].tolist() == want
     assert scene.pairs.tolist() == [[3, 7], [3, 12], [7, 12]]
@@ -582,16 +603,16 @@ def _check_causality(win, scene, cfg):
 
 
 def _check_heat(win, scene, cfg):
-    grid = window_grid(win, cfg)
-    maps = {m: heatmap_build(seg, cfg, grid=grid) for m, seg in win.segments.items()}
-    for m, seg in win.segments.items():
-        assert np.array_equal(maps[m], oracles.scalar_heatmap_build(seg, cfg, grid))
-    got = scene.feature_matrix[:, 3]
-    want = [
-        1.0 if far else oracles.scalar_heatmap_distance(maps[a], maps[b])
-        for (a, b), far in zip(scene.pairs.tolist(), scene.far)
-    ]
-    assert got.tolist() == want
+    # d_he equals the one-pair functions exactly and the scalar double loop to 1e-12
+    origin = oracles.window_origin(win)
+    maps = {m: heatmap_build(seg, cfg, origin) for m, seg in win.segments.items()}
+    for (a, b), far, got in zip(scene.pairs.tolist(), scene.far, scene.feature_matrix[:, 3].tolist()):
+        if far:
+            assert got == 1.0
+            continue
+        assert got == heatmap_distance(maps[a], maps[b], cfg)
+        want = oracles.scalar_heat_distance(win.segments[a], win.segments[b], cfg, origin)
+        assert got == pytest.approx(want, abs=1e-12, rel=0)
 
 
 def _check_proxemics(win, scene, cfg):
@@ -607,8 +628,8 @@ def _check_all(win, scene, cfg):
     assert scene.no_overlap.tolist() == no_overlap.tolist()
     assert scene.far.tolist() == far.tolist()
     assert scene.granger_fallback.tolist() == fallback.tolist()
-    assert scene.feature_matrix[:, [0, 1, 3]].tolist() == matrix[:, [0, 1, 3]].tolist()
-    assert np.abs(scene.feature_matrix[:, 2] - matrix[:, 2]).max(initial=0.0) <= 1e-12
+    assert scene.feature_matrix[:, :2].tolist() == matrix[:, :2].tolist()
+    assert np.abs(scene.feature_matrix[:, 2:] - matrix[:, 2:]).max(initial=0.0) <= 1e-12
     _check_heat(win, scene, cfg)
 
 
@@ -617,15 +638,15 @@ EQUIVALENCE_CASES = {
     "sigmas": (FeatureConfig(proxemic_sigmas=(0.3, 0.9, 2.5)), _check_proxemics),
     "lag1": (FeatureConfig(granger_lag=1), _check_causality),
     "lag3": (FeatureConfig(granger_lag=3), _check_causality),
-    "k_s": (FeatureConfig(heat_k_s=0.1), _check_heat),
+    "length": (FeatureConfig(heat_length=0.5), _check_heat),
 }
 
 
 @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
 def test_build_scene_matches_scalar_references_on_random_ragged_windows(case):
-    # d_ph, d_sh, d_he and the heat maps are bit-identical; d_ca agrees to
-    # 1e-12 (another QR); the flags are identical. Non-default settings check
-    # the features they change.
+    # d_ph and d_sh are bit-identical; d_ca (another QR) and d_he (another
+    # summation order) agree to 1e-12; the flags are identical. Non-default
+    # settings check the features they change.
     cfg, check = EQUIVALENCE_CASES[case]
     rng = np.random.default_rng(2024)
     seen = {"no_overlap": 0, "fallback": 0, "rows": 0}
@@ -651,69 +672,53 @@ def test_build_scene_matches_scalar_references_on_spread_ragged_windows():
     assert far > 0.3 * rows and rows > 1000
 
 
-# (settings beside 1 m cells and k_s = 0.3, (rows, cols) of the window grid,
-# member paths sampled 1 s apart)
+# (settings beside 1 m cells and heat_length = 0.5, member paths sampled 1 s apart)
 HEAT_LAYOUT_CASES = {
-    # member 1 stands in one cell: the smallest kernel sub-image, one map in size
-    "one-cell": ({}, (4, 5), [[[2.2, 1.2]] * 3, [[0.5, 0.5], [4.5, 3.5]]]),
-    # member 1 reaches all four grid edges: its sub-image is the whole kernel image
-    "four-edges": (
-        {}, (4, 5), [[[0.5, 0.5], [4.5, 0.5], [4.5, 3.5], [0.5, 3.5], [2.5, 2.5]], [[1.5, 1.5], [2.5, 1.5]]],
-    ),
-    "one-row": ({}, (1, 6), [[[0.5, 0.5], [1.5, 0.5], [5.5, 0.5]], [[3.5, 0.5], [4.5, 0.5], [3.5, 0.5]]]),
-    "one-column": ({}, (6, 1), [[[0.5, 0.5], [0.5, 1.5], [0.5, 5.5]], [[0.5, 3.5], [0.5, 4.5], [0.5, 3.5]]]),
+    # member 1 stands in one cell against member 2's two: the pair pads member 1
+    "one-cell": ({}, [[[2.2, 1.2]] * 3, [[0.5, 0.5], [4.5, 3.5]]]),
+    # member 1 reaches all four edges of the window's box, the origin cell included
+    "four-edges": ({}, [[[0.5, 0.5], [4.5, 0.5], [4.5, 3.5], [0.5, 3.5], [2.5, 2.5]], [[1.5, 1.5], [2.5, 1.5]]]),
+    "one-row": ({}, [[[0.5, 0.5], [1.5, 0.5], [5.5, 0.5]], [[3.5, 0.5], [4.5, 0.5], [3.5, 0.5]]]),
+    "one-column": ({}, [[[0.5, 0.5], [0.5, 1.5], [0.5, 5.5]], [[0.5, 3.5], [0.5, 4.5], [0.5, 3.5]]]),
     "revisits": (
-        {}, (3, 3),
-        [[[0.5, 0.5], [1.5, 0.5], [0.5, 0.5], [1.5, 2.5], [0.5, 0.5], [1.5, 0.5]], [[2.5, 2.5], [2.5, 1.5]]],
+        {}, [[[0.5, 0.5], [1.5, 0.5], [0.5, 0.5], [1.5, 2.5], [0.5, 0.5], [1.5, 0.5]], [[2.5, 2.5], [2.5, 1.5]]],
     ),
     # every cell of member 1 dwells 1 s, so all four share the energy exp(-k_r);
     # member 2 has two cells of that energy and a last one of energy 1
     "equal-energies": (
-        {}, (3, 4),
-        [[[0.5, 0.5], [1.5, 0.5], [2.5, 1.5], [3.5, 2.5], [3.5, 2.6]], [[0.5, 2.5], [1.5, 1.5], [2.5, 0.5]]],
+        {}, [[[0.5, 0.5], [1.5, 0.5], [2.5, 1.5], [3.5, 2.5], [3.5, 2.6]], [[0.5, 2.5], [1.5, 1.5], [2.5, 0.5]]],
     ),
-    # every cell dwells 1 s and exp(-k_r) underflows to 0: all-zero maps, so d_he = 1
-    "underflow": ({"heat_k_r": 1e4}, (2, 3), [[[0.5, 0.5], [1.5, 0.5], [1.5, 0.5]], [[2.5, 1.5], [2.5, 1.5]]]),
+    # every cell dwells 1 s and exp(-k_r) underflows to 0: all energies are 0, so d_he = 1
+    "underflow": ({"heat_k_r": 1e4}, [[[0.5, 0.5], [1.5, 0.5], [1.5, 0.5]], [[2.5, 1.5], [2.5, 1.5]]]),
 }
-
-
-def _record_maps(monkeypatch):
-    """Copies of the maps that `_heatmap` builds, as (segment, map, id of the
-    buffer it was built in)."""
-    built = []
-    build = features_module._heatmap
-
-    def recording(h, seg, *args):
-        h = build(h, seg, *args)
-        assert h.dtype == np.float64 and h.flags.c_contiguous
-        built.append((seg, h.copy(), id(h)))
-        return h
-
-    monkeypatch.setattr(features_module, "_heatmap", recording)
-    return built
 
 
 @pytest.mark.parametrize("case", list(HEAT_LAYOUT_CASES))
 def test_heatmap_layout_edge_cases_match_the_scalar_reference(monkeypatch, case):
-    # each map sums pre-scaled kernel sub-image slices on a padded flat buffer;
-    # at the edges of that layout every map, built alone or inside
-    # build_scene, and d_he stay bit-identical
-    settings, shape, paths = HEAT_LAYOUT_CASES[case]
-    cfg = FeatureConfig(heat_cell_edge=1.0, heat_k_s=0.3, **settings)
+    # at the edges of the zero-padded cell tables, each member's cells inside
+    # build_scene equal heatmap_build's bit for bit and the scalar reference's
+    # to 1e-12, and so does d_he
+    settings, paths = HEAT_LAYOUT_CASES[case]
+    cfg = FeatureConfig(heat_cell_edge=1.0, heat_length=0.5, **settings)
     win = window_of(*(traj(m, p) for m, p in enumerate(paths, 1)))
-    grid = window_grid(win, cfg)
-    assert (grid.rows, grid.cols) == shape
-    built = _record_maps(monkeypatch)
+    origin = oracles.window_origin(win)
+    tables = []
+    build = features_module._heat_cells
+    monkeypatch.setattr(features_module, "_heat_cells", lambda *args: tables.append(build(*args)) or tables[-1])
     scene = build_scene(win, cfg)
-    assert sorted(seg.pedestrian_id for seg, *_ in built) == sorted(win.members)
-    alone = [(seg, heatmap_build(seg, cfg, grid=grid)) for seg in win.segments.values()]
-    for seg, h in [*(b[:2] for b in built), *alone]:
-        assert h.dtype == np.float64 and h.flags.c_contiguous
-        assert np.array_equal(h, oracles.scalar_heatmap_build(seg, cfg, grid))
+    monkeypatch.undo()
+    [(table, counts)] = tables
+    for k, m in enumerate(scene.members):
+        cells = heatmap_build(win.segments[m], cfg, origin)
+        assert np.array_equal(table[k, : counts[k]], cells) and not table[k, counts[k] :].any()
+        want = sorted(oracles.scalar_heat_cells(win.segments[m], cfg, origin))
+        peak = max(w[2] for w in want)
+        assert np.abs(cells[:, :2] + origin - [w[:2] for w in want]).max() <= 1e-12
+        assert np.abs(cells[:, 2] - [w[2] / peak if peak else 0.0 for w in want]).max() <= 1e-12
     assert not scene.far.any()
     _check_heat(win, scene, cfg)
     if case == "underflow":
-        assert not any(h.any() for _, h, _ in built) and np.all(scene.feature_matrix[:, 3] == 1.0)
+        assert not table[..., 2].any() and np.all(scene.feature_matrix[:, 3] == 1.0)
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -818,39 +823,6 @@ def test_heat_distances_do_not_depend_on_blas_threads():
     assert digests[0] == digests[1]
     win = _synth_window(DENSE_SPEC, 0)
     assert digests[0].strip() == hashlib.sha256(build_scene(win).feature_matrix[:, 3].tobytes()).hexdigest()
-
-
-def test_heat_maps_live_in_a_band():
-    # the dense window's maps are built in band order and freed after their
-    # last pair, so build_scene never holds half of them at once
-    win = _synth_window(DENSE_SPEC, 0)
-    tracemalloc.start()
-    try:
-        scene = build_scene(win)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    grid = window_grid(win)
-    used = {m for pair, far in zip(scene.pairs.tolist(), scene.far) if not far for m in pair}
-    assert len(used) > 80
-    assert peak < len(used) * grid.rows * grid.cols * 8 / 2
-
-
-def test_heat_band_order_on_a_chain_between_far_clusters(monkeypatch):
-    # two clusters 40 m apart joined by a chain of near walkers: the band of
-    # live maps moves along the chain, reusing freed buffers, and d_he equals
-    # the references
-    rng = np.random.default_rng(5)
-    paths = [np.array([x, y]) + np.cumsum(rng.normal(0.0, 0.3, size=(6, 2)), axis=0)
-             for x in (0.0, 40.0) for y in rng.uniform(0.0, 3.0, size=4)]
-    paths += [np.array([x, 1.5]) + np.cumsum(rng.normal(0.0, 0.3, size=(6, 2)), axis=0) for x in range(5, 40, 5)]
-    cfg = FeatureConfig(heat_k_s=0.1)
-    win = window_of(*(traj(m, p) for m, p in enumerate(paths, 1)))
-    built = _record_maps(monkeypatch)
-    scene = build_scene(win, cfg)
-    assert 0 < scene.far_count < len(scene.far)
-    assert len(built) == len(paths) and len({buffer for *_, buffer in built}) < len(paths) / 2
-    _check_heat(win, scene, cfg)
 
 
 def test_build_scene_empty_and_single_member_windows():

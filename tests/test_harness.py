@@ -166,7 +166,7 @@ def test_run_config_validation():
     (FeatureConfig, "proxemic_sigmas", (0.5, math.nan)),
     (FeatureConfig, "proxemic_sigmas", (0.5, math.inf)),
     (FeatureConfig, "heat_cell_edge", math.inf),
-    (FeatureConfig, "heat_k_s", math.nan),
+    (FeatureConfig, "heat_length", math.nan),
     (FeatureConfig, "heat_k_r", math.nan),
     (TrainConfig, "C", math.nan),
     (TrainConfig, "C", math.inf),
@@ -560,7 +560,7 @@ def test_cli_synth_crowded_extent_fails_with_one_error_line(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("runs", 1.5), ("max_iterations", 5.5), ("runs", True),
     ("early_stop", True), ("sequential_budget", 5), ("online_budget", 5),  # removed keys
-    ("heat_accumulate", "binary"),
+    ("heat_accumulate", "binary"), ("heat_k_s", 1e-5),
 ])
 def test_cli_run_config_wrong_type(dataset_dir, tmp_path, capsys, key, value):
     config_path = tmp_path / "config.toml"
@@ -573,7 +573,7 @@ def test_cli_run_config_wrong_type(dataset_dir, tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("config_text, flags, key", [
-    ("heat_k_s = nan\n", [], "heat_k_s"),
+    ("heat_length = nan\n", [], "heat_length"),
     ("proxemic_sigmas = [nan]\n", [], "proxemic_sigmas"),
     ("C = inf\n", [], "C"),
     ("", ["--C", "nan"], "C"),
@@ -731,7 +731,7 @@ def test_cli_predict_rejects_out_of_range_model_field(dataset_dir, tmp_path, cap
     assert captured.err == f"error: not a valid model file: {message}\n" and captured.out == ""
 
 
-@pytest.mark.parametrize("key, value", [("window_len", "x"), ("stride", None), ("mode", "foo"), ("heat_k_s", -1.0)])
+@pytest.mark.parametrize("key, value", [("window_len", "x"), ("stride", None), ("mode", "foo"), ("heat_length", -1.0)])
 def test_cli_predict_rejects_bad_recorded_settings(dataset_dir, tmp_path, capsys, key, value):
     model_path = tmp_path / "model.json"
     Model(config_snapshot={**RunConfig(**FAST).to_flat_dict(), key: value}).save(model_path)
@@ -742,10 +742,10 @@ def test_cli_predict_rejects_bad_recorded_settings(dataset_dir, tmp_path, capsys
 
 def test_cli_predict_with_model_recording_removed_keys(dataset_dir, tmp_path, capsys):
     # a model file written before early_stop, early_stop_tol, sequential_budget,
-    # online_budget, heat_accumulate and other keys left the settings still
-    # predicts, as if they were not recorded
+    # online_budget, heat_accumulate, heat_k_s and other keys left the settings
+    # still predicts, as if they were not recorded
     saved = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "model.json").read_text())
-    removed = {"early_stop", "early_stop_tol", "sequential_budget", "online_budget", "heat_accumulate"}
+    removed = {"early_stop", "early_stop_tol", "sequential_budget", "online_budget", "heat_accumulate", "heat_k_s"}
     assert removed <= set(saved["config"])
     known = set(RunConfig().to_flat_dict())
     outputs = []
