@@ -49,7 +49,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, _check_fields, _is_finite_real, _is_integer
+from .errors import (ConfigError, Length, NonNegativeFloat, PositiveFloat, PositiveInt, _check_fields,
+                     _is_finite_real, _is_integer)
 from .trajectories import TimeWindow, Trajectory, align_segments
 
 FEATURE_NAMES = ("d_ph", "d_sh", "d_ca", "d_he")
@@ -72,22 +73,17 @@ class FeatureConfig:
     and the heat cell edge and length (meters) and k_r (per second of dwell).
     Field names are the run-config keys."""
 
-    proxemic_sigmas: tuple[float, ...] = HALL_SIGMAS
-    granger_lag: int = 2
-    heat_cell_edge: float = 0.30
-    heat_length: float = 3.0
-    heat_k_r: float = 0.5
+    proxemic_sigmas: tuple[Length, ...] = HALL_SIGMAS
+    granger_lag: PositiveInt = 2
+    heat_cell_edge: PositiveFloat = 0.30
+    heat_length: Length = 3.0
+    heat_k_r: NonNegativeFloat = 0.5
 
     def __post_init__(self):
         _check_fields(self)
-        if not self.proxemic_sigmas or any(s <= 0 for s in self.proxemic_sigmas):
-            raise ConfigError("proxemic sigmas must be strictly positive")
-        if any(a >= b for a, b in zip(self.proxemic_sigmas, self.proxemic_sigmas[1:])):
-            raise ConfigError("proxemic sigmas must be strictly increasing")
-        if self.granger_lag < 1:
-            raise ConfigError(f"granger lag must be >= 1, got {self.granger_lag}")
-        if min(self.heat_cell_edge, self.heat_length) <= 0 or self.heat_k_r < 0:
-            raise ConfigError("heat_cell_edge and heat_length must be positive and heat_k_r non-negative")
+        sigmas = self.proxemic_sigmas
+        if not sigmas or any(a >= b for a, b in zip(sigmas, sigmas[1:])):
+            raise ConfigError(f"proxemic_sigmas must be non-empty and strictly increasing, got {list(sigmas)}")
 
 
 @dataclass(frozen=True, eq=False)

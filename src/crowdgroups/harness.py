@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, CrowdGroupsError
+from .errors import ConfigError, CrowdGroupsError, PositiveFloat, PositiveInt
 from .features import FEATURE_NAMES, FeatureConfig, WindowedScene, build_scene
 from .learning import (
     Model,
@@ -136,22 +136,14 @@ def dataclass_from_flat(cls, values: dict, what: str):
 class RunConfig(FeatureConfig, TrainConfig):
     """Resolved experiment settings: the feature and training settings, then
     the windowing, the training span, the training mode and the number of
-    seeded runs. Every output artifact echoes these."""
+    seeded runs. Every output artifact echoes these. FeatureConfig's
+    __post_init__, first in the MRO, checks every field, this class's too."""
 
-    window_len: float = 10.0
-    stride: float = 10.0
-    training_span: float = 100.0
+    window_len: PositiveFloat = 10.0
+    stride: PositiveFloat = 10.0
+    training_span: PositiveFloat = 100.0
     mode: TrainMode = "batch"
-    runs: int = 5
-
-    def __post_init__(self):
-        # each parent's check covers every field, this class's too
-        FeatureConfig.__post_init__(self)
-        TrainConfig.__post_init__(self)
-        if self.window_len <= 0 or self.stride <= 0 or self.training_span <= 0:
-            raise ConfigError("window_len, stride, and training_span must be positive")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
+    runs: PositiveInt = 5
 
     def to_flat_dict(self) -> dict:
         out = {}

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -36,7 +37,7 @@ from typing import Callable, ClassVar, Iterable, Iterator, Literal, NamedTuple, 
 
 import numpy as np
 
-from .errors import ConfigError, _check_fields
+from .errors import ConfigError, NonNegativeInt, PositiveFloat, _check_fields
 from .features import FEATURE_NAMES, WindowedScene
 from .losses import MergeLoss, gmitre_loss, mitre_loss, pairwise_loss
 from .partitioning import Partition, _affinity_array, _greedy_merge, affinity, greedy_cc
@@ -82,28 +83,17 @@ class TrainingExample:
         return self._merge_starts[kind].copy()
 
 
-def _check_ranges(C: float, seed: int, count_name: str, count: int) -> None:
-    """The range checks TrainConfig and Model share: C > 0, seed >= 0 and count >= 0."""
-    if C <= 0:
-        raise ConfigError(f"C must be positive, got {C}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    if count < 0:
-        raise ConfigError(f"{count_name} must be non-negative")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs of the Frank-Wolfe trainer and its derived modes."""
 
-    C: float = 10.0
-    max_iterations: int = 1000
-    seed: int = 0
+    C: PositiveFloat = 10.0
+    max_iterations: NonNegativeInt = 1000
+    seed: NonNegativeInt = 0
     loss: LossKind = "gmitre"
 
     def __post_init__(self):
         _check_fields(self)
-        _check_ranges(self.C, self.seed, "max_iterations", self.max_iterations)
 
 
 @dataclass(eq=False)
@@ -123,11 +113,11 @@ class Model:
     block_w: np.ndarray | None = None
     block_l: np.ndarray | None = None
     l: float = 0.0
-    C: float = TrainConfig.C
-    seed: int = TrainConfig.seed
+    C: PositiveFloat = TrainConfig.C
+    seed: NonNegativeInt = TrainConfig.seed
     loss: LossKind = TrainConfig.loss
     mode: TrainMode = "batch"
-    iterations: int = 0
+    iterations: NonNegativeInt = 0
     config_snapshot: dict | None = None
 
     def __post_init__(self):
@@ -142,7 +132,6 @@ class Model:
                 raise ValueError(f"{name} must be finite")
         self.config_snapshot = dict(self.config_snapshot or {})
         _check_fields(self)
-        _check_ranges(self.C, self.seed, "iterations", self.iterations)
 
     @property
     def alpha(self) -> np.ndarray:
@@ -298,7 +287,8 @@ def _bcfw_step(model: Model, planes: _Planes, i: int, exact: bool = False) -> _S
     and loss offsets, toward the block's best cached plane or, when that falls
     short (or `exact`), toward the oracle's answer under the model's loss;
     planes are scaled by the model's C/n for its current n blocks. Returns
-    the logged quantities."""
+    the logged quantities. A line search that overflows raises ConfigError;
+    callers step under np.errstate(over="ignore"), so numpy does not warn first."""
     scale = model.C / len(model.block_w)
     wi, li = model.block_w[i], float(model.block_l[i])
     cached = not exact and planes.cached_steps < MAX_CACHED_STEPS and bool(planes.labellings)
@@ -318,6 +308,8 @@ def _bcfw_step(model: Model, planes: _Planes, i: int, exact: bool = False) -> _S
     planes.last_used[j] = planes.uses
     diff = wi - scale * planes.psi_gaps[j]
     denom = float(diff @ diff)
+    if not (math.isfinite(denom) and math.isfinite(gap)):
+        raise ConfigError(f"C = {model.C!r} is too large: the Frank-Wolfe line search overflows")
     gamma = 0.0 if denom == 0.0 else min(1.0, max(0.0, gap / denom))
     new_wi = wi - gamma * diff
     new_li = (1.0 - gamma) * li + gamma * scale * float(planes.losses[j])
@@ -362,9 +354,10 @@ def bcfw_train(
         raise ConfigError("training requires at least one example")
     n = len(blocks)
     rng = np.random.default_rng(config.seed)
-    for _ in range(config.max_iterations - n):
-        _hooked_step(model, blocks, int(rng.integers(n)), iteration_hook)
-    gap = sum(_hooked_step(model, blocks, i, iteration_hook, exact=True).gap for i in range(n))
+    with np.errstate(over="ignore"):
+        for _ in range(config.max_iterations - n):
+            _hooked_step(model, blocks, int(rng.integers(n)), iteration_hook)
+        gap = sum(_hooked_step(model, blocks, i, iteration_hook, exact=True).gap for i in range(n))
     logger.info("duality gap %.6g after %d iterations", gap, model.iterations)
     return model
 
@@ -386,10 +379,11 @@ def sequential_train(
     rng = np.random.default_rng(config.seed)
     model = Model(C=config.C, seed=config.seed, loss=config.loss, mode="sequential")
     blocks: list[_Planes] = []
-    for k, example in enumerate(examples, start=1):
-        _add_block(model, blocks, example)
-        while model.iterations < config.max_iterations * k // len(examples):
-            _hooked_step(model, blocks, int(rng.integers(k)), iteration_hook)
+    with np.errstate(over="ignore"):
+        for k, example in enumerate(examples, start=1):
+            _add_block(model, blocks, example)
+            while model.iterations < config.max_iterations * k // len(examples):
+                _hooked_step(model, blocks, int(rng.integers(k)), iteration_hook)
     return model
 
 
@@ -424,6 +418,7 @@ def online_predict_train(
             model.block_w = np.delete(model.block_w, oldest, axis=0)
             model.block_l = np.delete(model.block_l, oldest)
         _add_block(model, pseudo, TrainingExample(scene, prediction))
-        for _ in range(ONLINE_STEPS):
-            _bcfw_step(model, pseudo[-1], len(model.block_w) - 1)
+        with np.errstate(over="ignore"):
+            for _ in range(ONLINE_STEPS):
+                _bcfw_step(model, pseudo[-1], len(model.block_w) - 1)
         yield prediction, model.copy()

@@ -15,7 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, _check_fields
+from .errors import ConfigError, NonNegativeFloat, NonNegativeInt, PositiveFloat, _check_fields
 from .trajectories import (
     DESCRIPTOR_FILE,
     GROUNDTRUTH_FILE,
@@ -31,32 +31,24 @@ _FORMATION_UNIT = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 class SynthSpec:
     """Shape of a generated scene. Distances in meters, durations in seconds."""
 
-    n_groups: int = 4
+    n_groups: NonNegativeInt = 4
     group_size_min: int = 2
     group_size_max: int = 4
-    n_singletons: int = 6
-    spacing: float = 0.6
-    extent: float = 30.0
-    duration: float = 200.0
-    fps: float = 2.5
-    lag: int = 1
-    noise_std: float = 0.05
+    n_singletons: NonNegativeInt = 6
+    spacing: PositiveFloat = 0.6
+    extent: PositiveFloat = 30.0
+    duration: PositiveFloat = 200.0
+    fps: PositiveFloat = 2.5
+    lag: NonNegativeInt = 1
+    noise_std: NonNegativeFloat = 0.05
     behavior: Literal["parallel", "converging"] = "parallel"
-    speed: float = 1.2
-    wander_std: float = 0.25
+    speed: PositiveFloat = 1.2
+    wander_std: NonNegativeFloat = 0.25
 
     def __post_init__(self):
         _check_fields(self)
-        if min(self.n_groups, self.n_singletons, self.lag) < 0:
-            raise ConfigError("n_groups, n_singletons and lag must be non-negative")
         if not 2 <= self.group_size_min <= self.group_size_max <= len(_FORMATION_UNIT):
-            raise ConfigError(
-                f"group sizes must satisfy 2 <= min <= max <= {len(_FORMATION_UNIT)}"
-            )
-        if min(self.spacing, self.extent, self.duration, self.fps, self.speed) <= 0:
-            raise ConfigError("spacing, extent, duration, fps and speed must be positive")
-        if self.noise_std < 0 or self.wander_std < 0:
-            raise ConfigError("noise levels must be non-negative")
+            raise ConfigError(f"group sizes must satisfy 2 <= min <= max <= {len(_FORMATION_UNIT)}")
 
 
 def _leader_walk(

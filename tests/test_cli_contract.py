@@ -148,3 +148,31 @@ def test_cli_checks_outputs_before_building_scenes(inputs, tmp_path, capsys, mon
     else:
         assert code == 1 and len(err.splitlines()) == 1 and err.startswith("error: [Errno")
         assert calls == []
+
+
+# settings whose arithmetic overflows or underflows: a training C whose
+# Frank-Wolfe line search overflows, and lengths whose square is not a normal
+# float; each is refused with one error line naming the key, and no numpy
+# warning is raised on the way (warnings are errors here)
+EXTREME_SETTINGS = {
+    "heat_length": ("1e-160", "1e-300", "1e160", "1e300"),
+    "proxemic_sigmas": ("[1e-300, 1e-299]", "[1e200, 1e201]", "[1e-160, 1.0]"),
+}
+EXTREMES = {
+    **{f"{name}-{mode}--C=1e160": ("C", "C = 1e160", _with(CONFIG_COMMANDS[name], "--mode", mode))
+       for name, modes in (("train", ("batch", "sequential")), ("run", ("batch", "sequential", "online")))
+       for mode in modes},
+    **{f"{name}-{key}={value}": (key, f"{key} = {value}", CONFIG_COMMANDS[name])
+       for key, values in EXTREME_SETTINGS.items() for value in values for name in ("features", "run")},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", EXTREMES)
+def test_cli_refuses_settings_whose_arithmetic_overflows(inputs, tmp_path, capsys, case):
+    key, line, argv = EXTREMES[case]
+    config = tmp_path / "extreme.toml"
+    config.write_text(line + "\n", encoding="utf-8")
+    code = main([arg.format(d=inputs, t=tmp_path) for arg in _with(argv, "--config", str(config))])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith(f"error: {key} "), lines

@@ -7,7 +7,7 @@ import json
 import math
 import shutil
 from pathlib import Path
-from typing import Literal, get_origin, get_type_hints
+from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -225,6 +225,74 @@ def test_every_setting_rejects_a_wrong_typed_value(cls, key, value):
         cls(**{key: value})
     with pytest.raises(ConfigError, match=repr(key)):
         dataclass_from_flat(cls, {key: value}, "settings")
+
+
+def _declared_ranges(cls):
+    """(key, type, (low, high, text), is_list) of every field of `cls` whose
+    annotation declares a range; a list setting's range is its items'."""
+    for key, hint in get_type_hints(cls, include_extras=True).items():
+        item = get_args(hint)[0] if get_origin(hint) is tuple else hint
+        if get_origin(item) is Annotated:
+            yield key, get_args(item)[0], item.__metadata__[0], item is not hint
+
+
+def _bounds(typ, low, high):
+    """(end, the nearest value outside it) for each finite end of [low, high]."""
+    for end, outward in ((low, -1), (high, 1)):
+        if math.isfinite(end):
+            yield end, end + outward if typ is int else math.nextafter(end, outward * math.inf)
+
+
+_RANGED = [
+    (cls, key, limits[2], end, past, is_list)
+    for cls in (FeatureConfig, TrainConfig, RunConfig, SynthSpec, Model)
+    for key, typ, limits, is_list in _declared_ranges(cls)
+    for end, past in _bounds(typ, *limits[:2])
+]
+
+
+def test_every_number_setting_declares_its_range():
+    # every int, float and list field has one, but the group sizes (one rule
+    # checks them together) and a model's loss offset l, which has none
+    unranged = {"SynthSpec.group_size_min", "SynthSpec.group_size_max", "Model.l"}
+    missing = [
+        f"{cls.__name__}.{key}"
+        for cls in (FeatureConfig, TrainConfig, RunConfig, SynthSpec, Model)
+        for key, hint in get_type_hints(cls).items()
+        if (hint in (int, float) or get_origin(hint) is tuple)
+        and key not in {k for k, *_ in _declared_ranges(cls)}
+    ]
+    assert sorted(set(missing) - unranged) == [] and unranged <= set(missing)
+
+
+@pytest.mark.parametrize("cls, key, text, end, past, is_list", _RANGED,
+                         ids=[f"{c.__name__}-{k}-{p!r}" for c, k, _, _, p, _ in _RANGED])
+def test_every_setting_holds_to_its_declared_range(tmp_path, capsys, cls, key, text, end, past, is_list):
+    # derived from each field's annotation: the end of the range is accepted
+    # (a positive number's is the least positive float), the nearest value
+    # outside it is refused in code and from the file the class is read from
+    # with one message that names the key and the value
+    wrap = (lambda v: [v]) if is_list else (lambda v: v)
+    assert getattr(cls(**{key: wrap(end)}), key) == (tuple(wrap(end)) if is_list else end)
+    message = f"{key} must be {text}, got {past!r}"
+    with pytest.raises(ConfigError) as info:
+        cls(**{key: wrap(past)})
+    assert str(info.value) == message
+    if cls is Model:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**Model().to_dict(), key: past}), encoding="utf-8")
+        argv = ["predict", "--model", str(path), "--data", str(tmp_path / "scene")]
+    elif cls is SynthSpec:
+        write_config_file(tmp_path / "spec.toml", {key: past})
+        argv = ["synth", "--spec", str(tmp_path / "spec.toml"), "--out", str(tmp_path / "scene")]
+    else:
+        write_config_file(tmp_path / "run.toml", {key: wrap(past)})
+        argv = ["stats", "--data", str(tmp_path / "scene"), "--config", str(tmp_path / "run.toml")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message), captured.err
+    assert captured.out == "" and not (tmp_path / "scene").exists()
 
 
 def test_run_config_from_dict_unknown_key():
@@ -719,7 +787,7 @@ def test_cli_predict_rejects_wrong_typed_model_field(dataset_dir, tmp_path, caps
 
 @pytest.mark.parametrize("key, value, message", [
     ("C", -1, "C must be positive, got -1"),
-    ("iterations", -5, "iterations must be non-negative"),
+    ("iterations", -5, "iterations must be non-negative, got -5"),
     ("seed", -1, "seed must be non-negative, got -1"),
 ], ids=["C--1", "iterations--5", "seed--1"])
 def test_cli_predict_rejects_out_of_range_model_field(dataset_dir, tmp_path, capsys, key, value, message):

@@ -485,7 +485,7 @@ def test_model_load_rejects_garbage(tmp_path):
 @pytest.mark.parametrize("key, value, message", [
     ("C", -1, "C must be positive, got -1"),
     ("C", 0.0, "C must be positive, got 0.0"),
-    ("iterations", -5, "iterations must be non-negative"),
+    ("iterations", -5, "iterations must be non-negative, got -5"),
     ("loss", "accuracy", "'loss' must be one of ['gmitre', 'mitre', 'pairwise'], got 'accuracy'"),
 ], ids=["C--1", "C-0.0", "iterations--5", "loss-accuracy"])
 def test_model_from_dict_checks_fields_as_train_config_does(key, value, message):
