@@ -21,8 +21,8 @@ from .features import build_scene
 from .harness import (
     RunConfig,
     dataclass_from_flat,
-    dataset_windows,
     evaluate_predictions,
+    load_windows,
     make_training_examples,
     predict_windows,
     read_config_file,
@@ -35,7 +35,6 @@ from .harness import (
 )
 from .learning import Model
 from .synth import SynthSpec, synth_generate, write_dataset
-from .trajectories import load_dataset
 
 _CONFIG_FLAGS = (
     ("--window-len", "window_len", float, "window length in seconds"),
@@ -157,7 +156,7 @@ def _cmd_synth(args) -> int:
 def _cmd_features(args) -> int:
     config = _resolve_config(args)
     _check_output(args.out)
-    windows = dataset_windows(load_dataset(args.data), config.window_len, config.stride)
+    _, windows = load_windows(args.data, config.window_len, config.stride)
     scenes = [build_scene(w, config) for w in windows]
     with _output(args.out) as fh:
         write_features_csv(scenes, fh)
@@ -171,10 +170,7 @@ def _cmd_train(args) -> int:
         raise ConfigError("online mode trains during prediction; use the run command")
     _check_output(args.out)
     _check_output(args.log)
-    dataset = load_dataset(args.data)
-    if dataset.labels is None:
-        raise ConfigError(f"{args.data}: ground truth is required to train")
-    windows = dataset_windows(dataset, config.window_len, config.stride)
+    dataset, windows = load_windows(args.data, config.window_len, config.stride, labels_for="to train")
     if "training_span" in values:
         windows, _ = split_training_span(dataset, windows, config.training_span)
     examples = make_training_examples(windows, dataset.labels, config)
@@ -189,8 +185,7 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model = Model.load(args.model)
     _check_output(args.out)
-    dataset = load_dataset(args.data)
-    entries = predict_windows(dataset, model, window_len=args.window_len, stride=args.stride)
+    entries = predict_windows(args.data, model, window_len=args.window_len, stride=args.stride)
     with _output(args.out) as fh:
         write_predictions(fh, model.seed, entries)
     return 0
@@ -218,10 +213,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_stats(args) -> int:
     config = _resolve_config(args)
-    dataset = load_dataset(args.data)
-    if dataset.labels is None:
-        raise ConfigError(f"{args.data}: ground truth is required for scene stats")
-    write_scene_stats(sys.stdout, dataset_windows(dataset, config.window_len, config.stride), dataset.labels)
+    dataset, windows = load_windows(args.data, config.window_len, config.stride, labels_for="for scene stats")
+    write_scene_stats(sys.stdout, windows, dataset.labels)
     return 0
 
 

@@ -20,6 +20,7 @@ import tomllib
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import tee
 from pathlib import Path
 from typing import Iterable
 
@@ -310,12 +311,17 @@ def write_scene_stats(path_or_file, windows: list, labels: GroundTruthLabels) ->
     _write_csv(path_or_file, ["stat", "value"], rows)
 
 
-def dataset_windows(dataset: Dataset, window_len: float, stride: float) -> list:
-    """slice_windows over the dataset, which must span at least one window."""
+def load_windows(data_dir, window_len: float, stride: float, labels_for: str | None = None) -> tuple[Dataset, list]:
+    """The dataset at data_dir and its windows; it must span at least one
+    window and, when a job needs ground truth (labels_for names it, as in
+    "to train"), carry labels."""
+    dataset = load_dataset(data_dir)
+    if labels_for is not None and dataset.labels is None:
+        raise ConfigError(f"{data_dir}: ground truth is required {labels_for}")
     windows = slice_windows(dataset.trajectories, window_len, stride)
     if not windows:
         raise ConfigError("the dataset is shorter than one window")
-    return windows
+    return dataset, windows
 
 
 def split_training_span(dataset: Dataset, windows: list, training_span: float) -> tuple[list, list]:
@@ -349,10 +355,7 @@ def train_model(config: RunConfig, examples: list[TrainingExample], log) -> Mode
 def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
     """Train/predict/score over config.runs seeded repetitions; emits per-run
     reports under <out>/run-<seed>/ and cross-run summaries at the top level."""
-    dataset = load_dataset(data_dir)
-    if dataset.labels is None:
-        raise ConfigError(f"{data_dir}: ground truth is required to train")
-    windows = dataset_windows(dataset, config.window_len, config.stride)
+    dataset, windows = load_windows(data_dir, config.window_len, config.stride, labels_for="to train")
     train_windows, test_windows = split_training_span(dataset, windows, config.training_span)
     if not any(w.members for w in train_windows):
         raise ConfigError("no training windows with members inside the training span")
@@ -390,18 +393,8 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
         write_config_file(rundir / "config.resolved.toml", run_config.to_flat_dict())
 
         model = train_model(run_config, examples, rundir / "train_log.csv")
-        if config.mode == "online":
-            preds = []
-            for pred, model in online_predict_train(test_scenes, model):
-                preds.append(pred)
-        else:
-            preds = [predict(scene, model) for scene in test_scenes]
+        entries, model = predict_scenes(test_scenes, model, online=config.mode == "online")
         model.save(rundir / "model.json")
-
-        entries = [
-            prediction_entry(s.window.index, s.window.start_t, s.window.end_t, pred)
-            for s, pred in zip(test_scenes, preds)
-        ]
         write_predictions(rundir / "predictions.json", run_seed, entries)
         per_window_rows, per_window = _score_entries(entries, dataset.labels)
         _write_csv(rundir / "per_window.csv", _PER_WINDOW_HEADER, per_window_rows)
@@ -455,9 +448,22 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
 # Building blocks shared with the CLI
 
 
-def predict_windows(dataset: Dataset, model: Model, window_len=None, stride=None) -> list[dict]:
-    """Tile the dataset with the model's recorded window settings (unless
-    overridden) and predict every window."""
+def predict_scenes(scenes: Iterable[WindowedScene], model: Model, online: bool = False) -> tuple[list[dict], Model]:
+    """Predict each scene under the model, or, online, under the model that
+    online_predict_train updates from each prediction; returns one prediction
+    entry per scene and the last model. Scenes are read one at a time, so a
+    generator of scenes holds one scene at a time."""
+    scenes, stream = tee(scenes)
+    preds = online_predict_train(stream, model) if online else ((predict(s, model), model) for s in stream)
+    entries = []
+    for scene, (pred, model) in zip(scenes, preds):
+        entries.append(prediction_entry(scene.window.index, scene.window.start_t, scene.window.end_t, pred))
+    return entries, model
+
+
+def predict_windows(data_dir, model: Model, window_len=None, stride=None) -> list[dict]:
+    """Tile the dataset at data_dir with the model's recorded window settings
+    (unless overridden) and predict every window."""
     snapshot = model.config_snapshot
     if window_len is None:
         window_len = snapshot.get("window_len")
@@ -466,12 +472,8 @@ def predict_windows(dataset: Dataset, model: Model, window_len=None, stride=None
     if window_len is None:
         raise ConfigError("window length not given and not recorded in the model")
     configs = _snapshot_feature_configs(snapshot)
-    windows = dataset_windows(dataset, float(window_len), float(stride))
-    entries = []
-    for window in windows:
-        scene = build_scene(window, configs)
-        part = predict(scene, model)
-        entries.append(prediction_entry(window.index, window.start_t, window.end_t, part))
+    _, windows = load_windows(data_dir, float(window_len), float(stride))
+    entries, _ = predict_scenes((build_scene(w, configs) for w in windows), model)
     return entries
 
 

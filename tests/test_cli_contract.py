@@ -15,7 +15,7 @@ import shutil
 import numpy as np
 import pytest
 
-from crowdgroups import Model, SynthSpec, cli, harness, load_dataset, synth_generate, write_dataset
+from crowdgroups import Model, SynthSpec, cli, harness, synth_generate, write_dataset
 from crowdgroups.cli import main
 from crowdgroups.harness import predict_windows, write_predictions
 
@@ -34,6 +34,7 @@ PREDICT = ["predict", "--model", "{d}/model.json", "--data", "{d}/scene", "--out
 EVAL = ["eval", "--truth", "{d}/scene/groups.txt", "--pred", "{d}/pred.json", "--out", "{t}/scores.csv"]
 SYNTH = ["synth", "--spec", "{d}/spec.toml", "--out", "{t}/synth"]
 DATA_COMMANDS = {**CONFIG_COMMANDS, "predict": PREDICT}
+NEED_TRUTH = ("train", "run", "stats")  # the data commands that refuse a dataset without labels
 FILES = {"missing": "{d}/missing", "not-utf8": "{d}/not-utf8.bin", "not-json": "{d}/not-json.txt"}
 
 
@@ -54,6 +55,7 @@ def _cases():
         yield f"{name}-stride-tiny", _with(argv, "--stride", "1e-300")
         yield f"{name}-data-empty", _with(argv, "--data", "{d}/empty")
         yield f"{name}-data-not-utf8", _with(argv, "--data", "{d}/not-utf8")
+        yield f"{name}-data-unlabelled", _with(argv, "--data", "{d}/unlabelled")
     float_flags = ["--window-len", "--stride", "--training-span", "--C"]
     for name, argv in CONFIG_COMMANDS.items():
         for flag in float_flags:
@@ -91,6 +93,7 @@ def inputs(tmp_path_factory):
                      extent=20.0, duration=32.0, fps=2.5)
     trajectories, labels = synth_generate(spec, seed=3)
     write_dataset(root / "scene", trajectories, labels, fps=spec.fps, seed=3)
+    write_dataset(root / "unlabelled", trajectories, None, fps=spec.fps, seed=3)
     shutil.copytree(root / "scene", root / "not-utf8")
     (root / "not-utf8" / "trajectories.txt").write_bytes(NOT_UTF8)
     (root / "empty").mkdir()
@@ -101,7 +104,7 @@ def inputs(tmp_path_factory):
     (root / "spec.toml").write_text("n_groups = 1\nn_singletons = 1\nduration = 20.0\n", encoding="utf-8")
     model = Model(w=np.ones(8), config_snapshot={"window_len": 8.0, "stride": 8.0})
     model.save(root / "model.json")
-    write_predictions(root / "pred.json", 0, predict_windows(load_dataset(root / "scene"), model))
+    write_predictions(root / "pred.json", 0, predict_windows(root / "scene", model))
     return root
 
 
@@ -115,6 +118,9 @@ def test_cli_contract(inputs, tmp_path, capsys, case):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 0 or not case.endswith("-valid"), captured.err
+    if case.endswith("-data-unlabelled"):
+        assert (code == 1) == case.startswith(NEED_TRUTH), captured.err
+        assert code == 0 or "ground truth is required" in captured.err
     if code == 0:
         assert captured.out or any(map(_written, tmp_path.iterdir()))
     else:

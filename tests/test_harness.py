@@ -27,12 +27,14 @@ from crowdgroups import (
     synth_generate,
     write_dataset,
 )
-from crowdgroups import learning
+from crowdgroups import build_scene, harness, learning, make_training_examples, online_predict_train, predict
 from crowdgroups.cli import _build_parser, _resolve_config, main
 from crowdgroups.harness import (
     dataclass_from_flat,
     format_config_text,
+    load_windows,
     parse_config_text,
+    predict_scenes,
     predict_windows,
     prediction_entry,
     read_config_file,
@@ -471,14 +473,43 @@ def test_run_experiment_predictions_replayable(dataset_dir, tmp_path):
     config = RunConfig(**FAST)
     run_experiment(config, dataset_dir, out)
     model = Model.load(out / "run-0" / "model.json")
-    dataset = load_dataset(dataset_dir)
-    replayed = predict_windows(dataset, model)
+    replayed = predict_windows(dataset_dir, model)
     _, recorded = read_predictions(out / "run-0" / "predictions.json")
     # the run predicts only the windows beyond the training span
     tail = replayed[-len(recorded):]
     assert [Partition.from_json_obj(e) for e in tail] == [
         Partition.from_json_obj(e) for e in recorded
     ]
+
+
+def test_predict_scenes_builds_each_scene_just_before_predicting_it(dataset_dir, monkeypatch):
+    _, windows = load_windows(dataset_dir, 8.0, 8.0)
+    model = Model(w=np.ones(8))
+    events = []
+
+    def scenes():
+        for window in windows:
+            events.append(("build", window.index))
+            yield build_scene(window)
+
+    monkeypatch.setattr(harness, "predict", lambda scene, m: events.append(("predict", scene.window.index))
+                        or predict(scene, m))
+    entries, last = predict_scenes(scenes(), model)
+    assert events == [(kind, w.index) for w in windows for kind in ("build", "predict")]
+    assert last is model
+    assert entries == [prediction_entry(w.index, w.start_t, w.end_t, predict(build_scene(w), model))
+                       for w in windows]
+
+
+def test_predict_scenes_online_matches_online_predict_train(dataset_dir):
+    dataset, windows = load_windows(dataset_dir, 8.0, 8.0, labels_for="to train")
+    init = train_model(RunConfig(**FAST), make_training_examples(windows[:3], dataset.labels), None)
+    scenes = [build_scene(w) for w in windows[3:]]
+    entries, last = predict_scenes(iter(scenes), init, online=True)
+    streamed = list(online_predict_train(scenes, init))
+    assert [Partition.from_json_obj(e) for e in entries] == [pred for pred, _ in streamed]
+    assert [e["window"] for e in entries] == [s.window.index for s in scenes]
+    assert last.mode == "online" and np.array_equal(last.w, streamed[-1][1].w)
 
 
 @pytest.mark.parametrize("mode", ["sequential", "online"])
