@@ -20,7 +20,10 @@ sequential (examples arrive over time, blocks grow with them, and the same
 max_iterations budget is spent in shares as they arrive) and online
 (self-supervised from own predictions: each scene appends one block to the
 model and spends ONLINE_STEPS updates on that block only) modes share that
-update, which reads C and the loss from the model it changes.
+update, which reads C and the loss from the model it changes. Batch and
+sequential training also keep the averaged iterate w_avg (BCFW-wavg, ibid.:
+weight 2k/(K(K+1)) on the iterate after update k of K), which predictions
+use; the Frank-Wolfe state stays the iterate's.
 Training writes nothing: batch and sequential training report each update
 only through iteration_hook(model, info), from which the harness logs it.
 """
@@ -100,8 +103,10 @@ class TrainConfig:
 class Model:
     """Learned weights plus the per-block Frank-Wolfe state and training metadata.
 
-    w decomposes as [alpha; beta]: the affinity of a pair with distances d is
-    alpha.(1 - d) - beta.d. The block states allow exact training resumption
+    The weights predictions use, w_avg when training kept that averaged
+    iterate and w otherwise, decompose as [alpha; beta]: the affinity of a pair
+    with distances d is alpha.(1 - d) - beta.d. w = sum of block_w is the
+    Frank-Wolfe iterate; a file without w_avg predicts with w. The block states allow exact training resumption
     and replay; config_snapshot carries whatever windowing/feature settings
     are needed to reproduce a prediction. C, seed and loss default to
     TrainConfig's.
@@ -110,6 +115,7 @@ class Model:
     FORMAT_VERSION: ClassVar[int] = 1
 
     w: np.ndarray | None = None
+    w_avg: np.ndarray | None = None
     block_w: np.ndarray | None = None
     block_l: np.ndarray | None = None
     l: float = 0.0
@@ -122,39 +128,48 @@ class Model:
 
     def __post_init__(self):
         self.w = np.zeros(WEIGHT_DIM) if self.w is None else np.array(self.w, dtype=float).reshape(WEIGHT_DIM)
+        if self.w_avg is not None:
+            self.w_avg = np.array(self.w_avg, dtype=float).reshape(WEIGHT_DIM)
         self.block_w = np.array(
             [] if self.block_w is None else self.block_w, dtype=float).reshape(-1, WEIGHT_DIM)
         self.block_l = np.array([] if self.block_l is None else self.block_l, dtype=float).reshape(-1)
         if self.block_w.shape[0] != self.block_l.shape[0]:
             raise ValueError("block_w and block_l disagree on the number of blocks")
-        for name in ("w", "block_w", "block_l"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        for name in ("w", "w_avg", "block_w", "block_l"):
+            if getattr(self, name) is not None and not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         self.config_snapshot = dict(self.config_snapshot or {})
         _check_fields(self)
 
     @property
+    def weights(self) -> np.ndarray:
+        return self.w if self.w_avg is None else self.w_avg
+
+    @property
     def alpha(self) -> np.ndarray:
-        return self.w[: len(FEATURE_NAMES)]
+        return self.weights[: len(FEATURE_NAMES)]
 
     @property
     def beta(self) -> np.ndarray:
-        return self.w[len(FEATURE_NAMES) :]
+        return self.weights[len(FEATURE_NAMES) :]
 
     @property
     def nonnegative_weights(self) -> bool:
         """Whether alpha, beta >= 0 (the positivity the scale theorem assumes;
         monitored, never enforced)."""
-        return bool(np.all(self.w >= 0.0))
+        return bool(np.all(self.weights >= 0.0))
 
     def copy(self) -> "Model":
         return Model.from_dict(self.to_dict())
 
     def to_dict(self) -> dict:
-        """The model file: format_version, then the fields in declaration order."""
+        """The model file: format_version, then the fields in declaration order
+        (w_avg only when set)."""
         obj: dict = {"format_version": self.FORMAT_VERSION}
         for f in fields(self):
             value = getattr(self, f.name)
+            if value is None:
+                continue
             key = "config" if f.name == "config_snapshot" else f.name
             obj[key] = value.tolist() if isinstance(value, np.ndarray) else value
         return obj
@@ -322,8 +337,11 @@ def _bcfw_step(model: Model, planes: _Planes, i: int, exact: bool = False) -> _S
 
 
 def _hooked_step(model: Model, blocks: list[_Planes], i: int, iteration_hook, exact: bool = False) -> _StepInfo:
-    """_bcfw_step on block i, then iteration_hook(model, info) when one is given."""
+    """_bcfw_step on block i; then w_avg <- k/(k+2) w_avg + 2/(k+2) w, with k the
+    updates before this one; then iteration_hook(model, info) when one is given."""
     info = _bcfw_step(model, blocks[i], i, exact)
+    k = model.iterations - 1
+    model.w_avg = k / (k + 2) * model.w_avg + 2 / (k + 2) * model.w
     if iteration_hook is not None:
         iteration_hook(model, info)
     return info
@@ -342,11 +360,11 @@ def bcfw_train(
     are one exact update per block, whose gaps sum to the reported duality
     gap (that pass runs even when the budget is smaller). The oracle is
     greedy, not exact, so that gap is an estimate, not a bound: it can be
-    negative. Returns the trained model. iteration_hook(model, info), when
-    given, sees the model after every update.
+    negative. Returns the trained model, its w_avg set. iteration_hook(model,
+    info), when given, sees the model after every update.
     """
     config = config or TrainConfig()
-    model = Model(C=config.C, seed=config.seed, loss=config.loss, mode="batch")
+    model = Model(w_avg=np.zeros(WEIGHT_DIM), C=config.C, seed=config.seed, loss=config.loss, mode="batch")
     blocks: list[_Planes] = []
     for example in examples:
         _add_block(model, blocks, example)
@@ -371,13 +389,13 @@ def sequential_train(
     """Feed the examples in arrival order: after arrival k of n, uniformly
     random updates over the k blocks seen so far (drawn from a generator
     seeded with config.seed) until config.max_iterations * k // n updates are
-    spent in all. Returns the trained model. iteration_hook(model, info), when
-    given, sees the model after every update."""
+    spent in all. Returns the trained model, its w_avg set.
+    iteration_hook(model, info), when given, sees the model after every update."""
     config = config or TrainConfig()
     if not examples:
         raise ConfigError("training requires at least one example")
     rng = np.random.default_rng(config.seed)
-    model = Model(C=config.C, seed=config.seed, loss=config.loss, mode="sequential")
+    model = Model(w_avg=np.zeros(WEIGHT_DIM), C=config.C, seed=config.seed, loss=config.loss, mode="sequential")
     blocks: list[_Planes] = []
     with np.errstate(over="ignore"):
         for k, example in enumerate(examples, start=1):
@@ -389,7 +407,7 @@ def sequential_train(
 
 def predict(scene: WindowedScene, model) -> Partition:
     """Greedy correlation clustering under the model's (or raw vector's) weights."""
-    w = model.w if isinstance(model, Model) else model
+    w = model.weights if isinstance(model, Model) else model
     part, _ = greedy_cc(affinity(scene, w))
     return part
 
@@ -404,9 +422,10 @@ def online_predict_train(
     block only, with init's C and loss. Past ONLINE_MAX_BLOCKS pseudo-label
     blocks, the oldest leaves the model with its share of w and l. Yields
     (prediction, copy of the updated model) per scene; init is left unchanged.
+    Steps and predictions use the iterate w, never init's w_avg.
     """
     model = init.copy()
-    model.mode = "online"
+    model.mode, model.w_avg = "online", None
     pseudo: list[_Planes] = []
     for scene in scenes:
         prediction = predict(scene, model)

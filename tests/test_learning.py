@@ -460,16 +460,19 @@ def test_model_snapshot_round_trip(tmp_path):
     model.save(path)
     back = Model.load(path)
     assert np.array_equal(back.w, model.w)
+    assert np.array_equal(back.w_avg, model.w_avg)
     assert np.array_equal(back.block_w, model.block_w)
     assert back.l == model.l
     assert back.C == model.C
     assert back.loss == model.loss
     assert back.mode == model.mode
     assert back.iterations == model.iterations
-    # a saved model file loads and saves to the same bytes, key order included
+    # a saved model file loads and saves to the same bytes, key order included;
+    # one without w_avg predicts with w
     saved = Path(__file__).resolve().parents[1] / "perfbench" / "model.json"
     Model.load(saved).save(path)
     assert path.read_bytes() == saved.read_bytes()
+    assert Model.load(saved).w_avg is None and np.array_equal(Model.load(saved).weights, Model.load(saved).w)
 
 
 def test_model_load_rejects_garbage(tmp_path):
@@ -525,6 +528,23 @@ def test_sequential_single_example_matches_batch():
                iteration_hook=lambda m, info: sampled.append(m.w.copy()))
     assert model.mode == "sequential" and model.iterations == 59
     assert np.array_equal(model.w, sampled[58])
+
+
+@pytest.mark.parametrize("train", [bcfw_train, sequential_train])
+def test_training_returns_the_averaged_iterate(train):
+    # w_avg <- k/(k+2) w_avg + 2/(k+2) w over the iterates the hook sees
+    # (BCFW-wavg); the Frank-Wolfe state stays the last iterate's
+    iterates = []
+    model = train(noisy_examples()[:4], TrainConfig(max_iterations=40, seed=2),
+                  iteration_hook=lambda m, _: iterates.append(m.w.copy()))
+    expected = np.zeros(8)
+    for k, w in enumerate(iterates):
+        expected = k / (k + 2) * expected + 2 / (k + 2) * w
+    assert len(iterates) == model.iterations
+    assert np.array_equal(model.w_avg, expected) and np.array_equal(model.weights, expected)
+    assert np.array_equal(model.w, iterates[-1]) and not np.array_equal(model.w, expected)
+    assert np.allclose(model.w, model.block_w.sum(axis=0), atol=1e-12)
+    assert np.array_equal(model.alpha, expected[:4]) and np.array_equal(model.beta, expected[4:])
 
 
 def test_sequential_spends_max_iterations_over_arrivals(tmp_path, monkeypatch):
@@ -594,6 +614,9 @@ def test_online_predict_train_leaves_init_unchanged():
     scenes = [separable_scene(), separable_scene(near=0.3, far=0.6), separable_scene()]
     out = list(online_predict_train(scenes, init))
     assert init.to_dict() == before
+    # online mode predicts from the iterate, not from init's averaged weights
+    assert out[0][0] == predict(scenes[0], init.w)
+    assert all(model.w_avg is None for _, model in out)
     steps = learning.ONLINE_STEPS
     assert [model.iterations for _, model in out] == [init.iterations + steps * k for k in (1, 2, 3)]
     for k, (_, model) in enumerate(out, start=1):
@@ -610,6 +633,8 @@ def test_predict_accepts_model_or_vector():
     w = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     model = Model(w=w, C=1.0, seed=0, loss="gmitre")
     assert predict(scene, model) == predict(scene, w)
+    # a model with an averaged iterate predicts with it, not with w
+    assert predict(scene, Model(w=-w, w_avg=w)) == predict(scene, w) != predict(scene, -w)
     assert predict(empty_scene(), w) == Partition([])
 
 
