@@ -44,6 +44,7 @@ equal them exactly. This module writes no file (harness writes the features CSV)
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -396,11 +397,17 @@ def _heat_cells(segments, origin: np.ndarray, cfg: FeatureConfig):
     """(segments, V, 3) zero-padded rows (x, y, E) of each segment's visited
     cells in (x, y) order, and V per segment: centres relative to `origin` of
     cells of edge heat_cell_edge anchored there; E = exp(-k_r * dwell seconds)
-    over the largest, a cell's dwells summed in time order. Rows are per segment."""
+    over the largest, a cell's dwells summed in time order. Rows are per segment.
+    An edge so small that a cell index overflows raises ConfigError."""
     lengths = [len(seg) for seg in segments]
     dwell = np.append(np.diff(np.concatenate([seg.times for seg in segments])), 0.0)
     dwell[np.cumsum(lengths) - 1] = 0.0  # a segment's last sample
-    cells = np.floor((np.concatenate([seg.points for seg in segments]) - origin) / cfg.heat_cell_edge)
+    offsets = np.concatenate([seg.points for seg in segments]) - origin
+    span = float(np.abs(offsets).max(initial=0.0))
+    if span >= cfg.heat_cell_edge * sys.float_info.max:
+        raise ConfigError(f"heat_cell_edge {cfg.heat_cell_edge!r} is too small for points {span:.3g} m "
+                          "from the cells' origin: their cell index overflows")
+    cells = np.floor(offsets / cfg.heat_cell_edge)
     keys = np.column_stack([np.repeat(np.arange(len(segments)), lengths), cells])
     order = np.lexsort(keys.T[::-1])  # stable: a cell's samples stay in time order
     first = np.append(True, np.diff(keys[order], axis=0).any(axis=1))

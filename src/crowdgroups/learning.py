@@ -106,7 +106,7 @@ class Model:
     The weights predictions use, w_avg when training kept that averaged
     iterate and w otherwise, decompose as [alpha; beta]: the affinity of a pair
     with distances d is alpha.(1 - d) - beta.d. w = sum of block_w is the
-    Frank-Wolfe iterate; a file without w_avg predicts with w. The block states allow exact training resumption
+    Frank-Wolfe iterate. The block states allow exact training resumption
     and replay; config_snapshot carries whatever windowing/feature settings
     are needed to reproduce a prediction. C, seed and loss default to
     TrainConfig's.
@@ -143,6 +143,7 @@ class Model:
 
     @property
     def weights(self) -> np.ndarray:
+        """The weights predictions use: w_avg when set, else w."""
         return self.w if self.w_avg is None else self.w_avg
 
     @property

@@ -25,6 +25,7 @@ from .trajectories import (
 )
 
 _FORMATION_UNIT = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+MAX_SAMPLES = 10_000_000  # duration x fps x pedestrians: 40x a 10,000-pedestrian 10 s window
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,9 @@ class SynthSpec:
         _check_fields(self)
         if not 2 <= self.group_size_min <= self.group_size_max <= len(_FORMATION_UNIT):
             raise ConfigError(f"group sizes must satisfy 2 <= min <= max <= {len(_FORMATION_UNIT)}")
+        pedestrians = min(self.n_groups * self.group_size_max + self.n_singletons, MAX_SAMPLES + 1)
+        if self.duration * self.fps * pedestrians > MAX_SAMPLES:
+            raise ConfigError(f"duration x fps x pedestrians must be at most {MAX_SAMPLES:,} samples")
 
 
 def _leader_walk(

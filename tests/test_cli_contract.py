@@ -69,6 +69,10 @@ def _cases():
         for value in ("nan", "inf", "-1"):
             yield f"predict{flag}={value}", _with(PREDICT, flag, value)
     yield "synth--seed=-1", _with(SYNTH, "--seed", "-1")
+    # more samples than a scene may hold; 1e300 x fps x pedestrians overflows a float
+    for duration in ("1e12", "1e300"):
+        yield f"synth-duration={duration}", _with(SYNTH, "--spec", f"{{d}}/duration-{duration}.toml")
+    yield "features-heat_cell_edge=1e-300-valid", _with(CONFIG_COMMANDS["features"], "--config", "{d}/edge.toml")
     for kind, path in FILES.items():
         yield f"synth-spec-{kind}", _with(SYNTH, "--spec", path)
         yield f"predict-model-{kind}", _with(PREDICT, "--model", path)
@@ -102,6 +106,9 @@ def inputs(tmp_path_factory):
     (root / "not-utf8.bin").write_bytes(NOT_UTF8)
     (root / "not-json.txt").write_text("{not json\n", encoding="utf-8")
     (root / "spec.toml").write_text("n_groups = 1\nn_singletons = 1\nduration = 20.0\n", encoding="utf-8")
+    for duration in ("1e12", "1e300"):
+        (root / f"duration-{duration}.toml").write_text(f"duration = {duration}\n", encoding="utf-8")
+    (root / "edge.toml").write_text("heat_cell_edge = 1e-300\n", encoding="utf-8")
     model = Model(w=np.ones(8), config_snapshot={"window_len": 8.0, "stride": 8.0})
     model.save(root / "model.json")
     write_predictions(root / "pred.json", 0, predict_windows(root / "scene", model))
@@ -157,12 +164,15 @@ def test_cli_checks_outputs_before_building_scenes(inputs, tmp_path, capsys, mon
 
 
 # settings whose arithmetic overflows or underflows: a training C whose
-# Frank-Wolfe line search overflows, and lengths whose square is not a normal
-# float; each is refused with one error line naming the key, and no numpy
-# warning is raised on the way (warnings are errors here)
+# Frank-Wolfe line search overflows, lengths whose square is not a normal
+# float, and a heat cell edge so small that a cell index of the scene
+# overflows (1e-300 works, see test_cli_contract); each is refused with one
+# error line naming the key, and no numpy warning is raised on the way
+# (warnings are errors here)
 EXTREME_SETTINGS = {
     "heat_length": ("1e-160", "1e-300", "1e160", "1e300"),
     "proxemic_sigmas": ("[1e-300, 1e-299]", "[1e200, 1e201]", "[1e-160, 1.0]"),
+    "heat_cell_edge": ("1e-308", "1e-320"),
 }
 EXTREMES = {
     **{f"{name}-{mode}--C=1e160": ("C", "C = 1e160", _with(CONFIG_COMMANDS[name], "--mode", mode))

@@ -470,9 +470,10 @@ def test_model_snapshot_round_trip(tmp_path):
     # a saved model file loads and saves to the same bytes, key order included;
     # one without w_avg predicts with w
     saved = Path(__file__).resolve().parents[1] / "perfbench" / "model.json"
-    Model.load(saved).save(path)
+    loaded = Model.load(saved)
+    loaded.save(path)
     assert path.read_bytes() == saved.read_bytes()
-    assert Model.load(saved).w_avg is None and np.array_equal(Model.load(saved).weights, Model.load(saved).w)
+    assert loaded.w_avg is None and np.array_equal(loaded.weights, loaded.w)
 
 
 def test_model_load_rejects_garbage(tmp_path):
