@@ -241,11 +241,14 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
-        return _COMMANDS[args.command](args)
-    except CrowdGroupsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # a reader that stops early (`| head`) is no error; flushes at exit go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except (CrowdGroupsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,21 +18,21 @@ so the other rows equal an ungated build's.
 Every feature is a kernel over the pair axis (ia, ib); its temporaries are
 chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
 
-- Layout: `align_segments` puts a window's members on the sorted union of
-  their timestamps, a (members, frames, 2) point tensor with a presence mask.
-  Two members share a frame exactly when both have a sample with that
-  timestamp, the matches np.intersect1d finds.
-- d_ph and d_ca read each pair's common samples compacted in time order,
-  batched by common count K: the causality lags run over compacted samples,
-  and every reduction sees the shapes of a one-pair call.
-- d_sh runs the DTW recursion over whole segments one anti-diagonal at a
-  time, with +inf cost past each segment's end.
+- Layout: every kernel reads one `align_segments` layout (times, points,
+  present) of the window's members on the sorted union of their timestamps;
+  a member's samples are its present frames in order. Two members share a
+  frame exactly when both have a sample with that timestamp, as np.intersect1d.
+- d_ph and d_ca read each pair's common samples, compacted once in time order
+  and batched by common count K: the causality lags run over compacted
+  samples, and every reduction sees the shapes of a one-pair call.
+- d_sh runs the DTW recursion over each member's samples one anti-diagonal
+  at a time, with +inf cost past each member's last sample.
 - d_ca factors each K batch of (samples, [1, own lags, source lags, target])
-  matrices with one np.linalg.qr(mode="r"); the target column of R gives the
-  restricted and unrestricted RSS, the latter exactly 0 when no more samples
-  than design columns are fitted. Designs whose R diagonal shows rank
-  deficiency are refitted by np.linalg.lstsq, whose rank handling is the
-  reference. The F CDF of each batch's statistics is one closed form.
+  matrices, both directions of each pair, with one np.linalg.qr(mode="r"); the
+  target column of R gives the restricted and unrestricted RSS, the latter
+  exactly 0 when no more samples than design columns are fitted. Designs whose
+  R diagonal shows rank deficiency are refitted by np.linalg.lstsq, whose rank
+  handling is the reference. The F CDF of each batch's statistics is one closed form.
 - d_he is 1 - the cosine of two kernel mean embeddings: Gaussians of length
   heat_length on the visited cells, weighted by E = exp(-k_r * dwell). Their
   inner products need only the cells' distances, so no grid is built.
@@ -182,7 +182,7 @@ def _common_groups(aligned, ia: np.ndarray, ib: np.ndarray, per_sample: int):
     """Yield (rows, pa, pb): the pair rows with the same K >= 1 common samples
     and their (rows, K, 2) points at those samples, in time order. The caller's
     temporaries take about `per_sample` floats per frame of a pair."""
-    points, present = aligned
+    _, points, present = aligned
     for chunk in _chunks(len(ia), present.shape[1] * per_sample):
         a, b = ia[chunk], ib[chunk]
         common = present[a] & present[b]
@@ -195,7 +195,7 @@ def _common_groups(aligned, ia: np.ndarray, ib: np.ndarray, per_sample: int):
 
 def _far_rows(aligned, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     """Per pair: shares a sample and is more than NEAR_RADIUS apart at each."""
-    points, present = aligned
+    _, points, present = aligned
     far = np.zeros(len(ia), dtype=bool)
     for chunk in _chunks(len(ia), 10 * present.shape[1]):
         a, b = ia[chunk], ib[chunk]
@@ -206,40 +206,28 @@ def _far_rows(aligned, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     return far
 
 
-def _proxemic_rows(aligned, ia, ib, cfg: FeatureConfig) -> np.ndarray:
-    """d_ph per pair; NaN where the pair shares no sample."""
-    sig2 = np.square(np.asarray(cfg.proxemic_sigmas, dtype=float))
-    peak = gmm_eval((0.0, 0.0), cfg)
-    out = np.full(len(ia), np.nan)
-    for rows, pa, pb in _common_groups(aligned, ia, ib, 4 * (sig2.size + 2)):
-        deltas = pa - pb
-        d2 = np.einsum("pkj,pkj->pk", deltas, deltas)
-        responses = np.mean(np.exp(-d2[..., None] / (2.0 * sig2)) / (2.0 * math.pi * sig2), axis=2)
-        out[rows] = 1.0 - responses.mean(axis=1) / peak
-    return np.clip(out, 0.0, 1.0)
-
-
 def proxemic_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig | None = None) -> float:
     """1 - (mean mixture response over co-timed displacements) / (response at 0)."""
-    value = _proxemic_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, cfg or FeatureConfig())[0]
+    value = _common_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, cfg or FeatureConfig())[0][0]
     if np.isnan(value):
         raise ValueError("segments share no common timestamps")
     return float(value)
 
 
-def _dtw_rows(segments, ia, ib, tau: float) -> np.ndarray:
+def _dtw_rows(aligned, ia, ib, tau: float) -> np.ndarray:
     """Bounded DTW distance per pair, one anti-diagonal d = i + j of the
     cumulative cost at a time: column i + 1 of a diagonal holds cell (i, d - i)
-    and column 0 is +inf. Samples past a segment's end sit at +inf as the first
-    member and -inf as the second, whose points are stored reversed between
+    and column 0 is +inf. Samples past a member's last sit at +inf as the first
+    member and -inf as the second, whose samples are stored reversed between
     size - 1 such samples on each side, so diagonal d reads them as one slice."""
-    lengths = np.array([len(seg) for seg in segments], dtype=int)
+    _, points, present = aligned
+    lengths = present.sum(axis=1)
     size = int(lengths.max(initial=1))
-    first = np.full((len(segments), size, 2), np.inf)
-    second = np.full((len(segments), 3 * size - 2, 2), -np.inf)
-    for k, seg in enumerate(segments):
-        first[k, : len(seg)] = seg.points
-        second[k, 2 * size - 1 - len(seg) : 2 * size - 1] = seg.points[::-1]
+    owner, frames = np.nonzero(present)
+    sample = np.arange(owner.size) - (np.cumsum(lengths) - lengths)[owner]
+    first = np.full((len(present), size, 2), np.inf)
+    second = np.full((len(present), 3 * size - 2, 2), -np.inf)
+    first[owner, sample] = second[owner, 2 * size - 2 - sample] = points[owner, frames]
     out = np.empty(len(ia))
     for chunk in _chunks(len(ia), 16 * (size + 1)):
         a, b = ia[chunk], ib[chunk]
@@ -267,7 +255,7 @@ def dtw_shape_distance(seg_a: Trajectory, seg_b: Trajectory, tau: float = DTW_TA
     raw is the squared-Euclidean warping cost normalized by max(A, B)."""
     if not (_is_finite_real(tau) and tau > 0):
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
-    return float(_dtw_rows([seg_a, seg_b], *_ONE_PAIR, tau)[0])
+    return float(_dtw_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, tau)[0])
 
 
 def _series(n: int, p: float, q: float, first: float, t):
@@ -326,39 +314,35 @@ def _rss(design: np.ndarray, target: np.ndarray) -> float:
     return float(resid @ resid)
 
 
-def _granger_areas(aligned, targets, sources, lag: int) -> np.ndarray:
-    """F-CDF area of "source Granger-causes target" per (target, source) row;
-    NaN where granger_causality_area gives None."""
-    m = lag
-    out = np.full(len(targets), np.nan)
-    for rows, y_pts, x_pts in _common_groups(aligned, targets, sources, 16 * (m + 1)):
-        k = y_pts.shape[1]
-        dof = k - 2 * m - 1
-        if dof < 1:
-            continue
-        # one (k - m, 2m + 2) matrix per (pair, coordinate) with the columns
-        # [1, own lags 1..m, source lags 1..m, target] over the fitted samples
-        y, x = y_pts.transpose(0, 2, 1), x_pts.transpose(0, 2, 1)
-        lags = [s[..., m - j : k - j] for s in (y, x) for j in range(1, m + 1)]
-        stack = np.stack([np.ones_like(y[..., m:]), *lags, y[..., m:]], axis=-1).reshape(-1, k - m, 2 * m + 2)
-        r = np.linalg.qr(stack, mode="r")
-        z = r[:, :, -1]
-        rss_r = np.sum(z[:, m + 1 :] ** 2, axis=1)
-        rss_u = np.sum(z[:, 2 * m + 1 :] ** 2, axis=1)  # exactly 0 with no more rows than columns
-        r_diag = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, : 2 * m + 1])
-        for i in np.flatnonzero(r_diag.min(axis=1) <= _RANK_TOL * r_diag.max(axis=1)):
-            rss_r[i] = _rss(stack[i, :, : m + 1], stack[i, :, -1])
-            rss_u[i] = _rss(stack[i, :, :-1], stack[i, :, -1])
-        rss_r = rss_r[0::2] + rss_r[1::2]
-        rss_u = rss_u[0::2] + rss_u[1::2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = rss_r - rss_u
-            stat = np.where(gain > _NO_GAIN_RTOL * rss_r, (gain / m) / (rss_u / dof), 0.0)
-            area = _beta_halves(m * stat / (m * stat + dof), m, dof)
-        area[rss_u <= _DEGENERATE_RSS] = 1.0
-        area[rss_r <= _DEGENERATE_RSS] = np.nan
-        out[rows] = area
-    return out
+def _causality(y_pts: np.ndarray, x_pts: np.ndarray, m: int) -> np.ndarray:
+    """F-CDF area of "x Granger-causes y" at lag m per row of one K batch of (rows, K, 2)
+    common samples in time order; NaN where granger_causality_area gives None."""
+    k = y_pts.shape[1]
+    dof = k - 2 * m - 1
+    if dof < 1:
+        return np.full(len(y_pts), np.nan)
+    # one (k - m, 2m + 2) matrix per (row, coordinate) with the columns
+    # [1, own lags 1..m, source lags 1..m, target] over the fitted samples
+    y, x = y_pts.transpose(0, 2, 1), x_pts.transpose(0, 2, 1)
+    lags = [s[..., m - j : k - j] for s in (y, x) for j in range(1, m + 1)]
+    stack = np.stack([np.ones_like(y[..., m:]), *lags, y[..., m:]], axis=-1).reshape(-1, k - m, 2 * m + 2)
+    r = np.linalg.qr(stack, mode="r")
+    z = r[:, :, -1]
+    rss_r = np.sum(z[:, m + 1 :] ** 2, axis=1)
+    rss_u = np.sum(z[:, 2 * m + 1 :] ** 2, axis=1)  # exactly 0 with no more rows than columns
+    r_diag = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, : 2 * m + 1])
+    for i in np.flatnonzero(r_diag.min(axis=1) <= _RANK_TOL * r_diag.max(axis=1)):
+        rss_r[i] = _rss(stack[i, :, : m + 1], stack[i, :, -1])
+        rss_u[i] = _rss(stack[i, :, :-1], stack[i, :, -1])
+    rss_r = rss_r[0::2] + rss_r[1::2]
+    rss_u = rss_u[0::2] + rss_u[1::2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = rss_r - rss_u
+        stat = np.where(gain > _NO_GAIN_RTOL * rss_r, (gain / m) / (rss_u / dof), 0.0)
+        area = _beta_halves(m * stat / (m * stat + dof), m, dof)
+    area[rss_u <= _DEGENERATE_RSS] = 1.0
+    area[rss_r <= _DEGENERATE_RSS] = np.nan
+    return area
 
 
 def granger_causality_area(target: Trajectory, source: Trajectory, lag: int = 2) -> float | None:
@@ -371,16 +355,28 @@ def granger_causality_area(target: Trajectory, source: Trajectory, lag: int = 2)
     """
     if not (_is_integer(lag) and lag >= 1):
         raise ValueError(f"lag must be an integer >= 1, got {lag!r}")
-    area = _granger_areas(align_segments([target, source]), *_ONE_PAIR, int(lag))[0]
+    _, points, present = align_segments([target, source])
+    area = _causality(*points[:, None, present.all(axis=0)], int(lag))[0]  # (1, K, 2) target, source
     return None if np.isnan(area) else float(area)
 
 
-def _granger_rows(aligned, ia, ib, cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(d_ca, fallback) per pair: 1 - the larger defined directional area."""
-    areas = _granger_areas(aligned, np.concatenate([ib, ia]), np.concatenate([ia, ib]), cfg.granger_lag)
-    best = np.fmax(*np.split(areas, 2))
+def _common_rows(aligned, ia, ib, cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_ph, d_ca, fallback) per pair from its common samples, compacted once:
+    d_ph is NaN where the pair shares none, d_ca is 1 - the larger defined
+    directional area, and GRANGER_FALLBACK where neither is (flagged)."""
+    sig2 = np.square(np.asarray(cfg.proxemic_sigmas, dtype=float))
+    peak = gmm_eval((0.0, 0.0), cfg)
+    m = cfg.granger_lag
+    d_ph, best = np.full(len(ia), np.nan), np.full(len(ia), np.nan)
+    for rows, pa, pb in _common_groups(aligned, ia, ib, max(4 * (sig2.size + 2), 32 * (m + 1))):
+        deltas = pa - pb
+        d2 = np.einsum("pkj,pkj->pk", deltas, deltas)
+        responses = np.mean(np.exp(-d2[..., None] / (2.0 * sig2)) / (2.0 * math.pi * sig2), axis=2)
+        d_ph[rows] = 1.0 - responses.mean(axis=1) / peak
+        # both directions in one batch: b caused by a, then a caused by b
+        best[rows] = np.fmax(*_causality(np.concatenate([pb, pa]), np.concatenate([pa, pb]), m).reshape(2, -1))
     fallback = np.isnan(best)
-    return np.where(fallback, GRANGER_FALLBACK, np.clip(1.0 - best, 0.0, 1.0)), fallback
+    return np.clip(d_ph, 0.0, 1.0), np.where(fallback, GRANGER_FALLBACK, np.clip(1.0 - best, 0.0, 1.0)), fallback
 
 
 def granger_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig | None = None) -> float:
@@ -389,32 +385,32 @@ def granger_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig | 
     Pairs with too few common samples (or degenerate regressions in both
     directions) fall back to the uninformative midpoint 0.5.
     """
-    value, _ = _granger_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, cfg or FeatureConfig())
-    return float(value[0])
+    return float(_common_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, cfg or FeatureConfig())[1][0])
 
 
-def _heat_cells(segments, origin: np.ndarray, cfg: FeatureConfig):
-    """(segments, V, 3) zero-padded rows (x, y, E) of each segment's visited
-    cells in (x, y) order, and V per segment: centres relative to `origin` of
-    cells of edge heat_cell_edge anchored there; E = exp(-k_r * dwell seconds)
-    over the largest, a cell's dwells summed in time order. Rows are per segment.
+def _heat_cells(aligned, rows, origin: np.ndarray, cfg: FeatureConfig):
+    """(rows, V, 3) zero-padded rows (x, y, E) of the visited cells of the
+    layout's members `rows` in (x, y) order, and V per member: centres relative
+    to `origin` of cells of edge heat_cell_edge anchored there; E = exp(-k_r *
+    dwell seconds) over the largest, a cell's dwells summed in time order.
     An edge so small that a cell index overflows raises ConfigError."""
-    lengths = [len(seg) for seg in segments]
-    dwell = np.append(np.diff(np.concatenate([seg.times for seg in segments])), 0.0)
-    dwell[np.cumsum(lengths) - 1] = 0.0  # a segment's last sample
-    offsets = np.concatenate([seg.points for seg in segments]) - origin
+    times, points, present = aligned
+    owner, frames = np.nonzero(present[rows])
+    # a sample dwells until its member's next one; a member's last sample does not
+    dwell = np.where(np.diff(owner, append=-1) == 0, np.diff(times[frames], append=0.0), 0.0)
+    offsets = points[rows][owner, frames] - origin
     span = float(np.abs(offsets).max(initial=0.0))
     if span >= cfg.heat_cell_edge * sys.float_info.max:
         raise ConfigError(f"heat_cell_edge {cfg.heat_cell_edge!r} is too small for points {span:.3g} m "
                           "from the cells' origin: their cell index overflows")
     cells = np.floor(offsets / cfg.heat_cell_edge)
-    keys = np.column_stack([np.repeat(np.arange(len(segments)), lengths), cells])
+    keys = np.column_stack([owner, cells])
     order = np.lexsort(keys.T[::-1])  # stable: a cell's samples stay in time order
     first = np.append(True, np.diff(keys[order], axis=0).any(axis=1))
     dwells = np.bincount(np.cumsum(first) - 1, weights=dwell[order])
     owner, cells = keys[order[first], 0].astype(int), keys[order[first], 1:]
-    counts = np.bincount(owner, minlength=len(segments))
-    table = np.zeros((len(segments), counts.max(initial=0), 3))
+    counts = np.bincount(owner, minlength=len(rows))
+    table = np.zeros((len(rows), counts.max(initial=0), 3))
     slot = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
     table[owner, slot] = np.column_stack([(cells + 0.5) * cfg.heat_cell_edge, np.exp(-cfg.heat_k_r * dwells)])
     peak = table[..., 2].max(axis=1, keepdims=True)
@@ -453,7 +449,8 @@ def heatmap_build(seg: Trajectory, cfg: FeatureConfig | None = None, origin=None
     to `origin` of cells of edge heat_cell_edge anchored there (by default the
     segment's lowest point; build_scene uses the window's), and energies
     exp(-k_r * occupancy seconds) over the largest; a revisit counts once."""
-    return _heat_cells([seg], seg.points.min(axis=0) if origin is None else origin, cfg or FeatureConfig())[0][0]
+    origin = seg.points.min(axis=0) if origin is None else origin
+    return _heat_cells(align_segments([seg]), [0], origin, cfg or FeatureConfig())[0][0]
 
 
 def heatmap_distance(h_a: np.ndarray, h_b: np.ndarray, cfg: FeatureConfig | None = None) -> float:
@@ -479,21 +476,19 @@ def build_scene(window: TimeWindow, configs: FeatureConfig | None = None) -> Win
     """
     configs = configs or FeatureConfig()
     members = sorted(window.members)
-    segments = [window.segments[m] for m in members]
     ia, ib = np.triu_indices(len(members), 1)
-    aligned = align_segments(segments)
+    aligned = align_segments([window.segments[m] for m in members])
     far = _far_rows(aligned, ia, ib)
     keep = np.flatnonzero(~far)
     ka, kb = ia[keep], ib[keep]
     features = np.ones((len(ia), len(FEATURE_NAMES)))
     fallback = np.zeros(len(ia), dtype=bool)
-    features[keep, 0] = _proxemic_rows(aligned, ka, kb, configs)
-    features[keep, 1] = _dtw_rows(segments, ka, kb, DTW_TAU)
-    features[keep, 2], fallback[keep] = _granger_rows(aligned, ka, kb, configs)
+    features[keep, 0], features[keep, 2], fallback[keep] = _common_rows(aligned, ka, kb, configs)
+    features[keep, 1] = _dtw_rows(aligned, ka, kb, DTW_TAU)
     used, slots = np.unique(np.concatenate([ka, kb]), return_inverse=True)
     if len(used):
-        origin = np.vstack([seg.points for seg in window.segments.values()]).min(axis=0)
-        table, counts = _heat_cells([segments[u] for u in used], origin, configs)
+        _, points, present = aligned
+        table, counts = _heat_cells(aligned, used, points[present].min(axis=0), configs)
         features[keep, 3] = _heat_rows(table, counts, *slots.reshape(2, -1), configs)
     no_overlap = np.isnan(features[:, 0])
     features[no_overlap, 0] = features[no_overlap, 2] = NO_OVERLAP_DISTANCE

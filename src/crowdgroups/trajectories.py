@@ -127,10 +127,11 @@ class TimeWindow:
             raise ValueError("segments must cover exactly the window members")
 
 
-def align_segments(segments) -> tuple[np.ndarray, np.ndarray]:
-    """(points, present) of the segments on the sorted union of their timestamps:
-    a (segments, frames, 2) point tensor, zero where a segment has no sample,
-    and the (segments, frames) mask of the samples."""
+def align_segments(segments) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, points, present): the sorted union of the segments' timestamps, a
+    (segments, frames, 2) point tensor, zero where a segment has no sample, and
+    the (segments, frames) mask of the samples. A segment's samples are its
+    present frames in order; two share a frame when both have that timestamp."""
     times = np.unique(np.concatenate([seg.times for seg in segments] or [np.empty(0)]))
     points = np.zeros((len(segments), times.size, 2))
     present = np.zeros((len(segments), times.size), dtype=bool)
@@ -138,7 +139,7 @@ def align_segments(segments) -> tuple[np.ndarray, np.ndarray]:
         cols = np.searchsorted(times, seg.times)
         points[k, cols] = seg.points
         present[k, cols] = True
-    return points, present
+    return times, points, present
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,7 +448,7 @@ def scene_stats(windows: Iterable[TimeWindow], labels: GroundTruthLabels) -> Sce
     intra: list[np.ndarray] = [np.empty(0)]
     nearest: list[np.ndarray] = [np.empty(0)]
     for window in windows:
-        points, present = align_segments([window.segments[m] for m in sorted(window.members)])
+        _, points, present = align_segments([window.segments[m] for m in sorted(window.members)])
         groups = np.array([group_of.get(m, -1) for m in sorted(window.members)], dtype=int)
         for f in range(present.shape[1]):
             here = np.flatnonzero(present[:, f])

@@ -10,7 +10,11 @@ integer as a usage error (exit 2) before any subcommand runs, which
 
 from __future__ import annotations
 
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,3 +196,19 @@ def test_cli_refuses_settings_whose_arithmetic_overflows(inputs, tmp_path, capsy
     code = main([arg.format(d=inputs, t=tmp_path) for arg in _with(argv, "--config", str(config))])
     lines = capsys.readouterr().err.splitlines()
     assert code == 1 and len(lines) == 1 and lines[0].startswith(f"error: {key} "), lines
+
+
+def test_cli_stops_quietly_when_stdout_closes_early(tmp_path):
+    # `crowdgroups features --data scene | head -1`: the reader closes the pipe
+    # after the header; the rest of the CSV (well past a pipe buffer) is unwanted
+    trajectories, labels = synth_generate(SynthSpec(), seed=0)
+    write_dataset(tmp_path / "scene", trajectories, labels, fps=SynthSpec().fps, seed=0)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "crowdgroups.cli", "features", "--data", str(tmp_path / "scene")]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert header.startswith("window,") and code == 0 and err == "", (header, code, err)

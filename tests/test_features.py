@@ -735,6 +735,32 @@ def test_build_scene_does_not_depend_on_chunk_size(monkeypatch, chunk):
         assert got.far.tolist() == scene.far.tolist()
 
 
+def test_build_scene_compacts_each_pairs_common_samples_once(monkeypatch):
+    # d_ph and both causality directions read one compaction: a window walks
+    # its common samples in one pass that yields each non-far pair sharing a
+    # timestamp exactly once
+    rng = np.random.default_rng(12)
+    inner = features_module._common_groups
+    calls = []
+
+    def counted(aligned, ia, ib, per_sample):
+        calls.append([])
+        for rows, pa, pb in inner(aligned, ia, ib, per_sample):
+            calls[-1] += zip(ia[rows].tolist(), ib[rows].tolist())  # member indices of the rows
+            yield rows, pa, pb
+
+    monkeypatch.setattr(features_module, "_common_groups", counted)
+    for _ in range(30):
+        win = oracles.random_ragged_window(rng)
+        calls.clear()
+        scene = build_scene(win)
+        assert len(calls) == 1
+        segments = [win.segments[m] for m in scene.members]
+        want = [(i, j) for i, j, far in zip(*scene.pair_rows, scene.far)
+                if not far and np.intersect1d(segments[i].times, segments[j].times).size]
+        assert sorted(calls[0]) == want and len(want) == scene.far.size - scene.far_count - scene.no_overlap_count
+
+
 # ---------------------------------------------------------------------------
 # Far-pair gating
 

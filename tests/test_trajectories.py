@@ -412,10 +412,11 @@ def test_scene_stats_matches_scalar_loop_on_random_ragged_windows():
 def test_align_segments_marks_exact_common_timestamps():
     a = make_traj(1, [0.0, 0.4, 1.2], [[0, 0], [1, 1], [2, 2]])
     b = make_traj(2, [0.4, 0.8], [[5, 5], [6, 6]])
-    points, present = align_segments([a, b])
+    times, points, present = align_segments([a, b])
+    assert times.tolist() == [0.0, 0.4, 0.8, 1.2]
     assert present.tolist() == [[True, True, False, True], [False, True, True, False]]
     assert points[0, 3].tolist() == [2.0, 2.0] and points[1, 2].tolist() == [6.0, 6.0]
     assert points[1, 0].tolist() == [0.0, 0.0]
-    empty_points, empty_present = align_segments([])
-    assert empty_points.shape == (0, 0, 2) and empty_present.shape == (0, 0)
+    empty_times, empty_points, empty_present = align_segments([])
+    assert empty_times.shape == (0,) and empty_points.shape == (0, 0, 2) and empty_present.shape == (0, 0)
 
