@@ -168,6 +168,9 @@ def _cmd_train(args) -> int:
     config = RunConfig.from_dict(values)
     if config.mode == "online":
         raise ConfigError("online mode trains during prediction; use the run command")
+    for flag, path in (("--out", args.out), ("--log", args.log)):
+        if path == "-":  # stdout carries the summary line
+            raise ConfigError(f"train {flag} must name a file, not - (stdout)")
     _check_output(args.out)
     _check_output(args.log)
     dataset, windows = load_windows(args.data, config.window_len, config.stride, labels_for="to train")

@@ -1,11 +1,13 @@
-"""Exception hierarchy shared across the package, and the check of every
-dataclass field against its annotation."""
+"""Exception hierarchy shared across the package, the check of every dataclass
+field against its annotation, and the read-only array copy value types store."""
 
 import dataclasses
 import math
 from functools import cache
 from numbers import Integral, Real
 from typing import Annotated, Literal, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 
 class CrowdGroupsError(Exception):
@@ -58,6 +60,13 @@ def _field_hints(cls) -> tuple:
         item = get_args(extra)[0] if get_origin(hint) is tuple else extra
         out.append((f.name, hint, get_origin(hint), getattr(item, "__metadata__", (None,))[0]))
     return tuple(out)
+
+
+def _frozen_array(values, dtype=float) -> np.ndarray:
+    """A read-only, C-contiguous copy of `values` as `dtype`; the caller's array stays its own."""
+    arr = np.array(values, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
 
 
 def _check_fields(config) -> None:

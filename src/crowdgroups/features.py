@@ -51,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (ConfigError, Length, NonNegativeFloat, PositiveFloat, PositiveInt, _check_fields,
-                     _is_finite_real, _is_integer)
+                     _frozen_array, _is_finite_real, _is_integer)
 from .trajectories import TimeWindow, Trajectory, align_segments
 
 FEATURE_NAMES = ("d_ph", "d_sh", "d_ca", "d_he")
@@ -95,7 +95,7 @@ class WindowedScene:
     belongs to the member pair (members[ia[k]], members[ib[k]]), where
     (ia, ib) = `pair_rows` = np.triu_indices(len(members), 1) over the sorted
     members: (m0, m1), (m0, m2), ..., (m1, m2), ... The matrix and the flags
-    are read-only; flags default to all False.
+    are read-only copies; flags default to all False.
     """
 
     window: TimeWindow
@@ -113,10 +113,9 @@ class WindowedScene:
             ("far", bool, (n,)),
         ):
             given = getattr(self, name)
-            value = np.array(np.zeros(shape, dtype) if given is None else given, dtype=dtype)
+            value = _frozen_array(np.zeros(shape) if given is None else given, dtype)
             if value.shape != shape:
                 raise ValueError(f"{name} of shape {value.shape} for {n} pairs; expected {shape}")
-            value.setflags(write=False)
             object.__setattr__(self, name, value)
         if not np.all((self.feature_matrix >= 0.0) & (self.feature_matrix <= 1.0)):
             raise ValueError("feature distances must be finite and in [0, 1]")
@@ -165,11 +164,6 @@ def gmm_eval(delta, cfg: FeatureConfig | None = None) -> float:
     arr = np.asarray(delta, dtype=float)
     d2 = float(arr) ** 2 if arr.ndim == 0 else float(arr[0]) ** 2 + float(arr[1]) ** 2
     return float(np.mean(np.exp(-d2 / (2.0 * sig2)) / (2.0 * math.pi * sig2)))
-
-
-def _by_key(keys: np.ndarray, n: int) -> list[np.ndarray]:
-    """For each key 0..n-1, the indices of `keys` that hold it, in order."""
-    return np.split(np.argsort(keys, kind="stable"), np.cumsum(np.bincount(keys, minlength=n))[:-1])
 
 
 def _chunks(n_pairs: int, per_pair: int):
@@ -234,15 +228,16 @@ def _dtw_rows(aligned, ia, ib, tau: float) -> np.ndarray:
         la, lb = lengths[a], lengths[b]
         xa, ya = first[a, :, 0], first[a, :, 1]
         xb, yb = second[b, :, 0], second[b, :, 1]
-        ends = _by_key(la + lb - 2, 2 * size - 1)  # diagonal of cell (la - 1, lb - 1)
+        ends = la + lb - 2  # diagonal of cell (la - 1, lb - 1)
         diagonals = np.full((3, len(a), size + 1), np.inf)
         raw = np.empty(len(a))
-        for d, done in enumerate(ends):
+        for d in range(2 * size - 1):
             cur, prev1, prev2 = diagonals[d % 3], diagonals[(d - 1) % 3], diagonals[(d - 2) % 3]
             at = 2 * size - 2 - d  # column i of the slice holds sample d - i
             dx, dy = xa - xb[:, at : at + size], ya - yb[:, at : at + size]
             best = np.minimum(np.minimum(prev1[:, :-1], prev1[:, 1:]), prev2[:, :-1]) if d else 0.0
             np.add(dx * dx + dy * dy, best, out=cur[:, 1:])
+            done = np.flatnonzero(ends == d)
             raw[done] = cur[done, la[done]]
         raw /= np.maximum(la, lb)
         out[chunk] = raw / (raw + tau * tau)
@@ -444,12 +439,11 @@ def _heat_rows(table, counts, ia, ib, cfg: FeatureConfig) -> np.ndarray:
         return np.where(sa * sb == 0.0, 1.0, np.clip(1.0 - dots / np.sqrt(sa * sb), 0.0, 1.0))
 
 
-def heatmap_build(seg: Trajectory, cfg: FeatureConfig | None = None, origin=None) -> np.ndarray:
+def heatmap_build(seg: Trajectory, cfg: FeatureConfig | None = None, origin=(0.0, 0.0)) -> np.ndarray:
     """The segment's visited cells as (V, 3) rows (x, y, E): centres relative
     to `origin` of cells of edge heat_cell_edge anchored there (by default the
-    segment's lowest point; build_scene uses the window's), and energies
-    exp(-k_r * occupancy seconds) over the largest; a revisit counts once."""
-    origin = seg.points.min(axis=0) if origin is None else origin
+    world's, one grid for every segment; build_scene uses the window's), and
+    energies exp(-k_r * occupancy seconds) over the largest; a revisit counts once."""
     return _heat_cells(align_segments([seg]), [0], origin, cfg or FeatureConfig())[0][0]
 
 

@@ -30,6 +30,7 @@ only through iteration_hook(model, info), from which the harness logs it.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import math
@@ -161,7 +162,7 @@ class Model:
         return bool(np.all(self.weights >= 0.0))
 
     def copy(self) -> "Model":
-        return Model.from_dict(self.to_dict())
+        return copy.deepcopy(self)
 
     def to_dict(self) -> dict:
         """The model file: format_version, then the fields in declaration order
@@ -298,12 +299,14 @@ class _StepInfo(NamedTuple):
     exact: bool
 
 
-def _bcfw_step(model: Model, planes: _Planes, i: int, exact: bool = False) -> _StepInfo:
+def _bcfw_step(model: Model, planes: _Planes, i: int, iteration_hook=None, exact: bool = False) -> _StepInfo:
     """One Frank-Wolfe update of block i, in place on the model's w, block i
     and loss offsets, toward the block's best cached plane or, when that falls
     short (or `exact`), toward the oracle's answer under the model's loss;
-    planes are scaled by the model's C/n for its current n blocks. Returns
-    the logged quantities. A line search that overflows raises ConfigError;
+    planes are scaled by the model's C/n for its current n blocks. Then
+    w_avg <- k/(k+2) w_avg + 2/(k+2) w, k the updates before, if the model
+    keeps w_avg, and iteration_hook(model, info) if given. Returns info, the
+    logged quantities. A line search that overflows raises ConfigError;
     callers step under np.errstate(over="ignore"), so numpy does not warn first."""
     scale = model.C / len(model.block_w)
     wi, li = model.block_w[i], float(model.block_l[i])
@@ -334,15 +337,10 @@ def _bcfw_step(model: Model, planes: _Planes, i: int, exact: bool = False) -> _S
     model.block_w[i] = new_wi
     model.block_l[i] = new_li
     model.iterations += 1
-    return _StepInfo(model.iterations, i, float(hinges[j]), gamma, gap, not cached)
-
-
-def _hooked_step(model: Model, blocks: list[_Planes], i: int, iteration_hook, exact: bool = False) -> _StepInfo:
-    """_bcfw_step on block i; then w_avg <- k/(k+2) w_avg + 2/(k+2) w, with k the
-    updates before this one; then iteration_hook(model, info) when one is given."""
-    info = _bcfw_step(model, blocks[i], i, exact)
-    k = model.iterations - 1
-    model.w_avg = k / (k + 2) * model.w_avg + 2 / (k + 2) * model.w
+    info = _StepInfo(model.iterations, i, float(hinges[j]), gamma, gap, not cached)
+    if model.w_avg is not None:
+        k = model.iterations - 1
+        model.w_avg = k / (k + 2) * model.w_avg + 2 / (k + 2) * model.w
     if iteration_hook is not None:
         iteration_hook(model, info)
     return info
@@ -375,8 +373,9 @@ def bcfw_train(
     rng = np.random.default_rng(config.seed)
     with np.errstate(over="ignore"):
         for _ in range(config.max_iterations - n):
-            _hooked_step(model, blocks, int(rng.integers(n)), iteration_hook)
-        gap = sum(_hooked_step(model, blocks, i, iteration_hook, exact=True).gap for i in range(n))
+            i = int(rng.integers(n))
+            _bcfw_step(model, blocks[i], i, iteration_hook)
+        gap = sum(_bcfw_step(model, blocks[i], i, iteration_hook, exact=True).gap for i in range(n))
     logger.info("duality gap %.6g after %d iterations", gap, model.iterations)
     return model
 
@@ -402,7 +401,8 @@ def sequential_train(
         for k, example in enumerate(examples, start=1):
             _add_block(model, blocks, example)
             while model.iterations < config.max_iterations * k // len(examples):
-                _hooked_step(model, blocks, int(rng.integers(k)), iteration_hook)
+                i = int(rng.integers(k))
+                _bcfw_step(model, blocks[i], i, iteration_hook)
     return model
 
 

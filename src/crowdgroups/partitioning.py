@@ -8,10 +8,12 @@ bottom-up merging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+from .errors import _frozen_array
 
 if TYPE_CHECKING:  # pragma: no cover
     from .features import WindowedScene
@@ -19,6 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _SYMMETRY_ATOL = 1e-9
 
 
+@dataclass(frozen=True)
 class Partition:
     """Disjoint non-empty clusters over a finite member set, in canonical form.
 
@@ -26,12 +29,13 @@ class Partition:
     smallest member. Equality and hashing follow the canonical form.
     """
 
-    __slots__ = ("clusters", "members")
+    clusters: tuple[tuple[int, ...], ...]
+    members: frozenset[int] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, clusters: Iterable[Iterable[int]]):
+    def __post_init__(self):
         canon: list[tuple[int, ...]] = []
         seen: set[int] = set()
-        for cluster in clusters:
+        for cluster in self.clusters:
             c = tuple(sorted(cluster))
             if not c:
                 raise ValueError("clusters must be non-empty")
@@ -43,9 +47,6 @@ class Partition:
         canon.sort(key=lambda c: c[0])
         object.__setattr__(self, "clusters", tuple(canon))
         object.__setattr__(self, "members", frozenset(seen))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     @classmethod
     def singletons(cls, members: Iterable[int]) -> "Partition":
@@ -61,11 +62,7 @@ class Partition:
 
     def labels(self) -> dict[int, int]:
         """Member -> cluster index (canonical order)."""
-        out: dict[int, int] = {}
-        for k, cluster in enumerate(self.clusters):
-            for m in cluster:
-                out[m] = k
-        return out
+        return {m: k for k, cluster in enumerate(self.clusters) for m in cluster}
 
     def to_json_obj(self) -> dict:
         return {"groups": [list(c) for c in self.groups], "singletons": list(self.singleton_members)}
@@ -75,14 +72,6 @@ class Partition:
         clusters = [list(c) for c in obj.get("groups", [])]
         clusters.extend([m] for m in obj.get("singletons", []))
         return cls(clusters)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.clusters == other.clusters
-
-    def __hash__(self) -> int:
-        return hash(self.clusters)
 
     def __len__(self) -> int:
         return len(self.clusters)
@@ -95,33 +84,30 @@ class Partition:
         return f"Partition({inner})"
 
 
+@dataclass(frozen=True, eq=False)
 class AffinityMatrix:
     """Symmetric pairwise affinity W over a strictly increasing member list.
 
     The diagonal is unused and held at zero; the upper triangle is canonical
-    (near-symmetric input is symmetrized from it).
+    (near-symmetric input is symmetrized from it). The matrix is a read-only copy.
     """
 
-    __slots__ = ("members", "matrix")
+    members: tuple[int, ...]
+    matrix: np.ndarray
 
-    def __init__(self, members: Sequence[int], matrix) -> None:
-        members = tuple(int(m) for m in members)
+    def __post_init__(self):
+        members = tuple(int(m) for m in self.members)
         if any(a >= b for a, b in zip(members, members[1:])):
             raise ValueError("members must be strictly increasing")
-        m = np.array(matrix, dtype=float)
+        m = np.asarray(self.matrix, dtype=float)
         n = len(members)
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match {n} members")
         if n and not np.allclose(m, m.T, atol=_SYMMETRY_ATOL, rtol=0.0):
             raise ValueError("affinity matrix must be symmetric")
         upper = np.triu(m, k=1)
-        m = upper + upper.T
-        m.setflags(write=False)
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffinityMatrix is immutable")
+        object.__setattr__(self, "matrix", _frozen_array(upper + upper.T))
 
     def __len__(self) -> int:
         return len(self.members)

@@ -163,7 +163,7 @@ def synth_generate(
                 path = path + scatter * decay
             path = path + rng.normal(0.0, spec.noise_std, size=path.shape)
             np.clip(path, 0.0, spec.extent, out=path)
-            trajectories.append(Trajectory(next_id, times.copy(), path))
+            trajectories.append(Trajectory(next_id, times, path))
             member_ids.append(next_id)
             next_id += 1
         groups.append(frozenset(member_ids))
@@ -171,7 +171,7 @@ def synth_generate(
         path = _leader_walk(rng, spec, starts[spec.n_groups + s], n_steps, dt)
         path = path + rng.normal(0.0, spec.noise_std, size=path.shape)
         np.clip(path, 0.0, spec.extent, out=path)
-        trajectories.append(Trajectory(next_id, times.copy(), path))
+        trajectories.append(Trajectory(next_id, times, path))
         next_id += 1
 
     return trajectories, GroundTruthLabels(groups)
@@ -203,7 +203,7 @@ def write_dataset(
         (directory / GROUNDTRUTH_FILE).write_text(
             "\n".join(group_lines) + ("\n" if group_lines else ""), encoding="utf-8"
         )
-    descriptor = [f"fps = {fps:g}", "units = meters"]
+    descriptor = [f"fps = {float(fps)!r}", "units = meters"]
     if seed is not None:
         descriptor.append(f"seed = {seed}")
     (directory / DESCRIPTOR_FILE).write_text("\n".join(descriptor) + "\n", encoding="utf-8")

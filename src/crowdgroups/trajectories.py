@@ -20,6 +20,7 @@ from .errors import (
     DataError,
     DegenerateProjectionError,
     TrajectoryParseError,
+    _frozen_array,
 )
 from .partitioning import Partition
 
@@ -38,17 +39,11 @@ _HOMOGRAPHY_DET_EPS = 1e-12
 _PROJECTION_W_EPS = 1e-9
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-stamped ground-plane path of one pedestrian.
 
-    times: (n,) seconds, strictly increasing. points: (n, 2) meters.
+    times: (n,) seconds, strictly increasing. points: (n, 2) meters (read-only copies).
     """
 
     pedestrian_id: int
@@ -89,7 +84,7 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class Homography:
-    """3x3 invertible plane projection with finite entries, row-major."""
+    """3x3 invertible plane projection with finite entries, row-major (a read-only copy)."""
 
     h: np.ndarray
 

@@ -152,12 +152,18 @@ EARLY_FAILURES = {
 }
 
 
-@pytest.mark.parametrize("case", EARLY_FAILURES)
-def test_cli_checks_outputs_before_building_scenes(inputs, tmp_path, capsys, monkeypatch, case):
+def _count_builds(monkeypatch) -> list:
+    """The list that every build_scene call of the CLI appends to."""
     calls = []
     for module in (cli, harness):
         build = module.build_scene
         monkeypatch.setattr(module, "build_scene", lambda *args, _build=build: calls.append(1) or _build(*args))
+    return calls
+
+
+@pytest.mark.parametrize("case", EARLY_FAILURES)
+def test_cli_checks_outputs_before_building_scenes(inputs, tmp_path, capsys, monkeypatch, case):
+    calls = _count_builds(monkeypatch)
     code = main([arg.format(d=inputs, t=tmp_path) for arg in EARLY_FAILURES[case]])
     err = capsys.readouterr().err
     if case.endswith("-valid"):
@@ -165,6 +171,21 @@ def test_cli_checks_outputs_before_building_scenes(inputs, tmp_path, capsys, mon
     else:
         assert code == 1 and len(err.splitlines()) == 1 and err.startswith("error: [Errno")
         assert calls == []
+
+
+# train prints its summary line on stdout, so neither the model nor the log may go there
+STDOUT_OUTPUTS = {"train-out=-": "--out", "train-log=-": "--log"}
+
+
+@pytest.mark.parametrize("case", STDOUT_OUTPUTS)
+def test_train_refuses_stdout_for_its_files(inputs, tmp_path, capsys, monkeypatch, case):
+    calls = _count_builds(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    flag = STDOUT_OUTPUTS[case]
+    code = main([arg.format(d=inputs, t=tmp_path) for arg in _with(CONFIG_COMMANDS["train"], flag, "-")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith(f"error: train {flag} "), lines
+    assert calls == [] and not (tmp_path / "-").exists()
 
 
 # settings whose arithmetic overflows or underflows: a training C whose

@@ -437,6 +437,15 @@ def test_heatmap_static_point_peaks_at_cell():
         assert got == pytest.approx(1.0 - math.exp(-r * r / (4.0 * cfg.heat_length**2)), abs=1e-15)
 
 
+def test_heatmap_build_defaults_to_one_grid_for_every_segment():
+    # maps built with the default origin share the world's cells: the same path
+    # 100 m away visits other cells, and the kernel underflows at that distance
+    walk = [[0.2, 0.4], [1.1, 0.9], [2.3, 1.2], [3.0, 2.2]]
+    here, there = traj(1, walk), traj(2, np.add(walk, [100.0, 0.0]))
+    assert heatmap_distance(heatmap_build(here), heatmap_build(there)) == 1.0
+    assert heatmap_distance(heatmap_build(here), heatmap_build(traj(3, walk))) == 0.0
+
+
 def test_heatmap_dwell_time_decay():
     # same cells, longer occupancy: the left cell's energy decays with its dwell;
     # the final cell dwells 0 s and has the largest energy

@@ -677,8 +677,8 @@ def record_steps(monkeypatch) -> list:
     steps = []
     step = learning._bcfw_step
 
-    def recorded(model, planes, i, exact=False):
-        info = step(model, planes, i, exact)
+    def recorded(model, planes, i, iteration_hook=None, exact=False):
+        info = step(model, planes, i, iteration_hook, exact)
         steps.append((info, model.l - 0.5 * float(model.w @ model.w)))  # the dual
         return info
 

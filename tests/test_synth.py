@@ -151,6 +151,18 @@ def test_write_then_load_round_trip(tmp_path):
         assert np.allclose(back.times, tr.times, atol=1e-9)
 
 
+def test_round_trip_keeps_the_frame_rate_to_the_last_bit(tmp_path):
+    # fps = 1/3 has no short decimal form: the descriptor must hold all its digits
+    spec = SynthSpec(n_groups=1, n_singletons=1, duration=57.0, fps=1 / 3, lag=1)
+    trajs, labels = synth_generate(spec, seed=0)
+    write_dataset(tmp_path, trajs, labels, fps=spec.fps)
+    ds = load_dataset(tmp_path)
+    assert ds.fps == spec.fps
+    by_id = {t.pedestrian_id: t for t in ds.trajectories}
+    for tr in trajs:
+        assert by_id[tr.pedestrian_id].times.tolist() == tr.times.tolist()
+
+
 def test_write_dataset_without_labels(tmp_path):
     spec = SynthSpec(n_groups=0, n_singletons=2, duration=20.0)
     trajs, _ = synth_generate(spec, seed=7)

@@ -65,6 +65,15 @@ def test_trajectory_arrays_read_only():
         tr.points[0, 0] = 5.0
 
 
+def test_trajectory_and_homography_copy_the_callers_arrays():
+    # the caller's float64 arrays stay writable, and writing them changes neither object
+    times, points, h = np.arange(5.0), np.zeros((5, 2)), np.diag([2.0, 3.0, 1.0])
+    tr, hom = Trajectory(1, times, points), Homography(h)
+    times[0], points[0, 0], h[0, 0] = -1.0, 3.0, 7.0
+    assert tr.times.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0] and tr.points.tolist() == [[0.0, 0.0]] * 5
+    assert hom.h.tolist() == np.diag([2.0, 3.0, 1.0]).tolist()
+
+
 def test_trajectory_span_properties():
     tr = make_traj(4, [0.5, 1.5, 2.5])
     assert tr.start_t == 0.5
