@@ -22,23 +22,25 @@ chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
   present) of the window's members on the sorted union of their timestamps;
   a member's samples are its present frames in order. Two members share a
   frame exactly when both have a sample with that timestamp, as np.intersect1d.
-- d_ph and d_ca read each pair's common samples, compacted once in time order
-  and batched by common count K: the causality lags run over compacted
-  samples, and every reduction sees the shapes of a one-pair call.
+- d_ph and d_ca read each pair's common samples, compacted once per chunk to
+  the front of a (pairs, K_max, 2) block: the causality lags run over compacted
+  samples, and d_ph's mean over a pair's K samples has a one-pair call's shape.
 - d_sh runs the DTW recursion over each member's samples one anti-diagonal
   at a time, with +inf cost past each member's last sample.
-- d_ca factors each K batch of (samples, [1, own lags, source lags, target])
-  matrices, both directions of each pair, with one np.linalg.qr(mode="r"); the
-  target column of R gives the restricted and unrestricted RSS, the latter
-  exactly 0 when no more samples than design columns are fitted. Designs whose
-  R diagonal shows rank deficiency are refitted by np.linalg.lstsq, whose rank
-  handling is the reference. The F CDF of each batch's statistics is one closed form.
+- d_ca factors a chunk's (samples, [1, own lags, source lags, target]) matrices,
+  both directions of each pair, with one np.linalg.qr(mode="r"); a pair's rows
+  past its own K are 0, and so are R's. The target column of R gives the
+  restricted and unrestricted RSS, the latter exactly 0 when no more samples than
+  design columns are fitted. Designs whose R diagonal shows rank deficiency are
+  refitted on their own rows by np.linalg.lstsq, the reference for rank
+  handling; the F CDF of a chunk's statistics is one closed form.
 - d_he is 1 - the cosine of two kernel mean embeddings: Gaussians of length
   heat_length on the visited cells, weighted by E = exp(-k_r * dwell). Their
   inner products need only the cells' distances, so no grid is built.
 
 The public one-pair functions call the same kernels, so `build_scene` rows
-equal them exactly. This module writes no file (harness writes the features CSV).
+equal them: d_ph, d_sh and d_he exactly, and d_ca, whose QR sees other zero
+rows, to 1e-12. This module writes no file (harness writes the features CSV).
 """
 
 from __future__ import annotations
@@ -172,21 +174,6 @@ def _chunks(n_pairs: int, per_pair: int):
     return [slice(start, start + step) for start in range(0, n_pairs, step)]
 
 
-def _common_groups(aligned, ia: np.ndarray, ib: np.ndarray, per_sample: int):
-    """Yield (rows, pa, pb): the pair rows with the same K >= 1 common samples
-    and their (rows, K, 2) points at those samples, in time order. The caller's
-    temporaries take about `per_sample` floats per frame of a pair."""
-    _, points, present = aligned
-    for chunk in _chunks(len(ia), present.shape[1] * per_sample):
-        a, b = ia[chunk], ib[chunk]
-        common = present[a] & present[b]
-        counts = common.sum(axis=1)
-        for k in np.unique(counts[counts > 0]):
-            sel = np.flatnonzero(counts == k)
-            frames = np.nonzero(common[sel])[1].reshape(-1, k)
-            yield chunk.start + sel, points[a[sel, None], frames], points[b[sel, None], frames]
-
-
 def _far_rows(aligned, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     """Per pair: shares a sample and is more than NEAR_RADIUS apart at each."""
     _, points, present = aligned
@@ -253,36 +240,43 @@ def dtw_shape_distance(seg_a: Trajectory, seg_b: Trajectory, tau: float = DTW_TA
     return float(_dtw_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, tau)[0])
 
 
-def _series(n: int, p: float, q: float, first: float, t):
-    """sum_{j<n} c_j t^j by Horner's rule (0.0 for n = 0); c_0 = first, c_j = c_{j-1} (p + j) / (q + j)."""
-    coef = [first] * min(n, 1)
-    for j in range(1, n):
+def _series(n, p, q, first, t):
+    """sum_{j<n} c_j t^j by Horner's rule (0.0 for n = 0), with n, p, q and first
+    shared or per element; c_0 = first, c_j = c_{j-1} (p + j) / (q + j). An
+    element with fewer terms starts at 0 * t + c_{n-1} = c_{n-1} for finite t."""
+    size = int(np.max(n, initial=0))
+    coef = [first]
+    for j in range(1, size):
         coef.append(coef[-1] * (p + j) / (q + j))
-    total = coef.pop() if coef else 0.0
-    while coef:
-        total = total * t + coef.pop()
+    total = 0.0
+    for j in reversed(range(size)):
+        total = total * t + np.where(j < n, coef[j], 0.0)
     return total
 
 
-def _beta_halves(x: np.ndarray, m: int, dof: int) -> np.ndarray:
-    """I_x(m/2, dof/2) for whole m, dof >= 1: the F(m, dof) CDF at s when
-    x = m s / (m s + dof), in closed form (Abramowitz & Stegun 26.5.16 and
-    26.6.4-26.6.8; DLMF 8.17). With a = m/2 - m//2 (0 or 1/2) and b = dof/2,
-    raising a by one m//2 times subtracts, for j < m//2,
+def _beta_halves(x: np.ndarray, m: int, dof) -> np.ndarray:
+    """I_x(m/2, dof/2) for whole m, dof >= 1 (one dof, or one per x): the F(m, dof)
+    CDF at s when x = m s / (m s + dof), in closed form (Abramowitz & Stegun
+    26.5.16 and 26.6.4-26.6.8; DLMF 8.17). With a = m/2 - m//2 (0 or 1/2) and
+    b = dof/2, raising a by one m//2 times subtracts, for j < m//2,
     x^a (1-x)^b x^j Gamma(a+b+j) / (Gamma(a+1+j) Gamma(b)) from I_x(0, b) = 1
     or from I_x(1/2, b): a sum of dof//2 powers of 1 - x, plus (2/pi) arcsin
     sqrt(x) for odd dof. Both sums, m//2 terms in x and dof//2 in 1 - x, run
-    by Horner's rule."""
-    y = 1.0 - x
-    a, b = m % 2 / 2, dof / 2
+    by Horner's rule; each x gets the bits of a call with its dof alone."""
+    y = np.asarray(1.0 - x)
+    a, b = m % 2 / 2, np.full(y.shape, np.divide(dof, 2))
     base = 1.0
     if a:
-        h = dof % 2 / 2
-        base = np.sqrt(x) * y**h * _series(dof // 2, h - 0.5, h, 2 / math.pi if h else 1.0, y)
-        if h:
-            base += 2 / math.pi * np.arctan2(np.sqrt(x), np.sqrt(y))  # arcsin sqrt(x), stable at x = 1
-    first = math.exp(math.lgamma(a + b) - math.lgamma(a + 1) - math.lgamma(b))
-    return base - (np.sqrt(x) if a else 1.0) * y**b * _series(m // 2, a + b - 1, a, first, x)
+        h = b % 1  # 1/2 for odd dof
+        series = _series(b // 1, h - 0.5, h, np.where(h, 2 / math.pi, 1.0), y)
+        base = np.sqrt(x) * np.where(h, np.sqrt(y), 1.0) * series
+        # arcsin sqrt(x), stable at x = 1
+        base = np.where(h, base + 2 / math.pi * np.arctan2(np.sqrt(x), np.sqrt(y)), base)
+    y_b, first = np.empty(y.shape), np.empty(y.shape)
+    for v in set(b.ravel().tolist()):  # one scalar power each: numpy rounds an array of exponents otherwise
+        at = b == v
+        y_b[at], first[at] = y[at] ** v, math.exp(math.lgamma(a + v) - math.lgamma(a + 1) - math.lgamma(v))
+    return base - (np.sqrt(x) if a else 1.0) * y_b * _series(m // 2, a + b - 1, a, first, x)
 
 
 def f_cdf(s: float, d1: int, d2: int) -> float:
@@ -309,34 +303,46 @@ def _rss(design: np.ndarray, target: np.ndarray) -> float:
     return float(resid @ resid)
 
 
-def _causality(y_pts: np.ndarray, x_pts: np.ndarray, m: int) -> np.ndarray:
-    """F-CDF area of "x Granger-causes y" at lag m per row of one K batch of (rows, K, 2)
-    common samples in time order; NaN where granger_causality_area gives None."""
-    k = y_pts.shape[1]
-    dof = k - 2 * m - 1
-    if dof < 1:
-        return np.full(len(y_pts), np.nan)
-    # one (k - m, 2m + 2) matrix per (row, coordinate) with the columns
-    # [1, own lags 1..m, source lags 1..m, target] over the fitted samples
-    y, x = y_pts.transpose(0, 2, 1), x_pts.transpose(0, 2, 1)
-    lags = [s[..., m - j : k - j] for s in (y, x) for j in range(1, m + 1)]
-    stack = np.stack([np.ones_like(y[..., m:]), *lags, y[..., m:]], axis=-1).reshape(-1, k - m, 2 * m + 2)
+def _causality(y_pts: np.ndarray, x_pts: np.ndarray, counts: np.ndarray, m: int) -> np.ndarray:
+    """F-CDF area of "x Granger-causes y" at lag m per row of (rows, K_max, 2) common
+    samples, each row's K = `counts` first in time order; NaN where
+    granger_causality_area gives None."""
+    area = np.full(len(y_pts), np.nan)
+    fit = np.flatnonzero(counts >= 2 * m + 2)
+    if not fit.size:
+        return area
+    k, width = counts[fit], y_pts.shape[1]  # a pair with the most samples fits
+    # one (width - m, 2m + 2) matrix per (row, coordinate) with the columns
+    # [1, own lags 1..m, source lags 1..m, target] over the fitted samples;
+    # rows past a pair's own K - m are 0, and R's rows past K - m with them
+    y, x = y_pts[fit].transpose(0, 2, 1), x_pts[fit].transpose(0, 2, 1)
+    stack = np.empty((len(fit), 2, width - m, 2 * m + 2))
+    stack[..., 0], stack[..., -1] = 1.0, y[..., m:]
+    for j in range(1, m + 1):
+        stack[..., j], stack[..., m + j] = y[..., m - j : width - j], x[..., m - j : width - j]
+    if k.min() < width:
+        np.copyto(stack, 0.0, where=(np.arange(m, width) >= k[:, None])[:, None, :, None])
+    stack = stack.reshape(-1, width - m, 2 * m + 2)
+    fitted = np.repeat(k - m, 2)
     r = np.linalg.qr(stack, mode="r")
     z = r[:, :, -1]
     rss_r = np.sum(z[:, m + 1 :] ** 2, axis=1)
     rss_u = np.sum(z[:, 2 * m + 1 :] ** 2, axis=1)  # exactly 0 with no more rows than columns
     r_diag = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, : 2 * m + 1])
-    for i in np.flatnonzero(r_diag.min(axis=1) <= _RANK_TOL * r_diag.max(axis=1)):
-        rss_r[i] = _rss(stack[i, :, : m + 1], stack[i, :, -1])
-        rss_u[i] = _rss(stack[i, :, :-1], stack[i, :, -1])
+    low = np.where(np.arange(r_diag.shape[1]) < fitted[:, None], r_diag, np.inf).min(axis=1)  # 0 past K - m
+    for i in np.flatnonzero(low <= _RANK_TOL * r_diag.max(axis=1)):
+        rss_r[i] = _rss(stack[i, : fitted[i], : m + 1], stack[i, : fitted[i], -1])
+        rss_u[i] = _rss(stack[i, : fitted[i], :-1], stack[i, : fitted[i], -1])
     rss_r = rss_r[0::2] + rss_r[1::2]
     rss_u = rss_u[0::2] + rss_u[1::2]
+    dof = k - 2 * m - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = rss_r - rss_u
         stat = np.where(gain > _NO_GAIN_RTOL * rss_r, (gain / m) / (rss_u / dof), 0.0)
-        area = _beta_halves(m * stat / (m * stat + dof), m, dof)
-    area[rss_u <= _DEGENERATE_RSS] = 1.0
-    area[rss_r <= _DEGENERATE_RSS] = np.nan
+        got = _beta_halves(m * stat / (m * stat + dof), m, dof)
+    got[rss_u <= _DEGENERATE_RSS] = 1.0
+    got[rss_r <= _DEGENERATE_RSS] = np.nan
+    area[fit] = got
     return area
 
 
@@ -351,25 +357,39 @@ def granger_causality_area(target: Trajectory, source: Trajectory, lag: int = 2)
     if not (_is_integer(lag) and lag >= 1):
         raise ValueError(f"lag must be an integer >= 1, got {lag!r}")
     _, points, present = align_segments([target, source])
-    area = _causality(*points[:, None, present.all(axis=0)], int(lag))[0]  # (1, K, 2) target, source
+    common = present.all(axis=0)
+    area = _causality(*points[:, None, common], np.array([common.sum()]), int(lag))[0]  # (1, K, 2) target, source
     return None if np.isnan(area) else float(area)
 
 
 def _common_rows(aligned, ia, ib, cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d_ph, d_ca, fallback) per pair from its common samples, compacted once:
-    d_ph is NaN where the pair shares none, d_ca is 1 - the larger defined
-    directional area, and GRANGER_FALLBACK where neither is (flagged)."""
+    """(d_ph, d_ca, fallback) per pair from its common samples, compacted once
+    per chunk to the front of (rows, K_max, 2) blocks whose samples past a
+    pair's K no kernel reads: d_ph is NaN where the pair shares none, d_ca is
+    1 - the larger defined directional area, and GRANGER_FALLBACK where neither
+    is (flagged)."""
     sig2 = np.square(np.asarray(cfg.proxemic_sigmas, dtype=float))
     peak = gmm_eval((0.0, 0.0), cfg)
     m = cfg.granger_lag
+    _, points, present = aligned
     d_ph, best = np.full(len(ia), np.nan), np.full(len(ia), np.nan)
-    for rows, pa, pb in _common_groups(aligned, ia, ib, max(4 * (sig2.size + 2), 32 * (m + 1))):
+    for chunk in _chunks(len(ia), present.shape[1] * max(4 * (sig2.size + 2), 32 * (m + 1))):
+        common = present[ia[chunk]] & present[ib[chunk]]
+        counts = common.sum(axis=1)
+        rows = np.flatnonzero(counts)
+        a, b, counts = ia[chunk][rows], ib[chunk][rows], counts[rows]
+        frames = np.argsort(~common[rows], axis=1, kind="stable")[:, : counts.max(initial=0)]  # common ones first
+        pa, pb = points[a[:, None], frames], points[b[:, None], frames]
         deltas = pa - pb
         d2 = np.einsum("pkj,pkj->pk", deltas, deltas)
         responses = np.mean(np.exp(-d2[..., None] / (2.0 * sig2)) / (2.0 * math.pi * sig2), axis=2)
-        d_ph[rows] = 1.0 - responses.mean(axis=1) / peak
+        rows += chunk.start
+        for k in set(counts.tolist()):  # each mean has a one-pair call's shape
+            sel = np.flatnonzero(counts == k)
+            d_ph[rows[sel]] = 1.0 - responses[sel, :k].mean(axis=1) / peak
         # both directions in one batch: b caused by a, then a caused by b
-        best[rows] = np.fmax(*_causality(np.concatenate([pb, pa]), np.concatenate([pa, pb]), m).reshape(2, -1))
+        both = _causality(np.concatenate([pb, pa]), np.concatenate([pa, pb]), np.tile(counts, 2), m)
+        best[rows] = np.fmax(*both.reshape(2, -1))
     fallback = np.isnan(best)
     return np.clip(d_ph, 0.0, 1.0), np.where(fallback, GRANGER_FALLBACK, np.clip(1.0 - best, 0.0, 1.0)), fallback
 

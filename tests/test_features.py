@@ -7,9 +7,11 @@ import io
 import logging
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,7 @@ from crowdgroups import (
 import crowdgroups.features as features_module
 from crowdgroups.features import HALL_SIGMAS
 from crowdgroups.harness import _snapshot_feature_configs
+from crowdgroups.trajectories import align_segments
 
 import oracles
 from oracles import dtw_path_minimum, f_cdf_quadrature
@@ -744,30 +747,116 @@ def test_build_scene_does_not_depend_on_chunk_size(monkeypatch, chunk):
         assert got.far.tolist() == scene.far.tolist()
 
 
+def _common_samples(seg_a, seg_b):
+    """Each segment's points at the pair's common timestamps, in time order."""
+    common = np.intersect1d(seg_a.times, seg_b.times)
+    return seg_a.points[np.isin(seg_a.times, common)], seg_b.points[np.isin(seg_b.times, common)]
+
+
 def test_build_scene_compacts_each_pairs_common_samples_once(monkeypatch):
-    # d_ph and both causality directions read one compaction: a window walks
-    # its common samples in one pass that yields each non-far pair sharing a
-    # timestamp exactly once
+    # d_ph and both causality directions read one compaction per chunk: each
+    # non-far pair sharing a timestamp reaches the causality batch exactly
+    # once, its common samples first in time order, and one np.linalg.qr
+    # factors the designs of every common count K in the chunk
     rng = np.random.default_rng(12)
-    inner = features_module._common_groups
-    calls = []
-
-    def counted(aligned, ia, ib, per_sample):
-        calls.append([])
-        for rows, pa, pb in inner(aligned, ia, ib, per_sample):
-            calls[-1] += zip(ia[rows].tolist(), ib[rows].tolist())  # member indices of the rows
-            yield rows, pa, pb
-
-    monkeypatch.setattr(features_module, "_common_groups", counted)
+    causality, qr = features_module._causality, np.linalg.qr
+    batches, factored = [], []
+    monkeypatch.setattr(features_module, "_CHUNK_ELEMENTS", 1 << 30)  # one chunk per window
+    monkeypatch.setattr(features_module, "_causality", lambda *args: batches.append(args) or causality(*args))
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: factored.append(args[0].shape) or qr(*args, **kw))
+    several_k = 0
     for _ in range(30):
         win = oracles.random_ragged_window(rng)
-        calls.clear()
+        batches.clear()
+        factored.clear()
         scene = build_scene(win)
-        assert len(calls) == 1
         segments = [win.segments[m] for m in scene.members]
-        want = [(i, j) for i, j, far in zip(*scene.pair_rows, scene.far)
-                if not far and np.intersect1d(segments[i].times, segments[j].times).size]
-        assert sorted(calls[0]) == want and len(want) == scene.far.size - scene.far_count - scene.no_overlap_count
+        want = Counter()
+        for i, j, far in zip(*scene.pair_rows, scene.far):
+            pa, pb = _common_samples(segments[i], segments[j])
+            if not far and len(pa):
+                want[pa.tobytes(), pb.tobytes()] += 1
+        assert len(batches) == (scene.far_count < scene.far.size)
+        if not batches:
+            continue
+        [(y_pts, x_pts, counts, m)] = batches
+        n = len(counts) // 2  # b caused by a, then a caused by b
+        assert np.array_equal(y_pts[n:], x_pts[:n]) and np.array_equal(x_pts[n:], y_pts[:n])
+        got = Counter((pa[:k].tobytes(), pb[:k].tobytes()) for pb, pa, k in zip(y_pts[:n], x_pts[:n], counts[:n]))
+        assert got == want and sum(want.values()) == scene.far.size - scene.far_count - scene.no_overlap_count
+        fitted = set(counts[counts >= 2 * m + 2].tolist())
+        assert len(factored) == (len(fitted) > 0)
+        several_k += len(fitted) > 1
+    assert several_k >= 20
+
+
+@pytest.mark.parametrize("lag", [1, 2, 3])
+def test_padded_causality_batch_matches_one_pair_calls(lag):
+    # one chunk pads the pairs of many common counts K to the largest: d_ca is
+    # within 1e-12 of the one-pair granger_distance with the same fallback
+    # flag, and exact fits (2m + 2 <= K <= 3m + 1: no more fitted samples than
+    # design columns) still read d_ca = 0.0 unless they fall back. Pairs with
+    # a standing or replayed member are left out: their designs are rank-deficient
+    cfg = FeatureConfig(granger_lag=lag)
+    rng = np.random.default_rng(34)
+    exact = mixed = 0
+    for _ in range(80):
+        win = oracles.random_ragged_window(rng)
+        scene = build_scene(win, cfg)
+        segments = [win.segments[m] for m in scene.members]
+        counts = set()
+        for k, (i, j) in enumerate(zip(*scene.pair_rows)):
+            if scene.far[k] or scene.no_overlap[k]:
+                continue
+            pair = segments[i], segments[j]
+            _, want, fallback = features_module._common_rows(align_segments(pair), *features_module._ONE_PAIR, cfg)
+            got = scene.feature_matrix[k, 2]
+            assert got == pytest.approx(granger_distance(*pair, cfg), abs=1e-12, rel=0)
+            assert got == pytest.approx(want[0], abs=1e-12, rel=0) and scene.granger_fallback[k] == fallback[0]
+            n = len(_common_samples(*pair)[0])
+            counts.add(n)
+            moving = all(np.ptp(seg.points, axis=0).all() for seg in pair)
+            full_rank = moving and not np.isin(pair[0].points, pair[1].points).any()
+            if 2 * lag + 2 <= n <= 3 * lag + 1 and full_rank and not fallback[0]:
+                assert got == 0.0
+                exact += 1
+        mixed += len({n for n in counts if n >= 2 * lag + 2}) > 1
+    assert exact >= 10 and mixed >= 40
+
+
+def test_padded_causality_refits_rank_deficient_pairs_from_their_own_rows(monkeypatch):
+    # a standing member's lags are collinear with the intercept; its pairs
+    # (K = 20 and 18) share a batch with a full-rank pair of K = 26, and
+    # _rss refits them from exactly the designs of their one-pair calls
+    walk = traj(1, _walk(70, k=30))
+    standing = traj(2, np.tile([3.0, -1.0], (20, 1)))
+    other = traj(3, _walk(71, k=26), t0=2.0)
+    designs = []
+    rss = features_module._rss
+    monkeypatch.setattr(features_module, "_rss", lambda *args: designs.append(args) or rss(*args))
+    for lag in (1, 2, 3):
+        designs.clear()
+        scene = build_scene(window_of(walk, standing, other), FeatureConfig(granger_lag=lag))
+        batched, designs[:] = designs[:], []
+        assert not scene.far.any() and not scene.no_overlap.any()
+        for seg_a, seg_b in ((walk, standing), (walk, other), (standing, other)):
+            granger_causality_area(seg_b, seg_a, lag)
+            granger_causality_area(seg_a, seg_b, lag)
+        assert len(batched) == len(designs) >= 4
+        assert sorted((d.shape, d.tobytes(), y.tobytes()) for d, y in batched) == sorted(
+            (d.shape, d.tobytes(), y.tobytes()) for d, y in designs)
+        assert {len(y) for _, y in batched} == {20 - lag, 18 - lag}
+
+
+def test_beta_halves_with_a_dof_per_element_equals_its_scalar_calls():
+    rng = np.random.default_rng(35)
+    dof = rng.permutation(np.repeat(np.arange(1, 61), 25))
+    x = np.concatenate([rng.random(dof.size - 4), [0.0, 1.0, 1.0 - 1e-12, np.nan]])
+    for m in (1, 2, 3, 4):
+        got = features_module._beta_halves(x, m, dof)
+        for d in range(1, 61):
+            at = dof == d
+            assert np.array_equal(got[at], features_module._beta_halves(x[at], m, d), equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -837,6 +926,20 @@ def test_far_rule_boundary_and_no_overlap():
     assert oracles.scalar_pair_table(win)[3].tolist() == scene.far.tolist()
 
 
+def _digests_under_blas_threads(script: str, *args) -> list[str]:
+    """The script's output under OPENBLAS_NUM_THREADS 1 and 2."""
+    src = str(Path(crowdgroups.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    return digests
+
+
 def test_heat_distances_do_not_depend_on_blas_threads():
     # a BLAS dot splits long maps across threads, and the split changes the
     # rounding; d_he must come out byte-identical under any thread count
@@ -847,17 +950,34 @@ def test_heat_distances_do_not_depend_on_blas_threads():
         "win = slice_windows(synth_generate(spec, seed=0)[0], 10.0, 10.0)[0]\n"
         "print(hashlib.sha256(build_scene(win).feature_matrix[:, 3].tobytes()).hexdigest())\n"
     )
-    src = str(Path(crowdgroups.__file__).resolve().parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout)
+    digests = _digests_under_blas_threads(script)
     assert digests[0] == digests[1]
     win = _synth_window(DENSE_SPEC, 0)
-    assert digests[0].strip() == hashlib.sha256(build_scene(win).feature_matrix[:, 3].tobytes()).hexdigest()
+    assert digests[0] == hashlib.sha256(build_scene(win).feature_matrix[:, 3].tobytes()).hexdigest()
+
+
+def test_ragged_feature_matrix_does_not_depend_on_blas_threads(tmp_path):
+    # a ragged window's chunks pad the causality designs of many common
+    # counts K into one QR batch; every feature must come out byte-identical
+    # under any thread count
+    win = _synth_window(DENSE_SPEC, 0, ragged=True)
+    scene = build_scene(win)
+    _, _, present = align_segments([win.segments[m] for m in scene.members])
+    ia, ib = scene.pair_rows
+    counts = (present[ia] & present[ib]).sum(axis=1)[~scene.far]
+    assert len(set(counts[counts >= 6].tolist())) >= 10
+    path = tmp_path / "window.pickle"
+    path.write_bytes(pickle.dumps((win.start_t, win.end_t, list(win.segments.values()))))
+    script = (
+        "import hashlib, pickle, sys\n"
+        "from crowdgroups import TimeWindow, build_scene\n"
+        "with open(sys.argv[1], 'rb') as fh:\n"
+        "    start, end, segments = pickle.load(fh)\n"
+        "win = TimeWindow(0, start, end, {s.pedestrian_id for s in segments}, {s.pedestrian_id: s for s in segments})\n"
+        "print(hashlib.sha256(build_scene(win).feature_matrix.tobytes()).hexdigest())\n"
+    )
+    digests = _digests_under_blas_threads(script, str(path))
+    assert digests[0] == digests[1] == hashlib.sha256(scene.feature_matrix.tobytes()).hexdigest()
 
 
 def test_build_scene_empty_and_single_member_windows():
