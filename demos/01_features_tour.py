@@ -48,7 +48,7 @@ print("d_ph 12 m apart   :", round(proxemic_distance(side_by_side, across_the_sq
 
 # ---------------------------------------------------------------------------
 # shape: dynamic time warping on the paths, squared-Euclidean ground cost,
-# softened to raw / (raw + tau^2). warping forgives pace differences but
+# softened to raw / (raw + 1 m^2). warping forgives pace differences but
 # not route differences, and the feature stays translation-sensitive on
 # purpose: mates share the same corridor, not just the same curve shape.
 
@@ -73,12 +73,13 @@ print("d_ca independent     :", round(granger_distance(loner_a, loner_b, Feature
 
 # ---------------------------------------------------------------------------
 # visited areas: list the cells each walker visited (0.3 m cells anchored at
-# the window's lowest point), weight each by how briefly it was occupied,
-# put a Gaussian of length heat_length on every cell centre and compare the
-# two smoothed maps by cosine. no grid is ever built: the cosine needs only
-# the distances between visited cells. mates cover the same ground;
-# strangers leave trails far apart. a 1 m length makes the locality obvious
-# on a toy scene this small (the default is 3 m).
+# the x and y minima of all the window's samples, as build_scene does),
+# weight each by how briefly it was occupied, put a Gaussian of length
+# heat_length on every cell centre and compare the two smoothed maps by
+# cosine. no grid is ever built: the cosine needs only the distances between
+# visited cells. mates cover the same ground; strangers leave trails far
+# apart. a 1 m length makes the locality obvious on a toy scene this small
+# (the default is 3 m).
 
 sharp = FeatureConfig(heat_length=1.0)
 trio = {t.pedestrian_id: t for t in (side_by_side, shoulder, across_the_square)}

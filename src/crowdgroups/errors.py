@@ -1,5 +1,10 @@
-"""Exception hierarchy shared across the package, the check of every dataclass
-field against its annotation, and the read-only array copy value types store."""
+"""Exception hierarchy shared across the package, the read-only array copy value
+types store, and the one rule that checks every number the program takes: its
+type and range are declared once, by an annotation such as PositiveFloat,
+PositiveInt or NonNegativeInt; _check_fields applies it to every field of a
+dataclass and _check_number to one argument or file value. Either raises
+ConfigError (a ValueError): `'<name>' must be <type>, got <value>` or
+`<name> must be <range>, got <value>`."""
 
 import dataclasses
 import math
@@ -26,7 +31,7 @@ class DegenerateProjectionError(DataError):
     """The homogeneous coordinate vanished while projecting a point."""
 
 
-class ConfigError(CrowdGroupsError):
+class ConfigError(CrowdGroupsError, ValueError):
     """A configuration value or combination of values is invalid."""
 
 
@@ -69,35 +74,42 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _check_value(name: str, value, hint, origin, limits):
+    """`value` as a field `name` annotated `hint` stores it, or ConfigError. A
+    float is a finite real (an int is kept as given), a tuple[float, ...] a list
+    or tuple of them (stored as a tuple of floats), an int an Integral (stored as
+    int), none of them a bool; a Literal is one of its values and any other type
+    an instance of it. A number, or each item of a tuple, then lies in `limits`."""
+    if hint is float:
+        ok, expected = _is_finite_real(value), "a finite number"
+    elif hint is int:
+        ok, expected = _is_integer(value), "an integer"
+    elif origin is tuple:
+        ok = isinstance(value, (list, tuple)) and all(map(_is_finite_real, value))
+        expected = "a list of finite numbers"
+    elif origin is Literal:
+        ok = value in get_args(hint)
+        expected = f"one of {list(get_args(hint))}"
+    else:
+        ok, expected = isinstance(value, hint), getattr(hint, "__name__", str(hint))
+    if not ok:
+        raise ConfigError(f"{name!r} must be {expected}, got {value!r}")
+    value = int(value) if hint is int else tuple(map(float, value)) if origin is tuple else value
+    if limits is not None:
+        low, high, text = limits
+        for item in value if origin is tuple else (value,):
+            if not low <= item <= high:
+                raise ConfigError(f"{name} must be {text}, got {item!r}")
+    return value
+
+
+def _check_number(name: str, value, number):
+    """`value` as a field `name` annotated by the number alias `number` stores it."""
+    hint, limits = get_args(number)
+    return _check_value(name, value, hint, None, limits)
+
+
 def _check_fields(config) -> None:
-    """Raise ConfigError naming the first field of the dataclass `config` whose
-    value does not fit its annotation. A float is a finite real (an int is kept
-    as given), a tuple[float, ...] a list or tuple of them (stored as a tuple of
-    floats), an int an Integral (stored as int), none of them a bool; a Literal
-    is one of its values and any other type an instance of it. A number, or each
-    item of a tuple, then lies in the field's declared range."""
-    for name, hint, origin, limits in _field_hints(type(config)):
-        value = getattr(config, name)
-        if hint is float:
-            ok, expected = _is_finite_real(value), "a finite number"
-        elif hint is int:
-            ok, expected = _is_integer(value), "an integer"
-            if ok:
-                object.__setattr__(config, name, int(value))
-        elif origin is tuple:
-            ok = isinstance(value, (list, tuple)) and all(map(_is_finite_real, value))
-            if ok:
-                object.__setattr__(config, name, tuple(map(float, value)))
-            expected = "a list of finite numbers"
-        elif origin is Literal:
-            ok = value in get_args(hint)
-            expected = f"one of {list(get_args(hint))}"
-        else:
-            ok, expected = isinstance(value, hint), getattr(hint, "__name__", str(hint))
-        if not ok:
-            raise ConfigError(f"{name!r} must be {expected}, got {value!r}")
-        if limits is not None:
-            low, high, text = limits
-            for item in getattr(config, name) if origin is tuple else (getattr(config, name),):
-                if not low <= item <= high:
-                    raise ConfigError(f"{name} must be {text}, got {item!r}")
+    """Store every field of the dataclass `config` as checked by its annotation."""
+    for name, *rule in _field_hints(type(config)):
+        object.__setattr__(config, name, _check_value(name, getattr(config, name), *rule))

@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (ConfigError, Length, NonNegativeFloat, PositiveFloat, PositiveInt, _check_fields,
-                     _frozen_array, _is_finite_real, _is_integer)
+                     _check_number, _frozen_array)
 from .trajectories import TimeWindow, Trajectory, align_segments
 
 FEATURE_NAMES = ("d_ph", "d_sh", "d_ca", "d_he")
@@ -195,7 +195,7 @@ def proxemic_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig |
     return float(value)
 
 
-def _dtw_rows(aligned, ia, ib, tau: float) -> np.ndarray:
+def _dtw_rows(aligned, ia, ib) -> np.ndarray:
     """Bounded DTW distance per pair, one anti-diagonal d = i + j of the
     cumulative cost at a time: column i + 1 of a diagonal holds cell (i, d - i)
     and column 0 is +inf. Samples past a member's last sit at +inf as the first
@@ -227,17 +227,15 @@ def _dtw_rows(aligned, ia, ib, tau: float) -> np.ndarray:
             done = np.flatnonzero(ends == d)
             raw[done] = cur[done, la[done]]
         raw /= np.maximum(la, lb)
-        out[chunk] = raw / (raw + tau * tau)
+        # an overflowing cost reads 1, the limit of the softening
+        out[chunk] = np.divide(raw, raw + DTW_TAU * DTW_TAU, out=np.ones(len(a)), where=raw < np.inf)
     return out
 
 
-def dtw_shape_distance(seg_a: Trajectory, seg_b: Trajectory, tau: float = DTW_TAU) -> float:
-    """Bounded warping distance raw/(raw + tau^2); tau is the softness scale in meters.
-
-    raw is the squared-Euclidean warping cost normalized by max(A, B)."""
-    if not (_is_finite_real(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and positive, got {tau!r}")
-    return float(_dtw_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, tau)[0])
+def dtw_shape_distance(seg_a: Trajectory, seg_b: Trajectory) -> float:
+    """Bounded warping distance raw/(raw + DTW_TAU^2), DTW_TAU the softness scale
+    in meters; raw is the squared-Euclidean warping cost normalized by max(A, B)."""
+    return float(_dtw_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR)[0])
 
 
 def _series(n, p, q, first, t):
@@ -282,10 +280,8 @@ def _beta_halves(x: np.ndarray, m: int, dof) -> np.ndarray:
 def f_cdf(s: float, d1: int, d2: int) -> float:
     """CDF of the F(d1, d2) distribution, the regularized incomplete beta
     I_x(d1/2, d2/2) at x = d1 s / (d1 s + d2), in closed form; the degrees of
-    freedom must be positive integers (2.0 is refused, as by every int setting)."""
-    for d in (d1, d2):
-        if not (_is_integer(d) and d > 0):
-            raise ValueError(f"degrees of freedom must be positive integers, got {d!r}")
+    freedom are PositiveInts."""
+    d1, d2 = (_check_number("degrees of freedom", d, PositiveInt) for d in (d1, d2))
     s = float(s)
     if math.isnan(s):
         raise ValueError("statistic is NaN")
@@ -294,7 +290,7 @@ def f_cdf(s: float, d1: int, d2: int) -> float:
     if math.isinf(s):
         return 1.0
     x = d1 * s / (d1 * s + d2)
-    return float(_beta_halves(np.array(x), int(d1), int(d2)))
+    return float(_beta_halves(np.array(x), d1, d2))
 
 
 def _rss(design: np.ndarray, target: np.ndarray) -> float:
@@ -354,11 +350,10 @@ def granger_causality_area(target: Trajectory, source: Trajectory, lag: int = 2)
     Returns None when the common sample count leaves no error degrees of
     freedom or the restricted regression is already exact.
     """
-    if not (_is_integer(lag) and lag >= 1):
-        raise ValueError(f"lag must be an integer >= 1, got {lag!r}")
+    lag = _check_number("lag", lag, PositiveInt)
     _, points, present = align_segments([target, source])
     common = present.all(axis=0)
-    area = _causality(*points[:, None, common], np.array([common.sum()]), int(lag))[0]  # (1, K, 2) target, source
+    area = _causality(*points[:, None, common], np.array([common.sum()]), lag)[0]  # (1, K, 2) target, source
     return None if np.isnan(area) else float(area)
 
 
@@ -498,7 +493,7 @@ def build_scene(window: TimeWindow, configs: FeatureConfig | None = None) -> Win
     features = np.ones((len(ia), len(FEATURE_NAMES)))
     fallback = np.zeros(len(ia), dtype=bool)
     features[keep, 0], features[keep, 2], fallback[keep] = _common_rows(aligned, ka, kb, configs)
-    features[keep, 1] = _dtw_rows(aligned, ka, kb, DTW_TAU)
+    features[keep, 1] = _dtw_rows(aligned, ka, kb)
     used, slots = np.unique(np.concatenate([ka, kb]), return_inverse=True)
     if len(used):
         _, points, present = aligned

@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, CrowdGroupsError, PositiveFloat, PositiveInt
+from .errors import ConfigError, CrowdGroupsError, NonNegativeInt, PositiveFloat, PositiveInt, _check_number
 from .features import FEATURE_NAMES, FeatureConfig, WindowedScene, build_scene
 from .learning import (
     Model,
@@ -179,7 +179,7 @@ def read_predictions(path) -> tuple[int, list[dict]]:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(obj, dict):
             raise TypeError("top level must be an object")
-        seed = int(obj.get("seed", 0))
+        seed = _check_number("seed", obj.get("seed", 0), NonNegativeInt)
         windows = obj["windows"]
         if not isinstance(windows, list):
             raise TypeError("windows must be a list")

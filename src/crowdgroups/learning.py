@@ -41,7 +41,7 @@ from typing import Callable, ClassVar, Iterable, Iterator, Literal, NamedTuple, 
 
 import numpy as np
 
-from .errors import ConfigError, NonNegativeInt, PositiveFloat, _check_fields
+from .errors import ConfigError, NonNegativeInt, PositiveFloat, PositiveInt, _check_fields, _check_number
 from .features import FEATURE_NAMES, WindowedScene
 from .losses import MergeLoss, gmitre_loss, mitre_loss, pairwise_loss
 from .partitioning import Partition, _affinity_array, _greedy_merge, affinity, greedy_cc
@@ -179,12 +179,12 @@ class Model:
     @classmethod
     def from_dict(cls, obj: dict) -> "Model":
         try:
-            version = int(obj["format_version"])
+            version = _check_number("format_version", obj["format_version"], PositiveInt)
             if version > cls.FORMAT_VERSION:
                 raise ConfigError(f"model format {version} is newer than supported")
             kwargs = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
             return cls(**{**kwargs, "w": obj["w"], "config_snapshot": obj.get("config")})
-        except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"not a valid model file: {exc}") from None
 
     def save(self, path) -> None:

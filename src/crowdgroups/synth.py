@@ -15,7 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, NonNegativeFloat, NonNegativeInt, PositiveFloat, _check_fields
+from .errors import ConfigError, NonNegativeFloat, NonNegativeInt, PositiveFloat, _check_fields, _check_number
 from .trajectories import (
     DESCRIPTOR_FILE,
     GROUNDTRUTH_FILE,
@@ -133,8 +133,7 @@ def synth_generate(
     formation over the first quarter of the sequence.
     """
     spec = spec or SynthSpec()
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    seed = _check_number("seed", seed, NonNegativeInt)
     rng = np.random.default_rng(seed)
     n_steps = int(round(spec.duration * spec.fps))
     if n_steps < spec.lag + 2:

@@ -15,13 +15,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateProjectionError,
-    TrajectoryParseError,
-    _frozen_array,
-)
+from .errors import (ConfigError, DataError, DegenerateProjectionError, PositiveFloat, TrajectoryParseError,
+                     _check_number, _frozen_array)
 from .partitioning import Partition
 
 logger = logging.getLogger(__name__)
@@ -212,12 +207,11 @@ def _records(path: Path) -> Iterator[tuple[int, str]]:
 def load_trajectories(path, homography: Homography | None = None, fps: float = 1.0) -> list[Trajectory]:
     """Parse a trajectory file: `<frame> <ped_id> <x> <y>` per line, `#` comments.
 
-    Timestamps become frame/fps seconds (fps must be finite and positive);
-    positions are projected through the homography when one is given
-    (pixel-unit files require one).
+    Timestamps become frame/fps seconds (fps a PositiveFloat); positions are
+    projected through the homography when one is given (pixel-unit files
+    require one).
     """
-    if not (math.isfinite(fps) and fps > 0):
-        raise ConfigError(f"fps must be finite and positive, got {fps}")
+    fps = _check_number("fps", fps, PositiveFloat)
     path = Path(path)
     samples: dict[int, dict[float, tuple[float, float]]] = {}
     for lineno, text in _records(path):
@@ -331,8 +325,6 @@ def load_dataset(directory) -> Dataset:
         fps = float(descriptor.get("fps", "1"))
     except ValueError:
         raise TrajectoryParseError(f"{desc_path}: fps is not a number") from None
-    if not (math.isfinite(fps) and fps > 0):
-        raise ConfigError(f"{desc_path}: fps must be finite and positive, got {fps}")
     units = descriptor.get("units", "meters")
     if units not in ("meters", "pixels"):
         raise ConfigError(f"{desc_path}: units must be meters or pixels, got {units!r}")
@@ -341,7 +333,10 @@ def load_dataset(directory) -> Dataset:
         if "homography" not in descriptor:
             raise ConfigError(f"{desc_path}: pixel units require a homography path")
         homography = load_homography(directory / descriptor["homography"])
-    trajectories = load_trajectories(traj_path, homography=homography, fps=fps)
+    try:
+        trajectories = load_trajectories(traj_path, homography=homography, fps=fps)
+    except ConfigError as exc:  # fps is the one setting it checks
+        raise ConfigError(f"{desc_path}: {exc}") from None
     labels = None
     gt_path = directory / GROUNDTRUTH_FILE
     if gt_path.is_file():
@@ -357,9 +352,8 @@ def slice_windows(trajectories: Iterable[Trajectory], window_len: float, stride:
     samples are excluded and recorded in `dropped`. A stride that would start
     more windows than the trajectories have samples raises ConfigError.
     """
-    for name, value in (("window_len", window_len), ("stride", stride)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{name} must be finite and positive, got {value}")
+    window_len = _check_number("window_len", window_len, PositiveFloat)
+    stride = _check_number("stride", stride, PositiveFloat)
     trajectories = list(trajectories)
     if not trajectories:
         return []

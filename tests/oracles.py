@@ -453,9 +453,9 @@ def _dtw_raw(pa: np.ndarray, pb: np.ndarray) -> float:
     return float(acc[-1, -1]) / max(a, b)
 
 
-def scalar_dtw_shape_distance(seg_a: Trajectory, seg_b: Trajectory, tau: float = DTW_TAU) -> float:
+def scalar_dtw_shape_distance(seg_a: Trajectory, seg_b: Trajectory) -> float:
     raw = _dtw_raw(seg_a.points, seg_b.points)
-    return raw / (raw + tau * tau)
+    return raw / (raw + DTW_TAU * DTW_TAU)
 
 
 def lstsq_rss(design: np.ndarray, target: np.ndarray) -> float:

@@ -10,6 +10,7 @@ integer as a usage error (exit 2) before any subcommand runs, which
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -77,6 +78,12 @@ def _cases():
     for duration in ("1e12", "1e300"):
         yield f"synth-duration={duration}", _with(SYNTH, "--spec", f"{{d}}/duration-{duration}.toml")
     yield "features-heat_cell_edge=1e-300-valid", _with(CONFIG_COMMANDS["features"], "--config", "{d}/edge.toml")
+    # a near pair whose warping cost overflows: d_sh reads 1, the softening's limit
+    overflow = _with(_with(CONFIG_COMMANDS["features"], "--data", "{d}/overflow"), "--window-len", "12")
+    yield "features-dtw-overflow-valid", _with(overflow, "--stride", "12")
+    # a whole-number file field past any float: the rule refuses inf, int() overflowed
+    yield "predict-model-format_version=1e400", _with(PREDICT, "--model", "{d}/model-version-1e400.json")
+    yield "eval-pred-seed=1e400", _with(EVAL, "--pred", "{d}/pred-seed-1e400.json")
     for kind, path in FILES.items():
         yield f"synth-spec-{kind}", _with(SYNTH, "--spec", path)
         yield f"predict-model-{kind}", _with(PREDICT, "--model", path)
@@ -116,6 +123,14 @@ def inputs(tmp_path_factory):
     model = Model(w=np.ones(8), config_snapshot={"window_len": 8.0, "stride": 8.0})
     model.save(root / "model.json")
     write_predictions(root / "pred.json", 0, predict_windows(root / "scene", model))
+    for name, source, key in (("model-version-1e400.json", "model.json", "format_version"),
+                              ("pred-seed-1e400.json", "pred.json", "seed")):
+        obj = {**json.loads((root / source).read_text(encoding="utf-8")), key: None}
+        (root / name).write_text(json.dumps(obj).replace(f'"{key}": null', f'"{key}": 1e400'), encoding="utf-8")
+    # pedestrians 1 and 2 share 12 frames 0.5 m apart; 1 jumps to x = 1e160 m for the last 6
+    (root / "overflow").mkdir()
+    rows = [f"{f} {p} {1e160 if p == 1 and f >= 6 else float(f)!r} {0.5 * (p - 1)}" for f in range(12) for p in (1, 2)]
+    (root / "overflow" / "trajectories.txt").write_text("\n".join(rows) + "\n", encoding="utf-8")
     return root
 
 

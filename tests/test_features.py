@@ -224,16 +224,16 @@ def test_dtw_single_point_hand_value():
     b = traj(2, [[3.0, 4.0]])
     # one aligned pair, squared distance 25
     assert dtw_shape_distance(a, b) == pytest.approx(25.0 / 26.0)
-    assert dtw_shape_distance(a, b, tau=5.0) == pytest.approx(0.5)
+    # a raw cost of DTW_TAU^2 = 1 square meter is halfway
+    assert dtw_shape_distance(a, traj(2, [[1.0, 0.0]])) == 0.5
 
 
-def test_dtw_tau_validation_and_softening():
-    a = traj(1, [[0, 0]])
-    b = traj(2, [[1, 0]])
-    for tau in (0.0, -1.0, math.nan, math.inf, True, "1"):
-        with pytest.raises(ValueError, match="tau"):
-            dtw_shape_distance(a, b, tau=tau)
-    assert dtw_shape_distance(a, b, tau=0.5) > dtw_shape_distance(a, b, tau=2.0)
+def test_dtw_overflowing_cost_reads_one():
+    # (1e160 m)^2 overflows: the cost is inf and d_sh its limit 1, not inf/inf
+    a = traj(1, [[0.0, 0.0], [1e160, 0.0]])
+    b = traj(2, [[0.5, 0.0], [0.5, 0.0]])
+    with np.errstate(over="ignore"):
+        assert dtw_shape_distance(a, b) == 1.0
 
 
 def test_dtw_matches_path_enumeration():

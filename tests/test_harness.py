@@ -359,6 +359,20 @@ def test_read_predictions_rejects_garbage(tmp_path):
         read_predictions(path)
 
 
+@pytest.mark.parametrize("seed, message", [
+    ("2.7", "'seed' must be an integer, got 2.7"),
+    ("-3", "seed must be non-negative, got -3"),
+    ("true", "'seed' must be an integer, got True"),
+])
+def test_read_predictions_checks_seed_by_the_rule(tmp_path, seed, message):
+    # the seed is checked as every NonNegativeInt setting is, not cut by int()
+    path = tmp_path / "predictions.json"
+    path.write_text(f'{{"seed": {seed}, "windows": []}}')
+    with pytest.raises(CrowdGroupsError) as info:
+        read_predictions(path)
+    assert str(info.value) == f"{path}: not a prediction file: {message}"
+
+
 def test_evaluate_predictions_perfect(tmp_path):
     truth_path = tmp_path / "groups.txt"
     truth_path.write_text("1 2\n")
@@ -749,7 +763,7 @@ def test_cli_predict_rejects_non_finite_window(dataset_dir, tmp_path, capsys, fl
     assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir),
                  flag, value]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "finite and positive" in captured.err
+    assert captured.err.startswith("error: ") and "must be a finite number" in captured.err
     assert captured.out == ""
 
 

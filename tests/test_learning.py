@@ -500,6 +500,18 @@ def test_model_from_dict_checks_fields_as_train_config_does(key, value, message)
     assert str(info.value).endswith(message)
 
 
+@pytest.mark.parametrize("version, message", [
+    (True, "'format_version' must be an integer, got True"),
+    (1.5, "'format_version' must be an integer, got 1.5"),
+    (0, "format_version must be at least 1, got 0"),
+])
+def test_model_from_dict_checks_format_version_by_the_rule(version, message):
+    # the version is a PositiveInt: int() once read true and 1.5 as version 1
+    with pytest.raises(ConfigError, match="not a valid model file") as info:
+        Model.from_dict({**Model().to_dict(), "format_version": version})
+    assert str(info.value).endswith(message)
+
+
 def test_model_defaults_come_from_train_config():
     defaults = TrainConfig()
     for model in (Model(), Model.from_dict({"format_version": 1, "w": [0] * 8})):

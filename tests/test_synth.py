@@ -35,6 +35,10 @@ def test_spec_validation():
         SynthSpec(noise_std=-0.1)
     with pytest.raises(ConfigError, match="seed must be non-negative"):
         synth_generate(SynthSpec(), seed=-1)
+    # 1.5 reached numpy's generator (a TypeError) and True seeded it as 1
+    for seed in (1.5, True):
+        with pytest.raises(ConfigError, match=f"^'seed' must be an integer, got {seed}$"):
+            synth_generate(SynthSpec(), seed=seed)
 
 
 def test_generation_is_deterministic():

@@ -139,7 +139,7 @@ def test_load_trajectories_basic(tmp_path):
 def test_load_trajectories_requires_finite_positive_fps(tmp_path, fps):
     f = tmp_path / "trajectories.txt"
     f.write_text("0 1 0.0 0.0\n1 1 1.0 0.5\n")
-    with pytest.raises(ConfigError, match="finite and positive"):
+    with pytest.raises(ConfigError, match=r"^('fps' must be a finite number|fps must be positive), got "):
         load_trajectories(f, fps=fps)
 
 
@@ -309,8 +309,11 @@ def test_slice_windows_validation():
         slice_windows(trajs, 1.0, -1.0)
     bad = ((math.nan, 10.0), (10.0, math.nan), (math.inf, 10.0), (10.0, math.inf))
     for window_len, stride in bad:
-        with pytest.raises(ConfigError, match="must be finite and positive"):
+        with pytest.raises(ConfigError, match="must be a finite number"):
             slice_windows(trajs, window_len, stride)
+    # True was a 1 s window: the lengths follow the rule of every float setting
+    with pytest.raises(ConfigError, match="^'window_len' must be a finite number, got True$"):
+        slice_windows(trajs, True, 10)
 
 
 def test_slice_windows_starts_at_most_one_window_per_sample():
