@@ -32,7 +32,7 @@ from crowdgroups import (
 spec = SynthSpec()
 trajectories, labels = synth_generate(spec, seed=3)
 print(f"{len(trajectories)} pedestrians, {len(labels.groups)} groups:",
-      [sorted(g) for g in labels.groups])
+      [list(g) for g in labels.groups])
 
 # ---------------------------------------------------------------------------
 # slice into 10 s windows with a 10 s stride and split on time: the first

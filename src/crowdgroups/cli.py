@@ -35,6 +35,7 @@ from .harness import (
 )
 from .learning import Model
 from .synth import SynthSpec, synth_generate, write_dataset
+from .trajectories import DESCRIPTOR_FILE, GROUNDTRUTH_FILE, TRAJECTORY_FILE
 
 _CONFIG_FLAGS = (
     ("--window-len", "window_len", float, "window length in seconds"),
@@ -67,22 +68,31 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_dict(_config_values(args))
 
 
-def _check_output(path: str | None) -> None:
-    """Raise, before any work, the OSError that writing the file at path would:
-    a directory there, no directory to hold it, or no write permission (None
-    and "-" are stdout)."""
-    if path is None or path == "-":
-        return
-    target = Path(path)
-    if target.is_dir():
-        code = errno.EISDIR
-    elif not target.parent.is_dir():
-        code = errno.ENOENT
-    elif not os.access(target if target.exists() else target.parent, os.W_OK):
-        code = errno.EACCES
-    else:
-        return
-    raise OSError(code, os.strerror(code), path)
+def _check_outputs(args: argparse.Namespace, *paths: str | None) -> None:
+    """Raise, before any work, the OSError that writing a file at one of the
+    paths would (a directory there, no directory to hold it, or no write
+    permission), or a ConfigError when a path names a file the command reads
+    (its --config, --model, --truth or --pred, or a dataset file under --data)
+    or another of the paths. None and "-" are stdout."""
+    reads = [getattr(args, flag, None) for flag in ("config", "model", "truth", "pred")]
+    if getattr(args, "data", None) is not None:
+        reads += [Path(args.data, name) for name in (TRAJECTORY_FILE, GROUNDTRUTH_FILE, DESCRIPTOR_FILE)]
+    files = [path for path in paths if path is not None and path != "-"]
+    for k, path in enumerate(files):
+        target = Path(path)
+        if target.is_dir():
+            code = errno.EISDIR
+        elif not target.parent.is_dir():
+            code = errno.ENOENT
+        elif not os.access(target if target.exists() else target.parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            code = None
+        if code is not None:
+            raise OSError(code, os.strerror(code), path)
+        for other in [*reads, *files[:k]]:
+            if other is not None and Path(other).resolve() == target.resolve():
+                raise ConfigError(f"output {path} would overwrite {other}, which the command also uses")
 
 
 @contextlib.contextmanager
@@ -155,7 +165,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_features(args) -> int:
     config = _resolve_config(args)
-    _check_output(args.out)
+    _check_outputs(args, args.out)
     _, windows = load_windows(args.data, config.window_len, config.stride)
     scenes = [build_scene(w, config) for w in windows]
     with _output(args.out) as fh:
@@ -171,8 +181,7 @@ def _cmd_train(args) -> int:
     for flag, path in (("--out", args.out), ("--log", args.log)):
         if path == "-":  # stdout carries the summary line
             raise ConfigError(f"train {flag} must name a file, not - (stdout)")
-    _check_output(args.out)
-    _check_output(args.log)
+    _check_outputs(args, args.out, args.log)
     dataset, windows = load_windows(args.data, config.window_len, config.stride, labels_for="to train")
     if "training_span" in values:
         windows, _ = split_training_span(dataset, windows, config.training_span)
@@ -187,7 +196,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = Model.load(args.model)
-    _check_output(args.out)
+    _check_outputs(args, args.out)
     entries = predict_windows(args.data, model, window_len=args.window_len, stride=args.stride)
     with _output(args.out) as fh:
         write_predictions(fh, model.seed, entries)
@@ -195,6 +204,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_outputs(args, args.out)
     text = evaluate_predictions(args.truth, args.pred)
     with _output(args.out) as fh:
         fh.write(text)

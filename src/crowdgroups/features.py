@@ -39,8 +39,10 @@ chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
   inner products need only the cells' distances, so no grid is built.
 
 The public one-pair functions call the same kernels, so `build_scene` rows
-equal them: d_ph, d_sh and d_he exactly, and d_ca, whose QR sees other zero
-rows, to 1e-12. This module writes no file (harness writes the features CSV).
+equal them: d_ph and d_sh exactly; d_he exactly when `heatmap_build` is given
+origin= the window's corner (the x and y minima of all its samples), not the
+default world origin; and d_ca, whose QR sees other zero rows, to 1e-12. This
+module writes no file (harness writes the features CSV).
 """
 
 from __future__ import annotations

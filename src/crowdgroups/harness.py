@@ -43,7 +43,6 @@ from .partitioning import Partition
 from .trajectories import (
     _SPAN_EPS,
     Dataset,
-    GroundTruthLabels,
     load_dataset,
     load_ground_truth,
     restrict_labels,
@@ -209,9 +208,7 @@ def _score_rows(label, scores: dict[str, ForestScore]) -> list[list]:
     return [[label, name, s.precision, s.recall, s.f1] for name, s in scores.items()]
 
 
-def _score_entries(
-    entries: list[dict], labels: GroundTruthLabels
-) -> tuple[list[list], list[dict[str, ForestScore]]]:
+def _score_entries(entries: list[dict], labels: Partition) -> tuple[list[list], list[dict[str, ForestScore]]]:
     """Score each prediction entry with members against the ground truth
     restricted to those members; returns the per-window CSV rows and scores."""
     rows: list[list] = []
@@ -303,7 +300,7 @@ def _weights_rows(model: Model) -> list[list]:
     return rows
 
 
-def write_scene_stats(path_or_file, windows: list, labels: GroundTruthLabels) -> None:
+def write_scene_stats(path_or_file, windows: list, labels: Partition) -> None:
     """The `stat,value` CSV of the windows' d_in, d_out and d_io; a statistic
     whose defining set is empty is left blank."""
     stats = scene_stats(windows, labels)

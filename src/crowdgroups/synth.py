@@ -16,13 +16,8 @@ from typing import Literal
 import numpy as np
 
 from .errors import ConfigError, NonNegativeFloat, NonNegativeInt, PositiveFloat, _check_fields, _check_number
-from .trajectories import (
-    DESCRIPTOR_FILE,
-    GROUNDTRUTH_FILE,
-    TRAJECTORY_FILE,
-    GroundTruthLabels,
-    Trajectory,
-)
+from .partitioning import Partition
+from .trajectories import DESCRIPTOR_FILE, GROUNDTRUTH_FILE, TRAJECTORY_FILE, Trajectory
 
 _FORMATION_UNIT = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 MAX_SAMPLES = 10_000_000  # duration x fps x pedestrians: 40x a 10,000-pedestrian 10 s window
@@ -123,7 +118,7 @@ def _replay(leader_path: np.ndarray, lag: int) -> np.ndarray:
 
 def synth_generate(
     spec: SynthSpec | None = None, seed: int = 0
-) -> tuple[list[Trajectory], GroundTruthLabels]:
+) -> tuple[list[Trajectory], Partition]:
     """Generate one scene: trajectories for every pedestrian plus the labels.
 
     Group members follow the leader's displacement sequence delayed by
@@ -148,7 +143,7 @@ def synth_generate(
     starts = _sample_starts(rng, spec, spec.n_groups + spec.n_singletons, min_gap=6.0)
 
     trajectories: list[Trajectory] = []
-    groups: list[frozenset[int]] = []
+    groups: list[list[int]] = []
     next_id = 1
     for g in range(spec.n_groups):
         leader_path = _leader_walk(rng, spec, starts[g], n_steps, dt)
@@ -165,7 +160,7 @@ def synth_generate(
             trajectories.append(Trajectory(next_id, times, path))
             member_ids.append(next_id)
             next_id += 1
-        groups.append(frozenset(member_ids))
+        groups.append(member_ids)
     for s in range(spec.n_singletons):
         path = _leader_walk(rng, spec, starts[spec.n_groups + s], n_steps, dt)
         path = path + rng.normal(0.0, spec.noise_std, size=path.shape)
@@ -173,7 +168,7 @@ def synth_generate(
         trajectories.append(Trajectory(next_id, times, path))
         next_id += 1
 
-    return trajectories, GroundTruthLabels(groups)
+    return trajectories, Partition(groups)
 
 
 def _rows(traj: Trajectory, fps: float) -> list[str]:
@@ -187,7 +182,7 @@ def _rows(traj: Trajectory, fps: float) -> list[str]:
 def write_dataset(
     directory,
     trajectories: list[Trajectory],
-    labels: GroundTruthLabels | None,
+    labels: Partition | None,
     fps: float,
     seed: int | None = None,
 ) -> None:
@@ -198,7 +193,7 @@ def write_dataset(
     lines = [row for traj in trajectories for row in _rows(traj, fps)]
     (directory / TRAJECTORY_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
     if labels is not None:
-        group_lines = [" ".join(str(m) for m in sorted(g)) for g in labels.groups]
+        group_lines = [" ".join(map(str, g)) for g in labels.groups]
         (directory / GROUNDTRUTH_FILE).write_text(
             "\n".join(group_lines) + ("\n" if group_lines else ""), encoding="utf-8"
         )

@@ -132,31 +132,6 @@ def align_segments(segments) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return times, points, present
 
 
-@dataclass(frozen=True, eq=False)
-class GroundTruthLabels:
-    """Sequence-global social groups; every unlisted pedestrian is a singleton."""
-
-    groups: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        groups = tuple(frozenset(g) for g in self.groups)
-        object.__setattr__(self, "groups", groups)
-        seen: set[int] = set()
-        for g in groups:
-            if len(g) < 2:
-                raise ValueError("ground-truth groups must have at least 2 members")
-            if seen & g:
-                raise ValueError("ground-truth groups must be disjoint")
-            seen |= g
-
-    @property
-    def members(self) -> frozenset[int]:
-        out: set[int] = set()
-        for g in self.groups:
-            out |= g
-        return frozenset(out)
-
-
 @dataclass(frozen=True)
 class SceneStats:
     """Crowd sociality statistics; a field is None when its defining set is empty."""
@@ -260,10 +235,11 @@ def load_homography(path) -> Homography:
         raise DataError(f"{path}: {exc}") from None
 
 
-def load_ground_truth(path) -> GroundTruthLabels:
-    """Read one group per line (whitespace-separated ids); size-1 lines are ignored."""
+def load_ground_truth(path) -> Partition:
+    """Read one group per line (whitespace-separated ids) into a Partition of
+    the listed pedestrians; size-1 lines are ignored."""
     path = Path(path)
-    groups: list[frozenset[int]] = []
+    groups: list[list[int]] = []
     seen: set[int] = set()
     for lineno, text in _records(path):
         try:
@@ -278,8 +254,8 @@ def load_ground_truth(path) -> GroundTruthLabels:
         if len(ids) < 2:
             logger.info("%s:%d: single-id group line ignored (singleton)", path, lineno)
             continue
-        groups.append(frozenset(ids))
-    return GroundTruthLabels(tuple(groups))
+        groups.append(ids)
+    return Partition(groups)
 
 
 def parse_descriptor(path) -> dict[str, str]:
@@ -301,7 +277,7 @@ def parse_descriptor(path) -> dict[str, str]:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     trajectories: list[Trajectory]
-    labels: GroundTruthLabels | None
+    labels: Partition | None
     fps: float
     units: str
     descriptor: Mapping[str, str]
@@ -403,27 +379,20 @@ def slice_windows(trajectories: Iterable[Trajectory], window_len: float, stride:
     return windows
 
 
-def restrict_labels(members: Iterable[int], labels: GroundTruthLabels) -> Partition:
+def restrict_labels(members: Iterable[int], labels: Partition) -> Partition:
     """Ground-truth partition over `members`: group intersections of size >= 2
     stay groups, everything else becomes a singleton."""
     members = set(members)
-    clusters: list[set[int]] = []
-    assigned: set[int] = set()
-    for group in labels.groups:
-        inter = group & members
-        if len(inter) >= 2:
-            clusters.append(set(inter))
-            assigned |= inter
-    clusters.extend({m} for m in members - assigned)
-    return Partition(clusters)
+    clusters = [inter for group in labels.groups if len(inter := members.intersection(group)) >= 2]
+    return Partition(clusters + [[m] for m in members.difference(*clusters)])
 
 
-def window_ground_truth(window: TimeWindow, labels: GroundTruthLabels) -> Partition:
+def window_ground_truth(window: TimeWindow, labels: Partition) -> Partition:
     """Restrict sequence-global groups to the window's member set."""
     return restrict_labels(window.members, labels)
 
 
-def scene_stats(windows: Iterable[TimeWindow], labels: GroundTruthLabels) -> SceneStats:
+def scene_stats(windows: Iterable[TimeWindow], labels: Partition) -> SceneStats:
     """Group compactness d_in, isolation d_out, and their ratio d_io.
 
     d_in averages distances between co-present group mates per frame; d_out
@@ -433,7 +402,7 @@ def scene_stats(windows: Iterable[TimeWindow], labels: GroundTruthLabels) -> Sce
     windows = list(windows)
     if not windows:
         raise ValueError("scene_stats requires at least one window")
-    group_of = {m: k for k, group in enumerate(labels.groups) for m in group}
+    group_of = labels.labels()
     intra: list[np.ndarray] = [np.empty(0)]
     nearest: list[np.ndarray] = [np.empty(0)]
     for window in windows:

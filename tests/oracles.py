@@ -39,7 +39,6 @@ from crowdgroups import (
     AffinityMatrix,
     ConfigError,
     FeatureConfig,
-    GroundTruthLabels,
     MergeStep,
     MergeTrace,
     Partition,
@@ -681,7 +680,7 @@ def rows_loop(traj: Trajectory, fps: float) -> list[str]:
 # Scene statistics by a frame x member x member loop
 
 
-def group_index(labels: GroundTruthLabels, pedestrian_id: int) -> int | None:
+def group_index(labels: Partition, pedestrian_id: int) -> int | None:
     """Index of the pedestrian's ground-truth group, None for a singleton."""
     for k, g in enumerate(labels.groups):
         if pedestrian_id in g:
@@ -689,7 +688,7 @@ def group_index(labels: GroundTruthLabels, pedestrian_id: int) -> int | None:
     return None
 
 
-def scalar_scene_stats(windows, labels: GroundTruthLabels) -> tuple:
+def scalar_scene_stats(windows, labels: Partition) -> tuple:
     """(d_in, d_out, d_io) with a Python loop over frames and member pairs and
     a linear group lookup per pair."""
     intra: list[float] = []

@@ -188,6 +188,31 @@ def test_cli_checks_outputs_before_building_scenes(inputs, tmp_path, capsys, mon
         assert calls == []
 
 
+# an output path that names a file the command reads, or train's other output:
+# refused before any window is featurized, every file left as it was
+SELF_OVERWRITES = {
+    "features-out=data-file": _with(CONFIG_COMMANDS["features"], "--out", "{d}/scene/trajectories.txt"),
+    "features-out=config": _with(_with(CONFIG_COMMANDS["features"], "--out", "{d}/edge.toml"),
+                                 "--config", "{d}/edge.toml"),
+    "train-out=log": _with(CONFIG_COMMANDS["train"], "--log", "{t}/model.json"),
+    "predict-out=model": _with(PREDICT, "--out", "{d}/model.json"),
+    "eval-out=pred": _with(EVAL, "--out", "{d}/pred.json"),
+}
+
+
+@pytest.mark.parametrize("case", SELF_OVERWRITES)
+def test_cli_refuses_to_overwrite_what_it_uses(inputs, tmp_path, capsys, monkeypatch, case):
+    shutil.copytree(inputs / "scene", tmp_path / "scene")
+    for name in ("model.json", "pred.json", "edge.toml"):
+        shutil.copy(inputs / name, tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    calls = _count_builds(monkeypatch)
+    code = main([arg.format(d=tmp_path, t=tmp_path) for arg in SELF_OVERWRITES[case]])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error: output "), lines
+    assert calls == [] and {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 # train prints its summary line on stdout, so neither the model nor the log may go there
 STDOUT_OUTPUTS = {"train-out=-": "--out", "train-log=-": "--log"}
 

@@ -15,7 +15,6 @@ import pytest
 
 from crowdgroups import (
     ConfigError,
-    GroundTruthLabels,
     LOSSES,
     Model,
     Partition,
@@ -862,7 +861,7 @@ def test_make_training_examples_skips_empty_windows():
     a = Trajectory(1, times, np.column_stack([times * 0.1, np.zeros(10)]))
     b = Trajectory(2, times + 20.0, np.column_stack([times * 0.1, np.ones(10)]))
     windows = slice_windows([a, b], 10.0, 10.0)
-    labels = GroundTruthLabels([])
+    labels = Partition([])
     examples = make_training_examples(windows, labels)
     assert len(examples) == len([w for w in windows if w.members])
     for ex in examples:

@@ -145,7 +145,7 @@ def test_write_then_load_round_trip(tmp_path):
     assert ds.units == "meters"
     assert ds.descriptor["seed"] == "6"
     assert ds.labels is not None
-    assert set(ds.labels.groups) == set(labels.groups)
+    assert ds.labels == labels
     by_id = {t.pedestrian_id: t for t in ds.trajectories}
     assert set(by_id) == {t.pedestrian_id for t in trajs}
     for tr in trajs:

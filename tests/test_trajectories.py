@@ -11,7 +11,6 @@ from crowdgroups import (
     ConfigError,
     DataError,
     DegenerateProjectionError,
-    GroundTruthLabels,
     Homography,
     Partition,
     Trajectory,
@@ -213,7 +212,7 @@ def test_load_ground_truth(tmp_path):
     f = tmp_path / "groups.txt"
     f.write_text("# groups\n1 2 3\n4 5\n")
     labels = load_ground_truth(f)
-    assert labels.groups == (frozenset({1, 2, 3}), frozenset({4, 5}))
+    assert labels.groups == ((1, 2, 3), (4, 5))
     assert labels.members == frozenset({1, 2, 3, 4, 5})
 
 
@@ -224,14 +223,22 @@ def test_load_ground_truth_rejects_ids_that_are_not_whole_numbers(tmp_path, toke
     with pytest.raises(TrajectoryParseError, match=r"groups.txt:2: .*whole number"):
         load_ground_truth(f)
     f.write_text("1.0000000e+00 2.0000000e+00\n")
-    assert load_ground_truth(f).groups == (frozenset({1, 2}),)
+    assert load_ground_truth(f).groups == ((1, 2),)
 
 
 def test_load_ground_truth_ignores_singleton_lines(tmp_path):
     f = tmp_path / "groups.txt"
     f.write_text("7\n1 2\n")
     labels = load_ground_truth(f)
-    assert labels.groups == (frozenset({1, 2}),)
+    assert labels.groups == ((1, 2),)
+
+
+def test_load_ground_truth_ignores_line_and_id_order(tmp_path):
+    f = tmp_path / "groups.txt"
+    f.write_text("1 2 3\n4 5\n")
+    ordered = load_ground_truth(f)
+    f.write_text("5 4\n3 1 2\n")
+    assert load_ground_truth(f) == ordered == Partition([[1, 2, 3], [4, 5]])
 
 
 def test_load_ground_truth_duplicate_member(tmp_path):
@@ -350,15 +357,20 @@ def test_window_ground_truth_restriction():
     a = make_traj(1, np.arange(0.0, 10.0))
     b = make_traj(2, np.arange(0.0, 10.0))
     c = make_traj(4, np.arange(0.0, 10.0))
-    labels = GroundTruthLabels([{1, 2, 3}, {5, 6}])
+    labels = Partition([{1, 2, 3}, {5, 6}])
     window = slice_windows([a, b, c], 10.0, 10.0)[0]
     truth = window_ground_truth(window, labels)
     assert truth == Partition([[1, 2], [4]])
 
 
 def test_restrict_labels_all_singletons():
-    labels = GroundTruthLabels([{1, 2}])
+    labels = Partition([{1, 2}])
     assert restrict_labels({3, 4}, labels) == Partition([[3], [4]])
+
+
+def test_restrict_labels_splits_a_group_down_to_one_member():
+    labels = Partition([[1, 2, 3], [4, 5, 6]])
+    assert restrict_labels({1, 4, 5}, labels) == Partition([[1], [4, 5]])
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +384,7 @@ def test_scene_stats_hand_case():
     a = make_traj(1, times, [[0.0, 0.0], [0.0, 0.0]])
     b = make_traj(2, times, [[1.0, 0.0], [1.0, 0.0]])
     c = make_traj(3, times, [[0.5, y], [0.5, y]])
-    labels = GroundTruthLabels([{1, 2}])
+    labels = Partition([{1, 2}])
     windows = slice_windows([a, b, c], 2.0, 2.0)
     stats = scene_stats(windows, labels)
     assert stats.d_in == pytest.approx(1.0)
@@ -383,7 +395,7 @@ def test_scene_stats_hand_case():
 def test_scene_stats_no_groups():
     a = make_traj(1, [0.0, 1.0], [[0.0, 0.0], [0.0, 0.0]])
     b = make_traj(2, [0.0, 1.0], [[3.0, 0.0], [3.0, 0.0]])
-    labels = GroundTruthLabels([])
+    labels = Partition([])
     stats = scene_stats(slice_windows([a, b], 2.0, 2.0), labels)
     assert stats.d_in is None
     assert stats.d_io is None
@@ -393,7 +405,7 @@ def test_scene_stats_no_groups():
 def test_scene_stats_no_unrelated():
     a = make_traj(1, [0.0, 1.0], [[0.0, 0.0], [0.0, 0.0]])
     b = make_traj(2, [0.0, 1.0], [[2.0, 0.0], [2.0, 0.0]])
-    labels = GroundTruthLabels([{1, 2}])
+    labels = Partition([{1, 2}])
     stats = scene_stats(slice_windows([a, b], 2.0, 2.0), labels)
     assert stats.d_in == pytest.approx(2.0)
     assert stats.d_out is None
@@ -402,7 +414,7 @@ def test_scene_stats_no_unrelated():
 
 def test_scene_stats_requires_windows():
     with pytest.raises(ValueError):
-        scene_stats([], GroundTruthLabels([]))
+        scene_stats([], Partition([]))
 
 
 def test_scene_stats_matches_scalar_loop_on_random_ragged_windows():
@@ -412,7 +424,7 @@ def test_scene_stats_matches_scalar_loop_on_random_ragged_windows():
         ids = list(range(1, 16))
         rng.shuffle(ids)
         cut = np.sort(rng.choice(np.arange(1, 15), size=3, replace=False))
-        labels = GroundTruthLabels([g for g in np.split(ids, cut) if len(g) >= 2])
+        labels = Partition([g for g in np.split(ids, cut) if len(g) >= 2])
         stats = scene_stats(windows, labels)
         want = oracles.scalar_scene_stats(windows, labels)
         for got, ref in zip((stats.d_in, stats.d_out, stats.d_io), want):
