@@ -26,7 +26,9 @@ chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
   the front of a (pairs, K_max, 2) block: the causality lags run over compacted
   samples, and d_ph's mean over a pair's K samples has a one-pair call's shape.
 - d_sh runs the DTW recursion over each member's samples one anti-diagonal
-  at a time, with +inf cost past each member's last sample.
+  at a time, with +inf cost past each member's last sample, on views of three
+  rotating diagonal buffers made once per chunk. A chunk sorts its pairs by the
+  diagonal of their end cell once; each diagonal reads only the pairs ending on it.
 - d_ca factors a chunk's (samples, [1, own lags, source lags, target]) matrices,
   both directions of each pair, with one np.linalg.qr(mode="r"); a pair's rows
   past its own K are 0, and so are R's. The target column of R gives the
@@ -202,32 +204,42 @@ def _dtw_rows(aligned, ia, ib) -> np.ndarray:
     cumulative cost at a time: column i + 1 of a diagonal holds cell (i, d - i)
     and column 0 is +inf. Samples past a member's last sit at +inf as the first
     member and -inf as the second, whose samples are stored reversed between
-    size - 1 such samples on each side, so diagonal d reads them as one slice."""
+    size - 1 such samples on each side, so diagonal d reads them as one slice.
+    A pair's end cell (la - 1, lb - 1) lies on diagonal la + lb - 2: each chunk
+    sorts its pairs by that diagonal once, so a diagonal reads only the end
+    cells of the pairs that end on it."""
     _, points, present = aligned
     lengths = present.sum(axis=1)
     size = int(lengths.max(initial=1))
     owner, frames = np.nonzero(present)
     sample = np.arange(owner.size) - (np.cumsum(lengths) - lengths)[owner]
-    first = np.full((len(present), size, 2), np.inf)
-    second = np.full((len(present), 3 * size - 2, 2), -np.inf)
-    first[owner, sample] = second[owner, 2 * size - 2 - sample] = points[owner, frames]
+    first = np.full((2, len(present), size), np.inf)  # x and y planes
+    second = np.full((2, len(present), 3 * size - 2), -np.inf)
+    first[:, owner, sample] = second[:, owner, 2 * size - 2 - sample] = points[owner, frames].T
     out = np.empty(len(ia))
     for chunk in _chunks(len(ia), 16 * (size + 1)):
         a, b = ia[chunk], ib[chunk]
         la, lb = lengths[a], lengths[b]
-        xa, ya = first[a, :, 0], first[a, :, 1]
-        xb, yb = second[b, :, 0], second[b, :, 1]
-        ends = la + lb - 2  # diagonal of cell (la - 1, lb - 1)
+        pa, pb = first[:, a], second[:, b]
+        ends = la + lb - 2  # diagonal of cell (la - 1, lb - 1), in column la
+        order = np.argsort(ends, kind="stable")
+        cuts, end_cols = np.searchsorted(ends[order], np.arange(2 * size)).tolist(), la[order]
         diagonals = np.full((3, len(a), size + 1), np.inf)
+        left, cells = list(diagonals[:, :, :-1]), list(diagonals[:, :, 1:])
+        delta, best = np.empty((2, len(a), size)), np.empty((len(a), size))
+        dx, dy = delta
         raw = np.empty(len(a))
         for d in range(2 * size - 1):
-            cur, prev1, prev2 = diagonals[d % 3], diagonals[(d - 1) % 3], diagonals[(d - 2) % 3]
             at = 2 * size - 2 - d  # column i of the slice holds sample d - i
-            dx, dy = xa - xb[:, at : at + size], ya - yb[:, at : at + size]
-            best = np.minimum(np.minimum(prev1[:, :-1], prev1[:, 1:]), prev2[:, :-1]) if d else 0.0
-            np.add(dx * dx + dy * dy, best, out=cur[:, 1:])
-            done = np.flatnonzero(ends == d)
-            raw[done] = cur[done, la[done]]
+            np.square(np.subtract(pa, pb[:, :, at : at + size], out=delta), out=delta)
+            np.add(dx, dy, out=dx)
+            if d:
+                np.minimum(left[(d - 1) % 3], cells[(d - 1) % 3], out=best)
+                np.minimum(best, left[(d - 2) % 3], out=best)
+            np.add(dx, best if d else 0.0, out=cells[d % 3])
+            lo, hi = cuts[d], cuts[d + 1]  # the pairs order[lo:hi] end on d
+            if lo < hi:
+                raw[order[lo:hi]] = diagonals[d % 3, order[lo:hi], end_cols[lo:hi]]
         raw /= np.maximum(la, lb)
         # an overflowing cost reads 1, the limit of the softening
         out[chunk] = np.divide(raw, raw + DTW_TAU * DTW_TAU, out=np.ones(len(a)), where=raw < np.inf)

@@ -38,7 +38,8 @@ _PROJECTION_W_EPS = 1e-9
 class Trajectory:
     """Time-stamped ground-plane path of one pedestrian.
 
-    times: (n,) seconds, strictly increasing. points: (n, 2) meters (read-only copies).
+    times: (n,) seconds, strictly increasing. points: (n, 2) meters (read-only
+    copies, or for a `segment` read-only views of its checked parent's).
     """
 
     pedestrian_id: int
@@ -64,6 +65,14 @@ class Trajectory:
             raise DataError(
                 f"pedestrian {self.pedestrian_id}: timestamps must be strictly increasing"
             )
+
+    def segment(self, i0: int, i1: int) -> Trajectory:
+        """Samples i0 to i1 - 1 (i0 < i1) as read-only views of this checked
+        trajectory's arrays: a slice of a valid trajectory is valid, so it is
+        neither checked nor copied again."""
+        seg = object.__new__(Trajectory)
+        vars(seg).update(pedestrian_id=self.pedestrian_id, times=self.times[i0:i1], points=self.points[i0:i1])
+        return seg
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -326,7 +335,9 @@ def slice_windows(trajectories: Iterable[Trajectory], window_len: float, stride:
     A window is emitted only when fully inside the span (each sample counts as
     occupying one median frame period). Members with fewer than 2 in-window
     samples are excluded and recorded in `dropped`. A stride that would start
-    more windows than the trajectories have samples raises ConfigError.
+    more windows than the trajectories have samples raises ConfigError. The
+    segments are `Trajectory.segment` views of the already checked trajectories,
+    read-only and not copied.
     """
     window_len = _check_number("window_len", window_len, PositiveFloat)
     stride = _check_number("stride", stride, PositiveFloat)
@@ -343,39 +354,24 @@ def slice_windows(trajectories: Iterable[Trajectory], window_len: float, stride:
     samples = sum(map(len, trajectories))
     if (span_end + _SPAN_EPS - t_min - window_len) // stride + 1 > samples:
         raise ConfigError(f"stride {stride} starts more windows than the data's {samples} samples")
+    starts: list[float] = []
+    while t_min + len(starts) * stride + window_len <= span_end + _SPAN_EPS:
+        starts.append(t_min + len(starts) * stride)
+    bounds = np.array([starts, np.add(starts, window_len)])
+    # each trajectory's samples [i0, i1) in each window: one searchsorted per trajectory
+    i0, i1 = np.array([np.searchsorted(tr.times, bounds) for tr in trajectories]).transpose(1, 0, 2)
+    counts = i1 - i0
     windows: list[TimeWindow] = []
-    index = 0
-    while t_min + index * stride + window_len <= span_end + _SPAN_EPS:
-        start = t_min + index * stride
-        end = start + window_len
-        segments: dict[int, Trajectory] = {}
-        dropped: set[int] = set()
-        for tr in trajectories:
-            i0 = int(np.searchsorted(tr.times, start, side="left"))
-            i1 = int(np.searchsorted(tr.times, end, side="left"))
-            count = i1 - i0
-            if count >= 2:
-                segments[tr.pedestrian_id] = Trajectory(
-                    tr.pedestrian_id, tr.times[i0:i1], tr.points[i0:i1]
-                )
-            elif count == 1:
-                dropped.add(tr.pedestrian_id)
+    for index, (start, end) in enumerate(bounds.T.tolist()):
+        segments = {trajectories[k].pedestrian_id: trajectories[k].segment(i0[k, index], i1[k, index])
+                    for k in np.flatnonzero(counts[:, index] >= 2)}
+        dropped = {trajectories[k].pedestrian_id for k in np.flatnonzero(counts[:, index] == 1)}
         if dropped:
             logger.info(
                 "window %d [%g, %g): dropped %d single-sample member(s): %s",
                 index, start, end, len(dropped), sorted(dropped),
             )
-        windows.append(
-            TimeWindow(
-                index=index,
-                start_t=start,
-                end_t=end,
-                members=frozenset(segments),
-                segments=segments,
-                dropped=frozenset(dropped),
-            )
-        )
-        index += 1
+        windows.append(TimeWindow(index, start, end, frozenset(segments), segments, frozenset(dropped)))
     return windows
 
 
@@ -408,13 +404,14 @@ def scene_stats(windows: Iterable[TimeWindow], labels: Partition) -> SceneStats:
     for window in windows:
         _, points, present = align_segments([window.segments[m] for m in sorted(window.members)])
         groups = np.array([group_of.get(m, -1) for m in sorted(window.members)], dtype=int)
-        for f in range(present.shape[1]):
-            here = np.flatnonzero(present[:, f])
-            pts, g = points[here, f], groups[here]
-            dist = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
-            mates = (g[:, None] == g[None, :]) & (g >= 0)[:, None]
-            intra.append(dist[np.triu(mates, 1)])
-            others = np.where(mates | np.eye(here.size, dtype=bool), np.inf, dist).min(axis=1, initial=np.inf)
+        mates = (groups[:, None] == groups[None, :]) & (groups >= 0)[:, None]
+        step = max(1, (1 << 17) // max(1, groups.size**2))  # frames per pass: about 1 MiB per temporary
+        for f in range(0, present.shape[1], step):
+            (x, y), here = points[:, f : f + step].transpose(2, 1, 0), present[:, f : f + step].T
+            dist = np.hypot(x[:, :, None] - x[:, None, :], y[:, :, None] - y[:, None, :])  # (frames, i, j)
+            both = here[:, :, None] & here[:, None, :]
+            intra.append(dist[both & np.triu(mates, 1)])  # in (frame, i, j) order
+            others = np.where(~both | mates | np.eye(groups.size, dtype=bool), np.inf, dist).min(axis=2)
             nearest.append(others[np.isfinite(others)])
     intra_all, nearest_all = np.concatenate(intra), np.concatenate(nearest)
     d_in = float(intra_all.mean()) if intra_all.size else None

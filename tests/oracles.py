@@ -19,7 +19,9 @@ search in the units of Lacoste-Julien et al. (lambda = 1/C, planes scaled by
 The synthetic group member's replay of its leader is the per-sample loop
 the one-cumsum replay replaced; the leader walk, start placement and dataset
 row formatting are the per-step numpy-scalar loops the float-stepping walk,
-vectorised gap test and list formatting replaced.
+vectorised gap test and list formatting replaced. Window slicing is the
+per-window loop of two searchsorted calls and a checked copy per member that
+one searchsorted per trajectory and segment views replaced.
 The partition score, affinity lookup, merge-trace replay, partition from
 labels and ground-truth group lookup live here rather than in the package,
 since only the checks use them.
@@ -58,6 +60,7 @@ from crowdgroups.features import (
     GRANGER_FALLBACK,
     NO_OVERLAP_DISTANCE,
 )
+from crowdgroups.trajectories import _SPAN_EPS
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +677,34 @@ def rows_loop(traj: Trajectory, fps: float) -> list[str]:
         frame = int(round(float(t) * fps))
         lines.append(f"{frame} {traj.pedestrian_id} {x:.6f} {y:.6f}")
     return lines
+
+
+def slice_windows_loop(trajectories, window_len: float, stride: float) -> list[TimeWindow]:
+    """Two searchsorted calls and a new, checked Trajectory per (window,
+    trajectory) pair (reference for trajectories.slice_windows)."""
+    trajectories = list(trajectories)
+    if not trajectories:
+        return []
+    t_min = min(tr.start_t for tr in trajectories)
+    t_max = max(tr.end_t for tr in trajectories)
+    gaps = np.concatenate([np.diff(tr.times) for tr in trajectories if len(tr) >= 2] or [np.array([0.0])])
+    span_end = t_max + float(np.median(gaps))
+    windows = []
+    index = 0
+    while t_min + index * stride + window_len <= span_end + _SPAN_EPS:
+        start = t_min + index * stride
+        end = start + window_len
+        segments, dropped = {}, set()
+        for tr in trajectories:
+            i0 = int(np.searchsorted(tr.times, start, side="left"))
+            i1 = int(np.searchsorted(tr.times, end, side="left"))
+            if i1 - i0 >= 2:
+                segments[tr.pedestrian_id] = Trajectory(tr.pedestrian_id, tr.times[i0:i1], tr.points[i0:i1])
+            elif i1 - i0 == 1:
+                dropped.add(tr.pedestrian_id)
+        windows.append(TimeWindow(index, start, end, frozenset(segments), segments, frozenset(dropped)))
+        index += 1
+    return windows
 
 
 # ---------------------------------------------------------------------------

@@ -747,6 +747,26 @@ def test_build_scene_does_not_depend_on_chunk_size(monkeypatch, chunk):
         assert got.far.tolist() == scene.far.tolist()
 
 
+@pytest.mark.parametrize("chunk", [None, 1, 7, 16 * 15 * 5])
+def test_dtw_end_cell_schedule_matches_the_scalar_reference(monkeypatch, chunk):
+    # members of 2 to 14 samples, one of them with exactly 2, within a 1 m box
+    # so that no pair is far: the pairs end on every diagonal 3 to 26, up to 11
+    # on one, and each chunk reads its end cells by its sorted schedule; the
+    # chunks hold all 136 pairs, one pair, or five (16 (size + 1) floats a pair)
+    rng = np.random.default_rng(13)
+    lengths = list(range(2, 15)) + [5, 7, 9, 14]
+    segments = [Trajectory(m, (int(rng.integers(0, 10)) + np.arange(k)) * 0.4, rng.uniform(-0.5, 0.5, size=(k, 2)))
+                for m, k in enumerate(lengths, start=1)]
+    ia, ib = np.triu_indices(len(segments), 1)
+    ends = Counter(lengths[a] + lengths[b] - 2 for a, b in zip(ia, ib))
+    assert sorted(ends) == list(range(3, 27)) and max(ends.values()) >= 5
+    if chunk is not None:
+        monkeypatch.setattr(features_module, "_CHUNK_ELEMENTS", chunk)
+    got = features_module._dtw_rows(align_segments(segments), ia, ib)
+    want = [oracles.scalar_dtw_shape_distance(segments[a], segments[b]) for a, b in zip(ia, ib)]
+    assert got.tolist() == want
+
+
 def _common_samples(seg_a, seg_b):
     """Each segment's points at the pair's common timestamps, in time order."""
     common = np.intersect1d(seg_a.times, seg_b.times)

@@ -26,7 +26,7 @@ from crowdgroups import (
     slice_windows,
     window_ground_truth,
 )
-from crowdgroups.trajectories import align_segments
+from crowdgroups.trajectories import _SPAN_EPS, align_segments
 
 import oracles
 
@@ -351,6 +351,62 @@ def test_slice_windows_segments_match_members():
     seg = windows[1].segments[2]
     assert seg.start_t >= 10.0
     assert seg.end_t < 20.0 + 1e-9
+
+
+def _ragged_trajectories(rng, frame=0.4):
+    """4-12 pedestrians who enter and leave a 60-frame scene, with about one
+    frame in five dropped; some keep a single sample."""
+    trajs = []
+    for ped in range(1, int(rng.integers(4, 13)) + 1):
+        first = int(rng.integers(0, 50))
+        frames = np.arange(first, min(60, first + int(rng.integers(1, 40))))
+        frames = frames[(rng.random(frames.size) >= 0.2) | (frames == first)]
+        trajs.append(Trajectory(ped, frames * frame, rng.normal(size=(frames.size, 2))))
+    return trajs
+
+
+def _check_slicing(trajs, window_len, stride):
+    """slice_windows equals the per-window loop, and its segments are read-only
+    views of the trajectories they come from."""
+    got = slice_windows(trajs, window_len, stride)
+    want = oracles.slice_windows_loop(trajs, window_len, stride)
+    layout = [[(w.index, w.start_t, w.end_t, w.members, w.dropped) for w in ws] for ws in (got, want)]
+    assert layout[0] == layout[1]
+    parent = {tr.pedestrian_id: tr for tr in trajs}
+    for window, ref in zip(got, want):
+        for m, seg in window.segments.items():
+            assert np.array_equal(seg.times, ref.segments[m].times)
+            assert np.array_equal(seg.points, ref.segments[m].points)
+            for part, whole in ((seg.times, parent[m].times), (seg.points, parent[m].points)):
+                assert np.shares_memory(part, whole)
+                with pytest.raises(ValueError, match="read-only"):
+                    part[0] = 0.0
+    return got
+
+
+def test_slice_windows_matches_the_per_window_loop():
+    rng = np.random.default_rng(21)
+    dropped = members = 0
+    for _ in range(30):
+        window_len = float(rng.choice([2.0, 4.0, 6.4]))
+        windows = _check_slicing(_ragged_trajectories(rng), window_len, window_len * float(rng.choice([0.25, 0.5, 1.0])))
+        dropped += sum(len(w.dropped) for w in windows)
+        members += len({len(w.members) for w in windows})
+    assert dropped and members > 100  # single-sample drops, windows of many sizes
+    # the span is [0, 5): a window may end up to _SPAN_EPS past it
+    trajs = [make_traj(1, np.arange(10) * 0.5), make_traj(2, [4.5])]
+    assert len(_check_slicing(trajs, 2.5 + _SPAN_EPS / 2, 2.5)) == 2
+    assert len(_check_slicing(trajs, 2.5 + 2 * _SPAN_EPS, 2.5)) == 1
+    # 1, 3 and 4 leave before 2 enters: the windows between are empty, and
+    # scene_stats reads them as windows without samples
+    trajs = [make_traj(1, np.arange(0.0, 4.0, 0.5)), make_traj(2, np.arange(8.0, 10.0, 0.5)),
+             make_traj(3, np.arange(0.0, 4.0, 0.5), np.ones((8, 2))), make_traj(4, [0.0, 0.5], [[3.0, 0.0]] * 2)]
+    windows = _check_slicing(trajs, 2.0, 1.0)
+    assert sum(not w.members for w in windows) == 3
+    labels = Partition([[1, 3]])
+    stats = scene_stats(windows, labels)
+    assert None not in (stats.d_in, stats.d_out, stats.d_io)
+    assert (stats.d_in, stats.d_out, stats.d_io) == pytest.approx(oracles.scalar_scene_stats(windows, labels))
 
 
 def test_window_ground_truth_restriction():
