@@ -72,8 +72,8 @@ loner_b = Trajectory(8, times, np.cumsum(rng.normal(scale=0.3, size=(len(times),
 print("d_ca independent     :", round(granger_distance(loner_a, loner_b, FeatureConfig(granger_lag=2)), 4))
 
 # ---------------------------------------------------------------------------
-# visited areas: list the cells each walker visited (0.3 m cells anchored at
-# the x and y minima of all the window's samples, as build_scene does),
+# visited areas: list the cells each walker visited (0.3 m cells of one world
+# grid anchored at (0, 0), as build_scene does),
 # weight each by how briefly it was occupied, put a Gaussian of length
 # heat_length on every cell centre and compare the two smoothed maps by
 # cosine. no grid is ever built: the cosine needs only the distances between
@@ -82,10 +82,8 @@ print("d_ca independent     :", round(granger_distance(loner_a, loner_b, Feature
 # (the default is 3 m).
 
 sharp = FeatureConfig(heat_length=1.0)
-trio = {t.pedestrian_id: t for t in (side_by_side, shoulder, across_the_square)}
-origin = np.vstack([t.points for t in trio.values()]).min(axis=0)
-h_a = heatmap_build(side_by_side, sharp, origin)
-h_b = heatmap_build(shoulder, sharp, origin)
-h_c = heatmap_build(across_the_square, sharp, origin)
+h_a = heatmap_build(side_by_side, sharp)
+h_b = heatmap_build(shoulder, sharp)
+h_c = heatmap_build(across_the_square, sharp)
 print("d_he shared corridor :", round(heatmap_distance(h_a, h_b, sharp), 4))
 print("d_he disjoint trails :", round(heatmap_distance(h_a, h_c, sharp), 4))

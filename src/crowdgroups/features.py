@@ -41,10 +41,8 @@ chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
   inner products need only the cells' distances, so no grid is built.
 
 The public one-pair functions call the same kernels, so `build_scene` rows
-equal them: d_ph and d_sh exactly; d_he exactly when `heatmap_build` is given
-origin= the window's corner (the x and y minima of all its samples), not the
-default world origin; and d_ca, whose QR sees other zero rows, to 1e-12. This
-module writes no file (harness writes the features CSV).
+equal them: d_ph, d_sh and d_he exactly; d_ca, whose QR sees other zero rows,
+to 1e-12. This module writes no file (harness writes the features CSV).
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ import numpy as np
 
 from .errors import (ConfigError, Length, NonNegativeFloat, PositiveFloat, PositiveInt, _check_fields,
                      _check_number, _frozen_array)
-from .trajectories import TimeWindow, Trajectory, align_segments
+from .trajectories import _CHUNK_ELEMENTS, TimeWindow, Trajectory, align_segments
 
 FEATURE_NAMES = ("d_ph", "d_sh", "d_ca", "d_he")
 HALL_SIGMAS = (0.5, 1.2, 3.7, 7.6)
@@ -69,7 +67,6 @@ DTW_TAU = 1.0
 _DEGENERATE_RSS = 1e-12
 _NO_GAIN_RTOL = 1e-9  # a source cutting the restricted RSS by at most this share adds nothing
 _RANK_TOL = 1e-8  # min/max |R_kk| of a causality design below this refits by lstsq
-_CHUNK_ELEMENTS = 1 << 17  # floats in one chunk's pair-axis temporaries (1 MiB)
 _ONE_PAIR = (np.array([0]), np.array([1]))
 
 
@@ -412,22 +409,22 @@ def granger_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig | 
     return float(_common_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, cfg or FeatureConfig())[1][0])
 
 
-def _heat_cells(aligned, rows, origin: np.ndarray, cfg: FeatureConfig):
+def _heat_cells(aligned, rows, cfg: FeatureConfig):
     """(rows, V, 3) zero-padded rows (x, y, E) of the visited cells of the
-    layout's members `rows` in (x, y) order, and V per member: centres relative
-    to `origin` of cells of edge heat_cell_edge anchored there; E = exp(-k_r *
+    layout's members `rows` in (x, y) order, and V per member: centres of the
+    world grid's cells of edge heat_cell_edge, anchored at (0, 0); E = exp(-k_r *
     dwell seconds) over the largest, a cell's dwells summed in time order.
     An edge so small that a cell index overflows raises ConfigError."""
     times, points, present = aligned
     owner, frames = np.nonzero(present[rows])
     # a sample dwells until its member's next one; a member's last sample does not
     dwell = np.where(np.diff(owner, append=-1) == 0, np.diff(times[frames], append=0.0), 0.0)
-    offsets = points[rows][owner, frames] - origin
-    span = float(np.abs(offsets).max(initial=0.0))
+    samples = points[rows][owner, frames]
+    span = float(np.abs(samples).max(initial=0.0))
     if span >= cfg.heat_cell_edge * sys.float_info.max:
         raise ConfigError(f"heat_cell_edge {cfg.heat_cell_edge!r} is too small for points {span:.3g} m "
-                          "from the cells' origin: their cell index overflows")
-    cells = np.floor(offsets / cfg.heat_cell_edge)
+                          "from the world origin: their cell index overflows")
+    cells = np.floor(samples / cfg.heat_cell_edge)
     keys = np.column_stack([owner, cells])
     order = np.lexsort(keys.T[::-1])  # stable: a cell's samples stay in time order
     first = np.append(True, np.diff(keys[order], axis=0).any(axis=1))
@@ -468,12 +465,11 @@ def _heat_rows(table, counts, ia, ib, cfg: FeatureConfig) -> np.ndarray:
         return np.where(sa * sb == 0.0, 1.0, np.clip(1.0 - dots / np.sqrt(sa * sb), 0.0, 1.0))
 
 
-def heatmap_build(seg: Trajectory, cfg: FeatureConfig | None = None, origin=(0.0, 0.0)) -> np.ndarray:
-    """The segment's visited cells as (V, 3) rows (x, y, E): centres relative
-    to `origin` of cells of edge heat_cell_edge anchored there (by default the
-    world's, one grid for every segment; build_scene uses the window's), and
+def heatmap_build(seg: Trajectory, cfg: FeatureConfig | None = None) -> np.ndarray:
+    """The segment's visited cells as (V, 3) rows (x, y, E): centres of the
+    world grid's cells of edge heat_cell_edge, one grid for every segment, and
     energies exp(-k_r * occupancy seconds) over the largest; a revisit counts once."""
-    return _heat_cells(align_segments([seg]), [0], origin, cfg or FeatureConfig())[0][0]
+    return _heat_cells(align_segments([seg]), [0], cfg or FeatureConfig())[0][0]
 
 
 def heatmap_distance(h_a: np.ndarray, h_b: np.ndarray, cfg: FeatureConfig | None = None) -> float:
@@ -510,8 +506,7 @@ def build_scene(window: TimeWindow, configs: FeatureConfig | None = None) -> Win
     features[keep, 1] = _dtw_rows(aligned, ka, kb)
     used, slots = np.unique(np.concatenate([ka, kb]), return_inverse=True)
     if len(used):
-        _, points, present = aligned
-        table, counts = _heat_cells(aligned, used, points[present].min(axis=0), configs)
+        table, counts = _heat_cells(aligned, used, configs)
         features[keep, 3] = _heat_rows(table, counts, *slots.reshape(2, -1), configs)
     no_overlap = np.isnan(features[:, 0])
     features[no_overlap, 0] = features[no_overlap, 2] = NO_OVERLAP_DISTANCE

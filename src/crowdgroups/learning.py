@@ -30,11 +30,10 @@ only through iteration_hook(model, info), from which the harness logs it.
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Iterator, Literal, NamedTuple, Sequence
@@ -162,7 +161,8 @@ class Model:
         return bool(np.all(self.weights >= 0.0))
 
     def copy(self) -> "Model":
-        return copy.deepcopy(self)
+        """A model of its own: __post_init__ copies the arrays and the snapshot."""
+        return replace(self)
 
     def to_dict(self) -> dict:
         """The model file: format_version, then the fields in declaration order

@@ -30,6 +30,7 @@ DESCRIPTOR_FILE = "descriptor.txt"
 # A window whose end lands on a span boundary (the usable span, the training
 # span) within this tolerance counts as inside it.
 _SPAN_EPS = 1e-9
+_CHUNK_ELEMENTS = 1 << 17  # floats in one pass's temporaries (1 MiB), here and in features
 _HOMOGRAPHY_DET_EPS = 1e-12
 _PROJECTION_W_EPS = 1e-9
 
@@ -405,7 +406,7 @@ def scene_stats(windows: Iterable[TimeWindow], labels: Partition) -> SceneStats:
         _, points, present = align_segments([window.segments[m] for m in sorted(window.members)])
         groups = np.array([group_of.get(m, -1) for m in sorted(window.members)], dtype=int)
         mates = (groups[:, None] == groups[None, :]) & (groups >= 0)[:, None]
-        step = max(1, (1 << 17) // max(1, groups.size**2))  # frames per pass: about 1 MiB per temporary
+        step = max(1, _CHUNK_ELEMENTS // max(1, groups.size**2))  # frames per pass
         for f in range(0, present.shape[1], step):
             (x, y), here = points[:, f : f + step].transpose(2, 1, 0), present[:, f : f + step].T
             dist = np.hypot(x[:, :, None] - x[:, None, :], y[:, :, None] - y[:, None, :])  # (frames, i, j)

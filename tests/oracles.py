@@ -509,20 +509,19 @@ def scalar_granger_distance_flagged(seg_a: Trajectory, seg_b: Trajectory, cfg: F
     return min(1.0, max(0.0, value)), False
 
 
-def scalar_heat_cells(seg: Trajectory, cfg: FeatureConfig, origin) -> list[tuple[float, float, float]]:
+def scalar_heat_cells(seg: Trajectory, cfg: FeatureConfig) -> list[tuple[float, float, float]]:
     """(x, y, E) per visited cell in first-visit order: the cell centre in
-    metres on cells of edge heat_cell_edge anchored at `origin`, and
+    metres on cells of edge heat_cell_edge anchored at (0, 0), and
     E = exp(-k_r * the cell's summed dwell seconds)."""
     dwells: dict[tuple[int, int], float] = {}
     times = seg.times
     for i in range(len(times)):
         x, y = (float(v) for v in seg.points[i])
-        cell = (math.floor((x - origin[0]) / cfg.heat_cell_edge), math.floor((y - origin[1]) / cfg.heat_cell_edge))
+        cell = (math.floor(x / cfg.heat_cell_edge), math.floor(y / cfg.heat_cell_edge))
         dwell = float(times[i + 1] - times[i]) if i + 1 < len(times) else 0.0
         dwells[cell] = dwells.get(cell, 0.0) + dwell
     return [
-        (origin[0] + (col + 0.5) * cfg.heat_cell_edge, origin[1] + (row + 0.5) * cfg.heat_cell_edge,
-         math.exp(-cfg.heat_k_r * dwell))
+        ((col + 0.5) * cfg.heat_cell_edge, (row + 0.5) * cfg.heat_cell_edge, math.exp(-cfg.heat_k_r * dwell))
         for (col, row), dwell in dwells.items()
     ]
 
@@ -536,20 +535,15 @@ def scalar_heat_product(cells_a, cells_b, length: float) -> float:
     return total
 
 
-def scalar_heat_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig, origin) -> float:
-    """1 - the cosine of the two Gaussian-smoothed maps on cells anchored at
-    `origin`, clipped to [0, 1]; 1.0 when a norm is 0."""
-    a, b = (scalar_heat_cells(seg, cfg, [float(v) for v in origin]) for seg in (seg_a, seg_b))
+def scalar_heat_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig) -> float:
+    """1 - the cosine of the two Gaussian-smoothed maps on the world grid's
+    cells, clipped to [0, 1]; 1.0 when a norm is 0."""
+    a, b = (scalar_heat_cells(seg, cfg) for seg in (seg_a, seg_b))
     norm_a = math.sqrt(scalar_heat_product(a, a, cfg.heat_length))
     norm_b = math.sqrt(scalar_heat_product(b, b, cfg.heat_length))
     if norm_a == 0.0 or norm_b == 0.0:
         return 1.0
     return min(1.0, max(0.0, 1.0 - scalar_heat_product(a, b, cfg.heat_length) / (norm_a * norm_b)))
-
-
-def window_origin(window: TimeWindow) -> np.ndarray:
-    """The lowest point of the window's members, where its heat cells are anchored."""
-    return np.vstack([seg.points for seg in window.segments.values()]).min(axis=0)
 
 
 def _scalar_far(seg_a: Trajectory, seg_b: Trajectory) -> bool:
@@ -570,7 +564,6 @@ def scalar_pair_table(window: TimeWindow, configs: FeatureConfig | None = None):
     configs = configs or FeatureConfig()
     members = sorted(window.members)
     segments = window.segments
-    origin = window_origin(window) if members else None
     rows, fallbacks, no_overlaps, fars = [], [], [], []
     for a, b in itertools.combinations(members, 2):
         seg_a, seg_b = segments[a], segments[b]
@@ -586,7 +579,7 @@ def scalar_pair_table(window: TimeWindow, configs: FeatureConfig | None = None):
                 d_ph = scalar_proxemic_distance(seg_a, seg_b, configs)
                 d_ca, fallback = scalar_granger_distance_flagged(seg_a, seg_b, configs)
             d_sh = scalar_dtw_shape_distance(seg_a, seg_b)
-            d_he = scalar_heat_distance(seg_a, seg_b, configs, origin)
+            d_he = scalar_heat_distance(seg_a, seg_b, configs)
             rows.append((d_ph, d_sh, d_ca, d_he))
         fallbacks.append(fallback)
         no_overlaps.append(no_overlap)

@@ -10,6 +10,7 @@ integer as a usage error (exit 2) before any subcommand runs, which
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -38,6 +39,9 @@ CONFIG_COMMANDS = {
 PREDICT = ["predict", "--model", "{d}/model.json", "--data", "{d}/scene", "--out", "{t}/pred.json"]
 EVAL = ["eval", "--truth", "{d}/scene/groups.txt", "--pred", "{d}/pred.json", "--out", "{t}/scores.csv"]
 SYNTH = ["synth", "--spec", "{d}/spec.toml", "--out", "{t}/synth"]
+# cases whose numpy arithmetic still warns (a 1e160 m coordinate overflows the
+# feature kernels): the warnings are asserted here, errors everywhere else
+WARNS = {"features-dtw-overflow-valid"}
 DATA_COMMANDS = {**CONFIG_COMMANDS, "predict": PREDICT}
 NEED_TRUTH = ("train", "run", "stats")  # the data commands that refuse a dataset without labels
 FILES = {"missing": "{d}/missing", "not-utf8": "{d}/not-utf8.bin", "not-json": "{d}/not-json.txt"}
@@ -141,7 +145,8 @@ def _written(path) -> bool:
 @pytest.mark.parametrize("case", CASES)
 def test_cli_contract(inputs, tmp_path, capsys, case):
     argv = [arg.format(d=inputs, t=tmp_path) for arg in CASES[case]]
-    code = main(argv)
+    with pytest.warns(RuntimeWarning) if case in WARNS else contextlib.nullcontext():
+        code = main(argv)
     captured = capsys.readouterr()
     assert code == 0 or not case.endswith("-valid"), captured.err
     if case.endswith("-data-unlabelled"):

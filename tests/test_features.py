@@ -411,20 +411,17 @@ def test_granger_distance_fallback_flag():
 # Heat maps
 
 
-def test_window_grid_covers_members():
-    # a window's heat cells are anchored at its lowest point, so every member's
-    # cells have non-negative indices; rows are (x, y, E) with centres relative
-    # to that point, in (x, y) order, and energies over the largest
+def test_heat_cells_are_world_grid_centres():
+    # heat cells are anchored at the world origin: rows are (x, y, E) with the
+    # centres of the world grid's cells, negative ones included, in (x, y)
+    # order, and energies over the largest
     a = traj(1, [[0.0, 0.5], [1.0, 0.5]])
-    b = traj(2, [[2.0, 2.0], [2.5, 2.9]])
-    win = window_of(a, b)
+    b = traj(2, [[-0.5, -1.2], [2.5, 3.1]])
     cfg = FeatureConfig(heat_cell_edge=1.0)
-    origin = oracles.window_origin(win)
-    assert origin.tolist() == [0.0, 0.5]
-    cells = heatmap_build(b, cfg, origin)
-    assert cells[:, :2].tolist() == [[2.5, 1.5], [2.5, 2.5]]
+    cells = heatmap_build(b, cfg)
+    assert cells[:, :2].tolist() == [[-0.5, -1.5], [2.5, 3.5]]
     assert cells[:, 2].tolist() == pytest.approx([math.exp(-cfg.heat_k_r), 1.0], abs=1e-15)
-    assert build_scene(win, cfg).feature_matrix[0, 3] == heatmap_distance(heatmap_build(a, cfg, origin), cells, cfg)
+    assert build_scene(window_of(a, b), cfg).feature_matrix[0, 3] == heatmap_distance(heatmap_build(a, cfg), cells, cfg)
 
 
 def test_heatmap_static_point_peaks_at_cell():
@@ -435,13 +432,12 @@ def test_heatmap_static_point_peaks_at_cell():
     assert heatmap_build(here, cfg).tolist() == [[0.5, 0.5, 1.0]]
     for r in (0.0, 1.0, 3.0):
         there = traj(2, [[0.5 + r, 0.5], [0.5 + r, 0.5]])
-        origin = oracles.window_origin(window_of(here, there))
-        got = heatmap_distance(heatmap_build(here, cfg, origin), heatmap_build(there, cfg, origin), cfg)
+        got = heatmap_distance(heatmap_build(here, cfg), heatmap_build(there, cfg), cfg)
         assert got == pytest.approx(1.0 - math.exp(-r * r / (4.0 * cfg.heat_length**2)), abs=1e-15)
 
 
 def test_heatmap_build_defaults_to_one_grid_for_every_segment():
-    # maps built with the default origin share the world's cells: the same path
+    # every map shares the world's cells: the same path
     # 100 m away visits other cells, and the kernel underflows at that distance
     walk = [[0.2, 0.4], [1.1, 0.9], [2.3, 1.2], [3.0, 2.2]]
     here, there = traj(1, walk), traj(2, np.add(walk, [100.0, 0.0]))
@@ -493,8 +489,7 @@ def test_heat_invariants_on_random_ragged_windows():
         moved = [Trajectory(s.pedestrian_id, s.times, s.points + (7 * 0.25, -3 * 0.25)) for s in segs]
         got = build_scene(window_of(*segs), cfg).feature_matrix[:, 3]
         assert got.tobytes() == build_scene(window_of(*moved), cfg).feature_matrix[:, 3].tobytes()
-        origin = oracles.window_origin(window_of(*segs))
-        maps = [heatmap_build(s, cfg, origin) for s in segs]
+        maps = [heatmap_build(s, cfg) for s in segs]
         for h in maps:
             assert heatmap_distance(h, h, cfg) == 0.0
             assert heatmap_distance(h, h * [1.0, 1.0, 0.0], cfg) == 1.0
@@ -549,7 +544,6 @@ def test_build_scene_rows_match_scalar_features_on_ragged_window():
     scene = build_scene(win)
     ia, ib = scene.pair_rows
     members = scene.members
-    origin = oracles.window_origin(win)
     for k in range(len(ia)):
         seg_a, seg_b = win.segments[members[ia[k]]], win.segments[members[ib[k]]]
         overlap = np.intersect1d(seg_a.times, seg_b.times).size > 0
@@ -557,7 +551,7 @@ def test_build_scene_rows_match_scalar_features_on_ragged_window():
             proxemic_distance(seg_a, seg_b) if overlap else 1.0,
             dtw_shape_distance(seg_a, seg_b),
             granger_distance(seg_a, seg_b) if overlap else 1.0,
-            heatmap_distance(heatmap_build(seg_a, origin=origin), heatmap_build(seg_b, origin=origin)),
+            heatmap_distance(heatmap_build(seg_a), heatmap_build(seg_b)),
         ]
         assert scene.feature_matrix[k].tolist() == want
     assert scene.pairs.tolist() == [[3, 7], [3, 12], [7, 12]]
@@ -616,14 +610,13 @@ def _check_causality(win, scene, cfg):
 
 def _check_heat(win, scene, cfg):
     # d_he equals the one-pair functions exactly and the scalar double loop to 1e-12
-    origin = oracles.window_origin(win)
-    maps = {m: heatmap_build(seg, cfg, origin) for m, seg in win.segments.items()}
+    maps = {m: heatmap_build(seg, cfg) for m, seg in win.segments.items()}
     for (a, b), far, got in zip(scene.pairs.tolist(), scene.far, scene.feature_matrix[:, 3].tolist()):
         if far:
             assert got == 1.0
             continue
         assert got == heatmap_distance(maps[a], maps[b], cfg)
-        want = oracles.scalar_heat_distance(win.segments[a], win.segments[b], cfg, origin)
+        want = oracles.scalar_heat_distance(win.segments[a], win.segments[b], cfg)
         assert got == pytest.approx(want, abs=1e-12, rel=0)
 
 
@@ -684,11 +677,33 @@ def test_build_scene_matches_scalar_references_on_spread_ragged_windows():
     assert far > 0.3 * rows and rows > 1000
 
 
+def test_pair_rows_ignore_bystanders():
+    # a pair's row is a property of the pair: dropping any other member of the
+    # window leaves d_ph, d_sh and d_he and the flags bit-identical, and d_ca
+    # (whose QR batch sees other pairs' zero rows) to 1e-12
+    rng = np.random.default_rng(38)
+    rows = 0
+    for _ in range(60):
+        win = oracles.random_ragged_window(rng)
+        scene = build_scene(win)
+        full = {pair: k for k, pair in enumerate(map(tuple, scene.pairs.tolist()))}
+        for gone in scene.members:
+            rest = build_scene(window_of(*(seg for m, seg in win.segments.items() if m != gone)))
+            keep = [full[pair] for pair in map(tuple, rest.pairs.tolist())]
+            for name in ("far", "no_overlap", "granger_fallback"):
+                assert getattr(rest, name).tolist() == getattr(scene, name)[keep].tolist(), name
+            got, want = rest.feature_matrix, scene.feature_matrix[keep]
+            assert got[:, [0, 1, 3]].tobytes() == want[:, [0, 1, 3]].tobytes()
+            assert np.abs(got[:, 2] - want[:, 2]).max(initial=0.0) <= 1e-12
+            rows += len(keep)
+    assert rows > 10000
+
+
 # (settings beside 1 m cells and heat_length = 0.5, member paths sampled 1 s apart)
 HEAT_LAYOUT_CASES = {
     # member 1 stands in one cell against member 2's two: the pair pads member 1
     "one-cell": ({}, [[[2.2, 1.2]] * 3, [[0.5, 0.5], [4.5, 3.5]]]),
-    # member 1 reaches all four edges of the window's box, the origin cell included
+    # member 1 reaches all four edges of the window's box
     "four-edges": ({}, [[[0.5, 0.5], [4.5, 0.5], [4.5, 3.5], [0.5, 3.5], [2.5, 2.5]], [[1.5, 1.5], [2.5, 1.5]]]),
     "one-row": ({}, [[[0.5, 0.5], [1.5, 0.5], [5.5, 0.5]], [[3.5, 0.5], [4.5, 0.5], [3.5, 0.5]]]),
     "one-column": ({}, [[[0.5, 0.5], [0.5, 1.5], [0.5, 5.5]], [[0.5, 3.5], [0.5, 4.5], [0.5, 3.5]]]),
@@ -713,7 +728,6 @@ def test_heatmap_layout_edge_cases_match_the_scalar_reference(monkeypatch, case)
     settings, paths = HEAT_LAYOUT_CASES[case]
     cfg = FeatureConfig(heat_cell_edge=1.0, heat_length=0.5, **settings)
     win = window_of(*(traj(m, p) for m, p in enumerate(paths, 1)))
-    origin = oracles.window_origin(win)
     tables = []
     build = features_module._heat_cells
     monkeypatch.setattr(features_module, "_heat_cells", lambda *args: tables.append(build(*args)) or tables[-1])
@@ -721,11 +735,11 @@ def test_heatmap_layout_edge_cases_match_the_scalar_reference(monkeypatch, case)
     monkeypatch.undo()
     [(table, counts)] = tables
     for k, m in enumerate(scene.members):
-        cells = heatmap_build(win.segments[m], cfg, origin)
+        cells = heatmap_build(win.segments[m], cfg)
         assert np.array_equal(table[k, : counts[k]], cells) and not table[k, counts[k] :].any()
-        want = sorted(oracles.scalar_heat_cells(win.segments[m], cfg, origin))
+        want = sorted(oracles.scalar_heat_cells(win.segments[m], cfg))
         peak = max(w[2] for w in want)
-        assert np.abs(cells[:, :2] + origin - [w[:2] for w in want]).max() <= 1e-12
+        assert np.abs(cells[:, :2] - [w[:2] for w in want]).max() <= 1e-12
         assert np.abs(cells[:, 2] - [w[2] / peak if peak else 0.0 for w in want]).max() <= 1e-12
     assert not scene.far.any()
     _check_heat(win, scene, cfg)
