@@ -6,6 +6,9 @@ Frank-Wolfe over one block per training window. The loss-augmented oracle is
 the greedy merge engine that predicts, with each candidate merge's gain raised
 by the change in loss the merge causes; those losses come from the contingency
 table against the truth, by the same closed forms that score predictions.
+That loss half depends on the truth and the merges made so far, never on w,
+so each example memoizes it per loss kind, as a trie of at most MAX_MEMO_NODES
+merge paths from all singletons (see _MergeWalk).
 The Frank-Wolfe state is the Model itself: each block update changes its w,
 one row of block_w, one entry of block_l, l and iterations in place, by the
 line search of Lacoste-Julien et al. 2013 (arXiv:1207.4747, Alg. 4, with
@@ -40,7 +43,7 @@ from typing import Callable, ClassVar, Iterable, Iterator, Literal, NamedTuple, 
 
 import numpy as np
 
-from .errors import ConfigError, NonNegativeInt, PositiveFloat, PositiveInt, _check_fields, _check_number
+from .errors import ConfigError, NonNegativeInt, PositiveFloat, PositiveInt, _check_fields, _check_number, _frozen_array
 from .features import FEATURE_NAMES, WindowedScene
 from .losses import MergeLoss, gmitre_loss, mitre_loss, pairwise_loss
 from .partitioning import Partition, _affinity_array, _greedy_merge, affinity, greedy_cc
@@ -49,6 +52,7 @@ logger = logging.getLogger(__name__)
 
 WEIGHT_DIM = 2 * len(FEATURE_NAMES)
 MAX_PLANES = 16  # planes cached per block
+MAX_MEMO_NODES = 64  # merge-path states memoized per example and loss kind
 CACHE_GAP_RATIO = 0.3  # share of the last exact gap a cached plane must keep
 MAX_CACHED_STEPS = 10  # cached steps a block takes between exact oracle calls
 ONLINE_MAX_BLOCKS = 16  # pseudo-label blocks online mode keeps
@@ -62,13 +66,55 @@ LOSSES: dict[str, Callable[[Partition, Partition], float]] = {
 TrainMode = Literal["batch", "sequential", "online"]
 
 
+class _MergeState:
+    """A search state: each merge's change in loss (read-only), the loss, the states
+    one more merge (i, j) of rows leads to, and the (Partition, Psi) of a search ending here."""
+
+    def __init__(self, scorer: MergeLoss):
+        self.gains, self.current = _frozen_array(scorer.candidates() - scorer.current), scorer.current
+        self.next: dict[tuple[int, int], _MergeState] = {}
+        self.answer: tuple[Partition, np.ndarray] | None = None
+
+
+class _MergeWalk:
+    """_greedy_merge's loss protocol over the example's memo for `kind`, [start
+    MergeLoss, root state, states stored]: a miss replays the path into a copy of
+    the start, once, and stores each new state while the memo has fewer than
+    MAX_MEMO_NODES."""
+
+    def __init__(self, example: "TrainingExample", kind: str):
+        if kind not in example._merge_memos:
+            start = MergeLoss(kind, example.truth, example.scene.members)
+            example._merge_memos[kind] = [start, _MergeState(start), 1]
+        self.memo = example._merge_memos[kind]
+        self.state, self.path, self.scorer = self.memo[1], [], None
+
+    def gains(self) -> np.ndarray:
+        return self.state.gains
+
+    def merge(self, i: int, j: int) -> None:
+        self.path.append((i, j))
+        state = self.state.next.get((i, j))
+        if state is None:
+            if self.scorer is None:
+                self.scorer = self.memo[0].copy()
+                for step in self.path[:-1]:
+                    self.scorer.merge(*step)
+            self.scorer.merge(i, j)
+            state = _MergeState(self.scorer)
+            if self.memo[2] < MAX_MEMO_NODES:
+                self.state.next[i, j] = state
+                self.memo[2] += 1
+        self.state = state
+
+
 @dataclass(frozen=True, eq=False)
 class TrainingExample:
-    """One window's features with its ground-truth grouping."""
+    """One window's features with its ground-truth grouping, and the oracle's merge-path memos."""
 
     scene: WindowedScene
     truth: Partition
-    _merge_starts: dict = field(default_factory=dict, init=False, repr=False)
+    _merge_memos: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.truth.members != set(self.scene.members):
@@ -78,12 +124,6 @@ class TrainingExample:
     def truth_psi(self) -> np.ndarray:
         """Psi(scene, truth), read by the oracle and by every block update."""
         return joint_feature_map(self.scene, self.truth)
-
-    def merge_loss(self, kind: str) -> MergeLoss:
-        """The truth's MergeLoss at all singletons: a copy of one built once per kind."""
-        if kind not in self._merge_starts:
-            self._merge_starts[kind] = MergeLoss(kind, self.truth, self.scene.members)
-        return self._merge_starts[kind].copy()
 
 
 @dataclass(frozen=True)
@@ -227,8 +267,8 @@ def loss_augmented_oracle(example: TrainingExample, w, loss: str = "gmitre") -> 
     """Greedy maximizer of H(y) = loss(truth, y) + w.Psi(x, y) - w.Psi(x, truth).
 
     Runs the prediction merge engine with every candidate merge's gain
-    raised by the change in loss it causes (all candidates scored at once by
-    a copy of the example's MergeLoss start), from all singletons until
+    raised by the change in loss it causes (all candidates at once, from the
+    example's memo of merge paths), from all singletons until
     no merge improves H (ties to the smallest min-id pair). A merge whose
     gain rounds to <= 0 ends the search, so one whose exact gain is 0 is
     taken or not by the rounding of the losses and affinities. Returns the
@@ -240,13 +280,17 @@ def loss_augmented_oracle(example: TrainingExample, w, loss: str = "gmitre") -> 
     if loss not in LOSSES:
         raise ValueError(f"loss must be one of {sorted(LOSSES)}, got {loss!r}")
     w = np.asarray(w, dtype=float).reshape(-1)
-    scene, scorer = example.scene, example.merge_loss(loss)
-    y_star, _ = _greedy_merge(_affinity_array(scene, w), scene.members, scorer)
-    psi = joint_feature_map(scene, y_star)
-    hinge = scorer.current + float(w @ (psi - example.truth_psi))
+    scene, walk = example.scene, _MergeWalk(example, loss)
+    clusters, _ = _greedy_merge(_affinity_array(scene, w), scene.members, walk)
+    end = walk.state
+    if end.answer is None:
+        y_star = Partition(clusters)
+        end.answer = y_star, _frozen_array(joint_feature_map(scene, y_star))
+    y_star, psi = end.answer
+    hinge = end.current + float(w @ (psi - example.truth_psi))
     if hinge < 0.0:
         return OracleAnswer(example.truth, 0.0, 0.0, example.truth_psi)
-    return OracleAnswer(y_star, hinge, scorer.current, psi)
+    return OracleAnswer(y_star, hinge, end.current, psi)
 
 
 class _Planes:
@@ -370,10 +414,9 @@ def bcfw_train(
     if not blocks:
         raise ConfigError("training requires at least one example")
     n = len(blocks)
-    rng = np.random.default_rng(config.seed)
+    schedule = np.random.default_rng(config.seed).integers(n, size=max(0, config.max_iterations - n))
     with np.errstate(over="ignore"):
-        for _ in range(config.max_iterations - n):
-            i = int(rng.integers(n))
+        for i in schedule.tolist():
             _bcfw_step(model, blocks[i], i, iteration_hook)
         gap = sum(_bcfw_step(model, blocks[i], i, iteration_hook, exact=True).gap for i in range(n))
     logger.info("duality gap %.6g after %d iterations", gap, model.iterations)

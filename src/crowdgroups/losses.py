@@ -136,7 +136,7 @@ class MergeLoss:
     twice the co-member pairs the rows share, which adds up over rows, so a
     merge adds row j to row i. A merge rewrites row and column i only; dead
     rows keep stale values. Build the all-singletons start once per truth
-    and copy() it for each search.
+    and copy() it for each search that needs its own.
     """
 
     def __init__(self, kind: str, truth: Partition, members: Sequence):

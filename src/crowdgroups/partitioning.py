@@ -149,20 +149,20 @@ def affinity(scene: "WindowedScene", w) -> AffinityMatrix:
     return AffinityMatrix(scene.members, _affinity_array(scene, w))
 
 
-def _greedy_merge(cross, ids: Sequence[int], loss=None) -> tuple[Partition, tuple[MergeStep, ...]]:
+def _greedy_merge(cross, ids: Sequence[int], loss=None) -> tuple[list[tuple[int, ...]], tuple[MergeStep, ...]]:
     """Greedy bottom-up merging over a symmetric affinity matrix `cross` whose
     row k belongs to member ids[k] (ids strictly increasing), the one merge
     loop behind prediction and the training oracle.
 
     Each round merges the cluster pair with the largest strictly positive
     gain: their cross-affinity sum, plus, when `loss` is given, the change in
-    loss the merge causes (`loss.candidates() - loss.current`; `loss.merge`
-    is told every merge, by row). Each cluster keeps the row of its smallest
+    loss the merge causes (`loss.gains()`, read each round; `loss.merge` is
+    told every merge, by row). Each cluster keeps the row of its smallest
     index: merging rows i < j adds row and column j into i, then sets them to
     -inf, like the diagonal, to keep them out of the argmax. The matrix stays
     symmetric, so its first row-major maximum is the live pair with the
     smallest pair of min-ids. Each live cluster is a sorted tuple of member
-    ids; returns their Partition and the merges as steps over member ids.
+    ids; returns them and the merges as steps over member ids.
     """
     cross = np.array(cross, dtype=float)
     n = len(cross)
@@ -170,7 +170,7 @@ def _greedy_merge(cross, ids: Sequence[int], loss=None) -> tuple[Partition, tupl
     clusters = {i: (ids[i],) for i in range(n)}
     steps: list[MergeStep] = []
     for _ in range(n - 1):
-        gain = cross if loss is None else (loss.candidates() - loss.current) + cross
+        gain = cross if loss is None else loss.gains() + cross
         i, j = divmod(int(gain.argmax()), n)
         best = float(gain[i, j])
         if not best > 0.0:
@@ -182,7 +182,7 @@ def _greedy_merge(cross, ids: Sequence[int], loss=None) -> tuple[Partition, tupl
         cross[j] = cross[:, j] = -np.inf
         if loss is not None:
             loss.merge(i, j)
-    return Partition(clusters.values()), tuple(steps)
+    return list(clusters.values()), tuple(steps)
 
 
 def greedy_cc(affinities: AffinityMatrix) -> tuple[Partition, MergeTrace]:
@@ -192,5 +192,5 @@ def greedy_cc(affinities: AffinityMatrix) -> tuple[Partition, MergeTrace]:
     cross-affinity sum; ties go to the lexicographically smallest pair of
     cluster min-ids. Stops when no merge would increase the score.
     """
-    partition, steps = _greedy_merge(affinities.matrix, affinities.members)
-    return partition, MergeTrace(steps)
+    clusters, steps = _greedy_merge(affinities.matrix, affinities.members)
+    return Partition(clusters), MergeTrace(steps)

@@ -482,6 +482,22 @@ def test_run_experiment_deterministic(dataset_dir, tmp_path):
             assert a == b, name
 
 
+def test_runs_share_no_results(dataset_dir, tmp_path):
+    # the runs of one report train on the same examples, and so share the
+    # oracle's memo of merge paths; run-1 of two runs must still come out as a
+    # lone run at seed 1
+    flags = ["--data", str(dataset_dir), "--window-len", "8", "--stride", "8",
+             "--training-span", "24", "--max-iterations", "60"]
+    assert main(["run", *flags, "--out", str(tmp_path / "two"), "--runs", "2"]) == 0
+    assert main(["run", *flags, "--out", str(tmp_path / "one"), "--runs", "1", "--seed", "1"]) == 0
+    shared, alone = tmp_path / "two" / "run-1", tmp_path / "one" / "run-1"
+    for name in ("train_log.csv", "predictions.json", "weights.csv"):
+        assert (shared / name).read_bytes() == (alone / name).read_bytes(), name
+    a, b = Model.load(shared / "model.json"), Model.load(alone / "model.json")
+    for name in ("w", "w_avg", "block_w", "block_l", "l"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 def test_run_experiment_predictions_replayable(dataset_dir, tmp_path):
     out = tmp_path / "report"
     config = RunConfig(**FAST)

@@ -277,30 +277,98 @@ def test_oracle_matches_scalar_reference_exactly(loss):
         assert loss_augmented_oracle(example, w, loss)[:2] == reference_oracle(example, w, loss)
 
 
-def test_oracle_start_state_does_not_leak_between_calls():
-    # every call searches from a copy of the example's cached start state, so
-    # interleaved calls on one example, over all losses and float and
-    # tie-heavy integer weights, answer exactly as on a freshly built example
-    rng = np.random.default_rng(24)
-    members = list(range(1, 13))
-    scene = make_scene(members, {
-        pair: rng.integers(0, 2, size=4).astype(float) for pair in itertools.combinations(members, 2)
-    })
-    truth = random_partition(members, rng)
-    example = TrainingExample(scene, truth)
-    weights = [rng.normal(size=8) * 2 for _ in range(12)]
-    weights += [rng.integers(-2, 3, size=8).astype(float) for _ in range(12)]
-    calls = [(w, loss) for w in weights for loss in sorted(LOSSES)]
-    searched = dict.fromkeys(LOSSES, 0)
-    for k in [*rng.permutation(len(calls)), *rng.permutation(len(calls))]:
-        w, loss = calls[k]
+# ---------------------------------------------------------------------------
+# The oracle's memo of merge paths
+
+
+def memo_states(example, kind):
+    """The states stored in the example's memo for `kind`, found by walking its
+    trie from the start; the memo's own count must agree."""
+    _, root, stored = example._merge_memos[kind]
+    states, stack = [], [root]
+    while stack:
+        states.append(stack.pop())
+        stack.extend(states[-1].next.values())
+    assert len(states) == stored
+    return states
+
+
+def assert_answers_like_fresh_example(example, calls):
+    """Each (w, loss) call on the example answers bit for bit as on a freshly
+    built example (whose memo holds only its start) and as the scalar reference."""
+    for w, loss in calls:
         got = loss_augmented_oracle(example, w, loss)
-        want = loss_augmented_oracle(TrainingExample(scene, truth), w, loss)
+        want = loss_augmented_oracle(TrainingExample(example.scene, example.truth), w, loss)
         assert got.partition == want.partition
         assert got.hinge == want.hinge and got.loss == want.loss
         assert np.array_equal(got.psi, want.psi)
-        searched[loss] += got.partition not in (truth, Partition.singletons(members))
-    assert min(searched.values()) >= 10
+        assert got[:2] == reference_oracle(example, w, loss)
+
+
+def tie_heavy_example(n, seed):
+    rng = np.random.default_rng(seed)
+    members = list(range(1, n + 1))
+    scene = make_scene(members, {
+        pair: rng.integers(0, 2, size=4).astype(float) for pair in itertools.combinations(members, 2)
+    })
+    return TrainingExample(scene, random_partition(members, rng)), rng
+
+
+def mixed_weights(rng, count):
+    """Float weights and tie-heavy integer weights, interleaved."""
+    return [rng.normal(size=8) * 2 if k % 2 else rng.integers(-2, 3, size=8).astype(float)
+            for k in range(count)]
+
+
+def test_oracle_memo_replays_a_path_it_leaves_after_a_partial_hit():
+    # a stored state with two stored next states is where a later search
+    # followed a stored path and then left it, replaying that path into a copy
+    # of the start; its answers must still be the fresh example's
+    example, rng = tie_heavy_example(8, 24)
+    calls = [(w, "gmitre") for w in mixed_weights(rng, 8)]
+    assert_answers_like_fresh_example(example, calls)
+    root = example._merge_memos["gmitre"][1]
+    assert any(len(state.next) >= 2 for state in memo_states(example, "gmitre") if state is not root)
+    # with room left in the memo, a second pass hits all the way: nothing new
+    # is stored, and each end state hands back the Partition and Psi it kept
+    stored = len(memo_states(example, "gmitre"))
+    assert 1 < stored < learning.MAX_MEMO_NODES
+    first = [loss_augmented_oracle(example, w, loss) for w, loss in calls]
+    second = [loss_augmented_oracle(example, w, loss) for w, loss in calls]
+    assert len(memo_states(example, "gmitre")) == stored
+    assert all(a.partition is b.partition and a.psi is b.psi for a, b in zip(first, second))
+
+
+def test_oracle_memo_with_a_full_budget(monkeypatch):
+    # once the memo holds MAX_MEMO_NODES states it stores no more, and a
+    # search that leaves it goes on from its own replayed MergeLoss
+    monkeypatch.setattr(learning, "MAX_MEMO_NODES", 5)
+    example, rng = tie_heavy_example(12, 25)
+    calls = [(w, "gmitre") for w in mixed_weights(rng, 12)]
+    assert_answers_like_fresh_example(example, calls)
+    assert len(memo_states(example, "gmitre")) == 5
+    assert_answers_like_fresh_example(example, calls)
+    assert len(memo_states(example, "gmitre")) == 5
+
+
+def test_oracle_start_state_does_not_leak_between_calls():
+    # interleaved calls on one example, over all losses and float and
+    # tie-heavy integer weights, answer exactly as on a freshly built example;
+    # each loss kind keeps its own memo, and repeat calls store nothing new
+    example, rng = tie_heavy_example(12, 26)
+    members, truth = list(example.scene.members), example.truth
+    calls = [(w, loss) for w in mixed_weights(rng, 16) for loss in sorted(LOSSES)]
+    order = rng.permutation(len(calls))
+    assert_answers_like_fresh_example(example, [calls[k] for k in order])
+    stored = {loss: len(memo_states(example, loss)) for loss in LOSSES}
+    assert min(stored.values()) > 1
+    searched = dict.fromkeys(LOSSES, 0)
+    for k in rng.permutation(len(calls)):
+        w, loss = calls[k]
+        searched[loss] += loss_augmented_oracle(example, w, loss).partition not in (
+            truth, Partition.singletons(members))
+    assert {loss: len(memo_states(example, loss)) for loss in LOSSES} == stored
+    assert min(searched.values()) >= 4
 
 
 def test_oracle_hinge_never_negative():
@@ -361,6 +429,26 @@ def test_bcfw_block_identity_and_gamma_range():
     assert all(0.0 <= g <= 1.0 for g in gammas)
     assert np.allclose(model.w, model.block_w.sum(axis=0), atol=1e-9)
     assert model.l == pytest.approx(float(np.sum(model.block_l)), abs=1e-9)
+
+
+def test_block_schedule_drawn_at_once_equals_one_draw_per_step():
+    # bcfw_train draws its random blocks with one call; one draw per step from
+    # the same generator gives the same blocks
+    for n, seed in itertools.product([*range(1, 70), 255, 256, 1000, 65536, 2**31 - 1], range(4)):
+        rng = np.random.default_rng(seed)
+        per_step = [int(rng.integers(n)) for _ in range(200)]
+        assert np.random.default_rng(seed).integers(n, size=200).tolist() == per_step, (n, seed)
+
+
+@pytest.mark.parametrize("n, budget", [(1, 30), (3, 60), (4, 2), (4, 0)])
+def test_bcfw_blocks_follow_one_draw_per_step(n, budget):
+    # the random updates go to the blocks a per-step draw picks, then comes one
+    # exact update per block, also when the budget is below n
+    blocks = []
+    bcfw_train([separable_example() for _ in range(n)], TrainConfig(max_iterations=budget, seed=5),
+               iteration_hook=lambda _, info: blocks.append(info.block))
+    rng = np.random.default_rng(5)
+    assert blocks == [int(rng.integers(n)) for _ in range(budget - n)] + list(range(n))
 
 
 def test_bcfw_gamma_zero_on_degenerate_block():
