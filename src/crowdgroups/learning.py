@@ -6,9 +6,10 @@ Frank-Wolfe over one block per training window. The loss-augmented oracle is
 the greedy merge engine that predicts, with each candidate merge's gain raised
 by the change in loss the merge causes; those losses come from the contingency
 table against the truth, by the same closed forms that score predictions.
-That loss half depends on the truth and the merges made so far, never on w,
-so each example memoizes it per loss kind, as a trie of at most MAX_MEMO_NODES
-merge paths from all singletons (see _MergeWalk).
+That loss half depends on the truth and the merges made so far, never on w, so
+each example memoizes per loss kind the states merge paths reach (each merge's
+change in loss, the loss, a search's answer) while their n x n gains fit in
+MAX_MEMO_ELEMENTS floats (see _MergeWalk; windows of 128+ members store none).
 The Frank-Wolfe state is the Model itself: each block update changes its w,
 one row of block_w, one entry of block_l, l and iterations in place, by the
 line search of Lacoste-Julien et al. 2013 (arXiv:1207.4747, Alg. 4, with
@@ -52,7 +53,7 @@ logger = logging.getLogger(__name__)
 
 WEIGHT_DIM = 2 * len(FEATURE_NAMES)
 MAX_PLANES = 16  # planes cached per block
-MAX_MEMO_NODES = 64  # merge-path states memoized per example and loss kind
+MAX_MEMO_ELEMENTS = 1 << 14  # gain floats memoized per example and loss kind (128 KiB)
 CACHE_GAP_RATIO = 0.3  # share of the last exact gap a cached plane must keep
 MAX_CACHED_STEPS = 10  # cached steps a block takes between exact oracle calls
 ONLINE_MAX_BLOCKS = 16  # pseudo-label blocks online mode keeps
@@ -67,45 +68,45 @@ TrainMode = Literal["batch", "sequential", "online"]
 
 
 class _MergeState:
-    """A search state: each merge's change in loss (read-only), the loss, the states
-    one more merge (i, j) of rows leads to, and the (Partition, Psi) of a search ending here."""
+    """A search state: each merge's change in loss (read-only), the loss, and the answer of a search ending here."""
 
     def __init__(self, scorer: MergeLoss):
-        self.gains, self.current = _frozen_array(scorer.candidates() - scorer.current), scorer.current
-        self.next: dict[tuple[int, int], _MergeState] = {}
-        self.answer: tuple[Partition, np.ndarray] | None = None
+        self.gains, self.current, self.answer = scorer.candidates() - scorer.current, scorer.current, None
+        self.gains.setflags(write=False)
 
 
 class _MergeWalk:
-    """_greedy_merge's loss protocol over the example's memo for `kind`, [start
-    MergeLoss, root state, states stored]: a miss replays the path into a copy of
-    the start, once, and stores each new state while the memo has fewer than
-    MAX_MEMO_NODES."""
+    """_greedy_merge's loss protocol over the example's memo for `kind`: its start
+    MergeLoss and the states stored by their path of merges (i, j) of rows. A miss
+    replays the path into a copy of the start, once; a new state is stored while
+    the gains fit in MAX_MEMO_ELEMENTS, so a search that missed finds no more."""
 
     def __init__(self, example: "TrainingExample", kind: str):
         if kind not in example._merge_memos:
-            start = MergeLoss(kind, example.truth, example.scene.members)
-            example._merge_memos[kind] = [start, _MergeState(start), 1]
-        self.memo = example._merge_memos[kind]
-        self.state, self.path, self.scorer = self.memo[1], [], None
+            example._merge_memos[kind] = MergeLoss(kind, example.truth, example.scene.members), {}
+        self.start, self.states = example._merge_memos[kind]
+        self.path, self.scorer = (), None
+        self.state = self.states.get(()) or self._new_state(self.start)
+
+    def _new_state(self, scorer: MergeLoss) -> _MergeState:
+        state = _MergeState(scorer)
+        if (len(self.states) + 1) * state.gains.size <= MAX_MEMO_ELEMENTS:
+            self.states[self.path] = state
+        return state
 
     def gains(self) -> np.ndarray:
         return self.state.gains
 
     def merge(self, i: int, j: int) -> None:
-        self.path.append((i, j))
-        state = self.state.next.get((i, j))
-        if state is None:
+        self.path += ((i, j),)
+        self.state = self.states.get(self.path) if self.scorer is None else None
+        if self.state is None:
             if self.scorer is None:
-                self.scorer = self.memo[0].copy()
+                self.scorer = self.start.copy()
                 for step in self.path[:-1]:
                     self.scorer.merge(*step)
             self.scorer.merge(i, j)
-            state = _MergeState(self.scorer)
-            if self.memo[2] < MAX_MEMO_NODES:
-                self.state.next[i, j] = state
-                self.memo[2] += 1
-        self.state = state
+            self.state = self._new_state(self.scorer)
 
 
 @dataclass(frozen=True, eq=False)

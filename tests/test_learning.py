@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -281,21 +282,17 @@ def test_oracle_matches_scalar_reference_exactly(loss):
 # The oracle's memo of merge paths
 
 
-def memo_states(example, kind):
-    """The states stored in the example's memo for `kind`, found by walking its
-    trie from the start; the memo's own count must agree."""
-    _, root, stored = example._merge_memos[kind]
-    states, stack = [], [root]
-    while stack:
-        states.append(stack.pop())
-        stack.extend(states[-1].next.values())
-    assert len(states) == stored
+def memo_states(example, kind) -> dict:
+    """The states stored in the example's memo for `kind`, keyed by merge path."""
+    _, states = example._merge_memos[kind]
     return states
 
 
 def assert_answers_like_fresh_example(example, calls):
     """Each (w, loss) call on the example answers bit for bit as on a freshly
-    built example (whose memo holds only its start) and as the scalar reference."""
+    built example (which has no memo yet) and as the scalar reference; returns
+    the answers."""
+    answers = []
     for w, loss in calls:
         got = loss_augmented_oracle(example, w, loss)
         want = loss_augmented_oracle(TrainingExample(example.scene, example.truth), w, loss)
@@ -303,6 +300,8 @@ def assert_answers_like_fresh_example(example, calls):
         assert got.hinge == want.hinge and got.loss == want.loss
         assert np.array_equal(got.psi, want.psi)
         assert got[:2] == reference_oracle(example, w, loss)
+        answers.append(got)
+    return answers
 
 
 def tie_heavy_example(n, seed):
@@ -321,54 +320,67 @@ def mixed_weights(rng, count):
 
 
 def test_oracle_memo_replays_a_path_it_leaves_after_a_partial_hit():
-    # a stored state with two stored next states is where a later search
-    # followed a stored path and then left it, replaying that path into a copy
-    # of the start; its answers must still be the fresh example's
+    # two stored paths that share a stored state past the start and part
+    # there mean a later search followed a stored path, then left it and
+    # replayed that path into a copy of the start; its answers must still be
+    # the fresh example's
     example, rng = tie_heavy_example(8, 24)
     calls = [(w, "gmitre") for w in mixed_weights(rng, 8)]
     assert_answers_like_fresh_example(example, calls)
-    root = example._merge_memos["gmitre"][1]
-    assert any(len(state.next) >= 2 for state in memo_states(example, "gmitre") if state is not root)
+    states = memo_states(example, "gmitre")
+    parents = collections.Counter(path[:-1] for path in states if path)
+    assert all(path[:-1] in states for path in states if path)
+    assert any(count >= 2 for prefix, count in parents.items() if prefix)
     # with room left in the memo, a second pass hits all the way: nothing new
     # is stored, and each end state hands back the Partition and Psi it kept
-    stored = len(memo_states(example, "gmitre"))
-    assert 1 < stored < learning.MAX_MEMO_NODES
+    stored = len(states)
+    assert 1 < stored and (stored + 1) * 8**2 <= learning.MAX_MEMO_ELEMENTS
     first = [loss_augmented_oracle(example, w, loss) for w, loss in calls]
     second = [loss_augmented_oracle(example, w, loss) for w, loss in calls]
     assert len(memo_states(example, "gmitre")) == stored
     assert all(a.partition is b.partition and a.psi is b.psi for a, b in zip(first, second))
 
 
-def test_oracle_memo_with_a_full_budget(monkeypatch):
-    # once the memo holds MAX_MEMO_NODES states it stores no more, and a
-    # search that leaves it goes on from its own replayed MergeLoss
-    monkeypatch.setattr(learning, "MAX_MEMO_NODES", 5)
+@pytest.mark.parametrize("room", [0, 1, 5])
+def test_oracle_memo_with_a_full_budget(monkeypatch, room):
+    # once the memo's gains fill MAX_MEMO_ELEMENTS it stores no more states,
+    # not even the start's when there is no room for one, and a search that
+    # leaves it goes on from its own replayed MergeLoss
+    monkeypatch.setattr(learning, "MAX_MEMO_ELEMENTS", room * 12**2)
     example, rng = tie_heavy_example(12, 25)
     calls = [(w, "gmitre") for w in mixed_weights(rng, 12)]
     assert_answers_like_fresh_example(example, calls)
-    assert len(memo_states(example, "gmitre")) == 5
+    assert len(memo_states(example, "gmitre")) == room
     assert_answers_like_fresh_example(example, calls)
-    assert len(memo_states(example, "gmitre")) == 5
+    assert len(memo_states(example, "gmitre")) == room
 
 
 def test_oracle_start_state_does_not_leak_between_calls():
     # interleaved calls on one example, over all losses and float and
-    # tie-heavy integer weights, answer exactly as on a freshly built example;
-    # each loss kind keeps its own memo, and repeat calls store nothing new
-    example, rng = tie_heavy_example(12, 26)
-    members, truth = list(example.scene.members), example.truth
-    calls = [(w, loss) for w in mixed_weights(rng, 16) for loss in sorted(LOSSES)]
-    order = rng.permutation(len(calls))
-    assert_answers_like_fresh_example(example, [calls[k] for k in order])
-    stored = {loss: len(memo_states(example, loss)) for loss in LOSSES}
-    assert min(stored.values()) > 1
+    # tie-heavy integer weights, answer exactly as on a freshly built example
+    # and as the scalar reference; each loss kind keeps its own memo, which
+    # the first pass fills (here up to its budget) and the second, the same
+    # calls again, leaves as it is
+    rng = np.random.default_rng(24)
+    members = list(range(1, 13))
+    scene = make_scene(members, {
+        pair: rng.integers(0, 2, size=4).astype(float) for pair in itertools.combinations(members, 2)
+    })
+    truth = random_partition(members, rng)
+    example = TrainingExample(scene, truth)
+    weights = [rng.normal(size=8) * 2 for _ in range(12)]
+    weights += [rng.integers(-2, 3, size=8).astype(float) for _ in range(12)]
+    calls = [(w, loss) for w in weights for loss in sorted(LOSSES)]
     searched = dict.fromkeys(LOSSES, 0)
-    for k in rng.permutation(len(calls)):
-        w, loss = calls[k]
-        searched[loss] += loss_augmented_oracle(example, w, loss).partition not in (
-            truth, Partition.singletons(members))
-    assert {loss: len(memo_states(example, loss)) for loss in LOSSES} == stored
-    assert min(searched.values()) >= 4
+    stored = []
+    for order in (rng.permutation(len(calls)), rng.permutation(len(calls))):
+        for k in order:
+            loss = calls[k][1]
+            [got] = assert_answers_like_fresh_example(example, [calls[k]])
+            searched[loss] += got.partition not in (truth, Partition.singletons(members))
+        stored.append({loss: len(memo_states(example, loss)) for loss in LOSSES})
+    assert min(stored[0].values()) > 1 and stored[1] == stored[0]
+    assert min(searched.values()) >= 10
 
 
 def test_oracle_hinge_never_negative():
