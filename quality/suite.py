@@ -5,8 +5,10 @@
 
 Every scene is a synth scene with group sizes pinned to 3, one per scene seed.
 An in-setting cell generates 100 s scenes of its setting and runs `crowdgroups
-run --training-span 50 --max-iterations 300 --runs 5` on each: the first five
-10 s windows train and the last five are scored, once per training seed 0-4.
+run --training-span 50 --max-iterations 300 --runs 5` on each, plus the cell's
+own run flags (conv-noise-sequential: the conv-noise cell with `--mode
+sequential`, recorded in its JSON): the first five 10 s windows train and the
+last five are scored, once per training seed 0-4.
 A cross-setting cell trains on 50 s defaults scenes instead (`crowdgroups train
 --training-span 50 --max-iterations 300 --seed t`, t = 0-4) and scores each
 model on three unseen scenes of its setting (seeds 100-102; `predict`, then
@@ -34,10 +36,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENE = {"duration": 100.0, "group_size_min": 3, "group_size_max": 3}
-CELLS = {  # name: (SynthSpec settings over SCENE, default scene seeds)
-    "defaults": ({}, range(5)),
-    "dense12m": ({"n_groups": 8, "n_singletons": 16, "extent": 12.0}, range(10)),
-    "conv-noise": ({"behavior": "converging", "noise_std": 0.3}, range(5)),
+CELLS = {  # name: (SynthSpec settings over SCENE, default scene seeds, run flags over RUN)
+    "defaults": ({}, range(5), {}),
+    "dense12m": ({"n_groups": 8, "n_singletons": 16, "extent": 12.0}, range(10), {}),
+    "conv-noise": ({"behavior": "converging", "noise_std": 0.3}, range(5), {}),
+    "conv-noise-sequential": ({"behavior": "converging", "noise_std": 0.3}, range(5), {"mode": "sequential"}),
 }
 CROSS_CELLS = {  # name: SynthSpec settings over SCENE of the unseen test scenes
     "cross-conv-noise": CELLS["conv-noise"][0] | {"duration": 50.0},
@@ -91,17 +94,18 @@ def _synth(settings: dict, seed: int, out: Path) -> Path:
     return out
 
 
-def run_cell(settings: dict, scene_seeds: list[int], run: dict, work: Path) -> dict:
+def run_cell(settings: dict, scene_seeds: list[int], run: dict, cell_flags: dict, work: Path) -> dict:
     """Per-run gmitre F1 (one row per scene seed, one column per training
-    seed) and their mean, sd and worst, rounded to 4 places."""
-    flags = [part for key, value in run.items() for part in (f"--{key}", str(value))]
+    seed) and their mean, sd and worst, rounded to 4 places; the cell's own
+    run flags are added to `run` and recorded."""
+    flags = [part for key, value in (run | cell_flags).items() for part in (f"--{key}", str(value))]
     f1 = []
     for seed in scene_seeds:
         scene, report = _synth(settings, seed, work / f"scene-{seed}"), work / f"report-{seed}"
         _cli(["run", "--data", str(scene), "--out", str(report), *flags])
         meta = json.loads((report / "meta.json").read_text(encoding="utf-8"))
         f1.append([entry["gmitre_f1"] for entry in meta["runs"]])
-    return {"spec": SCENE | settings, "scene_seeds": scene_seeds, **_summary(f1)}
+    return {"spec": SCENE | settings, **cell_flags, "scene_seeds": scene_seeds, **_summary(f1)}
 
 
 def _mean_gmitre_f1(scores: Path) -> float:
@@ -159,8 +163,8 @@ def main(argv=None) -> int:
     for name in names:
         with tempfile.TemporaryDirectory() as work:
             if name in CELLS:
-                settings, seeds = CELLS[name]
-                cell = run_cell(settings, args.scene_seeds or list(seeds), run, Path(work))
+                settings, seeds, cell_flags = CELLS[name]
+                cell = run_cell(settings, args.scene_seeds or list(seeds), run, cell_flags, Path(work))
             else:
                 cell = run_cross_cell(CROSS_CELLS[name], args.scene_seeds or list(CROSS_TRAIN_SEEDS), run, Path(work))
         result["cells"][name] = cell

@@ -36,7 +36,6 @@ from .learning import (
     bcfw_train,
     online_predict_train,
     predict,
-    sequential_train,
 )
 from .losses import ForestScore, gmitre_score, positive_pairwise_metric
 from .partitioning import Partition
@@ -336,15 +335,16 @@ def make_training_examples(windows, labels, configs: FeatureConfig | None = None
 
 
 def train_model(config: RunConfig, examples: list[TrainingExample], log) -> Model:
-    """Sequential training in sequential mode, batch BCFW otherwise (online
-    mode starts predicting from the batch model); the model records the
-    config's flat settings. `log` (a path, open text file or None) gets a row per update."""
-    train = sequential_train if config.mode == "sequential" else bcfw_train
+    """BCFW over the examples, one at a time in sequential mode and all at once
+    otherwise (online mode predicts from the batch model); the model records
+    the config's flat settings. `log` (a path, open text file or None) gets a row per update."""
+    sequential = config.mode == "sequential"
     if log is None:
-        model = train(examples, config)
+        model = bcfw_train(examples, config, sequential=sequential)
     else:
         with _csv_rows(log, ["iter", "block", "hinge", "gamma", "gap", "exact"]) as write_row:
-            model = train(examples, config, iteration_hook=lambda _, info: write_row([*info[:5], int(info.exact)]))
+            model = bcfw_train(examples, config, sequential=sequential,
+                               iteration_hook=lambda _, info: write_row([*info[:5], int(info.exact)]))
     model.config_snapshot = config.to_flat_dict()
     return model
 

@@ -18,18 +18,17 @@ Each block caches the planes (Psi(truth) - Psi(y), loss(y)) of the labellings
 y its exact oracle returned, unscaled so that they stay valid as blocks come
 and go, and steps to the best cached plane while that keeps enough of the
 gap of the block's last exact call (multi-plane BCFW, Shah et al. 2015,
-arXiv:1408.6804); otherwise it asks the oracle. Batch training ends with one
-exact step per block, whose gaps sum to the reported duality gap. Batch,
-sequential (examples arrive over time, blocks grow with them, and the same
-max_iterations budget is spent in shares as they arrive) and online
-(self-supervised from own predictions: each scene appends one block to the
-model and spends ONLINE_STEPS updates on that block only) modes share that
-update, which reads C and the loss from the model it changes. Batch and
-sequential training also keep the averaged iterate w_avg (BCFW-wavg, ibid.:
-weight 2k/(K(K+1)) on the iterate after update k of K), which predictions
-use; the Frank-Wolfe state stays the iterate's.
-Training writes nothing: batch and sequential training report each update
-only through iteration_hook(model, info), from which the harness logs it.
+arXiv:1408.6804); otherwise it asks the oracle. bcfw_train runs batch mode
+(the examples arrive at once; one exact step per block ends it, their gaps
+summing to the reported duality gap) and sequential mode (they arrive one at
+a time and the max_iterations budget is spent in shares as they do) in one
+loop; online mode (self-supervised: each scene's prediction appends one block
+and gets ONLINE_STEPS updates) shares its update, which reads C and the loss
+from the model it changes. Batch and sequential training also keep the
+averaged iterate w_avg (BCFW-wavg, ibid.: weight 2k/(K(K+1)) on the iterate
+after update k of K), which predictions use; the Frank-Wolfe state stays the
+iterate's. Training writes nothing: each update reaches the harness's log
+only through iteration_hook(model, info).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable, Iterator, Literal, NamedTuple, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
@@ -395,58 +394,41 @@ def bcfw_train(
     examples: Iterable[TrainingExample],
     config: TrainConfig | None = None,
     *,
+    sequential: bool = False,
     iteration_hook=None,
 ) -> Model:
-    """Batch Block-Coordinate Frank-Wolfe over the given examples.
-
-    Of config.max_iterations updates, all but the last n go to uniformly
-    random blocks drawn from a generator seeded with config.seed; the last n
-    are one exact update per block, whose gaps sum to the reported duality
-    gap (that pass runs even when the budget is smaller). The oracle is
-    greedy, not exact, so that gap is an estimate, not a bound: it can be
-    negative. Returns the trained model, its w_avg set. iteration_hook(model,
-    info), when given, sees the model after every update.
+    """Block-Coordinate Frank-Wolfe over the examples, which arrive all at
+    once, or one at a time in their order if `sequential`. After each arrival
+    that brings the blocks to k, uniformly random updates over them, drawn
+    from a generator seeded with config.seed, spend the budget up to
+    config.max_iterations - n (batch) or config.max_iterations * k // n
+    (arrival k of n, sequential). Batch training then ends with one exact
+    update per block, whose gaps sum to the reported duality gap (that pass
+    runs even when the budget is smaller); the oracle is greedy, so that gap
+    is an estimate, not a bound: it can be negative. Returns the trained
+    model, its w_avg set; iteration_hook(model, info), when given, sees the
+    model after every update.
     """
     config = config or TrainConfig()
-    model = Model(w_avg=np.zeros(WEIGHT_DIM), C=config.C, seed=config.seed, loss=config.loss, mode="batch")
-    blocks: list[_Planes] = []
-    for example in examples:
-        _add_block(model, blocks, example)
-    if not blocks:
-        raise ConfigError("training requires at least one example")
-    n = len(blocks)
-    schedule = np.random.default_rng(config.seed).integers(n, size=max(0, config.max_iterations - n))
-    with np.errstate(over="ignore"):
-        for i in schedule.tolist():
-            _bcfw_step(model, blocks[i], i, iteration_hook)
-        gap = sum(_bcfw_step(model, blocks[i], i, iteration_hook, exact=True).gap for i in range(n))
-    logger.info("duality gap %.6g after %d iterations", gap, model.iterations)
-    return model
-
-
-def sequential_train(
-    examples: Sequence[TrainingExample],
-    config: TrainConfig | None = None,
-    *,
-    iteration_hook=None,
-) -> Model:
-    """Feed the examples in arrival order: after arrival k of n, uniformly
-    random updates over the k blocks seen so far (drawn from a generator
-    seeded with config.seed) until config.max_iterations * k // n updates are
-    spent in all. Returns the trained model, its w_avg set.
-    iteration_hook(model, info), when given, sees the model after every update."""
-    config = config or TrainConfig()
+    examples = list(examples)
     if not examples:
         raise ConfigError("training requires at least one example")
-    rng = np.random.default_rng(config.seed)
-    model = Model(w_avg=np.zeros(WEIGHT_DIM), C=config.C, seed=config.seed, loss=config.loss, mode="sequential")
+    n, rng = len(examples), np.random.default_rng(config.seed)
+    model = Model(w_avg=np.zeros(WEIGHT_DIM), C=config.C, seed=config.seed, loss=config.loss,
+                  mode="sequential" if sequential else "batch")
     blocks: list[_Planes] = []
+    arrivals = [[example] for example in examples] if sequential else [examples]
     with np.errstate(over="ignore"):
-        for k, example in enumerate(examples, start=1):
-            _add_block(model, blocks, example)
-            while model.iterations < config.max_iterations * k // len(examples):
-                i = int(rng.integers(k))
+        for arrival in arrivals:
+            for example in arrival:
+                _add_block(model, blocks, example)
+            k = len(blocks)
+            budget = config.max_iterations * k // n if sequential else config.max_iterations - n
+            for i in rng.integers(k, size=max(0, budget - model.iterations)).tolist():
                 _bcfw_step(model, blocks[i], i, iteration_hook)
+        if not sequential:
+            gap = sum(_bcfw_step(model, blocks[i], i, iteration_hook, exact=True).gap for i in range(n))
+            logger.info("duality gap %.6g after %d iterations", gap, model.iterations)
     return model
 
 

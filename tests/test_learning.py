@@ -34,7 +34,6 @@ from crowdgroups import (
     make_training_examples,
     online_predict_train,
     predict,
-    sequential_train,
     slice_windows,
     synth_generate,
 )
@@ -463,6 +462,19 @@ def test_bcfw_blocks_follow_one_draw_per_step(n, budget):
     assert blocks == [int(rng.integers(n)) for _ in range(budget - n)] + list(range(n))
 
 
+@pytest.mark.parametrize("n, budget", [(1, 30), (3, 25), (4, 2), (4, 0), (5, 7)])
+def test_sequential_blocks_follow_one_draw_per_step(n, budget):
+    # arrival k's updates go to the blocks that per-step draws over the k
+    # blocks seen so far pick, until budget * k // n are spent in all; some
+    # arrivals bring no updates, and there is no exact pass
+    blocks = []
+    bcfw_train([separable_example() for _ in range(n)], TrainConfig(max_iterations=budget, seed=5),
+               sequential=True, iteration_hook=lambda _, info: blocks.append(info.block))
+    rng = np.random.default_rng(5)
+    assert blocks == [int(rng.integers(k)) for k in range(1, n + 1)
+                      for _ in range(budget * k // n - budget * (k - 1) // n)]
+
+
 def test_bcfw_gamma_zero_on_degenerate_block():
     # single-member scene: the oracle can only return the truth, so the block
     # direction never moves and the line search denominator is zero
@@ -507,6 +519,19 @@ def test_bcfw_deterministic_per_seed():
 def test_bcfw_requires_examples():
     with pytest.raises(ConfigError):
         bcfw_train([], TrainConfig())
+
+
+@pytest.mark.parametrize("mode", ["batch", "sequential"])
+def test_bcfw_takes_examples_from_a_generator(mode):
+    # both modes take any iterable: a generator trains as its list does,
+    # and an empty one is refused
+    examples, sequential = noisy_examples()[:3], mode == "sequential"
+    config = TrainConfig(max_iterations=20, seed=1)
+    with pytest.raises(ConfigError):
+        bcfw_train(iter([]), config, sequential=sequential)
+    streamed = bcfw_train((example for example in examples), config, sequential=sequential)
+    listed = bcfw_train(examples, config, sequential=sequential)
+    assert snapshot(streamed) == snapshot(listed)
 
 
 def test_train_log_csv(tmp_path):
@@ -634,7 +659,7 @@ def test_model_views_and_copy():
 
 def test_sequential_single_example_matches_batch():
     example = separable_example()
-    model = sequential_train([example], TrainConfig(seed=3, max_iterations=59))
+    model = bcfw_train([example], TrainConfig(seed=3, max_iterations=59), sequential=True)
     sampled = []  # batch w after each step; its 60th is the final exact pass
     bcfw_train([example], TrainConfig(seed=3, max_iterations=60),
                iteration_hook=lambda m, info: sampled.append(m.w.copy()))
@@ -642,13 +667,13 @@ def test_sequential_single_example_matches_batch():
     assert np.array_equal(model.w, sampled[58])
 
 
-@pytest.mark.parametrize("train", [bcfw_train, sequential_train])
-def test_training_returns_the_averaged_iterate(train):
+@pytest.mark.parametrize("mode", ["batch", "sequential"])
+def test_training_returns_the_averaged_iterate(mode):
     # w_avg <- k/(k+2) w_avg + 2/(k+2) w over the iterates the hook sees
     # (BCFW-wavg); the Frank-Wolfe state stays the last iterate's
     iterates = []
-    model = train(noisy_examples()[:4], TrainConfig(max_iterations=40, seed=2),
-                  iteration_hook=lambda m, _: iterates.append(m.w.copy()))
+    model = bcfw_train(noisy_examples()[:4], TrainConfig(max_iterations=40, seed=2), sequential=mode == "sequential",
+                       iteration_hook=lambda m, _: iterates.append(m.w.copy()))
     expected = np.zeros(8)
     for k, w in enumerate(iterates):
         expected = k / (k + 2) * expected + 2 / (k + 2) * w
@@ -687,8 +712,8 @@ def test_sequential_spends_max_iterations_over_arrivals(tmp_path, monkeypatch):
 def test_sequential_hook_sees_every_update_once_per_log_row(tmp_path):
     examples = noisy_examples()[:4]
     seen = []
-    model = sequential_train(examples, TrainConfig(max_iterations=37, seed=1),
-                             iteration_hook=lambda m, info: seen.append((m.iterations, info)))
+    model = bcfw_train(examples, TrainConfig(max_iterations=37, seed=1), sequential=True,
+                       iteration_hook=lambda m, info: seen.append((m.iterations, info)))
     assert [k for k, _ in seen] == [info.iteration for _, info in seen] == list(range(1, 38))
     assert model.iterations == 37
     log = tmp_path / "train_log.csv"
@@ -809,7 +834,7 @@ def test_dual_never_decreases(mode, C, monkeypatch):
     assert len(examples) == 10
     steps = record_steps(monkeypatch)
     config = TrainConfig(C=C, max_iterations=300, seed=int(C))
-    (bcfw_train if mode == "batch" else sequential_train)(examples, config)
+    bcfw_train(examples, config, sequential=mode == "sequential")
     duals = [0.0] + [d for _, d in steps]
     assert all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(duals, duals[1:]))
     assert duals[-1] > 0.0
