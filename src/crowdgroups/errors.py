@@ -4,7 +4,8 @@ type and range are declared once, by an annotation such as PositiveFloat,
 PositiveInt or NonNegativeInt; _check_fields applies it to every field of a
 dataclass and _check_number to one argument or file value. Either raises
 ConfigError (a ValueError): `'<name>' must be <type>, got <value>` or
-`<name> must be <range>, got <value>`."""
+`<name> must be <range>, got <value>`. SAMPLE_BOUND bounds every trajectory
+sample, and the ranges that meet it keep every feature kernel finite."""
 
 import dataclasses
 import math
@@ -50,8 +51,14 @@ PositiveFloat = Annotated[float, (math.ulp(0.0), math.inf, "positive")]
 NonNegativeFloat = Annotated[float, (0.0, math.inf, "non-negative")]
 NonNegativeInt = Annotated[int, (0, math.inf, "non-negative")]
 PositiveInt = Annotated[int, (1, math.inf, "at least 1")]
-# meters: a length's square and the square's reciprocal stay normal floats
-Length = Annotated[float, (1e-150, 1e150, "between 1e-150 and 1e150")]
+# A trajectory sample has |t| <= SAMPLE_BOUND s and |x|, |y| <= SAMPLE_BOUND m, so
+# two points lie at most 2√2e100 m apart, and two heat cell centres (edge <= 1e100 m)
+# 3√2e100 m. Over a Length >= 1e-50 m, a Gaussian exponent of d_ph or d_he is then at
+# most (3√2e100)² / 4e-100 = 4.5e300 < 1.8e308 and a cell index at most 1e150; a
+# Rate <= 1e100 per second keeps k_r × dwell <= 2e200. Every kernel stays finite.
+SAMPLE_BOUND = 1e100
+Length = Annotated[float, (1e-50, 1e100, "between 1e-50 and 1e100")]
+Rate = Annotated[float, (0.0, 1e100, "between 0 and 1e100")]
 
 
 @cache
@@ -104,8 +111,8 @@ def _check_value(name: str, value, hint, origin, limits):
 
 
 def _check_number(name: str, value, number):
-    """`value` as a field `name` annotated by the number alias `number` stores it."""
-    hint, limits = get_args(number)
+    """`value` as a field `name` annotated by `number`, a number alias or a bare type, stores it."""
+    hint, limits = get_args(number) or (number, None)
     return _check_value(name, value, hint, None, limits)
 
 

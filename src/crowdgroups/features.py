@@ -48,14 +48,12 @@ to 1e-12. This module writes no file (harness writes the features CSV).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConfigError, Length, NonNegativeFloat, PositiveFloat, PositiveInt, _check_fields,
-                     _check_number, _frozen_array)
+from .errors import ConfigError, Length, PositiveInt, Rate, _check_fields, _check_number, _frozen_array
 from .trajectories import _CHUNK_ELEMENTS, TimeWindow, Trajectory, align_segments
 
 FEATURE_NAMES = ("d_ph", "d_sh", "d_ca", "d_he")
@@ -79,9 +77,9 @@ class FeatureConfig:
 
     proxemic_sigmas: tuple[Length, ...] = HALL_SIGMAS
     granger_lag: PositiveInt = 2
-    heat_cell_edge: PositiveFloat = 0.30
+    heat_cell_edge: Length = 0.30
     heat_length: Length = 3.0
-    heat_k_r: NonNegativeFloat = 0.5
+    heat_k_r: Rate = 0.5
 
     def __post_init__(self):
         _check_fields(self)
@@ -238,8 +236,7 @@ def _dtw_rows(aligned, ia, ib) -> np.ndarray:
             if lo < hi:
                 raw[order[lo:hi]] = diagonals[d % 3, order[lo:hi], end_cols[lo:hi]]
         raw /= np.maximum(la, lb)
-        # an overflowing cost reads 1, the limit of the softening
-        out[chunk] = np.divide(raw, raw + DTW_TAU * DTW_TAU, out=np.ones(len(a)), where=raw < np.inf)
+        out[chunk] = raw / (raw + DTW_TAU * DTW_TAU)
     return out
 
 
@@ -413,18 +410,12 @@ def _heat_cells(aligned, rows, cfg: FeatureConfig):
     """(rows, V, 3) zero-padded rows (x, y, E) of the visited cells of the
     layout's members `rows` in (x, y) order, and V per member: centres of the
     world grid's cells of edge heat_cell_edge, anchored at (0, 0); E = exp(-k_r *
-    dwell seconds) over the largest, a cell's dwells summed in time order.
-    An edge so small that a cell index overflows raises ConfigError."""
+    dwell seconds) over the largest, a cell's dwells summed in time order."""
     times, points, present = aligned
     owner, frames = np.nonzero(present[rows])
     # a sample dwells until its member's next one; a member's last sample does not
     dwell = np.where(np.diff(owner, append=-1) == 0, np.diff(times[frames], append=0.0), 0.0)
-    samples = points[rows][owner, frames]
-    span = float(np.abs(samples).max(initial=0.0))
-    if span >= cfg.heat_cell_edge * sys.float_info.max:
-        raise ConfigError(f"heat_cell_edge {cfg.heat_cell_edge!r} is too small for points {span:.3g} m "
-                          "from the world origin: their cell index overflows")
-    cells = np.floor(samples / cfg.heat_cell_edge)
+    cells = np.floor(points[rows][owner, frames] / cfg.heat_cell_edge)
     keys = np.column_stack([owner, cells])
     order = np.lexsort(keys.T[::-1])  # stable: a cell's samples stay in time order
     first = np.append(True, np.diff(keys[order], axis=0).any(axis=1))

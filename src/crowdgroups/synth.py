@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal
+from typing import Annotated, Literal
 
 import numpy as np
 
-from .errors import ConfigError, NonNegativeFloat, NonNegativeInt, PositiveFloat, _check_fields, _check_number
+from .errors import (SAMPLE_BOUND, ConfigError, NonNegativeFloat, NonNegativeInt, PositiveFloat, _check_fields,
+                     _check_number)
 from .partitioning import Partition
 from .trajectories import DESCRIPTOR_FILE, GROUNDTRUTH_FILE, TRAJECTORY_FILE, Trajectory
 
@@ -32,7 +33,7 @@ class SynthSpec:
     group_size_max: int = 4
     n_singletons: NonNegativeInt = 6
     spacing: PositiveFloat = 0.6
-    extent: PositiveFloat = 30.0
+    extent: Annotated[float, (math.ulp(0.0), SAMPLE_BOUND, "positive and at most 1e100")] = 30.0
     duration: PositiveFloat = 200.0
     fps: PositiveFloat = 2.5
     lag: NonNegativeInt = 1

@@ -15,8 +15,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, DegenerateProjectionError, PositiveFloat, TrajectoryParseError,
-                     _check_number, _frozen_array)
+from .errors import (SAMPLE_BOUND, ConfigError, DataError, DegenerateProjectionError, PositiveFloat,
+                     TrajectoryParseError, _check_number, _frozen_array)
 from .partitioning import Partition
 
 logger = logging.getLogger(__name__)
@@ -33,11 +33,12 @@ _SPAN_EPS = 1e-9
 _CHUNK_ELEMENTS = 1 << 17  # floats in one pass's temporaries (1 MiB), here and in features
 _HOMOGRAPHY_DET_EPS = 1e-12
 _PROJECTION_W_EPS = 1e-9
+_OUT_OF_BOUND = f"sample values must be finite and within ±{SAMPLE_BOUND:g} (seconds, meters)"
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-stamped ground-plane path of one pedestrian.
+    """Time-stamped ground-plane path of one pedestrian, every value within ±SAMPLE_BOUND.
 
     times: (n,) seconds, strictly increasing. points: (n, 2) meters (read-only
     copies, or for a `segment` read-only views of its checked parent's).
@@ -48,6 +49,7 @@ class Trajectory:
     points: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "pedestrian_id", _check_number("pedestrian_id", self.pedestrian_id, int))
         times = _frozen_array(self.times)
         points = _frozen_array(self.points)
         object.__setattr__(self, "times", times)
@@ -55,17 +57,11 @@ class Trajectory:
         if times.ndim != 1 or times.size < 1:
             raise ValueError("a trajectory needs at least one (t, p) sample")
         if points.shape != (times.size, 2):
-            raise ValueError(
-                f"points shape {points.shape} does not match {times.size} timestamps"
-            )
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(points)):
-            raise DataError(
-                f"pedestrian {self.pedestrian_id}: non-finite sample values"
-            )
+            raise ValueError(f"points shape {points.shape} does not match {times.size} timestamps")
+        if not (np.all(np.abs(times) <= SAMPLE_BOUND) and np.all(np.abs(points) <= SAMPLE_BOUND)):
+            raise DataError(f"pedestrian {self.pedestrian_id}: {_OUT_OF_BOUND}")
         if np.any(np.diff(times) <= 0):
-            raise DataError(
-                f"pedestrian {self.pedestrian_id}: timestamps must be strictly increasing"
-            )
+            raise DataError(f"pedestrian {self.pedestrian_id}: timestamps must be strictly increasing")
 
     def segment(self, i0: int, i1: int) -> Trajectory:
         """Samples i0 to i1 - 1 (i0 < i1) as read-only views of this checked
@@ -194,32 +190,26 @@ def load_trajectories(path, homography: Homography | None = None, fps: float = 1
 
     Timestamps become frame/fps seconds (fps a PositiveFloat); positions are
     projected through the homography when one is given (pixel-unit files
-    require one).
+    require one). Times and ground-plane positions lie within ±SAMPLE_BOUND: the
+    error names the line, or for projected positions the pedestrian.
     """
     fps = _check_number("fps", fps, PositiveFloat)
     path = Path(path)
+    xy_bound = SAMPLE_BOUND if homography is None else math.inf  # pixels are bounded once projected
     samples: dict[int, dict[float, tuple[float, float]]] = {}
     for lineno, text in _records(path):
         parts = text.split()
         if len(parts) != 4:
-            raise TrajectoryParseError(
-                f"{path}:{lineno}: expected 4 fields `frame id x y`, got {len(parts)}"
-            )
+            raise TrajectoryParseError(f"{path}:{lineno}: expected 4 fields `frame id x y`, got {len(parts)}")
         try:
-            frame = float(parts[0])
-            if not math.isfinite(frame):
-                raise ValueError(f"frame must be finite, got {parts[0]!r}")
-            ped = _parse_id(parts[1])
-            x = float(parts[2])
-            y = float(parts[3])
+            t, ped, x, y = float(parts[0]) / fps, _parse_id(parts[1]), float(parts[2]), float(parts[3])
+            if not (abs(t) <= SAMPLE_BOUND and abs(x) <= xy_bound and abs(y) <= xy_bound):
+                raise ValueError(f"{_OUT_OF_BOUND}, got t = {t!r}, x = {x!r}, y = {y!r}")
         except ValueError as exc:
             raise TrajectoryParseError(f"{path}:{lineno}: {exc}") from None
-        t = frame / fps
         per_ped = samples.setdefault(ped, {})
         if t in per_ped:
-            raise DataError(
-                f"{path}:{lineno}: duplicate sample for pedestrian {ped} at frame {parts[0]}"
-            )
+            raise DataError(f"{path}:{lineno}: duplicate sample for pedestrian {ped} at frame {parts[0]}")
         per_ped[t] = (x, y)
     trajectories = []
     for ped in sorted(samples):
@@ -227,7 +217,10 @@ def load_trajectories(path, homography: Homography | None = None, fps: float = 1
         points = np.array([samples[ped][t] for t in times])
         if homography is not None:
             points = _project_points(homography, points)
-        trajectories.append(Trajectory(ped, times, points))
+        try:
+            trajectories.append(Trajectory(ped, times, points))
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
     return trajectories
 
 

@@ -10,7 +10,6 @@ integer as a usage error (exit 2) before any subcommand runs, which
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import shutil
@@ -39,9 +38,6 @@ CONFIG_COMMANDS = {
 PREDICT = ["predict", "--model", "{d}/model.json", "--data", "{d}/scene", "--out", "{t}/pred.json"]
 EVAL = ["eval", "--truth", "{d}/scene/groups.txt", "--pred", "{d}/pred.json", "--out", "{t}/scores.csv"]
 SYNTH = ["synth", "--spec", "{d}/spec.toml", "--out", "{t}/synth"]
-# cases whose numpy arithmetic still warns (a 1e160 m coordinate overflows the
-# feature kernels): the warnings are asserted here, errors everywhere else
-WARNS = {"features-dtw-overflow-valid"}
 DATA_COMMANDS = {**CONFIG_COMMANDS, "predict": PREDICT}
 NEED_TRUTH = ("train", "run", "stats")  # the data commands that refuse a dataset without labels
 FILES = {"missing": "{d}/missing", "not-utf8": "{d}/not-utf8.bin", "not-json": "{d}/not-json.txt"}
@@ -81,10 +77,11 @@ def _cases():
     # more samples than a scene may hold; 1e300 x fps x pedestrians overflows a float
     for duration in ("1e12", "1e300"):
         yield f"synth-duration={duration}", _with(SYNTH, "--spec", f"{{d}}/duration-{duration}.toml")
-    yield "features-heat_cell_edge=1e-300-valid", _with(CONFIG_COMMANDS["features"], "--config", "{d}/edge.toml")
-    # a near pair whose warping cost overflows: d_sh reads 1, the softening's limit
+    # the smallest cell edge: the scene's cell indices reach about 2e51
+    yield "features-heat_cell_edge=1e-50-valid", _with(CONFIG_COMMANDS["features"], "--config", "{d}/edge.toml")
+    # a coordinate past the sample bound, which would overflow the kernels, is refused
     overflow = _with(_with(CONFIG_COMMANDS["features"], "--data", "{d}/overflow"), "--window-len", "12")
-    yield "features-dtw-overflow-valid", _with(overflow, "--stride", "12")
+    yield "features-coordinate=1e160", _with(overflow, "--stride", "12")
     # a whole-number file field past any float: the rule refuses inf, int() overflowed
     yield "predict-model-format_version=1e400", _with(PREDICT, "--model", "{d}/model-version-1e400.json")
     yield "eval-pred-seed=1e400", _with(EVAL, "--pred", "{d}/pred-seed-1e400.json")
@@ -123,7 +120,7 @@ def inputs(tmp_path_factory):
     (root / "spec.toml").write_text("n_groups = 1\nn_singletons = 1\nduration = 20.0\n", encoding="utf-8")
     for duration in ("1e12", "1e300"):
         (root / f"duration-{duration}.toml").write_text(f"duration = {duration}\n", encoding="utf-8")
-    (root / "edge.toml").write_text("heat_cell_edge = 1e-300\n", encoding="utf-8")
+    (root / "edge.toml").write_text("heat_cell_edge = 1e-50\n", encoding="utf-8")
     model = Model(w=np.ones(8), config_snapshot={"window_len": 8.0, "stride": 8.0})
     model.save(root / "model.json")
     write_predictions(root / "pred.json", 0, predict_windows(root / "scene", model))
@@ -145,8 +142,7 @@ def _written(path) -> bool:
 @pytest.mark.parametrize("case", CASES)
 def test_cli_contract(inputs, tmp_path, capsys, case):
     argv = [arg.format(d=inputs, t=tmp_path) for arg in CASES[case]]
-    with pytest.warns(RuntimeWarning) if case in WARNS else contextlib.nullcontext():
-        code = main(argv)
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 0 or not case.endswith("-valid"), captured.err
     if case.endswith("-data-unlabelled"):
@@ -234,15 +230,15 @@ def test_train_refuses_stdout_for_its_files(inputs, tmp_path, capsys, monkeypatc
 
 
 # settings whose arithmetic overflows or underflows: a training C whose
-# Frank-Wolfe line search overflows, lengths whose square is not a normal
-# float, and a heat cell edge so small that a cell index of the scene
-# overflows (1e-300 works, see test_cli_contract); each is refused with one
-# error line naming the key, and no numpy warning is raised on the way
-# (warnings are errors here)
+# Frank-Wolfe line search overflows, and lengths and a rate outside the ranges
+# that keep the kernels finite on samples within the bound; each is refused
+# with one error line naming the key, and no numpy warning is raised on the
+# way (warnings are errors here)
 EXTREME_SETTINGS = {
     "heat_length": ("1e-160", "1e-300", "1e160", "1e300"),
     "proxemic_sigmas": ("[1e-300, 1e-299]", "[1e200, 1e201]", "[1e-160, 1.0]"),
-    "heat_cell_edge": ("1e-308", "1e-320"),
+    "heat_cell_edge": ("1e-300", "1e-308", "1e-320", "1e150"),
+    "heat_k_r": ("1.7e308",),
 }
 EXTREMES = {
     **{f"{name}-{mode}--C=1e160": ("C", "C = 1e160", _with(CONFIG_COMMANDS[name], "--mode", mode))
@@ -262,6 +258,19 @@ def test_cli_refuses_settings_whose_arithmetic_overflows(inputs, tmp_path, capsy
     code = main([arg.format(d=inputs, t=tmp_path) for arg in _with(argv, "--config", str(config))])
     lines = capsys.readouterr().err.splitlines()
     assert code == 1 and len(lines) == 1 and lines[0].startswith(f"error: {key} "), lines
+
+
+@pytest.mark.parametrize("value", ["1e160", "nan", "-inf"])
+def test_cli_names_the_file_and_line_of_a_sample_past_the_bound(inputs, tmp_path, capsys, value):
+    shutil.copytree(inputs / "scene", tmp_path / "scene")
+    path = tmp_path / "scene" / "trajectories.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    frame, ped, _, y = lines[1].split()
+    lines[1] = f"{frame} {ped} {value} {y}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["features", "--data", str(tmp_path / "scene"), "--out", str(tmp_path / "features.csv")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith(f"error: {path}:2: sample values must be finite"), err
 
 
 def test_cli_stops_quietly_when_stdout_closes_early(tmp_path):

@@ -228,12 +228,12 @@ def test_dtw_single_point_hand_value():
     assert dtw_shape_distance(a, traj(2, [[1.0, 0.0]])) == 0.5
 
 
-def test_dtw_overflowing_cost_reads_one():
-    # (1e160 m)^2 overflows: the cost is inf and d_sh its limit 1, not inf/inf
-    a = traj(1, [[0.0, 0.0], [1e160, 0.0]])
-    b = traj(2, [[0.5, 0.0], [0.5, 0.0]])
-    with np.errstate(over="ignore"):
-        assert dtw_shape_distance(a, b) == 1.0
+def test_dtw_cost_across_the_sample_bound_stays_finite():
+    # opposite corners of the bounded plane: a cost of 8e200 m^2 is finite, and
+    # d_sh rounds to its limit 1 without a guard (warnings are errors here)
+    a = traj(1, [[-1e100, -1e100], [1e100, 1e100]])
+    b = traj(2, [[1e100, 1e100], [-1e100, -1e100]])
+    assert dtw_shape_distance(a, b) == 1.0
 
 
 def test_dtw_matches_path_enumeration():

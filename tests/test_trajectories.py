@@ -26,6 +26,7 @@ from crowdgroups import (
     slice_windows,
     window_ground_truth,
 )
+from crowdgroups.errors import SAMPLE_BOUND
 from crowdgroups.trajectories import _SPAN_EPS, align_segments
 
 import oracles
@@ -54,6 +55,29 @@ def test_trajectory_rejects_non_finite():
         Trajectory(1, np.array([0.0, 1.0]), np.array([[0.0, 0.0], [np.nan, 1.0]]))
     with pytest.raises(DataError):
         Trajectory(1, np.array([0.0, np.inf]), np.zeros((2, 2)))
+
+
+def test_trajectory_samples_lie_within_the_sample_bound():
+    edge = np.array([[-SAMPLE_BOUND, SAMPLE_BOUND], [SAMPLE_BOUND, -SAMPLE_BOUND]])
+    assert Trajectory(1, np.array([-SAMPLE_BOUND, SAMPLE_BOUND]), edge).points.tolist() == edge.tolist()
+    past = math.nextafter(SAMPLE_BOUND, math.inf)
+    for times, points in (([0.0, past], np.zeros((2, 2))), ([-past, 0.0], np.zeros((2, 2))),
+                          ([0.0, 1.0], [[0.0, 0.0], [0.0, -past]]), ([0.0, 1.0], [[past, 0.0], [0.0, 0.0]])):
+        with pytest.raises(DataError, match=r"^pedestrian 1: sample values must be finite and within ±1e\+100"):
+            Trajectory(1, np.array(times), np.array(points))
+
+
+@pytest.mark.parametrize("ped", [1.5, True, "1", None])
+def test_trajectory_pedestrian_id_is_an_integer(ped):
+    # an id that is not an integer would be cast by the affinity matrix and
+    # reported as another pedestrian (1.5 as 1) or collide with one (1.2, 1.7)
+    with pytest.raises(ConfigError, match=r"^'pedestrian_id' must be an integer, got "):
+        Trajectory(ped, np.array([0.0, 1.0]), np.zeros((2, 2)))
+
+
+def test_trajectory_stores_an_integral_id_as_int():
+    tr = Trajectory(np.int64(7), np.array([0.0, 1.0]), np.zeros((2, 2)))
+    assert type(tr.pedestrian_id) is int and tr.pedestrian_id == 7
 
 
 def test_trajectory_arrays_read_only():
@@ -171,12 +195,34 @@ def test_load_trajectories_bad_number(tmp_path):
     ("1 -1e400 1.0 0.5", "whole number"),
     ("nan 1 1.0 0.5", "finite"),
     ("-inf 1 1.0 0.5", "finite"),
+    ("1e160 1 1.0 0.5", "within ±1e\\+100"),
+    ("1 1 1e160 0.5", "within ±1e\\+100"),
+    ("1 1 1.0 -1.0000000000000002e100", "within ±1e\\+100"),
+    ("1 1 nan 0.5", "finite"),
+    ("1 1 1.0 inf", "finite"),
 ])
 def test_load_trajectories_rejects_bad_ids_and_frames(tmp_path, line, reason):
     f = tmp_path / "trajectories.txt"
     f.write_text(f"0 1 0.0 0.0\n{line}\n")
     with pytest.raises(TrajectoryParseError, match=rf"trajectories.txt:2: .*{reason}"):
         load_trajectories(f)
+
+
+def test_load_trajectories_bounds_each_time_by_its_frame_rate(tmp_path):
+    f = tmp_path / "trajectories.txt"
+    f.write_text("0 1 0.0 0.0\n1e99 1 1.0 0.5\n")
+    assert load_trajectories(f, fps=10.0)[0].times.tolist() == [0.0, 1e98]
+    with pytest.raises(TrajectoryParseError, match=r"trajectories.txt:2: .*got t = 1e\+101"):
+        load_trajectories(f, fps=0.01)
+
+
+def test_load_trajectories_bounds_pixel_files_after_projection(tmp_path):
+    # 1e95 pixels are fine as read; a homography scaling by 1e10 puts them at 1e105 m
+    f = tmp_path / "trajectories.txt"
+    f.write_text("0 1 0.0 0.0\n1 1 1e95 0.0\n0 2 0.0 0.0\n")
+    assert len(load_trajectories(f, homography=Homography.identity())) == 2
+    with pytest.raises(DataError, match=r"trajectories.txt: pedestrian 1: sample values must be finite and within"):
+        load_trajectories(f, homography=Homography(np.diag([1e10, 1e10, 1.0])))
 
 
 def test_load_trajectories_reads_float_written_ids(tmp_path):
