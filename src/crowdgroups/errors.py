@@ -5,7 +5,8 @@ PositiveInt or NonNegativeInt; _check_fields applies it to every field of a
 dataclass and _check_number to one argument or file value. Either raises
 ConfigError (a ValueError): `'<name>' must be <type>, got <value>` or
 `<name> must be <range>, got <value>`. SAMPLE_BOUND bounds every trajectory
-sample, and the ranges that meet it keep every feature kernel finite."""
+sample, homography entry and number a model holds; with it, the ranges of the
+feature settings and of C keep every kernel and every training step finite."""
 
 import dataclasses
 import math
@@ -59,6 +60,14 @@ PositiveInt = Annotated[int, (1, math.inf, "at least 1")]
 SAMPLE_BOUND = 1e100
 Length = Annotated[float, (1e-50, 1e100, "between 1e-50 and 1e100")]
 Rate = Annotated[float, (0.0, 1e100, "between 0 and 1e100")]
+# A scene's (P, 4) float64 pair table gives P < 2^63 / 32 = 2.9e17 and |Psi| <= P. With
+# C <= 1e60 every block, w and w_avg that training builds stays below about 1e80 (a
+# block mixes 0 and C/k times planes). With a model's arrays and l within ±SAMPLE_BOUND
+# and under 2^30 window members (n x n float64 affinities fit in numpy's 2^63 bytes),
+# predict, the oracle and the line search form no product above about 1e181, and an
+# online step from a model at the bound moves w by under half an ulp of 1e100.
+Regularization = Annotated[float, (math.ulp(0.0), 1e60, "positive and at most 1e60")]
+ModelNumber = Annotated[float, (-SAMPLE_BOUND, SAMPLE_BOUND, f"within ±{SAMPLE_BOUND:g}")]
 
 
 @cache

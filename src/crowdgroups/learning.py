@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -43,7 +42,8 @@ from typing import Callable, ClassVar, Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NonNegativeInt, PositiveFloat, PositiveInt, _check_fields, _check_number, _frozen_array
+from .errors import (SAMPLE_BOUND, ConfigError, ModelNumber, NonNegativeInt, PositiveInt, Regularization,
+                     _check_fields, _check_number, _frozen_array)
 from .features import FEATURE_NAMES, WindowedScene
 from .losses import MergeLoss, gmitre_loss, mitre_loss, pairwise_loss
 from .partitioning import Partition, _affinity_array, _greedy_merge, affinity, greedy_cc
@@ -130,7 +130,7 @@ class TrainingExample:
 class TrainConfig:
     """Knobs of the Frank-Wolfe trainer and its derived modes."""
 
-    C: PositiveFloat = 10.0
+    C: Regularization = 10.0
     max_iterations: NonNegativeInt = 1000
     seed: NonNegativeInt = 0
     loss: LossKind = "gmitre"
@@ -158,8 +158,8 @@ class Model:
     w_avg: np.ndarray | None = None
     block_w: np.ndarray | None = None
     block_l: np.ndarray | None = None
-    l: float = 0.0
-    C: PositiveFloat = TrainConfig.C
+    l: ModelNumber = 0.0
+    C: Regularization = TrainConfig.C
     seed: NonNegativeInt = TrainConfig.seed
     loss: LossKind = TrainConfig.loss
     mode: TrainMode = "batch"
@@ -168,16 +168,14 @@ class Model:
 
     def __post_init__(self):
         self.w = np.zeros(WEIGHT_DIM) if self.w is None else np.array(self.w, dtype=float).reshape(WEIGHT_DIM)
-        if self.w_avg is not None:
-            self.w_avg = np.array(self.w_avg, dtype=float).reshape(WEIGHT_DIM)
-        self.block_w = np.array(
-            [] if self.block_w is None else self.block_w, dtype=float).reshape(-1, WEIGHT_DIM)
+        self.w_avg = None if self.w_avg is None else np.array(self.w_avg, dtype=float).reshape(WEIGHT_DIM)
+        self.block_w = np.array([] if self.block_w is None else self.block_w, dtype=float).reshape(-1, WEIGHT_DIM)
         self.block_l = np.array([] if self.block_l is None else self.block_l, dtype=float).reshape(-1)
         if self.block_w.shape[0] != self.block_l.shape[0]:
             raise ValueError("block_w and block_l disagree on the number of blocks")
         for name in ("w", "w_avg", "block_w", "block_l"):
-            if getattr(self, name) is not None and not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
+            if getattr(self, name) is not None and not np.all(np.abs(getattr(self, name)) <= SAMPLE_BOUND):
+                raise ValueError(f"{name} must be finite and within ±{SAMPLE_BOUND:g}")
         self.config_snapshot = dict(self.config_snapshot or {})
         _check_fields(self)
 
@@ -349,9 +347,7 @@ def _bcfw_step(model: Model, planes: _Planes, i: int, iteration_hook=None, exact
     short (or `exact`), toward the oracle's answer under the model's loss;
     planes are scaled by the model's C/n for its current n blocks. Then
     w_avg <- k/(k+2) w_avg + 2/(k+2) w, k the updates before, if the model
-    keeps w_avg, and iteration_hook(model, info) if given. Returns info, the
-    logged quantities. A line search that overflows raises ConfigError;
-    callers step under np.errstate(over="ignore"), so numpy does not warn first."""
+    keeps w_avg, and iteration_hook(model, info) if given. Returns the logged info."""
     scale = model.C / len(model.block_w)
     wi, li = model.block_w[i], float(model.block_l[i])
     cached = not exact and planes.cached_steps < MAX_CACHED_STEPS and bool(planes.labellings)
@@ -371,8 +367,6 @@ def _bcfw_step(model: Model, planes: _Planes, i: int, iteration_hook=None, exact
     planes.last_used[j] = planes.uses
     diff = wi - scale * planes.psi_gaps[j]
     denom = float(diff @ diff)
-    if not (math.isfinite(denom) and math.isfinite(gap)):
-        raise ConfigError(f"C = {model.C!r} is too large: the Frank-Wolfe line search overflows")
     gamma = 0.0 if denom == 0.0 else min(1.0, max(0.0, gap / denom))
     new_wi = wi - gamma * diff
     new_li = (1.0 - gamma) * li + gamma * scale * float(planes.losses[j])
@@ -418,17 +412,16 @@ def bcfw_train(
                   mode="sequential" if sequential else "batch")
     blocks: list[_Planes] = []
     arrivals = [[example] for example in examples] if sequential else [examples]
-    with np.errstate(over="ignore"):
-        for arrival in arrivals:
-            for example in arrival:
-                _add_block(model, blocks, example)
-            k = len(blocks)
-            budget = config.max_iterations * k // n if sequential else config.max_iterations - n
-            for i in rng.integers(k, size=max(0, budget - model.iterations)).tolist():
-                _bcfw_step(model, blocks[i], i, iteration_hook)
-        if not sequential:
-            gap = sum(_bcfw_step(model, blocks[i], i, iteration_hook, exact=True).gap for i in range(n))
-            logger.info("duality gap %.6g after %d iterations", gap, model.iterations)
+    for arrival in arrivals:
+        for example in arrival:
+            _add_block(model, blocks, example)
+        k = len(blocks)
+        budget = config.max_iterations * k // n if sequential else config.max_iterations - n
+        for i in rng.integers(k, size=max(0, budget - model.iterations)).tolist():
+            _bcfw_step(model, blocks[i], i, iteration_hook)
+    if not sequential:
+        gap = sum(_bcfw_step(model, blocks[i], i, iteration_hook, exact=True).gap for i in range(n))
+        logger.info("duality gap %.6g after %d iterations", gap, model.iterations)
     return model
 
 
@@ -464,7 +457,6 @@ def online_predict_train(
             model.block_w = np.delete(model.block_w, oldest, axis=0)
             model.block_l = np.delete(model.block_l, oldest)
         _add_block(model, pseudo, TrainingExample(scene, prediction))
-        with np.errstate(over="ignore"):
-            for _ in range(ONLINE_STEPS):
-                _bcfw_step(model, pseudo[-1], len(model.block_w) - 1)
+        for _ in range(ONLINE_STEPS):
+            _bcfw_step(model, pseudo[-1], len(model.block_w) - 1)
         yield prediction, model.copy()

@@ -7,7 +7,6 @@ seconds. Frame-indexed files are converted with the dataset frame rate.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -85,7 +84,7 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class Homography:
-    """3x3 invertible plane projection with finite entries, row-major (a read-only copy)."""
+    """3x3 invertible plane projection with entries within ±SAMPLE_BOUND, row-major (a read-only copy)."""
 
     h: np.ndarray
 
@@ -94,8 +93,8 @@ class Homography:
         object.__setattr__(self, "h", h)
         if h.shape != (3, 3):
             raise ValueError(f"homography must be 3x3, got {h.shape}")
-        if not np.all(np.isfinite(h)):
-            raise DataError("homography entries must be finite")
+        if not np.all(np.abs(h) <= SAMPLE_BOUND):
+            raise DataError(f"homography entries must be finite and within ±{SAMPLE_BOUND:g}")
         if abs(float(np.linalg.det(h))) < _HOMOGRAPHY_DET_EPS:
             raise DataError("homography matrix is singular")
 
@@ -190,12 +189,11 @@ def load_trajectories(path, homography: Homography | None = None, fps: float = 1
 
     Timestamps become frame/fps seconds (fps a PositiveFloat); positions are
     projected through the homography when one is given (pixel-unit files
-    require one). Times and ground-plane positions lie within ±SAMPLE_BOUND: the
-    error names the line, or for projected positions the pedestrian.
+    require one). Each line's t, x and y, and each projected position, lie within
+    ±SAMPLE_BOUND: the error names the line, or for a projected one the pedestrian.
     """
     fps = _check_number("fps", fps, PositiveFloat)
     path = Path(path)
-    xy_bound = SAMPLE_BOUND if homography is None else math.inf  # pixels are bounded once projected
     samples: dict[int, dict[float, tuple[float, float]]] = {}
     for lineno, text in _records(path):
         parts = text.split()
@@ -203,7 +201,7 @@ def load_trajectories(path, homography: Homography | None = None, fps: float = 1
             raise TrajectoryParseError(f"{path}:{lineno}: expected 4 fields `frame id x y`, got {len(parts)}")
         try:
             t, ped, x, y = float(parts[0]) / fps, _parse_id(parts[1]), float(parts[2]), float(parts[3])
-            if not (abs(t) <= SAMPLE_BOUND and abs(x) <= xy_bound and abs(y) <= xy_bound):
+            if not (abs(t) <= SAMPLE_BOUND and abs(x) <= SAMPLE_BOUND and abs(y) <= SAMPLE_BOUND):
                 raise ValueError(f"{_OUT_OF_BOUND}, got t = {t!r}, x = {x!r}, y = {y!r}")
         except ValueError as exc:
             raise TrajectoryParseError(f"{path}:{lineno}: {exc}") from None

@@ -128,10 +128,18 @@ def inputs(tmp_path_factory):
                               ("pred-seed-1e400.json", "pred.json", "seed")):
         obj = {**json.loads((root / source).read_text(encoding="utf-8")), key: None}
         (root / name).write_text(json.dumps(obj).replace(f'"{key}": null', f'"{key}": 1e400'), encoding="utf-8")
-    # pedestrians 1 and 2 share 12 frames 0.5 m apart; 1 jumps to x = 1e160 m for the last 6
-    (root / "overflow").mkdir()
-    rows = [f"{f} {p} {1e160 if p == 1 and f >= 6 else float(f)!r} {0.5 * (p - 1)}" for f in range(12) for p in (1, 2)]
-    (root / "overflow" / "trajectories.txt").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    obj = {**json.loads((root / "model.json").read_text(encoding="utf-8")), "w": [1.7e308] * 8}
+    (root / "model-w-1.7e308.json").write_text(json.dumps(obj), encoding="utf-8")
+    # pedestrians 1 and 2 share 12 frames 0.5 apart; 1 jumps to x = 1e160 m for the
+    # last 6, or in pixel files to 1e308 px, or stands at x = 6 px
+    for name, x, homography in (("overflow", 1e160, None), ("pixels-1e308", 1e308, "2 0 0 0 2 0 0 0 1"),
+                                ("homography-1e300", 6.0, "1e300 0 0 0 1e300 0 0 0 1")):
+        (root / name).mkdir()
+        rows = [f"{f} {p} {x if p == 1 and f >= 6 else float(f)!r} {0.5 * (p - 1)}" for f in range(12) for p in (1, 2)]
+        (root / name / "trajectories.txt").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        if homography:
+            (root / name / "descriptor.txt").write_text("units = pixels\nhomography = H.txt\n", encoding="utf-8")
+            (root / name / "H.txt").write_text(homography + "\n", encoding="utf-8")
     return root
 
 
@@ -229,11 +237,11 @@ def test_train_refuses_stdout_for_its_files(inputs, tmp_path, capsys, monkeypatc
     assert calls == [] and not (tmp_path / "-").exists()
 
 
-# settings whose arithmetic overflows or underflows: a training C whose
-# Frank-Wolfe line search overflows, and lengths and a rate outside the ranges
-# that keep the kernels finite on samples within the bound; each is refused
-# with one error line naming the key, and no numpy warning is raised on the
-# way (warnings are errors here)
+# settings whose arithmetic overflows or underflows: a training C past the
+# range that keeps the Frank-Wolfe line search finite, and lengths and a rate
+# outside the ranges that keep the kernels finite on samples within the bound;
+# each is refused with one error line naming the key, and no numpy warning is
+# raised on the way (warnings are errors here)
 EXTREME_SETTINGS = {
     "heat_length": ("1e-160", "1e-300", "1e160", "1e300"),
     "proxemic_sigmas": ("[1e-300, 1e-299]", "[1e200, 1e201]", "[1e-160, 1.0]"),
@@ -258,6 +266,29 @@ def test_cli_refuses_settings_whose_arithmetic_overflows(inputs, tmp_path, capsy
     code = main([arg.format(d=inputs, t=tmp_path) for arg in _with(argv, "--config", str(config))])
     lines = capsys.readouterr().err.splitlines()
     assert code == 1 and len(lines) == 1 and lines[0].startswith(f"error: {key} "), lines
+
+
+# numbers past the bound that overflowed on their way to a refusal: model
+# weights, a pixel coordinate and homography entries; each is refused by the
+# bound, with one error line and no numpy warning (warnings are errors here)
+PAST_THE_BOUND = {
+    "predict-model-w=1.7e308": (_with(PREDICT, "--model", "{d}/model-w-1.7e308.json"),
+                                "not a valid model file: w must be finite and within ±1e+100"),
+    "features-pixel=1e308": (_with(CONFIG_COMMANDS["features"], "--data", "{d}/pixels-1e308"),
+                             "{d}/pixels-1e308/trajectories.txt:13: sample values must be finite"),
+    "features-homography=1e300": (_with(CONFIG_COMMANDS["features"], "--data", "{d}/homography-1e300"),
+                                  "{d}/homography-1e300/H.txt: homography entries must be finite and within"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", PAST_THE_BOUND)
+def test_cli_refuses_numbers_past_the_bound_before_they_overflow(inputs, tmp_path, capsys, case):
+    argv, message = PAST_THE_BOUND[case]
+    code = main([arg.format(d=inputs, t=tmp_path) for arg in argv])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith(f"error: {message.format(d=inputs)}"), lines
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("value", ["1e160", "nan", "-inf"])

@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/, and README's in-memory pipeline, runs to completion
+against the package in src/."""
 
 from __future__ import annotations
 
@@ -28,3 +29,14 @@ def test_demo_runs(demo):
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_readme_pipeline_runs(capsys):
+    # README's one python block, as printed there: a renamed public name fails here
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [block.split("\n```", 1)[0] for block in text.split("```python\n")[1:]]
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    scores = capsys.readouterr().out.splitlines()
+    assert scores, "the pipeline printed no score"

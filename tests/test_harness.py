@@ -255,8 +255,8 @@ _RANGED = [
 
 def test_every_number_setting_declares_its_range():
     # every int, float and list field has one, but the group sizes (one rule
-    # checks them together) and a model's loss offset l, which has none
-    unranged = {"SynthSpec.group_size_min", "SynthSpec.group_size_max", "Model.l"}
+    # checks them together)
+    unranged = {"SynthSpec.group_size_min", "SynthSpec.group_size_max"}
     missing = [
         f"{cls.__name__}.{key}"
         for cls in (FeatureConfig, TrainConfig, RunConfig, SynthSpec, Model)
@@ -847,7 +847,7 @@ def test_cli_predict_rejects_wrong_typed_model_field(dataset_dir, tmp_path, caps
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("C", -1, "C must be positive, got -1"),
+    ("C", -1, "C must be positive and at most 1e60, got -1"),
     ("iterations", -5, "iterations must be non-negative, got -5"),
     ("seed", -1, "seed must be non-negative, got -1"),
 ], ids=["C--1", "iterations--5", "seed--1"])

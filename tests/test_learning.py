@@ -611,8 +611,8 @@ def test_model_load_rejects_garbage(tmp_path):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("C", -1, "C must be positive, got -1"),
-    ("C", 0.0, "C must be positive, got 0.0"),
+    ("C", -1, "C must be positive and at most 1e60, got -1"),
+    ("C", 0.0, "C must be positive and at most 1e60, got 0.0"),
     ("iterations", -5, "iterations must be non-negative, got -5"),
     ("loss", "accuracy", "'loss' must be one of ['gmitre', 'mitre', 'pairwise'], got 'accuracy'"),
 ], ids=["C--1", "C-0.0", "iterations--5", "loss-accuracy"])

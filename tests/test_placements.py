@@ -4,7 +4,9 @@ The sample bound: every trajectory sample lies within ±SAMPLE_BOUND, and the
 feature settings' ranges keep every kernel finite there, so no kernel needs a
 guard of its own. A scene spread to ±1e99 m, shifted to the bound, or both,
 runs through features, scene statistics, training, prediction and online
-learning at both ends of every feature setting's range.
+learning at both ends of every feature setting's range. So does training at
+the largest C, and a model whose every number sits at ±SAMPLE_BOUND: the
+ranges of C and of a model's numbers keep the learner finite without a guard.
 
 The frame: a shift, a rotation, a mirror or an id relabelling of the whole
 scene should move no feature row and no predicted group. The features known
@@ -20,11 +22,12 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 import pytest
 
-from crowdgroups import (FEATURE_NAMES, FeatureConfig, Partition, SynthSpec, TrainConfig, Trajectory, bcfw_train,
-                         build_scene, make_training_examples, online_predict_train, predict, scene_stats,
+from crowdgroups import (FEATURE_NAMES, FeatureConfig, Model, Partition, SynthSpec, TrainConfig, Trajectory,
+                         bcfw_train, build_scene, make_training_examples, online_predict_train, predict, scene_stats,
                          slice_windows, synth_generate)
 import crowdgroups.features as features_module
-from crowdgroups.errors import SAMPLE_BOUND
+from crowdgroups.errors import SAMPLE_BOUND, Regularization
+from crowdgroups.learning import WEIGHT_DIM
 
 # at most 12 members, two 10 s windows, positions in [0, 30] m
 SCENE = synth_generate(SynthSpec(n_groups=3, group_size_min=2, group_size_max=3, n_singletons=3, duration=20.0),
@@ -90,6 +93,44 @@ def test_scenes_at_the_sample_bound_stay_finite_at_every_setting_end(no_far_gate
         assert predict(scene, model).members == scene.window.members
     for (prediction, online), scene in zip(online_predict_train(scenes, model), scenes, strict=True):
         assert prediction.members == scene.window.members and np.all(np.isfinite(online.w))
+
+
+C_MAX = get_args(Regularization)[1][1]
+
+
+def _examples(placement):
+    return make_training_examples(slice_windows(_moved(PLACEMENTS[placement]), 10.0, 10.0), SCENE[1])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sequential", [False, True], ids=["batch", "sequential"])
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_training_at_the_largest_c_stays_inside_the_model_bound(no_far_gate, placement, sequential):
+    # every block, w and w_avg stays below about 1e80 (see errors.py), so the
+    # line search never overflows and the model takes its own numbers back
+    model = bcfw_train(_examples(placement), TrainConfig(C=C_MAX, max_iterations=40), sequential=sequential)
+    assert model.C == C_MAX and model.iterations >= 40
+    for values in (model.w, model.w_avg, model.block_w, model.block_l):
+        assert np.abs(values).max() < 1e80
+    assert abs(model.l) < 1e80 and np.array_equal(Model.from_dict(model.to_dict()).w, model.w)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("signs", ["+", "-", "+-"])
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_a_model_at_the_bound_predicts_and_learns_online(no_far_gate, placement, signs):
+    # every array entry and l at ±SAMPLE_BOUND, C at its end: predict and the
+    # online steps stay finite, and each step moves w and l by less than half
+    # an ulp, so every model the stream yields is still within the bound
+    bound = SAMPLE_BOUND * np.resize([1.0 if sign == "+" else -1.0 for sign in signs], WEIGHT_DIM)
+    model = Model(w=bound, w_avg=-bound, block_w=[bound, -bound], block_l=[SAMPLE_BOUND, -SAMPLE_BOUND],
+                  l=-SAMPLE_BOUND, C=C_MAX)
+    scenes = [example.scene for example in _examples(placement)]
+    for scene in scenes:
+        assert predict(scene, model).members == scene.window.members
+    for (prediction, online), scene in zip(online_predict_train(scenes, model), scenes, strict=True):
+        assert prediction.members == scene.window.members
+        assert np.array_equal(online.w, model.w) and online.l == model.l and online.C == C_MAX
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
