@@ -9,7 +9,6 @@ predict, eval (score a prediction file), run (full seeded experiment), stats
 from __future__ import annotations
 
 import argparse
-import contextlib
 import errno
 import logging
 import os
@@ -20,10 +19,12 @@ from .errors import ConfigError, CrowdGroupsError
 from .features import build_scene
 from .harness import (
     RunConfig,
+    _snapshot_feature_configs,
     dataclass_from_flat,
     evaluate_predictions,
     load_windows,
     make_training_examples,
+    open_output,
     predict_windows,
     read_config_file,
     run_experiment,
@@ -95,16 +96,6 @@ def _check_outputs(args: argparse.Namespace, *paths: str | None) -> None:
                 raise ConfigError(f"output {path} would overwrite {other}, which the command also uses")
 
 
-@contextlib.contextmanager
-def _output(path: str | None):
-    """The file at path, opened for writing, or stdout (left open) for None or "-"."""
-    if path is None or path == "-":
-        yield sys.stdout
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        yield fh
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crowdgroups",
@@ -167,9 +158,7 @@ def _cmd_features(args) -> int:
     config = _resolve_config(args)
     _check_outputs(args, args.out)
     _, windows = load_windows(args.data, config.window_len, config.stride)
-    scenes = [build_scene(w, config) for w in windows]
-    with _output(args.out) as fh:
-        write_features_csv(scenes, fh)
+    write_features_csv([build_scene(w, config) for w in windows], args.out)
     return 0
 
 
@@ -196,17 +185,20 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = Model.load(args.model)
+    try:  # predict_windows checks the recorded settings too, but cannot name the file
+        _snapshot_feature_configs(model.config_snapshot)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.model}: {exc}") from None
     _check_outputs(args, args.out)
     entries = predict_windows(args.data, model, window_len=args.window_len, stride=args.stride)
-    with _output(args.out) as fh:
-        write_predictions(fh, model.seed, entries)
+    write_predictions(args.out, model.seed, entries)
     return 0
 
 
 def _cmd_eval(args) -> int:
     _check_outputs(args, args.out)
     text = evaluate_predictions(args.truth, args.pred)
-    with _output(args.out) as fh:
+    with open_output(args.out) as fh:
         fh.write(text)
     return 0
 
@@ -227,7 +219,7 @@ def _cmd_run(args) -> int:
 def _cmd_stats(args) -> int:
     config = _resolve_config(args)
     dataset, windows = load_windows(args.data, config.window_len, config.stride, labels_for="for scene stats")
-    write_scene_stats(sys.stdout, windows, dataset.labels)
+    write_scene_stats("-", windows, dataset.labels)
     return 0
 
 

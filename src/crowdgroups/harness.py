@@ -6,7 +6,9 @@ them per window; the protocol repeats over several seeds and the reports carry
 mean and standard deviation per metric. Config files are flat TOML (typed
 key = value lines, no tables); command-line flags override file values.
 This module formats every report file but the model (`Model.save`); one writer
-writes every CSV, `train_log.csv` (from iteration_hook) and the features CSV too.
+writes every CSV, `train_log.csv` (from iteration_hook) and the features CSV too,
+and one opener, open_output, decides where. Every score report reads one
+(windows, metrics, precision/recall/f1) array, each mean and sd one column of it.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import dataclasses
 import io
 import json
 import logging
+import sys
 import tomllib
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import tee
+from itertools import product, tee
 from pathlib import Path
 from typing import Iterable
 
@@ -37,7 +40,7 @@ from .learning import (
     online_predict_train,
     predict,
 )
-from .losses import ForestScore, gmitre_score, positive_pairwise_metric
+from .losses import gmitre_score, positive_pairwise_metric
 from .partitioning import Partition
 from .trajectories import (
     _SPAN_EPS,
@@ -53,7 +56,8 @@ from .trajectories import (
 logger = logging.getLogger(__name__)
 
 METRIC_NAMES = ("gmitre", "pairwise_positive")
-_PER_WINDOW_HEADER = ["window", "metric", "precision", "recall", "f1"]
+_SCORE_FIELDS = ("precision", "recall", "f1")
+_PER_WINDOW_HEADER = ["window", "metric", *_SCORE_FIELDS]
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +168,9 @@ def prediction_entry(window_index: int, start_t: float, end_t: float, p: Partiti
     return {"window": int(window_index), **p.to_json_obj(), "start_t": float(start_t), "end_t": float(end_t)}
 
 
-def write_predictions(path_or_file, seed: int, entries: list[dict]) -> None:
-    payload = json.dumps({"seed": int(seed), "windows": entries}, indent=2) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(payload)
-    else:
-        Path(path_or_file).write_text(payload, encoding="utf-8")
+def write_predictions(out, seed: int, entries: list[dict]) -> None:
+    with open_output(out) as fh:
+        fh.write(json.dumps({"seed": int(seed), "windows": entries}, indent=2) + "\n")
 
 
 def read_predictions(path) -> tuple[int, list[dict]]:
@@ -195,43 +196,37 @@ def read_predictions(path) -> tuple[int, list[dict]]:
     return seed, windows
 
 
-def _score(truth: Partition, pred: Partition) -> dict[str, ForestScore]:
-    """Every metric of METRIC_NAMES for one window."""
-    return {
-        "gmitre": gmitre_score(truth, pred),
-        "pairwise_positive": positive_pairwise_metric(truth, pred),
-    }
-
-
-def _score_rows(label, scores: dict[str, ForestScore]) -> list[list]:
-    return [[label, name, s.precision, s.recall, s.f1] for name, s in scores.items()]
-
-
-def _score_entries(entries: list[dict], labels: Partition) -> tuple[list[list], list[dict[str, ForestScore]]]:
+def _score_entries(entries: list[dict], labels: Partition) -> tuple[list, np.ndarray]:
     """Score each prediction entry with members against the ground truth
-    restricted to those members; returns the per-window CSV rows and scores."""
-    rows: list[list] = []
-    per_window: list[dict[str, ForestScore]] = []
+    restricted to those members; returns the window labels and the (windows,
+    len(METRIC_NAMES), 3) array of precision, recall and f1."""
+    windows, scores = [], []
     for entry in entries:
         pred = Partition.from_json_obj(entry)
-        if not pred.members:
-            continue
-        scores = _score(restrict_labels(pred.members, labels), pred)
-        rows.extend(_score_rows(entry.get("window", len(per_window)), scores))
-        per_window.append(scores)
-    return rows, per_window
+        if pred.members:
+            truth = restrict_labels(pred.members, labels)
+            windows.append(entry.get("window", len(windows)))
+            scores.append([[s.precision, s.recall, s.f1]
+                           for s in (gmitre_score(truth, pred), positive_pairwise_metric(truth, pred))])
+    return windows, np.array(scores, dtype=float).reshape(-1, len(METRIC_NAMES), len(_SCORE_FIELDS))
 
 
-def _mean_scores(per_window: list[dict[str, ForestScore]]) -> dict[str, ForestScore]:
-    """Mean of each metric over one or more windows."""
-    return {
-        name: ForestScore(
-            recall=float(np.mean([s[name].recall for s in per_window])),
-            precision=float(np.mean([s[name].precision for s in per_window])),
-            f1=float(np.mean([s[name].f1 for s in per_window])),
-        )
-        for name in METRIC_NAMES
-    }
+def _columns(scores: np.ndarray) -> np.ndarray:
+    """The (metric, field) columns of a score array, one 1-D view per row, in
+    the order of METRIC_NAMES and then of precision, recall and f1."""
+    return scores.reshape(len(scores), -1).T
+
+
+def _mean_row(scores: np.ndarray) -> np.ndarray:
+    """The mean of each column of a non-empty score array, as one
+    (len(METRIC_NAMES), 3) score row."""
+    return np.array([np.mean(column) for column in _columns(scores)]).reshape(scores.shape[1:])
+
+
+def _score_rows(scores: np.ndarray, *label) -> list[list]:
+    """One CSV row per metric of a score row: the label if given, the metric,
+    precision, recall and f1."""
+    return [[*label, name, *values] for name, values in zip(METRIC_NAMES, scores.tolist())]
 
 
 def _fmt(value) -> str:
@@ -241,24 +236,36 @@ def _fmt(value) -> str:
 
 
 @contextmanager
-def _csv_rows(path_or_file, header: list[str]):
-    """Write the header to the open text file, or to the file at the path opened
-    here, then yield row(values), which writes one row, each value through _fmt."""
-    own = not hasattr(path_or_file, "write")
-    with open(path_or_file, "w", encoding="utf-8", newline="") if own else nullcontext(path_or_file) as fh:
+def open_output(out):
+    """Where a writer writes: an open text file as given, stdout (left open)
+    for "-", and otherwise the file at the path out, opened here."""
+    if hasattr(out, "write"):
+        yield out
+    elif out == "-":
+        yield sys.stdout
+    else:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+
+
+@contextmanager
+def _csv_rows(out, header: list[str]):
+    """Write the header to out (see open_output), then yield row(values),
+    which writes one row, each value through _fmt."""
+    with open_output(out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         yield lambda row: writer.writerow([_fmt(v) for v in row])
 
 
-def _write_csv(path_or_file, header: list[str], rows: Iterable[Iterable]) -> None:
-    with _csv_rows(path_or_file, header) as write_row:
+def _write_csv(out, header: list[str], rows: Iterable[Iterable]) -> None:
+    with _csv_rows(out, header) as write_row:
         for row in rows:
             write_row(row)
 
 
 def write_features_csv(scenes: Iterable[WindowedScene], out) -> None:
-    """One row per pair to the open text file (or the file at the path) `out`:
+    """One row per pair to out (see open_output):
     window,a,b,d_ph,d_sh,d_ca,d_he with 9 significant digits; far pairs read
     1,1,1,1. Rows become Python lists 4,096 at a time, so memory does not
     grow with the pair count."""
@@ -275,9 +282,10 @@ def evaluate_predictions(truth_path, pred_path) -> str:
     per-window CSV, plus mean rows when any window has members."""
     labels = load_ground_truth(truth_path)
     _, entries = read_predictions(pred_path)
-    rows, per_window = _score_entries(entries, labels)
-    if per_window:
-        rows.extend(_score_rows("mean", _mean_scores(per_window)))
+    windows, scores = _score_entries(entries, labels)
+    rows = [row for window, score in zip(windows, scores) for row in _score_rows(score, window)]
+    if windows:
+        rows += _score_rows(_mean_row(scores), "mean")
     buffer = io.StringIO()
     _write_csv(buffer, _PER_WINDOW_HEADER, rows)
     return buffer.getvalue()
@@ -299,12 +307,12 @@ def _weights_rows(model: Model) -> list[list]:
     return rows
 
 
-def write_scene_stats(path_or_file, windows: list, labels: Partition) -> None:
-    """The `stat,value` CSV of the windows' d_in, d_out and d_io; a statistic
-    whose defining set is empty is left blank."""
+def write_scene_stats(out, windows: list, labels: Partition) -> None:
+    """The `stat,value` CSV of the windows' d_in, d_out and d_io, to out (see
+    open_output); a statistic whose defining set is empty is left blank."""
     stats = scene_stats(windows, labels)
     rows = [[name, "" if value is None else value] for name, value in dataclasses.asdict(stats).items()]
-    _write_csv(path_or_file, ["stat", "value"], rows)
+    _write_csv(out, ["stat", "value"], rows)
 
 
 def load_windows(data_dir, window_len: float, stride: float, labels_for: str | None = None) -> tuple[Dataset, list]:
@@ -337,7 +345,7 @@ def make_training_examples(windows, labels, configs: FeatureConfig | None = None
 def train_model(config: RunConfig, examples: list[TrainingExample], log) -> Model:
     """BCFW over the examples, one at a time in sequential mode and all at once
     otherwise (online mode predicts from the batch model); the model records
-    the config's flat settings. `log` (a path, open text file or None) gets a row per update."""
+    the config's flat settings. `log` (None, or where open_output writes) gets a row per update."""
     sequential = config.mode == "sequential"
     if log is None:
         model = bcfw_train(examples, config, sequential=sequential)
@@ -380,7 +388,7 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
 
     write_scene_stats(out / "scene_stats.csv", windows, dataset.labels)
 
-    run_means: list[dict[str, ForestScore]] = []
+    run_means = []
     meta_runs = []
     for r in range(config.runs):
         run_seed = config.seed + r
@@ -393,44 +401,25 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
         entries, model = predict_scenes(test_scenes, model, online=config.mode == "online")
         model.save(rundir / "model.json")
         write_predictions(rundir / "predictions.json", run_seed, entries)
-        per_window_rows, per_window = _score_entries(entries, dataset.labels)
-        _write_csv(rundir / "per_window.csv", _PER_WINDOW_HEADER, per_window_rows)
-        means = _mean_scores(per_window)
-        run_means.append(means)
-        _write_csv(
-            rundir / "metrics.csv",
-            ["metric", "precision", "recall", "f1"],
-            [[name, s.precision, s.recall, s.f1] for name, s in means.items()],
-        )
-        _write_csv(
-            rundir / "weights.csv",
-            ["term", "alpha", "beta", "coefficient", "share"],
-            _weights_rows(model),
-        )
-        meta_runs.append(
-            {
-                "seed": run_seed,
-                "nonnegative_weights": model.nonnegative_weights,
-                "iterations": model.iterations,
-                "gmitre_f1": means["gmitre"].f1,
-            }
-        )
-        logger.info(
-            "run %d/%d (seed %d): gmitre f1 %.4f",
-            r + 1, config.runs, run_seed, means["gmitre"].f1,
-        )
+        scored, scores = _score_entries(entries, dataset.labels)
+        _write_csv(rundir / "per_window.csv", _PER_WINDOW_HEADER,
+                   [row for window, score in zip(scored, scores) for row in _score_rows(score, window)])
+        mean = _mean_row(scores)
+        run_means.append(mean)
+        _write_csv(rundir / "metrics.csv", ["metric", *_SCORE_FIELDS], _score_rows(mean))
+        _write_csv(rundir / "weights.csv", ["term", "alpha", "beta", "coefficient", "share"], _weights_rows(model))
+        meta_runs.append({"seed": run_seed, "nonnegative_weights": model.nonnegative_weights,
+                          "iterations": model.iterations, "gmitre_f1": float(mean[0, 2])})
+        logger.info("run %d/%d (seed %d): gmitre f1 %.4f", r + 1, config.runs, run_seed, mean[0, 2])
 
-    summary_rows = []
-    summary: dict[str, dict[str, dict[str, float]]] = {}
-    for name in METRIC_NAMES:
-        summary[name] = {}
-        for field in ("precision", "recall", "f1"):
-            values = np.array([getattr(means[name], field) for means in run_means])
-            mean = float(values.mean())
-            std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-            summary_rows.append([name, field, mean, std])
-            summary[name][field] = {"mean": mean, "std": std}
+    summary_rows = [
+        [name, field, float(np.mean(column)), float(np.std(column, ddof=1)) if config.runs > 1 else 0.0]
+        for (name, field), column in zip(product(METRIC_NAMES, _SCORE_FIELDS), _columns(np.array(run_means)))
+    ]
     _write_csv(out / "summary.csv", ["metric", "field", "mean", "std"], summary_rows)
+    summary: dict[str, dict[str, dict[str, float]]] = {}
+    for name, field, mean, std in summary_rows:
+        summary.setdefault(name, {})[field] = {"mean": mean, "std": std}
 
     meta = {
         "created_utc": datetime.now(timezone.utc).isoformat(),

@@ -230,11 +230,13 @@ class Model:
 
     @classmethod
     def load(cls, path) -> "Model":
+        """The model file at path; every error but an OSError names the file."""
         try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except ConfigError as exc:  # from_dict's refusal
+            raise ConfigError(f"{path}: {exc}") from None
         except ValueError as exc:  # invalid JSON or not UTF-8
             raise ConfigError(f"{path}: not a valid model file: {exc}") from None
-        return cls.from_dict(obj)
 
 
 def joint_feature_map(scene: WindowedScene, p: Partition) -> np.ndarray:
@@ -293,17 +295,17 @@ def loss_augmented_oracle(example: TrainingExample, w, loss: str = "gmitre") -> 
 
 class _Planes:
     """One block's example with the unscaled planes (Psi(truth) - Psi(y), loss(y))
-    of the labellings y its exact oracle returned, at most MAX_PLANES, the least
-    recently used dropped first; plus the gap of its last exact call and the
-    cached steps taken since."""
+    of the labellings y its exact oracle returned, in MAX_PLANES rows filled in
+    order, then the least recently used overwritten (last_used holds the model
+    iteration of each row's latest step, -1 for an empty row); plus the gap of
+    its last exact call and the cached steps taken since."""
 
     def __init__(self, example: TrainingExample):
         self.example = example
         self.labellings: list[Partition] = []
-        self.psi_gaps = np.zeros((0, WEIGHT_DIM))
-        self.losses = np.zeros(0)
-        self.last_used: list[int] = []
-        self.uses = 0
+        self.psi_gaps = np.zeros((MAX_PLANES, WEIGHT_DIM))
+        self.losses = np.zeros(MAX_PLANES)
+        self.last_used = np.full(MAX_PLANES, -1)
         self.exact_gap = np.inf
         self.cached_steps = 0
 
@@ -311,17 +313,15 @@ class _Planes:
         """The row of the answer's plane, stored unless already cached."""
         if answer.partition in self.labellings:
             return self.labellings.index(answer.partition)
-        plane = (self.example.truth_psi - answer.psi, answer.loss)
-        if len(self.labellings) < MAX_PLANES:
-            self.labellings.append(answer.partition)
-            self.last_used.append(0)
-            self.psi_gaps = np.vstack([self.psi_gaps, plane[0]])
-            self.losses = np.append(self.losses, plane[1])
-            return len(self.labellings) - 1
-        j = int(np.argmin(self.last_used))
-        self.labellings[j] = answer.partition
-        self.psi_gaps[j], self.losses[j] = plane
+        j = int(np.argmin(self.last_used))  # the first empty row, else the least recently used
+        self.labellings[j : j + 1] = [answer.partition]  # appends at the first empty row
+        self.psi_gaps[j], self.losses[j] = self.example.truth_psi - answer.psi, answer.loss
         return j
+
+    def hinges(self, w: np.ndarray) -> np.ndarray:
+        """loss(y) - w.(Psi(truth) - Psi(y)) of each stored labelling y."""
+        n = len(self.labellings)
+        return self.losses[:n] - self.psi_gaps[:n] @ w
 
 
 def _add_block(model: Model, blocks: list[_Planes], example: TrainingExample) -> None:
@@ -352,7 +352,7 @@ def _bcfw_step(model: Model, planes: _Planes, i: int, iteration_hook=None, exact
     wi, li = model.block_w[i], float(model.block_l[i])
     cached = not exact and planes.cached_steps < MAX_CACHED_STEPS and bool(planes.labellings)
     if cached:
-        hinges = planes.losses - planes.psi_gaps @ model.w
+        hinges = planes.hinges(model.w)
         j = int(np.argmax(hinges))
         gap = float(wi @ model.w) - li + scale * float(hinges[j])
         cached = gap >= CACHE_GAP_RATIO * planes.exact_gap
@@ -360,11 +360,10 @@ def _bcfw_step(model: Model, planes: _Planes, i: int, iteration_hook=None, exact
         planes.cached_steps += 1
     else:
         j = planes.add(loss_augmented_oracle(planes.example, model.w, loss=model.loss))
-        hinges = planes.losses - planes.psi_gaps @ model.w
+        hinges = planes.hinges(model.w)
         gap = float(wi @ model.w) - li + scale * float(hinges[j])
         planes.exact_gap, planes.cached_steps = gap, 0
-    planes.uses += 1
-    planes.last_used[j] = planes.uses
+    planes.last_used[j] = model.iterations
     diff = wi - scale * planes.psi_gaps[j]
     denom = float(diff @ diff)
     gamma = 0.0 if denom == 0.0 else min(1.0, max(0.0, gap / denom))

@@ -32,7 +32,7 @@ _SPAN_EPS = 1e-9
 _CHUNK_ELEMENTS = 1 << 17  # floats in one pass's temporaries (1 MiB), here and in features
 _HOMOGRAPHY_DET_EPS = 1e-12
 _PROJECTION_W_EPS = 1e-9
-_OUT_OF_BOUND = f"sample values must be finite and within ±{SAMPLE_BOUND:g} (seconds, meters)"
+_OUT_OF_BOUND = f"sample values must be finite and within ±{SAMPLE_BOUND:g} (seconds, {{unit}})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +58,7 @@ class Trajectory:
         if points.shape != (times.size, 2):
             raise ValueError(f"points shape {points.shape} does not match {times.size} timestamps")
         if not (np.all(np.abs(times) <= SAMPLE_BOUND) and np.all(np.abs(points) <= SAMPLE_BOUND)):
-            raise DataError(f"pedestrian {self.pedestrian_id}: {_OUT_OF_BOUND}")
+            raise DataError(f"pedestrian {self.pedestrian_id}: {_OUT_OF_BOUND.format(unit='meters')}")
         if np.any(np.diff(times) <= 0):
             raise DataError(f"pedestrian {self.pedestrian_id}: timestamps must be strictly increasing")
 
@@ -189,10 +189,12 @@ def load_trajectories(path, homography: Homography | None = None, fps: float = 1
 
     Timestamps become frame/fps seconds (fps a PositiveFloat); positions are
     projected through the homography when one is given (pixel-unit files
-    require one). Each line's t, x and y, and each projected position, lie within
-    ±SAMPLE_BOUND: the error names the line, or for a projected one the pedestrian.
+    require one). Each line's t, x and y (in pixels when projected), and each
+    projected position, lie within ±SAMPLE_BOUND: the error names the line, or
+    for a projected position the pedestrian.
     """
     fps = _check_number("fps", fps, PositiveFloat)
+    out_of_bound = _OUT_OF_BOUND.format(unit="meters" if homography is None else "pixels")
     path = Path(path)
     samples: dict[int, dict[float, tuple[float, float]]] = {}
     for lineno, text in _records(path):
@@ -202,7 +204,7 @@ def load_trajectories(path, homography: Homography | None = None, fps: float = 1
         try:
             t, ped, x, y = float(parts[0]) / fps, _parse_id(parts[1]), float(parts[2]), float(parts[3])
             if not (abs(t) <= SAMPLE_BOUND and abs(x) <= SAMPLE_BOUND and abs(y) <= SAMPLE_BOUND):
-                raise ValueError(f"{_OUT_OF_BOUND}, got t = {t!r}, x = {x!r}, y = {y!r}")
+                raise ValueError(f"{out_of_bound}, got t = {t!r}, x = {x!r}, y = {y!r}")
         except ValueError as exc:
             raise TrajectoryParseError(f"{path}:{lineno}: {exc}") from None
         per_ped = samples.setdefault(ped, {})

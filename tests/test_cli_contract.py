@@ -130,6 +130,10 @@ def inputs(tmp_path_factory):
         (root / name).write_text(json.dumps(obj).replace(f'"{key}": null', f'"{key}": 1e400'), encoding="utf-8")
     obj = {**json.loads((root / "model.json").read_text(encoding="utf-8")), "w": [1.7e308] * 8}
     (root / "model-w-1.7e308.json").write_text(json.dumps(obj), encoding="utf-8")
+    saved = json.loads((root / "model.json").read_text(encoding="utf-8"))
+    for name, obj in (("model-no-w.json", {"format_version": 1}), ("model-w-1e200.json", {**saved, "w": [1e200] * 8}),
+                      ("model-window_len--1.json", {**saved, "config": {"window_len": -1, "stride": 8.0}})):
+        (root / name).write_text(json.dumps(obj), encoding="utf-8")
     # pedestrians 1 and 2 share 12 frames 0.5 apart; 1 jumps to x = 1e160 m for the
     # last 6, or in pixel files to 1e308 px, or stands at x = 6 px
     for name, x, homography in (("overflow", 1e160, None), ("pixels-1e308", 1e308, "2 0 0 0 2 0 0 0 1"),
@@ -273,7 +277,7 @@ def test_cli_refuses_settings_whose_arithmetic_overflows(inputs, tmp_path, capsy
 # bound, with one error line and no numpy warning (warnings are errors here)
 PAST_THE_BOUND = {
     "predict-model-w=1.7e308": (_with(PREDICT, "--model", "{d}/model-w-1.7e308.json"),
-                                "not a valid model file: w must be finite and within ±1e+100"),
+                                "{d}/model-w-1.7e308.json: not a valid model file: w must be finite and within ±1e+100"),
     "features-pixel=1e308": (_with(CONFIG_COMMANDS["features"], "--data", "{d}/pixels-1e308"),
                              "{d}/pixels-1e308/trajectories.txt:13: sample values must be finite"),
     "features-homography=1e300": (_with(CONFIG_COMMANDS["features"], "--data", "{d}/homography-1e300"),
@@ -288,6 +292,23 @@ def test_cli_refuses_numbers_past_the_bound_before_they_overflow(inputs, tmp_pat
     code = main([arg.format(d=inputs, t=tmp_path) for arg in argv])
     lines = capsys.readouterr().err.splitlines()
     assert code == 1 and len(lines) == 1 and lines[0].startswith(f"error: {message.format(d=inputs)}"), lines
+    assert not any(tmp_path.iterdir())
+
+
+# every refusal of a model file names the file: a missing field, a weight past
+# the bound and a recorded setting out of its range
+MODEL_FILES = {
+    "no-w": "not a valid model file: 'w'",
+    "w-1e200": "not a valid model file: w must be finite and within ±1e+100",
+    "window_len--1": "window_len must be positive, got -1",
+}
+
+
+@pytest.mark.parametrize("case", MODEL_FILES)
+def test_cli_names_the_model_file_it_refuses(inputs, tmp_path, capsys, case):
+    model = inputs / f"model-{case}.json"
+    code = main([arg.format(d=inputs, t=tmp_path) for arg in _with(PREDICT, "--model", str(model))])
+    assert code == 1 and capsys.readouterr().err == f"error: {model}: {MODEL_FILES[case]}\n"
     assert not any(tmp_path.iterdir())
 
 

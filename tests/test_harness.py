@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import shutil
@@ -407,6 +408,30 @@ def test_evaluate_predictions_writes_out(tmp_path, capsys):
     # missed pair: recall 0 for the truth edge
     gmitre_row = [r for r in text.splitlines() if r.startswith("0,gmitre")][0]
     assert float(gmitre_row.split(",")[3]) < 1.0
+
+
+@pytest.mark.parametrize("writer", ["features", "predictions", "scene-stats", "train-log"])
+def test_every_writer_gives_the_same_bytes_at_every_destination(dataset_dir, tmp_path, capsys, monkeypatch, writer):
+    # the three destinations of harness.open_output: a path, an open text file
+    # and "-", which is stdout and makes no file named -
+    monkeypatch.chdir(tmp_path)
+    dataset, windows = load_windows(dataset_dir, 8.0, 8.0)
+    scenes = [build_scene(w) for w in windows]
+    write = {
+        "features": lambda out: harness.write_features_csv(scenes, out),
+        "predictions": lambda out: write_predictions(out, 3, predict_scenes(scenes, Model(w=np.ones(8)))[0]),
+        "scene-stats": lambda out: harness.write_scene_stats(out, windows, dataset.labels),
+        "train-log": lambda out: train_model(RunConfig(max_iterations=30),
+                                             make_training_examples(windows, dataset.labels), out),
+    }[writer]
+    write(tmp_path / "out.txt")
+    buffer = io.StringIO()
+    write(buffer)
+    capsys.readouterr()
+    write("-")
+    stdout = capsys.readouterr().out
+    assert (tmp_path / "out.txt").read_bytes() == buffer.getvalue().encode() == stdout.encode()
+    assert stdout.count("\n") > 2 and not (tmp_path / "-").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +882,7 @@ def test_cli_predict_rejects_out_of_range_model_field(dataset_dir, tmp_path, cap
     model_path.write_text(json.dumps({**obj, key: value}), encoding="utf-8")
     assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: not a valid model file: {message}\n" and captured.out == ""
+    assert captured.err == f"error: {model_path}: not a valid model file: {message}\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("key, value", [("window_len", "x"), ("stride", None), ("mode", "foo"), ("heat_length", -1.0)])

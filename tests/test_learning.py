@@ -892,6 +892,54 @@ def test_cached_steps_use_only_the_blocks_own_answers(monkeypatch):
     assert len(cached) > 200 and len(calls) == 400 - len(cached)
 
 
+def test_full_plane_caches_evict_the_least_recently_stepped_labelling(monkeypatch):
+    # two planes per block: at the suite's budgets no block fills its 16, so this
+    # is where eviction runs; the hinge of each step is recomputed from its
+    # labelling, so a plane stored in the wrong row fails it
+    monkeypatch.setattr(learning, "MAX_PLANES", 2)
+    examples = noisy_examples()
+    calls = count_oracle_calls(monkeypatch)
+    blocks, held, last_step, evicted = [], {}, {}, []
+    make_planes = learning._Planes
+
+    def planes(example):
+        blocks.append(make_planes(example))
+        return blocks[-1]
+
+    w_before, duals = np.zeros(8), [0.0]
+
+    def hook(model, info):
+        nonlocal w_before
+        block, example = blocks[info.block], examples[info.block]
+        before, after = held.get(info.block, []), list(block.labellings)
+        y = stepped_labelling(block)
+        if info.exact:
+            assert calls[-1][0] is example and y == calls[-1][1].partition
+            want = list(before)
+            if y not in before and len(before) < 2:
+                want.append(y)
+            elif y not in before:
+                oldest = min(before, key=lambda old: last_step[info.block, old])
+                want[before.index(oldest)] = y
+                evicted.append(oldest)
+            assert after == want
+        else:
+            assert after == before and y in before
+        psi_gap = example.truth_psi - joint_feature_map(example.scene, y)
+        hinge = LOSSES["gmitre"](example.truth, y) - float(w_before @ psi_gap)
+        assert info.hinge == pytest.approx(hinge, rel=1e-9, abs=1e-9)
+        held[info.block], last_step[info.block, y] = after, info.iteration
+        assert np.allclose(model.w, model.block_w.sum(axis=0), rtol=1e-12, atol=1e-12)
+        duals.append(model.l - 0.5 * float(model.w @ model.w))
+        assert duals[-1] >= duals[-2] - 1e-12 * max(1.0, abs(duals[-2]))
+        w_before = model.w.copy()
+
+    monkeypatch.setattr(learning, "_Planes", planes)
+    bcfw_train(examples, TrainConfig(C=10.0, max_iterations=400, seed=4), iteration_hook=hook)
+    assert len(duals) == 401 and max(len(b.labellings) for b in blocks) == 2
+    assert len(evicted) >= 10, len(evicted)
+
+
 def test_cached_plane_scales_with_the_current_block_count(monkeypatch):
     # block 0 caches its planes while it is the only block (C/n = C); after
     # two arrivals (C/n = C/3) a step to a cached plane must equal a step to

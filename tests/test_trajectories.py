@@ -225,6 +225,19 @@ def test_load_trajectories_bounds_pixel_files_after_projection(tmp_path):
         load_trajectories(f, homography=Homography(np.diag([1e10, 1e10, 1.0])))
 
 
+def test_load_trajectories_refuses_each_line_in_its_own_units(tmp_path):
+    # a line is refused in the units it is written in; a projected position, in meters
+    f = tmp_path / "trajectories.txt"
+    f.write_text("0 1 0.0 0.0\n1 1 1e308 0.0\n")
+    with pytest.raises(TrajectoryParseError, match=r"trajectories.txt:2: .*\(seconds, meters\), got t = 1.0, x = 1e\+308"):
+        load_trajectories(f)
+    with pytest.raises(TrajectoryParseError, match=r"trajectories.txt:2: .*\(seconds, pixels\), got t = 1.0, x = 1e\+308"):
+        load_trajectories(f, homography=Homography.identity())
+    f.write_text("0 1 0.0 0.0\n1 1 1e95 0.0\n")
+    with pytest.raises(DataError, match=r"trajectories.txt: pedestrian 1: .*\(seconds, meters\)$"):
+        load_trajectories(f, homography=Homography(np.diag([1e10, 1e10, 1.0])))
+
+
 def test_load_trajectories_reads_float_written_ids(tmp_path):
     f = tmp_path / "trajectories.txt"
     f.write_text("0 1.0000000e+00 0.0 0.0\n0 2.0 1.0 0.5\n1 -3 2.0 1.0\n")
