@@ -54,9 +54,10 @@ NonNegativeInt = Annotated[int, (0, math.inf, "non-negative")]
 PositiveInt = Annotated[int, (1, math.inf, "at least 1")]
 # A trajectory sample has |t| <= SAMPLE_BOUND s and |x|, |y| <= SAMPLE_BOUND m, so
 # two points lie at most 2√2e100 m apart, and two heat cell centres (edge <= 1e100 m)
-# 3√2e100 m. Over a Length >= 1e-50 m, a Gaussian exponent of d_ph or d_he is then at
-# most (3√2e100)² / 4e-100 = 4.5e300 < 1.8e308 and a cell index at most 1e150; a
-# Rate <= 1e100 per second keeps k_r × dwell <= 2e200. Every kernel stays finite.
+# 3√2e100 m. d_ph's exponent, over Hall's fixed 0.5 m, is then at most (2√2e100)² /
+# 0.5 = 1.6e201; over a Length >= 1e-50 m, d_he's is at most (3√2e100)² / 4e-100 =
+# 4.5e300 < 1.8e308 and a cell index at most 1e150; a Rate <= 1e100 per second keeps
+# k_r × dwell <= 2e200. Every kernel stays finite.
 SAMPLE_BOUND = 1e100
 Length = Annotated[float, (1e-50, 1e100, "between 1e-50 and 1e100")]
 Rate = Annotated[float, (0.0, 1e100, "between 0 and 1e100")]
@@ -72,14 +73,13 @@ ModelNumber = Annotated[float, (-SAMPLE_BOUND, SAMPLE_BOUND, f"within ±{SAMPLE_
 
 @cache
 def _field_hints(cls) -> tuple:
-    """(name, resolved annotation, its typing origin, declared range or None)
-    of every field of the dataclass `cls`; a tuple's range is its items'."""
+    """(name, resolved annotation, declared range or None) of every field of
+    the dataclass `cls`."""
     hints, extras = get_type_hints(cls), get_type_hints(cls, include_extras=True)
     out = []
     for f in dataclasses.fields(cls):
         hint, extra = hints[f.name], extras[f.name]
-        item = get_args(extra)[0] if get_origin(hint) is tuple else extra
-        out.append((f.name, hint, get_origin(hint), getattr(item, "__metadata__", (None,))[0]))
+        out.append((f.name, hint, getattr(extra, "__metadata__", (None,))[0]))
     return tuple(out)
 
 
@@ -90,39 +90,32 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _check_value(name: str, value, hint, origin, limits):
+def _check_value(name: str, value, hint, limits):
     """`value` as a field `name` annotated `hint` stores it, or ConfigError. A
-    float is a finite real (an int is kept as given), a tuple[float, ...] a list
-    or tuple of them (stored as a tuple of floats), an int an Integral (stored as
-    int), none of them a bool; a Literal is one of its values and any other type
-    an instance of it. A number, or each item of a tuple, then lies in `limits`."""
+    float is a finite real (an int is kept as given), an int an Integral (stored
+    as int), neither a bool; a Literal is one of its values and any other type
+    an instance of it. A number then lies in `limits`."""
     if hint is float:
         ok, expected = _is_finite_real(value), "a finite number"
     elif hint is int:
         ok, expected = _is_integer(value), "an integer"
-    elif origin is tuple:
-        ok = isinstance(value, (list, tuple)) and all(map(_is_finite_real, value))
-        expected = "a list of finite numbers"
-    elif origin is Literal:
+    elif get_origin(hint) is Literal:
         ok = value in get_args(hint)
         expected = f"one of {list(get_args(hint))}"
     else:
         ok, expected = isinstance(value, hint), getattr(hint, "__name__", str(hint))
     if not ok:
         raise ConfigError(f"{name!r} must be {expected}, got {value!r}")
-    value = int(value) if hint is int else tuple(map(float, value)) if origin is tuple else value
-    if limits is not None:
-        low, high, text = limits
-        for item in value if origin is tuple else (value,):
-            if not low <= item <= high:
-                raise ConfigError(f"{name} must be {text}, got {item!r}")
+    value = int(value) if hint is int else value
+    if limits is not None and not limits[0] <= value <= limits[1]:
+        raise ConfigError(f"{name} must be {limits[2]}, got {value!r}")
     return value
 
 
 def _check_number(name: str, value, number):
     """`value` as a field `name` annotated by `number`, a number alias or a bare type, stores it."""
     hint, limits = get_args(number) or (number, None)
-    return _check_value(name, value, hint, None, limits)
+    return _check_value(name, value, hint, limits)
 
 
 def _check_fields(config) -> None:

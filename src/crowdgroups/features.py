@@ -10,6 +10,7 @@ np.triu_indices(n, 1) order over the sorted members, plus per-row flags for
 pairs that never co-occur, far pairs and pairs on the causality fallback. The
 learner weighs both halves [1 - d; d] of each row.
 
+d_ph's zones are Hall's (The Hidden Dimension, 1966): HALL_SIGMAS, a constant.
 A pair is far when it shares a timestamp and is more than NEAR_RADIUS = 7.6 m
 (the end of Hall's public zone, the widest d_ph component) apart at every shared
 one. Far rows are (1, 1, 1, 1) and skip every kernel; the kernels are row-wise,
@@ -53,11 +54,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, Length, PositiveInt, Rate, _check_fields, _check_number, _frozen_array
+from .errors import Length, PositiveInt, Rate, _check_fields, _check_number, _frozen_array
 from .trajectories import _CHUNK_ELEMENTS, TimeWindow, Trajectory, align_segments
 
 FEATURE_NAMES = ("d_ph", "d_sh", "d_ca", "d_he")
-HALL_SIGMAS = (0.5, 1.2, 3.7, 7.6)
+HALL_SIGMAS = (0.5, 1.2, 3.7, 7.6)  # meters
+_HALL_SIG2 = np.square(np.asarray(HALL_SIGMAS, dtype=float))
 GRANGER_FALLBACK = 0.5
 NO_OVERLAP_DISTANCE = 1.0
 NEAR_RADIUS = 7.6  # meters; pairs never this close at a shared timestamp are far
@@ -70,12 +72,11 @@ _ONE_PAIR = (np.array([0]), np.array([1]))
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Feature settings: the standard deviations (meters) of the interpersonal-zone
-    Gaussians, the causality lag order m (a pair needs K >= 2m + 2 common samples),
-    and the heat cell edge and length (meters) and k_r (per second of dwell).
-    Field names are the run-config keys."""
+    """Feature settings: the causality lag order m (a pair needs K >= 2m + 2
+    common samples), and the heat cell edge and length (meters) and k_r (per
+    second of dwell). d_ph has none: its zones are HALL_SIGMAS. Field names are
+    the run-config keys."""
 
-    proxemic_sigmas: tuple[Length, ...] = HALL_SIGMAS
     granger_lag: PositiveInt = 2
     heat_cell_edge: Length = 0.30
     heat_length: Length = 3.0
@@ -83,9 +84,6 @@ class FeatureConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        sigmas = self.proxemic_sigmas
-        if not sigmas or any(a >= b for a, b in zip(sigmas, sigmas[1:])):
-            raise ConfigError(f"proxemic_sigmas must be non-empty and strictly increasing, got {list(sigmas)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,17 +152,19 @@ class WindowedScene:
         return int(self.far.sum())
 
 
-def gmm_eval(delta, cfg: FeatureConfig | None = None) -> float:
-    """Equal-weight mixture of zero-mean isotropic 2-D Gaussians at `delta`.
+def gmm_eval(delta) -> float:
+    """Equal-weight mixture of zero-mean isotropic 2-D Gaussians, one per
+    Hall zone, at `delta`.
 
     The mixture is isotropic, so `delta` may be a 2-D displacement or a scalar
     separation distance.
     """
-    cfg = cfg or FeatureConfig()
-    sig2 = np.square(np.asarray(cfg.proxemic_sigmas, dtype=float))
     arr = np.asarray(delta, dtype=float)
     d2 = float(arr) ** 2 if arr.ndim == 0 else float(arr[0]) ** 2 + float(arr[1]) ** 2
-    return float(np.mean(np.exp(-d2 / (2.0 * sig2)) / (2.0 * math.pi * sig2)))
+    return float(np.mean(np.exp(-d2 / (2.0 * _HALL_SIG2)) / (2.0 * math.pi * _HALL_SIG2)))
+
+
+_HALL_PEAK = gmm_eval((0.0, 0.0))  # the mixture's response at contact
 
 
 def _chunks(n_pairs: int, per_pair: int):
@@ -186,9 +186,9 @@ def _far_rows(aligned, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     return far
 
 
-def proxemic_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig | None = None) -> float:
+def proxemic_distance(seg_a: Trajectory, seg_b: Trajectory) -> float:
     """1 - (mean mixture response over co-timed displacements) / (response at 0)."""
-    value = _common_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, cfg or FeatureConfig())[0][0]
+    value = _common_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, FeatureConfig())[0][0]
     if np.isnan(value):
         raise ValueError("segments share no common timestamps")
     return float(value)
@@ -371,12 +371,10 @@ def _common_rows(aligned, ia, ib, cfg: FeatureConfig) -> tuple[np.ndarray, np.nd
     pair's K no kernel reads: d_ph is NaN where the pair shares none, d_ca is
     1 - the larger defined directional area, and GRANGER_FALLBACK where neither
     is (flagged)."""
-    sig2 = np.square(np.asarray(cfg.proxemic_sigmas, dtype=float))
-    peak = gmm_eval((0.0, 0.0), cfg)
     m = cfg.granger_lag
     _, points, present = aligned
     d_ph, best = np.full(len(ia), np.nan), np.full(len(ia), np.nan)
-    for chunk in _chunks(len(ia), present.shape[1] * max(4 * (sig2.size + 2), 32 * (m + 1))):
+    for chunk in _chunks(len(ia), present.shape[1] * max(4 * (_HALL_SIG2.size + 2), 32 * (m + 1))):
         common = present[ia[chunk]] & present[ib[chunk]]
         counts = common.sum(axis=1)
         rows = np.flatnonzero(counts)
@@ -385,11 +383,11 @@ def _common_rows(aligned, ia, ib, cfg: FeatureConfig) -> tuple[np.ndarray, np.nd
         pa, pb = points[a[:, None], frames], points[b[:, None], frames]
         deltas = pa - pb
         d2 = np.einsum("pkj,pkj->pk", deltas, deltas)
-        responses = np.mean(np.exp(-d2[..., None] / (2.0 * sig2)) / (2.0 * math.pi * sig2), axis=2)
+        responses = np.mean(np.exp(-d2[..., None] / (2.0 * _HALL_SIG2)) / (2.0 * math.pi * _HALL_SIG2), axis=2)
         rows += chunk.start
         for k in set(counts.tolist()):  # each mean has a one-pair call's shape
             sel = np.flatnonzero(counts == k)
-            d_ph[rows[sel]] = 1.0 - responses[sel, :k].mean(axis=1) / peak
+            d_ph[rows[sel]] = 1.0 - responses[sel, :k].mean(axis=1) / _HALL_PEAK
         # both directions in one batch: b caused by a, then a caused by b
         both = _causality(np.concatenate([pb, pa]), np.concatenate([pa, pb]), np.tile(counts, 2), m)
         best[rows] = np.fmax(*both.reshape(2, -1))

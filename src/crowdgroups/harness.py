@@ -4,7 +4,7 @@ A run loads a dataset directory, tiles it into windows, trains on the windows
 that end inside the training span, predicts the remaining windows, and scores
 them per window; the protocol repeats over several seeds and the reports carry
 mean and standard deviation per metric. Config files are flat TOML (typed
-key = value lines, no tables); command-line flags override file values.
+key = scalar lines, no tables or arrays); command-line flags override file values.
 This module formats every report file but the model (`Model.save`); one writer
 writes every CSV, `train_log.csv` (from iteration_hook) and the features CSV too,
 and one opener, open_output, decides where. Every score report reads one
@@ -70,20 +70,16 @@ _ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n", ord("\t")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Parse a flat TOML document: every key holds a bool, int, float, string,
-    or flat array of them. Tables, dotted keys, nested arrays, arrays of
-    tables and dates are rejected."""
+    """Parse a flat TOML document: every key holds a bool, int, float or
+    string. Tables, dotted keys, arrays and dates are rejected."""
     try:
         values = tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:
         raise ConfigError(f"{source}: {exc}") from None
     for key, value in values.items():
-        items = value if isinstance(value, list) else [value]
-        if not all(isinstance(v, _SCALAR_TYPES) for v in items):
-            raise ConfigError(
-                f"{source}: {key!r} must be a bool, int, float, string, or flat array of "
-                "them; tables, dotted keys, nested arrays and dates are not supported"
-            )
+        if not isinstance(value, _SCALAR_TYPES):
+            raise ConfigError(f"{source}: {key!r} must be a bool, int, float or string; "
+                              "tables, dotted keys, arrays and dates are not supported")
     return values
 
 
@@ -108,14 +104,7 @@ def _format_scalar(value) -> str:
 
 
 def format_config_text(values: dict) -> str:
-    lines = []
-    for key, value in values.items():
-        if isinstance(value, (list, tuple)):
-            inner = ", ".join(_format_scalar(v) for v in value)
-            lines.append(f"{key} = [{inner}]")
-        else:
-            lines.append(f"{key} = {_format_scalar(value)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(f"{key} = {_format_scalar(value)}" for key, value in values.items()) + "\n"
 
 
 def write_config_file(path, values: dict) -> None:
@@ -149,11 +138,7 @@ class RunConfig(FeatureConfig, TrainConfig):
     runs: PositiveInt = 5
 
     def to_flat_dict(self) -> dict:
-        out = {}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            out[field.name] = list(value) if isinstance(value, tuple) else value
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, values: dict) -> "RunConfig":
@@ -188,6 +173,8 @@ def read_predictions(path) -> tuple[int, list[dict]]:
         try:
             if not isinstance(entry, dict):
                 raise TypeError(f"expected an object, got {entry!r}")
+            if "window" in entry:
+                _check_number("window", entry["window"], NonNegativeInt)
             members = Partition.from_json_obj(entry).members
             if not all(type(m) is int for m in members):
                 raise TypeError("members must be integers")
@@ -450,21 +437,24 @@ def predict_scenes(scenes: Iterable[WindowedScene], model: Model, online: bool =
 def predict_windows(data_dir, model: Model, window_len=None, stride=None) -> list[dict]:
     """Tile the dataset at data_dir with the model's recorded window settings
     (unless overridden) and predict every window."""
-    snapshot = model.config_snapshot
-    if window_len is None:
-        window_len = snapshot.get("window_len")
-    if stride is None:
-        stride = snapshot.get("stride", window_len)
-    if window_len is None:
-        raise ConfigError("window length not given and not recorded in the model")
-    configs = _snapshot_feature_configs(snapshot)
-    _, windows = load_windows(data_dir, float(window_len), float(stride))
+    window_len, stride, configs = _model_settings(model.config_snapshot, window_len, stride)
+    _, windows = load_windows(data_dir, window_len, stride)
     entries, _ = predict_scenes((build_scene(w, configs) for w in windows), model)
     return entries
 
 
-def _snapshot_feature_configs(snapshot: dict) -> FeatureConfig:
-    """The run settings recorded in a model (a RunConfig is a FeatureConfig);
-    every recorded setting is checked, the window settings too."""
+def _model_settings(snapshot: dict, window_len=None, stride=None) -> tuple[float, float, RunConfig]:
+    """The window length and stride to predict with, as given or else as
+    recorded in a model's snapshot (the stride defaults to the length), and
+    the run settings it records (a RunConfig is a FeatureConfig). Every
+    recorded setting is checked, and keys the settings no longer have are
+    ignored."""
     names = {f.name for f in dataclasses.fields(RunConfig)}
-    return RunConfig.from_dict({k: v for k, v in snapshot.items() if k in names})
+    config = RunConfig.from_dict({k: v for k, v in snapshot.items() if k in names})
+    if window_len is None:
+        if "window_len" not in snapshot:
+            raise ConfigError("window length not given and not recorded in the model")
+        window_len = config.window_len
+    if stride is None:
+        stride = config.stride if "stride" in snapshot else window_len
+    return float(window_len), float(stride), config

@@ -176,8 +176,8 @@ class Model:
         for name in ("w", "w_avg", "block_w", "block_l"):
             if getattr(self, name) is not None and not np.all(np.abs(getattr(self, name)) <= SAMPLE_BOUND):
                 raise ValueError(f"{name} must be finite and within ±{SAMPLE_BOUND:g}")
-        self.config_snapshot = dict(self.config_snapshot or {})
         _check_fields(self)
+        self.config_snapshot = dict(self.config_snapshot or {})
 
     @property
     def weights(self) -> np.ndarray:

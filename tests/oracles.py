@@ -58,6 +58,7 @@ from crowdgroups.features import (
     _NO_GAIN_RTOL,
     DTW_TAU,
     GRANGER_FALLBACK,
+    HALL_SIGMAS,
     NO_OVERLAP_DISTANCE,
 )
 from crowdgroups.trajectories import _SPAN_EPS
@@ -419,18 +420,17 @@ def _common_indices(seg_a: Trajectory, seg_b: Trajectory):
     return np.intersect1d(seg_a.times, seg_b.times, return_indices=True)
 
 
-def scalar_proxemic_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig | None = None) -> float:
-    cfg = cfg or FeatureConfig()
+def scalar_proxemic_distance(seg_a: Trajectory, seg_b: Trajectory) -> float:
     common, ia, ib = _common_indices(seg_a, seg_b)
     if common.size == 0:
         raise ValueError("segments share no common timestamps")
     deltas = seg_a.points[ia] - seg_b.points[ib]
-    sig2 = np.square(np.asarray(cfg.proxemic_sigmas, dtype=float))
+    sig2 = np.square(np.asarray(HALL_SIGMAS, dtype=float))
     d2 = np.einsum("ij,ij->i", deltas, deltas)
     responses = np.mean(
         np.exp(-d2[:, None] / (2.0 * sig2)) / (2.0 * math.pi * sig2), axis=1
     )
-    peak = gmm_eval((0.0, 0.0), cfg)
+    peak = gmm_eval((0.0, 0.0))
     value = 1.0 - float(responses.mean()) / peak
     return min(1.0, max(0.0, value))
 
@@ -576,7 +576,7 @@ def scalar_pair_table(window: TimeWindow, configs: FeatureConfig | None = None):
             if no_overlap:
                 d_ph = d_ca = NO_OVERLAP_DISTANCE
             else:
-                d_ph = scalar_proxemic_distance(seg_a, seg_b, configs)
+                d_ph = scalar_proxemic_distance(seg_a, seg_b)
                 d_ca, fallback = scalar_granger_distance_flagged(seg_a, seg_b, configs)
             d_sh = scalar_dtw_shape_distance(seg_a, seg_b)
             d_he = scalar_heat_distance(seg_a, seg_b, configs)

@@ -248,7 +248,6 @@ def test_train_refuses_stdout_for_its_files(inputs, tmp_path, capsys, monkeypatc
 # raised on the way (warnings are errors here)
 EXTREME_SETTINGS = {
     "heat_length": ("1e-160", "1e-300", "1e160", "1e300"),
-    "proxemic_sigmas": ("[1e-300, 1e-299]", "[1e200, 1e201]", "[1e-160, 1.0]"),
     "heat_cell_edge": ("1e-300", "1e-308", "1e-320", "1e150"),
     "heat_k_r": ("1.7e308",),
 }

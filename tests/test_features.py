@@ -41,8 +41,8 @@ from crowdgroups import (
     write_features_csv,
 )
 import crowdgroups.features as features_module
-from crowdgroups.features import HALL_SIGMAS
-from crowdgroups.harness import _snapshot_feature_configs
+from crowdgroups.features import HALL_SIGMAS, NEAR_RADIUS
+from crowdgroups.harness import _model_settings
 from crowdgroups.trajectories import align_segments
 
 import oracles
@@ -74,12 +74,9 @@ def window_of(*trajs, start=None, end=None):
 # Configuration validation
 
 
-def test_proxemics_config_validation():
-    assert FeatureConfig().proxemic_sigmas == HALL_SIGMAS
-    assert FeatureConfig(proxemic_sigmas=[1, 2]).proxemic_sigmas == (1.0, 2.0)
-    for sigmas in ((), (1.0, -2.0), (2.0, 1.0)):
-        with pytest.raises(ConfigError):
-            FeatureConfig(proxemic_sigmas=sigmas)
+def test_far_gate_is_the_widest_hall_zone():
+    # a far pair skips d_ph, so the gate must be where the widest zone ends
+    assert NEAR_RADIUS == max(HALL_SIGMAS)
 
 
 def test_granger_config_validation():
@@ -100,15 +97,12 @@ def test_heatmap_config_validation():
 
 def test_feature_configs_round_trip(tmp_path):
     # a RunConfig is a FeatureConfig; a model's snapshot gives its feature settings back
-    values = dict(
-        proxemic_sigmas=(1.0, 2.0), granger_lag=3, heat_cell_edge=0.5,
-        heat_length=1.5, heat_k_r=0.0,
-    )
+    values = dict(granger_lag=3, heat_cell_edge=0.5, heat_length=1.5, heat_k_r=0.0)
     config = RunConfig(**values)
     assert isinstance(config, FeatureConfig)
     path = tmp_path / "model.json"
     Model(config_snapshot=config.to_flat_dict()).save(path)
-    assert _snapshot_feature_configs(Model.load(path).config_snapshot) == config
+    assert _model_settings(Model.load(path).config_snapshot)[2] == config
 
 
 # ---------------------------------------------------------------------------
@@ -620,14 +614,6 @@ def _check_heat(win, scene, cfg):
         assert got == pytest.approx(want, abs=1e-12, rel=0)
 
 
-def _check_proxemics(win, scene, cfg):
-    want = [
-        oracles.scalar_proxemic_distance(a, b, cfg) if not (scene.no_overlap[k] or scene.far[k]) else 1.0
-        for k, (a, b) in enumerate(_pairs_of(win))
-    ]
-    assert scene.feature_matrix[:, 0].tolist() == want
-
-
 def _check_all(win, scene, cfg):
     matrix, fallback, no_overlap, far = oracles.scalar_pair_table(win, cfg)
     assert scene.no_overlap.tolist() == no_overlap.tolist()
@@ -640,7 +626,6 @@ def _check_all(win, scene, cfg):
 
 EQUIVALENCE_CASES = {
     "defaults": (FeatureConfig(), _check_all),
-    "sigmas": (FeatureConfig(proxemic_sigmas=(0.3, 0.9, 2.5)), _check_proxemics),
     "lag1": (FeatureConfig(granger_lag=1), _check_causality),
     "lag3": (FeatureConfig(granger_lag=3), _check_causality),
     "length": (FeatureConfig(heat_length=0.5), _check_heat),

@@ -73,14 +73,13 @@ def test_config_text_round_trip():
         "runs": 3,
         "early_stop": True,
         "loss": "gmitre",
-        "proxemic_sigmas": [0.5, 1.2, 3.7, 7.6],
     }
     back = parse_config_text(format_config_text(values))
     assert back == values
 
     awkward = {
         "label": "".join(map(chr, range(0x20))) + '\x7f"\\',
-        "floats": [1e-05, float("inf"), 1e+16],
+        "tiny": 1e-05, "infinite": float("inf"), "large": 1e+16,
     }
     assert parse_config_text(format_config_text(awkward)) == awkward
 
@@ -99,7 +98,6 @@ window_len = 10.0   # trailing comment
 loss = "gmitre # not a comment"
 runs = 4
 early_stop = true
-sigmas = [1.0, 2.5]
 label = 'single'
 """
     values = parse_config_text(text)
@@ -107,7 +105,6 @@ label = 'single'
     assert values["loss"] == "gmitre # not a comment"
     assert values["runs"] == 4
     assert values["early_stop"] is True
-    assert values["sigmas"] == [1.0, 2.5]
     assert values["label"] == "single"
 
 
@@ -124,6 +121,7 @@ def test_parse_config_escapes():
         "just some words",
         "bad key! = 1",
         's = "unterminated',
+        "a = [1, 2]",
         "a = [1, [2]]",
         "x = ",
     ],
@@ -134,13 +132,14 @@ def test_parse_config_rejects(text):
 
 
 def test_format_scalar_types():
-    text = format_config_text({"a": True, "b": 2, "c": 0.5, "d": "s", "e": [1, 2]})
+    text = format_config_text({"a": True, "b": 2, "c": 0.5, "d": "s"})
     lines = dict(line.split(" = ", 1) for line in text.strip().splitlines())
     assert lines["a"] == "true"
     assert lines["b"] == "2"
     assert lines["c"] == "0.5"
     assert lines["d"] == '"s"'
-    assert lines["e"] == "[1, 2]"
+    with pytest.raises(ConfigError, match="type list"):  # a setting is a scalar
+        format_config_text({"e": [1, 2]})
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +165,6 @@ def test_run_config_validation():
 @pytest.mark.parametrize("cls, key, value", [
     (FeatureConfig, "granger_lag", 2.5),
     (FeatureConfig, "granger_lag", math.inf),
-    (FeatureConfig, "proxemic_sigmas", (0.5, math.nan)),
-    (FeatureConfig, "proxemic_sigmas", (0.5, math.inf)),
     (FeatureConfig, "heat_cell_edge", math.inf),
     (FeatureConfig, "heat_length", math.nan),
     (FeatureConfig, "heat_k_r", math.nan),
@@ -205,8 +202,6 @@ def _wrong_typed(hint) -> list:
         return [True, "1.0", math.nan]
     if hint is int:
         return [True, "1", 2.0]
-    if get_origin(hint) is tuple:
-        return [(True, 2.0), "1.0", (1.0, math.nan)]
     if get_origin(hint) is Literal:
         return [True, 1.0, "unknown"]
     return [True, 1.0]
@@ -231,12 +226,11 @@ def test_every_setting_rejects_a_wrong_typed_value(cls, key, value):
 
 
 def _declared_ranges(cls):
-    """(key, type, (low, high, text), is_list) of every field of `cls` whose
-    annotation declares a range; a list setting's range is its items'."""
+    """(key, type, (low, high, text)) of every field of `cls` whose annotation
+    declares a range."""
     for key, hint in get_type_hints(cls, include_extras=True).items():
-        item = get_args(hint)[0] if get_origin(hint) is tuple else hint
-        if get_origin(item) is Annotated:
-            yield key, get_args(item)[0], item.__metadata__[0], item is not hint
+        if get_origin(hint) is Annotated:
+            yield key, get_args(hint)[0], hint.__metadata__[0]
 
 
 def _bounds(typ, low, high):
@@ -247,39 +241,37 @@ def _bounds(typ, low, high):
 
 
 _RANGED = [
-    (cls, key, limits[2], end, past, is_list)
+    (cls, key, limits[2], end, past)
     for cls in (FeatureConfig, TrainConfig, RunConfig, SynthSpec, Model)
-    for key, typ, limits, is_list in _declared_ranges(cls)
+    for key, typ, limits in _declared_ranges(cls)
     for end, past in _bounds(typ, *limits[:2])
 ]
 
 
 def test_every_number_setting_declares_its_range():
-    # every int, float and list field has one, but the group sizes (one rule
+    # every int and float field has one, but the group sizes (one rule
     # checks them together)
     unranged = {"SynthSpec.group_size_min", "SynthSpec.group_size_max"}
     missing = [
         f"{cls.__name__}.{key}"
         for cls in (FeatureConfig, TrainConfig, RunConfig, SynthSpec, Model)
         for key, hint in get_type_hints(cls).items()
-        if (hint in (int, float) or get_origin(hint) is tuple)
-        and key not in {k for k, *_ in _declared_ranges(cls)}
+        if hint in (int, float) and key not in {k for k, *_ in _declared_ranges(cls)}
     ]
     assert sorted(set(missing) - unranged) == [] and unranged <= set(missing)
 
 
-@pytest.mark.parametrize("cls, key, text, end, past, is_list", _RANGED,
-                         ids=[f"{c.__name__}-{k}-{p!r}" for c, k, _, _, p, _ in _RANGED])
-def test_every_setting_holds_to_its_declared_range(tmp_path, capsys, cls, key, text, end, past, is_list):
+@pytest.mark.parametrize("cls, key, text, end, past", _RANGED,
+                         ids=[f"{c.__name__}-{k}-{p!r}" for c, k, _, _, p in _RANGED])
+def test_every_setting_holds_to_its_declared_range(tmp_path, capsys, cls, key, text, end, past):
     # derived from each field's annotation: the end of the range is accepted
     # (a positive number's is the least positive float), the nearest value
     # outside it is refused in code and from the file the class is read from
     # with one message that names the key and the value
-    wrap = (lambda v: [v]) if is_list else (lambda v: v)
-    assert getattr(cls(**{key: wrap(end)}), key) == (tuple(wrap(end)) if is_list else end)
+    assert getattr(cls(**{key: end}), key) == end
     message = f"{key} must be {text}, got {past!r}"
     with pytest.raises(ConfigError) as info:
-        cls(**{key: wrap(past)})
+        cls(**{key: past})
     assert str(info.value) == message
     if cls is Model:
         path = tmp_path / "model.json"
@@ -289,7 +281,7 @@ def test_every_setting_holds_to_its_declared_range(tmp_path, capsys, cls, key, t
         write_config_file(tmp_path / "spec.toml", {key: past})
         argv = ["synth", "--spec", str(tmp_path / "spec.toml"), "--out", str(tmp_path / "scene")]
     else:
-        write_config_file(tmp_path / "run.toml", {key: wrap(past)})
+        write_config_file(tmp_path / "run.toml", {key: past})
         argv = ["stats", "--data", str(tmp_path / "scene"), "--config", str(tmp_path / "run.toml")]
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -304,18 +296,18 @@ def test_run_config_from_dict_unknown_key():
 
 
 def test_run_config_from_dict_types():
-    config = RunConfig.from_dict({"C": 10, "proxemic_sigmas": [1, 2.5]})
+    config = RunConfig.from_dict({"C": 10})
     assert config.C == 10 and type(config.C) is int  # an int is a valid float, kept as given
-    assert config.proxemic_sigmas == (1.0, 2.5)
     with pytest.raises(ConfigError, match="'granger_lag'"):
         RunConfig.from_dict({"granger_lag": 2.0})
     with pytest.raises(ConfigError, match="'runs'"):
         RunConfig.from_dict({"runs": True})
 
 
-def test_run_config_flat_dict_lists_tuples():
+def test_run_config_flat_dict_round_trip():
+    # 13 keys, each a scalar a config file holds
     flat = RunConfig().to_flat_dict()
-    assert flat["proxemic_sigmas"] == [0.5, 1.2, 3.7, 7.6]
+    assert len(flat) == 13 and all(isinstance(v, (bool, int, float, str)) for v in flat.values())
     assert RunConfig.from_dict(flat) == RunConfig()
 
 
@@ -728,7 +720,7 @@ def test_cli_run_config_wrong_type(dataset_dir, tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("config_text, flags, key", [
     ("heat_length = nan\n", [], "heat_length"),
-    ("proxemic_sigmas = [nan]\n", [], "proxemic_sigmas"),
+    ("heat_cell_edge = inf\n", [], "heat_cell_edge"),
     ("C = inf\n", [], "C"),
     ("", ["--C", "nan"], "C"),
 ])
@@ -794,6 +786,23 @@ def test_cli_eval_rejects_malformed_entry(dataset_dir, tmp_path, capsys, entry, 
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert f"{pred_path}: window entry 1: " in captured.err and reason in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("window, message", [
+    ({"x": [1, 2]}, "'window' must be an integer, got {'x': [1, 2]}"),
+    (True, "'window' must be an integer, got True"),
+    (3.5, "'window' must be an integer, got 3.5"),
+    (-1, "window must be non-negative, got -1"),
+], ids=["dict", "bool", "3.5", "-1"])
+def test_cli_eval_checks_window_labels_by_the_rule(dataset_dir, tmp_path, capsys, window, message):
+    # a window label is a NonNegativeInt, checked as every setting is, not any
+    # JSON value echoed into the CSV
+    pred_path = tmp_path / "predictions.json"
+    pred_path.write_text(json.dumps({"windows": [{"window": 0, "groups": [[1, 2]]},
+                                                 {"window": window, "groups": [[1, 2]]}]}))
+    assert main(["eval", "--truth", str(dataset_dir / "groups.txt"), "--pred", str(pred_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {pred_path}: window entry 1: {message}\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("flag", ["--window", "--stride"])
@@ -894,12 +903,37 @@ def test_cli_predict_rejects_bad_recorded_settings(dataset_dir, tmp_path, capsys
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("config", [[["window_len", 10.0]], 0, False, "", []],
+                         ids=["pairs", "0", "false", "empty-string", "empty-list"])
+def test_cli_predict_refuses_a_recorded_config_that_is_not_an_object(dataset_dir, tmp_path, capsys, config):
+    # a model's config is checked by its annotation before it is copied, so a
+    # list of pairs is not read as a dict, nor a false value as no settings
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({**Model(w=np.ones(8)).to_dict(), "config": config}), encoding="utf-8")
+    assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {model_path}: not a valid model file: "
+                            f"'config_snapshot' must be dict | None, got {config!r}\n")
+    assert captured.out == ""
+
+
+def test_cli_predict_names_the_model_that_records_no_window_length(dataset_dir, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    Model(w=np.ones(8)).save(model_path)
+    assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {model_path}: window length not given and not recorded in the model\n"
+    assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir), "--window-len", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["windows"]
+
+
 def test_cli_predict_with_model_recording_removed_keys(dataset_dir, tmp_path, capsys):
     # a model file written before early_stop, early_stop_tol, sequential_budget,
-    # online_budget, heat_accumulate, heat_k_s and other keys left the settings
+    # online_budget, heat_accumulate, heat_k_s, proxemic_sigmas and other keys left the settings
     # still predicts, as if they were not recorded
     saved = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "model.json").read_text())
-    removed = {"early_stop", "early_stop_tol", "sequential_budget", "online_budget", "heat_accumulate", "heat_k_s"}
+    removed = {"early_stop", "early_stop_tol", "sequential_budget", "online_budget", "heat_accumulate", "heat_k_s",
+               "proxemic_sigmas"}
     assert removed <= set(saved["config"])
     known = set(RunConfig().to_flat_dict())
     outputs = []
@@ -993,6 +1027,35 @@ def test_cli_run_config_file(dataset_dir, tmp_path, capsys):
     assert resolved["window_len"] == 8.0  # from the file
     assert resolved["stride"] == 8.0
     assert resolved["runs"] == 1
+
+
+def test_cli_run_replays_from_its_resolved_config(dataset_dir, tmp_path, capsys):
+    # a report's config.resolved.toml, given back as --config, writes the same
+    # bytes: every file of run-0 and the summary
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", "--data", str(dataset_dir), "--out", str(first), "--runs", "1", "--window-len", "8",
+                 "--stride", "8", "--training-span", "24", "--max-iterations", "40"]) == 0
+    assert main(["run", "--data", str(dataset_dir), "--out", str(second),
+                 "--config", str(first / "run-0" / "config.resolved.toml")]) == 0
+    capsys.readouterr()
+    names = sorted(path.name for path in (first / "run-0").iterdir())
+    assert "config.resolved.toml" in names and names == sorted(path.name for path in (second / "run-0").iterdir())
+    for name in [*(f"run-0/{name}" for name in names), "summary.csv"]:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_cli_refuses_an_old_resolved_config(dataset_dir, tmp_path, capsys):
+    # every config.resolved.toml written while d_ph's zones were a setting
+    # records them; the key is refused, by name, as every retired key is
+    config_path = tmp_path / "config.resolved.toml"
+    config_path.write_text(format_config_text(RunConfig(**FAST).to_flat_dict())
+                           + "proxemic_sigmas = [0.5, 1.2, 3.7, 7.6]\n", encoding="utf-8")
+    assert main(["run", "--data", str(dataset_dir), "--out", str(tmp_path / "report"),
+                 "--config", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {config_path}: 'proxemic_sigmas' ") and captured.out == ""
+    assert not (tmp_path / "report").exists()
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -50,18 +50,10 @@ PLACEMENTS = {
 }
 
 
-def _range_ends() -> dict:
-    """Each feature setting's finite range ends, as FeatureConfig takes them
-    (a list setting's end as a one-item list)."""
-    ends = {}
-    for key, hint in get_type_hints(FeatureConfig, include_extras=True).items():
-        item = get_args(hint)[0] if get_origin(hint) is tuple else hint
-        ends[key] = [(end,) if item is not hint else end for end in item.__metadata__[0][:2] if math.isfinite(end)]
-    return ends
-
-
-ENDS = _range_ends()
-SETTINGS = {"defaults": FeatureConfig(), **{f"{key}={np.ravel(end)[0]:g}": FeatureConfig(**{key: end})
+# each feature setting's finite range ends, as FeatureConfig takes them
+ENDS = {key: [end for end in hint.__metadata__[0][:2] if math.isfinite(end)]
+        for key, hint in get_type_hints(FeatureConfig, include_extras=True).items()}
+SETTINGS = {"defaults": FeatureConfig(), **{f"{key}={end:g}": FeatureConfig(**{key: end})
                                             for key, values in ENDS.items() for end in values}}
 
 
