@@ -197,14 +197,14 @@ def test_update_budget_rejects_non_finite_values(cls, value):
 
 
 def _wrong_typed(hint) -> list:
-    """Values that do not fit a field annotated `hint`."""
+    """Values that do not fit a field annotated `hint`; no setting is a list."""
     if hint is float:
-        return [True, "1.0", math.nan]
+        return [True, "1.0", math.nan, [1.0]]
     if hint is int:
-        return [True, "1", 2.0]
+        return [True, "1", 2.0, [1]]
     if get_origin(hint) is Literal:
-        return [True, 1.0, "unknown"]
-    return [True, 1.0]
+        return [True, 1.0, "unknown", [get_args(hint)[0]]]
+    return [True, 1.0, []]
 
 
 _WRONG_TYPED = [
@@ -1044,18 +1044,21 @@ def test_cli_run_replays_from_its_resolved_config(dataset_dir, tmp_path, capsys)
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
-def test_cli_refuses_an_old_resolved_config(dataset_dir, tmp_path, capsys):
+@pytest.mark.parametrize("command, out", [("run", "report"), ("train", "model.json"),
+                                          ("features", "features.csv"), ("stats", None)])
+def test_cli_refuses_an_old_resolved_config(dataset_dir, tmp_path, capsys, command, out):
     # every config.resolved.toml written while d_ph's zones were a setting
-    # records them; the key is refused, by name, as every retired key is
+    # records them; every command that reads --config refuses the key, by
+    # name, as every retired key is, and writes nothing
     config_path = tmp_path / "config.resolved.toml"
     config_path.write_text(format_config_text(RunConfig(**FAST).to_flat_dict())
                            + "proxemic_sigmas = [0.5, 1.2, 3.7, 7.6]\n", encoding="utf-8")
-    assert main(["run", "--data", str(dataset_dir), "--out", str(tmp_path / "report"),
-                 "--config", str(config_path)]) == 1
+    out_flags = [] if out is None else ["--out", str(tmp_path / out)]
+    assert main([command, "--data", str(dataset_dir), *out_flags, "--config", str(config_path)]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {config_path}: 'proxemic_sigmas' ") and captured.out == ""
-    assert not (tmp_path / "report").exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.resolved.toml"]
 
 
 def test_cli_exit_codes(tmp_path, capsys):
