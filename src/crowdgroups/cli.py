@@ -186,7 +186,7 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model = Model.load(args.model)
     try:  # predict_windows checks the recorded settings too, but cannot name the file
-        _model_settings(model.config_snapshot, args.window_len, args.stride)
+        _model_settings(model.config, args.window_len, args.stride)
     except ConfigError as exc:
         raise ConfigError(f"{args.model}: {exc}") from None
     _check_outputs(args, args.out)

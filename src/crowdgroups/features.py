@@ -19,10 +19,15 @@ so the other rows equal an ungated build's.
 Every feature is a kernel over the pair axis (ia, ib); its temporaries are
 chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
 
-- Layout: every kernel reads one `align_segments` layout (times, points,
-  present) of the window's members on the sorted union of their timestamps;
-  a member's samples are its present frames in order. Two members share a
-  frame exactly when both have a sample with that timestamp, as np.intersect1d.
+- Layout: every kernel reads one layout (times, points, present) of a batch:
+  its windows' `align_segments` layouts stacked (a batch of one is not copied),
+  a window's members as rows on its own time axis, padded to the batch's frames,
+  and its triu pairs offset to those rows. A member's samples are its present
+  frames in order; two share a frame when both have that timestamp (np.intersect1d).
+- Batches: build_scene of a slice_windows window featurizes it with the next live
+  windows of its slice not yet built under its config, up to _BATCH_PAIRS pair
+  rows, so the first window carries the batch's latency; _AHEAD keeps the rows,
+  weakly keyed by window, until each is asked for once (one thread at a time).
 - d_ph and d_ca read each pair's common samples, compacted once per chunk to
   the front of a (pairs, K_max, 2) block: the causality lags run over compacted
   samples, and d_ph's mean over a pair's K samples has a one-pair call's shape.
@@ -43,12 +48,14 @@ chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
 
 The public one-pair functions call the same kernels, so `build_scene` rows
 equal them: d_ph, d_sh and d_he exactly; d_ca, whose QR sees other zero rows,
-to 1e-12. This module writes no file (harness writes the features CSV).
+to 1e-12, in a batch too (same bits in every batch tested). This module writes
+no file (harness writes the features CSV).
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,6 +75,8 @@ _DEGENERATE_RSS = 1e-12
 _NO_GAIN_RTOL = 1e-9  # a source cutting the restricted RSS by at most this share adds nothing
 _RANK_TOL = 1e-8  # min/max |R_kk| of a causality design below this refits by lstsq
 _ONE_PAIR = (np.array([0]), np.array([1]))
+_BATCH_PAIRS = 1 << 11  # pair rows build_scene featurizes at once from one slice's windows
+_AHEAD = weakref.WeakKeyDictionary()  # slice window -> {config: its rows built ahead, None once handed out}
 
 
 @dataclass(frozen=True)
@@ -411,8 +420,9 @@ def _heat_cells(aligned, rows, cfg: FeatureConfig):
     dwell seconds) over the largest, a cell's dwells summed in time order."""
     times, points, present = aligned
     owner, frames = np.nonzero(present[rows])
+    times = times[frames] if times.ndim == 1 else times[np.asarray(rows)[owner], frames]  # each row's own axis
     # a sample dwells until its member's next one; a member's last sample does not
-    dwell = np.where(np.diff(owner, append=-1) == 0, np.diff(times[frames], append=0.0), 0.0)
+    dwell = np.where(np.diff(owner, append=-1) == 0, np.diff(times, append=0.0), 0.0)
     cells = np.floor(points[rows][owner, frames] / cfg.heat_cell_edge)
     keys = np.column_stack([owner, cells])
     order = np.lexsort(keys.T[::-1])  # stable: a cell's samples stay in time order
@@ -471,9 +481,40 @@ def heatmap_distance(h_a: np.ndarray, h_b: np.ndarray, cfg: FeatureConfig | None
     return float(_heat_rows(table, counts, *_ONE_PAIR, cfg or FeatureConfig())[0])
 
 
-def build_scene(window: TimeWindow, configs: FeatureConfig | None = None) -> WindowedScene:
-    """Compute all four features for every unordered member pair of the window,
-    one row per pair in the scene's triu order.
+def _window_rows(windows, cfg: FeatureConfig):
+    """(features, fallback, no_overlap, far) of each window, one batch over all
+    windows' pairs in their stacked layout (see the module docstring)."""
+    groups = [[w.segments[m] for m in sorted(w.members)] for w in windows]
+    aligned, (ia, ib) = align_segments(groups[0]), np.triu_indices(len(groups[0]), 1)
+    if len(groups) > 1:
+        layouts, offsets = [aligned, *map(align_segments, groups[1:])], np.cumsum([0] + [len(g) for g in groups])
+        shape = offsets[-1], max(t.size for t, _, _ in layouts)
+        aligned = np.zeros(shape), np.zeros((*shape, 2)), np.zeros(shape, dtype=bool)
+        for row, layout in zip(offsets, layouts):
+            for out, part in zip(aligned, layout):
+                out[row : row + len(layout[2]), : layout[0].size] = part
+        ia, ib = np.hstack([np.add(np.triu_indices(len(g), 1), row) for g, row in zip(groups, offsets)])
+    far = _far_rows(aligned, ia, ib)
+    keep = np.flatnonzero(~far)
+    ka, kb = ia[keep], ib[keep]
+    features = np.ones((len(ia), len(FEATURE_NAMES)))
+    fallback = np.zeros(len(ia), dtype=bool)
+    features[keep, 0], features[keep, 2], fallback[keep] = _common_rows(aligned, ka, kb, cfg)
+    features[keep, 1] = _dtw_rows(aligned, ka, kb)
+    used, slots = np.unique(np.concatenate([ka, kb]), return_inverse=True)
+    if len(used):
+        table, counts = _heat_cells(aligned, used, cfg)
+        features[keep, 3] = _heat_rows(table, counts, *slots.reshape(2, -1), cfg)
+    no_overlap = np.isnan(features[:, 0])
+    features[no_overlap, 0] = features[no_overlap, 2] = NO_OVERLAP_DISTANCE
+    rows = features, fallback & ~no_overlap, no_overlap, far
+    cuts = np.cumsum([len(g) * (len(g) - 1) // 2 for g in groups])[:-1]
+    return zip(*(np.split(a, cuts) for a in rows)) if len(groups) > 1 else [rows]
+
+
+def build_scenes(windows: list[TimeWindow], cfg: FeatureConfig | None = None) -> list[WindowedScene]:
+    """Compute all four features for every member pair of each window, one row
+    per pair in its scene's triu order, each kernel once per chunk of all pairs.
 
     Far pairs get (1, 1, 1, 1), flagged far, and no kernel runs on them;
     visited cells are listed only for members of the other pairs.
@@ -482,22 +523,23 @@ def build_scene(window: TimeWindow, configs: FeatureConfig | None = None) -> Win
     common samples for the causality regression carry the 0.5 fallback,
     flagged granger_fallback.
     """
-    configs = configs or FeatureConfig()
-    members = sorted(window.members)
-    ia, ib = np.triu_indices(len(members), 1)
-    aligned = align_segments([window.segments[m] for m in members])
-    far = _far_rows(aligned, ia, ib)
-    keep = np.flatnonzero(~far)
-    ka, kb = ia[keep], ib[keep]
-    features = np.ones((len(ia), len(FEATURE_NAMES)))
-    fallback = np.zeros(len(ia), dtype=bool)
-    features[keep, 0], features[keep, 2], fallback[keep] = _common_rows(aligned, ka, kb, configs)
-    features[keep, 1] = _dtw_rows(aligned, ka, kb)
-    used, slots = np.unique(np.concatenate([ka, kb]), return_inverse=True)
-    if len(used):
-        table, counts = _heat_cells(aligned, used, configs)
-        features[keep, 3] = _heat_rows(table, counts, *slots.reshape(2, -1), configs)
-    no_overlap = np.isnan(features[:, 0])
-    features[no_overlap, 0] = features[no_overlap, 2] = NO_OVERLAP_DISTANCE
-    return WindowedScene(window, features, fallback & ~no_overlap, no_overlap, far)
+    rows = _window_rows(windows, cfg or FeatureConfig()) if windows else []
+    return [WindowedScene(w, *r) for w, r in zip(windows, rows)]
 
+
+def build_scene(window: TimeWindow, configs: FeatureConfig | None = None) -> WindowedScene:
+    """build_scenes of one window, batched with the next ones of its slice (module docstring)."""
+    configs = configs or FeatureConfig()
+    if not window._slice:
+        return build_scenes([window], configs)[0]
+    if _AHEAD.get(window, {}).get(configs) is None:  # not built ahead, or handed out already
+        batch, pairs = [], 0
+        for w in filter(None, (ref() for ref in window._slice[window.index :])):
+            pairs += len(w.members) * (len(w.members) - 1) // 2
+            if batch and (configs in _AHEAD.get(w, ()) or pairs > _BATCH_PAIRS):
+                break
+            batch.append(w)
+        for w, rows in zip(batch, _window_rows(batch, configs)):
+            _AHEAD.setdefault(w, {})[configs] = rows
+    rows, _AHEAD[window][configs] = _AHEAD[window][configs], None
+    return WindowedScene(window, *rows)

@@ -253,15 +253,17 @@ def _write_csv(out, header: list[str], rows: Iterable[Iterable]) -> None:
 
 def write_features_csv(scenes: Iterable[WindowedScene], out) -> None:
     """One row per pair to out (see open_output):
-    window,a,b,d_ph,d_sh,d_ca,d_he with 9 significant digits; far pairs read
-    1,1,1,1. Rows become Python lists 4,096 at a time, so memory does not
-    grow with the pair count."""
-    _write_csv(out, ["window", "a", "b", *FEATURE_NAMES], (
-        [scene.window.index, a, b, *d]
-        for scene in scenes
-        for lo in range(0, len(scene.pairs), 4096)
-        for (a, b), d in zip(scene.pairs[lo : lo + 4096].tolist(), scene.feature_matrix[lo : lo + 4096].tolist())
-    ))
+    window,a,b,d_ph,d_sh,d_ca,d_he with 9 significant digits, which need no
+    CSV quoting; far pairs read 1,1,1,1, formatted once. Rows become Python
+    lists 4,096 at a time, so memory does not grow with the pair count."""
+    far = ",".join(_fmt(1.0) for _ in FEATURE_NAMES)
+    with open_output(out) as fh:
+        fh.write(",".join(["window", "a", "b", *FEATURE_NAMES]) + "\n")
+        for scene in scenes:
+            for lo in range(0, len(scene.pairs), 4096):
+                rows = (part[lo : lo + 4096].tolist() for part in (scene.pairs, scene.feature_matrix, scene.far))
+                fh.writelines(f"{scene.window.index},{a},{b},{far if is_far else ','.join(map(_fmt, d))}\n"
+                              for (a, b), d, is_far in zip(*rows))
 
 
 def evaluate_predictions(truth_path, pred_path) -> str:
@@ -340,7 +342,7 @@ def train_model(config: RunConfig, examples: list[TrainingExample], log) -> Mode
         with _csv_rows(log, ["iter", "block", "hinge", "gamma", "gap", "exact"]) as write_row:
             model = bcfw_train(examples, config, sequential=sequential,
                                iteration_hook=lambda _, info: write_row([*info[:5], int(info.exact)]))
-    model.config_snapshot = config.to_flat_dict()
+    model.config = config.to_flat_dict()
     return model
 
 
@@ -437,24 +439,24 @@ def predict_scenes(scenes: Iterable[WindowedScene], model: Model, online: bool =
 def predict_windows(data_dir, model: Model, window_len=None, stride=None) -> list[dict]:
     """Tile the dataset at data_dir with the model's recorded window settings
     (unless overridden) and predict every window."""
-    window_len, stride, configs = _model_settings(model.config_snapshot, window_len, stride)
+    window_len, stride, configs = _model_settings(model.config, window_len, stride)
     _, windows = load_windows(data_dir, window_len, stride)
     entries, _ = predict_scenes((build_scene(w, configs) for w in windows), model)
     return entries
 
 
-def _model_settings(snapshot: dict, window_len=None, stride=None) -> tuple[float, float, RunConfig]:
+def _model_settings(recorded: dict, window_len=None, stride=None) -> tuple[float, float, RunConfig]:
     """The window length and stride to predict with, as given or else as
-    recorded in a model's snapshot (the stride defaults to the length), and
+    recorded in a model's config (the stride defaults to the length), and
     the run settings it records (a RunConfig is a FeatureConfig). Every
     recorded setting is checked, and keys the settings no longer have are
     ignored."""
     names = {f.name for f in dataclasses.fields(RunConfig)}
-    config = RunConfig.from_dict({k: v for k, v in snapshot.items() if k in names})
+    config = RunConfig.from_dict({k: v for k, v in recorded.items() if k in names})
     if window_len is None:
-        if "window_len" not in snapshot:
+        if "window_len" not in recorded:
             raise ConfigError("window length not given and not recorded in the model")
         window_len = config.window_len
     if stride is None:
-        stride = config.stride if "stride" in snapshot else window_len
+        stride = config.stride if "stride" in recorded else window_len
     return float(window_len), float(stride), config

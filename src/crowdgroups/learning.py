@@ -147,7 +147,7 @@ class Model:
     iterate and w otherwise, decompose as [alpha; beta]: the affinity of a pair
     with distances d is alpha.(1 - d) - beta.d. w = sum of block_w is the
     Frank-Wolfe iterate. The block states allow exact training resumption
-    and replay; config_snapshot carries whatever windowing/feature settings
+    and replay; config carries whatever windowing/feature settings
     are needed to reproduce a prediction. C, seed and loss default to
     TrainConfig's.
     """
@@ -164,7 +164,7 @@ class Model:
     loss: LossKind = TrainConfig.loss
     mode: TrainMode = "batch"
     iterations: NonNegativeInt = 0
-    config_snapshot: dict | None = None
+    config: dict | None = None
 
     def __post_init__(self):
         self.w = np.zeros(WEIGHT_DIM) if self.w is None else np.array(self.w, dtype=float).reshape(WEIGHT_DIM)
@@ -177,7 +177,7 @@ class Model:
             if getattr(self, name) is not None and not np.all(np.abs(getattr(self, name)) <= SAMPLE_BOUND):
                 raise ValueError(f"{name} must be finite and within ±{SAMPLE_BOUND:g}")
         _check_fields(self)
-        self.config_snapshot = dict(self.config_snapshot or {})
+        self.config = dict(self.config or {})
 
     @property
     def weights(self) -> np.ndarray:
@@ -199,7 +199,7 @@ class Model:
         return bool(np.all(self.weights >= 0.0))
 
     def copy(self) -> "Model":
-        """A model of its own: __post_init__ copies the arrays and the snapshot."""
+        """A model of its own: __post_init__ copies the arrays and the config."""
         return replace(self)
 
     def to_dict(self) -> dict:
@@ -210,8 +210,7 @@ class Model:
             value = getattr(self, f.name)
             if value is None:
                 continue
-            key = "config" if f.name == "config_snapshot" else f.name
-            obj[key] = value.tolist() if isinstance(value, np.ndarray) else value
+            obj[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
         return obj
 
     @classmethod
@@ -221,7 +220,7 @@ class Model:
             if version > cls.FORMAT_VERSION:
                 raise ConfigError(f"model format {version} is newer than supported")
             kwargs = {f.name: obj[f.name] for f in fields(cls) if f.name in obj}
-            return cls(**{**kwargs, "w": obj["w"], "config_snapshot": obj.get("config")})
+            return cls(**{**kwargs, "w": obj["w"]})
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"not a valid model file: {exc}") from None
 

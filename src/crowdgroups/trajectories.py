@@ -7,7 +7,8 @@ seconds. Frame-indexed files are converted with the dataset frame rate.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -113,6 +114,7 @@ class TimeWindow:
     members: frozenset[int]
     segments: Mapping[int, Trajectory]
     dropped: frozenset[int] = frozenset()
+    _slice: tuple = field(default=(), init=False, repr=False)  # weak references to its slice_windows call's windows
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(self.members))
@@ -366,6 +368,9 @@ def slice_windows(trajectories: Iterable[Trajectory], window_len: float, stride:
                 index, start, end, len(dropped), sorted(dropped),
             )
         windows.append(TimeWindow(index, start, end, frozenset(segments), segments, frozenset(dropped)))
+    siblings = tuple(map(weakref.ref, windows))
+    for w in windows:
+        object.__setattr__(w, "_slice", siblings)
     return windows
 
 

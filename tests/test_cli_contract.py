@@ -121,7 +121,7 @@ def inputs(tmp_path_factory):
     for duration in ("1e12", "1e300"):
         (root / f"duration-{duration}.toml").write_text(f"duration = {duration}\n", encoding="utf-8")
     (root / "edge.toml").write_text("heat_cell_edge = 1e-50\n", encoding="utf-8")
-    model = Model(w=np.ones(8), config_snapshot={"window_len": 8.0, "stride": 8.0})
+    model = Model(w=np.ones(8), config={"window_len": 8.0, "stride": 8.0})
     model.save(root / "model.json")
     write_predictions(root / "pred.json", 0, predict_windows(root / "scene", model))
     for name, source, key in (("model-version-1e400.json", "model.json", "format_version"),

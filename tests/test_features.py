@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import logging
@@ -11,6 +12,7 @@ import pickle
 import subprocess
 import sys
 import warnings
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from crowdgroups import (
     TimeWindow,
     WindowedScene,
     build_scene,
+    build_scenes,
     dtw_shape_distance,
     f_cdf,
     gmm_eval,
@@ -96,13 +99,13 @@ def test_heatmap_config_validation():
 
 
 def test_feature_configs_round_trip(tmp_path):
-    # a RunConfig is a FeatureConfig; a model's snapshot gives its feature settings back
+    # a RunConfig is a FeatureConfig; a model's config gives its feature settings back
     values = dict(granger_lag=3, heat_cell_edge=0.5, heat_length=1.5, heat_k_r=0.0)
     config = RunConfig(**values)
     assert isinstance(config, FeatureConfig)
     path = tmp_path / "model.json"
-    Model(config_snapshot=config.to_flat_dict()).save(path)
-    assert _model_settings(Model.load(path).config_snapshot)[2] == config
+    Model(config=config.to_flat_dict()).save(path)
+    assert _model_settings(Model.load(path).config)[2] == config
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +587,25 @@ def test_write_features_csv_golden():
     ]
 
 
+def test_write_features_csv_equals_the_csv_writer():
+    # the features CSV is joined by hand, far rows from one preformatted
+    # suffix, on the invariant that its ints and _fmt floats need no quoting;
+    # its bytes must equal the csv module's through _fmt over near, far and
+    # no-overlap rows and across 4,096-row blocks
+    walk = np.cumsum(np.random.default_rng(3).normal(scale=0.4, size=(8, 2)), axis=0)
+    small = window_of(traj(1, walk), traj(2, walk + 0.5), traj(3, walk + 20.0), traj(4, walk, t0=50.0))
+    # pairs (2k, 2k + 1) walk 1 m apart and every other pair at least 9 m
+    large = window_of(*(traj(m, walk + [10.0 * (m // 2) + m % 2, 0.0]) for m in range(92)))
+    scenes = [build_scene(small), build_scene(large)]
+    assert len(scenes[1].pairs) > 4096 and all(s.far.any() and not s.far.all() for s in scenes)
+    assert scenes[0].no_overlap.any()
+    got, want = io.StringIO(), io.StringIO()
+    write_features_csv(scenes, got)
+    crowdgroups.harness._write_csv(want, ["window", "a", "b", *crowdgroups.FEATURE_NAMES], (
+        [s.window.index, a, b, *d] for s in scenes for (a, b), d in zip(s.pairs.tolist(), s.feature_matrix.tolist())))
+    assert got.getvalue() == want.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # Batched kernels against the scalar references
 
@@ -1005,6 +1027,102 @@ def test_build_scene_empty_and_single_member_windows():
         scene = build_scene(win)
         assert scene.feature_matrix.shape == (0, 4)
         assert scene.granger_fallback.shape == scene.no_overlap.shape == scene.far.shape == (0,)
+
+
+def _ragged_slice(seed):
+    """A slice of overlapping windows over a random ragged window's segments,
+    several of them with members, and hand-made copies of its windows, which
+    belong to no slice."""
+    rng = np.random.default_rng(seed)
+    while True:
+        trajs = list(oracles.random_ragged_window(rng).segments.values())
+        windows = slice_windows(trajs, 6.0, 1.6)
+        if sum(len(w.members) >= 2 for w in windows) >= 4:
+            return windows, [TimeWindow(w.index, w.start_t, w.end_t, w.members, w.segments, w.dropped)
+                             for w in windows]
+
+
+def _assert_same_scene(got, want):
+    assert got.members == want.members
+    for name in ("feature_matrix", "granger_fallback", "no_overlap", "far"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("order", ["in-order", "reverse", "repeated", "interleaved-configs", "tiny-budget"])
+def test_slice_batches_equal_hand_made_windows_bit_for_bit(monkeypatch, seed, order):
+    # a slice's windows are featurized together on first use; each scene must
+    # equal, bit for bit, the scene of a hand-made copy of its window (a batch
+    # of one) whatever the order of the requests, and a batch adds no window
+    # already built under the same config
+    windows, copies = _ragged_slice(seed)
+    configs = [FeatureConfig()]
+    requests = list(range(len(windows)))
+    if order == "reverse":
+        requests.reverse()
+    elif order == "repeated":
+        requests = [k for k in requests for _ in range(2)] + requests
+    elif order == "interleaved-configs":
+        configs.append(FeatureConfig(granger_lag=1, heat_cell_edge=0.5, heat_length=1.0))
+    elif order == "tiny-budget":  # at least two batches, one of several windows
+        total = sum(len(w.members) * (len(w.members) - 1) // 2 for w in windows)
+        monkeypatch.setattr(features_module, "_BATCH_PAIRS", total // 2)
+    batches = []
+    window_rows = features_module._window_rows
+    monkeypatch.setattr(features_module, "_window_rows", lambda batch, cfg: batches.append(
+        (bool(batch[0]._slice), cfg, [w.index for w in batch])) or window_rows(batch, cfg))
+    for k in requests:
+        for cfg in configs:
+            scene = build_scene(windows[k], cfg)
+            assert scene.window is windows[k]
+            _assert_same_scene(scene, build_scenes([copies[k]], cfg)[0])
+    assert all(w._slice is windows[0]._slice for w in windows) and not any(c._slice for c in copies)
+    ahead = features_module._AHEAD
+    assert {(w.index, cfg) for w in windows for cfg in ahead[w]} == {(w.index, cfg) for w in windows for cfg in configs}
+    assert all(ahead[w][cfg] is None for w in windows for cfg in configs)  # handed out once, then dropped
+    assert not any(c in ahead for c in copies)
+    assert all(len(batch) == 1 for ours, _, batch in batches if not ours)
+    ours = [(cfg, batch) for slice_batch, cfg, batch in batches if slice_batch]
+    built = set()
+    for cfg, batch in ours:
+        assert not built & {(cfg, k) for k in batch[1:]}
+        built |= {(cfg, k) for k in batch}
+    if order != "repeated":
+        assert sum(len(batch) for _, batch in ours) == len(windows) * len(configs)
+    if order in ("in-order", "interleaved-configs"):
+        assert len(ours) == len(configs)
+    if order == "tiny-budget":
+        assert len(ours) > 1 and max(len(batch) for _, batch in ours) > 1
+
+
+def test_dropping_a_slice_frees_its_windows_and_their_rows_built_ahead():
+    # windows hold their slice, and the table of rows built ahead holds its
+    # windows, by weak reference, so dropping the windows frees them and their
+    # rows without the cycle collector
+    windows, _ = _ragged_slice(0)
+    gc.collect()
+    gc.disable()
+    try:
+        build_scene(windows[0])
+        ahead = [rows for w in windows[1:] for rows in features_module._AHEAD.get(w, {}).values()]
+        assert ahead  # the next windows' rows wait in the table
+        refs = [weakref.ref(ahead[0][0]), *map(weakref.ref, windows)]
+        del windows, ahead
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_build_scenes_of_no_windows_and_of_hand_made_windows():
+    # build_scenes featurizes the hand-made windows it is given as one batch,
+    # whose scenes equal their batches of one
+    windows, copies = _ragged_slice(1)
+    assert build_scenes([]) == []
+    for got, want in zip(build_scenes(copies), (build_scene(c) for c in copies), strict=True):
+        assert got.window is want.window
+        _assert_same_scene(got, want)
+    assert not any(w in features_module._AHEAD for w in windows + copies)  # built alone, nothing ahead
 
 
 def _walk(seed, k=24):

@@ -654,7 +654,7 @@ def test_cli_rejects_non_finite_frame_rate_and_homography(
     if homography is not None:
         (data / "H.txt").write_text(homography, encoding="utf-8")
     model_path = tmp_path / "model.json"
-    Model(config_snapshot={"window_len": 8.0, "stride": 8.0}).save(model_path)
+    Model(config={"window_len": 8.0, "stride": 8.0}).save(model_path)
     extra = {
         "train": ["--out", str(tmp_path / "trained.json")],
         "run": ["--out", str(tmp_path / "report")],
@@ -809,7 +809,7 @@ def test_cli_eval_checks_window_labels_by_the_rule(dataset_dir, tmp_path, capsys
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_cli_predict_rejects_non_finite_window(dataset_dir, tmp_path, capsys, flag, value):
     model_path = tmp_path / "model.json"
-    Model(config_snapshot={"window_len": 8.0, "stride": 8.0}).save(model_path)
+    Model(config={"window_len": 8.0, "stride": 8.0}).save(model_path)
     assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir),
                  flag, value]) == 1
     captured = capsys.readouterr()
@@ -830,7 +830,7 @@ def test_cli_rejects_dataset_shorter_than_one_window(
 ):
     # the 48 s dataset holds no 1000 s window; every command says so alike
     monkeypatch.chdir(tmp_path)
-    Model(config_snapshot={"window_len": 8.0, "stride": 8.0}).save(tmp_path / "model.json")
+    Model(config={"window_len": 8.0, "stride": 8.0}).save(tmp_path / "model.json")
     code = main([command, "--data", str(dataset_dir), *flags, "1000"])
     captured = capsys.readouterr()
     assert (code, captured.err, captured.out) == (
@@ -840,7 +840,7 @@ def test_cli_rejects_dataset_shorter_than_one_window(
 
 def test_cli_predict_window_len_and_its_alias_agree(dataset_dir, tmp_path, capsys):
     model_path = tmp_path / "model.json"
-    Model(w=np.ones(8), config_snapshot={"window_len": 8.0, "stride": 8.0}).save(model_path)
+    Model(w=np.ones(8), config={"window_len": 8.0, "stride": 8.0}).save(model_path)
     outputs = []
     for flag in ("--window-len", "--window"):
         assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir),
@@ -870,7 +870,7 @@ def test_cli_predict_rejects_non_finite_model(dataset_dir, tmp_path, capsys, fie
     ("seed", 1.5), ("C", "10"), ("C", True), ("mode", ["batch"]), ("loss", "accuracy"),
 ])
 def test_cli_predict_rejects_wrong_typed_model_field(dataset_dir, tmp_path, capsys, key, value):
-    obj = Model(w=np.ones(8), config_snapshot={"window_len": 8.0, "stride": 8.0}).to_dict()
+    obj = Model(w=np.ones(8), config={"window_len": 8.0, "stride": 8.0}).to_dict()
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps({**obj, key: value}), encoding="utf-8")
     assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir)]) == 1
@@ -886,7 +886,7 @@ def test_cli_predict_rejects_wrong_typed_model_field(dataset_dir, tmp_path, caps
     ("seed", -1, "seed must be non-negative, got -1"),
 ], ids=["C--1", "iterations--5", "seed--1"])
 def test_cli_predict_rejects_out_of_range_model_field(dataset_dir, tmp_path, capsys, key, value, message):
-    obj = Model(w=np.ones(8), config_snapshot={"window_len": 8.0, "stride": 8.0}).to_dict()
+    obj = Model(w=np.ones(8), config={"window_len": 8.0, "stride": 8.0}).to_dict()
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps({**obj, key: value}), encoding="utf-8")
     assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir)]) == 1
@@ -897,7 +897,7 @@ def test_cli_predict_rejects_out_of_range_model_field(dataset_dir, tmp_path, cap
 @pytest.mark.parametrize("key, value", [("window_len", "x"), ("stride", None), ("mode", "foo"), ("heat_length", -1.0)])
 def test_cli_predict_rejects_bad_recorded_settings(dataset_dir, tmp_path, capsys, key, value):
     model_path = tmp_path / "model.json"
-    Model(config_snapshot={**RunConfig(**FAST).to_flat_dict(), key: value}).save(model_path)
+    Model(config={**RunConfig(**FAST).to_flat_dict(), key: value}).save(model_path)
     assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
@@ -913,7 +913,7 @@ def test_cli_predict_refuses_a_recorded_config_that_is_not_an_object(dataset_dir
     assert main(["predict", "--model", str(model_path), "--data", str(dataset_dir)]) == 1
     captured = capsys.readouterr()
     assert captured.err == (f"error: {model_path}: not a valid model file: "
-                            f"'config_snapshot' must be dict | None, got {config!r}\n")
+                            f"'config' must be dict | None, got {config!r}\n")
     assert captured.out == ""
 
 

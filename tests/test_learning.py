@@ -746,7 +746,7 @@ def test_online_predict_train_yields_and_updates(monkeypatch):
 
 def test_online_predict_train_leaves_init_unchanged():
     init = bcfw_train([separable_example()], TrainConfig(max_iterations=3))
-    init.config_snapshot = {"window_len": 8.0}
+    init.config = {"window_len": 8.0}
     before = init.to_dict()
     scenes = [separable_scene(), separable_scene(near=0.3, far=0.6), separable_scene()]
     out = list(online_predict_train(scenes, init))
@@ -761,7 +761,7 @@ def test_online_predict_train_leaves_init_unchanged():
         assert model.block_w.shape == (1 + k, 8)
         assert model.block_l.shape == (1 + k,)
         assert np.array_equal(model.block_w[0], init.block_w[0])
-        assert model.config_snapshot == init.config_snapshot
+        assert model.config == init.config
         assert np.allclose(model.w, model.block_w.sum(axis=0), atol=1e-12)
 
 
