@@ -177,7 +177,7 @@ def _cmd_train(args) -> int:
     examples = make_training_examples(windows, dataset.labels, config)
     if not examples:
         raise ConfigError("no windows with members to train on")
-    model = train_model(config, examples, args.log)
+    model, _ = train_model(config, examples, args.log)
     model.save(args.out)
     print(f"trained on {len(examples)} windows ({model.iterations} iterations) -> {args.out}")
     return 0

@@ -28,28 +28,31 @@ chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
   windows of its slice not yet built under its config, up to _BATCH_PAIRS pair
   rows, so the first window carries the batch's latency; _AHEAD keeps the rows,
   weakly keyed by window, until each is asked for once (one thread at a time).
-- d_ph and d_ca read each pair's common samples, compacted once per chunk to
-  the front of a (pairs, K_max, 2) block: the causality lags run over compacted
-  samples, and d_ph's mean over a pair's K samples has a one-pair call's shape.
+- d_ph and d_ca take the near pairs in runs of equal common sample count K,
+  which the far test counts; each chunk of a run compacts its pairs' samples to
+  one (pairs, K, 2) block, so d_ph's means and the causality lags see exactly a
+  one-pair call's samples.
 - d_sh runs the DTW recursion over each member's samples one anti-diagonal
-  at a time, with +inf cost past each member's last sample, on views of three
-  rotating diagonal buffers made once per chunk. A chunk sorts its pairs by the
-  diagonal of their end cell once; each diagonal reads only the pairs ending on it.
-- d_ca factors a chunk's (samples, [1, own lags, source lags, target]) matrices,
-  both directions of each pair, with one np.linalg.qr(mode="r"); a pair's rows
-  past its own K are 0, and so are R's. The target column of R gives the
-  restricted and unrestricted RSS, the latter exactly 0 when no more samples than
-  design columns are fitted. Designs whose R diagonal shows rank deficiency are
-  refitted on their own rows by np.linalg.lstsq, the reference for rank
-  handling; the F CDF of a chunk's statistics is one closed form.
+  at a time, pairs on the last axis, with +inf cost past each member's last
+  sample, on three rotating diagonal buffers made once per chunk. Diagonal d
+  computes only its min(d + 1, 2 size - 1 - d) valid cells. A chunk sorts its
+  pairs by the diagonal of their end cell once; each diagonal reads only the
+  pairs ending on it.
+- d_ca factors a chunk's (K - m, [1, own lags, source lags, target]) matrices,
+  both directions of each pair, with one np.linalg.qr(mode="r"). The target
+  column of R gives the restricted and unrestricted RSS, the latter exactly 0
+  when no more samples than design columns are fitted. Designs whose R diagonal
+  shows rank deficiency are refitted by np.linalg.lstsq, the reference for rank
+  handling; the F CDF of a chunk's statistics, which share K's degrees of
+  freedom, is one closed form.
 - d_he is 1 - the cosine of two kernel mean embeddings: Gaussians of length
   heat_length on the visited cells, weighted by E = exp(-k_r * dwell). Their
   inner products need only the cells' distances, so no grid is built.
 
-The public one-pair functions call the same kernels, so `build_scene` rows
-equal them: d_ph, d_sh and d_he exactly; d_ca, whose QR sees other zero rows,
-to 1e-12, in a batch too (same bits in every batch tested). This module writes
-no file (harness writes the features CSV).
+The public one-pair functions call the same kernels, and each row's arithmetic
+has the shape of its one-pair call, so `build_scene` rows equal them exactly,
+in any batch and chunk. This module writes no file (harness writes the
+features CSV).
 """
 
 from __future__ import annotations
@@ -182,22 +185,28 @@ def _chunks(n_pairs: int, per_pair: int):
     return [slice(start, start + step) for start in range(0, n_pairs, step)]
 
 
-def _far_rows(aligned, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """Per pair: shares a sample and is more than NEAR_RADIUS apart at each."""
+def _far_rows(aligned, ia: np.ndarray, ib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(far, K) per pair: far when it shares a sample and is more than NEAR_RADIUS apart at each."""
     _, points, present = aligned
-    far = np.zeros(len(ia), dtype=bool)
+    far, counts = np.zeros(len(ia), dtype=bool), np.zeros(len(ia), dtype=int)
     for chunk in _chunks(len(ia), 10 * present.shape[1]):
         a, b = ia[chunk], ib[chunk]
         common = present[a] & present[b]
         delta = points[a] - points[b]
         near = delta[..., 0] ** 2 + delta[..., 1] ** 2 <= NEAR_RADIUS * NEAR_RADIUS
-        far[chunk] = common.any(axis=1) & ~(common & near).any(axis=1)
-    return far
+        counts[chunk] = common.sum(axis=1)
+        far[chunk] = (counts[chunk] > 0) & ~(common & near).any(axis=1)
+    return far, counts
+
+
+def _one_pair(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig | None = None):
+    aligned = align_segments([seg_a, seg_b])  # _common_rows of the pair alone
+    return _common_rows(aligned, *_ONE_PAIR, _far_rows(aligned, *_ONE_PAIR)[1], cfg or FeatureConfig())
 
 
 def proxemic_distance(seg_a: Trajectory, seg_b: Trajectory) -> float:
     """1 - (mean mixture response over co-timed displacements) / (response at 0)."""
-    value = _common_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, FeatureConfig())[0][0]
+    value = _one_pair(seg_a, seg_b)[0][0]
     if np.isnan(value):
         raise ValueError("segments share no common timestamps")
     return float(value)
@@ -205,11 +214,14 @@ def proxemic_distance(seg_a: Trajectory, seg_b: Trajectory) -> float:
 
 def _dtw_rows(aligned, ia, ib) -> np.ndarray:
     """Bounded DTW distance per pair, one anti-diagonal d = i + j of the
-    cumulative cost at a time: column i + 1 of a diagonal holds cell (i, d - i)
-    and column 0 is +inf. Samples past a member's last sit at +inf as the first
-    member and -inf as the second, whose samples are stored reversed between
-    size - 1 such samples on each side, so diagonal d reads them as one slice.
-    A pair's end cell (la - 1, lb - 1) lies on diagonal la + lb - 2: each chunk
+    cumulative cost at a time, pairs on the last axis: row i + 1 of a diagonal
+    holds cell (i, d - i) and row 0 is +inf. Samples past a member's last sit
+    at +inf as the first member and -inf as the second, whose samples are
+    stored reversed between size - 1 such samples on each side, so diagonal d
+    reads them as one slice. Diagonal d computes only its valid rows lo + 1 to
+    hi: the band grows by a row a diagonal until d = size - 1, over rows never
+    written (+inf), then shrinks from below, past rows no diagonal reads. A
+    pair's end cell (la - 1, lb - 1) lies on diagonal la + lb - 2: each chunk
     sorts its pairs by that diagonal once, so a diagonal reads only the end
     cells of the pairs that end on it."""
     _, points, present = aligned
@@ -217,33 +229,32 @@ def _dtw_rows(aligned, ia, ib) -> np.ndarray:
     size = int(lengths.max(initial=1))
     owner, frames = np.nonzero(present)
     sample = np.arange(owner.size) - (np.cumsum(lengths) - lengths)[owner]
-    first = np.full((2, len(present), size), np.inf)  # x and y planes
-    second = np.full((2, len(present), 3 * size - 2), -np.inf)
-    first[:, owner, sample] = second[:, owner, 2 * size - 2 - sample] = points[owner, frames].T
+    first = np.full((2, size, len(present)), np.inf)  # x and y planes
+    second = np.full((2, 3 * size - 2, len(present)), -np.inf)
+    first[:, sample, owner] = second[:, 2 * size - 2 - sample, owner] = points[owner, frames].T
     out = np.empty(len(ia))
     for chunk in _chunks(len(ia), 16 * (size + 1)):
         a, b = ia[chunk], ib[chunk]
         la, lb = lengths[a], lengths[b]
-        pa, pb = first[:, a], second[:, b]
-        ends = la + lb - 2  # diagonal of cell (la - 1, lb - 1), in column la
+        pa, pb = first[:, :, a], second[:, :, b]
+        ends = la + lb - 2  # diagonal of cell (la - 1, lb - 1), in row la
         order = np.argsort(ends, kind="stable")
-        cuts, end_cols = np.searchsorted(ends[order], np.arange(2 * size)).tolist(), la[order]
-        diagonals = np.full((3, len(a), size + 1), np.inf)
-        left, cells = list(diagonals[:, :, :-1]), list(diagonals[:, :, 1:])
-        delta, best = np.empty((2, len(a), size)), np.empty((len(a), size))
-        dx, dy = delta
+        cuts, end_rows = np.searchsorted(ends[order], np.arange(2 * size)).tolist(), la[order]
+        diagonals = np.full((3, size + 1, len(a)), np.inf)
+        delta, best = np.empty((2, size, len(a))), np.zeros((size, len(a)))  # diagonal 0 adds best = 0
         raw = np.empty(len(a))
         for d in range(2 * size - 1):
-            at = 2 * size - 2 - d  # column i of the slice holds sample d - i
-            np.square(np.subtract(pa, pb[:, :, at : at + size], out=delta), out=delta)
-            np.add(dx, dy, out=dx)
+            lo, hi = max(0, d - size + 1), min(d, size - 1) + 1
+            at = 2 * size - 2 - d  # row i of the slice holds sample d - i
+            cells, span, low = diagonals[d % 3], delta[:, : hi - lo], best[: hi - lo]
+            np.square(np.subtract(pa[:, lo:hi], pb[:, at + lo : at + hi], out=span), out=span)
             if d:
-                np.minimum(left[(d - 1) % 3], cells[(d - 1) % 3], out=best)
-                np.minimum(best, left[(d - 2) % 3], out=best)
-            np.add(dx, best if d else 0.0, out=cells[d % 3])
-            lo, hi = cuts[d], cuts[d + 1]  # the pairs order[lo:hi] end on d
-            if lo < hi:
-                raw[order[lo:hi]] = diagonals[d % 3, order[lo:hi], end_cols[lo:hi]]
+                np.minimum(diagonals[(d - 1) % 3, lo:hi], diagonals[(d - 1) % 3, lo + 1 : hi + 1], out=low)
+                np.minimum(low, diagonals[(d - 2) % 3, lo:hi], out=low)
+            np.add(np.add(span[0], span[1], out=span[0]), low, out=cells[lo + 1 : hi + 1])
+            s, e = cuts[d], cuts[d + 1]  # the pairs order[s:e] end on d
+            if s < e:
+                raw[order[s:e]] = cells[end_rows[s:e], order[s:e]]
         raw /= np.maximum(la, lb)
         out[chunk] = raw / (raw + DTW_TAU * DTW_TAU)
     return out
@@ -255,43 +266,37 @@ def dtw_shape_distance(seg_a: Trajectory, seg_b: Trajectory) -> float:
     return float(_dtw_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR)[0])
 
 
-def _series(n, p, q, first, t):
-    """sum_{j<n} c_j t^j by Horner's rule (0.0 for n = 0), with n, p, q and first
-    shared or per element; c_0 = first, c_j = c_{j-1} (p + j) / (q + j). An
-    element with fewer terms starts at 0 * t + c_{n-1} = c_{n-1} for finite t."""
-    size = int(np.max(n, initial=0))
+def _series(n: int, p, q, first, t):
+    """sum_{j<n} c_j t^j by Horner's rule (0.0 for n = 0); c_0 = first,
+    c_j = c_{j-1} (p + j) / (q + j)."""
     coef = [first]
-    for j in range(1, size):
+    for j in range(1, n):
         coef.append(coef[-1] * (p + j) / (q + j))
     total = 0.0
-    for j in reversed(range(size)):
-        total = total * t + np.where(j < n, coef[j], 0.0)
+    for c in reversed(coef[:n]):
+        total = total * t + c
     return total
 
 
-def _beta_halves(x: np.ndarray, m: int, dof) -> np.ndarray:
-    """I_x(m/2, dof/2) for whole m, dof >= 1 (one dof, or one per x): the F(m, dof)
-    CDF at s when x = m s / (m s + dof), in closed form (Abramowitz & Stegun
-    26.5.16 and 26.6.4-26.6.8; DLMF 8.17). With a = m/2 - m//2 (0 or 1/2) and
-    b = dof/2, raising a by one m//2 times subtracts, for j < m//2,
+def _beta_halves(x: np.ndarray, m: int, dof: int) -> np.ndarray:
+    """I_x(m/2, dof/2) for whole m, dof >= 1: the F(m, dof) CDF at s when
+    x = m s / (m s + dof), in closed form (Abramowitz & Stegun 26.5.16 and
+    26.6.4-26.6.8; DLMF 8.17). With a = m/2 - m//2 (0 or 1/2) and b = dof/2,
+    raising a by one m//2 times subtracts, for j < m//2,
     x^a (1-x)^b x^j Gamma(a+b+j) / (Gamma(a+1+j) Gamma(b)) from I_x(0, b) = 1
     or from I_x(1/2, b): a sum of dof//2 powers of 1 - x, plus (2/pi) arcsin
     sqrt(x) for odd dof. Both sums, m//2 terms in x and dof//2 in 1 - x, run
-    by Horner's rule; each x gets the bits of a call with its dof alone."""
+    by Horner's rule."""
     y = np.asarray(1.0 - x)
-    a, b = m % 2 / 2, np.full(y.shape, np.divide(dof, 2))
+    a, b = m % 2 / 2, dof / 2
     base = 1.0
     if a:
         h = b % 1  # 1/2 for odd dof
-        series = _series(b // 1, h - 0.5, h, np.where(h, 2 / math.pi, 1.0), y)
-        base = np.sqrt(x) * np.where(h, np.sqrt(y), 1.0) * series
-        # arcsin sqrt(x), stable at x = 1
-        base = np.where(h, base + 2 / math.pi * np.arctan2(np.sqrt(x), np.sqrt(y)), base)
-    y_b, first = np.empty(y.shape), np.empty(y.shape)
-    for v in set(b.ravel().tolist()):  # one scalar power each: numpy rounds an array of exponents otherwise
-        at = b == v
-        y_b[at], first[at] = y[at] ** v, math.exp(math.lgamma(a + v) - math.lgamma(a + 1) - math.lgamma(v))
-    return base - (np.sqrt(x) if a else 1.0) * y_b * _series(m // 2, a + b - 1, a, first, x)
+        base = np.sqrt(x) * (np.sqrt(y) if h else 1.0) * _series(dof // 2, h - 0.5, h, 2 / math.pi if h else 1.0, y)
+        if h:  # arcsin sqrt(x), stable at x = 1
+            base = base + 2 / math.pi * np.arctan2(np.sqrt(x), np.sqrt(y))
+    first = math.exp(math.lgamma(a + b) - math.lgamma(a + 1) - math.lgamma(b))
+    return base - (np.sqrt(x) if a else 1.0) * y**b * _series(m // 2, a + b - 1, a, first, x)
 
 
 def f_cdf(s: float, d1: int, d2: int) -> float:
@@ -316,46 +321,36 @@ def _rss(design: np.ndarray, target: np.ndarray) -> float:
     return float(resid @ resid)
 
 
-def _causality(y_pts: np.ndarray, x_pts: np.ndarray, counts: np.ndarray, m: int) -> np.ndarray:
-    """F-CDF area of "x Granger-causes y" at lag m per row of (rows, K_max, 2) common
-    samples, each row's K = `counts` first in time order; NaN where
-    granger_causality_area gives None."""
-    area = np.full(len(y_pts), np.nan)
-    fit = np.flatnonzero(counts >= 2 * m + 2)
-    if not fit.size:
-        return area
-    k, width = counts[fit], y_pts.shape[1]  # a pair with the most samples fits
-    # one (width - m, 2m + 2) matrix per (row, coordinate) with the columns
-    # [1, own lags 1..m, source lags 1..m, target] over the fitted samples;
-    # rows past a pair's own K - m are 0, and R's rows past K - m with them
-    y, x = y_pts[fit].transpose(0, 2, 1), x_pts[fit].transpose(0, 2, 1)
-    stack = np.empty((len(fit), 2, width - m, 2 * m + 2))
+def _causality(y_pts: np.ndarray, x_pts: np.ndarray, m: int) -> np.ndarray:
+    """F-CDF area of "x Granger-causes y" at lag m per row of (rows, K, 2) common
+    samples in time order; NaN where granger_causality_area gives None."""
+    rows, k = y_pts.shape[:2]
+    if k < 2 * m + 2:
+        return np.full(rows, np.nan)
+    # one (K - m, 2m + 2) matrix per (row, coordinate): [1, own lags 1..m, source lags 1..m, target]
+    y, x = y_pts.transpose(0, 2, 1), x_pts.transpose(0, 2, 1)
+    stack = np.empty((rows, 2, k - m, 2 * m + 2))
     stack[..., 0], stack[..., -1] = 1.0, y[..., m:]
     for j in range(1, m + 1):
-        stack[..., j], stack[..., m + j] = y[..., m - j : width - j], x[..., m - j : width - j]
-    if k.min() < width:
-        np.copyto(stack, 0.0, where=(np.arange(m, width) >= k[:, None])[:, None, :, None])
-    stack = stack.reshape(-1, width - m, 2 * m + 2)
-    fitted = np.repeat(k - m, 2)
+        stack[..., j], stack[..., m + j] = y[..., m - j : k - j], x[..., m - j : k - j]
+    stack = stack.reshape(-1, k - m, 2 * m + 2)
     r = np.linalg.qr(stack, mode="r")
     z = r[:, :, -1]
     rss_r = np.sum(z[:, m + 1 :] ** 2, axis=1)
     rss_u = np.sum(z[:, 2 * m + 1 :] ** 2, axis=1)  # exactly 0 with no more rows than columns
     r_diag = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, : 2 * m + 1])
-    low = np.where(np.arange(r_diag.shape[1]) < fitted[:, None], r_diag, np.inf).min(axis=1)  # 0 past K - m
-    for i in np.flatnonzero(low <= _RANK_TOL * r_diag.max(axis=1)):
-        rss_r[i] = _rss(stack[i, : fitted[i], : m + 1], stack[i, : fitted[i], -1])
-        rss_u[i] = _rss(stack[i, : fitted[i], :-1], stack[i, : fitted[i], -1])
+    for i in np.flatnonzero(r_diag.min(axis=1) <= _RANK_TOL * r_diag.max(axis=1)):
+        rss_r[i] = _rss(stack[i, :, : m + 1], stack[i, :, -1])
+        rss_u[i] = _rss(stack[i, :, :-1], stack[i, :, -1])
     rss_r = rss_r[0::2] + rss_r[1::2]
     rss_u = rss_u[0::2] + rss_u[1::2]
     dof = k - 2 * m - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = rss_r - rss_u
         stat = np.where(gain > _NO_GAIN_RTOL * rss_r, (gain / m) / (rss_u / dof), 0.0)
-        got = _beta_halves(m * stat / (m * stat + dof), m, dof)
-    got[rss_u <= _DEGENERATE_RSS] = 1.0
-    got[rss_r <= _DEGENERATE_RSS] = np.nan
-    area[fit] = got
+        area = _beta_halves(m * stat / (m * stat + dof), m, dof)
+    area[rss_u <= _DEGENERATE_RSS] = 1.0
+    area[rss_r <= _DEGENERATE_RSS] = np.nan
     return area
 
 
@@ -370,36 +365,34 @@ def granger_causality_area(target: Trajectory, source: Trajectory, lag: int = 2)
     lag = _check_number("lag", lag, PositiveInt)
     _, points, present = align_segments([target, source])
     common = present.all(axis=0)
-    area = _causality(*points[:, None, common], np.array([common.sum()]), lag)[0]  # (1, K, 2) target, source
+    area = _causality(*points[:, None, common], lag)[0]  # (1, K, 2) target, source
     return None if np.isnan(area) else float(area)
 
 
-def _common_rows(aligned, ia, ib, cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d_ph, d_ca, fallback) per pair from its common samples, compacted once
-    per chunk to the front of (rows, K_max, 2) blocks whose samples past a
-    pair's K no kernel reads: d_ph is NaN where the pair shares none, d_ca is
-    1 - the larger defined directional area, and GRANGER_FALLBACK where neither
-    is (flagged)."""
+def _common_rows(aligned, ia, ib, counts, cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_ph, d_ca, fallback) per pair from its `counts` K common samples. The
+    pairs run in order of K, and each chunk of a run compacts its pairs to
+    (rows, K, 2) blocks, so every mean and causality fit has a one-pair call's
+    shape: d_ph is NaN where the pair shares none, d_ca is 1 - the larger
+    defined directional area, and GRANGER_FALLBACK where neither is (flagged)."""
     m = cfg.granger_lag
     _, points, present = aligned
     d_ph, best = np.full(len(ia), np.nan), np.full(len(ia), np.nan)
-    for chunk in _chunks(len(ia), present.shape[1] * max(4 * (_HALL_SIG2.size + 2), 32 * (m + 1))):
-        common = present[ia[chunk]] & present[ib[chunk]]
-        counts = common.sum(axis=1)
-        rows = np.flatnonzero(counts)
-        a, b, counts = ia[chunk][rows], ib[chunk][rows], counts[rows]
-        frames = np.argsort(~common[rows], axis=1, kind="stable")[:, : counts.max(initial=0)]  # common ones first
-        pa, pb = points[a[:, None], frames], points[b[:, None], frames]
-        deltas = pa - pb
-        d2 = np.einsum("pkj,pkj->pk", deltas, deltas)
-        responses = np.mean(np.exp(-d2[..., None] / (2.0 * _HALL_SIG2)) / (2.0 * math.pi * _HALL_SIG2), axis=2)
-        rows += chunk.start
-        for k in set(counts.tolist()):  # each mean has a one-pair call's shape
-            sel = np.flatnonzero(counts == k)
-            d_ph[rows[sel]] = 1.0 - responses[sel, :k].mean(axis=1) / _HALL_PEAK
-        # both directions in one batch: b caused by a, then a caused by b
-        both = _causality(np.concatenate([pb, pa]), np.concatenate([pa, pb]), np.tile(counts, 2), m)
-        best[rows] = np.fmax(*both.reshape(2, -1))
+    order = np.argsort(counts, kind="stable")
+    starts = np.flatnonzero(np.diff(counts[order], prepend=0))  # a run of each K > 0
+    for run in np.split(order, starts)[1:]:
+        k = int(counts[run[0]])
+        for chunk in _chunks(len(run), present.shape[1] + k * max(4 * (_HALL_SIG2.size + 2), 32 * (m + 1))):
+            rows = run[chunk]
+            a, b = ia[rows], ib[rows]
+            frames = np.nonzero(present[a] & present[b])[1].reshape(-1, k)  # in time order
+            pa, pb = points[a[:, None], frames], points[b[:, None], frames]
+            deltas = pa - pb
+            d2 = np.einsum("pkj,pkj->pk", deltas, deltas)
+            responses = np.mean(np.exp(-d2[..., None] / (2.0 * _HALL_SIG2)) / (2.0 * math.pi * _HALL_SIG2), axis=2)
+            d_ph[rows] = 1.0 - responses.mean(axis=1) / _HALL_PEAK
+            # both directions in one batch: b caused by a, then a caused by b
+            best[rows] = np.fmax(*_causality(np.concatenate([pb, pa]), np.concatenate([pa, pb]), m).reshape(2, -1))
     fallback = np.isnan(best)
     return np.clip(d_ph, 0.0, 1.0), np.where(fallback, GRANGER_FALLBACK, np.clip(1.0 - best, 0.0, 1.0)), fallback
 
@@ -410,7 +403,7 @@ def granger_distance(seg_a: Trajectory, seg_b: Trajectory, cfg: FeatureConfig | 
     Pairs with too few common samples (or degenerate regressions in both
     directions) fall back to the uninformative midpoint 0.5.
     """
-    return float(_common_rows(align_segments([seg_a, seg_b]), *_ONE_PAIR, cfg or FeatureConfig())[1][0])
+    return float(_one_pair(seg_a, seg_b, cfg)[1][0])
 
 
 def _heat_cells(aligned, rows, cfg: FeatureConfig):
@@ -494,12 +487,12 @@ def _window_rows(windows, cfg: FeatureConfig):
             for out, part in zip(aligned, layout):
                 out[row : row + len(layout[2]), : layout[0].size] = part
         ia, ib = np.hstack([np.add(np.triu_indices(len(g), 1), row) for g, row in zip(groups, offsets)])
-    far = _far_rows(aligned, ia, ib)
+    far, counts = _far_rows(aligned, ia, ib)
     keep = np.flatnonzero(~far)
     ka, kb = ia[keep], ib[keep]
     features = np.ones((len(ia), len(FEATURE_NAMES)))
     fallback = np.zeros(len(ia), dtype=bool)
-    features[keep, 0], features[keep, 2], fallback[keep] = _common_rows(aligned, ka, kb, cfg)
+    features[keep, 0], features[keep, 2], fallback[keep] = _common_rows(aligned, ka, kb, counts[keep], cfg)
     features[keep, 1] = _dtw_rows(aligned, ka, kb)
     used, slots = np.unique(np.concatenate([ka, kb]), return_inverse=True)
     if len(used):

@@ -20,7 +20,8 @@ import json
 import logging
 import sys
 import tomllib
-from contextlib import contextmanager
+from collections import deque
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import product, tee
@@ -331,19 +332,25 @@ def make_training_examples(windows, labels, configs: FeatureConfig | None = None
     return [TrainingExample(scene, window_ground_truth(scene.window, labels)) for scene in scenes]
 
 
-def train_model(config: RunConfig, examples: list[TrainingExample], log) -> Model:
+def train_model(config: RunConfig, examples: list[TrainingExample], log) -> tuple[Model, dict]:
     """BCFW over the examples, one at a time in sequential mode and all at once
     otherwise (online mode predicts from the batch model); the model records
-    the config's flat settings. `log` (None, or where open_output writes) gets a row per update."""
+    the config's flat settings. `log` (None, or where open_output writes) gets a row per update.
+    Returns the model and its health for meta.json: the final exact pass's summed duality gap,
+    the dual l - 0.5 ||w||^2 and the primal estimate dual + gap, None in sequential mode."""
     sequential = config.mode == "sequential"
-    if log is None:
-        model = bcfw_train(examples, config, sequential=sequential)
-    else:
-        with _csv_rows(log, ["iter", "block", "hinge", "gamma", "gap", "exact"]) as write_row:
-            model = bcfw_train(examples, config, sequential=sequential,
-                               iteration_hook=lambda _, info: write_row([*info[:5], int(info.exact)]))
+    gaps = deque(maxlen=len(examples))  # batch training ends on one exact update per block
+    header = ["iter", "block", "hinge", "gamma", "gap", "exact"]
+    with nullcontext(lambda row: None) if log is None else _csv_rows(log, header) as write_row:
+        def hook(_, info):
+            gaps.append(info.gap)
+            write_row([*info[:5], int(info.exact)])
+
+        model = bcfw_train(examples, config, sequential=sequential, iteration_hook=hook)
     model.config = config.to_flat_dict()
-    return model
+    gap, dual = sum(gaps), model.l - 0.5 * float(model.w @ model.w)
+    health = {"duality_gap": gap, "dual": dual, "primal_estimate": dual + gap}
+    return model, dict.fromkeys(health) if sequential else health
 
 
 def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
@@ -386,7 +393,7 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
         rundir.mkdir(parents=True, exist_ok=True)
         write_config_file(rundir / "config.resolved.toml", run_config.to_flat_dict())
 
-        model = train_model(run_config, examples, rundir / "train_log.csv")
+        model, health = train_model(run_config, examples, rundir / "train_log.csv")
         entries, model = predict_scenes(test_scenes, model, online=config.mode == "online")
         model.save(rundir / "model.json")
         write_predictions(rundir / "predictions.json", run_seed, entries)
@@ -398,7 +405,7 @@ def run_experiment(config: RunConfig, data_dir, out_dir) -> dict:
         _write_csv(rundir / "metrics.csv", ["metric", *_SCORE_FIELDS], _score_rows(mean))
         _write_csv(rundir / "weights.csv", ["term", "alpha", "beta", "coefficient", "share"], _weights_rows(model))
         meta_runs.append({"seed": run_seed, "nonnegative_weights": model.nonnegative_weights,
-                          "iterations": model.iterations, "gmitre_f1": float(mean[0, 2])})
+                          "iterations": model.iterations, "gmitre_f1": float(mean[0, 2]), **health})
         logger.info("run %d/%d (seed %d): gmitre f1 %.4f", r + 1, config.runs, run_seed, mean[0, 2])
 
     summary_rows = [

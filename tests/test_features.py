@@ -686,8 +686,7 @@ def test_build_scene_matches_scalar_references_on_spread_ragged_windows():
 
 def test_pair_rows_ignore_bystanders():
     # a pair's row is a property of the pair: dropping any other member of the
-    # window leaves d_ph, d_sh and d_he and the flags bit-identical, and d_ca
-    # (whose QR batch sees other pairs' zero rows) to 1e-12
+    # window leaves all four features and the flags bit-identical
     rng = np.random.default_rng(38)
     rows = 0
     for _ in range(60):
@@ -699,9 +698,7 @@ def test_pair_rows_ignore_bystanders():
             keep = [full[pair] for pair in map(tuple, rest.pairs.tolist())]
             for name in ("far", "no_overlap", "granger_fallback"):
                 assert getattr(rest, name).tolist() == getattr(scene, name)[keep].tolist(), name
-            got, want = rest.feature_matrix, scene.feature_matrix[keep]
-            assert got[:, [0, 1, 3]].tobytes() == want[:, [0, 1, 3]].tobytes()
-            assert np.abs(got[:, 2] - want[:, 2]).max(initial=0.0) <= 1e-12
+            assert rest.feature_matrix.tobytes() == scene.feature_matrix[keep].tobytes()
             rows += len(keep)
     assert rows > 10000
 
@@ -768,19 +765,33 @@ def test_build_scene_does_not_depend_on_chunk_size(monkeypatch, chunk):
         assert got.far.tolist() == scene.far.tolist()
 
 
+DTW_LAYOUTS = {
+    # members of 2 to 14 samples, one of them with exactly 2 and two with 14:
+    # the pairs end on every diagonal 3 to 26, up to 11 on one
+    "ragged": (list(range(2, 15)) + [5, 7, 9, 14], range(3, 27)),
+    # the longest member has 2 samples: each diagonal's band is one or two cells wide
+    "two-samples": ([2, 2, 2], [2]),
+}
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 7, 16 * 15 * 5])
-def test_dtw_end_cell_schedule_matches_the_scalar_reference(monkeypatch, chunk):
-    # members of 2 to 14 samples, one of them with exactly 2, within a 1 m box
-    # so that no pair is far: the pairs end on every diagonal 3 to 26, up to 11
-    # on one, and each chunk reads its end cells by its sorted schedule; the
-    # chunks hold all 136 pairs, one pair, or five (16 (size + 1) floats a pair)
+@pytest.mark.parametrize("layout", list(DTW_LAYOUTS))
+def test_dtw_end_cell_schedule_matches_the_scalar_reference(monkeypatch, layout, chunk):
+    # members within a 1 m box so that no pair is far, among them pairs of
+    # lengths (2, size) and (size, size), whose cells reach both ends of each
+    # diagonal's valid band; each chunk reads its end cells by its sorted
+    # schedule. The chunks hold all pairs, one pair, or five of the ragged
+    # layout's (16 (size + 1) floats a pair)
+    lengths, diagonals = DTW_LAYOUTS[layout]
     rng = np.random.default_rng(13)
-    lengths = list(range(2, 15)) + [5, 7, 9, 14]
     segments = [Trajectory(m, (int(rng.integers(0, 10)) + np.arange(k)) * 0.4, rng.uniform(-0.5, 0.5, size=(k, 2)))
                 for m, k in enumerate(lengths, start=1)]
     ia, ib = np.triu_indices(len(segments), 1)
+    pairs = Counter(tuple(sorted((lengths[a], lengths[b]))) for a, b in zip(ia, ib))
+    size = max(lengths)
+    assert pairs[2, size] and pairs[size, size]
     ends = Counter(lengths[a] + lengths[b] - 2 for a, b in zip(ia, ib))
-    assert sorted(ends) == list(range(3, 27)) and max(ends.values()) >= 5
+    assert sorted(ends) == list(diagonals) and max(ends.values()) >= min(5, len(ia))
     if chunk is not None:
         monkeypatch.setattr(features_module, "_CHUNK_ELEMENTS", chunk)
     got = features_module._dtw_rows(align_segments(segments), ia, ib)
@@ -794,50 +805,57 @@ def _common_samples(seg_a, seg_b):
     return seg_a.points[np.isin(seg_a.times, common)], seg_b.points[np.isin(seg_b.times, common)]
 
 
-def test_build_scene_compacts_each_pairs_common_samples_once(monkeypatch):
-    # d_ph and both causality directions read one compaction per chunk: each
-    # non-far pair sharing a timestamp reaches the causality batch exactly
-    # once, its common samples first in time order, and one np.linalg.qr
-    # factors the designs of every common count K in the chunk
+def test_build_scene_fits_causality_once_per_common_count(monkeypatch):
+    # the pairs run in order of their common count K: each non-far pair
+    # sharing a timestamp reaches exactly one causality call, both directions
+    # of it, its common samples in time order and no padding; every call holds
+    # one K, and each chunk of a K run that fits (K >= 2m + 2) factors its
+    # designs in one np.linalg.qr
     rng = np.random.default_rng(12)
     causality, qr = features_module._causality, np.linalg.qr
-    batches, factored = [], []
-    monkeypatch.setattr(features_module, "_CHUNK_ELEMENTS", 1 << 30)  # one chunk per window
-    monkeypatch.setattr(features_module, "_causality", lambda *args: batches.append(args) or causality(*args))
+    calls, factored = [], []
+    monkeypatch.setattr(features_module, "_causality", lambda *args: calls.append(args) or causality(*args))
     monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: factored.append(args[0].shape) or qr(*args, **kw))
-    several_k = 0
-    for _ in range(30):
-        win = oracles.random_ragged_window(rng)
-        batches.clear()
-        factored.clear()
-        scene = build_scene(win)
-        segments = [win.segments[m] for m in scene.members]
-        want = Counter()
-        for i, j, far in zip(*scene.pair_rows, scene.far):
-            pa, pb = _common_samples(segments[i], segments[j])
-            if not far and len(pa):
-                want[pa.tobytes(), pb.tobytes()] += 1
-        assert len(batches) == (scene.far_count < scene.far.size)
-        if not batches:
-            continue
-        [(y_pts, x_pts, counts, m)] = batches
-        n = len(counts) // 2  # b caused by a, then a caused by b
-        assert np.array_equal(y_pts[n:], x_pts[:n]) and np.array_equal(x_pts[n:], y_pts[:n])
-        got = Counter((pa[:k].tobytes(), pb[:k].tobytes()) for pb, pa, k in zip(y_pts[:n], x_pts[:n], counts[:n]))
-        assert got == want and sum(want.values()) == scene.far.size - scene.far_count - scene.no_overlap_count
-        fitted = set(counts[counts >= 2 * m + 2].tolist())
-        assert len(factored) == (len(fitted) > 0)
-        several_k += len(fitted) > 1
-    assert several_k >= 20
+    several_k = split_runs = 0
+    for chunk in (1 << 30, 1 << 12):  # one chunk per K run, or several in the longer runs
+        monkeypatch.setattr(features_module, "_CHUNK_ELEMENTS", chunk)
+        for _ in range(30):
+            win = oracles.random_ragged_window(rng)
+            calls.clear()
+            factored.clear()
+            scene = build_scene(win)
+            segments = [win.segments[m] for m in scene.members]
+            want = Counter()
+            for i, j, far in zip(*scene.pair_rows, scene.far):
+                pa, pb = _common_samples(segments[i], segments[j])
+                if not far and len(pa):
+                    want[pa.tobytes(), pb.tobytes()] += 1
+            got, shapes = Counter(), []
+            for y_pts, x_pts, m in calls:
+                n, k = len(y_pts) // 2, y_pts.shape[1]  # b caused by a, then a caused by b
+                assert m == 2 and y_pts.shape == x_pts.shape
+                assert np.array_equal(y_pts[n:], x_pts[:n]) and np.array_equal(x_pts[n:], y_pts[:n])
+                got.update((pa.tobytes(), pb.tobytes()) for pb, pa in zip(y_pts[:n], x_pts[:n]))
+                if k >= 2 * m + 2:
+                    shapes.append((4 * n, k - m, 2 * m + 2))  # (rows x coordinates, K - m, columns)
+            assert got == want and sum(want.values()) == scene.far.size - scene.far_count - scene.no_overlap_count
+            assert factored == shapes
+            ks = [y_pts.shape[1] for y_pts, _, _ in calls]
+            if chunk == 1 << 30:
+                assert len(set(ks)) == len(ks)  # one call per K
+                several_k += len(factored) > 1
+            else:
+                split_runs += len(set(ks)) < len(ks)
+    assert several_k >= 20 and split_runs >= 10
 
 
 @pytest.mark.parametrize("lag", [1, 2, 3])
-def test_padded_causality_batch_matches_one_pair_calls(lag):
-    # one chunk pads the pairs of many common counts K to the largest: d_ca is
-    # within 1e-12 of the one-pair granger_distance with the same fallback
-    # flag, and exact fits (2m + 2 <= K <= 3m + 1: no more fitted samples than
-    # design columns) still read d_ca = 0.0 unless they fall back. Pairs with
-    # a standing or replayed member are left out: their designs are rank-deficient
+def test_causality_batch_matches_one_pair_calls(lag):
+    # each chunk fits the pairs of one common count K: d_ca and its fallback
+    # flag equal the one-pair granger_distance's exactly, and exact fits
+    # (2m + 2 <= K <= 3m + 1: no more fitted samples than design columns) read
+    # d_ca = 0.0 unless they fall back. Pairs with a standing or replayed
+    # member are left out of the exact-fit count: their designs are rank-deficient
     cfg = FeatureConfig(granger_lag=lag)
     rng = np.random.default_rng(34)
     exact = mixed = 0
@@ -850,10 +868,9 @@ def test_padded_causality_batch_matches_one_pair_calls(lag):
             if scene.far[k] or scene.no_overlap[k]:
                 continue
             pair = segments[i], segments[j]
-            _, want, fallback = features_module._common_rows(align_segments(pair), *features_module._ONE_PAIR, cfg)
+            _, want, fallback = features_module._one_pair(*pair, cfg)
             got = scene.feature_matrix[k, 2]
-            assert got == pytest.approx(granger_distance(*pair, cfg), abs=1e-12, rel=0)
-            assert got == pytest.approx(want[0], abs=1e-12, rel=0) and scene.granger_fallback[k] == fallback[0]
+            assert got == granger_distance(*pair, cfg) == want[0] and scene.granger_fallback[k] == fallback[0]
             n = len(_common_samples(*pair)[0])
             counts.add(n)
             moving = all(np.ptp(seg.points, axis=0).all() for seg in pair)
@@ -865,9 +882,9 @@ def test_padded_causality_batch_matches_one_pair_calls(lag):
     assert exact >= 10 and mixed >= 40
 
 
-def test_padded_causality_refits_rank_deficient_pairs_from_their_own_rows(monkeypatch):
+def test_causality_refits_rank_deficient_pairs_from_their_own_rows(monkeypatch):
     # a standing member's lags are collinear with the intercept; its pairs
-    # (K = 20 and 18) share a batch with a full-rank pair of K = 26, and
+    # (K = 20 and 18) share a window with a full-rank pair of K = 26, and
     # _rss refits them from exactly the designs of their one-pair calls
     walk = traj(1, _walk(70, k=30))
     standing = traj(2, np.tile([3.0, -1.0], (20, 1)))
@@ -889,15 +906,16 @@ def test_padded_causality_refits_rank_deficient_pairs_from_their_own_rows(monkey
         assert {len(y) for _, y in batched} == {20 - lag, 18 - lag}
 
 
-def test_beta_halves_with_a_dof_per_element_equals_its_scalar_calls():
+def test_beta_halves_of_an_array_equals_its_one_element_calls():
+    # a causality chunk evaluates all its pairs' statistics in one call: each
+    # element gets the bits of a one-pair call
     rng = np.random.default_rng(35)
-    dof = rng.permutation(np.repeat(np.arange(1, 61), 25))
-    x = np.concatenate([rng.random(dof.size - 4), [0.0, 1.0, 1.0 - 1e-12, np.nan]])
+    x = np.concatenate([rng.random(60), [0.0, 1.0, 1.0 - 1e-12, np.nan]])
     for m in (1, 2, 3, 4):
-        got = features_module._beta_halves(x, m, dof)
-        for d in range(1, 61):
-            at = dof == d
-            assert np.array_equal(got[at], features_module._beta_halves(x[at], m, d), equal_nan=True)
+        for dof in range(1, 61):
+            got = features_module._beta_halves(x, m, dof)
+            want = [features_module._beta_halves(x[i : i + 1], m, dof)[0] for i in range(x.size)]
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

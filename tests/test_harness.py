@@ -40,6 +40,7 @@ from crowdgroups.harness import (
     prediction_entry,
     read_config_file,
     read_predictions,
+    split_training_span,
     train_model,
     write_config_file,
     write_predictions,
@@ -550,7 +551,7 @@ def test_predict_scenes_builds_each_scene_just_before_predicting_it(dataset_dir,
 
 def test_predict_scenes_online_matches_online_predict_train(dataset_dir):
     dataset, windows = load_windows(dataset_dir, 8.0, 8.0, labels_for="to train")
-    init = train_model(RunConfig(**FAST), make_training_examples(windows[:3], dataset.labels), None)
+    init, _ = train_model(RunConfig(**FAST), make_training_examples(windows[:3], dataset.labels), None)
     scenes = [build_scene(w) for w in windows[3:]]
     entries, last = predict_scenes(iter(scenes), init, online=True)
     streamed = list(online_predict_train(scenes, init))
@@ -569,6 +570,34 @@ def test_run_experiment_other_modes(dataset_dir, tmp_path, mode):
     # both modes spend max_iterations on the training windows; online mode
     # then spends ONLINE_STEPS on each of the three predicted windows
     assert model.iterations == 30 + (3 * learning.ONLINE_STEPS if mode == "online" else 0)
+
+
+@pytest.mark.parametrize("mode", ["batch", "online", "sequential"])
+def test_meta_records_each_runs_training_health(dataset_dir, tmp_path, mode):
+    # per run: the final exact pass's summed duality gap, the dual
+    # l - 0.5 ||w||^2 of the trained model (before any online update) and the
+    # primal estimate dual + gap; null in sequential mode, which has no final
+    # exact pass. The model file gains no key
+    config = RunConfig(**{**FAST, "mode": mode})
+    out = tmp_path / "report"
+    run_experiment(config, dataset_dir, out)
+    meta = json.loads((out / "meta.json").read_text())
+    dataset, windows = load_windows(dataset_dir, config.window_len, config.stride, labels_for="to train")
+    examples = make_training_examples(split_training_span(dataset, windows, config.training_span)[0], dataset.labels)
+    for run in meta["runs"]:
+        health = {key: run[key] for key in ("duality_gap", "dual", "primal_estimate")}
+        assert not set(json.loads((out / f"run-{run['seed']}" / "model.json").read_text())) & set(health)
+        if mode == "sequential":
+            assert health == dict.fromkeys(health)
+            continue
+        infos = []
+        model = learning.bcfw_train(examples, dataclasses.replace(config, seed=run["seed"]),
+                                    iteration_hook=lambda _, info: infos.append(info))
+        final = infos[-len(examples) :]
+        assert [info.block for info in final] == list(range(len(examples))) and all(info.exact for info in final)
+        gap, dual = sum(info.gap for info in final), model.l - 0.5 * float(model.w @ model.w)
+        assert health == {"duality_gap": gap, "dual": dual, "primal_estimate": dual + gap}
+        assert len(examples) > 1 and gap != 0.0 and dual > 0.0
 
 
 @pytest.mark.parametrize("mode", ["batch", "sequential"])

@@ -697,7 +697,7 @@ def test_sequential_spends_max_iterations_over_arrivals(tmp_path, monkeypatch):
 
     monkeypatch.setattr(learning, "_add_block", counted)
     log = tmp_path / "train_log.csv"
-    model = train_model(RunConfig(mode="sequential", max_iterations=25, seed=2), examples, log)
+    model, _ = train_model(RunConfig(mode="sequential", max_iterations=25, seed=2), examples, log)
     ends = arrivals[1:] + [model.iterations]
     assert ends == [8, 16, 25]
     assert model.block_w.shape == (3, 8)
@@ -978,9 +978,9 @@ def test_training_is_byte_identical_per_seed(tmp_path):
     runs = []
     for k in range(2):
         config = RunConfig(C=1.0, max_iterations=150, seed=7)
-        batch = train_model(config, examples, tmp_path / f"batch{k}.csv")
-        sequential = train_model(dataclasses.replace(config, mode="sequential"), examples,
-                                 tmp_path / f"seq{k}.csv")
+        batch, _ = train_model(config, examples, tmp_path / f"batch{k}.csv")
+        sequential, _ = train_model(dataclasses.replace(config, mode="sequential"), examples,
+                                    tmp_path / f"seq{k}.csv")
         online = list(online_predict_train([ex.scene for ex in examples[:4]], batch))
         runs.append((snapshot(batch), snapshot(sequential),
                      [(p, snapshot(m)) for p, m in online]))

@@ -93,7 +93,7 @@ def test_training_log_and_result_keep_what_the_benchmark_reads(tmp_path):
         scene = random_scene(6, rng)
         examples.append(TrainingExample(scene, random_partition(list(scene.members), rng)))
     log = tmp_path / "train_log.csv"
-    model = train_model(RunConfig(max_iterations=30), examples, log)
+    model, _ = train_model(RunConfig(max_iterations=30), examples, log)
     with open(log, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 30
