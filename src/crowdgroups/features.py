@@ -19,11 +19,11 @@ so the other rows equal an ungated build's.
 Every feature is a kernel over the pair axis (ia, ib); its temporaries are
 chunked so that one chunk of pairs holds about _CHUNK_ELEMENTS floats.
 
-- Layout: every kernel reads one layout (times, points, present) of a batch:
-  its windows' `align_segments` layouts stacked (a batch of one is not copied),
-  a window's members as rows on its own time axis, padded to the batch's frames,
-  and its triu pairs offset to those rows. A member's samples are its present
-  frames in order; two share a frame when both have that timestamp (np.intersect1d).
+- Layout: every kernel reads one layout (times, points, present) of a batch, one
+  `align_segments` call with a group per window: a window's members are rows on
+  its own time axis, padded to the batch's frames, and its triu pairs are offset
+  to those rows. A member's samples are its present frames in order; two share a
+  frame when both have that timestamp (np.intersect1d).
 - Batches: build_scene of a slice_windows window featurizes it with the next live
   windows of its slice not yet built under its config, up to _BATCH_PAIRS pair
   rows, so the first window carries the batch's latency; _AHEAD keeps the rows,
@@ -413,7 +413,7 @@ def _heat_cells(aligned, rows, cfg: FeatureConfig):
     dwell seconds) over the largest, a cell's dwells summed in time order."""
     times, points, present = aligned
     owner, frames = np.nonzero(present[rows])
-    times = times[frames] if times.ndim == 1 else times[np.asarray(rows)[owner], frames]  # each row's own axis
+    times = times[np.asarray(rows)[owner], frames]
     # a sample dwells until its member's next one; a member's last sample does not
     dwell = np.where(np.diff(owner, append=-1) == 0, np.diff(times, append=0.0), 0.0)
     cells = np.floor(points[rows][owner, frames] / cfg.heat_cell_edge)
@@ -476,17 +476,10 @@ def heatmap_distance(h_a: np.ndarray, h_b: np.ndarray, cfg: FeatureConfig | None
 
 def _window_rows(windows, cfg: FeatureConfig):
     """(features, fallback, no_overlap, far) of each window, one batch over all
-    windows' pairs in their stacked layout (see the module docstring)."""
+    windows' pairs in one `align_segments` layout (see the module docstring)."""
     groups = [[w.segments[m] for m in sorted(w.members)] for w in windows]
-    aligned, (ia, ib) = align_segments(groups[0]), np.triu_indices(len(groups[0]), 1)
-    if len(groups) > 1:
-        layouts, offsets = [aligned, *map(align_segments, groups[1:])], np.cumsum([0] + [len(g) for g in groups])
-        shape = offsets[-1], max(t.size for t, _, _ in layouts)
-        aligned = np.zeros(shape), np.zeros((*shape, 2)), np.zeros(shape, dtype=bool)
-        for row, layout in zip(offsets, layouts):
-            for out, part in zip(aligned, layout):
-                out[row : row + len(layout[2]), : layout[0].size] = part
-        ia, ib = np.hstack([np.add(np.triu_indices(len(g), 1), row) for g, row in zip(groups, offsets)])
+    aligned, offsets = align_segments(*groups), np.cumsum([0] + [len(g) for g in groups])
+    ia, ib = np.hstack([np.add(np.triu_indices(len(g), 1), row) for g, row in zip(groups, offsets)])
     far, counts = _far_rows(aligned, ia, ib)
     keep = np.flatnonzero(~far)
     ka, kb = ia[keep], ib[keep]
@@ -500,9 +493,8 @@ def _window_rows(windows, cfg: FeatureConfig):
         features[keep, 3] = _heat_rows(table, counts, *slots.reshape(2, -1), cfg)
     no_overlap = np.isnan(features[:, 0])
     features[no_overlap, 0] = features[no_overlap, 2] = NO_OVERLAP_DISTANCE
-    rows = features, fallback & ~no_overlap, no_overlap, far
     cuts = np.cumsum([len(g) * (len(g) - 1) // 2 for g in groups])[:-1]
-    return zip(*(np.split(a, cuts) for a in rows)) if len(groups) > 1 else [rows]
+    return zip(*(np.split(a, cuts) for a in (features, fallback & ~no_overlap, no_overlap, far)))
 
 
 def build_scenes(windows: list[TimeWindow], cfg: FeatureConfig | None = None) -> list[WindowedScene]:
@@ -526,10 +518,10 @@ def build_scene(window: TimeWindow, configs: FeatureConfig | None = None) -> Win
     if not window._slice:
         return build_scenes([window], configs)[0]
     if _AHEAD.get(window, {}).get(configs) is None:  # not built ahead, or handed out already
-        batch, pairs = [], 0
-        for w in filter(None, (ref() for ref in window._slice[window.index :])):
+        batch, pairs = [window], len(window.members) * (len(window.members) - 1) // 2
+        for w in filter(None, (ref() for ref in window._slice[window.index + 1 :])):
             pairs += len(w.members) * (len(w.members) - 1) // 2
-            if batch and (configs in _AHEAD.get(w, ()) or pairs > _BATCH_PAIRS):
+            if configs in _AHEAD.get(w, ()) or pairs > _BATCH_PAIRS:
                 break
             batch.append(w)
         for w, rows in zip(batch, _window_rows(batch, configs)):

@@ -124,18 +124,20 @@ class TimeWindow:
             raise ValueError("segments must cover exactly the window members")
 
 
-def align_segments(segments) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, points, present): the sorted union of the segments' timestamps, a
-    (segments, frames, 2) point tensor, zero where a segment has no sample, and
-    the (segments, frames) mask of the samples. A segment's samples are its
-    present frames in order; two share a frame when both have that timestamp."""
-    times = np.unique(np.concatenate([seg.times for seg in segments] or [np.empty(0)]))
-    points = np.zeros((len(segments), times.size, 2))
-    present = np.zeros((len(segments), times.size), dtype=bool)
-    for k, seg in enumerate(segments):
-        cols = np.searchsorted(times, seg.times)
-        points[k, cols] = seg.points
-        present[k, cols] = True
+def align_segments(*groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, points, present), one row per segment of the groups in order: a
+    group's rows hold the sorted union of its timestamps, zero-padded to the widest
+    group's frames, in (rows, frames) times; (rows, frames, 2) points are zero where
+    a segment has no sample, as the (rows, frames) mask shows. A segment's samples
+    are its present frames in order; two of a group share a frame when both have its timestamp."""
+    axes = [np.unique(np.concatenate([seg.times for seg in group] or [np.empty(0)])) for group in groups]
+    shape = sum(map(len, groups)), max((axis.size for axis in axes), default=0)
+    times, points, present = np.zeros(shape), np.zeros((*shape, 2)), np.zeros(shape, dtype=bool)
+    for axis, group, first in zip(axes, groups, np.cumsum([0, *map(len, groups)]).tolist()):
+        times[first : first + len(group), : axis.size] = axis
+        for row, seg in enumerate(group, start=first):
+            cols = np.searchsorted(axis, seg.times)
+            points[row, cols], present[row, cols] = seg.points, True
     return times, points, present
 
 

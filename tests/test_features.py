@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
 import io
@@ -1112,6 +1113,26 @@ def test_slice_batches_equal_hand_made_windows_bit_for_bit(monkeypatch, seed, or
         assert len(ours) == len(configs)
     if order == "tiny-budget":
         assert len(ours) > 1 and max(len(batch) for _, batch in ours) > 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_build_scene_of_a_copied_slice_window_gets_its_own_rows(seed):
+    # a copy of a slice window keeps the original's slice; its batch starts
+    # with the copy, so the copy's rows are stored, and the original, asked
+    # for later, still gets its own
+    for k in range(len(_ragged_slice(seed)[0])):
+        windows, copies = _ragged_slice(seed)
+        original = windows[k]
+        clone = copy.copy(original)
+        assert clone._slice is original._slice and clone is not original
+        scene = build_scene(clone)
+        assert scene.window is clone
+        _assert_same_scene(scene, build_scenes([original])[0])
+        later = build_scene(original)
+        assert later.window is original
+        _assert_same_scene(later, scene)
+        for w, c in zip(windows, copies):
+            _assert_same_scene(build_scene(w), build_scenes([c])[0])
 
 
 def test_dropping_a_slice_frees_its_windows_and_their_rows_built_ahead():

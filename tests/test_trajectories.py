@@ -26,6 +26,7 @@ from crowdgroups import (
     slice_windows,
     window_ground_truth,
 )
+from crowdgroups import trajectories as trajectories_module
 from crowdgroups.errors import SAMPLE_BOUND
 from crowdgroups.trajectories import _SPAN_EPS, align_segments
 
@@ -548,14 +549,48 @@ def test_scene_stats_matches_scalar_loop_on_random_ragged_windows():
                 assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("budget", [1, 3 * 15**2])  # one frame a pass; three of a 15-member window
+def test_scene_stats_does_not_depend_on_its_chunk_budget(monkeypatch, budget):
+    # the distances are concatenated in frame order whatever the chunks, so the
+    # means are the default budget's bit for bit
+    rng = np.random.default_rng(9)
+    cases = []
+    for _ in range(12):
+        windows = [oracles.random_ragged_window(rng) for _ in range(int(rng.integers(1, 4)))]
+        ids = rng.permutation(np.arange(1, 16))
+        labels = Partition([g for g in np.split(ids, np.sort(rng.choice(np.arange(1, 15), 3, replace=False)))
+                            if len(g) >= 2])
+        cases.append((windows, labels, scene_stats(windows, labels)))
+    monkeypatch.setattr(trajectories_module, "_CHUNK_ELEMENTS", budget)
+    for windows, labels, want in cases:
+        assert scene_stats(windows, labels) == want
+
+
 def test_align_segments_marks_exact_common_timestamps():
     a = make_traj(1, [0.0, 0.4, 1.2], [[0, 0], [1, 1], [2, 2]])
     b = make_traj(2, [0.4, 0.8], [[5, 5], [6, 6]])
     times, points, present = align_segments([a, b])
-    assert times.tolist() == [0.0, 0.4, 0.8, 1.2]
+    assert times.tolist() == [[0.0, 0.4, 0.8, 1.2]] * 2
     assert present.tolist() == [[True, True, False, True], [False, True, True, False]]
     assert points[0, 3].tolist() == [2.0, 2.0] and points[1, 2].tolist() == [6.0, 6.0]
     assert points[1, 0].tolist() == [0.0, 0.0]
     empty_times, empty_points, empty_present = align_segments([])
-    assert empty_times.shape == (0,) and empty_points.shape == (0, 0, 2) and empty_present.shape == (0, 0)
+    assert empty_times.shape == (0, 0) and empty_points.shape == (0, 0, 2) and empty_present.shape == (0, 0)
+    # two groups of different widths: each group's rows on its own axis, the
+    # narrower one zero-padded and absent past its frames
+    c = make_traj(3, [5.0, 5.6], [[7, 7], [8, 8]])
+    d = make_traj(4, [5.2, 5.6], [[9, 9], [1, 1]])
+    times, points, present = align_segments([a, b], [c, d])
+    assert times.tolist() == [[0.0, 0.4, 0.8, 1.2]] * 2 + [[5.0, 5.2, 5.6, 0.0]] * 2
+    assert present.tolist() == [[True, True, False, True], [False, True, True, False],
+                                [True, False, True, False], [False, True, True, False]]
+    assert points[2:, 3].tolist() == [[0.0, 0.0]] * 2
+    for rows, group in ((slice(0, 2), [a, b]), (slice(2, 4), [c, d])):
+        alone = align_segments(group)
+        width = alone[0].shape[1]
+        for got, want in zip((times, points, present), alone):
+            assert got[rows, :width].tobytes() == want.tobytes()
+    times, points, present = align_segments([], [c], [a, b])  # an empty group adds no row
+    assert times.shape == present.shape == (3, 4) and times[0].tolist() == [5.0, 5.6, 0.0, 0.0]
+    assert points[1:].tobytes() == align_segments([a, b])[1].tobytes()
 
